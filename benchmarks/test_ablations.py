@@ -1,9 +1,12 @@
 """Ablation benchmarks for the design choices called out in DESIGN.md.
 
 * minterm satisfiability filtering (Algorithm 1's pruning) on/off,
-* DFA minimisation inside the inclusion check on/off,
+* the production table walk vs the oracle deciders (formula-pair walk,
+  compiled DFAs), and DFA minimisation of the compiled oracle,
 * derivative-product inclusion vs complement-intersect-emptiness,
 * infeasible-branch pruning in the checker on/off.
+
+The oracle deciders live in ``tests/sfa/oracles.py``.
 """
 
 import pytest
@@ -14,6 +17,7 @@ from repro.sfa import symbolic as S
 from repro.sfa.inclusion import InclusionChecker
 from repro.suite.set_kvstore import set_kvstore
 from repro.typecheck.checker import CheckerConfig
+from tests.sfa.oracles import compile_dfa, oracle_check
 
 
 def _insert_obligation(bench):
@@ -81,42 +85,50 @@ def test_ablation_enumeration_strategy(benchmark, strategy):
 
 @pytest.mark.parametrize("minimize", [False, True], ids=["raw", "minimized"])
 def test_ablation_dfa_minimization(benchmark, minimize):
+    """Compiled-oracle DFA sizes with and without Moore minimisation."""
+    from repro.sfa.alphabet import build_alphabets
+
     bench = set_kvstore()
     hyps, lhs, rhs = _insert_obligation(bench)
+    alphabets = build_alphabets(smt.Solver(), hyps, [lhs, rhs], bench.library.operators)
 
     def run():
-        # minimisation only applies when DFAs are actually materialised
-        checker = InclusionChecker(
-            smt.Solver(), bench.library.operators, minimize=minimize, discharge="compiled"
-        )
-        assert checker.check(hyps, lhs, rhs)
-        return checker.stats
+        sizes = []
+        for alphabet in alphabets:
+            lhs_dfa, rhs_dfa = compile_dfa(lhs, alphabet), compile_dfa(rhs, alphabet)
+            if minimize:
+                lhs_dfa, rhs_dfa = lhs_dfa.minimize(), rhs_dfa.minimize()
+            assert lhs_dfa.is_subset_of(rhs_dfa)
+            sizes += [lhs_dfa.num_transitions, rhs_dfa.num_transitions]
+        return sum(sizes) / len(sizes)
 
-    stats = benchmark(run)
-    benchmark.extra_info["avg sFA"] = round(stats.average_transitions, 1)
+    benchmark.extra_info["avg sFA"] = round(benchmark(run), 1)
 
 
-@pytest.mark.parametrize("discharge", ["lazy", "compiled"])
-def test_ablation_discharge_mode(benchmark, discharge):
-    """Lazy on-the-fly product walk vs compiling both DFAs (Algorithm 1)."""
+@pytest.mark.parametrize("oracle", ["lazy", "compiled"])
+def test_ablation_discharge_mode(benchmark, oracle):
+    """The production table walk vs an oracle decider on the same query:
+    the formula-pair walk (``lazy``) or compiling both DFAs (``compiled``,
+    Algorithm 1).  Verdicts must agree; the extra info records the cost."""
     bench = set_kvstore()
     hyps, lhs, rhs = _insert_obligation(bench)
+    operators = bench.library.operators
+    checker = InclusionChecker(smt.Solver(), operators)
+    assert checker.check(hyps, lhs, rhs)
 
     def run():
-        checker = InclusionChecker(smt.Solver(), bench.library.operators, discharge=discharge)
-        assert checker.check(hyps, lhs, rhs)
-        return checker.stats
+        return oracle_check(hyps, lhs, rhs, operators, compiled=oracle == "compiled")
 
-    stats = benchmark(run)
-    benchmark.extra_info["#prod-states"] = stats.prod_states
-    benchmark.extra_info["DFA states built"] = stats.states_built
+    result = benchmark(run)
+    assert result.included
+    benchmark.extra_info["#prod-states (table walk)"] = checker.stats.prod_states
+    benchmark.extra_info[f"#prod-states ({oracle} oracle)"] = result.prod_states
 
 
 @pytest.mark.parametrize("strategy", ["product-walk", "complement-intersect"])
 def test_ablation_inclusion_strategy(benchmark, strategy):
     """Compare the on-the-fly product inclusion with complement+intersect emptiness."""
     from repro.sfa.alphabet import build_alphabets
-    from repro.sfa.derivatives import compile_dfa
 
     bench = set_kvstore()
     hyps, lhs, rhs = _insert_obligation(bench)

@@ -10,8 +10,10 @@ Usage::
     pymarple evaluate --shards 4        # shard the corpus's obligations
     pymarple table 1|2|3|4 [--fast]     # print a specific paper table
 
-Checker knobs (``--workers``, ``--discharge``, ``--strategy``, ``--backend``)
-mirror the ``REPRO_*`` environment variables.  Incremental verification is enabled with
+Leaf inclusions have one decider, the interned transition-table walk of
+:mod:`repro.sfa.batch`; there is no mode flag for it.  Checker knobs
+(``--workers``, ``--strategy``, ``--backend``) mirror the ``REPRO_*``
+environment variables.  Incremental verification is enabled with
 ``--incremental`` (or by naming a store explicitly with ``--store PATH``):
 discharged obligations are persisted to an on-disk store and answered from it
 on later runs; ``--explain`` prints the per-method hit/miss/invalidated
@@ -62,17 +64,6 @@ def _add_checker_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         metavar="N",
         help="process-pool width for obligation discharge (default: REPRO_WORKERS or 1)",
-    )
-    group.add_argument(
-        "--discharge",
-        choices=("lazy", "compiled", "batch"),
-        help=(
-            "how leaf inclusions are decided: lazy (per-obligation product "
-            "walk), compiled (reference oracle), batch (group cold "
-            "obligations by alphabet and discharge each group set-at-a-time; "
-            "verdicts/tables identical to lazy) "
-            "(default: REPRO_DISCHARGE or lazy)"
-        ),
     )
     group.add_argument(
         "--strategy",
@@ -160,8 +151,6 @@ def _config_from_args(args: argparse.Namespace) -> CheckerConfig:
     kwargs: dict[str, object] = {}
     if getattr(args, "workers", None) is not None:
         kwargs["workers"] = args.workers
-    if getattr(args, "discharge", None) is not None:
-        kwargs["discharge"] = args.discharge
     if getattr(args, "strategy", None) is not None:
         kwargs["enumeration_strategy"] = args.strategy
     if getattr(args, "backend", None) is not None:
@@ -408,7 +397,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             include_slow=args.full,
             runs=1 if args.quick else args.runs,
             config=config,
-            ab=args.ab,
             dispatch_ab=args.dispatch_ab,
         )
     except ValueError as exc:
@@ -835,15 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.2,
         metavar="F",
         help="allowed relative cold wall-time regression vs the baseline (default: 0.2)",
-    )
-    bench.add_argument(
-        "--ab",
-        action="store_true",
-        help=(
-            "also time cold runs in the other discharge mode (batch vs lazy) "
-            "and record the comparison — including a byte-identity check of "
-            "the deterministic tables — in the payload"
-        ),
     )
     bench.add_argument(
         "--dispatch-ab",

@@ -9,7 +9,7 @@ determinism contract.
 """
 
 from .obligations import KINDS, DischargeOutcome, Obligation, ObligationSet
-from .scheduler import DischargeParams, EngineStats, ObligationEngine, discharge_obligation
+from .scheduler import DischargeParams, EngineStats, ObligationEngine
 
 __all__ = [
     "KINDS",
@@ -19,5 +19,4 @@ __all__ = [
     "DischargeParams",
     "EngineStats",
     "ObligationEngine",
-    "discharge_obligation",
 ]

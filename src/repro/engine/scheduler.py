@@ -8,21 +8,21 @@ This is the middle stage of the decoupled pipeline:
 2. **Schedule** — :class:`ObligationEngine` dedupes structurally-isomorphic
    obligations (hash-consed fingerprints), consults a cross-method memo, and
    orders the remainder cheapest-first;
-3. **Discharge** — each residual obligation is decided by an
-   :class:`~repro.sfa.inclusion.InclusionChecker`, either in-process or on a
-   ``fork``-based process pool (``workers=N``), and the per-worker
+3. **Discharge** — the residual obligations are grouped by alphabet key and
+   each group is decided by one transition-table walk
+   (:func:`repro.sfa.batch.discharge_group`), either in-process or on a
+   ``fork``-based process pool (``workers=N``); the per-member
    ``SolverStats``/``InclusionStats`` are merged back into the caller's
    tables.
 
 Determinism is a design invariant: every obligation is discharged
-*hermetically* — a fresh solver and inclusion checker per obligation, so no
-state leaks between obligations — which makes every counter a pure function
-of the obligation itself.  ``workers=4`` therefore produces byte-identical
-statistics tables to ``workers=1`` (wall-clock times aside), which the
-determinism suite asserts.  Cross-obligation sharing instead happens at the
-obligation level: the batch dedupe and the cross-method memo answer repeated
-queries without re-discharge, replacing the solver-cache sharing the old
-inline design relied on.
+*hermetically* — its alphabet is built on a fresh solver (or replayed from
+the memo's recorded bill) and its walk depends on nothing but the obligation
+— which makes every counter a pure function of the obligation itself.
+``workers=4`` therefore produces byte-identical statistics tables to
+``workers=1`` (wall-clock times aside), which the determinism suite asserts.
+Cross-obligation sharing happens at the obligation level: the batch dedupe
+and the cross-method memo answer repeated queries without re-discharge.
 
 The pool uses the ``fork`` start method deliberately: terms and SFA formulas
 are hash-consed with identity semantics, and forked children inherit the
@@ -34,19 +34,16 @@ travel back as plain picklable dicts.
 from __future__ import annotations
 
 import multiprocessing
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .. import smt
 from ..obs import trace
 from ..obs.logs import get_logger
 from ..obs.postmortem import dump_postmortem
-from ..sfa.alphabet import AlphabetError, AlphabetMemo
+from ..sfa.alphabet import AlphabetMemo, LiteralSets, collect_literals
 from ..sfa.batch import discharge_group
-from ..sfa.derivatives import CompilationError, DerivativeCache
-from ..sfa.inclusion import InclusionChecker, InclusionStats
-from ..smt.solver import SolverError
+from ..sfa.derivatives import DerivativeCache
+from ..sfa.inclusion import InclusionStats
 from ..sfa.signatures import OperatorRegistry
 from ..smt.solver import SolverStats
 from ..statsutil import MergeableStats
@@ -88,9 +85,9 @@ class EngineStats(MergeableStats):
     cost_hints_used: int = 0
     batches: int = 0
     parallel_batches: int = 0
-    #: alphabet-sharing groups discharged set-at-a-time (``discharge="batch"``)
+    #: alphabet-sharing groups discharged set-at-a-time
     batch_groups: int = 0
-    #: obligations those groups covered (every fresh one, in batch mode)
+    #: obligations those groups covered (every fresh one)
     batch_grouped_obligations: int = 0
     #: SMT queries the groups actually executed (one construction per group,
     #: zero on a memo hit) vs. what the deterministic tables bill (the
@@ -108,120 +105,91 @@ class EngineStats(MergeableStats):
 class DischargeParams:
     """Everything a (possibly forked) worker needs to discharge obligations.
 
-    ``warm_solver`` is the checker's shared inline solver: per-obligation
-    solvers get a read-only view of its caches (``Solver(warm_from=...)``).
-    Its content at discharge time is written only by the serial emit phase,
-    so it is identical for every worker count — warm hits stay deterministic
-    — and forked workers read it through copy-on-write memory for free.
     Never pickled: obligations and params cross the pool boundary via the
     forked heap, only plain result dicts travel back.
     """
 
     operators: OperatorRegistry
     axioms: tuple = ()
-    minimize: bool = False
     filter_unsat_minterms: bool = True
     max_literals: Optional[int] = None
     strategy: str = "guided"
-    discharge: str = "lazy"
-    #: which SAT core answers the per-obligation solver's queries
+    #: which SAT core answers the alphabet constructions' queries
     backend: str = "dpll"
-    warm_solver: Optional[smt.Solver] = None
     #: shared cross-obligation alphabet memo: hermetic constructions with a
     #: recorded counter bill, replayed identically on every hit.  Serially
     #: the engine's memo grows across batches; forked workers read it through
     #: copy-on-write and their additions die with them — either way every
     #: counter stays a pure function of the obligation.  Never pickled.
     alphabet_memo: Optional[AlphabetMemo] = None
-    #: shared cross-obligation memo for lazy derivative steps (pure reuse:
-    #: it can change wall-clock time only, never a verdict or a counter)
+    #: shared cross-obligation memo for derivative steps (pure reuse: it can
+    #: change wall-clock time only, never a verdict or a counter)
     derivative_cache: Optional[DerivativeCache] = None
 
 
-def discharge_obligation(obligation: Obligation, params: DischargeParams) -> dict:
-    """Discharge one obligation hermetically; returns a picklable result.
+def _fork_available() -> bool:
+    return "fork" in multiprocessing.get_all_start_methods()
 
-    A fresh solver/checker pair per obligation (reads falling back to the
-    read-only warm caches, writes local and discarded) keeps every counter a
-    pure function of (warm snapshot, obligation) — the invariant behind
-    worker-count-independent statistics tables.  Deliberately *nothing*
-    mutable is shared between obligations, not even theory lemmas: installed
-    lemmas can steer the model-guided enumeration's branching and with it
-    the reported query counts, so any sibling-dependent sharing would leak
-    scheduling order into the tables.
+
+def _discharge_group_payload(
+    obligations: Sequence[Obligation],
+    params: DischargeParams,
+    literal_sets: Optional[LiteralSets] = None,
+) -> dict:
+    """Discharge one alphabet-sharing group, in-process or on a forked worker.
+
+    Either way the return value is a plain picklable dict: one result per
+    member (verdict, witness, error, counter dicts, wall time), the group's
+    query-coalescing record, and the memo keys this group built (the
+    worker-reuse hints; empty without a shared memo, whose keys would mean
+    nothing to the caller).
     """
+    memo = params.alphabet_memo
+    shared = memo is not None
+    if memo is None:
+        memo = AlphabetMemo(axioms=params.axioms, backend=params.backend)
+    keys_before = len(memo.session_built_keys)
     spans_mark = trace.mark()
     if trace.enabled():
         # the digest is memoised on the frozen obligation and strictly
         # volatile here: it keys the span so the report correlates with
         # `repro store` entries, never the other way around
-        discharge_span = trace.span(
-            "discharge",
+        group_span = trace.span(
+            "discharge.group",
             cat="discharge",
-            obligation_fp=obligation_digest(obligation),
-            kind=obligation.kind,
-            mode=params.discharge,
+            members=len(obligations),
+            obligation_fp=obligation_digest(obligations[0]),
+            kind=obligations[0].kind,
         )
     else:
-        discharge_span = trace.span("discharge")
-    start = time.perf_counter()
-    solver = smt.Solver(
-        axioms=list(params.axioms),
-        warm_from=params.warm_solver,
-        backend=params.backend,
-    )
-    checker = InclusionChecker(
-        solver,
-        params.operators,
-        minimize=params.minimize,
-        filter_unsat_minterms=params.filter_unsat_minterms,
-        max_literals=params.max_literals,
-        strategy=params.strategy,
-        discharge=params.discharge,
-        alphabet_memo=params.alphabet_memo,
-        derivative_cache=params.derivative_cache,
-    )
-    error: Optional[str] = None
-    memo = params.alphabet_memo
-    keys_before = len(memo.session_built_keys) if memo is not None else 0
+        group_span = trace.span("discharge.group")
     try:
-        with discharge_span:
-            try:
-                result = checker.check_detailed(
-                    list(obligation.hypotheses), obligation.lhs, obligation.rhs
-                )
-                included, counterexample = result.included, result.counterexample
-            except (AlphabetError, CompilationError, SolverError) as exc:
-                # The walk deliberately continues past failing obligations, so
-                # later emissions can sit on contexts the old inline design
-                # never reached; a resource limit there must become a
-                # reportable failure, not an exception (which, under a pool,
-                # would also discard sibling results).
-                included, counterexample, error = False, None, str(exc)
+        with group_span:
+            results, record = discharge_group(
+                obligations,
+                params.operators,
+                memo,
+                literal_sets=literal_sets,
+                max_literals=params.max_literals,
+                filter_unsat=params.filter_unsat_minterms,
+                strategy=params.strategy,
+                derivative_cache=params.derivative_cache,
+            )
     except Exception as exc:  # unexpected: capture context, then propagate
         dump_postmortem(
             exc,
-            obligation_fp=obligation_digest(obligation),
+            obligation_fp=obligation_digest(obligations[0]),
             context={
-                "kind": obligation.kind,
-                "provenance": obligation.provenance,
-                "mode": params.discharge,
+                "kind": obligations[0].kind,
+                "provenance": obligations[0].provenance,
+                "members": [obligation_digest(ob) for ob in obligations],
             },
         )
         raise
     payload = {
-        "included": included,
-        "counterexample": counterexample,
-        "error": error,
-        "inclusion": checker.stats.as_dict(),
-        "solver": solver.stats.as_dict(),
-        # the measured discharge cost: the store keeps it as an advisory
-        # scheduling hint, outside every fingerprint and deterministic table
-        "wall": time.perf_counter() - start,
-        # alphabet constructions this discharge ran: a forked worker's memo
-        # entries die with it, so the parent learns the *keys* and pre-builds
-        # them before the next fork (plain reuse — counters never move)
-        "memo_keys": list(memo.session_built_keys[keys_before:]) if memo is not None else [],
+        "members": results,
+        "group": record.as_dict(),
+        "memo_keys": list(memo.session_built_keys[keys_before:]) if shared else [],
     }
     # spans ride home in the result dict exactly like the stats do: drained
     # here (a forked worker's buffer dies with it) and re-ingested by the
@@ -232,84 +200,20 @@ def discharge_obligation(obligation: Obligation, params: DischargeParams) -> dic
     return payload
 
 
-#: Snapshot handed to forked workers: (obligations, params).  Set immediately
-#: before the pool forks and cleared right after; children address the
-#: hash-consed obligation objects through the inherited heap.
-_FORK_STATE: Optional[tuple[Sequence[Obligation], DischargeParams]] = None
-
-
-def _discharge_index(index: int) -> dict:
-    assert _FORK_STATE is not None, "worker invoked outside a discharge batch"
-    obligations, params = _FORK_STATE
-    return discharge_obligation(obligations[index], params)
-
-
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _discharge_group_payload(obligations: Sequence[Obligation], params: DischargeParams) -> dict:
-    """Discharge one alphabet-sharing group (``discharge="batch"``).
-
-    Runs in-process or on a forked worker; either way the return value is a
-    plain picklable dict: per-member results in the same shape
-    :func:`discharge_obligation` produces, the group's query-coalescing
-    record, and the memo keys this group built (the worker-reuse hints).
-    """
-    memo = params.alphabet_memo
-    assert memo is not None, "batch discharge requires a shared alphabet memo"
-    keys_before = len(memo.session_built_keys)
-    spans_mark = trace.mark()
-    if trace.enabled():
-        group_span = trace.span(
-            "discharge.group",
-            cat="discharge",
-            members=len(obligations),
-            obligation_fp=obligation_digest(obligations[0]) if obligations else None,
-            mode="batch",
-        )
-    else:
-        group_span = trace.span("discharge.group")
-    try:
-        with group_span:
-            results, record = discharge_group(
-                obligations,
-                params.operators,
-                memo,
-                max_literals=params.max_literals,
-                filter_unsat=params.filter_unsat_minterms,
-                strategy=params.strategy,
-                derivative_cache=params.derivative_cache,
-            )
-    except Exception as exc:  # unexpected: capture context, then propagate
-        dump_postmortem(
-            exc,
-            obligation_fp=obligation_digest(obligations[0]) if obligations else None,
-            context={
-                "mode": "batch",
-                "members": [obligation_digest(ob) for ob in obligations],
-            },
-        )
-        raise
-    payload = {
-        "members": results,
-        "group": record.as_dict(),
-        "memo_keys": list(memo.session_built_keys[keys_before:]),
-    }
-    worker_spans = trace.drain(spans_mark)
-    if worker_spans:
-        payload["spans"] = worker_spans
-    return payload
-
-
-#: Snapshot handed to forked *group* workers: (group payloads, params).
-_GROUP_FORK_STATE: Optional[tuple[list[list[Obligation]], DischargeParams]] = None
+#: Snapshot handed to forked workers: the groups (members plus their shared
+#: literal sets) and the params.  Set immediately before the pool forks and
+#: cleared right after; children address the hash-consed obligation objects
+#: through the inherited heap.
+_POOL_GROUPS: Optional[
+    tuple[list[tuple[list[Obligation], LiteralSets]], DischargeParams]
+] = None
 
 
 def _discharge_group_index(index: int) -> dict:
-    assert _GROUP_FORK_STATE is not None, "worker invoked outside a group batch"
-    groups, params = _GROUP_FORK_STATE
-    return _discharge_group_payload(groups[index], params)
+    assert _POOL_GROUPS is not None, "worker invoked outside a group batch"
+    groups, params = _POOL_GROUPS
+    members, literal_sets = groups[index]
+    return _discharge_group_payload(members, params, literal_sets)
 
 
 class ObligationEngine:
@@ -320,14 +224,11 @@ class ObligationEngine:
         operators: OperatorRegistry,
         axioms: Sequence = (),
         *,
-        minimize: bool = False,
         filter_unsat_minterms: bool = True,
         max_literals: Optional[int] = None,
         strategy: str = "guided",
-        discharge: str = "lazy",
         backend: str = "dpll",
         workers: int = 1,
-        warm_solver: Optional[smt.Solver] = None,
         store: Optional[ObligationStore] = None,
         shard: Optional[tuple[int, int]] = None,
         schedule: str = "auto",
@@ -343,21 +244,18 @@ class ObligationEngine:
             )
         if collect is not None and store is None:
             raise ValueError("dispatch collection requires a store to key against")
-        if discharge == "batch" and alphabet_memo is None:
-            # batch grouping IS the memo's content key; a standalone engine
-            # gets a private memo (hermetic builds + recorded bills, exactly
-            # like the checker-shared one)
+        if alphabet_memo is None:
+            # grouping IS the memo's content key; a standalone engine gets a
+            # private memo (hermetic builds + recorded bills, exactly like the
+            # checker-shared one)
             alphabet_memo = AlphabetMemo(axioms=tuple(axioms), backend=backend)
         self.params = DischargeParams(
             operators=operators,
             axioms=tuple(axioms),
-            minimize=minimize,
             filter_unsat_minterms=filter_unsat_minterms,
             max_literals=max_literals,
             strategy=strategy,
-            discharge=discharge,
             backend=backend,
-            warm_solver=warm_solver,
             alphabet_memo=alphabet_memo,
             derivative_cache=derivative_cache,
         )
@@ -379,21 +277,14 @@ class ObligationEngine:
         self.collect = collect
         #: the semantic-environment key store entries are read/written under;
         #: worker count, shard assignment, scheduling order and the memo
-        #: layers deliberately don't participate (none changes a counter).
-        #: ``batch`` keys as ``lazy``: the batch discharger produces byte-
-        #: identical verdicts and counters to the lazy oracle, so its store
-        #: entries are interchangeable — a store warmed by either mode
-        #: answers the other (``compiled`` stays distinct: its counters are
-        #: a different shape).
+        #: layers deliberately don't participate (none changes a counter)
         self._env_fp = (
             environment_fingerprint(
                 operators,
                 axioms,
-                minimize=minimize,
                 filter_unsat_minterms=filter_unsat_minterms,
                 max_literals=max_literals,
                 strategy=strategy,
-                discharge="lazy" if discharge == "batch" else discharge,
                 backend=backend,
                 library=library,
             )
@@ -401,9 +292,9 @@ class ObligationEngine:
             else None
         )
         self.stats = EngineStats()
-        #: per-group coalescing records of this engine's batch discharges:
+        #: per-group coalescing records of this engine's discharges:
         #: ``{members, built, queries_executed, queries_billed, ...}`` dicts
-        #: in scheduling order (surfaced by ``repro bench`` for the A/B)
+        #: in scheduling order (surfaced by ``repro bench`` and ``--json``)
         self.batch_group_log: list[dict] = []
         #: AlphabetMemo keys forked workers reported building; the parent
         #: pre-builds hinted keys before forking the next batch so the
@@ -453,11 +344,11 @@ class ObligationEngine:
         """Discharge a batch; returns one outcome per emitted obligation.
 
         ``solver_stats``/``inclusion_stats`` are the caller's aggregate tables
-        (typically the checker's); per-obligation worker counters are merged
-        into them, exactly as the inline design accumulated them.  Lookup
-        order per representative is memo → persistent store → discharge: a
-        store hit merges the *recorded* counters (so warm tables match cold
-        ones byte for byte), a miss is discharged and written back under
+        (typically the checker's); per-obligation counters are merged into
+        them, exactly as the inline design accumulated them.  Lookup order per
+        representative is memo → persistent store → discharge: a store hit
+        merges the *recorded* counters (so warm tables match cold ones byte
+        for byte), a miss is discharged and written back under
         ``store_context``'s dependency record.
         """
         self.stats.batches += 1
@@ -563,51 +454,53 @@ class ObligationEngine:
             len(stored_keys),
             len(skipped_keys),
         )
-        results = self._discharge_batch([ob for ob, _ in fresh])
-        if len(self._memo) + len(fresh) > self.max_memo_entries:
-            self._memo.clear()
-        for (representative, digest), result in zip(fresh, results):
-            self.stats.obligations_discharged += 1
-            if solver_stats is not None:
-                solver_stats.merge(SolverStats.from_dict(result["solver"]))
-            if inclusion_stats is not None:
-                inclusion_stats.merge(InclusionStats.from_dict(result["inclusion"]))
-            verdict = (result["included"], result["counterexample"], result["error"])
-            verdicts[representative.fingerprint()] = verdict
-            self._memo[representative.fingerprint()] = verdict
-            # Resource-limit errors are NOT persisted: whether a budget is hit
-            # depends on the warm-solver snapshot, which varies with run shape
-            # — an error recorded by a small `check --method` run must not be
-            # replayed as a permanent failure by a full `evaluate`.  True
-            # verdicts (included, or a genuine counterexample) are pure in the
-            # obligation and safe to keep forever.
-            if (
-                self.store is not None
-                and store_context is not None
-                and result["error"] is None
-            ):
-                self.store.record(
-                    StoreEntry(
-                        env=self._env_fp,
-                        fp=digest,
-                        included=result["included"],
-                        counterexample=result["counterexample"],
-                        error=result["error"],
-                        solver_stats=result["solver"],
-                        inclusion_stats=result["inclusion"],
-                        scope=store_context.scope,
-                        method=store_context.method,
-                        spec=store_context.spec_digest,
-                        library=store_context.library_digest,
-                        kind=representative.kind,
-                        provenance=representative.provenance,
-                        cost={
-                            "wall": round(result.get("wall", 0.0), 6),
-                            "queries": result["solver"].get("queries", 0),
-                            "prod_states": result["inclusion"].get("prod_states", 0),
-                        },
+        # merging the results back is discharge work too: keep it inside a
+        # phase span so the trace attributes it
+        with trace.span("discharge.batch", cat="discharge", obligations=len(fresh)):
+            results = self._discharge_grouped([ob for ob, _ in fresh])
+            if len(self._memo) + len(fresh) > self.max_memo_entries:
+                self._memo.clear()
+            for (representative, digest), result in zip(fresh, results):
+                self.stats.obligations_discharged += 1
+                if solver_stats is not None:
+                    solver_stats.merge(SolverStats.from_dict(result["solver"]))
+                if inclusion_stats is not None:
+                    inclusion_stats.merge(InclusionStats.from_dict(result["inclusion"]))
+                verdict = (result["included"], result["counterexample"], result["error"])
+                verdicts[representative.fingerprint()] = verdict
+                self._memo[representative.fingerprint()] = verdict
+                # Resource-limit errors are NOT persisted: a budget hit by a small
+                # `check --method` run must not be replayed as a permanent
+                # failure by a full `evaluate` whose budgets differ.  True
+                # verdicts (included, or a genuine counterexample) are pure in the
+                # obligation and safe to keep forever.
+                if (
+                    self.store is not None
+                    and store_context is not None
+                    and result["error"] is None
+                ):
+                    self.store.record(
+                        StoreEntry(
+                            env=self._env_fp,
+                            fp=digest,
+                            included=result["included"],
+                            counterexample=result["counterexample"],
+                            error=result["error"],
+                            solver_stats=result["solver"],
+                            inclusion_stats=result["inclusion"],
+                            scope=store_context.scope,
+                            method=store_context.method,
+                            spec=store_context.spec_digest,
+                            library=store_context.library_digest,
+                            kind=representative.kind,
+                            provenance=representative.provenance,
+                            cost={
+                                "wall": round(result.get("wall", 0.0), 6),
+                                "queries": result["solver"].get("queries", 0),
+                                "prod_states": result["inclusion"].get("prod_states", 0),
+                            },
+                        )
                     )
-                )
 
         outcomes: dict[int, DischargeOutcome] = {}
         for representative, aliases in scheduled:
@@ -632,52 +525,24 @@ class ObligationEngine:
         return outcomes
 
     # ------------------------------------------------------------------
-    def _discharge_batch(self, obligations: list[Obligation]) -> list[dict]:
-        if self.params.discharge == "batch":
-            return self._discharge_grouped(obligations)
-        if len(obligations) > 1 and self.workers > 1 and _fork_available():
-            self.stats.parallel_batches += 1
-            results = self._discharge_parallel(obligations)
-        else:
-            results = [discharge_obligation(ob, self.params) for ob in obligations]
-        for result in results:
-            trace.ingest(result.get("spans"))
-        return results
-
-    def _discharge_parallel(self, obligations: list[Obligation]) -> list[dict]:
-        global _FORK_STATE
-        self._prebuild_hinted(
-            (self._group_key(ob), ob) for ob in obligations
-        )
-        context = multiprocessing.get_context("fork")
-        processes = min(self.workers, len(obligations))
-        logger.debug("forking pool: %d workers for %d obligations", processes, len(obligations))
-        _FORK_STATE = (obligations, self.params)
-        try:
-            with trace.span(
-                "discharge.pool", cat="discharge", workers=processes, obligations=len(obligations)
-            ):
-                with context.Pool(processes=processes) as pool:
-                    results = pool.map(_discharge_index, range(len(obligations)))
-        finally:
-            _FORK_STATE = None
-        self._note_worker_keys(result.get("memo_keys", ()) for result in results)
-        return results
-
+    # Grouped discharge
     # ------------------------------------------------------------------
-    # Set-at-a-time batch discharge (``discharge="batch"``)
-    # ------------------------------------------------------------------
-    def _group_key(self, obligation: Obligation) -> tuple:
+    def _group_key(self, obligation: Obligation) -> tuple[tuple, LiteralSets]:
+        """The obligation's alphabet-memo key, plus the literal sets it hashes.
+
+        The literal sets ride along to the group's alphabet construction, so
+        each obligation's literals are collected once per discharge.
+        """
         params = self.params
-        assert params.alphabet_memo is not None
-        return params.alphabet_memo.key_for(
+        literal_sets = collect_literals([obligation.lhs, obligation.rhs], params.operators)
+        key = params.alphabet_memo.key_of(
             list(obligation.hypotheses),
-            [obligation.lhs, obligation.rhs],
-            params.operators,
+            literal_sets,
             max_literals=params.max_literals,
             filter_unsat=params.filter_unsat_minterms,
             strategy=params.strategy,
         )
+        return key, literal_sets
 
     def _prebuild_hinted(self, keyed_obligations) -> None:
         """Build worker-hinted alphabet constructions in the parent.
@@ -688,7 +553,7 @@ class ObligationEngine:
         the next fork copy-on-write instead of being re-run in every worker.
         """
         memo = self.params.alphabet_memo
-        if memo is None or not memo.enabled or not self._eager_memo_hints:
+        if not memo.enabled or not self._eager_memo_hints:
             return
         for key, obligation in keyed_obligations:
             if key in self._eager_memo_hints and key not in memo:
@@ -715,33 +580,40 @@ class ObligationEngine:
         """Group fresh obligations by alphabet key; discharge set-at-a-time.
 
         Groups keep the scheduler's first-occurrence order, and the returned
-        list is aligned with ``obligations`` — callers cannot tell this apart
-        from per-obligation discharge except by wall-clock time and the
-        ``batch_*`` bookkeeping (every counter is byte-identical to lazy).
+        list is aligned with ``obligations``: one result dict per obligation,
+        each a pure function of that obligation apart from wall-clock time.
         """
         if not obligations:
             return []
-        groups: dict[tuple, list[int]] = {}
-        for position, obligation in enumerate(obligations):
-            groups.setdefault(self._group_key(obligation), []).append(position)
+        with trace.span("schedule.group", cat="schedule", obligations=len(obligations)):
+            groups: dict[tuple, tuple[LiteralSets, list[int]]] = {}
+            for position, obligation in enumerate(obligations):
+                key, literal_sets = self._group_key(obligation)
+                groups.setdefault(key, (literal_sets, []))[1].append(position)
         ordered = list(groups.items())
-        payloads = [[obligations[i] for i in members] for _, members in ordered]
+        payloads = [
+            ([obligations[i] for i in members], literal_sets)
+            for _, (literal_sets, members) in ordered
+        ]
         if len(payloads) > 1 and self.workers > 1 and _fork_available():
             self._prebuild_hinted(
-                (key, payload[0]) for (key, _), payload in zip(ordered, payloads)
+                (key, members[0]) for (key, _), (members, _) in zip(ordered, payloads)
             )
             self.stats.parallel_batches += 1
             outs = self._discharge_groups_parallel(payloads)
             self._note_worker_keys(out.get("memo_keys", ()) for out in outs)
         else:
-            outs = [_discharge_group_payload(payload, self.params) for payload in payloads]
+            outs = [
+                _discharge_group_payload(members, self.params, literal_sets)
+                for members, literal_sets in payloads
+            ]
         for out in outs:
             trace.ingest(out.get("spans"))
         logger.debug(
-            "batch discharge: %d obligations in %d alphabet groups", len(obligations), len(outs)
+            "discharge: %d obligations in %d alphabet groups", len(obligations), len(outs)
         )
         results: list[Optional[dict]] = [None] * len(obligations)
-        for (_, members), out in zip(ordered, outs):
+        for (_, (_, members)), out in zip(ordered, outs):
             for position, member_result in zip(members, out["members"]):
                 results[position] = member_result
             record = out["group"]
@@ -752,12 +624,14 @@ class ObligationEngine:
             self.stats.batch_queries_billed += record["queries_billed"]
         return results
 
-    def _discharge_groups_parallel(self, payloads: list[list[Obligation]]) -> list[dict]:
-        global _GROUP_FORK_STATE
+    def _discharge_groups_parallel(
+        self, payloads: list[tuple[list[Obligation], LiteralSets]]
+    ) -> list[dict]:
+        global _POOL_GROUPS
         context = multiprocessing.get_context("fork")
         processes = min(self.workers, len(payloads))
         logger.debug("forking pool: %d workers for %d groups", processes, len(payloads))
-        _GROUP_FORK_STATE = (payloads, self.params)
+        _POOL_GROUPS = (payloads, self.params)
         try:
             with trace.span(
                 "discharge.pool", cat="discharge", workers=processes, groups=len(payloads)
@@ -765,4 +639,4 @@ class ObligationEngine:
                 with context.Pool(processes=processes) as pool:
                     return pool.map(_discharge_group_index, range(len(payloads)))
         finally:
-            _GROUP_FORK_STATE = None
+            _POOL_GROUPS = None

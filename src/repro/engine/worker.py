@@ -9,8 +9,8 @@ A worker is a long-lived loop against a ``repro store serve`` instance:
    objects, so only the recipe to re-emit them crosses the wire; everything
    outside the leased set is vacuously skipped, exactly like a foreign
    shard slice;
-3. **discharge** the leased obligations with the ordinary engine (batch or
-   lazy mode, memo layers intact) and write verdicts back through the
+3. **discharge** the leased obligations with the ordinary engine (grouped
+   table walks, memo layers intact) and write verdicts back through the
    normal store path — appends carry ``if_absent``, so a worker whose lease
    was stolen and re-discharged elsewhere can never land a duplicate
    verdict record;
@@ -21,7 +21,7 @@ A worker is a long-lived loop against a ``repro store serve`` instance:
 Determinism rides on the same invariant as ``--shards``: per-obligation
 counters are a pure function of (process walk prefix, obligation).  The
 solver-effort columns (#SAT/#Confl) are steered by process-global,
-append-only state (term interning, the SFA compile cache), which the serial
+append-only state (term and formula interning), which the serial
 runner populates by walking benchmarks in registry order — so a worker must
 replay that walk prefix before discharging anything, or a benchmark
 discharged alone in a fresh process records slightly different effort
@@ -61,7 +61,7 @@ logger = get_logger("worker")
 def _warm_process_state(config: CheckerConfig, check_negative_variants: bool) -> None:
     """Replay the suite's emit walk so effort counters match serial runs.
 
-    Term interning and the SFA compile cache are process-global and
+    Term and formula interning are process-global and
     append-only; an obligation's recorded #SAT/#Confl depend on the walk
     prefix that populated them.  Walking the registry's fast rows in order
     (the slow rows sit at the registry tail, so this stays a true prefix of
@@ -120,7 +120,7 @@ def run_worker(
     ``idle_exit`` consecutive empty leases (``poll`` seconds apart) end the
     loop — a fleet drains and exits without a shutdown broadcast.  The
     worker's ``config`` must describe the same semantic environment as the
-    coordinator's (discharge mode, backend, strategy...); a mismatch is not
+    coordinator's (backend, strategy...); a mismatch is not
     an error — the verdicts land under the worker's own environment key and
     the coordinator's phase 2 simply discharges its misses locally.
 

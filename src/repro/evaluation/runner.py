@@ -54,20 +54,20 @@ class EvaluationReport:
         return totals
 
     def batch_group_records(self) -> list[dict]:
-        """Every batch group discharged, in corpus order (empty in lazy mode)."""
+        """Every batch group discharged, in corpus order (empty on a warm run)."""
         records: list[dict] = []
         for diagnostic in self.diagnostics:
             records.extend(diagnostic.get("batch_groups", ()))
         return records
 
     def batch_group_summary(self) -> Optional[dict]:
-        """The query-coalescing record of a batch-mode run (None in lazy mode).
+        """The query-coalescing record of a run (None when nothing was discharged).
 
         ``queries_billed`` is what the deterministic tables charge (the
-        recorded construction bill replayed per member — what fully-parallel
-        lazy executes); ``queries_executed`` is what the grouped run actually
-        ran.  Every multi-member group must execute strictly fewer than it
-        bills.  Surfaced by ``repro bench`` and ``evaluate --json``.
+        recorded construction bill replayed per member);
+        ``queries_executed`` is what the grouped run actually ran.  Every
+        multi-member group must execute strictly fewer than it bills.
+        Surfaced by ``repro bench`` and ``evaluate --json``.
         """
         records = self.batch_group_records()
         if not records:

@@ -36,7 +36,6 @@ TABLE1_COLUMNS = [
     "#SATcache",
     "#Confl",
     "#FA⊆",
-    "#FAcache",
     "#Alph",
     "#Prod",
     "#Store",
@@ -142,10 +141,8 @@ TABLE34_COLUMNS = [
     "#SATcache",
     "#Confl",
     "#Inc",
-    "#FAcache",
     "#Alph",
     "#Prod",
-    "sFAbuilt",
     "#Store",
     "#Batch",
     "avg. sFA",
@@ -247,8 +244,8 @@ def report_json(report: EvaluationReport, store=None) -> dict:
         },
     }
     # run-level reuse diagnostics (volatile, like the timing columns): the
-    # summed cache counters and, in batch mode, the group-coalescing record —
-    # previously only `repro bench` surfaced these
+    # summed cache counters and, when anything was discharged, the
+    # group-coalescing record
     payload["caches"] = report.cache_totals()
     batch_summary = report.batch_group_summary()
     if batch_summary is not None:

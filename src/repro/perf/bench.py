@@ -23,7 +23,6 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -42,11 +41,9 @@ _COUNTER_FIELDS = (
     "smt_cache_hits",
     "sat_conflicts",
     "fa_inclusion_checks",
-    "dfa_cache_hits",
     "alphabet_builds",
     "alphabet_memo_hits",
     "prod_states",
-    "states_built",
     "store_hits",
 )
 
@@ -245,7 +242,6 @@ def run_bench(
     runs: int = 3,
     config: Optional[CheckerConfig] = None,
     store_path: Optional[str] = None,
-    ab: bool = False,
     dispatch_ab: bool = False,
 ) -> dict:
     """Run the corpus cold and warm; return the BENCH payload.
@@ -254,11 +250,6 @@ def run_bench(
     the usual benchmarking convention, since noise only ever adds time.  The
     warm phase reuses a store populated by one extra cold pass (kept out of
     the timings) so its wall time measures pure store-replay speed.
-
-    ``ab=True`` additionally times cold runs in the *other* discharge mode
-    (batch when the config says lazy and vice versa) and records the
-    comparison — wall times plus a byte-identity check over the
-    deterministic tables — under the payload's ``"ab"`` key.
     """
     if runs < 1:
         raise ValueError("bench requires runs >= 1")
@@ -308,7 +299,6 @@ def run_bench(
         },
         "config": {
             "backend": config.backend,
-            "discharge": config.discharge,
             "strategy": config.enumeration_strategy,
             "workers": config.workers,
             "schedule": config.schedule,
@@ -317,30 +307,6 @@ def run_bench(
         "cold": _phase_payload(cold_report, min(cold_walls), cold_walls),
         "warm": _phase_payload(warm_report, min(warm_walls), warm_walls),
     }
-    if ab:
-        other = "batch" if config.discharge != "batch" else "lazy"
-        ab_config = replace(config, discharge=other)
-        ab_walls: list[float] = []
-        ab_report: Optional[EvaluationReport] = None
-        for _ in range(runs):
-            start = time.perf_counter()
-            report = run_evaluation(include_slow=include_slow, config=ab_config)
-            wall = time.perf_counter() - start
-            ab_walls.append(wall)
-            if ab_report is None or wall <= min(ab_walls):
-                ab_report = report
-        assert ab_report is not None
-        ab_phase = _phase_payload(ab_report, min(ab_walls), ab_walls)
-        payload["ab"] = {
-            "discharge": other,
-            "cold": ab_phase,
-            # the batch≡lazy contract, checked on the spot: both modes must
-            # render byte-identical deterministic tables over this corpus
-            "tables_identical": (
-                ab_phase["tables_deterministic"]
-                == payload["cold"]["tables_deterministic"]
-            ),
-        }
     if dispatch_ab:
         payload["dispatch_ab"] = run_dispatch_ab()
     return payload
@@ -472,12 +438,6 @@ def summarize(payload: dict) -> str:
             f"queries {groups['queries_executed']} executed vs "
             f"{groups['queries_billed']} billed  "
             f"(multi-member strictly fewer: {groups['multi_groups_strictly_fewer']})"
-        )
-    ab = payload.get("ab")
-    if ab:
-        lines.append(
-            f"  A/B {ab['discharge']}: cold {ab['cold']['wall_seconds']:.3f}s  "
-            f"deterministic tables identical={ab['tables_identical']}"
         )
     dispatch = payload.get("dispatch_ab")
     if dispatch:

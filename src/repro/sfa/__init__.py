@@ -7,8 +7,8 @@ Public surface:
 * :mod:`repro.sfa.symbolic` — the symbolic automata formula algebra (events,
   guards, boolean/temporal/regular connectives, the derived ♦ □ LAST forms),
 * :mod:`repro.sfa.alphabet` — minterm construction / alphabet transformation,
-* :mod:`repro.sfa.derivatives` — derivative-based DFA compilation,
-* :mod:`repro.sfa.automata` — the explicit DFA algebra,
+* :mod:`repro.sfa.derivatives` — nullability and the derivative-step memo,
+* :mod:`repro.sfa.batch` — the inclusion decider (a transition-table walk),
 * :mod:`repro.sfa.inclusion` — the Algorithm-1 inclusion checker.
 """
 
@@ -40,8 +40,7 @@ from .symbolic import (
     until,
 )
 from .alphabet import Alphabet, AlphabetStats, Character, build_alphabets, collect_literals
-from .automata import Dfa, empty_dfa, universal_dfa, word_dfa
-from .derivatives import compile_dfa, derivative, nullable
+from .derivatives import nullable
 from .inclusion import InclusionChecker, InclusionResult, InclusionStats
 
 __all__ = [
@@ -78,12 +77,6 @@ __all__ = [
     "Character",
     "build_alphabets",
     "collect_literals",
-    "Dfa",
-    "empty_dfa",
-    "universal_dfa",
-    "word_dfa",
-    "compile_dfa",
-    "derivative",
     "nullable",
     "InclusionChecker",
     "InclusionResult",

@@ -153,7 +153,7 @@ def collect_literals(
                     context.setdefault(equality, None)
 
     # Canonical literal order (by content address): the alphabets — and with
-    # them the enumeration-cache keys and DFA-memo fingerprints — become
+    # them the enumeration-cache keys and derivative-cache fingerprints — become
     # independent of the order the formulas were supplied in, so e.g. the two
     # directions of an equivalence check share every cache layer.
     return LiteralSets(
@@ -243,7 +243,7 @@ class Alphabet:
         Terms are interned, so ``term_id`` identifies a literal globally; the
         fingerprint therefore coincides for alphabets rebuilt from the same
         literal sets (e.g. across the two directions of an equivalence check),
-        which is what the DFA compilation memo keys on.
+        which is what the derivative cache keys on.
         """
         fp = getattr(self, "_fingerprint", None)
         if fp is None:
@@ -542,14 +542,14 @@ class AlphabetMemo:
     ) -> tuple:
         """The content key :meth:`alphabets_for` would file this query under.
 
-        Exposed so the batch discharger can group obligations that share one
-        alphabet construction without building anything: the key is a pure
-        function of the (cheap, syntactic) literal sets plus the enumeration
-        budget, and it is a plain tuple of ints/strings — picklable, so
-        forked workers can report the keys they built back to the parent.
+        Exposed so the engine can group obligations that share one alphabet
+        construction without building anything: the key is a pure function
+        of the (cheap, syntactic) literal sets plus the enumeration budget,
+        and it is a plain tuple of ints/strings — picklable, so forked
+        workers can report the keys they built back to the parent.
         """
         literal_sets = collect_literals(formulas, operators, extra_context_literals)
-        return self._key(
+        return self.key_of(
             hypotheses,
             literal_sets,
             max_literals=max_literals,
@@ -557,7 +557,7 @@ class AlphabetMemo:
             strategy=strategy,
         )
 
-    def _key(
+    def key_of(
         self,
         hypotheses: Sequence[Term],
         literal_sets: LiteralSets,
@@ -581,6 +581,7 @@ class AlphabetMemo:
         operators: OperatorRegistry,
         *,
         extra_context_literals: Iterable[Term] = (),
+        literal_sets: Optional[LiteralSets] = None,
         max_literals: Optional[int] = None,
         filter_unsat: bool = True,
         strategy: str = "guided",
@@ -592,14 +593,17 @@ class AlphabetMemo:
         Returns ``(alphabets, built)`` where ``built`` says whether this call
         ran the enumeration (as opposed to replaying a recorded one).  The
         recorded counter bill is merged into ``stats``/``solver_stats``
-        either way, and is identical either way.
+        either way, and is identical either way.  ``literal_sets`` may carry
+        the already-collected literals of ``formulas`` (plus the extra
+        context literals), sparing a second collection.
         """
         if strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown enumeration strategy {strategy!r}; expected one of {STRATEGIES}"
             )
-        literal_sets = collect_literals(formulas, operators, extra_context_literals)
-        key = self._key(
+        if literal_sets is None:
+            literal_sets = collect_literals(formulas, operators, extra_context_literals)
+        key = self.key_of(
             hypotheses,
             literal_sets,
             max_literals=max_literals,

@@ -1,59 +1,56 @@
-"""Set-at-a-time batched discharge (``discharge="batch"``).
+"""The inclusion decider: a product walk over an interned transition table.
 
-The lazy path decides each obligation with its own product walk; obligations
-that share an alphabet (the cross-obligation :class:`AlphabetMemo` key) still
-pay separately to re-derive the same formulas over the same minterms.  This
-module is the set-at-a-time alternative the ROADMAP names as the biggest raw
-speed lever: group the cold obligations of a batch by alphabet key and
-discharge each group against ONE shared, vectorised transition table.
+Every inclusion ``L(lhs) ⊆ L(rhs)`` over one finite minterm alphabet — the
+engine's deferred obligations and the checker's inline queries alike — is
+decided here, by one procedure.  It decides by derivatives without compiling
+DFAs, in the style of Stanford, Veanes & Bjørner, "Symbolic Boolean
+Derivatives for Efficiently Solving Extended Regular Expression Constraints"
+(PLDI 2021).
 
 The table (:class:`TransitionTable`) interns derivative formulas to dense
 integer state ids, so the product walk runs over int pairs instead of formula
 pairs: transitions are per-state rows of successor ids indexed by minterm
 position, nullability and the antichain prune flags are precomputed bitsets
 (``bytearray`` — one byte per state, replacing the recursive ``nullable()``
-walk at every dequeue), and each row is built exactly once and shared by
-every group member and both sides of every product pair.  Derivatives are
-memoised per *subformula* per minterm, not per top-level step: overlapping
-states (the common case — ACI-normalised ``and``/``or`` combinations over a
-shared invariant) never re-derive their shared parts.  The same content
-layout with ``numpy`` arrays was measured and rejected: at the corpus's
-alphabet sizes (≤ ~32 minterms) Python-level element access into numpy rows
-is slower than plain list indexing, so the dense-int layout stays stdlib.
+walk at every dequeue), and each row is built exactly once and shared by both
+sides of every product pair.  Derivatives are memoised per *subformula* per
+minterm, not per top-level step: overlapping states (the common case —
+ACI-normalised ``and``/``or`` combinations over a shared invariant) never
+re-derive their shared parts.  The same content layout with ``numpy`` arrays
+was measured and rejected: at the corpus's alphabet sizes (≤ ~32 minterms)
+Python-level element access into numpy rows is slower than plain list
+indexing, so the dense-int layout stays stdlib.
 
-**Exactness.**  Batching is a sharing transformation, never a semantic one.
-Per member, :func:`_lockstep_search` replicates ``lazy_inclusion_search``
-step for step — FIFO breadth-first order, the same BOT/TOP antichain prunes,
-the witness test at dequeue time, first-witness exit, ``#prod-states`` =
-``len(parents)``, the same ``max_pairs`` budget and error message — over the
-bijection between interned ids and hash-consed formulas.  Verdicts, witness
-traces and every deterministic counter are therefore byte-identical to the
-lazy oracle by construction, which ``tests/sfa/test_batch_diff.py`` checks
-differentially.  The sharing is the schedule: one table per alphabet, and a
-level-lockstep loop that advances every live member one BFS level per round,
-so row construction triggered by any member is immediately visible to all.
+**The walk.**  :func:`_lockstep_search` is a breadth-first search of the
+product: FIFO order, the witness test (nullable lhs, non-nullable rhs) at
+dequeue time, first-witness exit, and two antichain-style prunes — a pair
+whose lhs is BOT or whose rhs is TOP cannot lead to a counterexample.
+``#prod-states`` is the number of pairs it reached (``len(parents)``).  The
+formula-pair walk and the compiled-DFA product search in
+``tests/sfa/oracles.py`` decide the same queries independently; the
+differential suites hold verdicts, witnesses and ``#Prod`` equal to theirs.
 
-Solver-query coalescing happens one level up: the group's alphabet is built
-(or replayed) ONCE through the shared :class:`AlphabetMemo`, so a minterm
-decided for one member is never re-queried for another — the group executes
-at most one construction's worth of SMT queries where fully-parallel lazy
-would execute one per member.  The recorded bill is still replayed into
-every member's counters, keeping the tables byte-identical to lazy.
+**Groups.**  The engine discharges its cold obligations grouped by alphabet
+key (:func:`discharge_group`): the group's alphabet is built (or replayed)
+once through the shared :class:`AlphabetMemo`, and all members walk one table
+in level lockstep, so a row computed for one member is already in the table
+when a sibling reaches the same state.  Sharing never changes an answer:
+per member the walk is the same BFS, and the memo replays the recorded
+construction bill into every member's counters.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..obs import trace
 from ..smt.solver import SolverError, SolverStats
 from . import symbolic
-from .alphabet import Alphabet, AlphabetError, AlphabetMemo, AlphabetStats
+from .alphabet import Alphabet, AlphabetError, AlphabetMemo, AlphabetStats, LiteralSets
 from .derivatives import CompilationError, DerivativeCache, _evaluate_qualifier, nullable
-from .inclusion import InclusionStats, render_witness
 from .signatures import OperatorRegistry
 from .symbolic import Sfa
 
@@ -64,8 +61,8 @@ class TransitionTable:
     States are hash-consed SFA formulas interned to dense ids on first sight;
     ``row(state)`` lazily computes the full successor row — one derivative per
     minterm — and memoises it, so the walk only ever pays for the reachable
-    part of the table, exactly like the lazy path, but pays for it once per
-    *group* instead of once per obligation side.
+    part of the table, and pays for it once however many product pairs (or
+    group members) reach the state.
     """
 
     __slots__ = (
@@ -109,9 +106,9 @@ class TransitionTable:
         #: per-minterm subformula-level derivative memos
         self._memos: list[dict[Sfa, Sfa]] = [dict() for _ in self.characters]
         # Top-level steps additionally go through the run-wide DerivativeCache
-        # (when the engine shares one): its keys are content addresses, so
-        # tables of different groups — and the lazy walks of inline checks —
-        # reuse each other's steps across alphabet reuse boundaries.
+        # (when the checker shares one): its keys are content addresses, so
+        # tables of different groups and inline queries reuse each other's
+        # steps across alphabet reuse boundaries.
         self._cache = cache
         self._cache_keys = cache.keys_for(alphabet) if cache is not None else None
 
@@ -154,10 +151,9 @@ class TransitionTable:
     def _derive(self, formula: Sfa, index: int) -> Sfa:
         """Memoised Brzozowski derivative w.r.t. minterm ``index``.
 
-        Recursion mirrors :func:`repro.sfa.derivatives.derivative` case for
-        case (it must: the two paths feed the same deterministic tables), but
-        memoises every *subformula*, so shared parts of sibling states are
-        derived once per minterm for the whole group.
+        The plain recursion is ``derivative`` in ``tests/sfa/oracles.py``;
+        this one memoises every *subformula*, so shared parts of sibling
+        states are derived once per minterm for the whole table.
         """
         memo = self._memos[index]
         cached = memo.get(formula)
@@ -221,9 +217,19 @@ class _Walk:
         self.frontier: deque[tuple[int, int]] = deque()
         self.done = False
         self.witness: Optional[tuple[int, ...]] = None
-        self.error: Optional[CompilationError] = None
+        self.error: Optional[Exception] = None
         self.explored = 0
         self.seconds = 0.0
+
+    def automaton_states(self) -> int:
+        """Distinct lhs-side plus rhs-side states the walk reached.
+
+        This is the walk's own share of the two automata — the part the
+        paper's compiled construction would have materialised for this
+        query.  It is a pure function of the query, independent of which
+        other members shared the table.
+        """
+        return len({a for a, _ in self.parents}) + len({b for _, b in self.parents})
 
 
 def _lockstep_search(
@@ -236,10 +242,11 @@ def _lockstep_search(
 
     Each round advances every live member one breadth-first level, so a row
     computed for one member's frontier is already in the table when a sibling
-    reaches the same state.  Per member the walk is *exactly*
-    ``lazy_inclusion_search``: FIFO order, the same prunes, the witness test
-    at dequeue, ``explored == len(parents)``, and the same ``max_pairs``
-    error — members retire individually on first counterexample or fixpoint.
+    reaches the same state.  Per member the walk is the same BFS: FIFO order,
+    the BOT/TOP prunes, the witness test at dequeue, ``explored ==
+    len(parents)``, and a ``max_pairs`` budget.  Members retire individually
+    on first counterexample, fixpoint, or a resource error (the budget, or a
+    qualifier the minterm does not determine), which lands in ``error``.
     """
     walks: list[_Walk] = []
     for lhs, rhs in pairs:
@@ -266,38 +273,38 @@ def _lockstep_search(
             started = time.perf_counter()
             frontier = walk.frontier
             parents = walk.parents
-            for _ in range(len(frontier)):
-                pair = frontier.popleft()
-                a, b = pair
-                if nullable_flags[a] and not nullable_flags[b]:
-                    word: list[int] = []
-                    node: Optional[tuple[int, int]] = pair
-                    while parents[node] is not None:
-                        node, index = parents[node]
-                        word.append(index)
-                    walk.witness = tuple(reversed(word))
-                    walk.done = True
-                    break
-                row_a = row_of(a)
-                row_b = row_of(b)
-                for index in range(num_chars):
-                    ta = row_a[index]
-                    tb = row_b[index]
-                    if is_bot[ta] or is_top[tb]:
-                        continue
-                    target = (ta, tb)
-                    if target in parents:
-                        continue
-                    if len(parents) >= max_pairs:
-                        walk.error = CompilationError(
-                            f"lazy product walk exceeded {max_pairs} pairs"
-                        )
+            try:
+                for _ in range(len(frontier)):
+                    pair = frontier.popleft()
+                    a, b = pair
+                    if nullable_flags[a] and not nullable_flags[b]:
+                        word: list[int] = []
+                        node: Optional[tuple[int, int]] = pair
+                        while parents[node] is not None:
+                            node, index = parents[node]
+                            word.append(index)
+                        walk.witness = tuple(reversed(word))
                         walk.done = True
                         break
-                    parents[target] = (pair, index)
-                    frontier.append(target)
-                if walk.done:
-                    break
+                    row_a = row_of(a)
+                    row_b = row_of(b)
+                    for index in range(num_chars):
+                        ta = row_a[index]
+                        tb = row_b[index]
+                        if is_bot[ta] or is_top[tb]:
+                            continue
+                        target = (ta, tb)
+                        if target in parents:
+                            continue
+                        if len(parents) >= max_pairs:
+                            raise CompilationError(
+                                f"lazy product walk exceeded {max_pairs} pairs"
+                            )
+                        parents[target] = (pair, index)
+                        frontier.append(target)
+            except CompilationError as exc:
+                walk.error = exc
+                walk.done = True
             if not walk.done and not frontier:
                 walk.done = True  # fixpoint: inclusion holds
             walk.seconds += time.perf_counter() - started
@@ -310,15 +317,29 @@ def _lockstep_search(
     return walks
 
 
+def decide(
+    lhs: Sfa,
+    rhs: Sfa,
+    alphabet: Alphabet,
+    *,
+    cache: Optional[DerivativeCache] = None,
+    max_pairs: int = 1_000_000,
+) -> _Walk:
+    """Decide one inclusion over one alphabet: a single-member table walk."""
+    return _lockstep_search(
+        TransitionTable(alphabet, cache=cache), [(lhs, rhs)], max_pairs=max_pairs
+    )[0]
+
+
 @dataclass
 class GroupRecord:
-    """Per-group accounting for the batch-vs-lazy solver-query claim.
+    """Per-group accounting of the alphabet-sharing discharge.
 
     ``queries_executed`` is what the group actually ran (one hermetic
     construction, or zero on a memo hit); ``queries_billed`` is what the
     deterministic tables charge — the recorded bill replayed into every
-    member, which is also what fully-parallel lazy executes.  For every
-    multi-member group ``executed < billed`` by construction.
+    member.  For every multi-member group ``executed < billed`` by
+    construction.
     """
 
     members: int = 0
@@ -344,6 +365,7 @@ def discharge_group(
     operators: OperatorRegistry,
     memo: AlphabetMemo,
     *,
+    literal_sets: Optional[LiteralSets] = None,
     max_literals: Optional[int] = None,
     filter_unsat: bool = True,
     strategy: str = "guided",
@@ -354,14 +376,18 @@ def discharge_group(
 
     Every obligation must share the group's :class:`AlphabetMemo` content key
     (same hypothesis set, same literal sets, same budget/strategy), which is
-    exactly what makes one construction valid for all of them.  Returns one
-    result dict per obligation — the same shape ``discharge_obligation``
-    produces, so the engine merges them identically — plus the group record.
+    exactly what makes one construction valid for all of them;
+    ``literal_sets``, when the caller already collected them for grouping,
+    spares collecting them again.  Returns one picklable result dict per
+    obligation plus the group record.
 
-    Counter attribution mirrors what serial lazy discharge would report: the
-    first member bills the build (``#Alph``), later members bill memo hits,
-    and every member replays the identical recorded solver/alphabet bill.
+    Counter attribution is what discharging the members one by one reports:
+    the first member bills the build (``#Alph``), later members bill memo
+    hits, and every member replays the identical recorded solver/alphabet
+    bill.
     """
+    from .inclusion import InclusionStats, render_witness
+
     group_started = time.perf_counter()
     count = len(obligations)
     first = obligations[0]
@@ -372,6 +398,7 @@ def discharge_group(
             list(first.hypotheses),
             [first.lhs, first.rhs],
             operators,
+            literal_sets=literal_sets,
             max_literals=max_literals,
             filter_unsat=filter_unsat,
             strategy=strategy,
@@ -380,9 +407,8 @@ def discharge_group(
         )
     except (AlphabetError, SolverError) as exc:
         # The construction is pure in the group key, so the failure — and its
-        # message — is what every member's individual lazy discharge would
-        # have produced: report it for each, with the zero counters a failed
-        # hermetic construction leaves behind.
+        # message — is every member's own: report it for each, with the zero
+        # counters a failed hermetic construction leaves behind.
         message = str(exc)
         results = [
             {
@@ -431,15 +457,12 @@ def discharge_group(
         for position, walk in zip(pending, walks):
             walk_seconds[position] += walk.seconds
             if walk.error is not None:
-                # same partial counters lazy reports when its walk trips the
-                # budget: earlier alphabets counted, the failing one not
+                # earlier alphabets stay counted, the failing one does not
                 included[position] = False
                 errors[position] = str(walk.error)
                 continue
             stats = member_stats[position]
-            stats.fa_inclusion_checks += 1
-            stats.prod_states += walk.explored
-            stats.fa_time_seconds += walk.seconds
+            stats.record_walk(walk, table.num_chars, walk.seconds)
             if walk.witness is not None:
                 included[position] = False
                 counterexamples[position] = render_witness(alphabet, walk.witness)

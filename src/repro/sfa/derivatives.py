@@ -1,78 +1,34 @@
-"""Compiling symbolic automata to finite automata by formula differentiation.
+"""Brzozowski derivatives of symbolic automata: the pieces the walk shares.
 
 Once the alphabet transformation has produced a finite set of characters
 (minterms), the language of a symbolic LTLf/regex formula becomes regular
-over that alphabet.  We build the corresponding DFA directly with
-Brzozowski-style derivatives (also known as formula *progression*):
+over that alphabet, and derivatives decide it without an explicit automaton:
 
-* the states of the DFA are (hash-consed, ACI-normalised) formulas,
+* the states are (hash-consed, ACI-normalised) formulas,
 * the transition on a character is the derivative of the state formula with
-  respect to that character,
+  respect to that character (:meth:`repro.sfa.batch.TransitionTable.row`),
 * a state is accepting iff its formula is *nullable* (accepts the empty
   trace).
 
 This matches the role of ``AlphaTrans`` + FA construction in the paper's
-Algorithm 1/2 while avoiding an explicit NFA intermediate form; the explicit
-:class:`repro.sfa.automata.Dfa` produced here is what the inclusion check and
-the size statistics operate on.
+Algorithm 1/2 while never materialising the automata.  The module holds what
+the table walk and the run-wide step memo share: :func:`nullable`, qualifier
+evaluation under a minterm, the resource error, and :class:`DerivativeCache`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .. import smt
 from ..smt.terms import Term
 from . import symbolic
-from .alphabet import Alphabet, Character
-from .automata import Dfa
+from .alphabet import Alphabet
 from .symbolic import Sfa
 
 
 class CompilationError(RuntimeError):
-    """Raised when the derivative construction does not converge."""
-
-
-@dataclass
-class DfaCache:
-    """Memoises :func:`compile_dfa` per ``(sfa_id, alphabet fingerprint)``.
-
-    The inclusion pipeline recompiles the same symbolic automaton over the
-    same alphabet constantly — the two directions of an equivalence check, the
-    repeated obligations of one method body, the invariant appearing on both
-    sides of consecutive checks — so a content-addressed memo removes whole
-    derivative constructions.  Compiled DFAs are immutable once built, so
-    sharing them is safe.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    #: times the size cap wiped the memo (bulk clear-all eviction)
-    evictions: int = 0
-    max_entries: int = 4096
-    _store: dict[tuple, "Dfa"] = field(default_factory=dict, repr=False)
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def clear(self) -> None:
-        self._store.clear()
-
-    def get(self, key: tuple) -> Optional["Dfa"]:
-        dfa = self._store.get(key)
-        if dfa is not None:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return dfa
-
-    def put(self, key: tuple, dfa: "Dfa") -> None:
-        if len(self._store) >= self.max_entries:
-            self._store.clear()
-            self.evictions += 1
-        self._store[key] = dfa
+    """Raised when a derivative walk exceeds its budget or cannot evaluate."""
 
 
 def nullable(formula: Sfa) -> bool:
@@ -104,105 +60,6 @@ def _evaluate_qualifier(phi: Term, truth: Mapping[Term, bool]) -> bool:
     return value
 
 
-def derivative(formula: Sfa, character: Character, context_truth: Mapping[Term, bool]) -> Sfa:
-    """The Brzozowski derivative of ``formula`` with respect to ``character``."""
-    kind = formula.kind
-    if kind == symbolic.K_TOP:
-        return symbolic.TOP
-    if kind == symbolic.K_BOT:
-        return symbolic.BOT
-    if kind == symbolic.K_EVENT:
-        signature, phi = formula.payload
-        if signature.name != character.signature.name:
-            return symbolic.BOT
-        truth = dict(context_truth)
-        truth.update(character.truth())
-        return symbolic.TOP if _evaluate_qualifier(phi, truth) else symbolic.BOT
-    if kind == symbolic.K_GUARD:
-        return symbolic.TOP if _evaluate_qualifier(formula.payload, context_truth) else symbolic.BOT
-    if kind == symbolic.K_NOT:
-        return symbolic.not_(derivative(formula.children[0], character, context_truth))
-    if kind == symbolic.K_AND:
-        return symbolic.and_(*(derivative(c, character, context_truth) for c in formula.children))
-    if kind == symbolic.K_OR:
-        return symbolic.or_(*(derivative(c, character, context_truth) for c in formula.children))
-    if kind == symbolic.K_NEXT:
-        return formula.children[0]
-    if kind == symbolic.K_UNTIL:
-        lhs, rhs = formula.children
-        return symbolic.or_(
-            derivative(rhs, character, context_truth),
-            symbolic.and_(derivative(lhs, character, context_truth), formula),
-        )
-    if kind == symbolic.K_CONCAT:
-        lhs, rhs = formula.children
-        left_part = symbolic.concat(derivative(lhs, character, context_truth), rhs)
-        if nullable(lhs):
-            return symbolic.or_(left_part, derivative(rhs, character, context_truth))
-        return left_part
-    raise AssertionError(kind)
-
-
-def compile_dfa(
-    formula: Sfa,
-    alphabet: Alphabet,
-    *,
-    max_states: int = 20000,
-    cache: Optional[DfaCache] = None,
-) -> Dfa:
-    """Compile a symbolic automaton into a complete DFA over ``alphabet``.
-
-    When ``cache`` is given, compilations are memoised per
-    ``(sfa_id, alphabet fingerprint)``; both ids are content addresses
-    (formulas and terms are hash-consed), so a hit is exact.
-    """
-    key: Optional[tuple] = None
-    if cache is not None:
-        key = (formula.sfa_id, alphabet.fingerprint())
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    context_truth = alphabet.context_truth()
-    characters = alphabet.characters
-
-    state_of: dict[Sfa, int] = {formula: 0}
-    worklist: list[Sfa] = [formula]
-    transitions: list[list[int]] = []
-    order: list[Sfa] = [formula]
-
-    while worklist:
-        current = worklist.pop(0)
-        row: list[int] = []
-        for character in characters:
-            next_formula = derivative(current, character, context_truth)
-            target = state_of.get(next_formula)
-            if target is None:
-                target = len(state_of)
-                if target >= max_states:
-                    raise CompilationError(
-                        f"derivative construction exceeded {max_states} states"
-                    )
-                state_of[next_formula] = target
-                order.append(next_formula)
-                worklist.append(next_formula)
-            row.append(target)
-        transitions.append(row)
-
-    # rows are appended in the order states were *processed*; make sure the
-    # table is indexed by state id (processing order equals creation order
-    # because the worklist is FIFO and every new state is appended once).
-    accepting = frozenset(i for i, f in enumerate(order) if nullable(f))
-    dfa = Dfa(num_chars=len(characters), transitions=transitions, accepting=accepting, start=0)
-    if cache is not None and key is not None:
-        cache.put(key, dfa)
-    return dfa
-
-
-# ---------------------------------------------------------------------------
-# Lazy on-the-fly product inclusion (the ``discharge="lazy"`` path)
-# ---------------------------------------------------------------------------
-
-
 class DerivativeCache:
     """A cross-obligation memo for Brzozowski derivative steps.
 
@@ -211,10 +68,10 @@ class DerivativeCache:
     (``term_id`` is global).  The cache interns each distinct context case
     and character it sees into a small integer, so the per-step key is a
     cheap ``(sfa_id, context id, character id)`` int tuple, and the memo
-    survives across the many searches of one method — the invariant side of
+    survives across the many walks of one method — the invariant side of
     every obligation re-derives the same formulas over the same minterms.
 
-    ``derivative`` is a pure function of that key, so sharing the cache
+    A derivative is a pure function of that key, so sharing the cache
     between obligations (or handing forked workers a copy-on-write view of
     it) can never change a verdict or a counter — only wall-clock time.  The
     size cap wipes the memo wholesale, like every other cache in the
@@ -238,7 +95,7 @@ class DerivativeCache:
         #: alphabet fingerprint -> (context id, per-character ids)
         self._alphabet_keys: dict[tuple, tuple[int, tuple[int, ...]]] = {}
         # Ids are drawn from counters that survive every wipe, never from the
-        # tables' sizes: an id handed to an in-flight search must stay unique
+        # tables' sizes: an id handed to an in-flight walk must stay unique
         # forever, or entries it stores after an eviction could alias a
         # freshly interned alphabet's keys and replay the wrong derivative.
         self._next_id = 0
@@ -291,99 +148,3 @@ class DerivativeCache:
             self._store.clear()
             self.evictions += 1
         self._store[key] = value
-
-
-def lazy_inclusion_search(
-    lhs: Sfa,
-    rhs: Sfa,
-    alphabet: Alphabet,
-    *,
-    max_pairs: int = 1_000_000,
-    cache: Optional[DerivativeCache] = None,
-) -> tuple[Optional[tuple[int, ...]], int]:
-    """Decide ``L(lhs) ⊆ L(rhs)`` over ``alphabet`` without compiling DFAs.
-
-    Walks the product of the two derivative automata on the fly: states are
-    pairs of (hash-consed) formulas, the start pair is ``(lhs, rhs)``, and the
-    successor on a character is the pair of Brzozowski derivatives.  A pair
-    with a nullable left side and a non-nullable right side witnesses a
-    counterexample, and the breadth-first order makes the witness shortest —
-    identical to the one the compiled reference path reconstructs, because
-    derivative formulas *are* the compiled DFA's states.
-
-    Two antichain-style subsumption prunes drop pairs from which no
-    counterexample is reachable, so whole sub-products are never explored:
-
-    * ``lhs`` side is ``BOT`` — the left language is empty from here on, and
-      derivatives of ``BOT`` stay ``BOT``;
-    * ``rhs`` side is ``TOP`` — the right side accepts every continuation.
-
-    Returns ``(witness character indices or None, #product pairs explored)``.
-    The pair count is the ``#prod-states`` statistic of the evaluation tables;
-    unlike the compiled path, nothing outside the reachable (un-pruned)
-    product is ever constructed, and the search exits at the first witness.
-    """
-    context_truth = alphabet.context_truth()
-    characters = alphabet.characters
-
-    if cache is not None:
-        # cross-search memo: content-addressed step keys that survive across
-        # the obligations sharing this cache (derivative is pure in the key)
-        context_id, character_ids = cache.keys_for(alphabet)
-
-        def step(formula: Sfa, index: int) -> Sfa:
-            key = (formula.sfa_id, context_id, character_ids[index])
-            cached = cache.lookup(key)
-            if cached is None:
-                cached = derivative(formula, characters[index], context_truth)
-                cache.store(key, cached)
-            return cached
-
-    else:
-        #: per-side derivative memo — pairs share sides constantly
-        memo: dict[tuple[int, int], Sfa] = {}
-
-        def step(formula: Sfa, index: int) -> Sfa:
-            key = (formula.sfa_id, index)
-            cached = memo.get(key)
-            if cached is None:
-                cached = derivative(formula, characters[index], context_truth)
-                memo[key] = cached
-            return cached
-
-    def pruned(a: Sfa, b: Sfa) -> bool:
-        return a is symbolic.BOT or b is symbolic.TOP
-
-    start = (lhs, rhs)
-    if pruned(*start):
-        return None, 0
-    parents: dict[tuple[Sfa, Sfa], tuple[tuple[Sfa, Sfa], int] | None] = {start: None}
-    frontier: deque[tuple[Sfa, Sfa]] = deque([start])
-    while frontier:
-        pair = frontier.popleft()
-        a, b = pair
-        if nullable(a) and not nullable(b):
-            word: list[int] = []
-            node: tuple[Sfa, Sfa] | None = pair
-            while parents[node] is not None:
-                node, index = parents[node]  # type: ignore[misc]
-                word.append(index)
-            return tuple(reversed(word)), len(parents)
-        for index in range(len(characters)):
-            target = (step(a, index), step(b, index))
-            if pruned(*target) or target in parents:
-                continue
-            if len(parents) >= max_pairs:
-                raise CompilationError(
-                    f"lazy product walk exceeded {max_pairs} pairs"
-                )
-            parents[target] = (pair, index)
-            frontier.append(target)
-    return None, len(parents)
-
-
-def accepts_via_dfa(formula: Sfa, alphabet: Alphabet, word: list[Character]) -> bool:
-    """Check word membership through the compiled DFA (testing helper)."""
-    dfa = compile_dfa(formula, alphabet)
-    indices = [alphabet.index_of(c) for c in word]
-    return dfa.accepts_word(indices)

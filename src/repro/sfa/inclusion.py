@@ -9,26 +9,19 @@ by ``B``.  The pipeline is the paper's:
    transformation), asking the SMT solver for each candidate,
 3. decide inclusion over that finite alphabet.
 
-Step 3 has two discharge modes, mirroring the guided/exhaustive split of the
-enumeration layer:
-
-* ``discharge="lazy"`` (the default) — an on-the-fly product walk over
-  symbolic derivatives (:func:`repro.sfa.derivatives.lazy_inclusion_search`).
-  Product states are explored breadth-first with antichain-style subsumption
-  pruning; nothing is materialised beyond the reachable product, and the walk
-  exits at the first counterexample.  The ``#prod-states`` statistic counts
-  the pairs it explores.
-* ``discharge="compiled"`` — the original Algorithm-1 reference path: compile
-  **both** symbolic automata to complete DFAs over the minterm alphabet, then
-  run the explicit product search.  Kept as the differential-testing oracle
-  (``tests/sfa/test_discharge_diff.py``) and for the DFA-size statistics
-  (``avg. s_FA``), which only make sense when DFAs are actually built.
+Step 3 has one decider: a single-member walk over an interned transition
+table (:func:`repro.sfa.batch.decide`) — the same walk the engine runs for
+its grouped obligations.  Product states are explored breadth-first with
+antichain-style subsumption pruning, nothing is materialised beyond the
+reachable product, and the walk exits at the first counterexample.  The
+paper's DFA-compiling construction lives on only as a test oracle
+(``tests/sfa/oracles.py``).
 
 The checker records the statistics reported in the paper's evaluation: the
-number of FA inclusion checks (``#FA⊆``), the sizes of the constructed
-automata (``avg. s_FA``), explored product states (``#prod-states``) and the
-time spent in FA inclusion (``t_FA⊆``); SMT counts and times are tracked by
-the shared solver.
+number of FA inclusion checks (``#FA⊆``), explored product states
+(``#prod-states``), the automaton size each walk reached (``avg. s_FA``) and
+the time spent in FA inclusion (``t_FA⊆``); SMT counts and times are tracked
+by the shared solver.
 """
 
 from __future__ import annotations
@@ -43,23 +36,15 @@ from ..smt.terms import Term
 from ..statsutil import MergeableStats
 from .alphabet import (
     Alphabet,
-    AlphabetError,
     AlphabetMemo,
     AlphabetStats,
     build_alphabets,
     resolve_max_literals,
 )
-from .automata import Dfa
-from .derivatives import DerivativeCache, DfaCache, compile_dfa, lazy_inclusion_search
+from .batch import decide
+from .derivatives import DerivativeCache
 from .signatures import OperatorRegistry
 from .symbolic import BOT, Sfa
-
-#: The supported values of ``InclusionChecker(..., discharge=...)``.
-#: ``batch`` only changes how the *engine* schedules cold obligations
-#: (set-at-a-time groups, :mod:`repro.sfa.batch`); for the inline checks this
-#: class serves directly it is identical to ``lazy`` — deliberately, since
-#: batch mode must produce byte-identical verdicts and counters to lazy.
-DISCHARGE_MODES = ("lazy", "compiled", "batch")
 
 
 @dataclass
@@ -72,20 +57,17 @@ class InclusionStats(MergeableStats):
     """
 
     fa_inclusion_checks: int = 0
+    #: automata the walks stood in for: two (lhs and rhs) per walk
     automata_built: int = 0
+    #: per walk, the distinct lhs-side plus rhs-side states it reached times
+    #: the alphabet size — the transitions of the part of both automata the
+    #: query needed (``average_transitions`` is the paper's s_FA)
     total_transitions: int = 0
-    #: DFA states constructed by the compiled discharge path
-    states_built: int = 0
-    #: product pairs explored by the lazy discharge path
+    #: product pairs explored by the walks (#Prod)
     prod_states: int = 0
     context_cases: int = 0
     minterm_candidates: int = 0
     satisfiable_minterms: int = 0
-    #: DFA-compilation memo behaviour (per (sfa_id, alphabet fingerprint))
-    dfa_cache_hits: int = 0
-    dfa_cache_misses: int = 0
-    #: size-cap wipes of the DFA-compilation memo
-    dfa_cache_evictions: int = 0
     #: alphabet constructions actually enumerated (#Alph — volatile: whether a
     #: check builds or reuses depends on what ran before it in this process)
     alphabet_builds: int = 0
@@ -99,6 +81,14 @@ class InclusionStats(MergeableStats):
         if self.automata_built == 0:
             return 0.0
         return self.total_transitions / self.automata_built
+
+    def record_walk(self, walk, num_chars: int, seconds: float) -> None:
+        """Bill one completed context-case walk (not a failed one)."""
+        self.fa_inclusion_checks += 1
+        self.prod_states += walk.explored
+        self.automata_built += 2
+        self.total_transitions += walk.automaton_states() * num_chars
+        self.fa_time_seconds += seconds
 
 
 @dataclass
@@ -126,35 +116,26 @@ class InclusionChecker:
         solver: smt.Solver,
         operators: OperatorRegistry,
         *,
-        minimize: bool = False,
         filter_unsat_minterms: bool = True,
         max_literals: Optional[int] = None,
         strategy: str = "guided",
-        discharge: str = "lazy",
         alphabet_memo: Optional[AlphabetMemo] = None,
         derivative_cache: Optional[DerivativeCache] = None,
     ) -> None:
-        if discharge not in DISCHARGE_MODES:
-            raise ValueError(
-                f"unknown discharge mode {discharge!r}; expected one of {DISCHARGE_MODES}"
-            )
         self.solver = solver
         self.operators = operators
-        self.minimize = minimize
         self.filter_unsat_minterms = filter_unsat_minterms
         self.max_literals = resolve_max_literals(max_literals, strategy, filter_unsat_minterms)
         self.strategy = strategy
-        self.discharge = discharge
         #: when set, alphabets come from the shared cross-obligation memo
         #: (hermetic construction + recorded-counter replay); when ``None``
         #: the checker builds them on its own solver, the standalone path
         self.alphabet_memo = alphabet_memo
-        #: optional cross-search memo for lazy-derivative steps (pure reuse)
+        #: optional cross-query memo for derivative steps (pure reuse)
         self.derivative_cache = derivative_cache
         self.stats = InclusionStats()
         self.cache_hits = 0
         self._cache: dict[tuple, InclusionResult] = {}
-        self._dfa_cache = DfaCache()
 
     # -- the main entry point ----------------------------------------------------------
     def check(
@@ -232,54 +213,16 @@ class InclusionChecker:
 
     # -- per-context-case check ---------------------------------------------------------
     def _check_under_alphabet(self, lhs: Sfa, rhs: Sfa, alphabet: Alphabet) -> InclusionResult:
-        if self.discharge == "compiled":
-            return self._check_compiled(lhs, rhs, alphabet)
-        # "lazy" and "batch": batching happens at the engine's grouping
-        # layer, a single inclusion query has no siblings to share with
-        return self._check_lazy(lhs, rhs, alphabet)
-
-    def _check_lazy(self, lhs: Sfa, rhs: Sfa, alphabet: Alphabet) -> InclusionResult:
         start = time.perf_counter()
-        with trace.span("inclusion.lazy", cat="discharge", characters=len(alphabet.characters)):
-            witness, explored = lazy_inclusion_search(
-                lhs, rhs, alphabet, cache=self.derivative_cache
-            )
-        self.stats.prod_states += explored
-        self.stats.fa_inclusion_checks += 1
-        self.stats.fa_time_seconds += time.perf_counter() - start
-        if witness is None:
+        with trace.span("inclusion.walk", cat="discharge", characters=len(alphabet.characters)):
+            walk = decide(lhs, rhs, alphabet, cache=self.derivative_cache)
+        if walk.error is not None:
+            raise walk.error
+        self.stats.record_walk(walk, len(alphabet.characters), time.perf_counter() - start)
+        if walk.witness is None:
             return InclusionResult(included=True)
         return InclusionResult(
-            included=False, counterexample=render_witness(alphabet, witness)
-        )
-
-    def _check_compiled(self, lhs: Sfa, rhs: Sfa, alphabet: Alphabet) -> InclusionResult:
-        start = time.perf_counter()
-        with trace.span(
-            "inclusion.compiled", cat="discharge", characters=len(alphabet.characters)
-        ):
-            hits_before = self._dfa_cache.hits
-            misses_before = self._dfa_cache.misses
-            evictions_before = self._dfa_cache.evictions
-            lhs_dfa = compile_dfa(lhs, alphabet, cache=self._dfa_cache)
-            rhs_dfa = compile_dfa(rhs, alphabet, cache=self._dfa_cache)
-            self.stats.dfa_cache_hits += self._dfa_cache.hits - hits_before
-            self.stats.dfa_cache_misses += self._dfa_cache.misses - misses_before
-            self.stats.dfa_cache_evictions += self._dfa_cache.evictions - evictions_before
-            if self.minimize:
-                lhs_dfa = lhs_dfa.minimize()
-                rhs_dfa = rhs_dfa.minimize()
-            self.stats.automata_built += 2
-            self.stats.total_transitions += lhs_dfa.num_transitions + rhs_dfa.num_transitions
-            self.stats.states_built += lhs_dfa.num_states + rhs_dfa.num_states
-            self.stats.fa_inclusion_checks += 1
-            witness, explored = lhs_dfa.counterexample_search(rhs_dfa)
-            self.stats.prod_states += explored
-        self.stats.fa_time_seconds += time.perf_counter() - start
-        if witness is None:
-            return InclusionResult(included=True)
-        return InclusionResult(
-            included=False, counterexample=render_witness(alphabet, witness)
+            included=False, counterexample=render_witness(alphabet, walk.witness)
         )
 
     # -- auxiliary queries used by the type checker --------------------------------------

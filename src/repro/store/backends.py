@@ -69,7 +69,7 @@ from ..obs.logs import get_logger
 logger = get_logger("store")
 
 #: Store layout version; entries under another tag are discarded on open.
-SCHEMA_VERSION = "pymarple-store-v1"
+SCHEMA_VERSION = "pymarple-store-v2"
 
 #: The names a backend can be requested by; ``auto`` defers to the path.
 KNOWN_STORE_BACKENDS = ("jsonl", "sqlite")
@@ -388,6 +388,8 @@ class JsonlStoreBackend:
         caller's open-time snapshot — so entries appended by another process
         since then survive the rewrite.  ``entries=False``/``runs=False``
         skip reading and rewriting that half (``fn`` then sees it empty).
+        ``fn`` returning ``None`` means "nothing changed": the state read
+        under the lock is returned and nothing is rewritten.
         """
         with self._lock():
             disk_entries: dict[tuple[str, str], StoreEntry] = {}
@@ -395,7 +397,10 @@ class JsonlStoreBackend:
             if entries:
                 disk_entries, skipped = self._read_entries()
             disk_runs = self._read_runs() if runs else []
-            new_entries, new_runs = fn(disk_entries, disk_runs)
+            changed = fn(disk_entries, disk_runs)
+            if changed is None:
+                return LoadedState(disk_entries, disk_runs, skipped)
+            new_entries, new_runs = changed
             if entries:
                 _atomic_write(
                     self.path / _ENTRIES,
@@ -703,7 +708,10 @@ class SqliteStoreBackend:
             if entries:
                 disk_entries, skipped = self._read_entries(conn)
             disk_runs = self._read_runs(conn) if runs else []
-            new_entries, new_runs = fn(disk_entries, disk_runs)
+            changed = fn(disk_entries, disk_runs)
+            if changed is None:
+                return LoadedState(disk_entries, disk_runs, skipped)
+            new_entries, new_runs = changed
             if entries:
                 for table in ("entries", "deps", "costs"):
                     conn.execute(f"DELETE FROM {table}")

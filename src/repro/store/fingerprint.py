@@ -275,11 +275,9 @@ def environment_fingerprint(
     operators: OperatorRegistry,
     axioms: Sequence[Axiom] = (),
     *,
-    minimize: bool = False,
     filter_unsat_minterms: bool = True,
     max_literals: Optional[int] = None,
     strategy: str = "guided",
-    discharge: str = "lazy",
     backend: str = "dpll",
     library: Optional[str] = None,
 ) -> str:
@@ -287,7 +285,8 @@ def environment_fingerprint(
 
     A store entry is only reusable under the exact same discharge semantics:
     the library's logical surface plus every checker/solver knob that steers
-    the alphabet transformation or the inclusion search.  The solver backend
+    the alphabet transformation.  The inclusion walk itself has no knobs —
+    it is the single decider.  The solver backend
     participates too: verdicts agree across backends, but the recorded
     per-obligation counters (#SAT, #Confl) are backend-internal, so a warm
     start under ``cdcl`` must never replay numbers a ``dpll`` discharge
@@ -306,10 +305,8 @@ def environment_fingerprint(
         FINGERPRINT_VERSION,
         "env",
         library if library is not None else library_digest(operators, axioms),
-        repr(bool(minimize)),
         repr(bool(filter_unsat_minterms)),
         repr(resolve_max_literals(max_literals, strategy, filter_unsat_minterms)),
         strategy,
-        discharge,
         backend,
     )

@@ -239,6 +239,10 @@ class StoreService:
             nonlocal dropped
             stale = stale_entry_keys(entries, scope, method, spec_digest, library_digest)
             dropped = len(stale)
+            if not stale:
+                # the common case (every check_method sends one): adopt the
+                # state read under the lock, but rewrite nothing
+                return None
             for stale_key in stale:
                 del entries[stale_key]
             return entries, runs

@@ -70,10 +70,6 @@ class CheckFailure(Exception):
     """Raised internally when a proof obligation fails; reported in the result."""
 
 
-def _default_discharge() -> str:
-    return os.environ.get("REPRO_DISCHARGE") or "lazy"
-
-
 def _default_workers() -> int:
     return int(os.environ.get("REPRO_WORKERS") or "1")
 
@@ -98,7 +94,6 @@ def _default_store_backend() -> str:
 class CheckerConfig:
     """Tunable knobs (mostly used by the ablation benchmarks)."""
 
-    minimize_automata: bool = False
     filter_unsat_minterms: bool = True
     prune_infeasible_branches: bool = True
     #: None = a strategy-appropriate default (24 guided / 14 exhaustive)
@@ -106,10 +101,6 @@ class CheckerConfig:
     #: how the alphabet transformation enumerates satisfiable combinations:
     #: "guided" (solver-guided AllSAT) or "exhaustive" (per-candidate queries)
     enumeration_strategy: str = "guided"
-    #: how leaf inclusions are decided: "lazy" (on-the-fly derivative product)
-    #: or "compiled" (materialise both DFAs — the reference oracle).
-    #: Overridable via the REPRO_DISCHARGE environment variable (CI matrix).
-    discharge: str = field(default_factory=_default_discharge)
     #: which SAT core answers the lazy SMT loop's queries: "dpll" (the
     #: original reference), "cdcl" (clause learning + VSIDS + restarts) or
     #: "z3" (external, when installed).  Overridable via REPRO_BACKEND.
@@ -203,11 +194,9 @@ class Checker:
         self.inclusion = InclusionChecker(
             self.solver,
             operators,
-            minimize=self.config.minimize_automata,
             filter_unsat_minterms=self.config.filter_unsat_minterms,
             max_literals=self.config.max_literals,
             strategy=self.config.enumeration_strategy,
-            discharge=self.config.discharge,
             alphabet_memo=self.alphabet_memo,
             derivative_cache=self.derivative_cache,
         )
@@ -215,15 +204,11 @@ class Checker:
         self.obligation_engine = ObligationEngine(
             operators,
             axioms,
-            minimize=self.config.minimize_automata,
             filter_unsat_minterms=self.config.filter_unsat_minterms,
             max_literals=self.config.max_literals,
             strategy=self.config.enumeration_strategy,
-            discharge=self.config.discharge,
             backend=self.config.backend,
             workers=self.config.workers,
-            # per-obligation solvers read the inline solver's caches (read-only)
-            warm_solver=self.solver,
             store=store,
             shard=self.config.shard,
             schedule=self.config.schedule,
@@ -403,12 +388,10 @@ class Checker:
             smt_cache_hits=solver_after.cache_hits - solver_before.cache_hits,
             sat_conflicts=solver_after.sat_conflicts - solver_before.sat_conflicts,
             fa_inclusion_checks=inclusion_after.fa_inclusion_checks - inclusion_before.fa_inclusion_checks,
-            dfa_cache_hits=inclusion_after.dfa_cache_hits - inclusion_before.dfa_cache_hits,
             alphabet_builds=inclusion_after.alphabet_builds - inclusion_before.alphabet_builds,
             alphabet_memo_hits=inclusion_after.alphabet_memo_hits
             - inclusion_before.alphabet_memo_hits,
             prod_states=inclusion_after.prod_states - inclusion_before.prod_states,
-            states_built=inclusion_after.states_built - inclusion_before.states_built,
             store_hits=engine_after.store_hits - engine_before.store_hits,
             batch_groups=engine_after.batch_groups - engine_before.batch_groups,
             smt_time_seconds=solver_after.time_seconds - solver_before.time_seconds,

@@ -22,8 +22,6 @@ class MethodStats:
     #: like #SAT: DPLL/CDCL/z3 legitimately differ here and nowhere else)
     sat_conflicts: int = 0
     fa_inclusion_checks: int = 0
-    #: DFA compilations answered from the (sfa_id, alphabet) memo
-    dfa_cache_hits: int = 0
     #: alphabet/minterm constructions actually enumerated (#Alph) — volatile:
     #: whether a check builds or reuses depends on what the shared
     #: cross-obligation memo saw earlier in the process, so, like #Store,
@@ -34,15 +32,14 @@ class MethodStats:
     alphabet_memo_hits: int = 0
     #: product pairs explored during inclusion (#prod-states)
     prod_states: int = 0
-    #: DFA states materialised by the compiled discharge path
-    states_built: int = 0
     #: obligations answered by the persistent store (warm start, #Store)
     store_hits: int = 0
     #: alphabet-sharing groups discharged set-at-a-time (#Batch — volatile
-    #: like #Store/#Alph: 0 under ``discharge="lazy"``, 0 on a warm run, and
-    #: otherwise a function of which obligations were still cold; the group
-    #: members' counters themselves are byte-identical to lazy discharge)
+    #: like #Store/#Alph: 0 on a warm run, and otherwise a function of which
+    #: obligations were still cold; the members' counters never depend on it)
     batch_groups: int = 0
+    #: avg. s_FA: per walk, the distinct lhs- plus rhs-side states it reached
+    #: times the alphabet size, averaged over the two automata of each walk
     average_fa_size: float = 0.0
     smt_time_seconds: float = 0.0
     fa_time_seconds: float = 0.0
@@ -58,10 +55,8 @@ class MethodStats:
             "#SATcache": self.smt_cache_hits,
             "#Confl": self.sat_conflicts,
             "#Inc": self.fa_inclusion_checks,
-            "#FAcache": self.dfa_cache_hits,
             "#Alph": self.alphabet_builds,
             "#Prod": self.prod_states,
-            "sFAbuilt": self.states_built,
             "#Store": self.store_hits,
             "#Batch": self.batch_groups,
             "avg. sFA": round(self.average_fa_size, 1),
@@ -81,8 +76,8 @@ class MethodStats:
     #: method *ran* depends on what the shared cross-obligation memo already
     #: held — the memo replays recorded counters, so everything else is
     #: deterministic, but the build count itself is reuse bookkeeping) and
-    #: #Batch (set-at-a-time groups formed: 0 in lazy mode and on warm runs,
-    #: reuse bookkeeping like #Alph in batch mode)
+    #: #Batch (set-at-a-time groups formed: 0 on warm runs, reuse
+    #: bookkeeping like #Alph)
     VOLATILE_COLUMNS = TIME_COLUMNS + ("#Store", "#Alph", "#Batch")
 
     #: solver-internal columns: deterministic for a *fixed* backend (they
@@ -166,7 +161,6 @@ class AdtStats:
                     "#SATcache": hardest.stats.smt_cache_hits,
                     "#Confl": hardest.stats.sat_conflicts,
                     "#FA⊆": hardest.stats.fa_inclusion_checks,
-                    "#FAcache": hardest.stats.dfa_cache_hits,
                     "#Alph": hardest.stats.alphabet_builds,
                     "#Prod": hardest.stats.prod_states,
                     "#Store": hardest.stats.store_hits,

@@ -49,7 +49,9 @@ def test_argparse_rejects_bad_usage():
         cli_main(["table", "9"])
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit):
-        cli_main(["check", "Set/KVStore", "--discharge", "telepathy"])
+        cli_main(["check", "Set/KVStore", "--strategy", "telepathy"])
+    with pytest.raises(SystemExit):  # one decider: no mode flag to pick
+        cli_main(["check", "Set/KVStore", "--discharge", "lazy"])
 
 
 # -- checker knobs -----------------------------------------------------------------
@@ -63,8 +65,6 @@ def test_checker_knob_flags_are_accepted(capsys):
                 "Set/KVStore",
                 "--workers",
                 "2",
-                "--discharge",
-                "compiled",
                 "--strategy",
                 "exhaustive",
             ]
@@ -88,13 +88,12 @@ def test_knob_flags_reach_the_checker_config(monkeypatch):
     monkeypatch.setattr(AdtBenchmark, "make_checker", spy)
     assert (
         cli_main(
-            ["check", "Set/KVStore", "--workers", "3", "--discharge", "compiled", "--strategy", "exhaustive"]
+            ["check", "Set/KVStore", "--workers", "3", "--strategy", "exhaustive"]
         )
         == 0
     )
     config = captured["config"]
     assert config.workers == 3
-    assert config.discharge == "compiled"
     assert config.enumeration_strategy == "exhaustive"
 
 

@@ -105,7 +105,7 @@ def test_unknown_log_level_exits_two(capsys):
 
 
 def test_evaluate_json_exposes_cache_totals_and_batch_groups(capsys):
-    assert cli_main(["evaluate", "--fast", "--json", "--discharge", "batch"]) == 0
+    assert cli_main(["evaluate", "--fast", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     caches = payload["caches"]
     assert "derivative_cache_hits" in caches and "alphabet_memo_builds" in caches
@@ -115,8 +115,12 @@ def test_evaluate_json_exposes_cache_totals_and_batch_groups(capsys):
     assert groups["multi_groups_strictly_fewer"] is True
 
 
-def test_evaluate_json_omits_batch_groups_in_lazy_mode(capsys):
-    assert cli_main(["evaluate", "--fast", "--json"]) == 0
+def test_evaluate_json_omits_batch_groups_on_a_warm_run(capsys, tmp_path):
+    store = str(tmp_path / "store")
+    assert cli_main(["evaluate", "--fast", "--json", "--store", store]) == 0
+    assert "batch_groups" in json.loads(capsys.readouterr().out)
+    # the warm run answers everything from the store: nothing is grouped
+    assert cli_main(["evaluate", "--fast", "--json", "--store", store]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert "caches" in payload
     assert "batch_groups" not in payload

@@ -74,19 +74,6 @@ def test_bench_baseline_missing_warm_wall_is_advisory(capsys, tmp_path):
     assert "no warm wall time" in out
 
 
-def test_bench_ab_compares_batch_against_lazy(capsys, tmp_path):
-    """``--ab`` runs the other discharge mode cold and reports whether the
-    deterministic tables are identical (the batch exactness contract)."""
-    out_path = tmp_path / "bench.json"
-    assert cli_main(["bench", "--quick", "--ab", "--output", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert "A/B" in out
-    assert "deterministic tables identical=True" in out
-    payload = json.loads(out_path.read_text())
-    assert payload["ab"]["discharge"] in ("lazy", "batch")
-    assert payload["ab"]["tables_identical"] is True
-
-
 def test_bench_rejects_zero_runs(capsys):
     assert cli_main(["bench", "--runs", "0"]) == 2
     assert "runs >= 1" in capsys.readouterr().err

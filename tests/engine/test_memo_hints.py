@@ -18,7 +18,7 @@ from repro.sfa import symbolic as S
 from repro.sfa.alphabet import AlphabetMemo
 from repro.sfa.signatures import OperatorRegistry
 from repro.engine.obligations import Obligation
-from repro.engine.scheduler import DischargeParams, ObligationEngine, discharge_obligation
+from repro.engine.scheduler import DischargeParams, ObligationEngine, _discharge_group_payload
 from repro.suite.set_kvstore import set_kvstore
 from repro.typecheck.checker import CheckerConfig
 
@@ -45,9 +45,9 @@ def _toy_obligation() -> tuple[OperatorRegistry, Obligation]:
 
 def test_worker_reported_keys_become_eager_builds():
     registry, obligation = _toy_obligation()
-    engine = ObligationEngine(registry, discharge="batch")
+    engine = ObligationEngine(registry)
     memo = engine.params.alphabet_memo
-    key = engine._group_key(obligation)
+    key, _ = engine._group_key(obligation)
     assert key not in memo
 
     # harvest a (simulated) worker result's memo_keys
@@ -67,8 +67,8 @@ def test_worker_reported_keys_become_eager_builds():
 
 def test_unhinted_keys_are_not_prebuilt():
     registry, obligation = _toy_obligation()
-    engine = ObligationEngine(registry, discharge="batch")
-    key = engine._group_key(obligation)
+    engine = ObligationEngine(registry)
+    key, _ = engine._group_key(obligation)
     engine._prebuild_hinted([(key, obligation)])
     assert engine.stats.memo_eager_builds == 0
     assert key not in engine.params.alphabet_memo
@@ -79,39 +79,39 @@ def test_discharge_obligation_reports_built_memo_keys():
     cross the pool boundary — and a replayed one reports none."""
     registry, obligation = _toy_obligation()
     params = DischargeParams(operators=registry, alphabet_memo=AlphabetMemo())
-    first = discharge_obligation(obligation, params)
-    assert first["included"]
+    first = _discharge_group_payload([obligation], params)
+    assert first["members"][0]["included"]
     assert first["memo_keys"], "a cold discharge must report its built keys"
     assert pickle.loads(pickle.dumps(first["memo_keys"])) == first["memo_keys"]
 
-    second = discharge_obligation(obligation, params)
-    assert second["included"]
+    second = _discharge_group_payload([obligation], params)
+    assert second["members"][0]["included"]
     assert second["memo_keys"] == []
 
 
 def test_memo_keys_absent_without_a_shared_memo():
     registry, obligation = _toy_obligation()
     params = DischargeParams(operators=registry)
-    result = discharge_obligation(obligation, params)
-    assert result["included"]
+    result = _discharge_group_payload([obligation], params)
+    assert result["members"][0]["included"]
     assert result["memo_keys"] == []
 
 
-def test_batch_pool_matches_serial_lazy_byte_identical():
+def test_batch_pool_matches_serial_byte_identical():
     """Grouped discharge under a 4-way pool harvests worker keys and still
-    reproduces the serial lazy counter tables exactly."""
+    reproduces the serial counter tables exactly."""
     bench = set_kvstore()
-    lazy_checker = bench.make_checker(CheckerConfig(discharge="lazy", workers=1))
-    lazy_stats = bench.verify_all(lazy_checker)
-    batch_checker = bench.make_checker(CheckerConfig(discharge="batch", workers=4))
-    batch_stats = bench.verify_all(batch_checker)
+    serial_checker = bench.make_checker(CheckerConfig(workers=1))
+    serial_stats = bench.verify_all(serial_checker)
+    pool_checker = bench.make_checker(CheckerConfig(workers=4))
+    pool_stats = bench.verify_all(pool_checker)
 
-    assert [r.stats.counter_row() for r in batch_stats.method_results] == [
-        r.stats.counter_row() for r in lazy_stats.method_results
+    assert [r.stats.counter_row() for r in pool_stats.method_results] == [
+        r.stats.counter_row() for r in serial_stats.method_results
     ]
-    assert [(r.method, r.verified, r.error) for r in batch_stats.method_results] == [
-        (r.method, r.verified, r.error) for r in lazy_stats.method_results
+    assert [(r.method, r.verified, r.error) for r in pool_stats.method_results] == [
+        (r.method, r.verified, r.error) for r in serial_stats.method_results
     ]
-    engine = batch_checker.obligation_engine
+    engine = pool_checker.obligation_engine
     assert engine.stats.batch_groups > 0
     assert engine.stats.batch_grouped_obligations >= engine.stats.batch_groups

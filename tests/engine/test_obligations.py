@@ -12,8 +12,8 @@ from repro.engine import (
     Obligation,
     ObligationEngine,
     ObligationSet,
-    discharge_obligation,
 )
+from repro.engine.scheduler import _discharge_group_payload
 from repro.sfa import symbolic as S
 from repro.sfa.signatures import OperatorRegistry
 from repro.statsutil import MergeableStats
@@ -114,8 +114,8 @@ def test_discharge_obligation_is_deterministic(registry):
         index=0,
     )
     params = DischargeParams(operators=registry)
-    first = discharge_obligation(obligation, params)
-    second = discharge_obligation(obligation, params)
+    first = _discharge_group_payload([obligation], params)["members"][0]
+    second = _discharge_group_payload([obligation], params)["members"][0]
     assert first["included"] is second["included"] is False
     assert first["counterexample"] == second["counterexample"]
     assert first["counterexample"], "a readable witness trace is produced"

@@ -6,8 +6,8 @@ import pytest
 
 from repro.obs import trace
 from repro.obs.postmortem import ENV_POSTMORTEM, dump_postmortem
-from repro.sfa.inclusion import InclusionChecker
-from repro.smt.solver import SolverError
+from repro.sfa.batch import TransitionTable
+from repro.sfa.derivatives import CompilationError
 from repro.suite.registry import all_benchmarks
 from repro.typecheck.checker import CheckerConfig
 
@@ -75,13 +75,13 @@ def test_unexpected_discharge_error_dumps_then_propagates(tmp_path, monkeypatch)
     target = tmp_path / "crash.json"
     monkeypatch.setenv(ENV_POSTMORTEM, str(target))
 
-    def explode(self, hypotheses, lhs, rhs):
-        raise RuntimeError("simulated checker bug")
+    def explode(self, state):
+        raise RuntimeError("simulated walk bug")
 
-    monkeypatch.setattr(InclusionChecker, "check_detailed", explode)
+    monkeypatch.setattr(TransitionTable, "row", explode)
     bench = all_benchmarks(include_slow=False)[0]
     checker = bench.make_checker(CheckerConfig())
-    with pytest.raises(RuntimeError, match="simulated checker bug"):
+    with pytest.raises(RuntimeError, match="simulated walk bug"):
         bench.verify_all(checker)
 
     payload = json.loads(target.read_text())
@@ -94,10 +94,10 @@ def test_expected_solver_error_reports_failure_without_a_dump(tmp_path, monkeypa
     target = tmp_path / "crash.json"
     monkeypatch.setenv(ENV_POSTMORTEM, str(target))
 
-    def refuse(self, hypotheses, lhs, rhs):
-        raise SolverError("expected, reportable failure")
+    def refuse(self, state):
+        raise CompilationError("expected, reportable failure")
 
-    monkeypatch.setattr(InclusionChecker, "check_detailed", refuse)
+    monkeypatch.setattr(TransitionTable, "row", refuse)
     bench = all_benchmarks(include_slow=False)[0]
     checker = bench.make_checker(CheckerConfig())
     stats = bench.verify_all(checker)  # must not raise

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sfa.automata import Dfa, empty_dfa, universal_dfa, word_dfa
+from oracles import Dfa, empty_dfa, universal_dfa, word_dfa
 
 
 def language(dfa: Dfa, max_length: int = 4) -> set[tuple[int, ...]]:

@@ -1,19 +1,15 @@
-"""Differential tests: batched set-at-a-time discharge vs the lazy oracle.
+"""Differential tests: grouped set-at-a-time discharge vs the oracles.
 
-``discharge="batch"`` groups cold obligations by their cross-obligation
-alphabet key and discharges each group against one shared transition table
-(``repro.sfa.batch``).  Batching is a *sharing* transformation, never a
-semantic one, so everything observable must match the lazy path exactly:
+The engine groups cold obligations by their cross-obligation alphabet key
+and discharges each group against one shared transition table
+(``repro.sfa.batch``).  Grouping is a *sharing* transformation, never a
+semantic one, so everything observable must match deciding each obligation
+alone with the formula-pair oracle (``oracles.lazy_inclusion_search``):
 
-* identical verdicts, counterexample traces and error messages on every
-  obligation,
-* byte-identical deterministic counter tables on the full fast corpus,
-  for every solver backend,
+* identical verdicts, counterexample traces, #Prod and error messages on
+  every obligation — on the full fast corpus, for every solver backend,
 * genuine witnesses: every counterexample replays on the compiled DFAs
   (accepted by lhs, rejected by rhs),
-* interchangeable store entries: a store warmed by a lazy run answers a
-  batch run completely, and vice versa (the environment fingerprint keys
-  ``batch`` as ``lazy``),
 * and the coalescing claim: every multi-member group *executes* strictly
   fewer solver queries than the deterministic tables bill.
 
@@ -31,15 +27,15 @@ from repro import smt
 from repro.sfa import symbolic as S
 from repro.sfa.alphabet import AlphabetError, AlphabetMemo, build_alphabets
 from repro.sfa.batch import TransitionTable, _lockstep_search, discharge_group
-from repro.sfa.derivatives import CompilationError, compile_dfa, lazy_inclusion_search
+from repro.sfa.derivatives import CompilationError
 from repro.sfa.inclusion import InclusionChecker
 from repro.smt.solver import SolverError
 from repro.evaluation.runner import run_evaluation
-from repro.evaluation.tables import report_json
 from repro.engine.obligations import Obligation
-from repro.store.obligation_store import ObligationStore
+from repro.suite.registry import all_benchmarks
 from repro.typecheck.checker import CheckerConfig
 
+from oracles import compile_dfa, lazy_inclusion_search, oracle_check, record_discharges
 from test_discharge_diff import _random_context_literal, _random_registry, _random_sfa
 
 # ---------------------------------------------------------------------------
@@ -181,7 +177,7 @@ def test_discharge_group_matches_lazy_checker_on_random_groups():
                 assert record.queries_executed < record.queries_billed
 
         for (lhs, rhs), result in zip(members, results):
-            oracle = InclusionChecker(smt.Solver(), registry, discharge="lazy")
+            oracle = InclusionChecker(smt.Solver(), registry)
             try:
                 detail = oracle.check_detailed(list(hypotheses), lhs, rhs)
                 expected = (detail.included, detail.counterexample, None)
@@ -189,6 +185,9 @@ def test_discharge_group_matches_lazy_checker_on_random_groups():
                 expected = (False, None, str(exc))
             assert (result["included"], result["counterexample"], result["error"]) == expected
             if expected[2] is None:
+                lazy = oracle_check(hypotheses, lhs, rhs, registry)
+                assert (lazy.included, lazy.counterexample) == expected[:2]
+                assert result["inclusion"]["prod_states"] == lazy.prod_states
                 oracle_stats = oracle.stats.as_dict()
                 for field in (
                     "fa_inclusion_checks",
@@ -215,7 +214,7 @@ def test_discharge_group_construction_failure_reports_every_member():
         lhs = _random_sfa(rng, registry)
         rhs = _random_sfa(rng, registry)
         oracle = InclusionChecker(
-            smt.Solver(), registry, discharge="lazy", max_literals=0, strategy="exhaustive"
+            smt.Solver(), registry, max_literals=0, strategy="exhaustive"
         )
         try:
             oracle.check_detailed([], lhs, rhs)
@@ -242,83 +241,35 @@ def test_discharge_group_construction_failure_reports_every_member():
 
 
 @pytest.mark.parametrize("backend", ["dpll", "cdcl"])
-def test_fast_corpus_batch_equals_lazy(backend):
-    """Verdicts, negative-variant outcomes and the deterministic table
-    renderings are byte-identical between batch and lazy on the fast corpus."""
-    reports = {}
-    for discharge in ("lazy", "batch"):
-        config = CheckerConfig(discharge=discharge, backend=backend)
-        reports[discharge] = run_evaluation(include_slow=False, config=config)
-    lazy, batch = reports["lazy"], reports["batch"]
-
-    def verdicts(report):
-        return [
-            (stats.adt, result.method, result.verified, result.error)
-            for stats in report.adt_stats
-            for result in stats.method_results
-        ]
-
-    def negatives(report):
-        return [
-            (r.benchmark, r.variant, r.rejected, r.error)
-            for r in report.negative_results
-        ]
-
-    assert verdicts(batch) == verdicts(lazy)
-    assert negatives(batch) == negatives(lazy)
-    assert batch.all_verified and batch.all_negatives_rejected
-    assert (
-        report_json(batch)["tables_deterministic"]
-        == report_json(lazy)["tables_deterministic"]
-    )
-    assert (
-        report_json(batch)["tables_backend_invariant"]
-        == report_json(lazy)["tables_backend_invariant"]
-    )
-
-    # batch mode genuinely grouped, and every clean multi-member group
-    # coalesced: strictly fewer queries executed than billed
-    records = batch.batch_group_records()
-    assert records and sum(r["members"] for r in records) > 0
-    for record in records:
-        if record["members"] > 1 and not record["error"]:
-            assert record["queries_executed"] < record["queries_billed"]
-    assert not lazy.batch_group_records()
-
-
-@pytest.mark.parametrize("store_backend", ["jsonl", "sqlite"])
-def test_batch_and_lazy_store_entries_are_interchangeable(tmp_path, store_backend):
-    """The environment fingerprint keys ``batch`` as ``lazy``: a store warmed
-    by either mode answers the other completely, on both store backends."""
-    configs = {
-        "lazy": CheckerConfig(discharge="lazy"),
-        "batch": CheckerConfig(discharge="batch"),
-    }
-    for cold_mode, warm_mode in (("lazy", "batch"), ("batch", "lazy")):
-        path = tmp_path / f"store-{cold_mode}-{store_backend}"
-        cold_store = ObligationStore(path, backend=store_backend)
-        cold = run_evaluation(
-            include_slow=False,
-            config=configs[cold_mode],
-            store=cold_store,
-            check_negative_variants=False,
-        )
-        warm_store = ObligationStore(path, backend=store_backend)
-        warm = run_evaluation(
-            include_slow=False,
-            config=configs[warm_mode],
-            store=warm_store,
-            check_negative_variants=False,
-        )
-        hits = sum(d["engine"]["store_hits"] for d in warm.diagnostics)
-        misses = sum(d["engine"]["store_misses"] for d in warm.diagnostics)
-        assert hits > 0, f"{warm_mode} run ignored the {cold_mode}-warmed store"
-        assert misses == 0, f"{warm_mode} run missed a {cold_mode}-warmed store"
-        # warm tables replay the recorded counters byte for byte
-        assert (
-            report_json(warm)["tables_deterministic"]
-            == report_json(cold)["tables_deterministic"]
-        )
+def test_fast_corpus_batch_equals_lazy(backend, monkeypatch):
+    """Every obligation the grouped discharge decides on the fast corpus —
+    positive methods and negative variants — equals the formula-pair
+    oracle's answer: verdict, witness trace and #Prod; and every clean
+    multi-member group executes strictly fewer queries than it bills."""
+    config = CheckerConfig(backend=backend, workers=1)
+    discharged = 0
+    for bench in all_benchmarks(include_slow=False):
+        captured = record_discharges(monkeypatch)
+        report = run_evaluation([bench], config=config)
+        assert report.all_verified and report.all_negatives_rejected
+        operators, axioms = bench.library.operators, bench.library.axioms
+        for obligation, result in captured:
+            assert result["error"] is None
+            oracle = oracle_check(
+                obligation.hypotheses, obligation.lhs, obligation.rhs, operators, axioms=axioms
+            )
+            assert (result["included"], result["counterexample"]) == (
+                oracle.included,
+                oracle.counterexample,
+            )
+            assert result["inclusion"]["prod_states"] == oracle.prod_states
+        discharged += len(captured)
+        records = report.batch_group_records()
+        assert sum(record["members"] for record in records) == len(captured)
+        for record in records:
+            if record["members"] > 1 and not record["error"]:
+                assert record["queries_executed"] < record["queries_billed"]
+    assert discharged >= 60
 
 
 # ---------------------------------------------------------------------------

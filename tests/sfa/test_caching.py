@@ -1,11 +1,10 @@
-"""Cache-behaviour tests for the inclusion pipeline's three cache layers.
+"""Cache-behaviour tests for the inclusion pipeline's cache layers.
 
 1. the :class:`InclusionChecker` result cache (``_cache``),
 2. the solver's content-addressed query / enumeration caches
    (``SolverStats.cache_hits`` / ``cache_misses``),
-3. the DFA-compilation memo (``InclusionStats.dfa_cache_hits``),
 
-plus round-tripping of the new counters through ``merge`` / ``snapshot``.
+plus round-tripping of the counters through ``merge`` / ``snapshot``.
 """
 
 from repro import smt
@@ -80,21 +79,6 @@ def test_enumeration_cache_speeds_repeated_alphabet_builds(set_ops):
     assert checker.solver.stats.cache_hits > hits_before
 
 
-def test_dfa_memo_hits_across_equivalence_directions(set_ops):
-    # the DFA memo only participates in the compiled discharge path; the
-    # default lazy walk never materialises DFAs
-    lhs, invariant = _obligation(set_ops)
-    checker = InclusionChecker(smt.Solver(), set_ops, discharge="compiled")
-    assert checker.check([], lhs, invariant)
-    assert checker.stats.dfa_cache_hits == 0
-    assert checker.stats.dfa_cache_misses > 0
-
-    # the reverse direction rebuilds identical alphabets, so both automata
-    # compile straight out of the memo
-    checker.check([], invariant, lhs)
-    assert checker.stats.dfa_cache_hits >= 2
-
-
 def test_solver_stats_roundtrip_new_counters():
     stats = SolverStats(
         queries=3,
@@ -126,8 +110,7 @@ def test_inclusion_stats_roundtrip_new_counters():
         context_cases=4,
         minterm_candidates=16,
         satisfiable_minterms=9,
-        dfa_cache_hits=5,
-        dfa_cache_misses=6,
+        prod_states=5,
         fa_time_seconds=0.25,
     )
     snap = stats.snapshot()
@@ -136,6 +119,6 @@ def test_inclusion_stats_roundtrip_new_counters():
     merged = InclusionStats()
     merged.merge(stats)
     merged.merge(snap)
-    assert merged.dfa_cache_hits == 10
-    assert merged.dfa_cache_misses == 12
+    assert merged.prod_states == 10
+    assert merged.total_transitions == 60
     assert merged.satisfiable_minterms == 18

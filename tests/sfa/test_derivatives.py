@@ -11,7 +11,9 @@ from repro import smt
 from repro.smt import sorts
 from repro.sfa import symbolic as S
 from repro.sfa.alphabet import build_alphabets
-from repro.sfa.derivatives import compile_dfa, nullable
+from repro.sfa.derivatives import nullable
+
+from oracles import compile_dfa
 
 
 def simple_alphabet(set_ops, solver, el):

@@ -1,18 +1,18 @@
-"""Differential tests: lazy on-the-fly discharge vs the compiled oracle.
+"""Differential tests: the production inclusion decider vs the oracles.
 
-The lazy product walk (``discharge="lazy"``) must be observationally
-identical to the reference Algorithm-1 path that compiles both symbolic
-automata to complete DFAs (``discharge="compiled"``):
+Production decides every inclusion with the interned transition-table walk
+(``repro.sfa.batch``); ``oracles.py`` keeps two independent deciders — the
+formula-pair walk and compiled DFAs.  :meth:`InclusionChecker.check_detailed`
+must be observationally identical to them:
 
 * identical verdicts on every query,
-* identical counterexample traces (the lazy BFS visits derivative pairs in
-  the same order the compiled product search visits DFA state pairs, so the
-  shortest witness coincides),
-* strictly less exploration: the lazy walk's product pairs never exceed the
-  states the compiled path materialises (asserted per-benchmark in
-  ``benchmarks/test_engine_microbench.py``).
+* identical counterexample traces (every walk is breadth-first over the same
+  derivative states, so the shortest witness coincides),
+* identical ``#Prod`` to the formula-pair walk, which prunes the same pairs.
 
-The corpus is the suite's benchmarks plus ≥100 seeded-random SFA pairs.
+The corpus is the suite's fast benchmarks — every obligation the engine
+discharges, re-decided through ``check_detailed`` and the oracle — plus
+≥100 seeded-random SFA pairs.
 """
 
 import random
@@ -23,10 +23,12 @@ from repro import smt
 from repro.smt import sorts
 from repro.sfa import symbolic as S
 from repro.sfa.alphabet import build_alphabets
-from repro.sfa.derivatives import compile_dfa, lazy_inclusion_search
 from repro.sfa.inclusion import InclusionChecker
 from repro.sfa.signatures import OperatorRegistry
 from repro.suite.registry import all_benchmarks
+from repro.typecheck.checker import CheckerConfig
+
+from oracles import compile_dfa, lazy_inclusion_search, oracle_check, record_discharges
 
 # ---------------------------------------------------------------------------
 # Random-case generators (plain `random`, deterministic seeds)
@@ -94,8 +96,21 @@ def _random_sfa(rng: random.Random, registry, depth: int = 3) -> S.Sfa:
     return S.concat(_random_sfa(rng, registry, depth - 1), _random_sfa(rng, registry, depth - 1))
 
 
+def _assert_matches_oracles(hypotheses, lhs, rhs, operators, axioms=()):
+    """check_detailed ≡ the formula-pair oracle (verdict, witness, #Prod),
+    and ≡ the compiled-DFA oracle on verdict and witness."""
+    checker = InclusionChecker(smt.Solver(axioms=list(axioms)), operators)
+    result = checker.check_detailed(list(hypotheses), lhs, rhs)
+    lazy = oracle_check(hypotheses, lhs, rhs, operators, axioms=axioms)
+    compiled = oracle_check(hypotheses, lhs, rhs, operators, axioms=axioms, compiled=True)
+    assert (result.included, result.counterexample) == (lazy.included, lazy.counterexample)
+    assert checker.stats.prod_states == lazy.prod_states
+    assert (compiled.included, compiled.counterexample) == (lazy.included, lazy.counterexample)
+    return result
+
+
 # ---------------------------------------------------------------------------
-# Random differential: ≥ 100 lazy vs compiled inclusion queries
+# Random differential: ≥ 100 check_detailed vs oracle queries
 # ---------------------------------------------------------------------------
 
 
@@ -110,18 +125,12 @@ def test_random_pairs_agree(seed):
         hypothesis = _random_context_literal(rng)
         if not (hypothesis.is_true or hypothesis.is_false):
             hypotheses.append(hypothesis)
-
-    results = {}
-    for discharge in ("lazy", "compiled"):
-        checker = InclusionChecker(smt.Solver(), registry, discharge=discharge)
-        results[discharge] = checker.check_detailed(hypotheses, lhs, rhs)
-    assert results["lazy"].included == results["compiled"].included
-    assert results["lazy"].counterexample == results["compiled"].counterexample
+    _assert_matches_oracles(hypotheses, lhs, rhs, registry)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_random_lazy_witnesses_are_genuine(seed):
-    """Every lazy counterexample must be accepted by lhs and rejected by rhs."""
+    """Every oracle counterexample is accepted by lhs and rejected by rhs."""
     rng = random.Random(9_191_919 + seed)
     registry = _random_registry(rng)
     lhs = _random_sfa(rng, registry)
@@ -143,43 +152,51 @@ def test_random_lazy_witnesses_are_genuine(seed):
 
 
 # ---------------------------------------------------------------------------
-# Suite-benchmark differential
+# Suite-benchmark differential: every discharged obligation of the corpus
 # ---------------------------------------------------------------------------
 
 
+def _corpus_differential(bench, captured):
+    assert captured, "the run discharged nothing"
+    operators, axioms = bench.library.operators, bench.library.axioms
+    for obligation, engine_result in captured:
+        assert engine_result["error"] is None
+        result = _assert_matches_oracles(
+            obligation.hypotheses, obligation.lhs, obligation.rhs, operators, axioms
+        )
+        assert (engine_result["included"], engine_result["counterexample"]) == (
+            result.included,
+            result.counterexample,
+        )
+
+
 @pytest.mark.parametrize(
     "key", [bench.key for bench in all_benchmarks(include_slow=False)]
 )
-def test_suite_verification_agrees(key):
-    from repro.typecheck.checker import CheckerConfig
-
+def test_suite_verification_agrees(key, monkeypatch):
     bench = next(b for b in all_benchmarks(include_slow=False) if b.key == key)
-    outcomes = {}
-    for discharge in ("lazy", "compiled"):
-        checker = bench.make_checker(CheckerConfig(discharge=discharge))
-        stats = bench.verify_all(checker)
-        outcomes[discharge] = [
-            (result.method, result.verified, result.error)
-            for result in stats.method_results
-        ]
-    assert outcomes["lazy"] == outcomes["compiled"]
+    captured = record_discharges(monkeypatch)
+    stats = bench.verify_all(bench.make_checker(CheckerConfig(workers=1)))
+    assert stats.all_verified
+    _corpus_differential(bench, captured)
 
 
 @pytest.mark.parametrize(
     "key", [bench.key for bench in all_benchmarks(include_slow=False)]
 )
-def test_suite_negative_variants_agree(key):
-    """Known-bad variants are rejected identically, traces included."""
-    from repro.typecheck.checker import CheckerConfig
-
+def test_suite_negative_variants_agree(key, monkeypatch):
+    """Known-bad variants are rejected with the oracle's witness trace."""
     bench = next(b for b in all_benchmarks(include_slow=False) if b.key == key)
     if not bench.negative_variants:
         pytest.skip(f"{key} has no negative variants")
     for variant in bench.negative_variants:
-        outcomes = {}
-        for discharge in ("lazy", "compiled"):
-            checker = bench.make_checker(CheckerConfig(discharge=discharge))
-            result = bench.verify_negative_variant(variant, checker)
-            outcomes[discharge] = (result.verified, result.error)
-        assert not outcomes["lazy"][0]
-        assert outcomes["lazy"] == outcomes["compiled"]
+        captured = record_discharges(monkeypatch)
+        checker = bench.make_checker(CheckerConfig(workers=1))
+        result = bench.verify_negative_variant(variant, checker)
+        assert not result.verified
+        _corpus_differential(bench, captured)
+        if result.counterexample:
+            assert any(
+                engine_result["counterexample"] == result.counterexample
+                for _, engine_result in captured
+            )

@@ -16,7 +16,8 @@ from repro.smt.sorts import ELEM
 from repro.libraries.setlib import make_set
 from repro.sfa import symbolic as S
 from repro.sfa.alphabet import AlphabetMemo, AlphabetStats, collect_literals
-from repro.sfa.derivatives import DerivativeCache, lazy_inclusion_search
+from repro.sfa.batch import decide
+from repro.sfa.derivatives import DerivativeCache
 from repro.sfa.inclusion import InclusionChecker
 
 
@@ -129,6 +130,12 @@ def test_checker_threads_memo_counters_into_stats(setlib):
 # ---------------------------------------------------------------------------
 
 
+def _search(lhs, rhs, alphabet, *, cache=None):
+    """The production walk's ``(witness, #pairs explored)`` over one alphabet."""
+    walk = decide(lhs, rhs, alphabet, cache=cache)
+    return walk.witness, walk.explored
+
+
 def _alphabet_for(setlib, lhs, rhs):
     from repro.sfa.alphabet import build_alphabets
 
@@ -162,8 +169,8 @@ def test_derivative_cache_agrees_with_uncached_search(setlib):
     cache = DerivativeCache()
     for lhs, rhs in ((good, invariant), (bad, invariant), (invariant, good)):
         alphabet = _alphabet_for(setlib, lhs, rhs)
-        plain = lazy_inclusion_search(lhs, rhs, alphabet)
-        cached = lazy_inclusion_search(lhs, rhs, alphabet, cache=cache)
+        plain = _search(lhs, rhs, alphabet)
+        cached = _search(lhs, rhs, alphabet, cache=cache)
         assert cached == plain  # witness AND explored-pair count
 
 
@@ -171,12 +178,12 @@ def test_derivative_cache_hits_across_searches(setlib):
     invariant, good, bad = _uniqueness_pairs(setlib)
     cache = DerivativeCache()
     alphabet = _alphabet_for(setlib, good, invariant)
-    lazy_inclusion_search(good, invariant, alphabet, cache=cache)
+    _search(good, invariant, alphabet, cache=cache)
     assert cache.misses > 0 and cache.hits == 0
     misses_after_first = cache.misses
     # a different obligation over the same alphabet shares the invariant
     # side (and every converged derivative): its steps replay from the cache
-    lazy_inclusion_search(bad, invariant, alphabet, cache=cache)
+    _search(bad, invariant, alphabet, cache=cache)
     assert cache.hits > 0
     assert cache.misses >= misses_after_first  # fresh sides still miss
 
@@ -185,7 +192,7 @@ def test_derivative_cache_cap_and_eviction_counter(setlib):
     invariant, good, _ = _uniqueness_pairs(setlib)
     cache = DerivativeCache(max_entries=4)
     alphabet = _alphabet_for(setlib, good, invariant)
-    lazy_inclusion_search(good, invariant, alphabet, cache=cache)
+    _search(good, invariant, alphabet, cache=cache)
     assert cache.evictions >= 1
     assert len(cache) <= 4
 
@@ -211,20 +218,8 @@ def test_derivative_cache_interning_tables_are_bounded(setlib):
     reinterned = cache.keys_for(alphabet)
     assert reinterned != first_ids, "wiped ids must never be reissued"
     # correctness across the wipe: searches still agree with the uncached walk
-    cached = lazy_inclusion_search(good, invariant, alphabet, cache=cache)
-    assert cached == lazy_inclusion_search(good, invariant, alphabet)
-
-
-def test_dfa_cache_eviction_counter():
-    from repro.sfa.automata import Dfa
-    from repro.sfa.derivatives import DfaCache
-
-    cache = DfaCache(max_entries=2)
-    dfa = Dfa(num_chars=1, transitions=[[0]], accepting=frozenset(), start=0)
-    for i in range(3):
-        cache.put((i,), dfa)
-    assert cache.evictions == 1
-    assert len(cache) <= 2
+    cached = _search(good, invariant, alphabet, cache=cache)
+    assert cached == _search(good, invariant, alphabet)
 
 
 def test_solver_cache_eviction_counter():

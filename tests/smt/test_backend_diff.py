@@ -61,7 +61,7 @@ def test_suite_verification_agrees(key, reference, candidate):
                 result.stats.obligations,
                 result.stats.fa_inclusion_checks,
                 result.stats.prod_states,
-                result.stats.states_built,
+                result.stats.average_fa_size,
                 result.stats.smt_cache_hits,
             )
             for result in stats.method_results

@@ -68,15 +68,15 @@ def test_obligation_digest_ignores_hypothesis_order_and_provenance():
 
 def test_environment_fingerprint_separates_configurations():
     bench = all_benchmarks(include_slow=False)[0]
-    base = dict(strategy="guided", discharge="lazy")
+    base = dict(strategy="guided", backend="dpll")
     fp = environment_fingerprint(bench.library.operators, bench.library.axioms, **base)
     assert fp == environment_fingerprint(
         bench.library.operators, bench.library.axioms, **base
     )
     for change in (
-        {"discharge": "compiled"},
+        {"backend": "cdcl"},
         {"strategy": "exhaustive"},
-        {"minimize": True},
+        {"filter_unsat_minterms": False},
         {"max_literals": 99},
     ):
         other = environment_fingerprint(

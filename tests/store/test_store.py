@@ -11,6 +11,7 @@ from repro.engine import scheduler
 from repro.engine.obligations import ObligationSet
 from repro.engine.scheduler import ObligationEngine
 from repro.sfa import symbolic
+from repro.sfa.batch import GroupRecord
 from repro.store.fingerprint import obligation_digest
 from repro.store.obligation_store import (
     SCHEMA_VERSION,
@@ -129,16 +130,17 @@ def test_resource_limit_errors_are_never_persisted(store_path, monkeypatch):
         scope="Set/KVStore", method="insert", spec_digest="s", library_digest="l"
     )
 
-    def exploding_discharge(obligation, params):
-        return {
+    def exploding_discharge(obligations, *args, **kwargs):
+        result = {
             "included": False,
             "counterexample": None,
             "error": "minterm budget exceeded",
             "inclusion": {},
             "solver": {},
         }
+        return [dict(result) for _ in obligations], GroupRecord(members=len(obligations))
 
-    monkeypatch.setattr(scheduler, "discharge_obligation", exploding_discharge)
+    monkeypatch.setattr(scheduler, "discharge_group", exploding_discharge)
     engine = ObligationEngine(library.operators, store=store)
     obligations = ObligationSet(method="insert")
     obligations.emit("postcondition", [], symbolic.any_trace(), symbolic.TOP)

@@ -139,6 +139,48 @@ def test_invalidate_drops_exactly_the_stale_scope(client):
     assert {e.fp for e in client.lookup("env1", ["f1", "f2", "f3"])} == {"f2", "f3"}
 
 
+def test_a_noop_invalidate_reads_but_never_rewrites(
+    client, store_path, store_backend, monkeypatch
+):
+    """Every check_method sends an invalidate; with nothing stale the server
+    must adopt the state it read under the lock without rewriting the log."""
+    from repro.store import backends
+
+    client.append_entries([_entry("f1", method="other-method")])
+    behind = open_backend(store_path)
+    try:
+        behind.append_entries([_entry("sneaked")])  # an out-of-band writer
+    finally:
+        behind.close()
+
+    rewrites = []
+    if store_backend == "jsonl":
+        atomic_write = backends._atomic_write
+
+        def counting_write(path, data):
+            rewrites.append(path)
+            atomic_write(path, data)
+
+        monkeypatch.setattr(backends, "_atomic_write", counting_write)
+    else:
+        upsert = backends.SqliteStoreBackend._upsert
+
+        def counting_upsert(self, conn, entry):
+            rewrites.append(entry.fp)
+            upsert(self, conn, entry)
+
+        monkeypatch.setattr(backends.SqliteStoreBackend, "_upsert", counting_upsert)
+
+    assert client.invalidate("Set/KVStore", "insert", "s1", "l1") == 0
+    assert rewrites == [], "a no-op invalidation rewrote the entry log"
+    assert [e.fp for e in client.lookup("env1", ["sneaked"])] == ["sneaked"], (
+        "the locked read must still adopt out-of-band writes"
+    )
+    # a genuinely stale scope still pays exactly the rewrite it needs
+    assert client.invalidate("Set/KVStore", "insert", "s2", "l1") == 1
+    assert rewrites
+
+
 def test_compact_keeps_the_entries(client):
     client.append_entries([_entry("f1")])
     client.compact()

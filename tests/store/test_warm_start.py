@@ -144,14 +144,16 @@ def test_store_respects_environment_fingerprint(store_path):
     """Entries recorded under one checker configuration never leak to another."""
     store = ObligationStore(store_path)
     bench = benchmark_by_key("Set/KVStore")
-    bench.verify_all(bench.make_checker(CheckerConfig(discharge="lazy"), store=store))
+    bench.verify_all(bench.make_checker(CheckerConfig(), store=store))
 
     other = ObligationStore(store_path)
-    bench.verify_all(bench.make_checker(CheckerConfig(discharge="compiled"), store=other))
-    assert other.summary()["hits"] == 0, "a different discharge mode is a different world"
+    bench.verify_all(
+        bench.make_checker(CheckerConfig(enumeration_strategy="exhaustive"), store=other)
+    )
+    assert other.summary()["hits"] == 0, "a different enumeration strategy is a different world"
     assert other.summary()["misses"] > 0
 
     # while the original configuration still warm-starts
     again = ObligationStore(store_path)
-    bench.verify_all(bench.make_checker(CheckerConfig(discharge="lazy"), store=again))
+    bench.verify_all(bench.make_checker(CheckerConfig(), store=again))
     assert again.summary()["misses"] == 0

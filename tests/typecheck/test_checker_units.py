@@ -150,17 +150,14 @@ def test_stats_are_collected_per_method():
     )
     from repro.typecheck.checker import CheckerConfig
 
-    def check_with(discharge):
-        worker = Checker(
-            operators=library.operators,
-            delta=library.delta,
-            pure_ops=library.pure_ops,
-            axioms=library.axioms,
-            config=CheckerConfig(discharge=discharge),
-        )
-        return worker.check_method(program["guarded_insert"], spec)
-
-    result = check_with("lazy")
+    worker = Checker(
+        operators=library.operators,
+        delta=library.delta,
+        pure_ops=library.pure_ops,
+        axioms=library.axioms,
+        config=CheckerConfig(),
+    )
+    result = worker.check_method(program["guarded_insert"], spec)
     assert result.verified
     row = result.stats.as_row()
     assert row["#Branch"] == 2
@@ -168,11 +165,7 @@ def test_stats_are_collected_per_method():
     assert row["#Obl"] > 0
     assert row["#SAT"] > 0
     assert row["#Inc"] > 0
-    # lazy discharge reports explored product states instead of DFA sizes
+    # the walk reports explored product states and the automaton share
+    # each walk reached (avg. s_FA)
     assert row["#Prod"] > 0
-    assert result.stats.average_fa_size == 0
-
-    compiled = check_with("compiled")
-    assert compiled.verified
-    assert compiled.stats.average_fa_size > 0
-    assert compiled.stats.states_built > 0
+    assert row["avg. sFA"] > 0
