@@ -17,7 +17,7 @@ from repro.sfa import symbolic as S
 from repro.sfa.inclusion import InclusionChecker
 from repro.suite.set_kvstore import set_kvstore
 from repro.typecheck.checker import CheckerConfig
-from tests.sfa.oracles import compile_dfa, oracle_check
+from tests.sfa.oracles import compile_dfa, oracle_check, use_exhaustive_enumeration
 
 
 def _insert_obligation(bench):
@@ -62,17 +62,20 @@ def test_ablation_minterm_filtering(benchmark, filter_unsat):
 
 
 @pytest.mark.parametrize("strategy", ["guided", "exhaustive"])
-def test_ablation_enumeration_strategy(benchmark, strategy):
+def test_ablation_enumeration_strategy(benchmark, strategy, monkeypatch):
     """Solver-guided AllSAT enumeration vs the per-candidate minterm walk.
 
     Both must prove the same obligation; the extra info records the #SAT
-    saving that motivates the guided default.
+    saving that motivates guided enumeration.  The per-candidate walk is the
+    test oracle of ``tests/sfa/oracles.py``.
     """
     bench = set_kvstore()
     hyps, lhs, rhs = _insert_obligation(bench)
+    if strategy == "exhaustive":
+        use_exhaustive_enumeration(monkeypatch)
 
     def run():
-        checker = InclusionChecker(smt.Solver(), bench.library.operators, strategy=strategy)
+        checker = InclusionChecker(smt.Solver(), bench.library.operators)
         included = checker.check(hyps, lhs, rhs)
         return checker, included
 

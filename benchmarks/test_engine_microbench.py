@@ -14,6 +14,7 @@ from repro.libraries.setlib import make_set
 from repro.sfa import symbolic as S
 from repro.sfa.inclusion import InclusionChecker
 from repro.suite.registry import all_benchmarks
+from tests.sfa.oracles import use_exhaustive_enumeration
 
 
 def test_smt_validity_with_axioms(benchmark):
@@ -82,11 +83,11 @@ def test_sfa_noninclusion_with_counterexample(benchmark):
     benchmark(run)
 
 
-def _verify_all_queries(bench, strategy: str) -> tuple[int, bool]:
-    """(#SMT queries, all-verified) for a whole Table 1 row under a strategy."""
+def _verify_all_queries(bench) -> tuple[int, bool]:
+    """(#SMT queries, all-verified) for a whole Table 1 row."""
     from repro.typecheck.checker import CheckerConfig
 
-    checker = bench.make_checker(CheckerConfig(enumeration_strategy=strategy))
+    checker = bench.make_checker(CheckerConfig())
     stats = bench.verify_all(checker)
     return checker.solver.stats.queries, stats.all_verified
 
@@ -94,19 +95,22 @@ def _verify_all_queries(bench, strategy: str) -> tuple[int, bool]:
 @pytest.mark.parametrize(
     "key", [bench.key for bench in all_benchmarks(include_slow=False)]
 )
-def test_guided_enumeration_issues_fewer_queries(benchmark, key):
+def test_guided_enumeration_issues_fewer_queries(benchmark, key, monkeypatch):
     """Solver-guided enumeration beats the per-candidate walk on Table 1 rows.
 
-    For every fast-corpus ADT, verifying the whole row with the guided
-    strategy must succeed with strictly fewer SMT queries than the exhaustive
-    walk — the headline claim of the enumeration subsystem.
+    For every fast-corpus ADT, verifying the whole row with guided
+    enumeration must succeed with strictly fewer SMT queries than the
+    exhaustive oracle walk of ``tests/sfa/oracles.py`` — the headline claim
+    of the enumeration subsystem.
     """
     bench = next(b for b in all_benchmarks(include_slow=False) if b.key == key)
-    exhaustive_queries, exhaustive_ok = _verify_all_queries(bench, "exhaustive")
+    with monkeypatch.context() as patch:
+        use_exhaustive_enumeration(patch)
+        exhaustive_queries, exhaustive_ok = _verify_all_queries(bench)
     assert exhaustive_ok
 
     def run():
-        return _verify_all_queries(bench, "guided")
+        return _verify_all_queries(bench)
 
     guided_queries, guided_ok = benchmark(run)
     assert guided_ok

@@ -11,8 +11,9 @@ Usage::
     pymarple table 1|2|3|4 [--fast]     # print a specific paper table
 
 Leaf inclusions have one decider, the interned transition-table walk of
-:mod:`repro.sfa.batch`; there is no mode flag for it.  Checker knobs
-(``--workers``, ``--strategy``, ``--backend``) mirror the ``REPRO_*``
+:mod:`repro.sfa.batch`, over alphabets found by solver-guided enumeration;
+there is no mode flag for either.  Checker knobs (``--workers``,
+``--backend``, ``--schedule``, ``--no-memo``) mirror the ``REPRO_*``
 environment variables.  Incremental verification is enabled with
 ``--incremental`` (or by naming a store explicitly with ``--store PATH``):
 discharged obligations are persisted to an on-disk store and answered from it
@@ -66,11 +67,6 @@ def _add_checker_flags(parser: argparse.ArgumentParser) -> None:
         help="process-pool width for obligation discharge (default: REPRO_WORKERS or 1)",
     )
     group.add_argument(
-        "--strategy",
-        choices=("guided", "exhaustive"),
-        help="minterm enumeration strategy (default: guided)",
-    )
-    group.add_argument(
         "--backend",
         choices=known_backends(),
         help="SAT core behind the lazy SMT loop (default: REPRO_BACKEND or dpll)",
@@ -88,7 +84,7 @@ def _add_checker_flags(parser: argparse.ArgumentParser) -> None:
         "--no-memo",
         action="store_true",
         help=(
-            "disable cross-obligation alphabet/derivative reuse (ablation; "
+            "disable cross-obligation alphabet reuse (ablation; "
             "counters and tables are identical either way, only time moves)"
         ),
     )
@@ -151,8 +147,6 @@ def _config_from_args(args: argparse.Namespace) -> CheckerConfig:
     kwargs: dict[str, object] = {}
     if getattr(args, "workers", None) is not None:
         kwargs["workers"] = args.workers
-    if getattr(args, "strategy", None) is not None:
-        kwargs["enumeration_strategy"] = args.strategy
     if getattr(args, "backend", None) is not None:
         kwargs["backend"] = args.backend
     if getattr(args, "schedule", None) is not None:

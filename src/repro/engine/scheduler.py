@@ -9,11 +9,11 @@ This is the middle stage of the decoupled pipeline:
    obligations (hash-consed fingerprints), consults a cross-method memo, and
    orders the remainder cheapest-first;
 3. **Discharge** — the residual obligations are grouped by alphabet key and
-   each group is decided by one transition-table walk
-   (:func:`repro.sfa.batch.discharge_group`), either in-process or on a
-   ``fork``-based process pool (``workers=N``); the per-member
-   ``SolverStats``/``InclusionStats`` are merged back into the caller's
-   tables.
+   each group's members are decided by transition-table walks over one
+   shared construction (:func:`repro.sfa.batch.discharge_group`), either
+   in-process or on a ``fork``-based process pool (``workers=N``); the
+   per-member ``SolverStats``/``InclusionStats`` are merged back into the
+   caller's tables.
 
 Determinism is a design invariant: every obligation is discharged
 *hermetically* — its alphabet is built on a fresh solver (or replayed from
@@ -42,7 +42,6 @@ from ..obs.logs import get_logger
 from ..obs.postmortem import dump_postmortem
 from ..sfa.alphabet import AlphabetMemo, LiteralSets, collect_literals
 from ..sfa.batch import discharge_group
-from ..sfa.derivatives import DerivativeCache
 from ..sfa.inclusion import InclusionStats
 from ..sfa.signatures import OperatorRegistry
 from ..smt.solver import SolverStats
@@ -85,20 +84,6 @@ class EngineStats(MergeableStats):
     cost_hints_used: int = 0
     batches: int = 0
     parallel_batches: int = 0
-    #: alphabet-sharing groups discharged set-at-a-time
-    batch_groups: int = 0
-    #: obligations those groups covered (every fresh one)
-    batch_grouped_obligations: int = 0
-    #: SMT queries the groups actually executed (one construction per group,
-    #: zero on a memo hit) vs. what the deterministic tables bill (the
-    #: recorded construction replayed into every member) — the coalescing win
-    batch_queries_executed: int = 0
-    batch_queries_billed: int = 0
-    #: distinct AlphabetMemo keys forked workers reported building (their
-    #: entries die with the fork; the keys come back as eager-build hints)
-    worker_memo_keys: int = 0
-    #: hinted constructions the parent pre-built before forking a later batch
-    memo_eager_builds: int = 0
 
 
 @dataclass(frozen=True)
@@ -113,7 +98,6 @@ class DischargeParams:
     axioms: tuple = ()
     filter_unsat_minterms: bool = True
     max_literals: Optional[int] = None
-    strategy: str = "guided"
     #: which SAT core answers the alphabet constructions' queries
     backend: str = "dpll"
     #: shared cross-obligation alphabet memo: hermetic constructions with a
@@ -122,9 +106,6 @@ class DischargeParams:
     #: copy-on-write and their additions die with them — either way every
     #: counter stays a pure function of the obligation.  Never pickled.
     alphabet_memo: Optional[AlphabetMemo] = None
-    #: shared cross-obligation memo for derivative steps (pure reuse: it can
-    #: change wall-clock time only, never a verdict or a counter)
-    derivative_cache: Optional[DerivativeCache] = None
 
 
 def _fork_available() -> bool:
@@ -139,16 +120,12 @@ def _discharge_group_payload(
     """Discharge one alphabet-sharing group, in-process or on a forked worker.
 
     Either way the return value is a plain picklable dict: one result per
-    member (verdict, witness, error, counter dicts, wall time), the group's
-    query-coalescing record, and the memo keys this group built (the
-    worker-reuse hints; empty without a shared memo, whose keys would mean
-    nothing to the caller).
+    member (verdict, witness, error, counter dicts, wall time), plus the
+    spans a traced run recorded.
     """
     memo = params.alphabet_memo
-    shared = memo is not None
     if memo is None:
         memo = AlphabetMemo(axioms=params.axioms, backend=params.backend)
-    keys_before = len(memo.session_built_keys)
     spans_mark = trace.mark()
     if trace.enabled():
         # the digest is memoised on the frozen obligation and strictly
@@ -165,15 +142,13 @@ def _discharge_group_payload(
         group_span = trace.span("discharge.group")
     try:
         with group_span:
-            results, record = discharge_group(
+            results = discharge_group(
                 obligations,
                 params.operators,
                 memo,
                 literal_sets=literal_sets,
                 max_literals=params.max_literals,
                 filter_unsat=params.filter_unsat_minterms,
-                strategy=params.strategy,
-                derivative_cache=params.derivative_cache,
             )
     except Exception as exc:  # unexpected: capture context, then propagate
         dump_postmortem(
@@ -186,11 +161,7 @@ def _discharge_group_payload(
             },
         )
         raise
-    payload = {
-        "members": results,
-        "group": record.as_dict(),
-        "memo_keys": list(memo.session_built_keys[keys_before:]) if shared else [],
-    }
+    payload: dict = {"members": results}
     # spans ride home in the result dict exactly like the stats do: drained
     # here (a forked worker's buffer dies with it) and re-ingested by the
     # engine under this worker's pid
@@ -226,14 +197,12 @@ class ObligationEngine:
         *,
         filter_unsat_minterms: bool = True,
         max_literals: Optional[int] = None,
-        strategy: str = "guided",
         backend: str = "dpll",
         workers: int = 1,
         store: Optional[ObligationStore] = None,
         shard: Optional[tuple[int, int]] = None,
         schedule: str = "auto",
         alphabet_memo: Optional[AlphabetMemo] = None,
-        derivative_cache: Optional[DerivativeCache] = None,
         library: Optional[str] = None,
         only: Optional[frozenset] = None,
         collect: Optional[Callable[[Optional[str], str, Optional[float], float], None]] = None,
@@ -254,10 +223,8 @@ class ObligationEngine:
             axioms=tuple(axioms),
             filter_unsat_minterms=filter_unsat_minterms,
             max_literals=max_literals,
-            strategy=strategy,
             backend=backend,
             alphabet_memo=alphabet_memo,
-            derivative_cache=derivative_cache,
         )
         self.workers = workers
         self.store = store
@@ -284,7 +251,6 @@ class ObligationEngine:
                 axioms,
                 filter_unsat_minterms=filter_unsat_minterms,
                 max_literals=max_literals,
-                strategy=strategy,
                 backend=backend,
                 library=library,
             )
@@ -292,14 +258,6 @@ class ObligationEngine:
             else None
         )
         self.stats = EngineStats()
-        #: per-group coalescing records of this engine's discharges:
-        #: ``{members, built, queries_executed, queries_billed, ...}`` dicts
-        #: in scheduling order (surfaced by ``repro bench`` and ``--json``)
-        self.batch_group_log: list[dict] = []
-        #: AlphabetMemo keys forked workers reported building; the parent
-        #: pre-builds hinted keys before forking the next batch so the
-        #: construction is inherited copy-on-write instead of re-run per fork
-        self._eager_memo_hints: set[tuple] = set()
         #: cross-method memo: fingerprint -> (included, counterexample, error);
         #: bounded like every other cache in the pipeline
         self.max_memo_entries = 100_000
@@ -540,44 +498,11 @@ class ObligationEngine:
             literal_sets,
             max_literals=params.max_literals,
             filter_unsat=params.filter_unsat_minterms,
-            strategy=params.strategy,
         )
         return key, literal_sets
 
-    def _prebuild_hinted(self, keyed_obligations) -> None:
-        """Build worker-hinted alphabet constructions in the parent.
-
-        Pure reuse: the memo's hermetic build + recorded bill means a member
-        that would have built now replays the identical counters (only the
-        volatile ``#Alph`` attribution moves), but the construction crosses
-        the next fork copy-on-write instead of being re-run in every worker.
-        """
-        memo = self.params.alphabet_memo
-        if not memo.enabled or not self._eager_memo_hints:
-            return
-        for key, obligation in keyed_obligations:
-            if key in self._eager_memo_hints and key not in memo:
-                memo.alphabets_for(
-                    list(obligation.hypotheses),
-                    [obligation.lhs, obligation.rhs],
-                    self.params.operators,
-                    max_literals=self.params.max_literals,
-                    filter_unsat=self.params.filter_unsat_minterms,
-                    strategy=self.params.strategy,
-                )
-                self.stats.memo_eager_builds += 1
-
-    def _note_worker_keys(self, key_lists) -> None:
-        for keys in key_lists:
-            for key in keys:
-                if key not in self._eager_memo_hints:
-                    self._eager_memo_hints.add(key)
-                    self.stats.worker_memo_keys += 1
-        if len(self._eager_memo_hints) > 4096:
-            self._eager_memo_hints.clear()
-
     def _discharge_grouped(self, obligations: list[Obligation]) -> list[dict]:
-        """Group fresh obligations by alphabet key; discharge set-at-a-time.
+        """Group fresh obligations by alphabet key; discharge group by group.
 
         Groups keep the scheduler's first-occurrence order, and the returned
         list is aligned with ``obligations``: one result dict per obligation,
@@ -590,18 +515,14 @@ class ObligationEngine:
             for position, obligation in enumerate(obligations):
                 key, literal_sets = self._group_key(obligation)
                 groups.setdefault(key, (literal_sets, []))[1].append(position)
-        ordered = list(groups.items())
+        ordered = list(groups.values())
         payloads = [
             ([obligations[i] for i in members], literal_sets)
-            for _, (literal_sets, members) in ordered
+            for literal_sets, members in ordered
         ]
         if len(payloads) > 1 and self.workers > 1 and _fork_available():
-            self._prebuild_hinted(
-                (key, members[0]) for (key, _), (members, _) in zip(ordered, payloads)
-            )
             self.stats.parallel_batches += 1
             outs = self._discharge_groups_parallel(payloads)
-            self._note_worker_keys(out.get("memo_keys", ()) for out in outs)
         else:
             outs = [
                 _discharge_group_payload(members, self.params, literal_sets)
@@ -613,15 +534,9 @@ class ObligationEngine:
             "discharge: %d obligations in %d alphabet groups", len(obligations), len(outs)
         )
         results: list[Optional[dict]] = [None] * len(obligations)
-        for (_, (_, members)), out in zip(ordered, outs):
+        for (_, members), out in zip(ordered, outs):
             for position, member_result in zip(members, out["members"]):
                 results[position] = member_result
-            record = out["group"]
-            self.batch_group_log.append(record)
-            self.stats.batch_groups += 1
-            self.stats.batch_grouped_obligations += record["members"]
-            self.stats.batch_queries_executed += record["queries_executed"]
-            self.stats.batch_queries_billed += record["queries_billed"]
         return results
 
     def _discharge_groups_parallel(

@@ -120,7 +120,7 @@ def run_worker(
     ``idle_exit`` consecutive empty leases (``poll`` seconds apart) end the
     loop — a fleet drains and exits without a shutdown broadcast.  The
     worker's ``config`` must describe the same semantic environment as the
-    coordinator's (backend, strategy...); a mismatch is not
+    coordinator's (backend, literal budget...); a mismatch is not
     an error — the verdicts land under the worker's own environment key and
     the coordinator's phase 2 simply discharges its misses locally.
 

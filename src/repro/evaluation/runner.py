@@ -31,7 +31,7 @@ class EvaluationReport:
     negative_results: list[NegativeResult] = field(default_factory=list)
     total_time_seconds: float = 0.0
     #: per-benchmark run diagnostics (:meth:`Checker.run_diagnostics`):
-    #: cache hit/eviction rates and the batch grouper's per-group records
+    #: alphabet-memo counts and the engine's counters
     diagnostics: list[dict] = field(default_factory=list)
     #: set by the distributed coordinator: dispatch id, enqueue counts,
     #: drain timing and the server's queue counters (None for local runs)
@@ -52,37 +52,6 @@ class EvaluationReport:
             for key, value in diagnostic.get("caches", {}).items():
                 totals[key] = totals.get(key, 0) + value
         return totals
-
-    def batch_group_records(self) -> list[dict]:
-        """Every batch group discharged, in corpus order (empty on a warm run)."""
-        records: list[dict] = []
-        for diagnostic in self.diagnostics:
-            records.extend(diagnostic.get("batch_groups", ()))
-        return records
-
-    def batch_group_summary(self) -> Optional[dict]:
-        """The query-coalescing record of a run (None when nothing was discharged).
-
-        ``queries_billed`` is what the deterministic tables charge (the
-        recorded construction bill replayed per member);
-        ``queries_executed`` is what the grouped run actually ran.  Every
-        multi-member group must execute strictly fewer than it bills.
-        Surfaced by ``repro bench`` and ``evaluate --json``.
-        """
-        records = self.batch_group_records()
-        if not records:
-            return None
-        multi = [record for record in records if record["members"] > 1]
-        return {
-            "groups": len(records),
-            "grouped_obligations": sum(record["members"] for record in records),
-            "multi_member_groups": len(multi),
-            "queries_executed": sum(record["queries_executed"] for record in records),
-            "queries_billed": sum(record["queries_billed"] for record in records),
-            "multi_groups_strictly_fewer": all(
-                record["queries_executed"] < record["queries_billed"] for record in multi
-            ),
-        }
 
     def per_method_rows(self) -> list[dict[str, object]]:
         rows: list[dict[str, object]] = []
@@ -113,7 +82,7 @@ def run_benchmark(
     ``store`` is an optional :class:`repro.store.ObligationStore`: discharged
     obligations are written back to it and later runs answer from it.
     ``diagnostics_sink``, when given, receives the checker's run diagnostics
-    (cache rates, batch group records) once the benchmark is done.
+    (alphabet-memo counts, engine counters) once the benchmark is done.
     """
     with trace.span("benchmark", cat="benchmark", benchmark=benchmark.key):
         checker = benchmark.make_checker(config, store=store)

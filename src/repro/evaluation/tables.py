@@ -39,7 +39,6 @@ TABLE1_COLUMNS = [
     "#Alph",
     "#Prod",
     "#Store",
-    "#Batch",
     "avg. sFA",
     "tSAT (s)",
     "tFA⊆ (s)",
@@ -144,7 +143,6 @@ TABLE34_COLUMNS = [
     "#Alph",
     "#Prod",
     "#Store",
-    "#Batch",
     "avg. sFA",
     "tSAT (s)",
     "tInc (s)",
@@ -243,13 +241,8 @@ def report_json(report: EvaluationReport, store=None) -> dict:
             "table4": table4(report, deterministic=True, backend_invariant=True),
         },
     }
-    # run-level reuse diagnostics (volatile, like the timing columns): the
-    # summed cache counters and, when anything was discharged, the
-    # group-coalescing record
+    # run-level reuse diagnostics (volatile, like the timing columns)
     payload["caches"] = report.cache_totals()
-    batch_summary = report.batch_group_summary()
-    if batch_summary is not None:
-        payload["batch_groups"] = batch_summary
     if store is not None:
         payload["store"] = {"summary": store.summary(), "methods": store.explain()}
     if report.dispatch is not None:

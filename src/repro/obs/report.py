@@ -171,24 +171,17 @@ def render_report(data: dict, *, top: int = 10) -> str:
     if caches:
         lines.append("")
         lines.append("cache rates:")
-        lines.append(
-            "  derivative cache: "
-            f"{_rate(caches.get('derivative_cache_hits', 0), caches.get('derivative_cache_misses', 0))} hit "
-            f"({caches.get('derivative_cache_hits', 0)} hits / "
-            f"{caches.get('derivative_cache_misses', 0)} misses, "
-            f"{caches.get('derivative_cache_evictions', 0)} evictions)"
-        )
         builds = caches.get("alphabet_memo_builds", 0)
         replays = caches.get("alphabet_memo_replays", 0)
         lines.append(
-            "  alphabet memo:    "
+            "  alphabet memo: "
             f"{_rate(replays, builds)} replay ({replays} replays / {builds} builds, "
             f"{caches.get('alphabet_memo_evictions', 0)} evictions)"
         )
         extras = {
             key: value
             for key, value in caches.items()
-            if not key.startswith(("derivative_cache_", "alphabet_memo_"))
+            if not key.startswith("alphabet_memo_")
         }
         for key in sorted(extras):
             lines.append(f"  {key}: {extras[key]}")

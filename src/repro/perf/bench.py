@@ -62,7 +62,7 @@ def _aggregate_counters(report: EvaluationReport) -> dict:
 
 
 def _phase_payload(report: EvaluationReport, wall_seconds: float, all_walls: list) -> dict:
-    payload = {
+    return {
         "wall_seconds": round(wall_seconds, 4),
         "wall_seconds_all_runs": [round(w, 4) for w in all_walls],
         "all_verified": report.all_verified,
@@ -78,10 +78,6 @@ def _phase_payload(report: EvaluationReport, wall_seconds: float, all_walls: lis
             "table4": table4(report, deterministic=True),
         },
     }
-    batch_summary = report.batch_group_summary()
-    if batch_summary is not None:
-        payload["batch_groups"] = batch_summary
-    return payload
 
 
 def run_dispatch_ab(
@@ -299,7 +295,6 @@ def run_bench(
         },
         "config": {
             "backend": config.backend,
-            "strategy": config.enumeration_strategy,
             "workers": config.workers,
             "schedule": config.schedule,
             "memo": config.cross_obligation_memo,
@@ -421,23 +416,11 @@ def summarize(payload: dict) -> str:
         f"alphabet builds={counters['alphabet_builds']}  "
         f"memo hits={counters['alphabet_memo_hits']}  prod states={counters['prod_states']}",
     ]
-    if "derivative_cache_hits" in counters:
+    if "alphabet_memo_builds" in counters:
         lines.append(
-            f"  caches: derivative {counters['derivative_cache_hits']} hits / "
-            f"{counters.get('derivative_cache_misses', 0)} misses "
-            f"({counters.get('derivative_cache_evictions', 0)} evictions)  "
-            f"alphabet memo {counters.get('alphabet_memo_replays', 0)} replays / "
-            f"{counters.get('alphabet_memo_builds', 0)} builds "
+            f"  caches: alphabet memo {counters.get('alphabet_memo_replays', 0)} replays / "
+            f"{counters['alphabet_memo_builds']} builds "
             f"({counters.get('alphabet_memo_evictions', 0)} evictions)"
-        )
-    groups = cold.get("batch_groups")
-    if groups:
-        lines.append(
-            f"  batch: {groups['groups']} groups over "
-            f"{groups['grouped_obligations']} obligations  "
-            f"queries {groups['queries_executed']} executed vs "
-            f"{groups['queries_billed']} billed  "
-            f"(multi-member strictly fewer: {groups['multi_groups_strictly_fewer']})"
         )
     dispatch = payload.get("dispatch_ab")
     if dispatch:

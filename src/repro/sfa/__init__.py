@@ -7,7 +7,7 @@ Public surface:
 * :mod:`repro.sfa.symbolic` — the symbolic automata formula algebra (events,
   guards, boolean/temporal/regular connectives, the derived ♦ □ LAST forms),
 * :mod:`repro.sfa.alphabet` — minterm construction / alphabet transformation,
-* :mod:`repro.sfa.derivatives` — nullability and the derivative-step memo,
+* :mod:`repro.sfa.derivatives` — nullability and qualifier evaluation,
 * :mod:`repro.sfa.batch` — the inclusion decider (a transition-table walk),
 * :mod:`repro.sfa.inclusion` — the Algorithm-1 inclusion checker.
 """

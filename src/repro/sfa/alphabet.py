@@ -16,21 +16,15 @@ inclusion check finitises it:
 Satisfiability is discharged by :class:`repro.smt.Solver`, which is where the
 ``#SAT`` statistic of the paper's tables comes from.
 
-Two enumeration strategies are available:
-
-* ``"guided"`` (the default) — solver-guided AllSAT enumeration via
-  :meth:`repro.smt.Solver.enumerate_models`: the base formula is encoded once
-  and blocking clauses walk the satisfiable assignments directly, so the
-  query count scales with the number of *satisfiable* minterms rather than
-  with 2^n candidates.  This is what allows the default literal budget to be
-  much larger than the exhaustive walk could afford.
-* ``"exhaustive"`` — the original per-candidate depth-first walk that
-  discharges one conjunction per SMT query (pruning unsatisfiable subtrees).
-  Kept as the reference oracle for the differential test-suite
-  (``tests/sfa/test_enumeration_diff.py``).
-
-Both strategies produce byte-identical alphabets (same context cases, same
-minterms, same order); the differential suite enforces this.
+Enumeration is solver-guided AllSAT via
+:meth:`repro.smt.Solver.enumerate_models`: the base formula is encoded once
+and blocking clauses walk the satisfiable assignments directly, so the query
+count scales with the number of *satisfiable* minterms rather than with 2^n
+candidates.  The original per-candidate depth-first walk, one SMT query per
+conjunction, lives on as the reference oracle of the differential suite
+(``tests/sfa/oracles.py``, ``tests/sfa/test_enumeration_diff.py``), which
+holds both to byte-identical alphabets (same context cases, same minterms,
+same order).
 """
 
 from __future__ import annotations
@@ -52,26 +46,20 @@ class AlphabetError(RuntimeError):
     """Raised when the literal sets are too large to enumerate."""
 
 
-#: Default enumeration budget for the guided strategy, which scales with the
-#: number of *satisfiable* minterms rather than with 2^n candidates.
+#: Default enumeration budget: guided enumeration scales with the number of
+#: *satisfiable* minterms rather than with 2^n candidates.
 DEFAULT_MAX_LITERALS = 24
 
-#: Default budget for the per-candidate exhaustive walk (and for
-#: ``filter_unsat=False``, which materialises every candidate): these paths
-#: really do pay 2^n, so they keep the original conservative cap.
+#: Default budget for ``filter_unsat=False``, which materialises every
+#: candidate: that path really does pay 2^n, so it keeps a conservative cap.
 EXHAUSTIVE_MAX_LITERALS = 14
 
-#: The supported values of ``build_alphabets(..., strategy=...)``.
-STRATEGIES = ("guided", "exhaustive")
 
-
-def resolve_max_literals(max_literals: Optional[int], strategy: str, filter_unsat: bool) -> int:
-    """The effective literal budget: explicit value, else a strategy default."""
+def resolve_max_literals(max_literals: Optional[int], filter_unsat: bool) -> int:
+    """The effective literal budget: explicit value, else the default."""
     if max_literals is not None:
         return max_literals
-    if strategy == "guided" and filter_unsat:
-        return DEFAULT_MAX_LITERALS
-    return EXHAUSTIVE_MAX_LITERALS
+    return DEFAULT_MAX_LITERALS if filter_unsat else EXHAUSTIVE_MAX_LITERALS
 
 
 @dataclass(frozen=True)
@@ -237,29 +225,6 @@ class Alphabet:
     def index_of(self, character: Character) -> int:
         return self.characters.index(character)
 
-    def fingerprint(self) -> tuple:
-        """A hashable content address for this alphabet.
-
-        Terms are interned, so ``term_id`` identifies a literal globally; the
-        fingerprint therefore coincides for alphabets rebuilt from the same
-        literal sets (e.g. across the two directions of an equivalence check),
-        which is what the derivative cache keys on.
-        """
-        fp = getattr(self, "_fingerprint", None)
-        if fp is None:
-            fp = (
-                tuple((lit.term_id, value) for lit, value in self.context_case),
-                tuple(
-                    (
-                        character.signature.name,
-                        tuple((lit.term_id, value) for lit, value in character.literal_values),
-                    )
-                    for character in self.characters
-                ),
-            )
-            self._fingerprint = fp
-        return fp
-
 
 @dataclass
 class AlphabetStats(MergeableStats):
@@ -283,46 +248,6 @@ def _signed_combinations(literals: Sequence[Term]) -> Iterable[tuple[tuple[Term,
         yield tuple(zip(literals, bits))
 
 
-def _satisfiable_combinations(
-    solver: smt.Solver,
-    base_formula: Term,
-    literals: Sequence[Term],
-    stats: "AlphabetStats",
-    *,
-    count_candidates: bool,
-) -> Iterable[tuple[tuple[Term, bool], ...]]:
-    """Enumerate the satisfiable signed combinations of ``literals``.
-
-    The enumeration prunes whole subtrees whose partial conjunction is already
-    unsatisfiable, which keeps the number of SMT queries close to the number
-    of *satisfiable* minterms rather than 2^n.
-    """
-
-    def recurse(index: int, chosen: tuple[tuple[Term, bool], ...], formula: Term):
-        if index == len(literals):
-            if count_candidates:
-                stats.minterm_candidates += 1
-            yield chosen
-            return
-        literal = literals[index]
-        for value in (True, False):
-            signed = literal if value else smt.not_(literal)
-            extended = smt.and_(formula, signed)
-            if not solver.is_satisfiable(extended):
-                if count_candidates:
-                    stats.minterm_candidates += 2 ** (len(literals) - index - 1)
-                continue
-            yield from recurse(index + 1, chosen + ((literal, value),), extended)
-
-    if not literals:
-        if solver.is_satisfiable(base_formula):
-            if count_candidates:
-                stats.minterm_candidates += 1
-            yield ()
-        return
-    yield from recurse(0, (), base_formula)
-
-
 def build_alphabets(
     solver: smt.Solver,
     hypotheses: Sequence[Term],
@@ -332,7 +257,6 @@ def build_alphabets(
     extra_context_literals: Iterable[Term] = (),
     max_literals: Optional[int] = None,
     filter_unsat: bool = True,
-    strategy: str = "guided",
     stats: Optional[AlphabetStats] = None,
 ) -> list[Alphabet]:
     """Build one finite alphabet per satisfiable context case.
@@ -343,24 +267,17 @@ def build_alphabets(
     literal reading of Algorithm 1 that preserves completeness because a
     hypothesis has a fixed truth value in every model of Γ).
 
-    ``strategy`` selects how satisfiable combinations are found: ``"guided"``
-    (solver-guided AllSAT enumeration over one incremental encoding) or
-    ``"exhaustive"`` (one SMT query per candidate conjunction, the reference
-    oracle for differential testing).  Both yield identical alphabets.
-
     ``filter_unsat=False`` disables minterm pruning altogether; it exists for
     the ablation benchmark showing why Algorithm 1's satisfiability filter
     matters.
 
-    ``max_literals=None`` picks a strategy-appropriate budget: the guided
-    enumerator affords :data:`DEFAULT_MAX_LITERALS`, while the exhaustive and
-    unfiltered paths (which genuinely pay 2^n queries/characters) keep the
-    conservative :data:`EXHAUSTIVE_MAX_LITERALS`.
+    ``max_literals=None`` picks the default budget: the guided enumerator
+    affords :data:`DEFAULT_MAX_LITERALS`, while the unfiltered path (which
+    genuinely pays 2^n characters) keeps the conservative
+    :data:`EXHAUSTIVE_MAX_LITERALS`.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown enumeration strategy {strategy!r}; expected one of {STRATEGIES}")
     literal_sets = collect_literals(formulas, operators, extra_context_literals)
-    with trace.span("alphabet.build", cat="alphabet", strategy=strategy):
+    with trace.span("alphabet.build", cat="alphabet"):
         return enumerate_alphabets(
             solver,
             hypotheses,
@@ -368,7 +285,6 @@ def build_alphabets(
             operators,
             max_literals=max_literals,
             filter_unsat=filter_unsat,
-            strategy=strategy,
             stats=stats,
         )
 
@@ -381,7 +297,6 @@ def enumerate_alphabets(
     *,
     max_literals: Optional[int] = None,
     filter_unsat: bool = True,
-    strategy: str = "guided",
     stats: Optional[AlphabetStats] = None,
 ) -> list[Alphabet]:
     """The enumeration core of :func:`build_alphabets`, from collected literals.
@@ -390,11 +305,11 @@ def enumerate_alphabets(
     (cheap, purely syntactic) literal sets first, key its lookup on them, and
     only run the solver-driven enumeration below on a miss.  The resulting
     alphabets — and every counter this function touches — are a pure function
-    of ``(hypotheses, literal_sets, operators, strategy, budget)`` and the
+    of ``(hypotheses, literal_sets, operators, budget)`` and the
     solver's axiom set/backend; nothing here depends on the automata the
     literals came from.
     """
-    max_literals = resolve_max_literals(max_literals, strategy, filter_unsat)
+    max_literals = resolve_max_literals(max_literals, filter_unsat)
     stats = stats if stats is not None else AlphabetStats()
     if len(literal_sets.context_literals) > max_literals:
         raise AlphabetError(
@@ -415,17 +330,9 @@ def enumerate_alphabets(
         context_cases: Iterable[tuple[tuple[Term, bool], ...]] = _signed_combinations(
             literal_sets.context_literals
         )
-    elif strategy == "guided":
+    else:
         context_cases = solver.enumerate_models(
             literal_sets.context_literals, base=hypothesis_formula
-        )
-    else:
-        context_cases = _satisfiable_combinations(
-            solver,
-            hypothesis_formula,
-            literal_sets.context_literals,
-            stats,
-            count_candidates=False,
         )
 
     for context_case in context_cases:
@@ -442,13 +349,9 @@ def enumerate_alphabets(
                 assignments: Iterable[tuple[tuple[Term, bool], ...]] = _signed_combinations(
                     literals
                 )
-            elif strategy == "guided":
+            else:
                 assignments = solver.enumerate_models(literals, base=context_formula)
                 stats.minterm_candidates += 1 << len(literals)
-            else:
-                assignments = _satisfiable_combinations(
-                    solver, context_formula, literals, stats, count_candidates=True
-                )
             for assignment in assignments:
                 if not filter_unsat:
                     stats.minterm_candidates += 1
@@ -497,8 +400,8 @@ class AlphabetMemo:
 
     The engine shares one memo across the obligations of a run: serially the
     dictionary simply grows; under a process pool the forked workers inherit
-    the parent's entries through copy-on-write memory (like the ``warm_from``
-    solver views) and their own additions die with them.
+    the parent's entries through copy-on-write memory and their own additions
+    die with them.
     """
 
     def __init__(
@@ -517,45 +420,12 @@ class AlphabetMemo:
         self.hits = 0
         self.evictions = 0
         self._entries: dict[tuple, AlphabetBuild] = {}
-        #: every key this memo *built* (not replayed), in build order — the
-        #: engine slices it around a discharge to learn which constructions a
-        #: forked worker ran, since the worker's memo entries themselves die
-        #: with the fork (copy-on-write)
-        self.session_built_keys: list[tuple] = []
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, key: tuple) -> bool:
         return key in self._entries
-
-    def key_for(
-        self,
-        hypotheses: Sequence[Term],
-        formulas: Sequence[Sfa],
-        operators: OperatorRegistry,
-        *,
-        extra_context_literals: Iterable[Term] = (),
-        max_literals: Optional[int] = None,
-        filter_unsat: bool = True,
-        strategy: str = "guided",
-    ) -> tuple:
-        """The content key :meth:`alphabets_for` would file this query under.
-
-        Exposed so the engine can group obligations that share one alphabet
-        construction without building anything: the key is a pure function
-        of the (cheap, syntactic) literal sets plus the enumeration budget,
-        and it is a plain tuple of ints/strings — picklable, so forked
-        workers can report the keys they built back to the parent.
-        """
-        literal_sets = collect_literals(formulas, operators, extra_context_literals)
-        return self.key_of(
-            hypotheses,
-            literal_sets,
-            max_literals=max_literals,
-            filter_unsat=filter_unsat,
-            strategy=strategy,
-        )
 
     def key_of(
         self,
@@ -564,14 +434,18 @@ class AlphabetMemo:
         *,
         max_literals: Optional[int],
         filter_unsat: bool,
-        strategy: str,
     ) -> tuple:
+        """The content key :meth:`alphabets_for` files a construction under.
+
+        A pure function of the (cheap, syntactic) literal sets plus the
+        enumeration budget, so the engine can group obligations that share
+        one construction without building anything.
+        """
         return (
             tuple(sorted(h.term_id for h in hypotheses)),
             literal_sets.fingerprint(),
-            resolve_max_literals(max_literals, strategy, filter_unsat),
+            resolve_max_literals(max_literals, filter_unsat),
             filter_unsat,
-            strategy,
         )
 
     def alphabets_for(
@@ -584,7 +458,6 @@ class AlphabetMemo:
         literal_sets: Optional[LiteralSets] = None,
         max_literals: Optional[int] = None,
         filter_unsat: bool = True,
-        strategy: str = "guided",
         stats: Optional[AlphabetStats] = None,
         solver_stats: Optional["smt.SolverStats"] = None,
     ) -> tuple[list[Alphabet], bool]:
@@ -597,10 +470,6 @@ class AlphabetMemo:
         the already-collected literals of ``formulas`` (plus the extra
         context literals), sparing a second collection.
         """
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown enumeration strategy {strategy!r}; expected one of {STRATEGIES}"
-            )
         if literal_sets is None:
             literal_sets = collect_literals(formulas, operators, extra_context_literals)
         key = self.key_of(
@@ -608,7 +477,6 @@ class AlphabetMemo:
             literal_sets,
             max_literals=max_literals,
             filter_unsat=filter_unsat,
-            strategy=strategy,
         )
         entry = self._entries.get(key)
         built = entry is None
@@ -617,7 +485,7 @@ class AlphabetMemo:
             build_stats = AlphabetStats()
             # only the hermetic construction is spanned — a memo hit replays
             # the recorded bill in microseconds and stays out of the trace
-            with trace.span("alphabet.build", cat="alphabet", strategy=strategy):
+            with trace.span("alphabet.build", cat="alphabet"):
                 alphabets = enumerate_alphabets(
                     solver,
                     hypotheses,
@@ -625,7 +493,6 @@ class AlphabetMemo:
                     operators,
                     max_literals=max_literals,
                     filter_unsat=filter_unsat,
-                    strategy=strategy,
                     stats=build_stats,
                 )
             entry = AlphabetBuild(
@@ -634,7 +501,6 @@ class AlphabetMemo:
                 solver_stats=solver.stats,
             )
             self.builds += 1
-            self.session_built_keys.append(key)
             if self.enabled:
                 if len(self._entries) >= self.max_entries:
                     self._entries.clear()

@@ -21,7 +21,7 @@ was measured and rejected: at the corpus's alphabet sizes (≤ ~32 minterms)
 Python-level element access into numpy rows is slower than plain list
 indexing, so the dense-int layout stays stdlib.
 
-**The walk.**  :func:`_lockstep_search` is a breadth-first search of the
+**The walk.**  :func:`walk` is a breadth-first search of one
 product: FIFO order, the witness test (nullable lhs, non-nullable rhs) at
 dequeue time, first-witness exit, and two antichain-style prunes — a pair
 whose lhs is BOT or whose rhs is TOP cannot lead to a counterexample.
@@ -32,27 +32,30 @@ differential suites hold verdicts, witnesses and ``#Prod`` equal to theirs.
 
 **Groups.**  The engine discharges its cold obligations grouped by alphabet
 key (:func:`discharge_group`): the group's alphabet is built (or replayed)
-once through the shared :class:`AlphabetMemo`, and all members walk one table
-in level lockstep, so a row computed for one member is already in the table
-when a sibling reaches the same state.  Sharing never changes an answer:
-per member the walk is the same BFS, and the memo replays the recorded
-construction bill into every member's counters.
+once through the shared :class:`AlphabetMemo`, and the members walk one table
+per context case one after another, so a row computed for one member is
+already in the table when a later member reaches the same state.  Sharing
+never changes an answer: each member's walk depends on that member alone,
+and the memo replays the recorded construction bill into every member's
+counters.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..obs import trace
 from ..smt.solver import SolverError, SolverStats
 from . import symbolic
 from .alphabet import Alphabet, AlphabetError, AlphabetMemo, AlphabetStats, LiteralSets
-from .derivatives import CompilationError, DerivativeCache, _evaluate_qualifier, nullable
+from .derivatives import CompilationError, _evaluate_qualifier, nullable
 from .signatures import OperatorRegistry
 from .symbolic import Sfa
+
+if TYPE_CHECKING:
+    from .inclusion import InclusionStats
 
 
 class TransitionTable:
@@ -79,11 +82,9 @@ class TransitionTable:
         "_id_of",
         "_truths",
         "_memos",
-        "_cache",
-        "_cache_keys",
     )
 
-    def __init__(self, alphabet: Alphabet, *, cache: Optional[DerivativeCache] = None) -> None:
+    def __init__(self, alphabet: Alphabet) -> None:
         self.alphabet = alphabet
         self.characters = alphabet.characters
         self.num_chars = len(alphabet.characters)
@@ -105,12 +106,6 @@ class TransitionTable:
         self.rows_built = 0
         #: per-minterm subformula-level derivative memos
         self._memos: list[dict[Sfa, Sfa]] = [dict() for _ in self.characters]
-        # Top-level steps additionally go through the run-wide DerivativeCache
-        # (when the checker shares one): its keys are content addresses, so
-        # tables of different groups and inline queries reuse each other's
-        # steps across alphabet reuse boundaries.
-        self._cache = cache
-        self._cache_keys = cache.keys_for(alphabet) if cache is not None else None
 
     def intern(self, formula: Sfa) -> int:
         state = self._id_of.get(formula)
@@ -129,21 +124,7 @@ class TransitionTable:
         if row is not None:
             return row
         formula = self.formulas[state]
-        cache = self._cache
-        row = []
-        if cache is not None:
-            context_id, character_ids = self._cache_keys
-            sfa_id = formula.sfa_id
-            for index in range(self.num_chars):
-                key = (sfa_id, context_id, character_ids[index])
-                target = cache.lookup(key)
-                if target is None:
-                    target = self._derive(formula, index)
-                    cache.store(key, target)
-                row.append(self.intern(target))
-        else:
-            for index in range(self.num_chars):
-                row.append(self.intern(self._derive(formula, index)))
+        row = [self.intern(self._derive(formula, index)) for index in range(self.num_chars)]
         self.rows[state] = row
         self.rows_built += 1
         return row
@@ -207,19 +188,15 @@ class TransitionTable:
         return result
 
 
-class _Walk:
-    """One member's product-BFS state inside a lockstep round."""
+class Walk:
+    """The outcome of one product walk: the reached pairs and the witness."""
 
-    __slots__ = ("parents", "frontier", "done", "witness", "error", "explored", "seconds")
+    __slots__ = ("parents", "witness", "explored")
 
     def __init__(self) -> None:
         self.parents: dict[tuple[int, int], Optional[tuple[tuple[int, int], int]]] = {}
-        self.frontier: deque[tuple[int, int]] = deque()
-        self.done = False
         self.witness: Optional[tuple[int, ...]] = None
-        self.error: Optional[Exception] = None
         self.explored = 0
-        self.seconds = 0.0
 
     def automaton_states(self) -> int:
         """Distinct lhs-side plus rhs-side states the walk reached.
@@ -232,132 +209,88 @@ class _Walk:
         return len({a for a, _ in self.parents}) + len({b for _, b in self.parents})
 
 
-def _lockstep_search(
-    table: TransitionTable,
-    pairs: Sequence[tuple[Sfa, Sfa]],
-    *,
-    max_pairs: int = 1_000_000,
-) -> list[_Walk]:
-    """BFS every ``(lhs, rhs)`` product over the shared table, in level lockstep.
+def walk(table: TransitionTable, lhs: Sfa, rhs: Sfa, *, max_pairs: int = 1_000_000) -> Walk:
+    """Breadth-first search of the ``(lhs, rhs)`` product over ``table``.
 
-    Each round advances every live member one breadth-first level, so a row
-    computed for one member's frontier is already in the table when a sibling
-    reaches the same state.  Per member the walk is the same BFS: FIFO order,
-    the BOT/TOP prunes, the witness test at dequeue, ``explored ==
-    len(parents)``, and a ``max_pairs`` budget.  Members retire individually
-    on first counterexample, fixpoint, or a resource error (the budget, or a
-    qualifier the minterm does not determine), which lands in ``error``.
+    FIFO order, the BOT/TOP prunes, the witness test at dequeue, first-witness
+    exit, and ``explored == len(parents)``.  Raises :class:`CompilationError`
+    when the walk reaches ``max_pairs`` pairs, or when a qualifier is not
+    determined by a minterm.
     """
-    walks: list[_Walk] = []
-    for lhs, rhs in pairs:
-        walk = _Walk()
-        a, b = table.intern(lhs), table.intern(rhs)
-        if table.is_bot[a] or table.is_top[b]:
-            walk.done = True  # pruned start: included, nothing explored
-        else:
-            start = (a, b)
-            walk.parents[start] = None
-            walk.frontier.append(start)
-        walks.append(walk)
+    result = Walk()
+    parents = result.parents
+    a, b = table.intern(lhs), table.intern(rhs)
+    if table.is_bot[a] or table.is_top[b]:
+        return result  # pruned start: included, nothing explored
+    start = (a, b)
+    parents[start] = None
+    frontier: deque[tuple[int, int]] = deque([start])
 
     nullable_flags = table.nullable
     is_bot = table.is_bot
     is_top = table.is_top
     num_chars = table.num_chars
     row_of = table.row
+    while frontier:
+        pair = frontier.popleft()
+        a, b = pair
+        if nullable_flags[a] and not nullable_flags[b]:
+            word: list[int] = []
+            node: Optional[tuple[int, int]] = pair
+            while parents[node] is not None:
+                node, index = parents[node]
+                word.append(index)
+            result.witness = tuple(reversed(word))
+            break
+        row_a = row_of(a)
+        row_b = row_of(b)
+        for index in range(num_chars):
+            ta = row_a[index]
+            tb = row_b[index]
+            if is_bot[ta] or is_top[tb]:
+                continue
+            target = (ta, tb)
+            if target in parents:
+                continue
+            if len(parents) >= max_pairs:
+                raise CompilationError(f"lazy product walk exceeded {max_pairs} pairs")
+            parents[target] = (pair, index)
+            frontier.append(target)
+    result.explored = len(parents)
+    return result
 
-    live = [walk for walk in walks if not walk.done]
-    while live:
-        still_live = []
-        for walk in live:
-            started = time.perf_counter()
-            frontier = walk.frontier
-            parents = walk.parents
-            try:
-                for _ in range(len(frontier)):
-                    pair = frontier.popleft()
-                    a, b = pair
-                    if nullable_flags[a] and not nullable_flags[b]:
-                        word: list[int] = []
-                        node: Optional[tuple[int, int]] = pair
-                        while parents[node] is not None:
-                            node, index = parents[node]
-                            word.append(index)
-                        walk.witness = tuple(reversed(word))
-                        walk.done = True
-                        break
-                    row_a = row_of(a)
-                    row_b = row_of(b)
-                    for index in range(num_chars):
-                        ta = row_a[index]
-                        tb = row_b[index]
-                        if is_bot[ta] or is_top[tb]:
-                            continue
-                        target = (ta, tb)
-                        if target in parents:
-                            continue
-                        if len(parents) >= max_pairs:
-                            raise CompilationError(
-                                f"lazy product walk exceeded {max_pairs} pairs"
-                            )
-                        parents[target] = (pair, index)
-                        frontier.append(target)
-            except CompilationError as exc:
-                walk.error = exc
-                walk.done = True
-            if not walk.done and not frontier:
-                walk.done = True  # fixpoint: inclusion holds
-            walk.seconds += time.perf_counter() - started
-            if not walk.done:
-                still_live.append(walk)
-        live = still_live
 
-    for walk in walks:
-        walk.explored = len(walk.parents)
-    return walks
+def render_witness(alphabet: Alphabet, witness: Sequence[int]) -> list[str]:
+    """Render a character-index witness as a readable event trace.
+
+    Each step shows the operator name and the qualifier valuation of the
+    minterm (:meth:`Character.describe`), so failure messages read as
+    ``put((key == x), not (value == x))`` rather than as raw indices.
+    """
+    return [alphabet.characters[index].describe() for index in witness]
 
 
 def decide(
+    table: TransitionTable,
     lhs: Sfa,
     rhs: Sfa,
-    alphabet: Alphabet,
+    stats: InclusionStats,
     *,
-    cache: Optional[DerivativeCache] = None,
     max_pairs: int = 1_000_000,
-) -> _Walk:
-    """Decide one inclusion over one alphabet: a single-member table walk."""
-    return _lockstep_search(
-        TransitionTable(alphabet, cache=cache), [(lhs, rhs)], max_pairs=max_pairs
-    )[0]
+) -> Optional[list[str]]:
+    """Decide ``lhs ⊆ rhs`` under the table's context case and bill the walk.
 
-
-@dataclass
-class GroupRecord:
-    """Per-group accounting of the alphabet-sharing discharge.
-
-    ``queries_executed`` is what the group actually ran (one hermetic
-    construction, or zero on a memo hit); ``queries_billed`` is what the
-    deterministic tables charge — the recorded bill replayed into every
-    member.  For every multi-member group ``executed < billed`` by
-    construction.
+    Returns the rendered witness trace, or ``None`` when the inclusion holds.
+    A completed walk is recorded in ``stats``; a walk that raises
+    :class:`CompilationError` is not.
     """
-
-    members: int = 0
-    built: bool = False
-    queries_executed: int = 0
-    queries_billed: int = 0
-    prod_states: int = 0
-    error: Optional[str] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "members": self.members,
-            "built": self.built,
-            "queries_executed": self.queries_executed,
-            "queries_billed": self.queries_billed,
-            "prod_states": self.prod_states,
-            "error": self.error,
-        }
+    started = time.perf_counter()
+    with trace.span("inclusion.walk", cat="discharge", characters=table.num_chars):
+        found = walk(table, lhs, rhs, max_pairs=max_pairs)
+    stats.record_walk(found, table.num_chars, time.perf_counter() - started)
+    if found.witness is None:
+        return None
+    return render_witness(table.alphabet, found.witness)
 
 
 def discharge_group(
@@ -368,25 +301,22 @@ def discharge_group(
     literal_sets: Optional[LiteralSets] = None,
     max_literals: Optional[int] = None,
     filter_unsat: bool = True,
-    strategy: str = "guided",
-    derivative_cache: Optional[DerivativeCache] = None,
     max_pairs: int = 1_000_000,
-) -> tuple[list[dict], GroupRecord]:
-    """Discharge one alphabet-sharing group of obligations set-at-a-time.
+) -> list[dict]:
+    """Discharge one alphabet-sharing group of obligations.
 
     Every obligation must share the group's :class:`AlphabetMemo` content key
-    (same hypothesis set, same literal sets, same budget/strategy), which is
-    exactly what makes one construction valid for all of them;
-    ``literal_sets``, when the caller already collected them for grouping,
-    spares collecting them again.  Returns one picklable result dict per
-    obligation plus the group record.
+    (same hypothesis set, same literal sets, same budget), which is exactly
+    what makes one construction valid for all of them; ``literal_sets``, when
+    the caller already collected them for grouping, spares collecting them
+    again.  Returns one picklable result dict per obligation.
 
     Counter attribution is what discharging the members one by one reports:
     the first member bills the build (``#Alph``), later members bill memo
     hits, and every member replays the identical recorded solver/alphabet
     bill.
     """
-    from .inclusion import InclusionStats, render_witness
+    from .inclusion import InclusionStats
 
     group_started = time.perf_counter()
     count = len(obligations)
@@ -401,7 +331,6 @@ def discharge_group(
             literal_sets=literal_sets,
             max_literals=max_literals,
             filter_unsat=filter_unsat,
-            strategy=strategy,
             stats=bill_alphabet,
             solver_stats=bill_solver,
         )
@@ -410,7 +339,7 @@ def discharge_group(
         # message — is every member's own: report it for each, with the zero
         # counters a failed hermetic construction leaves behind.
         message = str(exc)
-        results = [
+        return [
             {
                 "included": False,
                 "counterexample": None,
@@ -421,51 +350,38 @@ def discharge_group(
             }
             for _ in range(count)
         ]
-        return results, GroupRecord(members=count, error=message)
     build_seconds = time.perf_counter() - group_started
 
-    member_stats = [InclusionStats() for _ in range(count)]
-    for position, stats in enumerate(member_stats):
-        stats.context_cases = bill_alphabet.context_cases
-        stats.minterm_candidates = bill_alphabet.minterm_candidates
-        stats.satisfiable_minterms = bill_alphabet.satisfiable_minterms
-        if position == 0 and built:
-            stats.alphabet_builds = 1
-        else:
-            stats.alphabet_memo_hits = 1
-
-    included = [True] * count
+    member_stats = [
+        InclusionStats(
+            context_cases=bill_alphabet.context_cases,
+            minterm_candidates=bill_alphabet.minterm_candidates,
+            satisfiable_minterms=bill_alphabet.satisfiable_minterms,
+            alphabet_builds=1 if position == 0 and built else 0,
+            alphabet_memo_hits=0 if position == 0 and built else 1,
+        )
+        for position in range(count)
+    ]
     counterexamples: list[Optional[list[str]]] = [None] * count
     errors: list[Optional[str]] = [None] * count
-    walk_seconds = [0.0] * count
 
     pending = list(range(count))
     for alphabet in alphabets:
-        with trace.span(
-            "inclusion.batch",
-            cat="discharge",
-            members=len(pending),
-            characters=len(alphabet.characters),
-        ):
-            table = TransitionTable(alphabet, cache=derivative_cache)
-            walks = _lockstep_search(
-                table,
-                [(obligations[i].lhs, obligations[i].rhs) for i in pending],
-                max_pairs=max_pairs,
-            )
+        table = TransitionTable(alphabet)
         next_pending = []
-        for position, walk in zip(pending, walks):
-            walk_seconds[position] += walk.seconds
-            if walk.error is not None:
+        for position in pending:
+            obligation = obligations[position]
+            try:
+                counterexample = decide(
+                    table, obligation.lhs, obligation.rhs, member_stats[position],
+                    max_pairs=max_pairs,
+                )
+            except CompilationError as exc:
                 # earlier alphabets stay counted, the failing one does not
-                included[position] = False
-                errors[position] = str(walk.error)
+                errors[position] = str(exc)
                 continue
-            stats = member_stats[position]
-            stats.record_walk(walk, table.num_chars, walk.seconds)
-            if walk.witness is not None:
-                included[position] = False
-                counterexamples[position] = render_witness(alphabet, walk.witness)
+            if counterexample is not None:
+                counterexamples[position] = counterexample
             else:
                 next_pending.append(position)
         pending = next_pending
@@ -473,23 +389,14 @@ def discharge_group(
             break
 
     solver_dict = bill_solver.as_dict()
-    results = []
-    for position in range(count):
-        results.append(
-            {
-                "included": included[position],
-                "counterexample": counterexamples[position],
-                "error": errors[position],
-                "inclusion": member_stats[position].as_dict(),
-                "solver": dict(solver_dict),
-                "wall": walk_seconds[position] + build_seconds / count,
-            }
-        )
-    record = GroupRecord(
-        members=count,
-        built=built,
-        queries_executed=bill_solver.queries if built else 0,
-        queries_billed=count * bill_solver.queries,
-        prod_states=sum(stats.prod_states for stats in member_stats),
-    )
-    return results, record
+    return [
+        {
+            "included": counterexamples[position] is None and errors[position] is None,
+            "counterexample": counterexamples[position],
+            "error": errors[position],
+            "inclusion": member_stats[position].as_dict(),
+            "solver": dict(solver_dict),
+            "wall": member_stats[position].fa_time_seconds + build_seconds / count,
+        }
+        for position in range(count)
+    ]

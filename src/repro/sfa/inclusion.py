@@ -9,9 +9,9 @@ by ``B``.  The pipeline is the paper's:
    transformation), asking the SMT solver for each candidate,
 3. decide inclusion over that finite alphabet.
 
-Step 3 has one decider: a single-member walk over an interned transition
-table (:func:`repro.sfa.batch.decide`) — the same walk the engine runs for
-its grouped obligations.  Product states are explored breadth-first with
+Step 3 has one decider: a walk over an interned transition table
+(:func:`repro.sfa.batch.decide`) — the same walk the engine runs for its
+grouped obligations.  Product states are explored breadth-first with
 antichain-style subsumption pruning, nothing is materialised beyond the
 reachable product, and the walk exits at the first counterexample.  The
 paper's DFA-compiling construction lives on only as a test oracle
@@ -26,23 +26,19 @@ by the shared solver.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .. import smt
-from ..obs import trace
 from ..smt.terms import Term
 from ..statsutil import MergeableStats
 from .alphabet import (
-    Alphabet,
     AlphabetMemo,
     AlphabetStats,
     build_alphabets,
     resolve_max_literals,
 )
-from .batch import decide
-from .derivatives import DerivativeCache
+from .batch import TransitionTable, decide
 from .signatures import OperatorRegistry
 from .symbolic import BOT, Sfa
 
@@ -98,16 +94,6 @@ class InclusionResult:
     counterexample: Optional[list[str]] = None
 
 
-def render_witness(alphabet: Alphabet, witness: Sequence[int]) -> list[str]:
-    """Render a character-index witness as a readable event trace.
-
-    Each step shows the operator name and the qualifier valuation of the
-    minterm (:meth:`Character.describe`), so failure messages read as
-    ``put((key == x), not (value == x))`` rather than as raw indices.
-    """
-    return [alphabet.characters[index].describe() for index in witness]
-
-
 class InclusionChecker:
     """Decides language inclusion between symbolic automata under a context."""
 
@@ -118,24 +104,17 @@ class InclusionChecker:
         *,
         filter_unsat_minterms: bool = True,
         max_literals: Optional[int] = None,
-        strategy: str = "guided",
         alphabet_memo: Optional[AlphabetMemo] = None,
-        derivative_cache: Optional[DerivativeCache] = None,
     ) -> None:
         self.solver = solver
         self.operators = operators
         self.filter_unsat_minterms = filter_unsat_minterms
-        self.max_literals = resolve_max_literals(max_literals, strategy, filter_unsat_minterms)
-        self.strategy = strategy
+        self.max_literals = resolve_max_literals(max_literals, filter_unsat_minterms)
         #: when set, alphabets come from the shared cross-obligation memo
         #: (hermetic construction + recorded-counter replay); when ``None``
         #: the checker builds them on its own solver, the standalone path
         self.alphabet_memo = alphabet_memo
-        #: optional cross-query memo for derivative steps (pure reuse)
-        self.derivative_cache = derivative_cache
         self.stats = InclusionStats()
-        self.cache_hits = 0
-        self._cache: dict[tuple, InclusionResult] = {}
 
     # -- the main entry point ----------------------------------------------------------
     def check(
@@ -158,16 +137,6 @@ class InclusionChecker:
         *,
         extra_context_literals: Iterable[Term] = (),
     ) -> InclusionResult:
-        cache_key = (
-            tuple(sorted(h.term_id for h in hypotheses)),
-            lhs.sfa_id,
-            rhs.sfa_id,
-            tuple(sorted(l.term_id for l in extra_context_literals)),
-        )
-        cached = self._cache.get(cache_key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
         alphabet_stats = AlphabetStats()
         if self.alphabet_memo is not None:
             alphabets, built = self.alphabet_memo.alphabets_for(
@@ -177,7 +146,6 @@ class InclusionChecker:
                 extra_context_literals=extra_context_literals,
                 max_literals=self.max_literals,
                 filter_unsat=self.filter_unsat_minterms,
-                strategy=self.strategy,
                 stats=alphabet_stats,
                 solver_stats=self.solver.stats,
             )
@@ -194,7 +162,6 @@ class InclusionChecker:
                 extra_context_literals=extra_context_literals,
                 max_literals=self.max_literals,
                 filter_unsat=self.filter_unsat_minterms,
-                strategy=self.strategy,
                 stats=alphabet_stats,
             )
             self.stats.alphabet_builds += 1
@@ -202,28 +169,11 @@ class InclusionChecker:
         self.stats.minterm_candidates += alphabet_stats.minterm_candidates
         self.stats.satisfiable_minterms += alphabet_stats.satisfiable_minterms
 
-        outcome = InclusionResult(included=True)
         for alphabet in alphabets:
-            result = self._check_under_alphabet(lhs, rhs, alphabet)
-            if not result.included:
-                outcome = result
-                break
-        self._cache[cache_key] = outcome
-        return outcome
-
-    # -- per-context-case check ---------------------------------------------------------
-    def _check_under_alphabet(self, lhs: Sfa, rhs: Sfa, alphabet: Alphabet) -> InclusionResult:
-        start = time.perf_counter()
-        with trace.span("inclusion.walk", cat="discharge", characters=len(alphabet.characters)):
-            walk = decide(lhs, rhs, alphabet, cache=self.derivative_cache)
-        if walk.error is not None:
-            raise walk.error
-        self.stats.record_walk(walk, len(alphabet.characters), time.perf_counter() - start)
-        if walk.witness is None:
-            return InclusionResult(included=True)
-        return InclusionResult(
-            included=False, counterexample=render_witness(alphabet, walk.witness)
-        )
+            counterexample = decide(TransitionTable(alphabet), lhs, rhs, self.stats)
+            if counterexample is not None:
+                return InclusionResult(included=False, counterexample=counterexample)
+        return InclusionResult(included=True)
 
     # -- auxiliary queries used by the type checker --------------------------------------
     def is_empty(self, hypotheses: Sequence[Term], formula: Sfa) -> bool:

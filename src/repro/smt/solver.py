@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import terms
 from ..obs import trace
@@ -93,7 +93,6 @@ class Solver:
         instantiation_rounds: int = 2,
         max_lazy_iterations: int = 20000,
         max_cache_entries: int = 100_000,
-        warm_from: Optional["Solver"] = None,
         backend: Optional[str] = None,
     ) -> None:
         self.axioms = tuple(axioms)
@@ -106,46 +105,14 @@ class Solver:
         self.stats = SolverStats()
         # Terms are interned, so a term_id is a canonical content address for
         # the whole goal; both caches are sound because the axiom set of a
-        # Solver instance is fixed at construction time.  Keys carry the
-        # backend id: verdicts are backend-independent, but the per-backend
-        # counters (#SAT, #Confl) are only pure in (backend, obligation) if a
-        # warm view from another backend can never answer this one's queries.
-        self._sat_cache: dict[tuple[str, int], bool] = {}
+        # Solver instance is fixed at construction time.
+        self._sat_cache: dict[int, bool] = {}
         self._enum_cache: dict[tuple, tuple] = {}
         # Theory conflicts are valid lemmas (the negation of an inconsistent
         # conjunction); remembering them across queries lets every later
         # encoding that mentions the same atoms prune those assignments
         # without re-deriving the conflict through the theory solver.
         self._theory_lemmas: dict[tuple, list[tuple[Term, bool]]] = {}
-        # ``warm_from`` seeds this solver with a *read-only* view of another
-        # solver's caches and lemmas (same axiom set required): lookups fall
-        # back to the base dicts, writes stay local.  The obligation engine
-        # uses this to let hermetic per-obligation solvers reuse the work of
-        # the checker's inline phase without ever mutating shared state —
-        # forked workers read the same base through copy-on-write memory.
-        # The base must be a fixed snapshot for as long as this solver lives;
-        # anything execution-order-dependent (e.g. a pool mutated by sibling
-        # discharges) would leak scheduling into lemma installation, which
-        # can steer the model-guided enumeration and with it the reported
-        # query counts.
-        if warm_from is not None and warm_from.axioms != self.axioms:
-            raise ValueError("warm_from requires an identical axiom set")
-        self._base_sat_cache: Mapping[tuple[str, int], bool] = (
-            warm_from._sat_cache if warm_from is not None else {}
-        )
-        self._base_enum_cache: Mapping[tuple, tuple] = (
-            warm_from._enum_cache if warm_from is not None else {}
-        )
-        # Lemmas are sound for any backend (they are theory facts), but the
-        # set remembered depends on which models the base backend happened to
-        # walk; installing another backend's lemma history would couple this
-        # backend's #SAT counters to it.  Cross-backend warm views therefore
-        # share nothing (the cache keys above diverge on the backend id too).
-        self._base_theory_lemmas: Mapping[tuple, list[tuple[Term, bool]]] = (
-            warm_from._theory_lemmas
-            if warm_from is not None and warm_from.backend == self.backend
-            else {}
-        )
 
     def clear_caches(self) -> None:
         self._sat_cache.clear()
@@ -158,18 +125,11 @@ class Solver:
             self._theory_lemmas.clear()
             self.stats.cache_evictions += 1
         key = tuple(sorted((atom.term_id, value) for atom, value in conflict))
-        if key in self._base_theory_lemmas:
-            return
         self._theory_lemmas.setdefault(key, conflict)
 
     def _install_lemmas(self, builder: CnfBuilder) -> None:
         """Assert every remembered lemma whose atoms this encoding mentions."""
         var_of_atom = builder.var_of_atom
-        for key, lemma in self._base_theory_lemmas.items():
-            if key in self._theory_lemmas:
-                continue  # shadowed; the local copy is installed below
-            if all(atom in var_of_atom for atom, _ in lemma):
-                builder.block_assignment(lemma)
         for lemma in self._theory_lemmas.values():
             if all(atom in var_of_atom for atom, _ in lemma):
                 builder.block_assignment(lemma)
@@ -183,10 +143,8 @@ class Solver:
         hits are tallied in ``stats.cache_hits``.
         """
         goal = terms.and_(formula, *extra)
-        key = (self.backend, goal.term_id)
+        key = goal.term_id
         cached = self._sat_cache.get(key)
-        if cached is None:
-            cached = self._base_sat_cache.get(key)
         if cached is not None:
             self.stats.cache_hits += 1
             return cached
@@ -237,17 +195,15 @@ class Solver:
         depth-first walk (``True`` branch before ``False``, literals in the
         given order), which keeps downstream alphabets — and therefore
         automata, character indices and counterexamples — byte-identical
-        between the guided and exhaustive strategies.
+        to the exhaustive reference enumeration of the differential tests.
 
         Results are memoised per ``(base, literals)`` content address.
         ``literals`` must be atoms (as produced by :func:`repro.smt.atoms`).
         """
         lits = tuple(literals)
         goal = terms.and_(base if base is not None else terms.TRUE, *extra)
-        key = (self.backend, goal.term_id, tuple(lit.term_id for lit in lits))
+        key = (goal.term_id, tuple(lit.term_id for lit in lits))
         cached = self._enum_cache.get(key)
-        if cached is None:
-            cached = self._base_enum_cache.get(key)
         if cached is not None:
             self.stats.cache_hits += 1
             return list(cached)

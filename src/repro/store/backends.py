@@ -69,7 +69,7 @@ from ..obs.logs import get_logger
 logger = get_logger("store")
 
 #: Store layout version; entries under another tag are discarded on open.
-SCHEMA_VERSION = "pymarple-store-v2"
+SCHEMA_VERSION = "pymarple-store-v3"
 
 #: The names a backend can be requested by; ``auto`` defers to the path.
 KNOWN_STORE_BACKENDS = ("jsonl", "sqlite")

@@ -277,7 +277,6 @@ def environment_fingerprint(
     *,
     filter_unsat_minterms: bool = True,
     max_literals: Optional[int] = None,
-    strategy: str = "guided",
     backend: str = "dpll",
     library: Optional[str] = None,
 ) -> str:
@@ -306,7 +305,6 @@ def environment_fingerprint(
         "env",
         library if library is not None else library_digest(operators, axioms),
         repr(bool(filter_unsat_minterms)),
-        repr(resolve_max_literals(max_literals, strategy, filter_unsat_minterms)),
-        strategy,
+        repr(resolve_max_literals(max_literals, filter_unsat_minterms)),
         backend,
     )

@@ -308,7 +308,7 @@ class ObligationStore:
         Deliberately environment-free: verdicts must never cross environments
         (a cdcl run cannot replay dpll counters), but a *measurement* of how
         long the obligation took to discharge is a fine scheduling hint under
-        any backend/strategy — which is exactly when cold obligations have
+        any backend or budget — which is exactly when cold obligations have
         history (the same-environment case would have been a store hit).
         """
         return self._cost_index.get(fp)

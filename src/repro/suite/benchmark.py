@@ -80,14 +80,10 @@ class AdtBenchmark:
         from ..sfa.alphabet import resolve_max_literals
 
         config = config or CheckerConfig()
-        # the benchmark's max_literals is a floor on top of the strategy
-        # default; derive a fresh config rather than mutating the caller's
+        # the benchmark's max_literals is a floor on top of the default
+        # budget; derive a fresh config rather than mutating the caller's
         # (one CheckerConfig is commonly reused across benchmarks)
-        resolved = resolve_max_literals(
-            config.max_literals,
-            config.enumeration_strategy,
-            config.filter_unsat_minterms,
-        )
+        resolved = resolve_max_literals(config.max_literals, config.filter_unsat_minterms)
         config = replace(config, max_literals=max(resolved, self.max_literals))
         all_constants = dict(self.library.constants)
         all_constants.update(self.constants)

@@ -37,7 +37,7 @@ from ..engine import ObligationEngine, ObligationSet
 from ..lang import ast
 from ..sfa import symbolic
 from ..sfa.alphabet import AlphabetError, AlphabetMemo
-from ..sfa.derivatives import CompilationError, DerivativeCache
+from ..sfa.derivatives import CompilationError
 from ..smt.solver import SolverError
 from ..sfa.inclusion import InclusionChecker
 from ..sfa.signatures import OperatorRegistry
@@ -96,11 +96,8 @@ class CheckerConfig:
 
     filter_unsat_minterms: bool = True
     prune_infeasible_branches: bool = True
-    #: None = a strategy-appropriate default (24 guided / 14 exhaustive)
+    #: None = the default budget (24, or 14 without ``filter_unsat_minterms``)
     max_literals: Optional[int] = None
-    #: how the alphabet transformation enumerates satisfiable combinations:
-    #: "guided" (solver-guided AllSAT) or "exhaustive" (per-candidate queries)
-    enumeration_strategy: str = "guided"
     #: which SAT core answers the lazy SMT loop's queries: "dpll" (the
     #: original reference), "cdcl" (clause learning + VSIDS + restarts) or
     #: "z3" (external, when installed).  Overridable via REPRO_BACKEND.
@@ -117,12 +114,12 @@ class CheckerConfig:
     #: Ordering is advisory: it can never change a verdict or a counter.
     #: Overridable via the REPRO_SCHEDULE environment variable.
     schedule: str = field(default_factory=_default_schedule)
-    #: cross-obligation reuse of alphabet/minterm constructions and lazy
-    #: derivative steps.  Alphabets are always built hermetically (a fresh
-    #: solver per literal-set key) with their counter bill recorded and
-    #: replayed on reuse, so toggling the memo changes wall-clock time only —
-    #: every deterministic table is byte-identical either way.  Overridable
-    #: via REPRO_MEMO=0 (the ablation/acceptance toggle).
+    #: cross-obligation reuse of alphabet/minterm constructions.  Alphabets
+    #: are always built hermetically (a fresh solver per literal-set key) with
+    #: their counter bill recorded and replayed on reuse, so toggling the
+    #: memo changes wall-clock time only — every deterministic table is
+    #: byte-identical either way.  Overridable via REPRO_MEMO=0 (the
+    #: ablation/acceptance toggle).
     cross_obligation_memo: bool = field(default_factory=_default_memo)
     #: ``(index, count)`` — discharge only the obligations whose fingerprint
     #: hashes into this shard (set by the sharded suite runner; the resulting
@@ -174,19 +171,16 @@ class Checker:
             library_digest(operators, axioms, self.constants) if store is not None else ""
         )
         self.solver = smt.Solver(axioms=list(axioms), backend=self.config.backend)
-        # The cross-obligation reuse layers, shared by the inline checker and
-        # every (possibly forked) per-obligation checker: alphabet/minterm
-        # constructions are built hermetically per literal-set key and their
-        # counter bill replayed on reuse; derivative steps are pure, so their
-        # memo is plain reuse.  ``cross_obligation_memo=False`` disables the
-        # *reuse* only — constructions stay hermetic, counters stay put.
+        # The cross-obligation reuse layer, shared by the inline checker and
+        # the obligation engine (and, copy-on-write, its forked workers):
+        # alphabet/minterm constructions are built hermetically per
+        # literal-set key and their counter bill replayed on reuse.
+        # ``cross_obligation_memo=False`` disables the *reuse* only —
+        # constructions stay hermetic, counters stay put.
         self.alphabet_memo = AlphabetMemo(
             axioms=tuple(axioms),
             backend=self.config.backend,
             enabled=self.config.cross_obligation_memo,
-        )
-        self.derivative_cache = (
-            DerivativeCache() if self.config.cross_obligation_memo else None
         )
         # Inline queries that steer the walk (HAT subtyping, ghost abduction)
         # still go through this shared checker; deferred leaf obligations are
@@ -196,9 +190,7 @@ class Checker:
             operators,
             filter_unsat_minterms=self.config.filter_unsat_minterms,
             max_literals=self.config.max_literals,
-            strategy=self.config.enumeration_strategy,
             alphabet_memo=self.alphabet_memo,
-            derivative_cache=self.derivative_cache,
         )
         self.engine = SubtypingEngine(self.solver, self.inclusion)
         self.obligation_engine = ObligationEngine(
@@ -206,14 +198,12 @@ class Checker:
             axioms,
             filter_unsat_minterms=self.config.filter_unsat_minterms,
             max_literals=self.config.max_literals,
-            strategy=self.config.enumeration_strategy,
             backend=self.config.backend,
             workers=self.config.workers,
             store=store,
             shard=self.config.shard,
             schedule=self.config.schedule,
             alphabet_memo=self.alphabet_memo,
-            derivative_cache=self.derivative_cache,
             only=self.config.only_digests,
             collect=self.config.collect_sink,
             # Deliberately NOT self._library_digest: the dependency record
@@ -228,21 +218,16 @@ class Checker:
     # Diagnostics
     # ------------------------------------------------------------------
     def run_diagnostics(self) -> dict:
-        """Run-level reuse/batching diagnostics (not per-method counters).
+        """Run-level reuse diagnostics (not per-method counters).
 
-        Cache hit/eviction rates and the batch grouper's per-group records —
-        the numbers ``repro bench`` surfaces in its aggregate block.  All of
-        it is reuse bookkeeping: none of these values feeds a deterministic
-        table.
+        The alphabet memo's build/replay/eviction counts and the engine's
+        counters — the numbers ``repro bench`` surfaces in its aggregate
+        block.  All of it is reuse bookkeeping: none of these values feeds a
+        deterministic table.
         """
-        derivative = self.derivative_cache
         memo = self.alphabet_memo
-        engine = self.obligation_engine
         return {
             "caches": {
-                "derivative_cache_hits": derivative.hits if derivative else 0,
-                "derivative_cache_misses": derivative.misses if derivative else 0,
-                "derivative_cache_evictions": derivative.evictions if derivative else 0,
                 "alphabet_memo_builds": memo.builds,
                 # the memo object's own hit counter ("replays" — a hit
                 # replays the recorded bill), distinct from the per-method
@@ -250,8 +235,7 @@ class Checker:
                 "alphabet_memo_replays": memo.hits,
                 "alphabet_memo_evictions": memo.evictions,
             },
-            "batch_groups": [dict(record) for record in engine.batch_group_log],
-            "engine": engine.stats.as_dict(),
+            "engine": self.obligation_engine.stats.as_dict(),
         }
 
     # ------------------------------------------------------------------
@@ -393,7 +377,6 @@ class Checker:
             - inclusion_before.alphabet_memo_hits,
             prod_states=inclusion_after.prod_states - inclusion_before.prod_states,
             store_hits=engine_after.store_hits - engine_before.store_hits,
-            batch_groups=engine_after.batch_groups - engine_before.batch_groups,
             smt_time_seconds=solver_after.time_seconds - solver_before.time_seconds,
             fa_time_seconds=inclusion_after.fa_time_seconds - inclusion_before.fa_time_seconds,
             total_time_seconds=time.perf_counter() - start,

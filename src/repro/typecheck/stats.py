@@ -34,10 +34,6 @@ class MethodStats:
     prod_states: int = 0
     #: obligations answered by the persistent store (warm start, #Store)
     store_hits: int = 0
-    #: alphabet-sharing groups discharged set-at-a-time (#Batch — volatile
-    #: like #Store/#Alph: 0 on a warm run, and otherwise a function of which
-    #: obligations were still cold; the members' counters never depend on it)
-    batch_groups: int = 0
     #: avg. s_FA: per walk, the distinct lhs- plus rhs-side states it reached
     #: times the alphabet size, averaged over the two automata of each walk
     average_fa_size: float = 0.0
@@ -58,7 +54,6 @@ class MethodStats:
             "#Alph": self.alphabet_builds,
             "#Prod": self.prod_states,
             "#Store": self.store_hits,
-            "#Batch": self.batch_groups,
             "avg. sFA": round(self.average_fa_size, 1),
             "tSAT (s)": round(self.smt_time_seconds, 2),
             "tInc (s)": round(self.fa_time_seconds, 2),
@@ -75,10 +70,8 @@ class MethodStats:
     #: and >0 on a warm one), #Alph (how many alphabet constructions a
     #: method *ran* depends on what the shared cross-obligation memo already
     #: held — the memo replays recorded counters, so everything else is
-    #: deterministic, but the build count itself is reuse bookkeeping) and
-    #: #Batch (set-at-a-time groups formed: 0 on warm runs, reuse
-    #: bookkeeping like #Alph)
-    VOLATILE_COLUMNS = TIME_COLUMNS + ("#Store", "#Alph", "#Batch")
+    #: deterministic, but the build count itself is reuse bookkeeping)
+    VOLATILE_COLUMNS = TIME_COLUMNS + ("#Store", "#Alph")
 
     #: solver-internal columns: deterministic for a *fixed* backend (they
     #: participate in cold-vs-warm and worker-count comparisons) but
@@ -164,7 +157,6 @@ class AdtStats:
                     "#Alph": hardest.stats.alphabet_builds,
                     "#Prod": hardest.stats.prod_states,
                     "#Store": hardest.stats.store_hits,
-                    "#Batch": hardest.stats.batch_groups,
                     "avg. sFA": round(hardest.stats.average_fa_size, 1),
                     "tSAT (s)": round(hardest.stats.smt_time_seconds, 2),
                     "tFA⊆ (s)": round(hardest.stats.fa_time_seconds, 2),

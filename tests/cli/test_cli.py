@@ -49,9 +49,11 @@ def test_argparse_rejects_bad_usage():
         cli_main(["table", "9"])
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit):
-        cli_main(["check", "Set/KVStore", "--strategy", "telepathy"])
+        cli_main(["check", "Set/KVStore", "--schedule", "telepathy"])
     with pytest.raises(SystemExit):  # one decider: no mode flag to pick
         cli_main(["check", "Set/KVStore", "--discharge", "lazy"])
+    with pytest.raises(SystemExit):  # one enumeration: no strategy flag
+        cli_main(["check", "Set/KVStore", "--strategy", "guided"])
 
 
 # -- checker knobs -----------------------------------------------------------------
@@ -65,8 +67,8 @@ def test_checker_knob_flags_are_accepted(capsys):
                 "Set/KVStore",
                 "--workers",
                 "2",
-                "--strategy",
-                "exhaustive",
+                "--schedule",
+                "syntactic",
             ]
         )
         == 0
@@ -88,13 +90,13 @@ def test_knob_flags_reach_the_checker_config(monkeypatch):
     monkeypatch.setattr(AdtBenchmark, "make_checker", spy)
     assert (
         cli_main(
-            ["check", "Set/KVStore", "--workers", "3", "--strategy", "exhaustive"]
+            ["check", "Set/KVStore", "--workers", "3", "--schedule", "syntactic"]
         )
         == 0
     )
     config = captured["config"]
     assert config.workers == 3
-    assert config.enumeration_strategy == "exhaustive"
+    assert config.schedule == "syntactic"
 
 
 # -- solver backends ---------------------------------------------------------------

@@ -38,7 +38,7 @@ def test_workers4_matches_workers1_byte_identical():
 def test_workers4_matches_workers1_under_cdcl():
     """Hermetic discharge keeps counters worker-independent per backend —
     including the backend-sensitive ones (#SAT/#Confl), which are pure in
-    (backend, warm snapshot, obligation)."""
+    (backend, obligation)."""
     bench = set_kvstore()
     serial_rows, serial_verdicts, _ = _counter_tables(bench, workers=1, backend="cdcl")
     parallel_rows, parallel_verdicts, checker = _counter_tables(

@@ -112,7 +112,7 @@ def _record_some_spans(meta=None):
         with trace.span("discharge", cat="discharge", obligation_fp="deadbeef"):
             pass
     trace.uninstall()
-    tracer.counters = {"caches": {"derivative_cache_hits": 7}}
+    tracer.counters = {"caches": {"alphabet_memo_builds": 7}}
     return tracer
 
 
@@ -128,7 +128,7 @@ def test_write_read_round_trip(tmp_path, suffix):
     assert data["meta"]["schema"] == TRACE_SCHEMA
     assert data["meta"]["pid"] == tracer.pid
     assert data["meta"]["command"] == "evaluate"
-    assert data["counters"] == {"caches": {"derivative_cache_hits": 7}}
+    assert data["counters"] == {"caches": {"alphabet_memo_builds": 7}}
 
     names = [span["name"] for span in data["spans"]]
     assert names == ["discharge", "evaluate"]

@@ -1,8 +1,9 @@
 """Reference deciders for the differential tests of the inclusion walk.
 
 Production decides every inclusion with one procedure: the interned
-transition-table walk of :mod:`repro.sfa.batch`.  This module keeps two
-independent implementations of the same decision, used only as oracles:
+transition-table walk of :mod:`repro.sfa.batch`, over alphabets found by
+solver-guided enumeration.  This module keeps independent implementations of
+the same steps, used only as oracles:
 
 * :func:`lazy_inclusion_search` — a breadth-first product walk over pairs of
   hash-consed derivative *formulas*, with the BOT/TOP subsumption prunes.
@@ -11,6 +12,11 @@ independent implementations of the same decision, used only as oracles:
 * :func:`compile_dfa` — compiles a formula to a complete :class:`Dfa` over the
   minterm alphabet (the paper's Algorithm 1); the DFA product search then
   decides inclusion and reconstructs the same shortest witness.
+
+* :func:`exhaustive_enumerate_alphabets` — the per-candidate minterm walk,
+  one SMT query per conjunction, with the signature of
+  :func:`repro.sfa.alphabet.enumerate_alphabets`;
+  :func:`use_exhaustive_enumeration` swaps it in for a whole test.
 
 :func:`oracle_check` lifts the formula walk to a whole ``Γ ⊢ A ⊆ B`` query —
 alphabets per context case, first witness wins — so a test can compare it
@@ -27,11 +33,24 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from repro import smt
 from repro.smt.terms import Term
+from repro.sfa import alphabet as alphabet_module
 from repro.sfa import symbolic
-from repro.sfa.alphabet import Alphabet, Character, build_alphabets
+from repro.sfa.alphabet import (
+    Alphabet,
+    AlphabetError,
+    AlphabetStats,
+    Character,
+    LiteralSets,
+    build_alphabets,
+    resolve_max_literals,
+)
+from repro.sfa.batch import render_witness
 from repro.sfa.derivatives import CompilationError, _evaluate_qualifier, nullable
-from repro.sfa.inclusion import render_witness
 from repro.sfa.symbolic import Sfa
+
+#: the production enumeration, kept for the unfiltered path (and unaffected
+#: by :func:`use_exhaustive_enumeration`)
+_GUIDED_ENUMERATE = alphabet_module.enumerate_alphabets
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +397,115 @@ def lazy_inclusion_search(
 
 
 # ---------------------------------------------------------------------------
+# Exhaustive minterm enumeration
+# ---------------------------------------------------------------------------
+
+
+def _satisfiable_combinations(
+    solver: smt.Solver,
+    base_formula: Term,
+    literals: Sequence[Term],
+    stats: AlphabetStats,
+    *,
+    count_candidates: bool,
+) -> Iterable[tuple[tuple[Term, bool], ...]]:
+    """Enumerate the satisfiable signed combinations of ``literals``.
+
+    One SMT query per candidate conjunction; whole subtrees whose partial
+    conjunction is already unsatisfiable are pruned.
+    """
+
+    def recurse(index: int, chosen: tuple[tuple[Term, bool], ...], formula: Term):
+        if index == len(literals):
+            if count_candidates:
+                stats.minterm_candidates += 1
+            yield chosen
+            return
+        literal = literals[index]
+        for value in (True, False):
+            signed = literal if value else smt.not_(literal)
+            extended = smt.and_(formula, signed)
+            if not solver.is_satisfiable(extended):
+                if count_candidates:
+                    stats.minterm_candidates += 2 ** (len(literals) - index - 1)
+                continue
+            yield from recurse(index + 1, chosen + ((literal, value),), extended)
+
+    if not literals:
+        if solver.is_satisfiable(base_formula):
+            if count_candidates:
+                stats.minterm_candidates += 1
+            yield ()
+        return
+    yield from recurse(0, (), base_formula)
+
+
+def exhaustive_enumerate_alphabets(
+    solver: smt.Solver,
+    hypotheses: Sequence[Term],
+    literal_sets: LiteralSets,
+    operators,
+    *,
+    max_literals: Optional[int] = None,
+    filter_unsat: bool = True,
+    stats: Optional[AlphabetStats] = None,
+) -> list[Alphabet]:
+    """The per-candidate reference for ``enumerate_alphabets``.
+
+    Must yield byte-identical alphabets (same context cases, same minterms,
+    same order) and the same candidate/minterm counters.
+    """
+    if not filter_unsat:
+        return _GUIDED_ENUMERATE(
+            solver, hypotheses, literal_sets, operators,
+            max_literals=max_literals, filter_unsat=False, stats=stats,
+        )
+    max_literals = resolve_max_literals(max_literals, filter_unsat)
+    stats = stats if stats is not None else AlphabetStats()
+    if len(literal_sets.context_literals) > max_literals:
+        raise AlphabetError(
+            f"{len(literal_sets.context_literals)} context literals exceed the "
+            f"enumeration budget of {max_literals}"
+        )
+    for name, lits in literal_sets.event_literals.items():
+        if len(lits) > max_literals:
+            raise AlphabetError(
+                f"operator {name} has {len(lits)} event literals, exceeding the "
+                f"enumeration budget of {max_literals}"
+            )
+    hypothesis_formula = smt.and_(*hypotheses)
+    alphabets = []
+    for context_case in _satisfiable_combinations(
+        solver, hypothesis_formula, literal_sets.context_literals, stats,
+        count_candidates=False,
+    ):
+        context_formula = smt.and_(
+            hypothesis_formula,
+            *(lit if value else smt.not_(lit) for lit, value in context_case),
+        )
+        stats.context_cases += 1
+        characters = []
+        for signature in operators:
+            literals = literal_sets.event_literals.get(signature.name, ())
+            for assignment in _satisfiable_combinations(
+                solver, context_formula, literals, stats, count_candidates=True
+            ):
+                stats.satisfiable_minterms += 1
+                characters.append(Character(signature, assignment))
+        alphabets.append(Alphabet(context_case=context_case, characters=tuple(characters)))
+    return alphabets
+
+
+def use_exhaustive_enumeration(monkeypatch) -> None:
+    """Make every alphabet construction for the rest of the test exhaustive.
+
+    ``build_alphabets`` and ``AlphabetMemo`` both reach the enumeration
+    through the ``repro.sfa.alphabet`` module global.
+    """
+    monkeypatch.setattr(alphabet_module, "enumerate_alphabets", exhaustive_enumerate_alphabets)
+
+
+# ---------------------------------------------------------------------------
 # Whole-query oracle and corpus capture
 # ---------------------------------------------------------------------------
 
@@ -435,9 +563,9 @@ def record_discharges(monkeypatch) -> list[tuple[object, dict]]:
     original = scheduler.discharge_group
 
     def recording(obligations, *args, **kwargs):
-        results, record = original(obligations, *args, **kwargs)
+        results = original(obligations, *args, **kwargs)
         captured.extend(zip(obligations, results))
-        return results, record
+        return results
 
     monkeypatch.setattr(scheduler, "discharge_group", recording)
     return captured

@@ -1,34 +1,35 @@
-"""Differential tests: grouped set-at-a-time discharge vs the oracles.
+"""Differential tests: grouped discharge vs the oracles.
 
 The engine groups cold obligations by their cross-obligation alphabet key
-and discharges each group against one shared transition table
-(``repro.sfa.batch``).  Grouping is a *sharing* transformation, never a
-semantic one, so everything observable must match deciding each obligation
-alone with the formula-pair oracle (``oracles.lazy_inclusion_search``):
+and walks each group's members one after another over one shared
+transition table per context case (``repro.sfa.batch``).  Grouping is a
+*sharing* transformation, never a semantic one, so everything observable
+must match deciding each obligation alone — with the production walk on a
+fresh table, and with the formula-pair oracle
+(``oracles.lazy_inclusion_search``):
 
 * identical verdicts, counterexample traces, #Prod and error messages on
   every obligation — on the full fast corpus, for every solver backend,
 * genuine witnesses: every counterexample replays on the compiled DFAs
   (accepted by lhs, rejected by rhs),
-* and the coalescing claim: every multi-member group *executes* strictly
-  fewer solver queries than the deterministic tables bill.
+* and order independence: a member that fails (e.g. on the pair budget)
+  leaves every later member's answer untouched.
 
 The corpus is the suite's fast benchmarks plus >=100 seeded-random groups
 of SFA pairs built over a shared literal pool (so they genuinely share the
 grouping key, like sibling obligations of one method do).
 """
 
-import pickle
 import random
 
 import pytest
 
 from repro import smt
 from repro.sfa import symbolic as S
-from repro.sfa.alphabet import AlphabetError, AlphabetMemo, build_alphabets
-from repro.sfa.batch import TransitionTable, _lockstep_search, discharge_group
+from repro.sfa.alphabet import AlphabetError, AlphabetMemo, build_alphabets, collect_literals
+from repro.sfa.batch import TransitionTable, decide, discharge_group, walk
 from repro.sfa.derivatives import CompilationError
-from repro.sfa.inclusion import InclusionChecker
+from repro.sfa.inclusion import InclusionChecker, InclusionStats
 from repro.smt.solver import SolverError
 from repro.evaluation.runner import run_evaluation
 from repro.engine.obligations import Obligation
@@ -69,16 +70,24 @@ def _make_obligation(hypotheses, lhs, rhs, index) -> Obligation:
     )
 
 
+def _key(memo, hypotheses, pair, registry):
+    """The alphabet-memo key the engine would group this pair under."""
+    return memo.key_of(
+        hypotheses, collect_literals(list(pair), registry), max_literals=None, filter_unsat=True
+    )
+
+
 # ---------------------------------------------------------------------------
-# Table-level differential: the lockstep walk IS the lazy walk
+# Table-level differential: the table walk IS the lazy walk
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_lockstep_search_matches_lazy_walk_exactly(seed):
-    """Per member, the shared-table BFS must replicate ``lazy_inclusion_search``
-    step for step: same witness indices, same explored count — and witnesses
-    must replay genuinely on the compiled DFAs."""
+    """Per member, the BFS over a shared table must replicate
+    ``lazy_inclusion_search`` step for step: same witness indices, same
+    explored count — and witnesses must replay genuinely on the compiled
+    DFAs."""
     rng = random.Random(515_151 + seed)
     registry = _random_registry(rng)
     base_lhs = _random_sfa(rng, registry)
@@ -91,12 +100,11 @@ def test_lockstep_search_matches_lazy_walk_exactly(seed):
         pytest.skip("alphabet construction exceeds the default budget")
     for alphabet in alphabets:
         table = TransitionTable(alphabet)
-        walks = _lockstep_search(table, members)
-        for (lhs, rhs), walk in zip(members, walks):
+        for lhs, rhs in members:
+            found = walk(table, lhs, rhs)
             witness, explored = lazy_inclusion_search(lhs, rhs, alphabet)
-            assert walk.witness == witness
-            assert walk.explored == explored
-            assert walk.error is None
+            assert found.witness == witness
+            assert found.explored == explored
             if witness is not None:
                 lhs_dfa = compile_dfa(lhs, alphabet)
                 rhs_dfa = compile_dfa(rhs, alphabet)
@@ -105,7 +113,7 @@ def test_lockstep_search_matches_lazy_walk_exactly(seed):
 
 
 def test_lockstep_budget_error_matches_lazy_message():
-    """A member that trips ``max_pairs`` reports the exact lazy error."""
+    """A walk that trips ``max_pairs`` raises the exact lazy error."""
     for seed in range(50):
         rng = random.Random(313 + seed)
         registry = _random_registry(rng)
@@ -122,11 +130,10 @@ def test_lockstep_budget_error_matches_lazy_message():
                 continue  # the bounded walk would finish before the budget
             with pytest.raises(CompilationError) as excinfo:
                 lazy_inclusion_search(lhs, rhs, alphabet, max_pairs=1)
-            table = TransitionTable(alphabet)
-            walk = _lockstep_search(table, [(lhs, rhs)], max_pairs=1)[0]
-            assert walk.error is not None
-            assert str(walk.error) == str(excinfo.value)
-            assert str(walk.error) == "lazy product walk exceeded 1 pairs"
+            with pytest.raises(CompilationError) as walk_error:
+                walk(TransitionTable(alphabet), lhs, rhs, max_pairs=1)
+            assert str(walk_error.value) == str(excinfo.value)
+            assert str(walk_error.value) == "lazy product walk exceeded 1 pairs"
             return
     pytest.fail("no seed produced a product walk beyond one pair")
 
@@ -138,8 +145,7 @@ def test_lockstep_budget_error_matches_lazy_message():
 
 def test_discharge_group_matches_lazy_checker_on_random_groups():
     """>=100 random groups: every member's verdict, trace, error and
-    deterministic counters equal an independent lazy check; every clean
-    multi-member group executes strictly fewer queries than it bills."""
+    deterministic counters equal an independent lazy check."""
     total_groups = 0
     multi_member_groups = 0
     counterexamples_seen = 0
@@ -156,25 +162,17 @@ def test_discharge_group_matches_lazy_checker_on_random_groups():
 
         memo = AlphabetMemo()
         candidates = _group_members(rng, base_lhs, base_rhs)
-        key = memo.key_for(hypotheses, list(candidates[0]), registry)
-        members = [
-            pair
-            for pair in candidates
-            if memo.key_for(hypotheses, list(pair), registry) == key
-        ]
+        key = _key(memo, hypotheses, candidates[0], registry)
+        members = [pair for pair in candidates if _key(memo, hypotheses, pair, registry) == key]
         obligations = [
             _make_obligation(hypotheses, lhs, rhs, i)
             for i, (lhs, rhs) in enumerate(members)
         ]
-        results, record = discharge_group(obligations, registry, memo)
+        results = discharge_group(obligations, registry, memo)
         total_groups += 1
-        assert record.members == len(members)
-        if record.members > 1:
+        assert len(results) == len(members)
+        if len(members) > 1:
             multi_member_groups += 1
-            if record.error is None:
-                # the coalescing claim, per group: one construction executed,
-                # the recorded bill replayed into every member
-                assert record.queries_executed < record.queries_billed
 
         for (lhs, rhs), result in zip(members, results):
             oracle = InclusionChecker(smt.Solver(), registry)
@@ -213,9 +211,7 @@ def test_discharge_group_construction_failure_reports_every_member():
         registry = _random_registry(rng)
         lhs = _random_sfa(rng, registry)
         rhs = _random_sfa(rng, registry)
-        oracle = InclusionChecker(
-            smt.Solver(), registry, max_literals=0, strategy="exhaustive"
-        )
+        oracle = InclusionChecker(smt.Solver(), registry, max_literals=0)
         try:
             oracle.check_detailed([], lhs, rhs)
             continue  # no qualifier literals: a zero budget suffices
@@ -223,11 +219,7 @@ def test_discharge_group_construction_failure_reports_every_member():
             expected_message = str(exc)
         memo = AlphabetMemo()
         obligations = [_make_obligation([], lhs, rhs, i) for i in range(3)]
-        results, record = discharge_group(
-            obligations, registry, memo, max_literals=0, strategy="exhaustive"
-        )
-        assert record.error == expected_message
-        assert record.queries_executed == 0
+        results = discharge_group(obligations, registry, memo, max_literals=0)
         for result in results:
             assert not result["included"]
             assert result["error"] == expected_message
@@ -244,8 +236,7 @@ def test_discharge_group_construction_failure_reports_every_member():
 def test_fast_corpus_batch_equals_lazy(backend, monkeypatch):
     """Every obligation the grouped discharge decides on the fast corpus —
     positive methods and negative variants — equals the formula-pair
-    oracle's answer: verdict, witness trace and #Prod; and every clean
-    multi-member group executes strictly fewer queries than it bills."""
+    oracle's answer: verdict, witness trace and #Prod."""
     config = CheckerConfig(backend=backend, workers=1)
     discharged = 0
     for bench in all_benchmarks(include_slow=False):
@@ -264,31 +255,59 @@ def test_fast_corpus_batch_equals_lazy(backend, monkeypatch):
             )
             assert result["inclusion"]["prod_states"] == oracle.prod_states
         discharged += len(captured)
-        records = report.batch_group_records()
-        assert sum(record["members"] for record in records) == len(captured)
-        for record in records:
-            if record["members"] > 1 and not record["error"]:
-                assert record["queries_executed"] < record["queries_billed"]
     assert discharged >= 60
 
 
 # ---------------------------------------------------------------------------
-# Memo keys crossing the pool boundary must stay plain data
+# Sequential group walk: one member's failure never touches another's answer
 # ---------------------------------------------------------------------------
 
 
-def test_group_payload_memo_keys_are_picklable():
-    """Worker results carry built memo keys back to the parent as hints; the
-    keys must survive the pool boundary (plain ints/strings/bools only)."""
-    rng = random.Random(12)
-    registry = _random_registry(rng)
-    lhs = _random_sfa(rng, registry)
-    rhs = _random_sfa(rng, registry)
-    memo = AlphabetMemo()
-    before = len(memo.session_built_keys)
-    discharge_group([_make_obligation([], lhs, rhs, 0)], registry, memo)
-    built = memo.session_built_keys[before:]
-    assert built, "a cold group must record its construction key"
-    restored = pickle.loads(pickle.dumps(built))
-    assert restored == built
-    assert all(key in memo for key in built)
+def _solo(hypotheses, lhs, rhs, registry, *, max_pairs):
+    """What deciding one obligation alone reports: a fresh table per case."""
+    alphabets = build_alphabets(smt.Solver(), hypotheses, [lhs, rhs], registry)
+    stats = InclusionStats()
+    for alphabet in alphabets:
+        try:
+            counterexample = decide(
+                TransitionTable(alphabet), lhs, rhs, stats, max_pairs=max_pairs
+            )
+        except CompilationError as exc:
+            return (False, None, str(exc)), stats
+        if counterexample is not None:
+            return (False, counterexample, None), stats
+    return (True, None, None), stats
+
+
+def test_member_over_budget_leaves_later_members_untouched():
+    """A group whose first member exceeds ``max_pairs=1``: every later member
+    equals its solo ``decide`` on verdict, witness, #Prod (``explored``) and
+    the automaton states the walk reached (``total_transitions``)."""
+    for seed in range(200):
+        rng = random.Random(919_191 + seed)
+        registry = _random_registry(rng)
+        base_lhs = _random_sfa(rng, registry)
+        base_rhs = _random_sfa(rng, registry)
+        memo = AlphabetMemo()
+        candidates = _group_members(rng, base_lhs, base_rhs)
+        key = _key(memo, [], candidates[0], registry)
+        members = [pair for pair in candidates if _key(memo, [], pair, registry) == key]
+        if len(members) < 2:
+            continue
+        try:
+            solos = [_solo([], lhs, rhs, registry, max_pairs=1) for lhs, rhs in members]
+        except (AlphabetError, SolverError):
+            continue
+        first_error = solos[0][0][2]
+        if first_error is None or all(outcome[2] for outcome, _ in solos[1:]):
+            continue  # need an over-budget first member and a later clean one
+        obligations = [_make_obligation([], lhs, rhs, i) for i, (lhs, rhs) in enumerate(members)]
+        results = discharge_group(obligations, registry, memo, max_pairs=1)
+        assert results[0]["error"] == first_error == "lazy product walk exceeded 1 pairs"
+        for result, (outcome, stats) in zip(results, solos):
+            assert (result["included"], result["counterexample"], result["error"]) == outcome
+            assert result["inclusion"]["prod_states"] == stats.prod_states
+            assert result["inclusion"]["total_transitions"] == stats.total_transitions
+            assert result["inclusion"]["fa_inclusion_checks"] == stats.fa_inclusion_checks
+        return
+    pytest.fail("no seed produced an over-budget first member with a clean sibling")

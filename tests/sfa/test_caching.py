@@ -1,10 +1,6 @@
-"""Cache-behaviour tests for the inclusion pipeline's cache layers.
-
-1. the :class:`InclusionChecker` result cache (``_cache``),
-2. the solver's content-addressed query / enumeration caches
-   (``SolverStats.cache_hits`` / ``cache_misses``),
-
-plus round-tripping of the counters through ``merge`` / ``snapshot``.
+"""Cache-behaviour tests for the solver's content-addressed query and
+enumeration caches (``SolverStats.cache_hits`` / ``cache_misses``), plus
+round-tripping of the counters through ``merge`` / ``snapshot``.
 """
 
 from repro import smt
@@ -25,21 +21,6 @@ def _obligation(set_ops):
     effect = S.and_(S.event_pinned(insert, {"x": x}), S.last())
     lhs = S.concat(fresh, effect)
     return lhs, invariant
-
-
-def test_repeated_check_detailed_hits_result_cache(set_ops):
-    lhs, invariant = _obligation(set_ops)
-    checker = InclusionChecker(smt.Solver(), set_ops)
-
-    first = checker.check_detailed([], lhs, invariant)
-    assert checker.cache_hits == 0
-    queries_after_first = checker.solver.stats.queries
-
-    second = checker.check_detailed([], lhs, invariant)
-    assert checker.cache_hits == 1
-    assert second is first  # the cached result object itself
-    # a result-cache hit does no solver work at all
-    assert checker.solver.stats.queries == queries_after_first
 
 
 def test_smt_query_cache_reports_hits():

@@ -1,7 +1,8 @@
 """Differential tests: guided vs exhaustive minterm enumeration.
 
-The solver-guided (AllSAT/blocking-clause) enumeration strategy must be
-observationally identical to the original per-candidate exhaustive walk:
+The solver-guided (AllSAT/blocking-clause) enumeration must be
+observationally identical to the original per-candidate exhaustive walk
+(``oracles.exhaustive_enumerate_alphabets``):
 
 * :func:`build_alphabets` yields the same context cases and the same minterms
   per operator, in the same order;
@@ -21,10 +22,12 @@ import pytest
 from repro import smt
 from repro.smt import sorts
 from repro.sfa import symbolic as S
-from repro.sfa.alphabet import build_alphabets
+from repro.sfa.alphabet import build_alphabets, collect_literals
 from repro.sfa.inclusion import InclusionChecker
 from repro.sfa.signatures import OperatorRegistry
 from repro.suite.registry import all_benchmarks
+
+from oracles import exhaustive_enumerate_alphabets, use_exhaustive_enumeration
 
 # ---------------------------------------------------------------------------
 # Random-case generators (plain `random`, deterministic seeds)
@@ -122,22 +125,19 @@ def _random_sfa(rng: random.Random, registry, depth: int = 3) -> S.Sfa:
 # ---------------------------------------------------------------------------
 
 
-def _build(strategy: str, registry, hypotheses, formulas):
-    solver = smt.Solver()
-    return build_alphabets(solver, hypotheses, formulas, registry, strategy=strategy)
-
-
 @pytest.mark.parametrize("seed", range(250))
 def test_random_literal_sets_agree(seed):
     rng = random.Random(1_000_003 * (seed + 1))
     registry, hypotheses, formula = _random_literal_case(rng)
-    guided = _build("guided", registry, hypotheses, [formula])
-    exhaustive = _build("exhaustive", registry, hypotheses, [formula])
+    guided = build_alphabets(smt.Solver(), hypotheses, [formula], registry)
+    exhaustive = exhaustive_enumerate_alphabets(
+        smt.Solver(), hypotheses, collect_literals([formula], registry), registry
+    )
     assert guided == exhaustive
 
 
 @pytest.mark.parametrize("seed", range(60))
-def test_random_inclusions_agree(seed):
+def test_random_inclusions_agree(seed, monkeypatch):
     rng = random.Random(7_777_777 + seed)
     registry = _random_registry(rng)
     lhs = _random_sfa(rng, registry)
@@ -148,12 +148,11 @@ def test_random_inclusions_agree(seed):
         if not (hypothesis.is_true or hypothesis.is_false):
             hypotheses.append(hypothesis)
 
-    results = {}
-    for strategy in ("guided", "exhaustive"):
-        checker = InclusionChecker(smt.Solver(), registry, strategy=strategy)
-        results[strategy] = checker.check_detailed(hypotheses, lhs, rhs)
-    assert results["guided"].included == results["exhaustive"].included
-    assert results["guided"].counterexample == results["exhaustive"].counterexample
+    guided = InclusionChecker(smt.Solver(), registry).check_detailed(hypotheses, lhs, rhs)
+    use_exhaustive_enumeration(monkeypatch)
+    exhaustive = InclusionChecker(smt.Solver(), registry).check_detailed(hypotheses, lhs, rhs)
+    assert guided.included == exhaustive.included
+    assert guided.counterexample == exhaustive.counterexample
 
 
 # ---------------------------------------------------------------------------
@@ -167,19 +166,22 @@ def test_random_inclusions_agree(seed):
 def test_suite_alphabets_agree(key):
     bench = next(b for b in all_benchmarks(include_slow=False) if b.key == key)
 
-    def build(strategy):
-        solver = smt.Solver(axioms=list(bench.library.axioms))
-        return build_alphabets(
-            solver,
-            [smt.TRUE],
-            [bench.invariant],
-            bench.library.operators,
-            max_literals=max(24, bench.max_literals),
-            strategy=strategy,
-        )
-
-    guided = build("guided")
-    exhaustive = build("exhaustive")
+    operators = bench.library.operators
+    max_literals = max(24, bench.max_literals)
+    guided = build_alphabets(
+        smt.Solver(axioms=list(bench.library.axioms)),
+        [smt.TRUE],
+        [bench.invariant],
+        operators,
+        max_literals=max_literals,
+    )
+    exhaustive = exhaustive_enumerate_alphabets(
+        smt.Solver(axioms=list(bench.library.axioms)),
+        [smt.TRUE],
+        collect_literals([bench.invariant], operators),
+        operators,
+        max_literals=max_literals,
+    )
     assert guided == exhaustive
     # same context cases, same minterms per operator
     for alphabet_g, alphabet_e in zip(guided, exhaustive):
@@ -190,16 +192,15 @@ def test_suite_alphabets_agree(key):
 @pytest.mark.parametrize(
     "key", [bench.key for bench in all_benchmarks(include_slow=False)]
 )
-def test_suite_verification_agrees(key):
+def test_suite_verification_agrees(key, monkeypatch):
     from repro.typecheck.checker import CheckerConfig
 
     bench = next(b for b in all_benchmarks(include_slow=False) if b.key == key)
-    outcomes = {}
-    for strategy in ("guided", "exhaustive"):
-        checker = bench.make_checker(CheckerConfig(enumeration_strategy=strategy))
-        stats = bench.verify_all(checker)
-        outcomes[strategy] = [
-            (result.method, result.verified, result.error)
-            for result in stats.method_results
-        ]
-    assert outcomes["guided"] == outcomes["exhaustive"]
+
+    def outcomes():
+        stats = bench.verify_all(bench.make_checker(CheckerConfig()))
+        return [(result.method, result.verified, result.error) for result in stats.method_results]
+
+    guided = outcomes()
+    use_exhaustive_enumeration(monkeypatch)
+    assert outcomes() == guided

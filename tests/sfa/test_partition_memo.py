@@ -1,11 +1,9 @@
-"""The cross-obligation reuse layers: alphabet memo and derivative cache.
+"""The cross-obligation reuse layer: the alphabet memo.
 
 The :class:`~repro.sfa.alphabet.AlphabetMemo` must (a) actually share minterm
 enumerations between distinct formulas with the same literal sets, (b) replay
 the recorded counter bill on a hit so a hit and a rebuild are
-indistinguishable in every statistic, and (c) stay bounded.  The
-:class:`~repro.sfa.derivatives.DerivativeCache` is pure reuse: identical
-verdicts and witnesses with or without it, hits across searches, bounded.
+indistinguishable in every statistic, and (c) stay bounded.
 """
 
 import pytest
@@ -16,8 +14,6 @@ from repro.smt.sorts import ELEM
 from repro.libraries.setlib import make_set
 from repro.sfa import symbolic as S
 from repro.sfa.alphabet import AlphabetMemo, AlphabetStats, collect_literals
-from repro.sfa.batch import decide
-from repro.sfa.derivatives import DerivativeCache
 from repro.sfa.inclusion import InclusionChecker
 
 
@@ -123,103 +119,6 @@ def test_checker_threads_memo_counters_into_stats(setlib):
     checker.check([], c, d)
     assert checker.stats.alphabet_builds == 1
     assert checker.stats.alphabet_memo_hits == 1
-
-
-# ---------------------------------------------------------------------------
-# Derivative cache
-# ---------------------------------------------------------------------------
-
-
-def _search(lhs, rhs, alphabet, *, cache=None):
-    """The production walk's ``(witness, #pairs explored)`` over one alphabet."""
-    walk = decide(lhs, rhs, alphabet, cache=cache)
-    return walk.witness, walk.explored
-
-
-def _alphabet_for(setlib, lhs, rhs):
-    from repro.sfa.alphabet import build_alphabets
-
-    alphabets = build_alphabets(smt.Solver(), [], [lhs, rhs], setlib.operators)
-    assert alphabets
-    return alphabets[0]
-
-
-def _uniqueness_pairs(setlib):
-    """Obligation-shaped searches that genuinely walk the product.
-
-    Mirrors the Set uniqueness invariant: a fresh insert preserves it (the
-    included direction explores), a non-fresh insert violates it (the witness
-    direction explores before finding the counterexample).  Both sides share
-    the invariant, which is exactly the cross-search reuse the cache targets.
-    """
-    insert = setlib.operators["insert"]
-    x = smt.var("pm_x", ELEM)
-    el = smt.var("pm_el", ELEM)
-    ev = S.event_pinned(insert, {"x": x})
-    ev_el = S.event_pinned(insert, {"x": el})
-    invariant = S.globally(S.implies(ev_el, S.next_(S.not_(S.eventually(ev_el)))))
-    fresh = S.and_(invariant, S.not_(S.eventually(ev)))
-    good = S.concat(fresh, S.and_(ev, S.last()))
-    bad = S.concat(invariant, S.and_(ev, S.last()))
-    return invariant, good, bad
-
-
-def test_derivative_cache_agrees_with_uncached_search(setlib):
-    invariant, good, bad = _uniqueness_pairs(setlib)
-    cache = DerivativeCache()
-    for lhs, rhs in ((good, invariant), (bad, invariant), (invariant, good)):
-        alphabet = _alphabet_for(setlib, lhs, rhs)
-        plain = _search(lhs, rhs, alphabet)
-        cached = _search(lhs, rhs, alphabet, cache=cache)
-        assert cached == plain  # witness AND explored-pair count
-
-
-def test_derivative_cache_hits_across_searches(setlib):
-    invariant, good, bad = _uniqueness_pairs(setlib)
-    cache = DerivativeCache()
-    alphabet = _alphabet_for(setlib, good, invariant)
-    _search(good, invariant, alphabet, cache=cache)
-    assert cache.misses > 0 and cache.hits == 0
-    misses_after_first = cache.misses
-    # a different obligation over the same alphabet shares the invariant
-    # side (and every converged derivative): its steps replay from the cache
-    _search(bad, invariant, alphabet, cache=cache)
-    assert cache.hits > 0
-    assert cache.misses >= misses_after_first  # fresh sides still miss
-
-
-def test_derivative_cache_cap_and_eviction_counter(setlib):
-    invariant, good, _ = _uniqueness_pairs(setlib)
-    cache = DerivativeCache(max_entries=4)
-    alphabet = _alphabet_for(setlib, good, invariant)
-    _search(good, invariant, alphabet, cache=cache)
-    assert cache.evictions >= 1
-    assert len(cache) <= 4
-
-
-def test_derivative_cache_interning_tables_are_bounded(setlib):
-    """The interning side tables are capped too, and a wipe can never make a
-    stale id alias a fresh one (ids are monotonic across evictions)."""
-    invariant, good, bad = _uniqueness_pairs(setlib)
-    cache = DerivativeCache(max_interned=1)
-    alphabet = _alphabet_for(setlib, good, invariant)
-    first_ids = cache.keys_for(alphabet)
-    assert cache.keys_for(alphabet) == first_ids  # cached while resident
-
-    insert = setlib.operators["insert"]
-    z = smt.var("pm_intern_z", ELEM)
-    ev_z = S.event_pinned(insert, {"x": z})
-    other = _alphabet_for(setlib, S.eventually(ev_z), S.globally(ev_z))
-    assert other.fingerprint() != alphabet.fingerprint()
-    cache.keys_for(other)  # crosses the cap: tables wiped, eviction counted
-    assert cache.evictions >= 1
-    assert len(cache._alphabet_keys) <= 1
-
-    reinterned = cache.keys_for(alphabet)
-    assert reinterned != first_ids, "wiped ids must never be reissued"
-    # correctness across the wipe: searches still agree with the uncached walk
-    cached = _search(good, invariant, alphabet, cache=cache)
-    assert cached == _search(good, invariant, alphabet)
 
 
 def test_solver_cache_eviction_counter():

@@ -112,51 +112,3 @@ def test_stats_are_recorded():
     solver.is_valid(smt.TRUE)
     assert solver.stats.queries == before + 2
     assert solver.stats.time_seconds >= 0.0
-
-
-def test_cache_keys_include_backend():
-    """Regression: cache keys once ignored the backend, so a warm view from a
-    dpll solver would answer a cdcl solver's queries — silently replaying the
-    other core's counters.  Identical queries must hit within one backend and
-    miss across backends."""
-    phi = smt.or_(smt.apply(isDir, v), smt.lt(x, y))
-    base = Solver(backend="dpll")
-    assert base.is_satisfiable(phi)
-    assert base.stats.cache_misses == 1
-
-    same_backend = Solver(backend="dpll", warm_from=base)
-    assert same_backend.is_satisfiable(phi)
-    assert same_backend.stats.cache_hits == 1
-    assert same_backend.stats.cache_misses == 0
-
-    cross_backend = Solver(backend="cdcl", warm_from=base)
-    assert cross_backend.is_satisfiable(phi)
-    assert cross_backend.stats.cache_hits == 0
-    assert cross_backend.stats.cache_misses == 1
-
-    # enumeration caches are keyed the same way
-    literals = [smt.apply(isDir, v), smt.apply(isDel, v)]
-    base.enumerate_models(literals, base=phi)
-    warm_enum = Solver(backend="dpll", warm_from=base)
-    warm_enum.enumerate_models(literals, base=phi)
-    assert warm_enum.stats.cache_hits == 1
-    cross_enum = Solver(backend="cdcl", warm_from=base)
-    cross_enum.enumerate_models(literals, base=phi)
-    assert cross_enum.stats.cache_hits == 0
-
-
-def test_warm_from_does_not_share_lemmas_across_backends():
-    """Theory lemmas are sound for any backend, but the remembered set
-    depends on the base backend's search history; cross-backend warm views
-    must not couple one core's #SAT trajectory to another's."""
-    contradictory = smt.and_(smt.eq(x, y), smt.lt(x, y))
-    base = Solver(backend="dpll")
-    assert not base.is_satisfiable(contradictory)
-    assert base._theory_lemmas, "an arith conflict must be remembered as a lemma"
-
-    same = Solver(backend="dpll", warm_from=base)
-    cross = Solver(backend="cdcl", warm_from=base)
-    assert dict(same._base_theory_lemmas) == dict(base._theory_lemmas)
-    assert dict(cross._base_theory_lemmas) == {}
-    # and the cross-backend solver still reaches the right verdict on its own
-    assert not cross.is_satisfiable(contradictory)

@@ -68,14 +68,13 @@ def test_obligation_digest_ignores_hypothesis_order_and_provenance():
 
 def test_environment_fingerprint_separates_configurations():
     bench = all_benchmarks(include_slow=False)[0]
-    base = dict(strategy="guided", backend="dpll")
+    base = dict(backend="dpll")
     fp = environment_fingerprint(bench.library.operators, bench.library.axioms, **base)
     assert fp == environment_fingerprint(
         bench.library.operators, bench.library.axioms, **base
     )
     for change in (
         {"backend": "cdcl"},
-        {"strategy": "exhaustive"},
         {"filter_unsat_minterms": False},
         {"max_literals": 99},
     ):

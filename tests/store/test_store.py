@@ -11,7 +11,6 @@ from repro.engine import scheduler
 from repro.engine.obligations import ObligationSet
 from repro.engine.scheduler import ObligationEngine
 from repro.sfa import symbolic
-from repro.sfa.batch import GroupRecord
 from repro.store.fingerprint import obligation_digest
 from repro.store.obligation_store import (
     SCHEMA_VERSION,
@@ -138,7 +137,7 @@ def test_resource_limit_errors_are_never_persisted(store_path, monkeypatch):
             "inclusion": {},
             "solver": {},
         }
-        return [dict(result) for _ in obligations], GroupRecord(members=len(obligations))
+        return [dict(result) for _ in obligations]
 
     monkeypatch.setattr(scheduler, "discharge_group", exploding_discharge)
     engine = ObligationEngine(library.operators, store=store)
