@@ -600,11 +600,12 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
         print(f"    {counter}: {value}")
     ops = stats.get("ops", {})
     if ops:
-        print("  per-op (count / replays / seconds):")
+        print("  per-op (count / replays / seconds / waited):")
         for op, record in sorted(ops.items()):
             print(
                 f"    {op:>14}: {record.get('count', 0):>6} / "
-                f"{record.get('replays', 0):>4} / {record.get('seconds', 0.0):.3f}s"
+                f"{record.get('replays', 0):>4} / {record.get('seconds', 0.0):.3f}s / "
+                f"{record.get('waited', 0.0):.3f}s"
             )
     return 0
 
@@ -620,8 +621,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             config=config,
             batch=args.batch,
             ttl=args.ttl,
-            poll=args.poll,
-            idle_exit=args.idle_exit,
+            idle_timeout=args.idle_timeout,
             max_batches=args.max_batches,
             worker_id=args.worker_id,
         )
@@ -767,12 +767,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="lease deadline; extended between benchmarks (default: 30)",
     )
     worker.add_argument(
-        "--poll", type=float, default=0.5, metavar="SEC",
-        help="sleep between empty leases (default: 0.5)",
-    )
-    worker.add_argument(
-        "--idle-exit", type=int, default=3, metavar="N",
-        help="exit after N consecutive empty leases (default: 3)",
+        "--idle-timeout", type=float, default=1.0, metavar="SEC",
+        help="exit after SEC seconds with nothing leased; the worker also "
+        "exits as soon as the queue drains (default: 1.0)",
     )
     worker.add_argument(
         "--max-batches", type=int, default=None, metavar="N",

@@ -10,15 +10,18 @@ statically by fingerprint hash:
    else the syntactic estimate) and vacuously skipped.  The misses are
    enqueued on the server tagged with a fresh dispatch id; pulling workers
    lease them highest-cost-first and write verdicts back through the store.
-2. **Drain + warm report** — poll the queue until this dispatch's items are
-   gone, then re-run the evaluation warm: every obligation answers from the
-   store, and the tables come out byte-identical to a serial cold run
-   (the ``--shards`` determinism argument, now across machines).
+2. **Drain + warm report** — wait on the queue until this dispatch's items
+   are gone (``queue_status`` with a ``wait``: the server answers the moment
+   the last item completes, so the drain costs no sleep quantum), then
+   re-run the evaluation warm: every obligation answers from the store, and
+   the tables come out byte-identical to a serial cold run (the
+   ``--shards`` determinism argument, now across machines).  The workers
+   exit on the same drain, so joining them costs no idle tail either.
 
 Durability is the store's: if the coordinator dies mid-drain, a re-dispatch
 recomputes the remaining misses from the store — completed obligations are
 warm hits, never redone — and the new enqueue wave re-tags whatever is still
-pending, so the drain poll converges on exactly the outstanding work.
+pending, so the drain wait converges on exactly the outstanding work.
 
 ``local_workers=N`` forks N in-process workers for the single-box case
 (``repro dispatch --local-workers 2``); a fleet on other machines just runs
@@ -65,6 +68,39 @@ def _local_worker(store_url: str, config: CheckerConfig, batch: int, ttl: float,
         # state is already the serial prefix, no warmup replay needed
         warm_process=False,
     )
+
+
+def _await_drain(backend, dispatch_id: str, outstanding: int, processes: Sequence, *,
+                 drain_timeout: float, poll: float) -> dict:
+    """Block until ``dispatch_id`` has nothing remaining; returns that status.
+
+    Each ``queue_status`` waits server-side for up to ``poll`` seconds, so
+    ``poll`` only bounds how often ``drain_timeout`` and the liveness of the
+    local worker ``processes`` are re-checked.
+    """
+    started = time.perf_counter()
+    while True:
+        status = backend.queue_status(dispatch_id, wait=poll)
+        if status.get("remaining", 0) == 0:
+            return status
+        if time.perf_counter() - started > drain_timeout:
+            raise DispatchError(
+                f"dispatch {dispatch_id} did not drain within "
+                f"{drain_timeout:.0f}s ({status.get('remaining')} of "
+                f"{outstanding} obligations outstanding); completed "
+                "work is durable — re-dispatch to resume"
+            )
+        if processes and all(p.exitcode is not None for p in processes):
+            # workers exit on the last complete, which can land after the
+            # status above: only a fresh status tells a dead fleet apart
+            # from a drained queue
+            status = backend.queue_status(dispatch_id)
+            if status.get("remaining", 0) == 0:
+                return status
+            raise DispatchError(
+                f"all {len(processes)} local workers exited with "
+                f"{status.get('remaining')} obligations outstanding"
+            )
 
 
 def run_distributed_evaluation(
@@ -155,23 +191,11 @@ def run_distributed_evaluation(
     status: dict = {}
     try:
         with trace.span("dispatch.drain", cat="run", dispatch=dispatch_id, items=len(items)):
-            while items:
-                status = backend.queue_status(dispatch_id)
-                if status.get("remaining", 0) == 0:
-                    break
-                if time.perf_counter() - wait_started > drain_timeout:
-                    raise DispatchError(
-                        f"dispatch {dispatch_id} did not drain within "
-                        f"{drain_timeout:.0f}s ({status.get('remaining')} of "
-                        f"{len(items)} obligations outstanding); completed "
-                        "work is durable — re-dispatch to resume"
-                    )
-                if processes and all(p.exitcode is not None for p in processes):
-                    raise DispatchError(
-                        f"all {len(processes)} local workers exited with "
-                        f"{status.get('remaining')} obligations outstanding"
-                    )
-                time.sleep(poll)
+            if items:
+                status = _await_drain(
+                    backend, dispatch_id, len(items), processes,
+                    drain_timeout=drain_timeout, poll=poll,
+                )
     finally:
         for process in processes:
             process.join(timeout=max(ttl, 30.0))

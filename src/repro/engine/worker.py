@@ -3,7 +3,10 @@
 A worker is a long-lived loop against a ``repro store serve`` instance:
 
 1. **lease** a batch of queue items (cost-ordered by the server — LPT at
-   dequeue), each item a ``(env, fp, bench)`` triple;
+   dequeue), each item a ``(env, fp, bench)`` triple.  An empty queue is
+   waited on *server-side*: the ``lease`` RPC blocks until an item can be
+   granted (a fresh enqueue, or an expired lease whose items it steals),
+   or until the queue drains;
 2. **materialise** the obligations by re-running the named benchmark's emit
    walk with ``only_digests`` set — obligations are hash-consed in-memory
    objects, so only the recipe to re-emit them crosses the wire; everything
@@ -17,6 +20,11 @@ A worker is a long-lived loop against a ``repro store serve`` instance:
 4. **complete** the lease only after the verdicts are durably flushed —
    a worker killed at any earlier point merely lets its lease expire, and
    the items are re-issued to a live worker (work stealing).
+
+The worker exits as soon as the queue drains — a ``complete`` reply reports
+nothing ``queued``, or a waiting ``lease`` reports ``drained`` — or after
+``idle_timeout`` seconds with nothing leased.  A fleet disbands without a
+shutdown broadcast and without sleeping through a tail of empty polls.
 
 Determinism rides on the same invariant as ``--shards``: per-obligation
 counters are a pure function of (process walk prefix, obligation).  The
@@ -99,6 +107,8 @@ class WorkerStats(MergeableStats):
     completed: int = 0
     #: batches dropped because an ``extend`` was refused (lease stolen)
     abandoned: int = 0
+    #: empty lease replies that did not report a drain (each waited out
+    #: its share of the idle budget)
     idle_polls: int = 0
 
 
@@ -108,21 +118,22 @@ def run_worker(
     config: Optional[CheckerConfig] = None,
     batch: int = 8,
     ttl: float = 30.0,
-    poll: float = 0.5,
-    idle_exit: int = 3,
+    idle_timeout: float = 1.0,
     max_batches: Optional[int] = None,
     worker_id: Optional[str] = None,
     check_negative_variants: bool = True,
     warm_process: bool = True,
 ) -> WorkerStats:
-    """Lease, discharge and complete until the queue stays empty.
+    """Lease, discharge and complete until the queue drains.
 
-    ``idle_exit`` consecutive empty leases (``poll`` seconds apart) end the
-    loop — a fleet drains and exits without a shutdown broadcast.  The
-    worker's ``config`` must describe the same semantic environment as the
-    coordinator's (backend, literal budget...); a mismatch is not
-    an error — the verdicts land under the worker's own environment key and
-    the coordinator's phase 2 simply discharges its misses locally.
+    The loop ends when a reply says the queue drained, or when
+    ``idle_timeout`` seconds pass with nothing leased (a worker started
+    before any enqueue waits that long for work) — a fleet drains and exits
+    without a shutdown broadcast.  The worker's ``config`` must describe the
+    same semantic environment as the coordinator's (backend, literal
+    budget...); a mismatch is not an error — the verdicts land under the
+    worker's own environment key and the coordinator's phase 2 simply
+    discharges its misses locally.
 
     ``warm_process`` replays the registry walk before the first lease (see
     :func:`_warm_process_state`); pass ``False`` only for workers forked
@@ -137,30 +148,35 @@ def run_worker(
     backend.append_if_absent = True
     crash_after_lease = os.environ.get(ENV_WORKER_CRASH, "") == "lease"
     stats = WorkerStats()
-    idle = 0
     logger.info("worker %s pulling from %s (batch=%d ttl=%.1fs)", worker_id, store_url, batch, ttl)
     if warm_process:
         with trace.span("worker.warmup", cat="run", worker=worker_id):
             _warm_process_state(config, check_negative_variants)
+    idle_since = time.monotonic()
     with trace.span("worker.loop", cat="run", worker=worker_id, store=store_url):
         while True:
             if max_batches is not None and stats.leases >= max_batches:
                 break
+            idle_left = idle_since + idle_timeout - time.monotonic()
             with trace.span("queue.lease", cat="store", worker=worker_id) as lease_span:
-                grant = backend.lease(batch, ttl, worker=worker_id)
+                # ``held`` once this worker has done work: an empty queue
+                # then means the fleet drained it, so the reply comes at once
+                grant = backend.lease(
+                    batch, ttl, worker=worker_id, wait=max(0.0, idle_left),
+                    held=stats.leases > 0,
+                )
                 lease_id = grant.get("lease")
                 items = grant.get("items", [])
                 lease_span.set(
                     lease=lease_id, items=len(items), reclaimed=grant.get("reclaimed", 0)
                 )
             if not lease_id:
-                idle += 1
-                stats.idle_polls += 1
-                if idle >= idle_exit:
+                if grant.get("drained"):
                     break
-                time.sleep(poll)
+                stats.idle_polls += 1
+                if time.monotonic() - idle_since >= idle_timeout:
+                    break
                 continue
-            idle = 0
             stats.leases += 1
             stats.items += len(items)
             if crash_after_lease:  # pragma: no cover - exits the process
@@ -201,6 +217,7 @@ def run_worker(
                     store=store,
                 )
                 stats.benchmarks_run += 1
+            idle_since = time.monotonic()
             if abandoned:
                 continue
             # durability before acknowledgement: flush the verdicts, then
@@ -209,6 +226,8 @@ def run_worker(
             store.flush()
             done = backend.complete(lease_id, [f"{item['env']}:{item['fp']}" for item in items])
             stats.completed += done.get("completed", 0)
+            if done.get("queued") == 0:
+                break
     store.flush()
     store.commit_run()
     backend.close()

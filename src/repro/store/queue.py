@@ -238,6 +238,14 @@ class WorkQueue:
         return True
 
     # -- introspection ------------------------------------------------------------
+    def next_deadline(self) -> Optional[float]:
+        """The earliest live lease's deadline (``None`` when nothing is leased).
+
+        Once ``now`` passes it, :meth:`lease` reclaims that lease's items —
+        the moment a worker waiting for work should look again.
+        """
+        return min((lease.deadline for lease in self._leases.values()), default=None)
+
     def status(self, dispatch: Optional[str] = None, *, now: Optional[float] = None) -> dict:
         """Pending/leased/remaining counts, optionally for one dispatch tag.
 

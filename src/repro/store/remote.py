@@ -19,6 +19,9 @@ Reliability model:
   failed call; a fork is detected by pid and the inherited socket is
   abandoned, so parent and child never interleave bytes on one connection),
   with a socket timeout per request (``REPRO_STORE_RPC_TIMEOUT``, seconds);
+  the long-poll ops (``lease`` and ``queue_status`` with a ``wait``) clamp
+  their server-side wait to half of it, so a wait never reads as a dead
+  server;
 * connection errors and 5xx responses are retried with bounded exponential
   backoff (``REPRO_STORE_RPC_RETRIES`` attempts starting at
   ``REPRO_STORE_RPC_BACKOFF`` seconds, doubling, capped at 2 s);
@@ -362,17 +365,36 @@ class RemoteStoreBackend:
             idempotent=True,
         )
 
-    def lease(self, count: int, ttl: float, *, worker: str = "") -> dict:
+    def _long_poll(self, wait: float) -> float:
+        """Clamp a server-side ``wait`` to half the socket timeout, so a
+        long-poll always answers before the client gives up and retries."""
+        return max(0.0, min(float(wait), self.timeout / 2))
+
+    def lease(
+        self, count: int, ttl: float, *, worker: str = "", wait: float = 0.0,
+        held: bool = False,
+    ) -> dict:
         """Claim up to ``count`` pending items under a ``ttl``-second lease.
 
         Returns the server's response: ``lease`` (id or None), ``items``
-        (cost-ordered records), ``reclaimed`` and ``queued``.  Leasing is
-        idempotent on retry: the replay cache returns the original grant, so
-        a lost response cannot strand items under a phantom lease.
+        (cost-ordered records), ``reclaimed``, ``queued`` and ``drained``.
+        With ``wait`` > 0 an empty queue is waited on server-side (clamped,
+        see :meth:`_long_poll`) until an item can be granted, the queue
+        drains, or ``wait`` elapses.  ``held`` says the caller has already
+        seen the queue hold items, so an empty queue answers ``drained`` at
+        once.  Leasing is idempotent on retry: the replay cache returns the
+        original grant, so a lost response cannot strand items under a
+        phantom lease.
         """
         return self._call(
             "lease",
-            {"count": count, "ttl": ttl, "worker": worker},
+            {
+                "count": count,
+                "ttl": ttl,
+                "worker": worker,
+                "wait": self._long_poll(wait),
+                "held": held,
+            },
             idempotent=True,
         )
 
@@ -391,8 +413,12 @@ class RemoteStoreBackend:
         )
         return bool(data.get("ok"))
 
-    def queue_status(self, dispatch: Optional[str] = None) -> dict:
-        return self._call("queue_status", {"dispatch": dispatch})
+    def queue_status(self, dispatch: Optional[str] = None, *, wait: float = 0.0) -> dict:
+        """Pending/leased/remaining counts; with ``wait`` > 0 the server
+        answers as soon as nothing remains, else after ``wait`` (clamped)."""
+        return self._call(
+            "queue_status", {"dispatch": dispatch, "wait": self._long_poll(wait)}
+        )
 
     def stats(self) -> dict:
         """The server's per-op counters, lookup hit-rate and queue state."""

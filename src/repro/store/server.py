@@ -31,11 +31,24 @@ Design notes:
   ``queue_status``).  The queue is in-memory only — durability lives in the
   store itself: a coordinator re-dispatch recomputes the remaining work from
   the store, so completed obligations are never redone after a crash.
-* All operations serialise on one lock.  HTTP handling itself is threaded
-  (:class:`ThreadingHTTPServer`), so slow clients never block the accept
-  loop, only the store critical section is serial.  Responses advertise
-  HTTP/1.1 keep-alive, so a pulling worker's thousands of small queue RPCs
-  reuse one TCP connection instead of paying a connect each.
+* Completion is event-driven, not polled.  ``lease`` and ``queue_status``
+  take a ``wait`` in seconds and block server-side on the op condition
+  until their answer changes: a waiting ``lease`` returns as soon as an item
+  can be granted (after an ``enqueue``, or when the earliest live lease's
+  deadline passes and its items become stealable), or with ``drained:
+  true`` once a queue it saw holding items is empty; a waiting
+  ``queue_status`` returns as soon as its dispatch has nothing remaining.
+  ``enqueue`` and ``complete`` wake the waiters.  Wait deadlines run on
+  ``time.monotonic()``, never on the swappable :attr:`queue_clock`, so a
+  hand-cranked test clock can never hang a wait.  Time spent blocked is
+  reported per op as ``waited``, apart from the op's own ``seconds``.
+* All operations serialise on one lock (the condition's, deliberately
+  non-reentrant; a waiting op releases it while blocked).  HTTP handling
+  itself is threaded (:class:`ThreadingHTTPServer`), so slow clients and
+  long-polls never block the accept loop, only the store critical section
+  is serial.  Responses advertise HTTP/1.1 keep-alive, so a pulling
+  worker's small queue RPCs reuse one TCP connection instead of paying a
+  connect each.
 
 ``REPRO_STORE_SERVE_CRASH`` is a fault-injection hook for the crash-recovery
 suite: set to ``"<op>:before"`` or ``"<op>:after"`` it hard-kills the server
@@ -77,6 +90,14 @@ class UnknownOperation(Exception):
     """The request path names no protocol operation."""
 
 
+def _wait_of(payload: dict) -> float:
+    """The seconds a long-poll op may block (absent = 0, answer at once)."""
+    wait = payload.get("wait", 0)
+    if isinstance(wait, bool) or not isinstance(wait, (int, float)):
+        raise ValueError("'wait' must be a number of seconds")
+    return max(0.0, float(wait))
+
+
 class StoreService:
     """Owns the wrapped backend, the in-memory state and the op lock."""
 
@@ -87,7 +108,12 @@ class StoreService:
                 f"cannot serve {str(path)!r}: it is itself a remote store "
                 "URL; serve the local store the server should wrap"
             )
-        self._lock = threading.Lock()
+        #: the op lock, as a condition so long-polls can wait on it; plain
+        #: ``Lock`` underneath because every op takes it and nothing re-enters
+        self._lock = threading.Condition(threading.Lock())
+        #: per handler thread: seconds the current op spent blocked on the
+        #: condition, kept out of its ``seconds`` in the op stats
+        self._blocked = threading.local()
         state = self.backend.load(wipe_mismatch=True)
         self._entries = state.entries
         self._runs = state.runs
@@ -128,15 +154,28 @@ class StoreService:
             self._seen.move_to_end(client)
         return bucket
 
-    def _note_op(self, op: str, seconds: float, *, replayed: bool = False) -> None:
+    def _note_op(
+        self, op: str, seconds: float, *, waited: float = 0.0, replayed: bool = False
+    ) -> None:
         record = self._op_stats.setdefault(
-            op, {"count": 0, "seconds": 0.0, "replays": 0}
+            op, {"count": 0, "seconds": 0.0, "waited": 0.0, "replays": 0}
         )
         if replayed:
             record["replays"] += 1
         else:
             record["count"] += 1
             record["seconds"] += seconds
+            record["waited"] += waited
+
+    def _block(self, timeout: float) -> None:
+        """Wait on the op condition for at most ``timeout`` seconds.
+
+        The op lock is released while blocked, so other ops (the
+        ``enqueue``/``complete`` that end the wait among them) proceed.
+        """
+        started = time.perf_counter()
+        self._lock.wait(timeout)
+        self._blocked.seconds += time.perf_counter() - started
 
     def execute(self, op: str, payload: dict) -> dict:
         handler = getattr(self, f"op_{op}", None)
@@ -152,9 +191,12 @@ class StoreService:
                 logger.debug("replaying idempotent %s (key %s)", op, key)
                 return seen[key]
             self._maybe_crash(op, "before")
+            self._blocked.seconds = 0.0
             started = time.perf_counter()
             result = handler(payload)
-            self._note_op(op, time.perf_counter() - started)
+            elapsed = time.perf_counter() - started
+            waited = self._blocked.seconds
+            self._note_op(op, elapsed - waited, waited=waited)
             self._maybe_crash(op, "after")
             if isinstance(key, str) and key:
                 seen[key] = result
@@ -325,6 +367,7 @@ class StoreService:
             raise ValueError("'dispatch' must be a string tag")
         items = [self._queue_item(record) for record in records]
         added, requeued = self.queue.enqueue(items, dispatch=dispatch)
+        self._lock.notify_all()
         logger.debug("enqueued %d items (%d requeued) for dispatch %s", added, requeued, dispatch)
         return {"enqueued": added, "requeued": requeued, "queued": len(self.queue)}
 
@@ -334,15 +377,35 @@ class StoreService:
         if not isinstance(count, int) or not isinstance(ttl, (int, float)):
             raise ValueError("lease needs an integer 'count' and a numeric 'ttl'")
         worker = payload.get("worker")
-        lease, items, reclaimed = self.queue.lease(
-            count, float(ttl), self.queue_clock(),
-            worker=worker if isinstance(worker, str) else "",
-        )
+        worker = worker if isinstance(worker, str) else ""
+        until = time.monotonic() + _wait_of(payload)
+        # ``held``: the caller has already seen this queue hold items, so
+        # finding it empty means it drained (a worker that has done work)
+        held = bool(payload.get("held"))
+        reclaimed = 0
+        while True:
+            now = self.queue_clock()
+            lease, items, stolen = self.queue.lease(count, float(ttl), now, worker=worker)
+            reclaimed += stolen
+            if lease is not None:
+                break
+            if len(self.queue):
+                held = True
+            elif held:
+                break
+            left = until - time.monotonic()
+            if left <= 0:
+                break
+            # every expired lease was just reclaimed, so the earliest live
+            # deadline is in the future: wake then to steal its items
+            expiry = self.queue.next_deadline()
+            self._block(left if expiry is None else min(left, expiry - now))
         return {
             "lease": lease.id if lease is not None else None,
             "items": [item.to_record() for item in items],
             "reclaimed": reclaimed,
             "queued": len(self.queue),
+            "drained": lease is None and held and not len(self.queue),
         }
 
     def op_complete(self, payload: dict) -> dict:
@@ -351,6 +414,7 @@ class StoreService:
         if not isinstance(lease_id, str) or not isinstance(keys, list):
             raise ValueError("complete needs a 'lease' id and a 'keys' list")
         completed, stale = self.queue.complete(lease_id, [str(key) for key in keys])
+        self._lock.notify_all()
         return {"completed": completed, "stale": stale, "queued": len(self.queue)}
 
     def op_extend(self, payload: dict) -> dict:
@@ -367,7 +431,13 @@ class StoreService:
         dispatch = payload.get("dispatch")
         if dispatch is not None and not isinstance(dispatch, str):
             raise ValueError("'dispatch' must be a string tag")
-        return self.queue.status(dispatch, now=self.queue_clock())
+        until = time.monotonic() + _wait_of(payload)
+        while True:
+            status = self.queue.status(dispatch, now=self.queue_clock())
+            left = until - time.monotonic()
+            if status["remaining"] == 0 or left <= 0:
+                return status
+            self._block(left)
 
     # -- metrics ------------------------------------------------------------------
     def op_stats(self, _payload: dict) -> dict:
@@ -375,6 +445,7 @@ class StoreService:
             op: {
                 "count": record["count"],
                 "seconds": round(record["seconds"], 6),
+                "waited": round(record["waited"], 6),
                 "replays": record["replays"],
             }
             for op, record in sorted(self._op_stats.items())

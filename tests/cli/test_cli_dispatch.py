@@ -52,7 +52,7 @@ def test_dispatch_rejects_a_local_store_path(capsys, tmp_path):
 
 def test_worker_drains_an_empty_queue_and_exits_zero(server, capsys):
     code = cli_main(
-        ["worker", "--store", server.url, "--poll", "0.01", "--idle-exit", "2"]
+        ["worker", "--store", server.url, "--idle-timeout", "0.05"]
     )
     assert code == 0
     out = capsys.readouterr().out
@@ -81,6 +81,7 @@ def test_store_stats_human_rendering(server, capsys):
     assert "lookup hit rate" in out
     assert "queue: 0 pending" in out
     assert "per-op" in out, "the handshake+stats calls themselves are counted"
+    assert "/ waited" in out, "time blocked in long-polls is its own column"
 
 
 def test_store_stats_rejects_a_non_url(capsys, tmp_path):

@@ -17,12 +17,11 @@ way to regression-test the worker's warmup walk.
 import multiprocessing
 import os
 import threading
-import time
 from dataclasses import replace
 
 import pytest
 
-from repro.engine.dispatch import DispatchError, run_distributed_evaluation
+from repro.engine.dispatch import DispatchError, _await_drain, run_distributed_evaluation
 from repro.engine.worker import ENV_WORKER_CRASH, run_worker
 from repro.evaluation.runner import run_benchmark, run_evaluation
 from repro.evaluation.tables import report_json, table1, table3, table4
@@ -125,7 +124,7 @@ def test_fresh_process_workers_match_serial_byte_identical(server):
         context.Process(
             target=run_worker,
             args=(server.url,),
-            kwargs={"batch": 4, "ttl": 30.0, "poll": 0.2, "idle_exit": 150},
+            kwargs={"batch": 4, "ttl": 30.0, "idle_timeout": 30.0},
         )
         for _ in range(2)
     ]
@@ -165,7 +164,7 @@ def test_distributed_requires_a_store_server(store_path):
 
 
 def _crashing_worker(url):
-    run_worker(url, batch=4, ttl=1.0, poll=0.05, idle_exit=2)
+    run_worker(url, batch=4, ttl=1.0, idle_timeout=2.0)
 
 
 def test_a_worker_killed_mid_lease_loses_nothing(server, monkeypatch):
@@ -188,9 +187,9 @@ def test_a_worker_killed_mid_lease_loses_nothing(server, monkeypatch):
     monkeypatch.delenv(ENV_WORKER_CRASH)
 
     # the doomed worker died holding a lease on the most expensive items;
-    # once its 1s ttl passes, a healthy worker steals and finishes them
-    time.sleep(1.1)
-    stats = run_worker(server.url, batch=4, ttl=10.0, poll=0.2, idle_exit=3)
+    # the healthy worker's lease waits server-side until that lease's 1s
+    # ttl passes, then steals and finishes them — no sleep needed here
+    stats = run_worker(server.url, batch=4, ttl=10.0, idle_timeout=10.0)
     assert stats.items == len(unique), "every obligation ran on the healthy worker"
 
     status = server.service.queue.status()
@@ -238,6 +237,44 @@ def test_a_coordinator_killed_mid_drain_resumes_from_the_store(server):
     for render in (table1, table3, table4):
         assert render(report, deterministic=True) == render(serial, deterministic=True)
     assert server.service.queue.status()["remaining"] == 0
+
+
+class _LastCompleteRacesTheStatus:
+    """A stub queue whose waiting ``queue_status`` still sees one item, while
+    the no-wait re-query after the fleet exits sees ``remaining_after``."""
+
+    def __init__(self, remaining_after):
+        self.remaining_after = remaining_after
+        self.waits = []
+
+    def queue_status(self, dispatch, *, wait=0.0):
+        self.waits.append(wait)
+        return {"remaining": 1 if wait else self.remaining_after}
+
+
+class _ExitedWorker:
+    exitcode = 0
+
+
+def test_workers_exiting_on_the_last_complete_are_not_a_dead_fleet():
+    """Workers exit right after the last ``complete``; when that lands after
+    the coordinator's status reply, the re-query sees the drain."""
+    backend = _LastCompleteRacesTheStatus(remaining_after=0)
+    status = _await_drain(
+        backend, "d1", 1, [_ExitedWorker(), _ExitedWorker()],
+        drain_timeout=60.0, poll=0.1,
+    )
+    assert status["remaining"] == 0
+    assert backend.waits == [0.1, 0.0], "one waiting status, one fresh re-query"
+
+
+def test_a_fleet_that_exits_with_work_outstanding_is_reported():
+    backend = _LastCompleteRacesTheStatus(remaining_after=1)
+    with pytest.raises(DispatchError, match="all 2 local workers exited with 1"):
+        _await_drain(
+            backend, "d1", 1, [_ExitedWorker(), _ExitedWorker()],
+            drain_timeout=60.0, poll=0.1,
+        )
 
 
 def test_drain_timeout_surfaces_as_dispatch_error(server):

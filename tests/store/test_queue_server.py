@@ -5,11 +5,15 @@ Same shape as ``test_store_server.py`` — an in-process
 :class:`RemoteStoreBackend` on the loopback — but focused on what PR 10
 added: the lease queue ops, ``/stats``, idempotent lease replay, the
 per-client replay-cache isolation that makes a slow client's retry safe,
-and the persistent keep-alive connection (reuse, transparent reconnect,
-fork identity).
+the persistent keep-alive connection (reuse, transparent reconnect,
+fork identity), and the long-polls (``wait``) that end a drain without
+sleeping.
 """
 
+import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -55,6 +59,27 @@ def clock(server):
     clock = Clock()
     server.service.queue_clock = clock
     return clock
+
+
+@pytest.fixture
+def waiter(server):
+    """Run a long-poll on its own client (one connection per thread)."""
+    backend = RemoteStoreBackend(server.url)
+    pool = ThreadPoolExecutor(max_workers=1)
+
+    def start(call):
+        """Submit ``call``; return once it blocks server-side (or is done)."""
+        started = time.monotonic()
+        future = pool.submit(lambda: (call(backend), time.monotonic() - started))
+        deadline = started + 10.0
+        while not server.service._lock._waiters and not future.done():
+            assert time.monotonic() < deadline, "the long-poll never started waiting"
+            time.sleep(0.001)
+        return future
+
+    yield start
+    pool.shutdown(wait=True)
+    backend.close()
 
 
 def _items(*fps, env="e", bench="Set/KVStore", cost=1.0, measured=False):
@@ -168,6 +193,122 @@ def test_queue_ops_reject_malformed_payloads_without_retry(client):
         client._call("lease", {"count": "many", "ttl": 1.0}, idempotent=True)
     with pytest.raises(RemoteStoreError, match="lease"):
         client._call("complete", {"lease": 7, "keys": []}, idempotent=True)
+
+
+# -- long-polls: the drain ends on events, not on sleeps ----------------------------
+
+
+def test_a_waiting_lease_is_granted_as_soon_as_work_is_enqueued(client, waiter):
+    pending = waiter(lambda backend: backend.lease(1, 30.0, worker="w", wait=4.0))
+    client.enqueue(_items("f1"), "d1")
+    grant, elapsed = pending.result(timeout=10)
+    assert grant["items"][0]["fp"] == "f1"
+    assert elapsed < 2.0, "the enqueue woke the lease well before its wait"
+
+
+def test_a_waiting_lease_reports_drained_when_the_last_item_completes(client, waiter):
+    client.enqueue(_items("f1"), "d1")
+    held = client.lease(1, 30.0, worker="busy")
+    # nothing grantable, but the queue holds an item: the lease waits on it
+    pending = waiter(lambda backend: backend.lease(1, 30.0, worker="idle", wait=4.0))
+    client.complete(held["lease"], ["e:f1"])
+    reply, elapsed = pending.result(timeout=10)
+    assert reply["lease"] is None and reply["drained"] is True
+    assert reply["queued"] == 0
+    assert elapsed < 2.0
+    # a worker that has done work knows the queue held items: an empty
+    # queue answers ``drained`` at once instead of waiting out its budget
+    started = time.monotonic()
+    assert client.lease(1, 30.0, wait=4.0, held=True)["drained"] is True
+    assert time.monotonic() - started < 2.0
+
+
+def test_a_waiting_lease_steals_an_expired_lease_at_its_deadline(client, waiter):
+    client.enqueue(_items("f1"), "d1")
+    assert client.lease(1, 0.5, worker="doomed")["items"]
+    stolen, elapsed = waiter(
+        lambda backend: backend.lease(1, 30.0, worker="thief", wait=4.0)
+    ).result(timeout=10)
+    assert stolen["reclaimed"] == 1
+    assert stolen["items"][0]["attempts"] == 2
+    assert elapsed < 2.0, "woken by the doomed lease's deadline, not the wait"
+
+
+def test_queue_status_wait_returns_when_the_dispatch_drains(client, waiter):
+    client.enqueue(_items("f1"), "d1")
+    grant = client.lease(1, 30.0)
+    pending = waiter(lambda backend: backend.queue_status("d1", wait=4.0))
+    client.complete(grant["lease"], ["e:f1"])
+    status, elapsed = pending.result(timeout=10)
+    assert status["remaining"] == 0
+    assert elapsed < 2.0
+
+
+def test_waits_are_bounded_in_wall_time_under_a_hand_cranked_clock(client, clock):
+    client.enqueue(_items("f1"), "d1")
+    assert client.lease(1, 5.0, worker="holder")["items"]
+    # the queue clock never moves, so the lease never expires: only the
+    # monotonic wall-clock bound can end these waits
+    for call in (
+        lambda: client.lease(1, 5.0, worker="w", wait=0.2),
+        lambda: client.queue_status("d1", wait=0.2),
+    ):
+        started = time.monotonic()
+        reply = call()
+        assert 0.15 <= time.monotonic() - started < 2.0
+        assert not reply.get("items") and not reply.get("drained")
+
+
+def test_the_rpc_timeout_caps_a_long_poll(client):
+    client.timeout = 1.0
+    started = time.monotonic()
+    reply = client.lease(1, 30.0, wait=30.0)
+    assert reply["lease"] is None
+    # clamped to half the socket timeout: the reply beats the timeout, so
+    # the call never times out into a retry
+    assert 0.4 <= time.monotonic() - started < 1.0
+
+
+def test_a_waiting_fleet_drains_every_item_exactly_once(server, client):
+    """More pullers than cores, thread switches forced often: every item is
+    completed once, none is lost, and every waiting puller sees the drain."""
+    keys = [f"e:f{index}" for index in range(60)]
+    client.enqueue(_items(*(key[2:] for key in keys)), "d1")
+
+    def pull(name):
+        backend = RemoteStoreBackend(server.url)
+        done = []
+        try:
+            while True:
+                grant = backend.lease(2, 30.0, worker=name, wait=5.0, held=bool(done))
+                if grant["drained"]:
+                    return done
+                assert grant["lease"], "a puller went idle with work outstanding"
+                batch = [f"e:{item['fp']}" for item in grant["items"]]
+                reply = backend.complete(grant["lease"], batch)
+                done += batch
+                if reply["queued"] == 0:
+                    return done
+        finally:
+            backend.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            results = list(pool.map(pull, [f"w{index}" for index in range(6)], timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(key for done in results for key in done) == sorted(keys)
+    counters = server.service.queue.counters
+    assert counters["completed"] == len(keys) and counters["stale_completes"] == 0
+
+
+def test_time_blocked_in_a_long_poll_is_not_op_latency(client):
+    client.lease(1, 30.0, wait=0.3)
+    lease = client.stats()["ops"]["lease"]
+    assert lease["seconds"] < 0.1, "waiting is not server work"
+    assert 0.25 <= lease["waited"] < 1.5
 
 
 # -- /stats ------------------------------------------------------------------------
