@@ -142,7 +142,7 @@ def test_lazy_explores_fewer_states_than_compiled_builds(benchmark, key, monkeyp
     captured = record_discharges(monkeypatch)
 
     def run():
-        checker = bench.make_checker(CheckerConfig(workers=1))
+        checker = bench.make_checker(CheckerConfig())
         return bench.verify_all(checker)
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)

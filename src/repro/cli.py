@@ -7,14 +7,14 @@ Usage::
     pymarple verify Set/KVStore         # alias of check
     pymarple check Set/KVStore --method insert
     pymarple evaluate [--fast]          # run the whole evaluation (Table 1 data)
-    pymarple evaluate --shards 4        # shard the corpus's obligations
     pymarple table 1|2|3|4 [--fast]     # print a specific paper table
 
 Leaf inclusions have one decider, the interned transition-table walk of
 :mod:`repro.sfa.batch`, over alphabets found by solver-guided enumeration;
-there is no mode flag for either.  Checker knobs (``--workers``,
-``--backend``, ``--schedule``, ``--no-memo``) mirror the ``REPRO_*``
-environment variables.  Incremental verification is enabled with
+there is no mode flag for either.  Checker knobs (``--backend``,
+``--schedule``, ``--no-memo``) mirror the ``REPRO_*`` environment
+variables.  Going wide is ``dispatch --local-workers N`` (or ``repro
+worker`` processes) over a ``store serve`` instance's lease queue.  Incremental verification is enabled with
 ``--incremental`` (or by naming a store explicitly with ``--store PATH``):
 discharged obligations are persisted to an on-disk store and answered from it
 on later runs; ``--explain`` prints the per-method hit/miss/invalidated
@@ -61,12 +61,6 @@ DEFAULT_STORE_PATH = ".pymarple-store"
 def _add_checker_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("checker knobs")
     group.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="process-pool width for obligation discharge (default: REPRO_WORKERS or 1)",
-    )
-    group.add_argument(
         "--backend",
         choices=known_backends(),
         help="SAT core behind the lazy SMT loop (default: REPRO_BACKEND or dpll)",
@@ -75,9 +69,9 @@ def _add_checker_flags(parser: argparse.ArgumentParser) -> None:
         "--schedule",
         choices=SCHEDULE_MODES,
         help=(
-            "discharge-order policy: auto = historical store cost (LPT under "
-            "a pool, cheapest-first serially), falling back to the syntactic "
-            "estimate (default: REPRO_SCHEDULE or auto)"
+            "discharge-order policy: auto = cheapest-first by historical "
+            "store cost, falling back to the syntactic estimate "
+            "(default: REPRO_SCHEDULE or auto)"
         ),
     )
     group.add_argument(
@@ -145,8 +139,6 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> CheckerConfig:
     kwargs: dict[str, object] = {}
-    if getattr(args, "workers", None) is not None:
-        kwargs["workers"] = args.workers
     if getattr(args, "backend", None) is not None:
         kwargs["backend"] = args.backend
     if getattr(args, "schedule", None) is not None:
@@ -185,12 +177,7 @@ def _config_from_args(args: argparse.Namespace) -> CheckerConfig:
 def _open_store(
     args: argparse.Namespace, config: Optional[CheckerConfig] = None
 ) -> Optional[ObligationStore]:
-    wants_store = (
-        getattr(args, "store", None)
-        or getattr(args, "incremental", False)
-        or getattr(args, "shards", 1) > 1
-    )
-    if not wants_store:
+    if not (getattr(args, "store", None) or getattr(args, "incremental", False)):
         return None
     backend = config.store_backend if config is not None else None
     try:
@@ -327,12 +314,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    elif args.shards > 1:
-        from .store.shard import run_sharded_evaluation
-
-        report = run_sharded_evaluation(
-            args.shards, store, include_slow=not args.fast, config=config
-        )
     else:
         report = run_evaluation(include_slow=not args.fast, config=config, store=store)
     _note_trace_counters(report.cache_totals(), store)
@@ -714,13 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("evaluate", help="run the full evaluation")
     evaluate.add_argument("--fast", action="store_true", help="skip the slow benchmarks")
     evaluate.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="partition the corpus's obligations across N processes (implies a store)",
-    )
-    evaluate.add_argument(
         "--distributed",
         action="store_true",
         help=(
@@ -746,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_checker_flags(dispatch)
     _add_store_flags(dispatch)
     _add_obs_flags(dispatch)
-    dispatch.set_defaults(func=_cmd_evaluate, shards=1, distributed=True)
+    dispatch.set_defaults(func=_cmd_evaluate, distributed=True)
 
     worker = sub.add_parser(
         "worker",

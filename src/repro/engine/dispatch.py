@@ -1,8 +1,7 @@
 """The distributed-discharge coordinator (``repro dispatch`` / ``evaluate --distributed``).
 
-Two phases, mirroring the sharded runner's warm/report split — but with the
-partition decided *dynamically* by the store server's lease queue instead of
-statically by fingerprint hash:
+Two phases — warm the store, then report from it — with the partition of
+the cold obligations decided *dynamically* by the store server's lease queue:
 
 1. **Collect + enqueue** — run the full emit walk with the engine in
    ``collect_sink`` mode: every store miss is reported to the coordinator
@@ -14,9 +13,10 @@ statically by fingerprint hash:
    are gone (``queue_status`` with a ``wait``: the server answers the moment
    the last item completes, so the drain costs no sleep quantum), then
    re-run the evaluation warm: every obligation answers from the store, and
-   the tables come out byte-identical to a serial cold run (the
-   ``--shards`` determinism argument, now across machines).  The workers
-   exit on the same drain, so joining them costs no idle tail either.
+   the tables come out byte-identical to a serial cold run, because every
+   recorded counter is a pure function of its obligation, whichever worker
+   discharged it.  The workers exit on the same drain, so joining them costs
+   no idle tail either.
 
 Durability is the store's: if the coordinator dies mid-drain, a re-dispatch
 recomputes the remaining misses from the store — completed obligations are
@@ -145,9 +145,7 @@ def run_distributed_evaluation(
                     "cost": hint if hint is not None else float(estimate),
                     "measured": hint is not None,
                 })
-            collect_config = replace(
-                config, collect_sink=sink, workers=1, shard=None, only_digests=None
-            )
+            collect_config = replace(config, collect_sink=sink, only_digests=None)
             run_benchmark(
                 benchmark,
                 config=collect_config,
@@ -174,7 +172,7 @@ def run_distributed_evaluation(
         # neither an open sqlite handle nor a keep-alive socket may cross
         # fork(); the children (and the parent, lazily) reconnect
         backend.close()
-        worker_config = replace(config, collect_sink=None, only_digests=None, workers=1)
+        worker_config = replace(config, collect_sink=None, only_digests=None)
         context = multiprocessing.get_context("fork")
         processes = [
             context.Process(

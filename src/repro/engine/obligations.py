@@ -5,8 +5,7 @@ inline, interleaving the bidirectional walk with Algorithm-1 inclusion
 queries.  It now *emits* first-class :class:`Obligation` values instead —
 context hypotheses, the two symbolic automata, and provenance — collected
 into an :class:`ObligationSet`.  The :mod:`repro.engine.scheduler` stage
-dedupes, orders and discharges them afterwards, serially or across a
-process pool.
+dedupes, orders and discharges them afterwards.
 
 Because terms and SFA formulas are hash-consed, an obligation has an exact
 structural fingerprint ``(sorted hypothesis ids, lhs id, rhs id)``: two
@@ -155,11 +154,10 @@ class ObligationSet:
         separately (measured costs first — they are informative, estimates
         are a guess) but under the same policy:
 
-        * ``longest_first=False`` (serial discharge) — cheapest first, so
-          cheap obligations surface counterexamples early;
-        * ``longest_first=True`` (process pool) — longest processing time
-          first, the classic LPT heuristic that cuts the pool's makespan by
-          never leaving the most expensive obligation for last.
+        * ``longest_first=False`` (the default) — cheapest first, so cheap
+          obligations surface counterexamples early;
+        * ``longest_first=True`` (``schedule="lpt"``) — longest processing
+          time first, the classic LPT heuristic.
 
         Order is advisory only: discharge is hermetic and per-obligation
         counters are pure functions of the obligation, so *any* order
@@ -193,7 +191,8 @@ class DischargeOutcome:
     from_memo: bool = False
     #: answered from the persistent obligation store (warm start)
     from_store: bool = False
-    #: assigned to another shard: not discharged here, verdict is vacuous
+    #: outside a dispatch lease or collected for one: not discharged here,
+    #: verdict is vacuous
     skipped: bool = False
     #: this obligation was an alias of an isomorphic representative
     deduped: bool = False

@@ -1,4 +1,4 @@
-"""Scheduling and discharging proof obligations (serially or in parallel).
+"""Scheduling and discharging proof obligations.
 
 This is the middle stage of the decoupled pipeline:
 
@@ -10,8 +10,7 @@ This is the middle stage of the decoupled pipeline:
    orders the remainder cheapest-first;
 3. **Discharge** — the residual obligations are grouped by alphabet key and
    each group's members are decided by transition-table walks over one
-   shared construction (:func:`repro.sfa.batch.discharge_group`), either
-   in-process or on a ``fork``-based process pool (``workers=N``); the
+   shared construction (:func:`repro.sfa.batch.discharge_group`); the
    per-member ``SolverStats``/``InclusionStats`` are merged back into the
    caller's tables.
 
@@ -19,21 +18,14 @@ Determinism is a design invariant: every obligation is discharged
 *hermetically* — its alphabet is built on a fresh solver (or replayed from
 the memo's recorded bill) and its walk depends on nothing but the obligation
 — which makes every counter a pure function of the obligation itself.
-``workers=4`` therefore produces byte-identical statistics tables to
-``workers=1`` (wall-clock times aside), which the determinism suite asserts.
+A dispatch worker (:mod:`repro.engine.worker`) that discharges a leased
+subset therefore records exactly the counters a serial run would.
 Cross-obligation sharing happens at the obligation level: the batch dedupe
 and the cross-method memo answer repeated queries without re-discharge.
-
-The pool uses the ``fork`` start method deliberately: terms and SFA formulas
-are hash-consed with identity semantics, and forked children inherit the
-parent's interned universe, so obligations cross the process boundary by
-reference (a module-level snapshot taken just before the fork) while results
-travel back as plain picklable dicts.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -46,14 +38,14 @@ from ..sfa.inclusion import InclusionStats
 from ..sfa.signatures import OperatorRegistry
 from ..smt.solver import SolverStats
 from ..statsutil import MergeableStats
-from ..store.fingerprint import environment_fingerprint, obligation_digest, shard_of
+from ..store.fingerprint import environment_fingerprint, obligation_digest
 from ..store.obligation_store import ObligationStore, StoreContext, StoreEntry
 from .obligations import DischargeOutcome, Obligation, ObligationSet
 
 #: The supported values of ``ObligationEngine(..., schedule=...)``:
-#: ``auto`` picks the cost model with LPT under a pool and cheapest-first
-#: serially; the explicit modes exist for ablations and the determinism suite.
-SCHEDULE_MODES = ("auto", "syntactic", "cost", "lpt")
+#: ``auto`` orders cheapest-first by recorded cost; the explicit modes exist
+#: for ablations and the determinism suite.
+SCHEDULE_MODES = ("auto", "syntactic", "lpt")
 
 logger = get_logger("engine")
 
@@ -72,8 +64,6 @@ class EngineStats(MergeableStats):
     store_hits: int = 0
     #: representatives that missed the persistent store and were discharged
     store_misses: int = 0
-    #: representatives assigned to another shard (not discharged here)
-    shard_skipped: int = 0
     #: store misses reported to a dispatch coordinator's collect sink
     #: instead of being discharged here (``evaluate --distributed`` phase 1)
     dispatch_collected: int = 0
@@ -83,16 +73,11 @@ class EngineStats(MergeableStats):
     #: estimate fallback) — order is advisory, so this is bookkeeping only
     cost_hints_used: int = 0
     batches: int = 0
-    parallel_batches: int = 0
 
 
 @dataclass(frozen=True)
 class DischargeParams:
-    """Everything a (possibly forked) worker needs to discharge obligations.
-
-    Never pickled: obligations and params cross the pool boundary via the
-    forked heap, only plain result dicts travel back.
-    """
+    """Everything the engine needs to discharge obligations."""
 
     operators: OperatorRegistry
     axioms: tuple = ()
@@ -101,32 +86,24 @@ class DischargeParams:
     #: which SAT core answers the alphabet constructions' queries
     backend: str = "dpll"
     #: shared cross-obligation alphabet memo: hermetic constructions with a
-    #: recorded counter bill, replayed identically on every hit.  Serially
-    #: the engine's memo grows across batches; forked workers read it through
-    #: copy-on-write and their additions die with them — either way every
-    #: counter stays a pure function of the obligation.  Never pickled.
+    #: recorded counter bill, replayed identically on every hit, so every
+    #: counter stays a pure function of the obligation.
     alphabet_memo: Optional[AlphabetMemo] = None
 
 
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _discharge_group_payload(
+def _discharge_members(
     obligations: Sequence[Obligation],
     params: DischargeParams,
     literal_sets: Optional[LiteralSets] = None,
-) -> dict:
-    """Discharge one alphabet-sharing group, in-process or on a forked worker.
+) -> list[dict]:
+    """Discharge one alphabet-sharing group.
 
-    Either way the return value is a plain picklable dict: one result per
-    member (verdict, witness, error, counter dicts, wall time), plus the
-    spans a traced run recorded.
+    Returns one plain result dict per member (verdict, witness, error,
+    counter dicts, wall time).
     """
     memo = params.alphabet_memo
     if memo is None:
         memo = AlphabetMemo(axioms=params.axioms, backend=params.backend)
-    spans_mark = trace.mark()
     if trace.enabled():
         # the digest is memoised on the frozen obligation and strictly
         # volatile here: it keys the span so the report correlates with
@@ -161,30 +138,7 @@ def _discharge_group_payload(
             },
         )
         raise
-    payload: dict = {"members": results}
-    # spans ride home in the result dict exactly like the stats do: drained
-    # here (a forked worker's buffer dies with it) and re-ingested by the
-    # engine under this worker's pid
-    worker_spans = trace.drain(spans_mark)
-    if worker_spans:
-        payload["spans"] = worker_spans
-    return payload
-
-
-#: Snapshot handed to forked workers: the groups (members plus their shared
-#: literal sets) and the params.  Set immediately before the pool forks and
-#: cleared right after; children address the hash-consed obligation objects
-#: through the inherited heap.
-_POOL_GROUPS: Optional[
-    tuple[list[tuple[list[Obligation], LiteralSets]], DischargeParams]
-] = None
-
-
-def _discharge_group_index(index: int) -> dict:
-    assert _POOL_GROUPS is not None, "worker invoked outside a group batch"
-    groups, params = _POOL_GROUPS
-    members, literal_sets = groups[index]
-    return _discharge_group_payload(members, params, literal_sets)
+    return results
 
 
 class ObligationEngine:
@@ -198,9 +152,7 @@ class ObligationEngine:
         filter_unsat_minterms: bool = True,
         max_literals: Optional[int] = None,
         backend: str = "dpll",
-        workers: int = 1,
         store: Optional[ObligationStore] = None,
-        shard: Optional[tuple[int, int]] = None,
         schedule: str = "auto",
         alphabet_memo: Optional[AlphabetMemo] = None,
         library: Optional[str] = None,
@@ -226,25 +178,18 @@ class ObligationEngine:
             backend=backend,
             alphabet_memo=alphabet_memo,
         )
-        self.workers = workers
         self.store = store
         self.schedule = schedule
-        if shard is not None:
-            index, count = shard
-            if not (count >= 1 and 0 <= index < count):
-                raise ValueError(f"invalid shard assignment {shard!r}")
-        self.shard = shard
-        #: dispatch-worker mode: discharge only these obligation digests and
-        #: vacuously skip the rest (same contract as a shard slice, but the
-        #: membership comes from a queue lease instead of a hash)
+        #: dispatch-worker mode: discharge only these obligation digests (the
+        #: queue lease) and vacuously skip the rest
         self.only = only
         #: dispatch-coordinator mode: report each store miss to this sink —
         #: ``collect(env_fp, digest, cost_hint, estimate)`` — instead of
-        #: discharging it; the report is discarded like a shard run's
+        #: discharging it; the collect run's report is discarded
         self.collect = collect
         #: the semantic-environment key store entries are read/written under;
-        #: worker count, shard assignment, scheduling order and the memo
-        #: layers deliberately don't participate (none changes a counter)
+        #: scheduling order and the memo layers deliberately don't participate
+        #: (neither changes a counter)
         self._env_fp = (
             environment_fingerprint(
                 operators,
@@ -267,17 +212,16 @@ class ObligationEngine:
     def _schedule(self, obligation_set: ObligationSet):
         """Order the deduped batch under the configured scheduling policy.
 
-        ``auto`` (the default) orders by *historical* discharge cost when the
-        store has seen an obligation before — longest-processing-time-first
-        under a process pool (cuts the makespan), cheapest-first serially
-        (keeps first-failure latency low) — and falls back to the syntactic
-        ``cost_estimate()`` for obligations no store entry has ever costed.
-        Order is advisory: discharge is hermetic, so no policy can change a
+        ``auto`` (the default) orders cheapest-first (keeps first-failure
+        latency low) by *historical* discharge cost when the store has seen an
+        obligation before, and falls back to the syntactic ``cost_estimate()``
+        for obligations no store entry has ever costed.  ``lpt`` orders the
+        same costs longest-first; ``syntactic`` ignores the store.  Order is
+        advisory: discharge is hermetic, so no policy can change a
         verdict or a deterministic table (locked in by the scheduling-order
         determinism suite).
         """
         mode = self.schedule
-        longest_first = mode == "lpt" or (mode == "auto" and self.workers > 1)
         cost_of: Optional[Callable[[Obligation], Optional[float]]] = None
         if mode != "syntactic" and self.store is not None:
             store = self.store
@@ -288,7 +232,7 @@ class ObligationEngine:
                     self.stats.cost_hints_used += 1
                 return hint
 
-        return obligation_set.schedule(cost_of=cost_of, longest_first=longest_first)
+        return obligation_set.schedule(cost_of=cost_of, longest_first=mode == "lpt")
 
     # ------------------------------------------------------------------
     def discharge_all(
@@ -340,10 +284,7 @@ class ObligationEngine:
                 continue
             digest = (
                 obligation_digest(representative)
-                if self.store is not None
-                or self.shard is not None
-                or self.only is not None
-                or self.collect is not None
+                if self.store is not None or self.only is not None
                 else None
             )
             if self.store is not None:
@@ -369,32 +310,22 @@ class ObligationEngine:
                             InclusionStats.from_dict(entry.inclusion_stats)
                         )
                     continue
-            if self.shard is not None:
-                index, count = self.shard
-                if shard_of(digest, count) != index:
-                    # another shard owns this fingerprint: report a vacuous
-                    # verdict (never memoised, never persisted) — shard runs
-                    # exist to warm the store, their reports are discarded
-                    self.stats.shard_skipped += 1
-                    skipped_keys.add(key)
-                    verdicts[key] = (True, None, None)
-                    continue
             if self.collect is not None:
                 # coordinator collect pass: every store miss goes to the
                 # dispatch sink (with the best cost signal available) and is
-                # vacuously skipped here — workers will discharge it, and
-                # this run's report is discarded like a shard run's
+                # vacuously skipped (never memoised, never persisted) —
+                # workers will discharge it, and this run's report is discarded
                 self.stats.dispatch_collected += 1
                 skipped_keys.add(key)
                 verdicts[key] = (True, None, None)
-                hint = self.store.cost_hint(digest) if self.store is not None else None
+                hint = self.store.cost_hint(digest)
                 self.collect(
                     self._env_fp, digest, hint, representative.cost_estimate()
                 )
                 continue
             if self.only is not None and digest not in self.only:
                 # dispatch-worker pass: this obligation belongs to another
-                # lease — vacuous skip, exactly like a foreign shard slice
+                # lease — vacuous skip, never memoised, never persisted
                 self.stats.dispatch_skipped += 1
                 skipped_keys.add(key)
                 verdicts[key] = (True, None, None)
@@ -404,7 +335,7 @@ class ObligationEngine:
             fresh.append((representative, digest))
 
         logger.debug(
-            "batch %d: %d emitted, %d fresh (%d memo, %d store, %d shard-skipped)",
+            "batch %d: %d emitted, %d fresh (%d memo, %d store, %d skipped)",
             self.stats.batches,
             len(obligation_set),
             len(fresh),
@@ -515,43 +446,14 @@ class ObligationEngine:
             for position, obligation in enumerate(obligations):
                 key, literal_sets = self._group_key(obligation)
                 groups.setdefault(key, (literal_sets, []))[1].append(position)
-        ordered = list(groups.values())
-        payloads = [
-            ([obligations[i] for i in members], literal_sets)
-            for literal_sets, members in ordered
-        ]
-        if len(payloads) > 1 and self.workers > 1 and _fork_available():
-            self.stats.parallel_batches += 1
-            outs = self._discharge_groups_parallel(payloads)
-        else:
-            outs = [
-                _discharge_group_payload(members, self.params, literal_sets)
-                for members, literal_sets in payloads
-            ]
-        for out in outs:
-            trace.ingest(out.get("spans"))
         logger.debug(
-            "discharge: %d obligations in %d alphabet groups", len(obligations), len(outs)
+            "discharge: %d obligations in %d alphabet groups", len(obligations), len(groups)
         )
         results: list[Optional[dict]] = [None] * len(obligations)
-        for (_, members), out in zip(ordered, outs):
-            for position, member_result in zip(members, out["members"]):
+        for literal_sets, members in groups.values():
+            group_results = _discharge_members(
+                [obligations[i] for i in members], self.params, literal_sets
+            )
+            for position, member_result in zip(members, group_results):
                 results[position] = member_result
         return results
-
-    def _discharge_groups_parallel(
-        self, payloads: list[tuple[list[Obligation], LiteralSets]]
-    ) -> list[dict]:
-        global _POOL_GROUPS
-        context = multiprocessing.get_context("fork")
-        processes = min(self.workers, len(payloads))
-        logger.debug("forking pool: %d workers for %d groups", processes, len(payloads))
-        _POOL_GROUPS = (payloads, self.params)
-        try:
-            with trace.span(
-                "discharge.pool", cat="discharge", workers=processes, groups=len(payloads)
-            ):
-                with context.Pool(processes=processes) as pool:
-                    return pool.map(_discharge_group_index, range(len(payloads)))
-        finally:
-            _POOL_GROUPS = None

@@ -10,8 +10,8 @@ A worker is a long-lived loop against a ``repro store serve`` instance:
 2. **materialise** the obligations by re-running the named benchmark's emit
    walk with ``only_digests`` set — obligations are hash-consed in-memory
    objects, so only the recipe to re-emit them crosses the wire; everything
-   outside the leased set is vacuously skipped, exactly like a foreign
-   shard slice;
+   outside the leased set is vacuously skipped (never memoised, never
+   stored);
 3. **discharge** the leased obligations with the ordinary engine (grouped
    table walks, memo layers intact) and write verdicts back through the
    normal store path — appends carry ``if_absent``, so a worker whose lease
@@ -26,8 +26,8 @@ nothing ``queued``, or a waiting ``lease`` reports ``drained`` — or after
 ``idle_timeout`` seconds with nothing leased.  A fleet disbands without a
 shutdown broadcast and without sleeping through a tail of empty polls.
 
-Determinism rides on the same invariant as ``--shards``: per-obligation
-counters are a pure function of (process walk prefix, obligation).  The
+Determinism rides on hermetic discharge: per-obligation counters are a
+pure function of (process walk prefix, obligation).  The
 solver-effort columns (#SAT/#Confl) are steered by process-global,
 append-only state (term and formula interning), which the serial
 runner populates by walking benchmarks in registry order — so a worker must
@@ -78,9 +78,7 @@ def _warm_process_state(config: CheckerConfig, check_negative_variants: bool) ->
     the empty set makes the walk vacuous: every obligation is skipped, no
     store is attached, nothing persists but the interned state itself.
     """
-    warm_config = replace(
-        config, only_digests=frozenset(), collect_sink=None, workers=1, shard=None
-    )
+    warm_config = replace(config, only_digests=frozenset(), collect_sink=None)
     for benchmark in all_benchmarks(include_slow=False):
         run_benchmark(
             benchmark,
@@ -204,11 +202,7 @@ def run_worker(
                     logger.warning("leased unknown benchmark %r; completing anyway", bench_key)
                     continue
                 worker_config = replace(
-                    config,
-                    only_digests=frozenset(by_bench[bench_key]),
-                    workers=1,
-                    shard=None,
-                    collect_sink=None,
+                    config, only_digests=frozenset(by_bench[bench_key]), collect_sink=None
                 )
                 run_benchmark(
                     benchmark,

@@ -84,10 +84,10 @@ def table1(
     """Table 1: per-ADT summary plus the most complex method's statistics.
 
     ``deterministic=True`` drops the volatile columns, yielding a rendering
-    that must be byte-identical across cold/warm/sharded/parallel runs.
+    that must be byte-identical across cold/warm/dispatched runs.
     ``backend_invariant=True`` additionally drops the solver-internal
     columns (#SAT, #Confl), yielding the rendering that must be
-    byte-identical across ``--backend dpll`` / ``cdcl`` / ``z3`` too.
+    byte-identical across ``--backend dpll`` / ``cdcl`` too.
     """
     columns = (
         _deterministic(TABLE1_COLUMNS, backend_invariant)

@@ -55,7 +55,7 @@ def analyze_trace(data: dict, *, top: int = 10) -> dict:
                 record.get("dur", 0.0)
             )
 
-    # Self time, clamped: a pool span's children run in parallel, so their
+    # Self time, clamped: children in other processes run in parallel, so their
     # summed durations may legitimately exceed the parent's duration.
     self_time: dict[tuple, float] = {}
     for record in spans:
@@ -83,8 +83,8 @@ def analyze_trace(data: dict, *, top: int = 10) -> dict:
             workers[pid] = workers.get(pid, 0.0) + self_time[key]
 
     # Everything under a root span that is not structural self time is
-    # attributed work — including pool spans whose self time was eaten by
-    # their (parallel, cross-pid) worker children.
+    # attributed work — including spans whose self time was eaten by their
+    # (parallel, cross-pid) worker children.
     coverage = (1.0 - structural_self_root / wall) if wall > 0 else 0.0
 
     ordered: list[dict] = []

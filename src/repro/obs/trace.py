@@ -2,12 +2,8 @@
 
 A :class:`Tracer` records *spans*: named, categorised intervals measured
 against a single ``time.perf_counter()`` epoch captured when the tracer
-is created.  ``perf_counter`` is ``CLOCK_MONOTONIC`` on Linux, so the
-epoch survives ``fork()`` and spans recorded in pool workers land on the
-same timeline as the parent's.  Workers drain the spans they produced
-into their (picklable) result dicts — mirroring how ``SolverStats``
-travel back today — and the parent re-ingests them, so one trace file
-covers every process of a run.
+is created (``perf_counter`` is ``CLOCK_MONOTONIC`` on Linux).  Every span
+records the ``pid`` that produced it.
 
 Until :func:`install` is called the module-level :func:`span` helper
 returns a shared null context manager and records nothing; the traced
@@ -32,7 +28,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional
 
 TRACE_SCHEMA = 1
 
@@ -135,26 +131,6 @@ class Tracer:
             record["args"] = args
         return _Span(self, record)
 
-    # -- worker buffering --------------------------------------------------------
-
-    def mark(self) -> int:
-        """Index into the completed-span buffer; pair with :meth:`drain`."""
-        return len(self.spans)
-
-    def drain(self, mark: int) -> list[dict]:
-        """Pop and return every span completed since ``mark``.
-
-        Workers call this right before returning so their spans travel
-        home inside the result dict instead of dying with the fork.
-        """
-        popped = self.spans[mark:]
-        del self.spans[mark:]
-        return popped
-
-    def ingest(self, spans: Sequence[dict]) -> None:
-        """Merge spans drained in another process (identified by their pid)."""
-        self.spans.extend(spans)
-
     # -- introspection -----------------------------------------------------------
 
     def current_span(self) -> Optional[dict]:
@@ -206,22 +182,6 @@ def span(name: str, cat: Optional[str] = None, **args: Any):
     if tracer is None:
         return _NULL_SPAN
     return tracer.span(name, cat, args or None)
-
-
-def mark() -> int:
-    tracer = _ACTIVE
-    return tracer.mark() if tracer is not None else 0
-
-
-def drain(marked: int) -> list[dict]:
-    tracer = _ACTIVE
-    return tracer.drain(marked) if tracer is not None else []
-
-
-def ingest(spans: Optional[Sequence[dict]]) -> None:
-    tracer = _ACTIVE
-    if tracer is not None and spans:
-        tracer.ingest(spans)
 
 
 def current_span() -> Optional[dict]:

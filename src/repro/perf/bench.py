@@ -80,6 +80,11 @@ def _phase_payload(report: EvaluationReport, wall_seconds: float, all_walls: lis
     }
 
 
+def shard_of(digest: str, shards: int) -> int:
+    """Static hash placement: the shard a fingerprint hashes into."""
+    return int(digest[:12], 16) % shards
+
+
 def run_dispatch_ab(
     *,
     workers: int = 3,
@@ -93,10 +98,10 @@ def run_dispatch_ab(
     "discharged" by sleeping its cost — is executed two ways with the same
     worker count:
 
-    * **static**: items are partitioned by ``shard_of`` (the ``--shards``
+    * **static**: items are partitioned by :func:`shard_of` (static hash
       placement); each worker sleeps through its fixed slice.  The fp salt
       is searched deterministically so the straggler's shard also carries
-      its fair share of cheap items — the placement ``--shards`` cannot
+      its fair share of cheap items — the placement a hash partition cannot
       avoid, since fingerprints hash where they hash;
     * **stealing**: the items go through a real in-process store server's
       lease queue and the workers *pull* one at a time, cost-ordered (LPT
@@ -111,7 +116,6 @@ def run_dispatch_ab(
     import hashlib
     import threading
 
-    from ..store.fingerprint import shard_of
     from ..store.remote import RemoteStoreBackend
     from ..store.server import StoreHTTPServer, StoreService
 
@@ -295,7 +299,6 @@ def run_bench(
         },
         "config": {
             "backend": config.backend,
-            "workers": config.workers,
             "schedule": config.schedule,
             "memo": config.cross_obligation_memo,
         },

@@ -395,13 +395,10 @@ class AlphabetMemo:
     replays it verbatim on a hit, so a memo hit and a rebuild contribute
     byte-identical numbers to the evaluation tables.  That is what keeps the
     deterministic table renderings invariant across memo on/off, scheduler
-    orderings and worker counts; ``enabled=False`` only disables the *reuse*
+    orderings and dispatched runs; ``enabled=False`` only disables the *reuse*
     (every call still builds hermetically), it never changes a counter.
 
-    The engine shares one memo across the obligations of a run: serially the
-    dictionary simply grows; under a process pool the forked workers inherit
-    the parent's entries through copy-on-write memory and their own additions
-    die with them.
+    The engine shares one memo across the obligations of a run.
     """
 
     def __init__(

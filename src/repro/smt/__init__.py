@@ -6,7 +6,7 @@ provides the equivalent functionality used by the reproduction:
 * :mod:`repro.smt.sorts` / :mod:`repro.smt.terms` — hash-consed many-sorted
   terms and formulas,
 * :mod:`repro.smt.cnf` / :mod:`repro.smt.backends` — Tseitin conversion and
-  the pluggable SAT cores (DPLL, CDCL, optional z3) behind it,
+  the pluggable SAT cores (DPLL, CDCL) behind it,
 * :mod:`repro.smt.euf` / :mod:`repro.smt.arith` / :mod:`repro.smt.theory` —
   congruence closure, linear integer arithmetic and their combination,
 * :mod:`repro.smt.axioms` — ground instantiation of method-predicate lemmas,
@@ -47,13 +47,7 @@ from .terms import (
     TRUE,
 )
 from .axioms import Axiom, axiom
-from .backends import (
-    available_backends,
-    backend_available,
-    known_backends,
-    make_sat_backend,
-    resolve_backend,
-)
+from .backends import known_backends, make_sat_backend, resolve_backend
 from .solver import Solver, SolverStats, is_satisfiable, is_valid
 
 __all__ = [
@@ -94,8 +88,6 @@ __all__ = [
     "TRUE",
     "Axiom",
     "axiom",
-    "available_backends",
-    "backend_available",
     "known_backends",
     "make_sat_backend",
     "resolve_backend",

@@ -23,16 +23,15 @@ clause/solve surface the original DPLL core established:
 ``solve`` calls, a backend must return the same answers *and the same
 models* on every run — verdicts, witness traces and obligation-derived
 counters all flow from it.  Which model a backend returns is its own
-business (DPLL, CDCL and z3 legitimately differ, which is why the
+business (DPLL and CDCL legitimately differ, which is why the
 solver-internal ``#SAT``/``#Confl`` counters are per-backend columns), but
 the answer itself is semantics and must agree across backends — enforced by
 the cross-backend differential and fuzzing suites
 (``tests/smt/test_backend_diff.py``, ``tests/smt/test_backend_fuzz.py``).
 
 Adding a backend: implement the protocol, register a zero-argument factory
-in :data:`_FACTORIES` (gate availability like the z3 entry if it needs an
-import), and the differential suite picks it up via
-:func:`available_backends`.
+in :data:`_FACTORIES`, and the differential suite picks it up via
+:func:`known_backends`.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from typing import Callable, Optional, Protocol, runtime_checkable
 
 from .cdcl import CdclSolver
 from .dpll import SatSolver
-from .z3smt import Z3Backend, z3_available
 
 #: Default backend when neither the caller nor ``REPRO_BACKEND`` says otherwise.
 DEFAULT_BACKEND = "dpll"
@@ -78,34 +76,22 @@ class SatBackend(Protocol):
     def solve_partial(self, assumptions=()) -> Optional[dict[int, bool]]: ...
 
 
-#: backend id -> (factory, availability probe)
-_FACTORIES: dict[str, tuple[Callable[[], SatBackend], Callable[[], bool]]] = {
-    "dpll": (SatSolver, lambda: True),
-    "cdcl": (CdclSolver, lambda: True),
-    "z3": (Z3Backend, z3_available),
+#: backend id -> factory
+_FACTORIES: dict[str, Callable[[], SatBackend]] = {
+    "dpll": SatSolver,
+    "cdcl": CdclSolver,
 }
 
 
 def known_backends() -> tuple[str, ...]:
-    """Every registered backend id, available or not (CLI choices)."""
+    """Every registered backend id (CLI choices)."""
     return tuple(_FACTORIES)
-
-
-def available_backends() -> tuple[str, ...]:
-    """The backend ids whose dependencies are importable here."""
-    return tuple(name for name, (_, probe) in _FACTORIES.items() if probe())
-
-
-def backend_available(name: str) -> bool:
-    entry = _FACTORIES.get(name)
-    return entry is not None and entry[1]()
 
 
 def resolve_backend(name: Optional[str] = None) -> str:
     """Normalise a backend id: explicit > ``REPRO_BACKEND`` > ``dpll``.
 
-    Raises ``ValueError`` for unknown ids and for known-but-unavailable ones
-    (e.g. ``z3`` without the package), so misconfiguration fails at
+    Raises ``ValueError`` for unknown ids, so misconfiguration fails at
     construction time instead of deep inside a discharge.
     """
     resolved = name or os.environ.get("REPRO_BACKEND") or DEFAULT_BACKEND
@@ -113,18 +99,12 @@ def resolve_backend(name: Optional[str] = None) -> str:
         raise ValueError(
             f"unknown solver backend {resolved!r}; known: {', '.join(_FACTORIES)}"
         )
-    if not backend_available(resolved):
-        raise ValueError(
-            f"solver backend {resolved!r} is not available in this environment "
-            "(is its package installed?)"
-        )
     return resolved
 
 
 def make_sat_backend(name: Optional[str] = None) -> SatBackend:
     """Instantiate a fresh SAT core for ``name`` (resolved like above)."""
-    factory, _ = _FACTORIES[resolve_backend(name)]
-    return factory()
+    return _FACTORIES[resolve_backend(name)]()
 
 
 __all__ = [
@@ -132,11 +112,7 @@ __all__ = [
     "SatBackend",
     "SatSolver",
     "CdclSolver",
-    "Z3Backend",
-    "available_backends",
-    "backend_available",
     "known_backends",
     "make_sat_backend",
     "resolve_backend",
-    "z3_available",
 ]

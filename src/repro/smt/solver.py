@@ -2,8 +2,8 @@
 
 Implements the classic *lazy SMT* architecture: the input formula (plus
 ground instances of the method-predicate axioms) is Tseitin-encoded and
-handed to a pluggable SAT core (:mod:`repro.smt.backends` — DPLL, CDCL or an
-external z3, selected by ``Solver(backend=...)`` / ``REPRO_BACKEND``); every
+handed to a pluggable SAT core (:mod:`repro.smt.backends` — DPLL or CDCL,
+selected by ``Solver(backend=...)`` / ``REPRO_BACKEND``); every
 propositional model is checked against the EUF + linear-arithmetic theory
 combination; theory conflicts are turned into blocking clauses until either
 a theory-consistent model is found (SAT) or the propositional abstraction
@@ -55,7 +55,7 @@ class SolverStats(MergeableStats):
     propagations, conflicts, restarts), accumulated across every encoded
     query.  Together with ``queries``/``theory_conflicts`` they are the
     *backend-sensitive* counters: which model a backend returns steers the
-    enumeration's branching, so DPLL/CDCL/z3 legitimately report different
+    enumeration's branching, so DPLL and CDCL legitimately report different
     values while agreeing on every verdict (and on every obligation-derived
     counter downstream).
     """
@@ -96,7 +96,7 @@ class Solver:
         backend: Optional[str] = None,
     ) -> None:
         self.axioms = tuple(axioms)
-        #: which SAT core answers the encoded queries (dpll / cdcl / z3);
+        #: which SAT core answers the encoded queries (dpll / cdcl);
         #: ``None`` defers to REPRO_BACKEND, then "dpll"
         self.backend = resolve_backend(backend)
         self.instantiation_rounds = instantiation_rounds

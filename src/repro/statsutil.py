@@ -3,10 +3,10 @@
 Every statistics table in the pipeline (:class:`repro.smt.solver.SolverStats`,
 :class:`repro.sfa.inclusion.InclusionStats`, the obligation engine's counters)
 is a flat dataclass of numeric counters that needs the same three operations:
-``merge`` (pointwise sum, used when per-worker results flow back into the
-parent tables), ``snapshot`` (a copy used for before/after deltas), and a
-plain-``dict`` round-trip (used to ship counters across the process-pool
-boundary, where only picklable builtins travel).
+``merge`` (pointwise sum, used when per-obligation results flow back into
+the caller's tables), ``snapshot`` (a copy used for before/after deltas), and
+a plain-``dict`` round-trip (used to persist counters in store records, where
+only JSON builtins travel).
 
 They used to be hand-maintained per class, which silently dropped any newly
 added counter from ``merge``; deriving them from ``dataclasses.fields`` makes
@@ -43,7 +43,7 @@ class MergeableStats:
         )
 
     def as_dict(self) -> dict[str, Any]:
-        """A picklable plain-dict view (process-pool transport)."""
+        """A plain-dict view (the store-record transport)."""
         return {
             f.name: getattr(self, f.name)
             for f in dataclasses.fields(self)  # type: ignore[arg-type]

@@ -15,8 +15,8 @@ The subsystem behind ``pymarple --incremental``:
   service: ``repro store serve`` wraps a local backend behind JSON-over-HTTP
   and :class:`~repro.store.remote.RemoteStoreBackend` is the client a
   ``--store http://host:port`` URL resolves to;
-* :mod:`repro.store.shard` — the sharded suite runner (imported lazily: it
-  sits above the evaluation layer, which itself depends on this package).
+* :mod:`repro.store.queue` — the lease-based work queue the server hands
+  cold obligations to ``repro worker`` processes through.
 """
 
 from .backends import (
@@ -32,7 +32,6 @@ from .fingerprint import (
     library_digest,
     obligation_digest,
     sfa_digest,
-    shard_of,
     spec_digest,
     term_digest,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "library_digest",
     "obligation_digest",
     "sfa_digest",
-    "shard_of",
     "spec_digest",
     "term_digest",
 ]

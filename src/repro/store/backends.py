@@ -77,7 +77,6 @@ KNOWN_STORE_BACKENDS = ("jsonl", "sqlite")
 _ENTRIES = "entries.jsonl"
 _META = "meta.json"
 _RUNS = "runs.jsonl"
-_SHARD_DIR = "shards"
 _LOCK = ".lock"
 _SQLITE_SUFFIXES = {".db", ".sqlite", ".sqlite3"}
 
@@ -184,8 +183,8 @@ def _decode_entry_lines(raw: bytes) -> tuple[dict[tuple[str, str], StoreEntry], 
     """Parse a JSON-lines blob; last line per key wins, corrupt lines skipped.
 
     Decoding happens per line (bytes → UTF-8 → JSON) so one torn line — a
-    killed writer's partial append, or a truncated shard file — costs exactly
-    that line, never the whole file.
+    killed writer's partial append — costs exactly that line, never the
+    whole file.
     """
     entries: dict[tuple[str, str], StoreEntry] = {}
     skipped = 0
@@ -291,20 +290,13 @@ def append_jsonl_batch(path: Path, lines: Sequence[str]) -> None:
         os.close(fd)
 
 
-def _purge_shard_files(shard_dir: Path) -> None:
-    if not shard_dir.is_dir():
-        return
-    for shard_file in shard_dir.glob("shard-*.jsonl"):
-        shard_file.unlink()
-
-
 class JsonlStoreBackend:
     """The directory-of-JSON-lines layout, with advisory-locked writes.
 
     ``<dir>/meta.json`` carries the schema tag, ``<dir>/entries.jsonl`` the
     append-only entry log (last line per key wins), ``<dir>/runs.jsonl`` the
-    GC reference trail, ``<dir>/shards/`` the transient shard outputs and
-    ``<dir>/.lock`` the advisory lock every append and rewrite holds.
+    GC reference trail and ``<dir>/.lock`` the advisory lock every append
+    and rewrite holds.
     """
 
     name = "jsonl"
@@ -320,7 +312,6 @@ class JsonlStoreBackend:
                 f"store path {str(self.path)!r} is a file; the jsonl backend "
                 "needs a directory (did you mean the sqlite backend?)"
             )
-        self.shard_dir = self.path / _SHARD_DIR
 
     def _lock(self):
         self.path.mkdir(parents=True, exist_ok=True)
@@ -348,16 +339,13 @@ class JsonlStoreBackend:
                 except (OSError, ValueError):
                     schema = None
             if schema != SCHEMA_VERSION:
-                # Unknown or missing schema: never reinterpret old entries —
-                # and that includes leftover shard files from an interrupted
-                # sharded run, which absorb_shards would otherwise merge later
+                # Unknown or missing schema: never reinterpret old entries
                 if not wipe_mismatch:
                     return LoadedState({}, [])
                 for name in (_ENTRIES, _RUNS):
                     stale = self.path / name
                     if stale.exists():
                         stale.unlink()
-                _purge_shard_files(self.shard_dir)
                 _atomic_write(
                     meta_path, (json.dumps({"schema": SCHEMA_VERSION}) + "\n").encode()
                 )
@@ -433,9 +421,7 @@ class SqliteStoreBackend:
     Write transactions open with ``BEGIN IMMEDIATE`` under a busy timeout
     plus a short exponential-backoff retry loop, so N concurrent writer
     processes serialise instead of failing or corrupting; WAL keeps readers
-    from ever blocking them.  Shard workers still write transient JSONL files
-    (next to the database, in ``<file>.shards/``) — only the merged log is
-    relational.
+    from ever blocking them.
     """
 
     name = "sqlite"
@@ -452,7 +438,6 @@ class SqliteStoreBackend:
                 f"store path {str(self.path)!r} is a directory; the sqlite "
                 "backend needs a file (did you mean the jsonl backend?)"
             )
-        self.shard_dir = self.path.parent / (self.path.name + ".shards")
         self._conn: Optional[sqlite3.Connection] = None
 
     # -- connection management ----------------------------------------------------
@@ -679,7 +664,6 @@ class SqliteStoreBackend:
                 if not wipe_mismatch:
                     return LoadedState({}, [])
                 self._reset(conn)
-                _purge_shard_files(self.shard_dir)
                 return LoadedState({}, [])
             entries, skipped = self._read_entries(conn)
             runs = self._read_runs(conn)

@@ -159,11 +159,6 @@ def obligation_digest(obligation) -> str:
     return result
 
 
-def shard_of(digest: str, shards: int) -> int:
-    """Deterministic shard assignment by fingerprint hash."""
-    return int(digest[:12], 16) % shards
-
-
 # ---------------------------------------------------------------------------
 # Specifications and libraries (the dependency-index keys)
 # ---------------------------------------------------------------------------
@@ -289,8 +284,8 @@ def environment_fingerprint(
     participates too: verdicts agree across backends, but the recorded
     per-obligation counters (#SAT, #Confl) are backend-internal, so a warm
     start under ``cdcl`` must never replay numbers a ``dpll`` discharge
-    produced.  Worker count and shard assignment are deliberately absent —
-    the determinism contract says they never change any obligation-derived
+    produced.  Which process discharged an obligation is deliberately absent —
+    the determinism contract says it never changes any obligation-derived
     counter.  Scheduling order and the cross-obligation memos are absent for
     the same reason, and the recorded *cost* records are advisory
     measurements, so they live outside the fingerprint too.

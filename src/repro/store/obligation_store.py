@@ -17,7 +17,7 @@ forced via ``backend=``/``REPRO_STORE_BACKEND``:
 
 * the **jsonl** backend keeps the original directory layout (``meta.json``,
   append-only ``entries.jsonl`` where the last line per key wins,
-  ``runs.jsonl``, ``shards/``), hardened with an advisory ``flock`` per
+  ``runs.jsonl``), hardened with an advisory ``flock`` per
   write and atomic fsynced rewrites;
 * the **sqlite** backend keeps one WAL-mode database file with the same
   records in ``entries``/``deps``/``costs``/``runs`` tables, UPSERTed on the
@@ -58,17 +58,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Optional
 
 from ..obs import trace
 from ..obs.logs import get_logger
 from .backends import (
-    ENTRY_DECODE_ERRORS,
     SCHEMA_VERSION,
     LoadedState,
     StoreEntry,
-    append_jsonl_batch,
     open_backend,
 )
 
@@ -158,15 +155,10 @@ class ObligationStore:
         self,
         path: os.PathLike | str,
         *,
-        shard_output: Optional[int] = None,
         backend: Optional[str] = None,
     ) -> None:
         self.backend = open_backend(path, backend)
         self.path = self.backend.path
-        #: when set, writes go to ``shards/shard-K.jsonl`` instead of the main
-        #: log, and invalidation never rewrites the (shared) main log — the
-        #: mode the sharded runner's forked children run in.
-        self.shard_output = shard_output
         self._entries: dict[tuple[str, str], StoreEntry] = {}
         self._pending: list[StoreEntry] = []
         #: every entry recorded through this session (never cleared by a
@@ -176,7 +168,7 @@ class ObligationStore:
         #: per-(scope, method) session counters, in first-check order
         self.session: dict[tuple[str, str], MethodStoreCounts] = {}
         #: corrupt/torn persisted records skipped (never fatal) while loading
-        #: the store or absorbing shard files in this session
+        #: the store in this session
         self.skipped_records = 0
         #: obligation fp -> recorded wall cost (advisory, env-free): built
         #: from every loaded/recorded entry and deliberately *not* pruned by
@@ -218,10 +210,8 @@ class ObligationStore:
                 self._cost_index.update(self.backend.cost_hints())
             self.skipped_records += int(info.get("skipped", 0))
             return
-        # shard children never wipe the shared store on a schema mismatch
-        # (the parent already did, or will, before forking them)
         with trace.span("store.load", cat="store", backend=self.backend.name):
-            state = self.backend.load(wipe_mismatch=self.shard_output is None)
+            state = self.backend.load()
         self._adopt(state)
 
     def _adopt(self, state: LoadedState) -> None:
@@ -314,7 +304,7 @@ class ObligationStore:
         return self._cost_index.get(fp)
 
     def flush(self) -> None:
-        """Append pending entries to the log (or to this process's shard file).
+        """Append pending entries to the log.
 
         The backend appends the whole batch under an exclusive lock (jsonl:
         one ``write()`` of the pre-joined lines; sqlite: one UPSERT
@@ -325,17 +315,7 @@ class ObligationStore:
             return
         logger.debug("flushing %d pending store entries to %s", len(self._pending), self.path)
         with trace.span("store.flush", cat="store", entries=len(self._pending)):
-            if self.shard_output is None:
-                self.backend.append_entries(self._pending)
-            else:
-                # a shard file is private to this worker process; a single
-                # appending write still keeps a torn tail from costing more
-                # than one entry if the worker is killed mid-flush
-                self.backend.shard_dir.mkdir(parents=True, exist_ok=True)
-                append_jsonl_batch(
-                    self.backend.shard_dir / f"shard-{self.shard_output}.jsonl",
-                    [entry.to_json() for entry in self._pending],
-                )
+            self.backend.append_entries(self._pending)
         self._pending.clear()
 
     def compact(self) -> None:
@@ -346,8 +326,6 @@ class ObligationStore:
         entries appended by a concurrent process since :meth:`_load` survive
         the compaction instead of being lost to a stale snapshot.
         """
-        if self.shard_output is not None:
-            return
         if self.is_remote:
             # the server compacts under its own lock; our writes must be
             # durably appended first so the rewrite sees them
@@ -377,14 +355,10 @@ class ObligationStore:
         local_stale = stale_entry_keys(
             self._entries, scope, method, spec_digest, library_digest
         )
-        if self.shard_output is not None or (not self.is_remote and not local_stale):
-            # shard children never rewrite the shared log; and when a local
-            # session's view has nothing stale, skip the locked rewrite —
-            # the overwhelmingly common (warm, unedited) case stays cheap
-            for key in local_stale:
-                del self._entries[key]
-                self._session_writes.pop(key, None)
-            return len(local_stale)
+        if not self.is_remote and not local_stale:
+            # a local session whose view has nothing stale skips the locked
+            # rewrite — the overwhelmingly common (warm, unedited) case
+            return 0
 
         if self.is_remote:
             # the server drops stale entries under its lock; flush first so
@@ -466,11 +440,9 @@ class ObligationStore:
         computed against the log as re-read under the exclusive lock, so two
         processes committing concurrently get distinct sequence numbers and
         neither overwrites the other's record.  Returns the number of keys
-        recorded; a session that touched nothing records no run.  Shard
-        workers never commit runs (the parent absorbs their entries and
-        commits on their behalf).
+        recorded; a session that touched nothing records no run.
         """
-        if self.shard_output is not None or not self._touched:
+        if not self._touched:
             self._touched.clear()
             return 0
         self.flush()
@@ -512,8 +484,6 @@ class ObligationStore:
         """
         if keep_last < 1:
             raise ValueError("gc requires keep_last >= 1")
-        if self.shard_output is not None:
-            return 0
         if self._touched:
             # an uncommitted session counts as the most recent run
             self.commit_run()
@@ -540,49 +510,6 @@ class ObligationStore:
         self._adopt(self.backend.update(sweep))
         self._pending.clear()
         return dropped
-
-    # -- shard merging ---------------------------------------------------------------
-    def shard_files(self) -> list[Path]:
-        shard_dir = self.backend.shard_dir
-        if not shard_dir.is_dir():
-            return []
-
-        def index_of(p: Path) -> int:
-            try:
-                return int(p.stem.split("-", 1)[1])
-            except (IndexError, ValueError):
-                return 1 << 30
-
-        return sorted(shard_dir.glob("shard-*.jsonl"), key=index_of)
-
-    def absorb_shards(self) -> int:
-        """Merge shard outputs into the main log, deterministically.
-
-        Files are read in shard-index order; within a file, line order.  Shard
-        assignment partitions fingerprints, so collisions only arise against
-        pre-existing entries — which already carry the same content — making
-        the merge order-insensitive in value, deterministic in bytes.  A
-        shard file ending in a torn partial line (a killed worker, mid-
-        append) costs exactly the torn entry: decode failures are skipped and
-        counted (``summary()["skipped"]``), never allowed to abort the merge
-        and discard the healthy shards.
-        """
-        absorbed = 0
-        for shard_file in self.shard_files():
-            for line in shard_file.read_bytes().splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    entry = StoreEntry.from_json(line.decode("utf-8"))
-                except ENTRY_DECODE_ERRORS:
-                    self.skipped_records += 1
-                    continue
-                if entry.key not in self._entries:
-                    self.record(entry)
-                    absorbed += 1
-            shard_file.unlink()
-        self.flush()
-        return absorbed
 
     # -- misc ------------------------------------------------------------------------
     def __len__(self) -> int:

@@ -10,7 +10,7 @@ an advisory cost — and hands them to pulling workers under *leases*:
   Measured costs (the store's ``cost_hint`` index) sort before syntactic
   estimates, both longest-first: LPT applied *at dequeue time*, so the
   straggler obligation is always in flight while cheap ones fill the gaps
-  — the static hash-slice sharding this replaces pinned it to one shard.
+  — a static hash partition would pin it to one worker.
 * :meth:`complete` removes items by key no matter who currently holds
   them, and is idempotent: completing an already-removed key is a no-op,
   completing under a stale (stolen) lease merely counts as ``stale``.

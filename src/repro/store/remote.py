@@ -46,15 +46,12 @@ backend-isolation expectations survive the wire.
 
 from __future__ import annotations
 
-import hashlib
 import http.client
 import json
 import os
-import tempfile
 import time
 import urllib.parse
 import uuid
-from pathlib import Path
 from typing import Optional, Sequence
 
 from ..obs import trace
@@ -136,13 +133,6 @@ class RemoteStoreBackend:
         #: session transport counters (reuse rate backs the keep-alive tests)
         self.rpc_calls = 0
         self.rpc_reused = 0
-        # shard workers forked under a remote store still spool their slices
-        # to local files; the directory is derived from the URL so the parent
-        # and its forked children agree on it without extra plumbing
-        url_digest = hashlib.sha256(self.path.encode("utf-8")).hexdigest()[:16]
-        self.shard_dir = (
-            Path(tempfile.gettempdir()) / f"pymarple-remote-{url_digest}" / "shards"
-        )
 
     # -- transport ----------------------------------------------------------------
     def _ensure_identity(self) -> None:

@@ -70,10 +70,6 @@ class CheckFailure(Exception):
     """Raised internally when a proof obligation fails; reported in the result."""
 
 
-def _default_workers() -> int:
-    return int(os.environ.get("REPRO_WORKERS") or "1")
-
-
 def _default_backend() -> str:
     return os.environ.get("REPRO_BACKEND") or "dpll"
 
@@ -99,18 +95,15 @@ class CheckerConfig:
     #: None = the default budget (24, or 14 without ``filter_unsat_minterms``)
     max_literals: Optional[int] = None
     #: which SAT core answers the lazy SMT loop's queries: "dpll" (the
-    #: original reference), "cdcl" (clause learning + VSIDS + restarts) or
-    #: "z3" (external, when installed).  Overridable via REPRO_BACKEND.
+    #: original reference) or "cdcl" (clause learning + VSIDS + restarts).
+    #: Overridable via REPRO_BACKEND.
     #: Verdicts and every obligation-derived counter are backend-independent;
     #: only #SAT/#Confl-style solver internals may differ.
     backend: str = field(default_factory=_default_backend)
-    #: process-pool width for obligation discharge (1 = in-process serial).
-    #: Overridable via the REPRO_WORKERS environment variable (CI matrix).
-    workers: int = field(default_factory=_default_workers)
-    #: how cold obligations are ordered for discharge: "auto" (historical
-    #: store cost when available — LPT under a pool, cheapest-first serially —
-    #: falling back to the syntactic estimate), or the explicit "cost"/"lpt"/
-    #: "syntactic" policies used by ablations and the determinism suite.
+    #: how cold obligations are ordered for discharge: "auto" (cheapest-first
+    #: by historical store cost when available, falling back to the syntactic
+    #: estimate), or the explicit "lpt"/"syntactic" policies used by
+    #: ablations and the determinism suite.
     #: Ordering is advisory: it can never change a verdict or a counter.
     #: Overridable via the REPRO_SCHEDULE environment variable.
     schedule: str = field(default_factory=_default_schedule)
@@ -121,10 +114,6 @@ class CheckerConfig:
     #: byte-identical either way.  Overridable via REPRO_MEMO=0 (the
     #: ablation/acceptance toggle).
     cross_obligation_memo: bool = field(default_factory=_default_memo)
-    #: ``(index, count)`` — discharge only the obligations whose fingerprint
-    #: hashes into this shard (set by the sharded suite runner; the resulting
-    #: report is only meaningful for warming an obligation store)
-    shard: Optional[tuple[int, int]] = None
     #: which persistence backend an obligation store opened for this run
     #: uses: "auto" (infer from the store path — ``.db``/``sqlite:`` means
     #: sqlite, a directory means jsonl), "jsonl" or "sqlite".  Purely a
@@ -133,13 +122,11 @@ class CheckerConfig:
     #: both).  Overridable via the REPRO_STORE_BACKEND environment variable.
     store_backend: str = field(default_factory=_default_store_backend)
     #: dispatch-worker mode: discharge only obligations whose digest is in
-    #: this set, vacuously skipping the rest (a queue lease's slice — the
-    #: pull-based counterpart of ``shard``)
+    #: this set, vacuously skipping the rest (a queue lease's slice)
     only_digests: Optional[frozenset] = None
     #: dispatch-coordinator mode: report every store miss to this callable —
     #: ``sink(env_fp, digest, cost_hint, estimate)`` — instead of discharging
-    #: it locally.  Never set on a config that crosses a fork (the sharded
-    #: runner pickles configs; closures don't travel).
+    #: it locally.  Never set on a config handed to a dispatch worker.
     collect_sink: Optional[object] = None
 
 
@@ -172,7 +159,7 @@ class Checker:
         )
         self.solver = smt.Solver(axioms=list(axioms), backend=self.config.backend)
         # The cross-obligation reuse layer, shared by the inline checker and
-        # the obligation engine (and, copy-on-write, its forked workers):
+        # the obligation engine:
         # alphabet/minterm constructions are built hermetically per
         # literal-set key and their counter bill replayed on reuse.
         # ``cross_obligation_memo=False`` disables the *reuse* only —
@@ -199,9 +186,7 @@ class Checker:
             filter_unsat_minterms=self.config.filter_unsat_minterms,
             max_literals=self.config.max_literals,
             backend=self.config.backend,
-            workers=self.config.workers,
             store=store,
-            shard=self.config.shard,
             schedule=self.config.schedule,
             alphabet_memo=self.alphabet_memo,
             only=self.config.only_digests,
@@ -324,7 +309,7 @@ class Checker:
             inline_error = f"resource limit while checking: {exc}"
 
         # -- schedule + discharge: dedupe, order and decide the collected set;
-        # per-worker solver/inclusion counters merge into the shared tables.
+        # per-obligation solver/inclusion counters merge into the shared tables.
         emitted = len(self._obligations)
         outcomes = self.obligation_engine.discharge_all(
             self._obligations,

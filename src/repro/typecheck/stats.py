@@ -19,7 +19,7 @@ class MethodStats:
     #: SMT queries and model enumerations answered from the solver's caches
     smt_cache_hits: int = 0
     #: SAT-core conflicts during those queries (#Confl — backend-internal,
-    #: like #SAT: DPLL/CDCL/z3 legitimately differ here and nowhere else)
+    #: like #SAT: DPLL and CDCL legitimately differ here and nowhere else)
     sat_conflicts: int = 0
     fa_inclusion_checks: int = 0
     #: alphabet/minterm constructions actually enumerated (#Alph) — volatile:
@@ -62,10 +62,10 @@ class MethodStats:
 
     #: the wall-clock columns of :meth:`as_row` (excluded from determinism
     #: comparisons — every counter column must be byte-identical across
-    #: worker counts, but times vary run to run even serially)
+    #: cold, warm and dispatched runs, but times vary run to run)
     TIME_COLUMNS = ("tSAT (s)", "tInc (s)", "t (s)")
 
-    #: columns excluded from cold-vs-warm/worker-count determinism
+    #: columns excluded from cold-vs-warm/dispatched determinism
     #: comparisons: the time columns, plus #Store (by design 0 on a cold run
     #: and >0 on a warm one), #Alph (how many alphabet constructions a
     #: method *ran* depends on what the shared cross-obligation memo already
@@ -74,10 +74,10 @@ class MethodStats:
     VOLATILE_COLUMNS = TIME_COLUMNS + ("#Store", "#Alph")
 
     #: solver-internal columns: deterministic for a *fixed* backend (they
-    #: participate in cold-vs-warm and worker-count comparisons) but
+    #: participate in cold-vs-warm and dispatched comparisons) but
     #: legitimately different *between* backends — which model a SAT core
     #: returns steers the guided enumeration's branching.  Everything else in
-    #: :meth:`counter_row` must be byte-identical across dpll/cdcl/z3.
+    #: :meth:`counter_row` must be byte-identical across dpll/cdcl.
     BACKEND_SENSITIVE_COLUMNS = ("#SAT", "#Confl")
 
     def counter_row(self) -> dict[str, object]:

@@ -54,6 +54,12 @@ def test_argparse_rejects_bad_usage():
         cli_main(["check", "Set/KVStore", "--discharge", "lazy"])
     with pytest.raises(SystemExit):  # one enumeration: no strategy flag
         cli_main(["check", "Set/KVStore", "--strategy", "guided"])
+    with pytest.raises(SystemExit):  # one parallel path: the lease queue
+        cli_main(["check", "Set/KVStore", "--workers", "2"])
+    with pytest.raises(SystemExit):
+        cli_main(["evaluate", "--fast", "--shards", "2"])
+    with pytest.raises(SystemExit):  # "cost" folded into "auto"
+        cli_main(["check", "Set/KVStore", "--schedule", "cost"])
 
 
 # -- checker knobs -----------------------------------------------------------------
@@ -65,10 +71,9 @@ def test_checker_knob_flags_are_accepted(capsys):
             [
                 "check",
                 "Set/KVStore",
-                "--workers",
-                "2",
                 "--schedule",
                 "syntactic",
+                "--no-memo",
             ]
         )
         == 0
@@ -90,13 +95,13 @@ def test_knob_flags_reach_the_checker_config(monkeypatch):
     monkeypatch.setattr(AdtBenchmark, "make_checker", spy)
     assert (
         cli_main(
-            ["check", "Set/KVStore", "--workers", "3", "--schedule", "syntactic"]
+            ["check", "Set/KVStore", "--schedule", "syntactic", "--no-memo"]
         )
         == 0
     )
     config = captured["config"]
-    assert config.workers == 3
     assert config.schedule == "syntactic"
+    assert config.cross_obligation_memo is False
 
 
 # -- solver backends ---------------------------------------------------------------
@@ -137,16 +142,6 @@ def test_bad_repro_backend_env_exits_two(monkeypatch, capsys):
         cli_main(["check", "Set/KVStore"])
     assert excinfo.value.code == 2
     assert "unknown solver backend" in capsys.readouterr().err
-
-
-def test_unavailable_backend_exits_two(monkeypatch, capsys):
-    from repro.smt import backends
-
-    monkeypatch.setattr(backends, "backend_available", lambda name: name != "z3")
-    with pytest.raises(SystemExit) as excinfo:
-        cli_main(["check", "Set/KVStore", "--backend", "z3"])
-    assert excinfo.value.code == 2
-    assert "not available" in capsys.readouterr().err
 
 
 # -- JSON output -------------------------------------------------------------------
@@ -213,19 +208,6 @@ def test_incremental_defaults_to_local_store(tmp_path, monkeypatch, capsys):
     assert cli_main(["check", "Set/KVStore", "--method", "empty", "--incremental"]) == 0
     capsys.readouterr()
     assert (tmp_path / ".pymarple-store" / "entries.jsonl").exists()
-
-
-def test_evaluate_sharded_cli(capsys, tmp_path):
-    store_path = str(tmp_path / "store")
-    assert (
-        cli_main(["evaluate", "--fast", "--shards", "2", "--store", store_path, "--json"])
-        == 0
-    )
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["all_verified"] is True
-    # phase 2 is a warm run over the merged shard outputs
-    assert payload["store"]["summary"]["misses"] == 0
-    assert payload["store"]["summary"]["hits"] > 0
 
 
 # -- store backends and migration --------------------------------------------------

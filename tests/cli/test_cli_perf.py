@@ -144,7 +144,7 @@ def test_bad_repro_schedule_env_exits_two(monkeypatch, capsys):
 
 def test_schedule_modes_produce_identical_check_output(capsys):
     outputs = {}
-    for schedule in ("syntactic", "cost", "lpt"):
+    for schedule in ("syntactic", "auto", "lpt"):
         assert cli_main(["check", "Set/KVStore", "--schedule", schedule]) == 0
         outputs[schedule] = capsys.readouterr().out
     # wall-clock fields differ; the verdict lines must not
@@ -152,4 +152,4 @@ def test_schedule_modes_produce_identical_check_output(capsys):
         schedule: [line for line in out.splitlines() if "verified" in line or ": ok" in line]
         for schedule, out in outputs.items()
     }
-    assert verdicts["syntactic"] == verdicts["cost"] == verdicts["lpt"]
+    assert verdicts["syntactic"] == verdicts["auto"] == verdicts["lpt"]

@@ -104,7 +104,7 @@ def test_cost_hint_crosses_environments(registry, tmp_path):
     dpll.discharge_all(obset, store_context=context)
     store.flush()
 
-    cdcl = ObligationEngine(registry, store=store, backend="cdcl", schedule="cost")
+    cdcl = ObligationEngine(registry, store=store, backend="cdcl", schedule="auto")
     outcomes = cdcl.discharge_all(_obligations(registry, count=2), store_context=context)
     assert all(outcome.included for outcome in outcomes.values())
     assert cdcl.stats.store_hits == 0, "verdicts must not cross environments"

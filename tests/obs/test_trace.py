@@ -32,11 +32,8 @@ def test_disabled_module_span_is_the_shared_null_singleton():
     assert span is _NULL_SPAN
     with span as inner:
         inner.set(late="attribute")  # must be a no-op, not an error
-    assert trace.mark() == 0
-    assert trace.drain(0) == []
     assert trace.current_span() is None
     assert trace.open_spans() == []
-    trace.ingest([{"id": 1}])  # dropped silently while disabled
 
 
 # -- recording ---------------------------------------------------------------------
@@ -77,29 +74,6 @@ def test_exception_inside_span_still_closes_it():
             raise RuntimeError("boom")
     assert [record["name"] for record in tracer.spans] == ["doomed"]
     assert tracer.open_spans() == []
-
-
-# -- worker buffering (the drain/ingest round trip) --------------------------------
-
-
-def test_drain_pops_only_spans_after_the_mark_and_ingest_restores_them():
-    tracer = trace.install(Tracer())
-    with trace.span("before"):
-        pass
-    marked = trace.mark()
-    with trace.span("worker-1"):
-        pass
-    with trace.span("worker-2"):
-        pass
-    drained = trace.drain(marked)
-    assert [record["name"] for record in drained] == ["worker-1", "worker-2"]
-    assert [record["name"] for record in tracer.spans] == ["before"]
-    trace.ingest(drained)
-    assert [record["name"] for record in tracer.spans] == [
-        "before",
-        "worker-1",
-        "worker-2",
-    ]
 
 
 # -- export / import ---------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Tracing is strictly volatile: traced runs render byte-identical tables.
 
 The acceptance contract of the observability layer: installing a tracer —
-across every SAT backend and worker count — may add spans
-and wall-clock time but must never move a counter in the deterministic
-renderings of Tables 1/3/4.  The integration leg also locks in what a real
-traced run must contain: schema-valid spans, per-obligation fingerprints,
-worker spans under a pool, and ≥95% of the main process's wall time
-attributed to non-structural spans.
+under every SAT backend — may add spans and wall-clock time but must never
+move a counter in the deterministic renderings of Tables 1/3/4.  The
+integration leg also locks in what a real traced run must contain:
+schema-valid spans, per-obligation fingerprints, and ≥95% of the main
+process's wall time attributed to non-structural spans.
 """
 
 import pytest
@@ -45,35 +44,39 @@ def untraced_tables():
 
 
 @pytest.mark.parametrize("backend", ("dpll", "cdcl"))
-@pytest.mark.parametrize("workers", (1, 4))
-@pytest.mark.parametrize("legacy_mode", ("compiled",))
+@pytest.mark.parametrize(
+    "stale",
+    (
+        pytest.param("REPRO_DISCHARGE=compiled", id="discharge"),
+        pytest.param("REPRO_WORKERS=4", id="workers"),
+    ),
+)
 def test_traced_tables_are_byte_identical_to_untraced(
-    legacy_mode, workers, backend, untraced_tables, monkeypatch
+    stale, backend, untraced_tables, monkeypatch
 ):
-    # A ``REPRO_DISCHARGE`` left over from before the single decider must be
-    # inert: the traced run under a stale setting renders the reference
-    # tables computed with the variable unset.  Nothing reads the variable,
-    # so one stale value covers every other.
-    monkeypatch.setenv("REPRO_DISCHARGE", legacy_mode)
+    # A variable left over from a retired knob (the discharge modes before
+    # the single decider, the in-engine fork pool before the lease queue)
+    # must be inert: the traced run under a stale setting renders the
+    # reference tables computed with the variable unset.  Nothing reads
+    # either variable, so one stale value each covers every other.
+    name, value = stale.split("=")
+    monkeypatch.setenv(name, value)
     with trace.session() as tracer:
-        report = run_evaluation(
-            include_slow=False,
-            config=CheckerConfig(backend=backend, workers=workers),
-        )
+        report = run_evaluation(include_slow=False, config=CheckerConfig(backend=backend))
     assert report.all_verified and report.all_negatives_rejected
     assert _render(report) == untraced_tables[backend], (
-        f"tracing or a stale REPRO_DISCHARGE={legacy_mode} changed a "
-        f"deterministic counter under workers={workers} backend={backend}"
+        f"tracing or a stale {stale} changed a deterministic counter "
+        f"under backend={backend}"
     )
     assert tracer.spans, "the traced run must actually have recorded spans"
 
 
 @pytest.fixture(scope="module")
-def traced_pool_run():
-    """One traced fast-corpus run on a 4-worker pool, normalised like a file."""
+def traced_run():
+    """One traced serial fast-corpus run, normalised like a file."""
     trace.uninstall()
     with trace.session() as tracer:
-        report = run_evaluation(include_slow=False, config=CheckerConfig(workers=4))
+        report = run_evaluation(include_slow=False, config=CheckerConfig())
     assert report.all_verified
     tracer.counters = {"caches": report.cache_totals()}
     return {
@@ -83,31 +86,22 @@ def traced_pool_run():
     }
 
 
-def test_traced_run_is_schema_valid(traced_pool_run):
-    assert validate_trace(traced_pool_run) == []
+def test_traced_run_is_schema_valid(traced_run):
+    assert validate_trace(traced_run) == []
 
 
-def test_worker_spans_travel_home_under_a_pool(traced_pool_run):
-    root_pid = traced_pool_run["meta"]["pid"]
-    worker_spans = [
-        span for span in traced_pool_run["spans"] if span["pid"] != root_pid
-    ]
-    assert worker_spans, "pool workers recorded no spans"
-    assert {span["name"] for span in worker_spans} >= {"discharge.group"}
-
-
-def test_per_obligation_spans_are_keyed_by_store_fingerprint(traced_pool_run):
+def test_per_obligation_spans_are_keyed_by_store_fingerprint(traced_run):
     fingerprints = {
         span["args"]["obligation_fp"]
-        for span in traced_pool_run["spans"]
+        for span in traced_run["spans"]
         if span.get("args", {}).get("obligation_fp")
     }
     assert len(fingerprints) > 10, "discharge spans must carry store fingerprints"
     assert all(len(fp) == 32 for fp in fingerprints), "fingerprint = store digest"
 
 
-def test_coverage_of_a_traced_run_meets_the_acceptance_bar(traced_pool_run):
-    summary = analyze_trace(traced_pool_run)
+def test_coverage_of_a_traced_run_meets_the_acceptance_bar(traced_run):
+    summary = analyze_trace(traced_run)
     assert summary["wall"] > 0
     assert summary["coverage"] >= 0.95, (
         f"only {summary['coverage']:.1%} of wall time is attributed to "

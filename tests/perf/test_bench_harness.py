@@ -113,6 +113,19 @@ def test_dispatch_ab_validates_workers():
         run_dispatch_ab(workers=1)
 
 
+def test_shard_assignment_is_total_and_stable():
+    from repro import smt
+    from repro.perf.bench import shard_of
+    from repro.store.fingerprint import term_digest
+
+    digests = [term_digest(smt.int_const(i)) for i in range(50)]
+    for shards in (1, 2, 5):
+        assignment = [shard_of(d, shards) for d in digests]
+        assert all(0 <= s < shards for s in assignment)
+        assert assignment == [shard_of(d, shards) for d in digests]
+    assert len({shard_of(d, 5) for d in digests}) > 1, "hash should actually spread"
+
+
 def test_compare_gates_the_dispatch_speedup(payload):
     dispatch = {
         "static_seconds": 0.5,

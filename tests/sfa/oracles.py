@@ -554,8 +554,8 @@ def record_discharges(monkeypatch) -> list[tuple[object, dict]]:
     """Capture every ``(obligation, member result)`` the engine discharges.
 
     Wraps the engine's grouped discharge entry point for the rest of the
-    test; the returned list fills as the run proceeds (serial runs only —
-    a forked pool's calls happen in the children).
+    test; the returned list fills as the run proceeds (in-process runs
+    only — a forked dispatch worker's calls happen in the child).
     """
     from repro.engine import scheduler
 

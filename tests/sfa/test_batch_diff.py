@@ -237,7 +237,7 @@ def test_fast_corpus_batch_equals_lazy(backend, monkeypatch):
     """Every obligation the grouped discharge decides on the fast corpus —
     positive methods and negative variants — equals the formula-pair
     oracle's answer: verdict, witness trace and #Prod."""
-    config = CheckerConfig(backend=backend, workers=1)
+    config = CheckerConfig(backend=backend)
     discharged = 0
     for bench in all_benchmarks(include_slow=False):
         captured = record_discharges(monkeypatch)

@@ -176,7 +176,7 @@ def _corpus_differential(bench, captured):
 def test_suite_verification_agrees(key, monkeypatch):
     bench = next(b for b in all_benchmarks(include_slow=False) if b.key == key)
     captured = record_discharges(monkeypatch)
-    stats = bench.verify_all(bench.make_checker(CheckerConfig(workers=1)))
+    stats = bench.verify_all(bench.make_checker(CheckerConfig()))
     assert stats.all_verified
     _corpus_differential(bench, captured)
 
@@ -191,7 +191,7 @@ def test_suite_negative_variants_agree(key, monkeypatch):
         pytest.skip(f"{key} has no negative variants")
     for variant in bench.negative_variants:
         captured = record_discharges(monkeypatch)
-        checker = bench.make_checker(CheckerConfig(workers=1))
+        checker = bench.make_checker(CheckerConfig())
         result = bench.verify_negative_variant(variant, checker)
         assert not result.verified
         _corpus_differential(bench, captured)

@@ -1,11 +1,10 @@
 """Cross-backend differential suite: every backend is one oracle of many.
 
-The lazy SMT loop may run on the DPLL core, the CDCL core or (when
-installed) z3 — and the whole reproduction's output must not care:
+The lazy SMT loop may run on the DPLL core or the CDCL core — and the whole
+reproduction's output must not care:
 
 * every fast-corpus obligation discharged under ``dpll`` and ``cdcl`` yields
-  the same verdict *and* the same witness trace (the z3 leg auto-skips when
-  the package is absent);
+  the same verdict *and* the same witness trace;
 * the deterministic Tables 1/3/4 are byte-identical across backends once the
   solver-internal columns (#SAT, #Confl) are dropped — those are per-backend
   by design and keep their own columns;
@@ -20,14 +19,14 @@ import pytest
 
 from repro.evaluation.runner import run_evaluation
 from repro.evaluation.tables import table1, table3, table4
-from repro.smt.backends import available_backends, z3_available
+from repro.smt.backends import known_backends
 from repro.suite.registry import all_benchmarks
 from repro.typecheck.checker import CheckerConfig
 
-#: Every available backend is cross-checked against the dpll reference —
+#: Every registered backend is cross-checked against the dpll reference —
 #: registering a new backend enrolls it here automatically.
 BACKEND_PAIRS = [
-    ("dpll", candidate) for candidate in available_backends() if candidate != "dpll"
+    ("dpll", candidate) for candidate in known_backends() if candidate != "dpll"
 ]
 
 _FAST_KEYS = [bench.key for bench in all_benchmarks(include_slow=False)]
@@ -93,7 +92,7 @@ def test_suite_negative_variants_agree(key, reference, candidate):
 
 @pytest.fixture(scope="module")
 def per_backend_reports():
-    """One fast-corpus evaluation per available backend (negatives skipped:
+    """One fast-corpus evaluation per registered backend (negatives skipped:
     the per-benchmark tests above already compare them trace for trace)."""
     return {
         backend: run_evaluation(
@@ -101,7 +100,7 @@ def per_backend_reports():
             config=CheckerConfig(backend=backend),
             check_negative_variants=False,
         )
-        for backend in available_backends()
+        for backend in known_backends()
     }
 
 
@@ -131,8 +130,3 @@ def test_solver_internal_counters_have_their_own_columns(per_backend_reports):
     # and the obligation-derived columns survive the backend-invariant render
     for column in ("#Obl", "#Inc", "#Prod", "#SATcache"):
         assert column in invariant
-
-
-@pytest.mark.skipif(not z3_available(), reason="z3 is not installed")
-def test_z3_backend_is_listed_available():
-    assert "z3" in available_backends()

@@ -15,8 +15,6 @@ so a red job reproduces locally with the same environment variable):
   counterexample traces must agree backend for backend (the alphabet
   transformation consumes enumeration results, so this exercises the whole
   seam end to end).
-
-The z3 legs auto-skip when the package is missing.
 """
 
 import os
@@ -29,15 +27,15 @@ from repro.sfa import symbolic as S
 from repro.sfa.inclusion import InclusionChecker
 from repro.sfa.signatures import OperatorRegistry
 from repro.smt import sorts
-from repro.smt.backends import available_backends
+from repro.smt.backends import known_backends
 from repro.smt.theory import check_theory
 
 #: Base seed for every generator below; CI exports it so failures reproduce.
 SEED = int(os.environ.get("REPRO_FUZZ_SEED", "271828"))
 
-#: every importable registered backend is fuzzed — adding one to the
-#: registry enrolls it here automatically (z3 drops out when not installed)
-BACKENDS = available_backends()
+#: every registered backend is fuzzed — adding one to the registry enrolls
+#: it here automatically
+BACKENDS = known_backends()
 
 # ---------------------------------------------------------------------------
 # A mixed CNF + EUF + arithmetic atom pool

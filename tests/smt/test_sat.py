@@ -10,16 +10,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.smt.backends import available_backends, make_sat_backend
+from repro.smt.backends import known_backends, make_sat_backend
 from repro.smt.backends.cdcl import CdclSolver, luby
 from repro.smt.sat import SatSolver
 
-#: a registered backend is covered here the moment it is importable
-BACKENDS = available_backends()
-
-#: backends that promise to *honor* phase hints (the protocol lets a backend
-#: ignore them — z3 picks its own phases)
-HINT_HONORING_BACKENDS = tuple(b for b in BACKENDS if b in ("dpll", "cdcl"))
+#: a registered backend is covered here the moment it is registered
+BACKENDS = known_backends()
 
 
 @pytest.fixture(params=BACKENDS)
@@ -102,7 +98,7 @@ def test_priority_vars_are_always_assigned(backend):
     assert all(var in model for var in (4, 5, 6))
 
 
-@pytest.fixture(params=HINT_HONORING_BACKENDS)
+@pytest.fixture(params=BACKENDS)
 def hinting_backend(request):
     return request.param
 

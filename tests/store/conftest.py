@@ -2,8 +2,8 @@
 
 ``store_backend`` pins the backend through ``REPRO_STORE_BACKEND`` rather
 than through a path suffix, so everything the code under test opens on its
-own — reloads, engines, forked shard workers — lands on the same backend as
-the test itself.  Tests that poke at one backend's on-disk layout construct
+own — reloads, engines, forked writers and workers — lands on the same
+backend as the test itself.  Tests that poke at one backend's on-disk layout construct
 their store with an explicit ``backend=`` argument instead of these fixtures.
 """
 

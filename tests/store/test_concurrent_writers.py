@@ -6,10 +6,10 @@ The acceptance suite of the concurrency work, against both backends:
   commit runs against a single store path — afterwards every entry is
   present and intact (zero torn/skipped records) and the run log holds one
   record per writer under distinct sequence numbers;
-* real engine runs in concurrent processes (each discharging one shard slice
-  of the fast corpus straight into the shared main log) leave a store a warm
-  re-run answers with **zero** misses, producing deterministic tables
-  byte-identical to a serial run's.
+* real engine runs in concurrent processes (each discharging one disjoint
+  ``only_digests`` slice of the fast corpus straight into the shared main
+  log) leave a store a warm re-run answers with **zero** misses, producing
+  deterministic tables byte-identical to a serial run's.
 """
 
 import multiprocessing
@@ -96,26 +96,36 @@ def test_eight_writers_lose_nothing(store_path):
     )
 
 
-def _engine_writer(path, index, shards, barrier):
+def _cold_digests(scratch_path):
+    """Every fast-corpus obligation digest, via a collect pass (nothing discharged)."""
+    digests = set()
+    config = CheckerConfig(collect_sink=lambda env, fp, hint, estimate: digests.add(fp))
+    run_evaluation(include_slow=False, config=config, store=ObligationStore(scratch_path))
+    return sorted(digests)
+
+
+def _engine_writer(path, owned, barrier):
     store = ObligationStore(path)
     barrier.wait()
-    # shard=(k, N): the full deterministic emit walk, but discharge (and
+    # only_digests: the full deterministic emit walk, but discharge (and
     # record) only this slice — the per-obligation counters are exactly a
     # serial run's, while the *writes* race on the shared main log
-    config = CheckerConfig(shard=(index, shards), workers=1)
+    config = CheckerConfig(only_digests=frozenset(owned))
     run_evaluation(include_slow=False, config=config, store=store)
     store.flush()
     store.commit_run()
     store.backend.close()
 
 
-def test_concurrent_engine_writers_yield_a_clean_warm_store(store_path):
-    shards = 3
+def test_concurrent_engine_writers_yield_a_clean_warm_store(store_path, tmp_path):
+    writers = 3
+    digests = _cold_digests(tmp_path / "collect")
+    assert len(digests) >= writers, "every writer must own a slice"
     context = multiprocessing.get_context("fork")
-    barrier = context.Barrier(shards)
+    barrier = context.Barrier(writers)
     _run_forked(
         _engine_writer,
-        [(store_path, index, shards, barrier) for index in range(shards)],
+        [(store_path, digests[index::writers], barrier) for index in range(writers)],
     )
 
     serial = run_evaluation(include_slow=False)

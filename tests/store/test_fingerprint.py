@@ -22,7 +22,6 @@ from repro.store.fingerprint import (
     library_digest,
     obligation_digest,
     sfa_digest,
-    shard_of,
     spec_digest,
     term_digest,
 )
@@ -82,15 +81,6 @@ def test_environment_fingerprint_separates_configurations():
             bench.library.operators, bench.library.axioms, **{**base, **change}
         )
         assert other != fp, f"{change} must change the environment fingerprint"
-
-
-def test_shard_assignment_is_total_and_stable():
-    digests = [term_digest(smt.int_const(i)) for i in range(50)]
-    for shards in (1, 2, 5):
-        assignment = [shard_of(d, shards) for d in digests]
-        assert all(0 <= s < shards for s in assignment)
-        assert assignment == [shard_of(d, shards) for d in digests]
-    assert len({shard_of(d, 5) for d in digests}) > 1, "hash should actually spread"
 
 
 _CROSS_PROCESS_SCRIPT = """

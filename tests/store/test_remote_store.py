@@ -106,14 +106,6 @@ def test_malformed_urls_are_rejected():
         RemoteStoreBackend("ftp://host:1")
 
 
-def test_shard_dir_is_deterministic_per_url():
-    one, two = RemoteStoreBackend(URL), RemoteStoreBackend(URL)
-    assert one.shard_dir == two.shard_dir, (
-        "forked shard workers must agree with the parent on the spool dir"
-    )
-    assert RemoteStoreBackend("http://other:1").shard_dir != one.shard_dir
-
-
 # -- retry loop --------------------------------------------------------------------
 
 

@@ -104,22 +104,6 @@ def test_schema_mismatch_discards_old_entries(store_path, store_backend, tamper_
     assert len(ObligationStore(store_path)) == 1
 
 
-def test_schema_mismatch_also_purges_leftover_shard_files(store_path, tamper_schema):
-    store = ObligationStore(store_path)
-    store.record(_entry("fp1"))
-    store.flush()
-    # an interrupted sharded run leaves shard files behind
-    shard = ObligationStore(store_path, shard_output=0)
-    shard.record(_entry("orphan"))
-    shard.flush()
-    tamper_schema(store_path)
-
-    reloaded = ObligationStore(store_path)
-    assert len(reloaded) == 0
-    assert reloaded.shard_files() == [], "old-schema shard files must not survive"
-    assert reloaded.absorb_shards() == 0
-
-
 def test_resource_limit_errors_are_never_persisted(store_path, monkeypatch):
     """Error outcomes depend on the warm-solver snapshot (run shape), so they
     must be re-discharged every run instead of being replayed from the store."""
@@ -192,46 +176,6 @@ def test_invalidation_is_dependency_scoped(store_path):
     # invalidation rewrites the log: a reload agrees
     reloaded = ObligationStore(store_path)
     assert {entry.fp for entry in reloaded} == {"stack-push"}
-
-
-def test_shard_output_mode_and_absorb(store_path):
-    main = ObligationStore(store_path)
-    main.record(_entry("shared"))
-    main.flush()
-
-    shard0 = ObligationStore(store_path, shard_output=0)
-    assert shard0.lookup("env1", "shared") is not None, "children read the main log"
-    shard0.record(_entry("only-0"))
-    shard0.flush()
-    shard1 = ObligationStore(store_path, shard_output=1)
-    shard1.record(_entry("only-1"))
-    # children never rewrite the shared log, even when invalidating
-    shard1.invalidate_stale("Set/KVStore", "insert", "other-spec", "l1")
-    shard1.flush()
-    assert ObligationStore(store_path).lookup("env1", "shared") is not None
-
-    merged = ObligationStore(store_path)
-    assert merged.absorb_shards() == 2
-    assert merged.shard_files() == [], "shard files are consumed by the merge"
-    reloaded = ObligationStore(store_path)
-    assert {entry.fp for entry in reloaded} == {"shared", "only-0", "only-1"}
-
-
-def test_absorb_shards_tolerates_torn_lines(store_path):
-    main = ObligationStore(store_path)
-    shard0 = ObligationStore(store_path, shard_output=0)
-    shard0.record(_entry("good-0"))
-    shard0.flush()
-    # simulate a shard worker killed mid-write: good line, then a torn tail
-    shard_file = main.shard_files()[0]
-    with shard_file.open("ab") as handle:
-        handle.write(b"\xff partial utf-8\n")
-        handle.write(b'{"env": "env1", "fp": "torn", "inc": tr')
-
-    assert main.absorb_shards() == 1, "the intact line still merges"
-    assert main.summary()["skipped"] == 2, "torn lines are counted, not fatal"
-    reloaded = ObligationStore(store_path)
-    assert {entry.fp for entry in reloaded} == {"good-0"}
 
 
 def test_session_bookkeeping_backs_explain(tmp_path):

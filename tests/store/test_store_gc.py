@@ -155,12 +155,3 @@ def test_gc_validates_keep_last(store_path):
     store = ObligationStore(store_path)
     with pytest.raises(ValueError):
         store.gc(keep_last=0)
-
-
-def test_shard_stores_never_gc_or_commit(store_path):
-    parent = ObligationStore(store_path)
-    _run(_fast(0), parent)
-    shard = ObligationStore(store_path, shard_output=0)
-    assert shard.commit_run() == 0
-    assert shard.gc(keep_last=1) == 0
-    assert len(ObligationStore(store_path)) == len(parent)
