@@ -201,109 +201,3 @@ def test_alphabet_memo_builds_fewer_than_obligations(benchmark, key):
     benchmark.extra_info["alphabet builds"] = builds
     benchmark.extra_info["alphabet memo hits"] = memo_hits
     benchmark.extra_info["emitted obligations"] = emitted
-
-
-def test_cold_evaluate_beats_pr4_baseline(benchmark):
-    """The profile-guided pass actually moved the headline number.
-
-    ``BENCH_PR5.json`` records the PR 4 cold fast-corpus wall time, measured
-    on the reference machine with the same best-of-N harness semantics this
-    test uses; the memoised pipeline must beat it.  Wall-clock comparisons
-    are only meaningful on comparable hardware, so the assertion runs only
-    when this machine matches the one the payload records — elsewhere the
-    test skips and the cross-machine gate is CI's tolerance-based
-    ``bench-smoke`` diff (refresh the payload with ``repro bench`` after
-    changing reference machines).
-    """
-    import json
-    import platform
-    import sys
-    import time
-    from pathlib import Path
-
-    from repro.evaluation.runner import run_evaluation
-
-    payload = json.loads(
-        (Path(__file__).resolve().parents[1] / "BENCH_PR5.json").read_text()
-    )
-    here = {
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-    }
-    if payload.get("machine") != here:
-        pytest.skip(
-            "BENCH_PR5.json was recorded on different hardware; wall-time "
-            "comparison is only meaningful against a same-machine baseline"
-        )
-    baseline = payload["baseline"]["cold_wall_seconds"]
-
-    walls = []
-    for _ in range(3):
-        start = time.perf_counter()
-        report = run_evaluation(include_slow=False)
-        walls.append(time.perf_counter() - start)
-        assert report.all_verified and report.all_negatives_rejected
-
-    def run():
-        return min(walls)
-
-    best = benchmark(run)
-    assert best < baseline, (
-        f"cold fast-corpus evaluate took {best:.3f}s, PR 4 baseline was "
-        f"{baseline:.3f}s — the cross-obligation reuse regressed"
-    )
-    benchmark.extra_info["cold wall (best of 3)"] = round(best, 4)
-    benchmark.extra_info["PR4 baseline"] = baseline
-
-
-def test_batch_cold_evaluate_beats_pr5_baseline(benchmark):
-    """The transition-table walk actually moved the headline number.
-
-    ``BENCH_PR7.json`` is a grouped table-walk payload whose ``baseline``
-    block carries the PR 5 cold fast-corpus wall time (formula-pair walk,
-    same machine, same best-of-N semantics).  The table walk must beat it.  As
-    with the PR 5 gate above, the assertion is machine-guarded: elsewhere it
-    skips and the cross-machine gate is CI's tolerance-based ``bench-smoke``
-    diff against the committed payload.
-    """
-    import json
-    import platform
-    import sys
-    import time
-    from pathlib import Path
-
-    from repro.evaluation.runner import run_evaluation
-
-    payload = json.loads(
-        (Path(__file__).resolve().parents[1] / "BENCH_PR7.json").read_text()
-    )
-    here = {
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-    }
-    if payload.get("machine") != here:
-        pytest.skip(
-            "BENCH_PR7.json was recorded on different hardware; wall-time "
-            "comparison is only meaningful against a same-machine baseline"
-        )
-    baseline = payload["baseline"]["cold_wall_seconds"]
-
-    walls = []
-    for _ in range(3):
-        start = time.perf_counter()
-        report = run_evaluation(include_slow=False)
-        walls.append(time.perf_counter() - start)
-        assert report.all_verified and report.all_negatives_rejected
-
-    def run():
-        return min(walls)
-
-    best = benchmark(run)
-    assert best < baseline, (
-        f"cold fast-corpus evaluate took {best:.3f}s, the PR 5 formula-walk "
-        f"baseline was {baseline:.3f}s — the table walk regressed"
-    )
-    benchmark.extra_info["cold wall (best of 3)"] = round(best, 4)
-    benchmark.extra_info["PR5 baseline"] = baseline

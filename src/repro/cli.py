@@ -363,47 +363,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf.bench import compare_payloads, load_payload, run_bench, summarize
-
-    config = _config_from_args(args)
-    try:
-        payload = run_bench(
-            include_slow=args.full,
-            runs=1 if args.quick else args.runs,
-            config=config,
-            dispatch_ab=args.dispatch_ab,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-    print(summarize(payload))
-    if args.baseline:
-        try:
-            baseline = load_payload(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read baseline {args.baseline!r}: {exc}", file=sys.stderr)
-            return 2
-        try:
-            ok, messages = compare_payloads(payload, baseline, tolerance=args.tolerance)
-        except (ValueError, KeyError, TypeError) as exc:
-            # a malformed baseline must diagnose the offending field, not
-            # traceback (known-optional fields — e.g. a missing warm phase —
-            # are reported as messages inside compare_payloads instead)
-            print(f"error: cannot read baseline {args.baseline!r}: {exc}", file=sys.stderr)
-            return 2
-        for message in messages:
-            print(message)
-        return 0 if ok else 1
-    return 0
-
-
 def _cmd_trace_report(args: argparse.Namespace) -> int:
     from .obs.report import analyze_trace, render_report
     from .obs.trace import read_trace
@@ -441,9 +400,9 @@ def _cmd_trace_validate(args: argparse.Namespace) -> int:
 def _cmd_trace_overhead(args: argparse.Namespace) -> int:
     """Measure tracer overhead: traced vs untraced cold fast-corpus evaluate.
 
-    Best-of-N on each side (same damping the bench harness uses) so scheduler
-    noise doesn't read as tracer cost; exit 1 when the relative overhead
-    exceeds the tolerance — the CI trace-smoke gate.
+    Best-of-N on each side so scheduler noise doesn't read as tracer cost;
+    exit 1 when the relative overhead exceeds the tolerance — the CI
+    trace-smoke gate.
     """
     config = _config_from_args(args)
     # one unmeasured warmup so import/JIT-ish first-run costs hit neither side
@@ -496,7 +455,7 @@ def _cmd_store_serve(args: argparse.Namespace) -> int:
     import threading
     from pathlib import Path
 
-    from .store.server import StoreHTTPServer, StoreService
+    from .store.server import StoreHTTPServer, StoreService, serve_in_thread
 
     try:
         service = StoreService(
@@ -527,15 +486,11 @@ def _cmd_store_serve(args: argparse.Namespace) -> int:
     stop = threading.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, lambda *_: stop.set())
-    loop = threading.Thread(target=server.serve_forever, daemon=True)
-    loop.start()
-    try:
-        stop.wait()
-    except KeyboardInterrupt:
-        pass
-    server.shutdown()
-    loop.join()
-    server.server_close()
+    with serve_in_thread(server):
+        try:
+            stop.wait()
+        except KeyboardInterrupt:
+            pass
     service.close()
     print("store server stopped", flush=True)
     return 0
@@ -756,50 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_checker_flags(worker)
     _add_obs_flags(worker)
     worker.set_defaults(func=_cmd_worker)
-
-    bench = sub.add_parser(
-        "bench",
-        help="run the tracked benchmark harness (cold + warm fast corpus)",
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="one timing run per phase (CI smoke mode)"
-    )
-    bench.add_argument(
-        "--runs",
-        type=int,
-        default=3,
-        metavar="N",
-        help="timing runs per phase; the best run is reported (default: 3)",
-    )
-    bench.add_argument(
-        "--full", action="store_true", help="benchmark the full corpus, slow rows included"
-    )
-    bench.add_argument(
-        "--output", metavar="PATH", help="write the JSON report to PATH (e.g. BENCH_PR5.json)"
-    )
-    bench.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="compare against a recorded report; exit 1 on cold wall-time regression",
-    )
-    bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.2,
-        metavar="F",
-        help="allowed relative cold wall-time regression vs the baseline (default: 0.2)",
-    )
-    bench.add_argument(
-        "--dispatch-ab",
-        action="store_true",
-        help=(
-            "also run the straggler-skew dispatch microbench (static hash "
-            "shards vs work-stealing queue over an in-process store server) "
-            "and record the makespan comparison in the payload"
-        ),
-    )
-    _add_checker_flags(bench)
-    bench.set_defaults(func=_cmd_bench)
 
     store = sub.add_parser("store", help="manage a persistent obligation store")
     store_sub = store.add_subparsers(dest="store_command", required=True)

@@ -46,7 +46,7 @@ class EvaluationReport:
         return all(result.rejected for result in self.negative_results)
 
     def cache_totals(self) -> dict[str, int]:
-        """Summed cache counters across the corpus (the bench caches block)."""
+        """Summed cache counters across the corpus (``evaluate --json``'s ``caches``)."""
         totals: dict[str, int] = {}
         for diagnostic in self.diagnostics:
             for key, value in diagnostic.get("caches", {}).items():

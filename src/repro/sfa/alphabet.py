@@ -141,7 +141,7 @@ def collect_literals(
                     context.setdefault(equality, None)
 
     # Canonical literal order (by content address): the alphabets — and with
-    # them the enumeration-cache keys and derivative-cache fingerprints — become
+    # them the enumeration-cache keys and alphabet-memo fingerprints — become
     # independent of the order the formulas were supplied in, so e.g. the two
     # directions of an equivalence check share every cache layer.
     return LiteralSets(

@@ -63,8 +63,9 @@ import os
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..obs.logs import get_logger
 from .backends import SCHEMA_VERSION, LoadedState, StoreEntry, open_backend
@@ -84,6 +85,10 @@ _MAX_IDEMPOTENCY_CLIENTS = 64
 
 #: fault-injection hook for the crash-recovery tests (see module docstring)
 ENV_SERVE_CRASH = "REPRO_STORE_SERVE_CRASH"
+
+#: how often a :func:`serve_in_thread` loop checks for shutdown, i.e. the
+#: longest ``shutdown()`` waits (``serve_forever``'s own default is 0.5 s)
+_SERVE_POLL_SECONDS = 0.05
 
 
 class UnknownOperation(Exception):
@@ -542,3 +547,24 @@ class StoreHTTPServer(ThreadingHTTPServer):
         if host in ("0.0.0.0", "::", ""):
             host = "127.0.0.1"
         return f"http://{host}:{port}"
+
+
+@contextmanager
+def serve_in_thread(server: StoreHTTPServer) -> Iterator[StoreHTTPServer]:
+    """Serve ``server`` on a daemon thread for the ``with`` body.
+
+    On exit the loop is shut down (within one poll interval), its thread
+    joined and the listening socket closed, so the port refuses connections
+    once the block is left.  The wrapped :class:`StoreService` stays open:
+    whoever made it closes it.
+    """
+    loop = threading.Thread(
+        target=server.serve_forever, args=(_SERVE_POLL_SECONDS,), daemon=True
+    )
+    loop.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        loop.join()
+        server.server_close()

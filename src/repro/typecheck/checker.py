@@ -206,8 +206,8 @@ class Checker:
         """Run-level reuse diagnostics (not per-method counters).
 
         The alphabet memo's build/replay/eviction counts and the engine's
-        counters — the numbers ``repro bench`` surfaces in its aggregate
-        block.  All of it is reuse bookkeeping: none of these values feeds a
+        counters — the numbers ``evaluate --json`` reports as ``caches``.
+        All of it is reuse bookkeeping: none of these values feeds a
         deterministic table.
         """
         memo = self.alphabet_memo

@@ -7,25 +7,19 @@ modes of ``store stats`` — against a real loopback server.
 """
 
 import json
-import threading
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.store.remote import ENV_RPC_RETRIES, ENV_RPC_TIMEOUT
-from repro.store.server import StoreHTTPServer, StoreService
+from repro.store.server import StoreHTTPServer, StoreService, serve_in_thread
 
 
 @pytest.fixture
 def server(tmp_path):
     service = StoreService(tmp_path / "store")
-    httpd = StoreHTTPServer(("127.0.0.1", 0), service)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    yield httpd
-    httpd.shutdown()
-    thread.join()
-    httpd.server_close()
+    with serve_in_thread(StoreHTTPServer(("127.0.0.1", 0), service)) as httpd:
+        yield httpd
     service.close()
 
 

@@ -1,82 +1,9 @@
-"""CLI coverage for the performance surface: ``bench``, ``store gc``,
+"""CLI coverage for the store and checker knobs: ``store gc``,
 ``--schedule`` and ``--no-memo``."""
-
-import json
 
 import pytest
 
 from repro.cli import main as cli_main
-
-
-# -- bench -------------------------------------------------------------------------
-
-
-def test_bench_quick_writes_payload_and_exits_zero(capsys, tmp_path):
-    out_path = tmp_path / "bench.json"
-    assert cli_main(["bench", "--quick", "--output", str(out_path)]) == 0
-    printed = capsys.readouterr().out
-    assert "cold:" in printed and "warm:" in printed
-    payload = json.loads(out_path.read_text())
-    assert payload["cold"]["all_verified"]
-    assert payload["warm"]["counters"]["store_hits"] > 0
-
-
-def test_bench_baseline_gate(capsys, tmp_path):
-    out_path = tmp_path / "bench.json"
-    assert cli_main(["bench", "--quick", "--output", str(out_path)]) == 0
-    capsys.readouterr()
-    # a fresh run against its own numbers is within any sane tolerance
-    assert (
-        cli_main(["bench", "--quick", "--baseline", str(out_path), "--tolerance", "5"])
-        == 0
-    )
-    assert "cold wall" in capsys.readouterr().out
-
-    # shrink the recorded baseline so the same machine must "regress"
-    payload = json.loads(out_path.read_text())
-    payload["cold"]["wall_seconds"] = payload["cold"]["wall_seconds"] / 1000.0
-    out_path.write_text(json.dumps(payload))
-    assert (
-        cli_main(["bench", "--quick", "--baseline", str(out_path), "--tolerance", "0.2"])
-        == 1
-    )
-    assert "REGRESSION" in capsys.readouterr().out
-
-
-def test_bench_unreadable_baseline_exits_two(capsys, tmp_path):
-    missing = tmp_path / "nope.json"
-    assert cli_main(["bench", "--quick", "--baseline", str(missing)]) == 2
-    assert "cannot read baseline" in capsys.readouterr().err
-
-
-def test_bench_structurally_incomplete_baseline_exits_two(capsys, tmp_path):
-    """A baseline that parses but lacks the wall numbers gets a clean error."""
-    hollow = tmp_path / "hollow.json"
-    hollow.write_text(json.dumps({"cold": {}}))
-    assert cli_main(["bench", "--quick", "--baseline", str(hollow)]) == 2
-    assert "cannot read baseline" in capsys.readouterr().err
-
-
-def test_bench_baseline_missing_warm_wall_is_advisory(capsys, tmp_path):
-    """An old baseline without warm numbers compares cold only, with a note."""
-    out_path = tmp_path / "bench.json"
-    assert cli_main(["bench", "--quick", "--output", str(out_path)]) == 0
-    capsys.readouterr()
-    payload = json.loads(out_path.read_text())
-    del payload["warm"]["wall_seconds"]
-    out_path.write_text(json.dumps(payload))
-    assert (
-        cli_main(["bench", "--quick", "--baseline", str(out_path), "--tolerance", "5"])
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "cold wall" in out
-    assert "no warm wall time" in out
-
-
-def test_bench_rejects_zero_runs(capsys):
-    assert cli_main(["bench", "--runs", "0"]) == 2
-    assert "runs >= 1" in capsys.readouterr().err
 
 
 # -- store gc ----------------------------------------------------------------------

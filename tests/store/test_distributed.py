@@ -1,11 +1,10 @@
 """Distributed discharge end-to-end: coordinator + server + pulling workers.
 
-The determinism acceptance test mirrors ``test_shard.py`` — the dynamic
-lease-queue partition, like the static hash partition, must never change a
-table — and the fault-injection suite proves the lease protocol's claims:
-a worker killed mid-lease loses no obligations and duplicates no records,
-and a coordinator killed mid-drain resumes from the store (completed work
-stays warm).
+The determinism acceptance test pins that the dynamic lease-queue
+partition never changes a table, and the fault-injection suite proves the
+lease protocol's claims: a worker killed mid-lease loses no obligations and
+duplicates no records, and a coordinator killed mid-drain resumes from the
+store (completed work stays warm).
 
 Everything runs in one process tree: the store server on a loopback
 thread, local workers forked exactly as ``--local-workers`` does — plus one
@@ -16,7 +15,6 @@ way to regression-test the worker's warmup walk.
 
 import multiprocessing
 import os
-import threading
 from dataclasses import replace
 
 import pytest
@@ -26,7 +24,7 @@ from repro.engine.worker import ENV_WORKER_CRASH, run_worker
 from repro.evaluation.runner import run_benchmark, run_evaluation
 from repro.evaluation.tables import report_json, table1, table3, table4
 from repro.store.obligation_store import ObligationStore
-from repro.store.server import StoreHTTPServer, StoreService
+from repro.store.server import StoreHTTPServer, StoreService, serve_in_thread
 from repro.suite.registry import benchmark_by_key
 from repro.typecheck.checker import CheckerConfig
 
@@ -34,13 +32,8 @@ from repro.typecheck.checker import CheckerConfig
 @pytest.fixture
 def server(store_path):
     service = StoreService(store_path)
-    httpd = StoreHTTPServer(("127.0.0.1", 0), service)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    yield httpd
-    httpd.shutdown()
-    thread.join()
-    httpd.server_close()
+    with serve_in_thread(StoreHTTPServer(("127.0.0.1", 0), service)) as httpd:
+        yield httpd
     service.close()
 
 

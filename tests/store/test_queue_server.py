@@ -11,7 +11,6 @@ sleeping.
 """
 
 import sys
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -20,19 +19,14 @@ import pytest
 from repro.store import server as server_mod
 from repro.store.backends import StoreEntry
 from repro.store.remote import RemoteStoreBackend, RemoteStoreError
-from repro.store.server import StoreHTTPServer, StoreService
+from repro.store.server import StoreHTTPServer, StoreService, serve_in_thread
 
 
 @pytest.fixture
 def server(store_path):
     service = StoreService(store_path)
-    httpd = StoreHTTPServer(("127.0.0.1", 0), service)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    yield httpd
-    httpd.shutdown()
-    thread.join()
-    httpd.server_close()
+    with serve_in_thread(StoreHTTPServer(("127.0.0.1", 0), service)) as httpd:
+        yield httpd
     service.close()
 
 
@@ -273,7 +267,7 @@ def test_a_waiting_fleet_drains_every_item_exactly_once(server, client):
     """More pullers than cores, thread switches forced often: every item is
     completed once, none is lost, and every waiting puller sees the drain."""
     keys = [f"e:f{index}" for index in range(60)]
-    client.enqueue(_items(*(key[2:] for key in keys)), "d1")
+    pullers = 6
 
     def pull(name):
         backend = RemoteStoreBackend(server.url)
@@ -295,8 +289,17 @@ def test_a_waiting_fleet_drains_every_item_exactly_once(server, client):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            results = list(pool.map(pull, [f"w{index}" for index in range(6)], timeout=60))
+        with ThreadPoolExecutor(max_workers=pullers) as pool:
+            futures = [pool.submit(pull, f"w{index}") for index in range(pullers)]
+            # the whole fleet waits server-side before the work arrives: a
+            # puller whose first lease came after the drain would never have
+            # seen the queue hold items, and so could not be told it drained
+            deadline = time.monotonic() + 10.0
+            while len(server.service._lock._waiters) < pullers:
+                assert time.monotonic() < deadline, "the pullers never parked"
+                time.sleep(0.001)
+            client.enqueue(_items(*(key[2:] for key in keys)), "d1")
+            results = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
     assert sorted(key for done in results for key in done) == sorted(keys)

@@ -20,7 +20,6 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from repro.evaluation.runner import run_evaluation
 from repro.evaluation.tables import table1, table3, table4
 from repro.store.backends import open_backend
 from repro.store.obligation_store import ObligationStore, StoreEntry
-from repro.store.server import StoreHTTPServer, StoreService
+from repro.store.server import StoreHTTPServer, StoreService, serve_in_thread
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -47,13 +46,8 @@ SHARED = 10
 @pytest.fixture
 def served(store_path):
     service = StoreService(store_path)
-    httpd = StoreHTTPServer(("127.0.0.1", 0), service)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    yield httpd.url
-    httpd.shutdown()
-    thread.join()
-    httpd.server_close()
+    with serve_in_thread(StoreHTTPServer(("127.0.0.1", 0), service)) as httpd:
+        yield httpd.url
     service.close()
 
 

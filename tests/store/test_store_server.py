@@ -10,26 +10,22 @@ idempotency replay.
 
 import http.client
 import json
-import threading
+import socket
+import time
 
 import pytest
 
 from repro.store.backends import SCHEMA_VERSION, StoreEntry, open_backend
 from repro.store.obligation_store import ObligationStore
 from repro.store.remote import RemoteStoreBackend, RemoteStoreError
-from repro.store.server import StoreHTTPServer, StoreService
+from repro.store.server import StoreHTTPServer, StoreService, serve_in_thread
 
 
 @pytest.fixture
 def server(store_path):
     service = StoreService(store_path)
-    httpd = StoreHTTPServer(("127.0.0.1", 0), service)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    yield httpd
-    httpd.shutdown()
-    thread.join()
-    httpd.server_close()
+    with serve_in_thread(StoreHTTPServer(("127.0.0.1", 0), service)) as httpd:
+        yield httpd
     service.close()
 
 
@@ -298,3 +294,22 @@ def test_the_facade_rejects_a_wrong_backend_expectation(server, store_backend):
     other = "sqlite" if store_backend == "jsonl" else "jsonl"
     with pytest.raises(RemoteStoreError, match="requested explicitly"):
         ObligationStore(server.url, backend=other)
+
+
+# -- the in-thread serving loop ----------------------------------------------------
+
+
+def test_serve_in_thread_stops_promptly_and_releases_the_port(store_path):
+    service = StoreService(store_path)
+    httpd = StoreHTTPServer(("127.0.0.1", 0), service)
+    address = httpd.server_address[:2]
+    with serve_in_thread(httpd):
+        client = RemoteStoreBackend(httpd.url)
+        assert client.handshake()["schema"] == SCHEMA_VERSION
+        started = time.monotonic()
+    elapsed = time.monotonic() - started
+    client.close()
+    service.close()
+    assert elapsed < 0.25, f"leaving serve_in_thread took {elapsed:.3f}s"
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(address, timeout=1).close()

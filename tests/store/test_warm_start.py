@@ -74,6 +74,21 @@ def test_warm_run_answers_from_store(cold_and_warm):
     assert store_answered * 2 >= emitted, f"{store_answered}/{emitted} < 50%"
 
 
+def test_cold_discharges_and_warm_replays(cold_and_warm):
+    cold, _, warm, warm_store = cold_and_warm
+    assert warm_store.summary()["hits"] > 0
+
+    # a store hit replays the recorded counters of the original discharge,
+    # alphabet builds included: the warm run enumerates nothing, yet bills
+    # exactly the cold run's builds (the replay keeps warm tables identical)
+    def alphabet_builds(report):
+        return sum(
+            r.stats.alphabet_builds for s in report.adt_stats for r in s.method_results
+        )
+
+    assert alphabet_builds(warm) == alphabet_builds(cold) > 0
+
+
 def test_warm_tables_are_byte_identical(cold_and_warm):
     cold, _, warm, _ = cold_and_warm
     assert _verdicts(warm) == _verdicts(cold)
