@@ -11,10 +11,11 @@ Usage::
 
 Leaf inclusions have one decider, the interned transition-table walk of
 :mod:`repro.sfa.batch`, over alphabets found by solver-guided enumeration;
-there is no mode flag for either.  Checker knobs (``--backend``,
-``--schedule``, ``--no-memo``) mirror the ``REPRO_*`` environment
-variables.  Going wide is ``dispatch --local-workers N`` (or ``repro
-worker`` processes) over a ``store serve`` instance's lease queue.  Incremental verification is enabled with
+there is no mode flag for either.  Serial discharge follows emission order
+with the cross-obligation alphabet memo always on; neither is a knob.  The
+one checker knob, ``--backend``, mirrors ``REPRO_BACKEND``.  Going wide is
+``dispatch --local-workers N`` (or ``repro worker`` processes) over a
+``store serve`` instance's lease queue.  Incremental verification is enabled with
 ``--incremental`` (or by naming a store explicitly with ``--store PATH``):
 discharged obligations are persisted to an on-disk store and answered from it
 on later runs; ``--explain`` prints the per-method hit/miss/invalidated
@@ -38,7 +39,6 @@ import time
 from typing import Optional, Sequence
 
 from .engine.dispatch import DispatchError
-from .engine.scheduler import SCHEDULE_MODES
 from .evaluation import render_all, report_json, run_evaluation, table1, table2, table3, table4
 from .obs import trace as obs_trace
 from .obs.logs import configure_logging
@@ -64,23 +64,6 @@ def _add_checker_flags(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=known_backends(),
         help="SAT core behind the lazy SMT loop (default: REPRO_BACKEND or dpll)",
-    )
-    group.add_argument(
-        "--schedule",
-        choices=SCHEDULE_MODES,
-        help=(
-            "discharge-order policy: auto = cheapest-first by historical "
-            "store cost, falling back to the syntactic estimate "
-            "(default: REPRO_SCHEDULE or auto)"
-        ),
-    )
-    group.add_argument(
-        "--no-memo",
-        action="store_true",
-        help=(
-            "disable cross-obligation alphabet reuse (ablation; "
-            "counters and tables are identical either way, only time moves)"
-        ),
     )
 
 
@@ -141,29 +124,18 @@ def _config_from_args(args: argparse.Namespace) -> CheckerConfig:
     kwargs: dict[str, object] = {}
     if getattr(args, "backend", None) is not None:
         kwargs["backend"] = args.backend
-    if getattr(args, "schedule", None) is not None:
-        kwargs["schedule"] = args.schedule
-    if getattr(args, "no_memo", False):
-        kwargs["cross_obligation_memo"] = False
     if getattr(args, "store_backend", None) is not None:
         kwargs["store_backend"] = args.store_backend
     config = CheckerConfig(**kwargs)
-    # Validate the *resolved* backend and schedule, wherever they came from:
-    # argparse already rejects unknown flag values, but REPRO_BACKEND /
-    # REPRO_SCHEDULE arrive unchecked and must fail with the same clean
+    # Validate the *resolved* backends, wherever they came from: argparse
+    # already rejects unknown flag values, but REPRO_BACKEND and
+    # REPRO_STORE_BACKEND arrive unchecked and must fail with the same clean
     # exit-2 diagnostics, not a traceback.
     try:
         resolve_backend(config.backend)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
-    if config.schedule not in SCHEDULE_MODES:
-        print(
-            f"error: unknown schedule mode {config.schedule!r}; "
-            f"expected one of {SCHEDULE_MODES}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
     if config.store_backend not in ("auto",) + KNOWN_STORE_BACKENDS:
         print(
             f"error: unknown store backend {config.store_backend!r}; "

@@ -2,10 +2,9 @@
 
 ``repro.typecheck`` emits proof obligations as a first-class IR
 (:class:`Obligation` / :class:`ObligationSet`), and this package decides
-them: dedupe by structural fingerprint, a cross-method memo, cheapest-first
-ordering, and discharge with statistics merged back into the evaluation
-tables.  See :mod:`repro.engine.scheduler` for the
-determinism contract.
+them: dedupe by structural fingerprint, a cross-method memo, and discharge
+in emission order with statistics merged back into the evaluation tables.
+See :mod:`repro.engine.scheduler` for the determinism contract.
 """
 
 from .obligations import KINDS, DischargeOutcome, Obligation, ObligationSet

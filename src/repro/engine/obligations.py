@@ -5,7 +5,7 @@ inline, interleaving the bidirectional walk with Algorithm-1 inclusion
 queries.  It now *emits* first-class :class:`Obligation` values instead —
 context hypotheses, the two symbolic automata, and provenance — collected
 into an :class:`ObligationSet`.  The :mod:`repro.engine.scheduler` stage
-dedupes, orders and discharges them afterwards.
+dedupes and discharges them afterwards, in emission order.
 
 Because terms and SFA formulas are hash-consed, an obligation has an exact
 structural fingerprint ``(sorted hypothesis ids, lhs id, rhs id)``: two
@@ -17,7 +17,7 @@ and cross-method memo key on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ..sfa import symbolic
 from ..sfa.symbolic import Sfa
@@ -58,11 +58,11 @@ class Obligation:
         return cached
 
     def cost_estimate(self) -> int:
-        """A cheap syntactic proxy for discharge cost (used cheapest-first).
+        """A cheap syntactic proxy for discharge cost.
 
         Formula size bounds both the literal sets driving the alphabet
-        transformation and the derivative state space, so it orders
-        obligations well without any solver work.
+        transformation and the derivative state space, so the dispatch queue
+        can order never-measured obligations without any solver work.
         """
         return symbolic.size(self.lhs) + symbolic.size(self.rhs) + len(self.hypotheses)
 
@@ -138,42 +138,6 @@ class ObligationSet:
             else:
                 entry[1].append(obligation)
         return list(groups.values())
-
-    def schedule(
-        self,
-        *,
-        cost_of: Optional[Callable[["Obligation"], Optional[float]]] = None,
-        longest_first: bool = False,
-    ) -> list[tuple[Obligation, list[Obligation]]]:
-        """Deduped obligations in discharge order (emission order breaks ties).
-
-        ``cost_of`` supplies a *historical* cost in seconds for obligations
-        the persistent store has discharged before (under any environment);
-        obligations it returns ``None`` for fall back to the syntactic
-        :meth:`Obligation.cost_estimate`.  The two populations sort
-        separately (measured costs first — they are informative, estimates
-        are a guess) but under the same policy:
-
-        * ``longest_first=False`` (the default) — cheapest first, so cheap
-          obligations surface counterexamples early;
-        * ``longest_first=True`` (``schedule="lpt"``) — longest processing
-          time first, the classic LPT heuristic.
-
-        Order is advisory only: discharge is hermetic and per-obligation
-        counters are pure functions of the obligation, so *any* order
-        produces the same verdicts and the same deterministic tables — the
-        scheduling-determinism suite locks that in.
-        """
-        sign = -1.0 if longest_first else 1.0
-
-        def key(entry: tuple[Obligation, list[Obligation]]) -> tuple:
-            representative = entry[0]
-            cost = cost_of(representative) if cost_of is not None else None
-            if cost is not None:
-                return (0, sign * cost, representative.index)
-            return (1, sign * representative.cost_estimate(), representative.index)
-
-        return sorted(self.deduped(), key=key)
 
 
 @dataclass

@@ -6,8 +6,8 @@ This is the middle stage of the decoupled pipeline:
    :class:`~repro.engine.obligations.Obligation` values instead of deciding
    them inline;
 2. **Schedule** — :class:`ObligationEngine` dedupes structurally-isomorphic
-   obligations (hash-consed fingerprints), consults a cross-method memo, and
-   orders the remainder cheapest-first;
+   obligations (hash-consed fingerprints) and consults a cross-method memo;
+   the remainder is discharged in emission order;
 3. **Discharge** — the residual obligations are grouped by alphabet key and
    each group's members are decided by transition-table walks over one
    shared construction (:func:`repro.sfa.batch.discharge_group`); the
@@ -42,11 +42,6 @@ from ..store.fingerprint import environment_fingerprint, obligation_digest
 from ..store.obligation_store import ObligationStore, StoreContext, StoreEntry
 from .obligations import DischargeOutcome, Obligation, ObligationSet
 
-#: The supported values of ``ObligationEngine(..., schedule=...)``:
-#: ``auto`` orders cheapest-first by recorded cost; the explicit modes exist
-#: for ablations and the determinism suite.
-SCHEDULE_MODES = ("auto", "syntactic", "lpt")
-
 logger = get_logger("engine")
 
 
@@ -69,9 +64,6 @@ class EngineStats(MergeableStats):
     dispatch_collected: int = 0
     #: representatives outside a worker's leased ``only`` set (not ours)
     dispatch_skipped: int = 0
-    #: representatives ordered by a recorded store cost (vs. the syntactic
-    #: estimate fallback) — order is advisory, so this is bookkeeping only
-    cost_hints_used: int = 0
     batches: int = 0
 
 
@@ -142,7 +134,7 @@ def _discharge_members(
 
 
 class ObligationEngine:
-    """Dedupe, order and discharge the obligations of one method at a time."""
+    """Dedupe and discharge the obligations of one method at a time."""
 
     def __init__(
         self,
@@ -153,16 +145,11 @@ class ObligationEngine:
         max_literals: Optional[int] = None,
         backend: str = "dpll",
         store: Optional[ObligationStore] = None,
-        schedule: str = "auto",
         alphabet_memo: Optional[AlphabetMemo] = None,
         library: Optional[str] = None,
         only: Optional[frozenset] = None,
         collect: Optional[Callable[[Optional[str], str, Optional[float], float], None]] = None,
     ) -> None:
-        if schedule not in SCHEDULE_MODES:
-            raise ValueError(
-                f"unknown schedule mode {schedule!r}; expected one of {SCHEDULE_MODES}"
-            )
         if collect is not None and store is None:
             raise ValueError("dispatch collection requires a store to key against")
         if alphabet_memo is None:
@@ -179,7 +166,6 @@ class ObligationEngine:
             alphabet_memo=alphabet_memo,
         )
         self.store = store
-        self.schedule = schedule
         #: dispatch-worker mode: discharge only these obligation digests (the
         #: queue lease) and vacuously skip the rest
         self.only = only
@@ -188,8 +174,8 @@ class ObligationEngine:
         #: discharging it; the collect run's report is discarded
         self.collect = collect
         #: the semantic-environment key store entries are read/written under;
-        #: scheduling order and the memo layers deliberately don't participate
-        #: (neither changes a counter)
+        #: the memo layers deliberately don't participate (they never change
+        #: a counter)
         self._env_fp = (
             environment_fingerprint(
                 operators,
@@ -207,32 +193,6 @@ class ObligationEngine:
         #: bounded like every other cache in the pipeline
         self.max_memo_entries = 100_000
         self._memo: dict[tuple, tuple[bool, Optional[list[str]], Optional[str]]] = {}
-
-    # ------------------------------------------------------------------
-    def _schedule(self, obligation_set: ObligationSet):
-        """Order the deduped batch under the configured scheduling policy.
-
-        ``auto`` (the default) orders cheapest-first (keeps first-failure
-        latency low) by *historical* discharge cost when the store has seen an
-        obligation before, and falls back to the syntactic ``cost_estimate()``
-        for obligations no store entry has ever costed.  ``lpt`` orders the
-        same costs longest-first; ``syntactic`` ignores the store.  Order is
-        advisory: discharge is hermetic, so no policy can change a
-        verdict or a deterministic table (locked in by the scheduling-order
-        determinism suite).
-        """
-        mode = self.schedule
-        cost_of: Optional[Callable[[Obligation], Optional[float]]] = None
-        if mode != "syntactic" and self.store is not None:
-            store = self.store
-
-            def cost_of(representative: Obligation) -> Optional[float]:
-                hint = store.cost_hint(obligation_digest(representative))
-                if hint is not None:
-                    self.stats.cost_hints_used += 1
-                return hint
-
-        return obligation_set.schedule(cost_of=cost_of, longest_first=mode == "lpt")
 
     # ------------------------------------------------------------------
     def discharge_all(
@@ -256,7 +216,7 @@ class ObligationEngine:
         self.stats.batches += 1
         self.stats.obligations_emitted += len(obligation_set)
         with trace.span("schedule", cat="schedule", obligations=len(obligation_set)):
-            scheduled = self._schedule(obligation_set)
+            batch = obligation_set.deduped()
 
         if self.store is not None:
             # one batched fetch for the whole batch: a no-op against a local
@@ -265,7 +225,7 @@ class ObligationEngine:
             # obligation, so the per-representative lookups below are free)
             self.store.prefetch(
                 self._env_fp,
-                [obligation_digest(representative) for representative, _ in scheduled],
+                [obligation_digest(representative) for representative, _ in batch],
             )
 
         #: this batch's verdicts: fingerprint -> (included, counterexample, error)
@@ -274,7 +234,7 @@ class ObligationEngine:
         memoed_keys: set[tuple] = set()
         stored_keys: set[tuple] = set()
         skipped_keys: set[tuple] = set()
-        for representative, aliases in scheduled:
+        for representative, aliases in batch:
             self.stats.deduped_aliases += len(aliases)
             key = representative.fingerprint()
             cached = self._memo.get(key)
@@ -392,7 +352,7 @@ class ObligationEngine:
                     )
 
         outcomes: dict[int, DischargeOutcome] = {}
-        for representative, aliases in scheduled:
+        for representative, aliases in batch:
             included, counterexample, error = verdicts[representative.fingerprint()]
             key = representative.fingerprint()
             from_memo = key in memoed_keys
@@ -435,7 +395,7 @@ class ObligationEngine:
     def _discharge_grouped(self, obligations: list[Obligation]) -> list[dict]:
         """Group fresh obligations by alphabet key; discharge group by group.
 
-        Groups keep the scheduler's first-occurrence order, and the returned
+        Groups keep the batch's first-emission order, and the returned
         list is aligned with ``obligations``: one result dict per obligation,
         each a pure function of that obligation apart from wall-clock time.
         """

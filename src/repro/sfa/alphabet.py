@@ -394,9 +394,10 @@ class AlphabetMemo:
     plus the solver's :class:`~repro.smt.solver.SolverStats` delta) and
     replays it verbatim on a hit, so a memo hit and a rebuild contribute
     byte-identical numbers to the evaluation tables.  That is what keeps the
-    deterministic table renderings invariant across memo on/off, scheduler
-    orderings and dispatched runs; ``enabled=False`` only disables the *reuse*
-    (every call still builds hermetically), it never changes a counter.
+    deterministic table renderings invariant across memo on/off and
+    dispatched runs; ``enabled=False`` (a test-only switch) disables the
+    *reuse* only (every call still builds hermetically), it never changes a
+    counter.
 
     The engine shares one memo across the obligations of a run.
     """

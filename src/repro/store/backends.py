@@ -99,10 +99,10 @@ class StoreEntry:
     kind: str = ""
     provenance: str = ""
     #: the discharge cost record (``{"wall": seconds, ...}``) behind the
-    #: cost-model scheduler.  Deliberately *outside* the content address and
-    #: the deterministic tables: it is a measurement, not a semantic fact —
-    #: advisory across environments (a dpll-warmed store still orders a cdcl
-    #: run sensibly) and free to vary run to run.
+    #: dispatch queue's LPT order.  Deliberately *outside* the content
+    #: address and the deterministic tables: it is a measurement, not a
+    #: semantic fact — advisory across environments (a dpll-warmed store
+    #: still orders a cdcl dispatch sensibly) and free to vary run to run.
     cost: dict = field(default_factory=dict)
 
     @property
@@ -417,7 +417,8 @@ class SqliteStoreBackend:
     Tables mirror the JSONL layout record for record: ``entries`` holds the
     verdict/witness/counter columns, ``deps`` the per-entry dependency record
     invalidation filters on, ``costs`` the advisory cost records behind the
-    scheduler, ``runs`` the GC reference trail and ``meta`` the schema tag.
+    dispatch queue's order, ``runs`` the GC reference trail and ``meta`` the
+    schema tag.
     Write transactions open with ``BEGIN IMMEDIATE`` under a busy timeout
     plus a short exponential-backoff retry loop, so N concurrent writer
     processes serialise instead of failing or corrupting; WAL keeps readers

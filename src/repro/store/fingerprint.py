@@ -139,8 +139,8 @@ def obligation_digest(obligation) -> str:
     two automata; kind and provenance deliberately excluded, because
     isomorphic queries share one verdict no matter where they were emitted.
     Memoised on the (frozen) obligation itself: with a store attached, the
-    cost-model scheduler and the store lookup both need the digest in one
-    batch.
+    batch prefetch, the store lookup and a dispatch collect pass all need
+    the digest in one batch.
     """
     cached = getattr(obligation, "_digest", None)
     if cached is not None:

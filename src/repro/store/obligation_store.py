@@ -9,7 +9,7 @@ resource-limit error) each entry carries the per-obligation
 *exactly* the numbers a cold discharge would have produced — this is what
 makes warm tables byte-identical to cold ones — plus a dependency record
 (benchmark scope, method, spec digest, library digest) for targeted
-invalidation and an advisory cost record for the scheduler.
+invalidation and an advisory cost record for the dispatch queue.
 
 Persistence is delegated to a :mod:`~repro.store.backends` backend, selected
 from the store path (``.db``/``sqlite:`` → sqlite, directory → jsonl) or
@@ -172,7 +172,7 @@ class ObligationStore:
         self.skipped_records = 0
         #: obligation fp -> recorded wall cost (advisory, env-free): built
         #: from every loaded/recorded entry and deliberately *not* pruned by
-        #: invalidation — a stale verdict's cost is still a fine schedule hint
+        #: invalidation — a stale verdict's cost is still a fine queue-order hint
         self._cost_index: dict[str, float] = {}
         #: (env, fp) keys referenced (hit or written) since the last
         #: :meth:`commit_run` — the session bookkeeping behind store GC
@@ -204,7 +204,7 @@ class ObligationStore:
         if self.is_remote:
             # no wholesale load: handshake (verifying the schema tag and, if
             # one was demanded, the wrapped backend's identity), then the
-            # advisory cost index the scheduler orders cold obligations by
+            # advisory cost index a dispatch collect pass hands the queue
             with trace.span("store.load", cat="store", backend=self.backend.name):
                 info = self.backend.handshake()
                 self._cost_index.update(self.backend.cost_hints())
@@ -297,7 +297,7 @@ class ObligationStore:
 
         Deliberately environment-free: verdicts must never cross environments
         (a cdcl run cannot replay dpll counters), but a *measurement* of how
-        long the obligation took to discharge is a fine scheduling hint under
+        long the obligation took to discharge is a fine queue-order hint under
         any backend or budget — which is exactly when cold obligations have
         history (the same-environment case would have been a store hit).
         """

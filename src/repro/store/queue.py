@@ -50,8 +50,8 @@ class QueueItem:
     #: recipe to re-emit them crosses the wire)
     bench: str
     #: advisory discharge cost: seconds when ``measured``, else the
-    #: syntactic estimate — the two populations sort separately, like
-    #: :meth:`repro.engine.obligations.ObligationSet.schedule`
+    #: syntactic estimate — :meth:`WorkQueue.lease` sorts measured items
+    #: before estimated ones, each population longest-first
     cost: float = 0.0
     measured: bool = False
     #: id of the lease currently holding this item, if any

@@ -74,14 +74,6 @@ def _default_backend() -> str:
     return os.environ.get("REPRO_BACKEND") or "dpll"
 
 
-def _default_schedule() -> str:
-    return os.environ.get("REPRO_SCHEDULE") or "auto"
-
-
-def _default_memo() -> bool:
-    return os.environ.get("REPRO_MEMO", "1") != "0"
-
-
 def _default_store_backend() -> str:
     return os.environ.get("REPRO_STORE_BACKEND") or "auto"
 
@@ -100,20 +92,6 @@ class CheckerConfig:
     #: Verdicts and every obligation-derived counter are backend-independent;
     #: only #SAT/#Confl-style solver internals may differ.
     backend: str = field(default_factory=_default_backend)
-    #: how cold obligations are ordered for discharge: "auto" (cheapest-first
-    #: by historical store cost when available, falling back to the syntactic
-    #: estimate), or the explicit "lpt"/"syntactic" policies used by
-    #: ablations and the determinism suite.
-    #: Ordering is advisory: it can never change a verdict or a counter.
-    #: Overridable via the REPRO_SCHEDULE environment variable.
-    schedule: str = field(default_factory=_default_schedule)
-    #: cross-obligation reuse of alphabet/minterm constructions.  Alphabets
-    #: are always built hermetically (a fresh solver per literal-set key) with
-    #: their counter bill recorded and replayed on reuse, so toggling the
-    #: memo changes wall-clock time only — every deterministic table is
-    #: byte-identical either way.  Overridable via REPRO_MEMO=0 (the
-    #: ablation/acceptance toggle).
-    cross_obligation_memo: bool = field(default_factory=_default_memo)
     #: which persistence backend an obligation store opened for this run
     #: uses: "auto" (infer from the store path — ``.db``/``sqlite:`` means
     #: sqlite, a directory means jsonl), "jsonl" or "sqlite".  Purely a
@@ -162,13 +140,7 @@ class Checker:
         # the obligation engine:
         # alphabet/minterm constructions are built hermetically per
         # literal-set key and their counter bill replayed on reuse.
-        # ``cross_obligation_memo=False`` disables the *reuse* only —
-        # constructions stay hermetic, counters stay put.
-        self.alphabet_memo = AlphabetMemo(
-            axioms=tuple(axioms),
-            backend=self.config.backend,
-            enabled=self.config.cross_obligation_memo,
-        )
+        self.alphabet_memo = AlphabetMemo(axioms=tuple(axioms), backend=self.config.backend)
         # Inline queries that steer the walk (HAT subtyping, ghost abduction)
         # still go through this shared checker; deferred leaf obligations are
         # discharged by the obligation engine below.
@@ -187,7 +159,6 @@ class Checker:
             max_literals=self.config.max_literals,
             backend=self.config.backend,
             store=store,
-            schedule=self.config.schedule,
             alphabet_memo=self.alphabet_memo,
             only=self.config.only_digests,
             collect=self.config.collect_sink,
@@ -308,7 +279,7 @@ class Checker:
             # failure wins below, matching the old first-failure semantics.
             inline_error = f"resource limit while checking: {exc}"
 
-        # -- schedule + discharge: dedupe, order and decide the collected set;
+        # -- schedule + discharge: dedupe and decide the collected set;
         # per-obligation solver/inclusion counters merge into the shared tables.
         emitted = len(self._obligations)
         outcomes = self.obligation_engine.discharge_all(

@@ -1,8 +1,7 @@
 """End-to-end coverage for the ``pymarple`` command-line interface.
 
 Exercises exit codes, the error paths (unknown benchmark/method), the
-checker-knob flags that used to be reachable only through ``REPRO_*``
-environment variables, the ``--json`` machine-readable output, and the
+``--backend`` flag and its ``REPRO_BACKEND`` fallback, the ``--json`` machine-readable output, and the
 incremental-store surface (``--incremental/--store/--explain``).
 """
 
@@ -48,8 +47,6 @@ def test_argparse_rejects_bad_usage():
     with pytest.raises(SystemExit) as excinfo:
         cli_main(["table", "9"])
     assert excinfo.value.code == 2
-    with pytest.raises(SystemExit):
-        cli_main(["check", "Set/KVStore", "--schedule", "telepathy"])
     with pytest.raises(SystemExit):  # one decider: no mode flag to pick
         cli_main(["check", "Set/KVStore", "--discharge", "lazy"])
     with pytest.raises(SystemExit):  # one enumeration: no strategy flag
@@ -58,50 +55,10 @@ def test_argparse_rejects_bad_usage():
         cli_main(["check", "Set/KVStore", "--workers", "2"])
     with pytest.raises(SystemExit):
         cli_main(["evaluate", "--fast", "--shards", "2"])
-    with pytest.raises(SystemExit):  # "cost" folded into "auto"
-        cli_main(["check", "Set/KVStore", "--schedule", "cost"])
-
-
-# -- checker knobs -----------------------------------------------------------------
-
-
-def test_checker_knob_flags_are_accepted(capsys):
-    assert (
-        cli_main(
-            [
-                "check",
-                "Set/KVStore",
-                "--schedule",
-                "syntactic",
-                "--no-memo",
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "all verified = True" in out
-
-
-def test_knob_flags_reach_the_checker_config(monkeypatch):
-    captured = {}
-    from repro.suite.benchmark import AdtBenchmark
-
-    original = AdtBenchmark.make_checker
-
-    def spy(self, config=None, *, store=None):
-        captured["config"] = config
-        return original(self, config, store=store)
-
-    monkeypatch.setattr(AdtBenchmark, "make_checker", spy)
-    assert (
-        cli_main(
-            ["check", "Set/KVStore", "--schedule", "syntactic", "--no-memo"]
-        )
-        == 0
-    )
-    config = captured["config"]
-    assert config.schedule == "syntactic"
-    assert config.cross_obligation_memo is False
+    with pytest.raises(SystemExit):  # serial discharge follows emit order
+        cli_main(["check", "Set/KVStore", "--schedule", "auto"])
+    with pytest.raises(SystemExit):  # the alphabet memo is always on
+        cli_main(["check", "Set/KVStore", "--no-memo"])
 
 
 # -- solver backends ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for the obligation IR and the schedule/discharge engine."""
+"""Unit tests for the obligation IR and the dedupe/discharge engine."""
 
 from dataclasses import dataclass
 
@@ -17,6 +17,8 @@ from repro.engine.scheduler import _discharge_members
 from repro.sfa import symbolic as S
 from repro.sfa.signatures import OperatorRegistry
 from repro.statsutil import MergeableStats
+from repro.store.fingerprint import obligation_digest
+from repro.store.obligation_store import ObligationStore
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +36,7 @@ def _invariant(registry):
 
 
 # ---------------------------------------------------------------------------
-# The IR: emission, fingerprints, dedupe, scheduling
+# The IR: emission, fingerprints, dedupe, discharge order
 # ---------------------------------------------------------------------------
 
 
@@ -77,15 +79,21 @@ def test_dedupe_groups_isomorphic_obligations(registry):
     assert [alias.index for alias in aliases] == [2]
 
 
-def test_schedule_orders_cheapest_first(registry):
+def test_discharge_follows_emission_order(registry, tmp_path):
     _, inv = _invariant(registry)
     small = S.any_trace()
     obset = ObligationSet()
-    obset.emit("postcondition", [], inv, inv)   # expensive
-    obset.emit("coverage", [], small, small)    # cheap
-    scheduled = obset.schedule()
-    assert scheduled[0][0].index == 1
-    assert scheduled[1][0].index == 0
+    expensive = obset.emit("postcondition", [], inv, inv)
+    cheap = obset.emit("coverage", [], small, small)
+    assert cheap.cost_estimate() < expensive.cost_estimate()
+    seen = []
+    engine = ObligationEngine(
+        registry,
+        store=ObligationStore(tmp_path),
+        collect=lambda env, digest, hint, estimate: seen.append(digest),
+    )
+    engine.discharge_all(obset)
+    assert seen == [obligation_digest(expensive), obligation_digest(cheap)]
 
 
 def test_emit_emptiness_targets_bot(registry):

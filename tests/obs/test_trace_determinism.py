@@ -49,16 +49,19 @@ def untraced_tables():
     (
         pytest.param("REPRO_DISCHARGE=compiled", id="discharge"),
         pytest.param("REPRO_WORKERS=4", id="workers"),
+        pytest.param("REPRO_SCHEDULE=chaotic", id="schedule"),
+        pytest.param("REPRO_MEMO=0", id="memo"),
     ),
 )
 def test_traced_tables_are_byte_identical_to_untraced(
     stale, backend, untraced_tables, monkeypatch
 ):
     # A variable left over from a retired knob (the discharge modes before
-    # the single decider, the in-engine fork pool before the lease queue)
-    # must be inert: the traced run under a stale setting renders the
-    # reference tables computed with the variable unset.  Nothing reads
-    # either variable, so one stale value each covers every other.
+    # the single decider, the in-engine fork pool before the lease queue,
+    # the serial ordering policy and the memo toggle before emit order and
+    # an always-on memo) must be inert: the traced run under a stale setting
+    # renders the reference tables computed with the variable unset.
+    # Nothing reads any of them, so one stale value each covers every other.
     name, value = stale.split("=")
     monkeypatch.setenv(name, value)
     with trace.session() as tracer:
