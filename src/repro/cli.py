@@ -538,9 +538,10 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         return 2
     print(
         f"worker done: {stats.leases} leases, {stats.items} items, "
-        f"{stats.completed} completed, {stats.benchmarks_run} benchmark walks"
+        f"{stats.completed} completed, {stats.discharged} discharged"
         + (f", {stats.abandoned} abandoned" if stats.abandoned else "")
         + (f", {stats.unknown_benchmarks} unknown" if stats.unknown_benchmarks else "")
+        + (f", {stats.undecodable} undecodable" if stats.undecodable else "")
     )
     return 0
 

@@ -6,17 +6,24 @@ the cold obligations decided *dynamically* by the store server's lease queue:
 1. **Collect + enqueue** — run the full emit walk with the engine in
    ``collect_sink`` mode: every store miss is reported to the coordinator
    (with the best cost signal available — the store's measured wall cost,
-   else the syntactic estimate) and vacuously skipped.  The misses are
-   enqueued on the server tagged with a fresh dispatch id; pulling workers
-   lease them highest-cost-first and write verdicts back through the store.
-2. **Drain + warm report** — wait on the queue until this dispatch's items
-   are gone (``queue_status`` with a ``wait``: the server answers the moment
-   the last item completes, so the drain costs no sleep quantum), then
-   re-run the evaluation warm: every obligation answers from the store, and
-   the tables come out byte-identical to a serial cold run, because every
-   recorded counter is a pure function of its obligation, whichever worker
-   discharged it.  The workers exit on the same drain, so joining them costs
-   no idle tail either.
+   else the syntactic estimate — plus the obligation and the store context
+   it was emitted under) and vacuously skipped.  The misses are deduped on
+   their ``(env, fp)`` store key, keeping the first emission (the one a
+   serial run records), and enqueued on the server tagged with a fresh
+   dispatch id.  Each queue item ships the obligation itself, encoded by
+   :mod:`repro.engine.codec`; pulling workers lease items
+   highest-cost-first, decode and discharge them, and write verdicts back
+   through the store — no worker re-walks a benchmark.
+2. **Drain + assemble** — wait on the queue until this dispatch's items are
+   gone (``queue_status`` with a ``wait``: the server answers the moment the
+   last item completes, so the drain costs no sleep quantum), then re-run
+   warm exactly the benchmarks whose collect pass reported a miss: every
+   obligation answers from the store.  A benchmark without misses keeps its
+   collect-pass result, which the store already answered in full, so a warm
+   dispatch walks the corpus once.  The tables come out byte-identical to a
+   serial cold run, because every recorded counter is a pure function of its
+   obligation, whichever worker discharged it.  The workers exit on the same
+   drain, so joining them costs no idle tail either.
 
 Durability is the store's: if the coordinator dies mid-drain, a re-dispatch
 recomputes the remaining misses from the store — completed obligations are
@@ -36,13 +43,21 @@ import uuid
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from ..evaluation.runner import EvaluationReport, run_benchmark, run_evaluation
+from ..evaluation.runner import (
+    EvaluationReport,
+    NegativeResult,
+    run_benchmark,
+    run_evaluation,
+)
 from ..obs import trace
 from ..obs.logs import get_logger
-from ..store.obligation_store import ObligationStore
+from ..store.obligation_store import ObligationStore, StoreContext
 from ..suite.benchmark import AdtBenchmark
 from ..suite.registry import all_benchmarks
 from ..typecheck.checker import CheckerConfig
+from ..typecheck.stats import AdtStats
+from .codec import lease_payload
+from .obligations import Obligation
 from .worker import run_worker
 
 logger = get_logger("dispatch")
@@ -53,6 +68,19 @@ _ENQUEUE_CHUNK = 256
 
 class DispatchError(RuntimeError):
     """The distributed run cannot make progress (drain timeout, dead fleet)."""
+
+
+def collect_item(bench: str, env: Optional[str], digest: str, hint: Optional[float],
+                 estimate: float, obligation: Obligation, context: StoreContext) -> dict:
+    """The queue item for one collected store miss (the collect sink's arguments)."""
+    return {
+        "env": env or "",
+        "fp": digest,
+        "bench": bench,
+        "cost": hint if hint is not None else float(estimate),
+        "measured": hint is not None,
+        "payload": lease_payload(obligation, context),
+    }
 
 
 def _local_worker(store_url: str, config: CheckerConfig, batch: int, ttl: float,
@@ -131,30 +159,35 @@ def run_distributed_evaluation(
     started = time.perf_counter()
 
     # -- phase 1: collect the cold obligations, enqueue them ----------------
-    items: list[dict] = []
+    #: (env, fp) -> the queue item of its first emission
+    collected: dict[tuple[str, str], dict] = {}
+    #: benchmark key -> (stats, negatives, diagnostics) of its collect pass
+    results: dict[str, tuple[AdtStats, list[NegativeResult], list[dict]]] = {}
+    #: benchmarks whose collect pass reported at least one store miss
+    missed: set[str] = set()
     with trace.span("dispatch.collect", cat="run", dispatch=dispatch_id, benchmarks=len(benchmarks)):
         for benchmark in benchmarks:
-            pending: list[dict] = []
-
-            def sink(env: Optional[str], digest: str, hint: Optional[float],
-                     estimate: float, _bench: str = benchmark.key) -> None:
-                pending.append({
-                    "env": env or "",
-                    "fp": digest,
-                    "bench": _bench,
-                    "cost": hint if hint is not None else float(estimate),
-                    "measured": hint is not None,
-                })
-            collect_config = replace(config, collect_sink=sink, only_digests=None)
-            run_benchmark(
+            def sink(env: Optional[str], digest: str, hint: Optional[float], estimate: float,
+                     obligation: Obligation, context: StoreContext,
+                     _bench: str = benchmark.key) -> None:
+                missed.add(_bench)
+                key = (env or "", digest)
+                if key not in collected:
+                    collected[key] = collect_item(
+                        _bench, env, digest, hint, estimate, obligation, context
+                    )
+            diagnostics: list[dict] = []
+            stats, negatives = run_benchmark(
                 benchmark,
-                config=collect_config,
+                config=replace(config, collect_sink=sink, only_digests=None),
                 check_negative_variants=check_negative_variants,
                 store=store,
+                diagnostics_sink=diagnostics,
             )
-            items.extend(pending)
-    # the collect walk writes nothing, but the session may hold prefetch
-    # bookkeeping; fresh dedupe happens server-side on (env, fp)
+            results[benchmark.key] = (stats, negatives, diagnostics)
+    items = list(collected.values())
+    # the server dedupes on (env, fp) too: ``requeued`` counts the items an
+    # earlier dispatch wave still holds
     enqueued = requeued = 0
     for start in range(0, len(items), _ENQUEUE_CHUNK):
         response = backend.enqueue(items[start:start + _ENQUEUE_CHUNK], dispatch_id)
@@ -184,7 +217,7 @@ def run_distributed_evaluation(
         for process in processes:
             process.start()
 
-    # -- phase 2: drain, then the warm deterministic report -----------------
+    # -- phase 2: drain, then assemble the warm deterministic report --------
     wait_started = time.perf_counter()
     status: dict = {}
     try:
@@ -205,13 +238,24 @@ def run_distributed_evaluation(
     # the collect walk cached this session's misses as known-misses; the
     # fleet has since written them — re-fetch on the warm pass
     store.forget_remote_misses()
-    report = run_evaluation(
-        benchmarks,
+    rerun = [benchmark for benchmark in benchmarks if benchmark.key in missed]
+    assembled = run_evaluation(
+        rerun,
         include_slow=include_slow,
         config=replace(config, collect_sink=None, only_digests=None),
         check_negative_variants=check_negative_variants,
         store=store,
     )
+    for benchmark, stats, diagnostic in zip(rerun, assembled.adt_stats, assembled.diagnostics):
+        negatives = [n for n in assembled.negative_results if n.benchmark == benchmark.key]
+        results[benchmark.key] = (stats, negatives, [diagnostic])
+    report = EvaluationReport()
+    for benchmark in benchmarks:
+        stats, negatives, diagnostics = results[benchmark.key]
+        report.adt_stats.append(stats)
+        report.negative_results.extend(negatives)
+        report.diagnostics.extend(diagnostics)
+    report.total_time_seconds = time.perf_counter() - started
     report.dispatch = {
         "dispatch": dispatch_id,
         "cold_obligations": len(items),

@@ -62,7 +62,7 @@ class EngineStats(MergeableStats):
     #: store misses reported to a dispatch coordinator's collect sink
     #: instead of being discharged here (``evaluate --distributed`` phase 1)
     dispatch_collected: int = 0
-    #: representatives outside a worker's leased ``only`` set (not ours)
+    #: representatives outside the ``only`` set, vacuously skipped
     dispatch_skipped: int = 0
     batches: int = 0
 
@@ -148,7 +148,7 @@ class ObligationEngine:
         alphabet_memo: Optional[AlphabetMemo] = None,
         library: Optional[str] = None,
         only: Optional[frozenset] = None,
-        collect: Optional[Callable[[Optional[str], str, Optional[float], float], None]] = None,
+        collect: Optional[Callable[..., None]] = None,
     ) -> None:
         if collect is not None and store is None:
             raise ValueError("dispatch collection requires a store to key against")
@@ -166,12 +166,13 @@ class ObligationEngine:
             alphabet_memo=alphabet_memo,
         )
         self.store = store
-        #: dispatch-worker mode: discharge only these obligation digests (the
-        #: queue lease) and vacuously skip the rest
+        #: discharge only these obligation digests and vacuously skip the
+        #: rest; the empty set is a spawned dispatch worker's warm-up walk
         self.only = only
         #: dispatch-coordinator mode: report each store miss to this sink —
-        #: ``collect(env_fp, digest, cost_hint, estimate)`` — instead of
-        #: discharging it; the collect run's report is discarded
+        #: ``collect(env_fp, digest, cost_hint, estimate, obligation,
+        #: store_context)`` — instead of discharging it; the obligation and
+        #: context are what the coordinator ships to a worker
         self.collect = collect
         #: the semantic-environment key store entries are read/written under;
         #: the memo layers deliberately don't participate (they never change
@@ -230,7 +231,7 @@ class ObligationEngine:
 
         #: this batch's verdicts: fingerprint -> (included, counterexample, error)
         verdicts: dict[tuple, tuple[bool, Optional[list[str]], Optional[str]]] = {}
-        fresh: list[tuple[Obligation, Optional[str]]] = []
+        fresh: list[tuple[Obligation, Optional[str], Optional[StoreContext]]] = []
         memoed_keys: set[tuple] = set()
         stored_keys: set[tuple] = set()
         skipped_keys: set[tuple] = set()
@@ -280,19 +281,24 @@ class ObligationEngine:
                 verdicts[key] = (True, None, None)
                 hint = self.store.cost_hint(digest)
                 self.collect(
-                    self._env_fp, digest, hint, representative.cost_estimate()
+                    self._env_fp,
+                    digest,
+                    hint,
+                    representative.cost_estimate(),
+                    representative,
+                    store_context,
                 )
                 continue
             if self.only is not None and digest not in self.only:
-                # dispatch-worker pass: this obligation belongs to another
-                # lease — vacuous skip, never memoised, never persisted
+                # outside the ``only`` set: vacuous skip, never memoised,
+                # never persisted
                 self.stats.dispatch_skipped += 1
                 skipped_keys.add(key)
                 verdicts[key] = (True, None, None)
                 continue
             if self.store is not None:
                 self.stats.store_misses += 1
-            fresh.append((representative, digest))
+            fresh.append((representative, digest, store_context))
 
         logger.debug(
             "batch %d: %d emitted, %d fresh (%d memo, %d store, %d skipped)",
@@ -303,13 +309,69 @@ class ObligationEngine:
             len(stored_keys),
             len(skipped_keys),
         )
+        verdicts.update(
+            self._discharge_and_record(
+                fresh, solver_stats=solver_stats, inclusion_stats=inclusion_stats
+            )
+        )
+
+        outcomes: dict[int, DischargeOutcome] = {}
+        for representative, aliases in batch:
+            included, counterexample, error = verdicts[representative.fingerprint()]
+            key = representative.fingerprint()
+            from_memo = key in memoed_keys
+            if from_memo:
+                self.stats.memo_hits += 1
+            for obligation, deduped in [(representative, False)] + [
+                (alias, True) for alias in aliases
+            ]:
+                outcomes[obligation.index] = DischargeOutcome(
+                    obligation=obligation,
+                    included=included,
+                    counterexample=counterexample,
+                    error=error,
+                    from_memo=from_memo,
+                    from_store=key in stored_keys,
+                    skipped=key in skipped_keys,
+                    deduped=deduped,
+                )
+        return outcomes
+
+    def discharge_leased(self, leased: Sequence[tuple[Obligation, StoreContext]]) -> None:
+        """Discharge a dispatch lease's decoded obligations.
+
+        Each verdict is recorded under the store context its item shipped
+        with — the context the coordinator's collect pass saw when the
+        obligation was emitted — so the entry is the one a serial run
+        writes.  The items are known store misses (that is why they were
+        queued), so nothing is looked up first; a stolen lease's
+        re-discharge is filtered server-side by ``if_absent`` appends.
+        """
+        self._discharge_and_record(
+            [(obligation, obligation_digest(obligation), context) for obligation, context in leased]
+        )
+
+    def _discharge_and_record(
+        self,
+        fresh: Sequence[tuple[Obligation, Optional[str], Optional[StoreContext]]],
+        *,
+        solver_stats: Optional[SolverStats] = None,
+        inclusion_stats: Optional[InclusionStats] = None,
+    ) -> dict[tuple, tuple[bool, Optional[list[str]], Optional[str]]]:
+        """Discharge ``(obligation, digest, context)`` triples; record verdicts.
+
+        Returns fingerprint -> (included, counterexample, error).  Counters
+        merge into the caller's tables when given; each verdict is memoised
+        and, with a store and a context, written back under that context.
+        """
+        verdicts: dict[tuple, tuple[bool, Optional[list[str]], Optional[str]]] = {}
         # merging the results back is discharge work too: keep it inside a
         # phase span so the trace attributes it
         with trace.span("discharge.batch", cat="discharge", obligations=len(fresh)):
-            results = self._discharge_grouped([ob for ob, _ in fresh])
+            results = self._discharge_grouped([ob for ob, _, _ in fresh])
             if len(self._memo) + len(fresh) > self.max_memo_entries:
                 self._memo.clear()
-            for (representative, digest), result in zip(fresh, results):
+            for (representative, digest, store_context), result in zip(fresh, results):
                 self.stats.obligations_discharged += 1
                 if solver_stats is not None:
                     solver_stats.merge(SolverStats.from_dict(result["solver"]))
@@ -351,27 +413,7 @@ class ObligationEngine:
                         )
                     )
 
-        outcomes: dict[int, DischargeOutcome] = {}
-        for representative, aliases in batch:
-            included, counterexample, error = verdicts[representative.fingerprint()]
-            key = representative.fingerprint()
-            from_memo = key in memoed_keys
-            if from_memo:
-                self.stats.memo_hits += 1
-            for obligation, deduped in [(representative, False)] + [
-                (alias, True) for alias in aliases
-            ]:
-                outcomes[obligation.index] = DischargeOutcome(
-                    obligation=obligation,
-                    included=included,
-                    counterexample=counterexample,
-                    error=error,
-                    from_memo=from_memo,
-                    from_store=key in stored_keys,
-                    skipped=key in skipped_keys,
-                    deduped=deduped,
-                )
-        return outcomes
+        return verdicts
 
     # ------------------------------------------------------------------
     # Grouped discharge

@@ -3,23 +3,28 @@
 A worker is a long-lived loop against a ``repro store serve`` instance:
 
 1. **lease** a batch of queue items (cost-ordered by the server — LPT at
-   dequeue), each item a ``(env, fp, bench)`` triple.  An empty queue is
-   waited on *server-side*: the ``lease`` RPC blocks until an item can be
-   granted (a fresh enqueue, or an expired lease whose items it steals),
-   or until the queue drains;
-2. **materialise** the obligations by re-running the named benchmark's emit
-   walk with ``only_digests`` set — obligations are hash-consed in-memory
-   objects, so only the recipe to re-emit them crosses the wire; everything
-   outside the leased set is vacuously skipped (never memoised, never
-   stored);
-3. **discharge** the leased obligations with the ordinary engine (grouped
-   table walks, memo layers intact) and write verdicts back through the
-   normal store path — appends carry ``if_absent``, so a worker whose lease
-   was stolen and re-discharged elsewhere can never land a duplicate
-   verdict record;
-4. **complete** the lease only after the verdicts are durably flushed —
-   a worker killed at any earlier point merely lets its lease expire, and
-   the items are re-issued to a live worker (work stealing).
+   dequeue).  Each item carries its obligation, encoded by
+   :mod:`repro.engine.codec`, and the store context its verdict belongs
+   under.  An empty queue is waited on *server-side*: the ``lease`` RPC
+   blocks until an item can be granted (a fresh enqueue, or an expired
+   lease whose items it steals), or until the queue drains;
+2. **decode** the items against their benchmark's operator registry — the
+   obligation itself crosses the wire, so no benchmark is re-walked;
+3. **discharge** them, grouped by benchmark, through that benchmark's
+   ordinary :class:`~repro.engine.scheduler.ObligationEngine` (built once
+   per worker process, so the environment fingerprint and the alphabet memo
+   are the serial run's) and record each verdict under its shipped context
+   — appends carry ``if_absent``, so a worker whose lease was stolen and
+   re-discharged elsewhere can never land a duplicate verdict record;
+4. **complete** the lease only after the verdicts are durably flushed (one
+   flush per lease) — a worker killed at any earlier point merely lets its
+   lease expire, and the items are re-issued to a live worker (work
+   stealing).
+
+An item the worker cannot decode — an unknown benchmark, a missing payload,
+an unknown codec version or signature — is completed without discharge; the
+coordinator's assembly pass then discharges it locally, so an older worker
+can never wedge the drain.
 
 The worker exits as soon as the queue drains — a ``complete`` reply reports
 nothing ``queued``, or a waiting ``lease`` reports ``drained`` — or after
@@ -31,14 +36,15 @@ pure function of (process walk prefix, obligation).  The
 solver-effort columns (#SAT/#Confl) are steered by process-global,
 append-only state (term and formula interning), which the serial
 runner populates by walking benchmarks in registry order — so a worker must
-replay that walk prefix before discharging anything, or a benchmark
-discharged alone in a fresh process records slightly different effort
+hold that walk's interned state before discharging anything, or an
+obligation discharged in a fresh process records slightly different effort
 counters than serial did.  Forked local workers inherit the coordinator's
-collect-phase walk through fork; a fresh ``repro worker`` process replays
-it via :func:`_warm_process_state` (a vacuous ``only_digests=frozenset()``
-walk — nothing discharged, nothing stored, ~tens of milliseconds on the
-fast corpus).  The coordinator's phase-2 warm run then reads every verdict
-back and produces byte-identical tables.
+collect-phase walk through fork, and decoding re-interns to the very nodes
+it emitted; a fresh ``repro worker`` process replays the walk via
+:func:`_warm_process_state` (a vacuous ``only_digests=frozenset()`` walk —
+nothing discharged, nothing stored, ~tens of milliseconds on the fast
+corpus).  The coordinator's assembly pass then reads every verdict back and
+produces byte-identical tables.
 
 ``REPRO_WORKER_CRASH=lease`` is the fault-injection hook: the worker
 hard-kills itself (``os._exit``) immediately after its first successful
@@ -62,6 +68,8 @@ from ..statsutil import MergeableStats
 from ..store.obligation_store import ObligationStore
 from ..suite.registry import all_benchmarks, benchmark_by_key
 from ..typecheck.checker import CheckerConfig
+from .codec import CodecError, decode_payload
+from .scheduler import ObligationEngine
 
 logger = get_logger("worker")
 
@@ -97,11 +105,15 @@ class WorkerStats(MergeableStats):
 
     leases: int = 0
     items: int = 0
-    benchmarks_run: int = 0
+    #: leased obligations decoded and discharged here
+    discharged: int = 0
     #: leased items naming a benchmark this build doesn't know — completed
-    #: anyway (the coordinator's phase 2 discharges them locally) so an
-    #: older worker can never wedge the drain
+    #: anyway (the coordinator's assembly pass discharges them locally) so
+    #: an older worker can never wedge the drain
     unknown_benchmarks: int = 0
+    #: leased items of a known benchmark whose payload is missing or cannot
+    #: be decoded (codec version, unknown signature) — completed the same way
+    undecodable: int = 0
     completed: int = 0
     #: batches dropped because an ``extend`` was refused (lease stolen)
     abandoned: int = 0
@@ -130,7 +142,7 @@ def run_worker(
     without a shutdown broadcast.  The worker's ``config`` must describe the
     same semantic environment as the coordinator's (backend, literal
     budget...); a mismatch is not an error — the verdicts land under the
-    worker's own environment key and the coordinator's phase 2 simply
+    worker's own environment key and the coordinator's assembly pass simply
     discharges its misses locally.
 
     ``warm_process`` replays the registry walk before the first lease (see
@@ -146,6 +158,9 @@ def run_worker(
     backend.append_if_absent = True
     crash_after_lease = os.environ.get(ENV_WORKER_CRASH, "") == "lease"
     stats = WorkerStats()
+    #: one engine per benchmark, built on first lease and kept for the
+    #: process's life (the serial run's environment key and alphabet memo)
+    engines: dict[str, ObligationEngine] = {}
     logger.info("worker %s pulling from %s (batch=%d ttl=%.1fs)", worker_id, store_url, batch, ttl)
     if warm_process:
         with trace.span("worker.warmup", cat="run", worker=worker_id):
@@ -180,14 +195,13 @@ def run_worker(
             if crash_after_lease:  # pragma: no cover - exits the process
                 logger.warning("fault injection: worker dying holding lease %s", lease_id)
                 os._exit(9)
-            # group the batch by benchmark: one emit walk materialises every
-            # leased obligation that benchmark emits
-            by_bench: dict[str, set[str]] = {}
+            # group the batch by benchmark: each benchmark's engine
+            # discharges its decoded obligations in one grouped pass
+            by_bench: dict[str, list[dict]] = {}
             for item in items:
-                by_bench.setdefault(item["bench"], set()).add(item["fp"])
+                by_bench.setdefault(item["bench"], []).append(item)
             abandoned = False
-            benches = sorted(by_bench)
-            for position, bench_key in enumerate(benches):
+            for position, bench_key in enumerate(sorted(by_bench)):
                 if position > 0 and not backend.extend(lease_id, ttl):
                     # the lease expired and was stolen mid-batch: the rest of
                     # the batch belongs to someone else now — walk away
@@ -195,22 +209,27 @@ def run_worker(
                     stats.abandoned += 1
                     abandoned = True
                     break
-                try:
-                    benchmark = benchmark_by_key(bench_key)
-                except KeyError:
-                    stats.unknown_benchmarks += 1
-                    logger.warning("leased unknown benchmark %r; completing anyway", bench_key)
-                    continue
-                worker_config = replace(
-                    config, only_digests=frozenset(by_bench[bench_key]), collect_sink=None
-                )
-                run_benchmark(
-                    benchmark,
-                    config=worker_config,
-                    check_negative_variants=check_negative_variants,
-                    store=store,
-                )
-                stats.benchmarks_run += 1
+                engine = engines.get(bench_key)
+                if engine is None:
+                    try:
+                        benchmark = benchmark_by_key(bench_key)
+                    except KeyError:
+                        stats.unknown_benchmarks += len(by_bench[bench_key])
+                        logger.warning("leased unknown benchmark %r; completing anyway", bench_key)
+                        continue
+                    engine = benchmark.make_checker(config, store=store).obligation_engine
+                    engines[bench_key] = engine
+                leased = []
+                for item in by_bench[bench_key]:
+                    try:
+                        leased.append(decode_payload(item.get("payload"), engine.params.operators))
+                    except CodecError as exc:
+                        stats.undecodable += 1
+                        logger.warning(
+                            "cannot decode leased item %s (%s); completing anyway", item["fp"], exc
+                        )
+                engine.discharge_leased(leased)
+                stats.discharged += len(leased)
             idle_since = time.monotonic()
             if abandoned:
                 continue

@@ -183,6 +183,10 @@ class ObligationStore:
         #: checked against the server, found or not; a key in here but not in
         #: ``_entries`` is a *known* miss and costs no further round-trip
         self._remote_checked: set[tuple[str, str]] = set()
+        #: remote mode only — ``(scope, method, spec, library)`` keys this
+        #: session already invalidated server-side; the server dropped their
+        #: stale entries then, and this session writes only current ones
+        self._invalidated: set[tuple[str, str, str, str]] = set()
         self._load()
 
     @property
@@ -349,9 +353,14 @@ class ObligationStore:
         An entry of ``scope`` dies when the benchmark's library digest changed
         (every method's obligations sat on its axioms and alphabets) or when
         it belongs to ``method`` and that method's spec digest changed.
-        Entries of other scopes are never touched.
+        Entries of other scopes are never touched.  A remote session sends
+        each ``(scope, method, spec, library)`` key to the server once: a
+        repeat (the negative variants of a method, a dispatch's assembly
+        pass) has nothing left to drop and returns 0 without a round-trip.
         """
-
+        sent = (scope, method, spec_digest, library_digest)
+        if sent in self._invalidated:
+            return 0
         local_stale = stale_entry_keys(
             self._entries, scope, method, spec_digest, library_digest
         )
@@ -370,6 +379,7 @@ class ObligationStore:
                 dropped = self.backend.invalidate(
                     scope, method, spec_digest, library_digest
                 )
+            self._invalidated.add(sent)
             for key in local_stale:
                 del self._entries[key]
                 self._session_writes.pop(key, None)

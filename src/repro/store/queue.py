@@ -1,8 +1,10 @@
 """The lease-based work queue behind distributed obligation discharge.
 
 A :class:`WorkQueue` holds obligations a coordinator wants discharged —
-each item is a ``(env, fp)`` store key plus the benchmark that emits it and
-an advisory cost — and hands them to pulling workers under *leases*:
+each item is a ``(env, fp)`` store key plus the benchmark that emits it, an
+advisory cost and an opaque payload text (the obligation itself, encoded
+by :mod:`repro.engine.codec`, and the store context its verdict is recorded
+under) — and hands them to pulling workers under *leases*:
 
 * :meth:`lease` reclaims every expired lease first (a dead or straggling
   worker's items go back to pending — work stealing needs no extra
@@ -45,9 +47,8 @@ class QueueItem:
 
     env: str
     fp: str
-    #: registry key of the benchmark whose emit walk materialises the
-    #: obligation (obligations are hash-consed in-memory objects; only the
-    #: recipe to re-emit them crosses the wire)
+    #: registry key of the benchmark that emitted the obligation: its
+    #: operator registry resolves the payload's event signatures
     bench: str
     #: advisory discharge cost: seconds when ``measured``, else the
     #: syntactic estimate — :meth:`WorkQueue.lease` sorts measured items
@@ -60,6 +61,10 @@ class QueueItem:
     attempts: int = 0
     #: enqueue-wave tags; :meth:`WorkQueue.status` filters by them
     dispatches: set = field(default_factory=set)
+    #: the encoded obligation and its store context as JSON text, passed
+    #: through to the leasing worker unparsed (``None``: the worker cannot
+    #: discharge the item and completes it, leaving it to the coordinator)
+    payload: Optional[str] = None
 
     @property
     def key(self) -> str:
@@ -73,6 +78,7 @@ class QueueItem:
             "cost": self.cost,
             "measured": self.measured,
             "attempts": self.attempts,
+            "payload": self.payload,
         }
 
 

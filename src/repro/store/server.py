@@ -337,6 +337,9 @@ class StoreService:
         env, fp, bench = record.get("env"), record.get("fp"), record.get("bench")
         if not (isinstance(env, str) and isinstance(fp, str) and isinstance(bench, str)):
             raise ValueError("queue items need 'env', 'fp' and 'bench' strings")
+        payload = record.get("payload")
+        if payload is not None and not isinstance(payload, str):
+            raise ValueError("a queue item's 'payload' must be a string")
         cost = record.get("cost")
         measured = bool(record.get("measured"))
         # the store's own cost index outranks whatever the coordinator sent:
@@ -353,6 +356,7 @@ class StoreService:
             bench=bench,
             cost=float(cost) if isinstance(cost, (int, float)) else 0.0,
             measured=measured,
+            payload=payload,
         )
 
     def _wall_cost_of(self, fp: str) -> Optional[float]:

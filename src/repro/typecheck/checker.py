@@ -99,12 +99,14 @@ class CheckerConfig:
     #: are identical across backends (the store suite runs parametrised over
     #: both).  Overridable via the REPRO_STORE_BACKEND environment variable.
     store_backend: str = field(default_factory=_default_store_backend)
-    #: dispatch-worker mode: discharge only obligations whose digest is in
-    #: this set, vacuously skipping the rest (a queue lease's slice)
+    #: discharge only obligations whose digest is in this set, vacuously
+    #: skipping the rest; the empty set makes the emit walk a spawned
+    #: dispatch worker replays to warm its process state
     only_digests: Optional[frozenset] = None
     #: dispatch-coordinator mode: report every store miss to this callable —
-    #: ``sink(env_fp, digest, cost_hint, estimate)`` — instead of discharging
-    #: it locally.  Never set on a config handed to a dispatch worker.
+    #: ``sink(env_fp, digest, cost_hint, estimate, obligation, store_context)``
+    #: — instead of discharging it locally.  Never set on a config handed to
+    #: a dispatch worker.
     collect_sink: Optional[object] = None
 
 

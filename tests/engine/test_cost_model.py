@@ -63,7 +63,9 @@ def test_cost_hint_crosses_environments(registry, tmp_path):
         registry,
         store=store,
         backend="cdcl",
-        collect=lambda env, digest, hint, estimate: hints.__setitem__(digest, hint),
+        collect=lambda env, digest, hint, estimate, obligation, context: hints.__setitem__(
+            digest, hint
+        ),
     )
     cdcl.discharge_all(_obligations(registry, count=2), store_context=context)
     assert cdcl.stats.store_hits == 0, "verdicts must not cross environments"

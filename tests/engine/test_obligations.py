@@ -90,7 +90,7 @@ def test_discharge_follows_emission_order(registry, tmp_path):
     engine = ObligationEngine(
         registry,
         store=ObligationStore(tmp_path),
-        collect=lambda env, digest, hint, estimate: seen.append(digest),
+        collect=lambda env, digest, hint, estimate, obligation, context: seen.append(digest),
     )
     engine.discharge_all(obset)
     assert seen == [obligation_digest(expensive), obligation_digest(cheap)]

@@ -99,7 +99,9 @@ def test_eight_writers_lose_nothing(store_path):
 def _cold_digests(scratch_path):
     """Every fast-corpus obligation digest, via a collect pass (nothing discharged)."""
     digests = set()
-    config = CheckerConfig(collect_sink=lambda env, fp, hint, estimate: digests.add(fp))
+    config = CheckerConfig(
+        collect_sink=lambda env, fp, hint, estimate, obligation, context: digests.add(fp)
+    )
     run_evaluation(include_slow=False, config=config, store=ObligationStore(scratch_path))
     return sorted(digests)
 

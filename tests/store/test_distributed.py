@@ -19,7 +19,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.engine.dispatch import DispatchError, _await_drain, run_distributed_evaluation
+from repro.engine.dispatch import (
+    DispatchError,
+    _await_drain,
+    collect_item,
+    run_distributed_evaluation,
+)
 from repro.engine.worker import ENV_WORKER_CRASH, run_worker
 from repro.evaluation.runner import run_benchmark, run_evaluation
 from repro.evaluation.tables import report_json, table1, table3, table4
@@ -56,14 +61,10 @@ def _collect_and_enqueue(store, benchmarks, dispatch):
     """The coordinator's phase 1, by hand: report misses, enqueue them."""
     items = []
     for benchmark in benchmarks:
-        def sink(env, digest, hint, estimate, _bench=benchmark.key):
-            items.append({
-                "env": env or "",
-                "fp": digest,
-                "bench": _bench,
-                "cost": hint if hint is not None else float(estimate),
-                "measured": hint is not None,
-            })
+        def sink(env, digest, hint, estimate, obligation, context, _bench=benchmark.key):
+            items.append(
+                collect_item(_bench, env, digest, hint, estimate, obligation, context)
+            )
         config = replace(CheckerConfig(), collect_sink=sink)
         run_benchmark(benchmark, config=config, store=store)
     store.backend.enqueue(items, dispatch)

@@ -104,12 +104,17 @@ def _entry(fp, env="env1", wall=None):
 
 
 def test_enqueue_lease_complete_roundtrip(client, clock):
-    response = client.enqueue(_items("f1", "f2"), "d1")
+    items = _items("f1", "f2")
+    items[0]["payload"] = '{"obligation":{},"context":{}}'
+    response = client.enqueue(items, "d1")
     assert response["enqueued"] == 2 and response["queued"] == 2
 
     grant = client.lease(8, 30.0, worker="w1")
     assert grant["lease"] is not None
-    assert {item["fp"] for item in grant["items"]} == {"f1", "f2"}
+    assert {item["fp"]: item["payload"] for item in grant["items"]} == {
+        "f1": items[0]["payload"],  # passed through unparsed
+        "f2": None,
+    }
     assert client.queue_status("d1") == {
         **client.queue_status("d1"),
         "remaining": 2,
@@ -183,6 +188,8 @@ def test_queue_ops_reject_malformed_payloads_without_retry(client):
         client._call("enqueue", {"items": "not-a-list"}, idempotent=True)
     with pytest.raises(RemoteStoreError, match="bench"):
         client.enqueue([{"env": "e", "fp": "f"}], "d1")  # missing bench
+    with pytest.raises(RemoteStoreError, match="payload"):
+        client.enqueue([dict(_items("f")[0], payload={"not": "text"})], "d1")
     with pytest.raises(RemoteStoreError, match="count"):
         client._call("lease", {"count": "many", "ttl": 1.0}, idempotent=True)
     with pytest.raises(RemoteStoreError, match="lease"):
