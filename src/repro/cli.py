@@ -20,13 +20,9 @@ one checker knob, ``--backend``, mirrors ``REPRO_BACKEND``.  Going wide is
 discharged obligations are persisted to an on-disk store and answered from it
 on later runs; ``--explain`` prints the per-method hit/miss/invalidated
 counts, and ``--json`` emits a machine-readable report for CI trend tracking.
-The store's persistence backend follows the path (``store.db`` or
-``sqlite:PATH`` → a WAL-mode SQLite file, ``http://host:port`` → a remote
-``pymarple store serve`` instance, anything else → the locked JSONL
-directory) or is forced with ``--store-backend``/``REPRO_STORE_BACKEND``;
-``pymarple store migrate SRC DST`` converts between the local backends
-losslessly, and ``pymarple store serve`` exposes a local store to a fleet of
-remote clients over JSON-HTTP.
+A store path is either a directory of JSON-lines logs or the
+``http://host:port`` URL of a remote ``pymarple store serve`` instance, which
+exposes a local store directory to a fleet of clients over JSON-HTTP.
 """
 
 from __future__ import annotations
@@ -43,8 +39,8 @@ from .evaluation import render_all, report_json, run_evaluation, table1, table2,
 from .obs import trace as obs_trace
 from .obs.logs import configure_logging
 from .smt.backends import known_backends, resolve_backend
-from .store.backends import KNOWN_STORE_BACKENDS, migrate_store, resolve_store_backend
-from .store.obligation_store import ObligationStore
+from .store.backends import is_store_url
+from .store.obligation_store import ObligationStore, check_keep_last
 from .store.remote import RemoteStoreError
 from .suite.registry import all_benchmarks, benchmark_by_key
 from .typecheck.checker import CheckerConfig
@@ -100,8 +96,8 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
         "--store",
         metavar="PATH",
         help=(
-            "store path (implies --incremental): a directory, a .db file, or "
-            "the http://host:port URL of a `store serve` instance"
+            "store path (implies --incremental): a directory, or the "
+            "http://host:port URL of a `store serve` instance"
         ),
     )
     group.add_argument(
@@ -109,55 +105,33 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print per-method store hit/miss/invalidated counts",
     )
-    group.add_argument(
-        "--store-backend",
-        choices=("auto",) + KNOWN_STORE_BACKENDS,
-        help=(
-            "store persistence backend: auto infers from the path (.db/sqlite: "
-            "means sqlite, a directory means jsonl) "
-            "(default: REPRO_STORE_BACKEND or auto)"
-        ),
-    )
 
 
 def _config_from_args(args: argparse.Namespace) -> CheckerConfig:
     kwargs: dict[str, object] = {}
     if getattr(args, "backend", None) is not None:
         kwargs["backend"] = args.backend
-    if getattr(args, "store_backend", None) is not None:
-        kwargs["store_backend"] = args.store_backend
     config = CheckerConfig(**kwargs)
-    # Validate the *resolved* backends, wherever they came from: argparse
-    # already rejects unknown flag values, but REPRO_BACKEND and
-    # REPRO_STORE_BACKEND arrive unchecked and must fail with the same clean
-    # exit-2 diagnostics, not a traceback.
+    # Validate the *resolved* backend, wherever it came from: argparse
+    # already rejects unknown flag values, but REPRO_BACKEND arrives
+    # unchecked and must fail with the same clean exit-2 diagnostic, not a
+    # traceback.
     try:
         resolve_backend(config.backend)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
-    if config.store_backend not in ("auto",) + KNOWN_STORE_BACKENDS:
-        print(
-            f"error: unknown store backend {config.store_backend!r}; "
-            f"expected one of {('auto',) + KNOWN_STORE_BACKENDS}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
     return config
 
 
-def _open_store(
-    args: argparse.Namespace, config: Optional[CheckerConfig] = None
-) -> Optional[ObligationStore]:
+def _open_store(args: argparse.Namespace) -> Optional[ObligationStore]:
     if not (getattr(args, "store", None) or getattr(args, "incremental", False)):
         return None
-    backend = config.store_backend if config is not None else None
     try:
-        return ObligationStore(
-            getattr(args, "store", None) or DEFAULT_STORE_PATH, backend=backend
-        )
+        return ObligationStore(getattr(args, "store", None) or DEFAULT_STORE_PATH)
     except ValueError as exc:
-        # e.g. contradictory path/backend directives: diagnose, don't traceback
+        # e.g. a plain file where the store directory should be: diagnose,
+        # don't traceback
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
@@ -229,7 +203,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     config = _config_from_args(args)
-    store = _open_store(args, config)
+    store = _open_store(args)
     checker = benchmark.make_checker(config, store=store)
     if args.method:
         if args.method not in benchmark.specs:
@@ -270,7 +244,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    store = _open_store(args, config)
+    store = _open_store(args)
     if distributed:
         from .engine.dispatch import run_distributed_evaluation
 
@@ -313,7 +287,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             print(table2())
         return 0
     config = _config_from_args(args)
-    store = _open_store(args, config)
+    store = _open_store(args)
     report = run_evaluation(include_slow=not args.fast, config=config, store=store)
     _note_trace_counters(report.cache_totals(), store)
     _finish_store(store)
@@ -401,10 +375,14 @@ def _cmd_trace_overhead(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_gc(args: argparse.Namespace) -> int:
+    path = args.store or DEFAULT_STORE_PATH
     try:
-        store = ObligationStore(
-            args.store or DEFAULT_STORE_PATH, backend=args.store_backend
-        )
+        # both checks come before the open, which would create a missing
+        # store just to sweep it
+        check_keep_last(args.keep_last)
+        if not is_store_url(path) and not os.path.exists(path):
+            raise ValueError(f"no store at {path!r}")
+        store = ObligationStore(path)
         dropped = store.gc(args.keep_last)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -430,9 +408,7 @@ def _cmd_store_serve(args: argparse.Namespace) -> int:
     from .store.server import StoreHTTPServer, StoreService, serve_in_thread
 
     try:
-        service = StoreService(
-            args.store or DEFAULT_STORE_PATH, backend=args.store_backend
-        )
+        service = StoreService(args.store or DEFAULT_STORE_PATH)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -542,30 +518,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         + (f", {stats.abandoned} abandoned" if stats.abandoned else "")
         + (f", {stats.unknown_benchmarks} unknown" if stats.unknown_benchmarks else "")
         + (f", {stats.undecodable} undecodable" if stats.undecodable else "")
-    )
-    return 0
-
-
-def _cmd_store_migrate(args: argparse.Namespace) -> int:
-    try:
-        source_name, _ = resolve_store_backend(args.source, args.from_backend)
-        destination_name, _ = resolve_store_backend(args.destination, args.to_backend)
-        if source_name == destination_name and args.to_backend in (None, "auto"):
-            # the common "convert this store" case: flip the backend when the
-            # destination path doesn't already say which one it wants
-            destination_name = "sqlite" if source_name == "jsonl" else "jsonl"
-        copied = migrate_store(
-            args.source,
-            args.destination,
-            source_backend=source_name,
-            destination_backend=destination_name,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"store migrate: {copied['entries']} entries and {copied['runs']} run "
-        f"records copied {source_name} → {destination_name} ({args.destination})"
     )
     return 0
 
@@ -700,13 +652,10 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument(
         "--store",
         metavar="PATH",
-        help=f"store directory (default: {DEFAULT_STORE_PATH})",
-    )
-    gc.add_argument(
-        "--store-backend",
-        choices=("auto",) + KNOWN_STORE_BACKENDS,
-        default=None,
-        help="force the store's persistence backend (default: infer from the path)",
+        help=(
+            "store directory, or the http://host:port URL of a `store serve` "
+            f"instance (default: {DEFAULT_STORE_PATH}); a missing path is an error"
+        ),
     )
     gc.set_defaults(func=_cmd_store_gc)
     serve = store_sub.add_parser(
@@ -716,13 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--store",
         metavar="PATH",
-        help=f"local store to serve: a directory or .db file (default: {DEFAULT_STORE_PATH})",
-    )
-    serve.add_argument(
-        "--store-backend",
-        choices=("auto",) + KNOWN_STORE_BACKENDS,
-        default=None,
-        help="force the served store's persistence backend (default: infer from the path)",
+        help=f"local store directory to serve (default: {DEFAULT_STORE_PATH})",
     )
     serve.add_argument(
         "--host",
@@ -748,31 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("url", help="http://host:port of the `store serve` instance")
     stats.add_argument("--json", action="store_true", help="emit the raw stats JSON")
     stats.set_defaults(func=_cmd_store_stats)
-    migrate = store_sub.add_parser(
-        "migrate",
-        help="copy a store losslessly between the jsonl and sqlite backends",
-    )
-    migrate.add_argument("source", help="existing store (directory or .db file)")
-    migrate.add_argument(
-        "destination",
-        help=(
-            "destination store path; with no explicit backend, an unsuffixed "
-            "fresh path converts to the other backend"
-        ),
-    )
-    migrate.add_argument(
-        "--from-backend",
-        choices=("auto",) + KNOWN_STORE_BACKENDS,
-        default=None,
-        help="force how the source is read (default: infer from the path)",
-    )
-    migrate.add_argument(
-        "--to-backend",
-        choices=("auto",) + KNOWN_STORE_BACKENDS,
-        default=None,
-        help="force the destination backend (default: infer, else the other backend)",
-    )
-    migrate.set_defaults(func=_cmd_store_migrate)
 
     table = sub.add_parser("table", help="print one of the paper's tables")
     table.add_argument("number", type=int, choices=(1, 2, 3, 4))

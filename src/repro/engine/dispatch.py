@@ -202,8 +202,8 @@ def run_distributed_evaluation(
     processes: list = []
     if local_workers > 0 and items:
         store.flush()
-        # neither an open sqlite handle nor a keep-alive socket may cross
-        # fork(); the children (and the parent, lazily) reconnect
+        # a keep-alive socket must not cross fork(); the children (and the
+        # parent, lazily) reconnect
         backend.close()
         worker_config = replace(config, collect_sink=None, only_digests=None)
         context = multiprocessing.get_context("fork")

@@ -151,7 +151,7 @@ def run_worker(
     """
     config = config or CheckerConfig()
     worker_id = worker_id or f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:6]}"
-    store = ObligationStore(store_url, backend=config.store_backend)
+    store = ObligationStore(store_url)
     if not store.is_remote:
         raise ValueError(f"repro worker needs a store *server* URL, got {store_url!r}")
     backend = store.backend

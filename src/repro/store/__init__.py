@@ -4,9 +4,8 @@ The subsystem behind ``pymarple --incremental``:
 
 * :mod:`repro.store.fingerprint` — process-independent content addresses for
   terms, automata, obligations, specs and libraries;
-* :mod:`repro.store.backends` — the pluggable persistence backends (JSONL
-  directory with advisory locking, or a WAL-mode SQLite file), both safe
-  under concurrent writer processes, plus lossless migration between them;
+* :mod:`repro.store.backends` — the on-disk layout (a JSONL directory with
+  advisory locking, safe under concurrent writer processes);
 * :mod:`repro.store.obligation_store` — the store facade mapping
   (environment fingerprint, obligation fingerprint) to verdicts, witness
   traces and per-obligation discharge counters, with dependency-tracked
@@ -19,13 +18,7 @@ The subsystem behind ``pymarple --incremental``:
   cold obligations to ``repro worker`` processes through.
 """
 
-from .backends import (
-    KNOWN_STORE_BACKENDS,
-    JsonlStoreBackend,
-    SqliteStoreBackend,
-    migrate_store,
-    resolve_store_backend,
-)
+from .backends import JsonlStoreBackend
 from .remote import RemoteStoreBackend, RemoteStoreError
 from .fingerprint import (
     environment_fingerprint,
@@ -44,15 +37,11 @@ from .obligation_store import (
 )
 
 __all__ = [
-    "KNOWN_STORE_BACKENDS",
     "SCHEMA_VERSION",
     "JsonlStoreBackend",
     "MethodStoreCounts",
     "RemoteStoreBackend",
     "RemoteStoreError",
-    "SqliteStoreBackend",
-    "migrate_store",
-    "resolve_store_backend",
     "ObligationStore",
     "StoreContext",
     "StoreEntry",

@@ -11,19 +11,15 @@ makes warm tables byte-identical to cold ones — plus a dependency record
 (benchmark scope, method, spec digest, library digest) for targeted
 invalidation and an advisory cost record for the dispatch queue.
 
-Persistence is delegated to a :mod:`~repro.store.backends` backend, selected
-from the store path (``.db``/``sqlite:`` → sqlite, directory → jsonl) or
-forced via ``backend=``/``REPRO_STORE_BACKEND``:
+Persistence is delegated to a :mod:`~repro.store.backends` backend picked
+from the store path:
 
-* the **jsonl** backend keeps the original directory layout (``meta.json``,
-  append-only ``entries.jsonl`` where the last line per key wins,
-  ``runs.jsonl``), hardened with an advisory ``flock`` per
-  write and atomic fsynced rewrites;
-* the **sqlite** backend keeps one WAL-mode database file with the same
-  records in ``entries``/``deps``/``costs``/``runs`` tables, UPSERTed on the
-  ``(env, fp)`` primary key;
-* the **remote** backend (an ``http://``/``https://`` store path) is a
-  client for ``repro store serve``: the session mirrors only the entries it
+* a local path is a **directory** (``meta.json``, append-only
+  ``entries.jsonl`` where the last line per key wins, ``runs.jsonl``),
+  hardened with an advisory ``flock`` per write and atomic fsynced
+  rewrites;
+* an ``http://``/``https://`` URL is the **remote** backend, a client for
+  ``repro store serve``: the session mirrors only the entries it
   batch-fetched or wrote, and every read-modify-rewrite operation below runs
   *server-side* under the wrapped backend's lock — ``update(fn)`` closures
   cannot cross the wire, so the wire speaks store-level operations instead
@@ -32,9 +28,9 @@ forced via ``backend=``/``REPRO_STORE_BACKEND``:
 Either way the store is safe under concurrent writer processes: appends can
 never interleave partial entries, and the read-modify-rewrite operations
 (:meth:`compact`, :meth:`invalidate_stale`, :meth:`commit_run`, :meth:`gc`)
-re-read the on-disk state under an exclusive lock/transaction before
-rewriting, so entries appended by another process since :meth:`_load` are
-never silently dropped.  Corrupt or torn records (a killed writer's partial
+re-read the on-disk state under an exclusive lock before rewriting, so
+entries appended by another process since :meth:`_load` are never silently
+dropped.  Corrupt or torn records (a killed writer's partial
 line) are skipped and counted — see ``summary()["skipped"]`` — never fatal.
 
 Invalidation is dependency-tracked: when a method is about to be verified,
@@ -110,6 +106,12 @@ def append_run_record(runs: list[dict], touched: list[str]) -> tuple[list[dict],
     return runs, sequence
 
 
+def check_keep_last(keep_last: object) -> None:
+    """Reject a ``gc`` window that would keep no run (see :meth:`gc`)."""
+    if not isinstance(keep_last, int) or keep_last < 1:
+        raise ValueError("gc requires keep_last >= 1")
+
+
 def sweep_unreferenced(
     entries: dict[tuple[str, str], StoreEntry], runs: list[dict], keep_last: int
 ) -> tuple[dict[tuple[str, str], StoreEntry], list[dict], list[tuple[str, str]]]:
@@ -151,13 +153,8 @@ class MethodStoreCounts:
 class ObligationStore:
     """A content-addressed, dependency-indexed verdict store on disk."""
 
-    def __init__(
-        self,
-        path: os.PathLike | str,
-        *,
-        backend: Optional[str] = None,
-    ) -> None:
-        self.backend = open_backend(path, backend)
+    def __init__(self, path: os.PathLike | str) -> None:
+        self.backend = open_backend(path)
         self.path = self.backend.path
         self._entries: dict[tuple[str, str], StoreEntry] = {}
         self._pending: list[StoreEntry] = []
@@ -190,10 +187,6 @@ class ObligationStore:
         self._load()
 
     @property
-    def backend_name(self) -> str:
-        return self.backend.name
-
-    @property
     def is_remote(self) -> bool:
         """Whether this session talks to a ``repro store serve`` instance.
 
@@ -206,8 +199,7 @@ class ObligationStore:
     # -- loading -----------------------------------------------------------------
     def _load(self) -> None:
         if self.is_remote:
-            # no wholesale load: handshake (verifying the schema tag and, if
-            # one was demanded, the wrapped backend's identity), then the
+            # no wholesale load: handshake (verifying the schema tag), then the
             # advisory cost index a dispatch collect pass hands the queue
             with trace.span("store.load", cat="store", backend=self.backend.name):
                 info = self.backend.handshake()
@@ -310,10 +302,9 @@ class ObligationStore:
     def flush(self) -> None:
         """Append pending entries to the log.
 
-        The backend appends the whole batch under an exclusive lock (jsonl:
-        one ``write()`` of the pre-joined lines; sqlite: one UPSERT
-        transaction), so concurrent flushes can interleave batches but never
-        the bytes of one entry.
+        The backend appends the pre-joined batch under an exclusive lock, so
+        concurrent flushes can interleave batches but never the bytes of one
+        entry.
         """
         if not self._pending:
             return
@@ -460,7 +451,7 @@ class ObligationStore:
         logger.debug("committing run: %d touched entries", len(touched))
 
         if self.is_remote:
-            # the server assigns the sequence number under its transaction;
+            # the server assigns the sequence number under its lock;
             # the idempotency key on the RPC keeps a retried commit from
             # recording the run twice
             with trace.span("store.commit_run", cat="store", touched=len(touched)):
@@ -492,8 +483,7 @@ class ObligationStore:
         the sweep, never casualties of a stale snapshot.  Returns the number
         of entries dropped; older run records are dropped from the log too.
         """
-        if keep_last < 1:
-            raise ValueError("gc requires keep_last >= 1")
+        check_keep_last(keep_last)
         if self._touched:
             # an uncommitted session counts as the most recent run
             self.commit_run()

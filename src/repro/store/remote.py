@@ -3,12 +3,12 @@
 A :class:`RemoteStoreBackend` is what :func:`~repro.store.backends.open_backend`
 returns for an ``http://``/``https://`` store path, so
 ``--store http://host:port`` works everywhere a path does.  It is *not* a
-drop-in ``StoreBackend``: the local protocol's ``update(fn)`` primitive takes
+drop-in local backend: the local protocol's ``update(fn)`` primitive takes
 a closure, and a closure cannot cross the wire.  Instead the wire protocol
 exposes the store-level operations the closures implement — batched lookup,
 batched append, ``compact``, ``commit_run``, ``gc`` and ``invalidate`` — and
 the server executes each one under the wrapped local backend's existing
-lock/transaction.  :class:`~repro.store.obligation_store.ObligationStore`
+lock.  :class:`~repro.store.obligation_store.ObligationStore`
 detects ``supports_update = False`` and dispatches to these operations.
 
 Reliability model:
@@ -39,9 +39,7 @@ Reliability model:
 At open time the client performs a handshake and verifies the server's
 schema tag matches its own :data:`~repro.store.backends.SCHEMA_VERSION` —
 entries of another layout version must be rejected at the door, exactly as a
-local open would discard them — and, when an explicit ``jsonl``/``sqlite``
-directive accompanied the URL, that the server wraps that backend, so
-backend-isolation expectations survive the wire.
+local open would discard them.
 """
 
 from __future__ import annotations
@@ -99,9 +97,7 @@ class RemoteStoreBackend:
     name = "remote"
     supports_update = False
 
-    def __init__(
-        self, url: str, *, expect_backend: Optional[str] = None
-    ) -> None:
+    def __init__(self, url: str) -> None:
         self.path = str(url).rstrip("/")
         parts = urllib.parse.urlsplit(self.path)
         if parts.scheme not in ("http", "https") or not parts.netloc:
@@ -109,9 +105,6 @@ class RemoteStoreBackend:
         self._scheme = parts.scheme
         self._netloc = parts.netloc
         self._base = parts.path.rstrip("/")
-        #: the wrapped backend the server is required to report at handshake
-        #: (None = accept whichever it wraps)
-        self.expect_backend = expect_backend
         self.timeout = _env_float(ENV_RPC_TIMEOUT, _DEFAULT_TIMEOUT)
         self.retries = max(1, _env_int(ENV_RPC_RETRIES, _DEFAULT_RETRIES))
         self.backoff = _env_float(ENV_RPC_BACKOFF, _DEFAULT_BACKOFF)
@@ -275,12 +268,6 @@ class RemoteStoreBackend:
             raise RemoteStoreError(
                 f"store server {self.path} speaks schema {schema!r}, this "
                 f"client needs {SCHEMA_VERSION!r}; upgrade one side"
-            )
-        served = info.get("backend")
-        if self.expect_backend and served != self.expect_backend:
-            raise RemoteStoreError(
-                f"store server {self.path} wraps a {served!r} store, but "
-                f"{self.expect_backend!r} was requested explicitly"
             )
         self._identity = info
         return info

@@ -1,18 +1,17 @@
 """``repro store serve`` — a shared obligation-cache service over HTTP.
 
-A :class:`StoreService` wraps any *local* backend (jsonl directory or sqlite
-file) and executes the store-level operations a
-:class:`~repro.store.remote.RemoteStoreBackend` client sends — batched
-lookup, batched append, ``compact``, ``commit_run``, ``gc``,
-``invalidate`` — each under the wrapped backend's existing lock/transaction,
-so a CI fleet (or many watch sessions) on different machines hit one warm
+A :class:`StoreService` wraps a local store directory and executes the
+store-level operations a :class:`~repro.store.remote.RemoteStoreBackend`
+client sends — batched lookup, batched append, ``compact``, ``commit_run``,
+``gc``, ``invalidate`` — each under the wrapped backend's existing lock, so
+a CI fleet (or many watch sessions) on different machines hit one warm
 cache with exactly the local store's concurrency guarantees.
 
 Design notes:
 
 * The service keeps the store state in memory (loaded once at startup,
   maintained through its own writes) so lookups cost no disk I/O; mutating
-  operations go to the backend *first* — durably, fsynced/transactional —
+  operations go to the backend *first* — durably, fsynced —
   and only then update the cache, so a crash at any point loses nothing
   that was acknowledged.  Read-modify-rewrite operations re-adopt the state
   the backend re-read under its exclusive lock, which also self-heals the
@@ -24,7 +23,7 @@ Design notes:
   in the payload): one client flooding writes can only evict its *own* old
   keys, never another — slower — client's in-flight retry window.  The key
   cache is in-memory: after a server restart a replayed append merely
-  re-UPSERTs identical content (entries are keyed), and a replayed
+  re-appends identical content (the last line per key wins), and a replayed
   ``commit_run`` appends a fresh run record — both harmless.
 * The service also owns the :class:`~repro.store.queue.WorkQueue` behind
   distributed discharge (``enqueue``/``lease``/``complete``/``extend``/
@@ -69,7 +68,12 @@ from typing import Iterator, Optional
 
 from ..obs.logs import get_logger
 from .backends import SCHEMA_VERSION, LoadedState, StoreEntry, open_backend
-from .obligation_store import append_run_record, stale_entry_keys, sweep_unreferenced
+from .obligation_store import (
+    append_run_record,
+    check_keep_last,
+    stale_entry_keys,
+    sweep_unreferenced,
+)
 from .queue import QueueItem, WorkQueue
 
 logger = get_logger("store")
@@ -106,8 +110,8 @@ def _wait_of(payload: dict) -> float:
 class StoreService:
     """Owns the wrapped backend, the in-memory state and the op lock."""
 
-    def __init__(self, path, backend: Optional[str] = None) -> None:
-        self.backend = open_backend(path, backend)
+    def __init__(self, path) -> None:
+        self.backend = open_backend(path)
         if not getattr(self.backend, "supports_update", True):
             raise ValueError(
                 f"cannot serve {str(path)!r}: it is itself a remote store "
@@ -319,8 +323,7 @@ class StoreService:
 
     def op_gc(self, payload: dict) -> dict:
         keep_last = payload["keep_last"]
-        if not isinstance(keep_last, int) or keep_last < 1:
-            raise ValueError("gc requires keep_last >= 1")
+        check_keep_last(keep_last)
         dropped = 0
 
         def sweep(entries, runs):

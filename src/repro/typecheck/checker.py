@@ -74,10 +74,6 @@ def _default_backend() -> str:
     return os.environ.get("REPRO_BACKEND") or "dpll"
 
 
-def _default_store_backend() -> str:
-    return os.environ.get("REPRO_STORE_BACKEND") or "auto"
-
-
 @dataclass
 class CheckerConfig:
     """Tunable knobs (mostly used by the ablation benchmarks)."""
@@ -92,13 +88,6 @@ class CheckerConfig:
     #: Verdicts and every obligation-derived counter are backend-independent;
     #: only #SAT/#Confl-style solver internals may differ.
     backend: str = field(default_factory=_default_backend)
-    #: which persistence backend an obligation store opened for this run
-    #: uses: "auto" (infer from the store path — ``.db``/``sqlite:`` means
-    #: sqlite, a directory means jsonl), "jsonl" or "sqlite".  Purely a
-    #: transport choice: verdicts, counters and every deterministic table
-    #: are identical across backends (the store suite runs parametrised over
-    #: both).  Overridable via the REPRO_STORE_BACKEND environment variable.
-    store_backend: str = field(default_factory=_default_store_backend)
     #: discharge only obligations whose digest is in this set, vacuously
     #: skipping the rest; the empty set makes the emit walk a spawned
     #: dispatch worker replays to warm its process state

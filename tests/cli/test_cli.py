@@ -161,94 +161,45 @@ def test_check_incremental_store_and_explain(capsys, tmp_path):
 
 def test_incremental_defaults_to_local_store(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)  # jsonl layout asserted
+    monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")  # a stale value is ignored
     assert cli_main(["check", "Set/KVStore", "--method", "empty", "--incremental"]) == 0
     capsys.readouterr()
     assert (tmp_path / ".pymarple-store" / "entries.jsonl").exists()
 
 
-# -- store backends and migration --------------------------------------------------
+# -- store paths -------------------------------------------------------------------
 
 
-def test_store_backend_flag_selects_sqlite(capsys, tmp_path):
-    store_path = str(tmp_path / "store")
-    assert (
-        cli_main(
-            ["check", "Set/KVStore", "--store", store_path, "--store-backend", "sqlite"]
-        )
-        == 0
-    )
-    capsys.readouterr()
-    assert (tmp_path / "store").is_file(), "the sqlite backend keeps one database file"
-    # the warm run needs no flag: auto infers sqlite from the existing file
-    assert cli_main(["check", "Set/KVStore", "--store", store_path]) == 0
-    assert "0 misses" in capsys.readouterr().out
+def _exit_code(argv):
+    """The exit status, whether ``main`` returns it or raises ``SystemExit``."""
+    try:
+        return cli_main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
-def test_db_suffix_selects_sqlite(capsys, tmp_path):
-    store_path = str(tmp_path / "store.db")
-    assert cli_main(["evaluate", "--fast", "--json", "--store", store_path]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["all_verified"] is True
-    assert (tmp_path / "store.db").is_file()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "Set/KVStore", "--method", "mem"],
+        ["verify", "Set/KVStore", "--method", "mem"],
+        ["evaluate", "--fast"],
+        ["table", "1", "--fast"],
+        ["store", "serve", "--port", "0"],
+        ["store", "gc", "--keep-last", "1"],
+    ],
+    ids=["check", "verify", "evaluate", "table", "serve", "gc"],
+)
+def test_a_plain_file_as_store_exits_two(capsys, tmp_path, argv):
+    leftover = tmp_path / "store.db"  # e.g. a single-file store of an old version
+    leftover.write_bytes(b"not a store directory")
+    assert _exit_code(argv + ["--store", str(leftover)]) == 2
+    assert str(leftover) in capsys.readouterr().err
+    assert leftover.read_bytes() == b"not a store directory"
 
 
-def test_unknown_store_backend_flag_exits_two():
-    with pytest.raises(SystemExit) as excinfo:
-        cli_main(["check", "Set/KVStore", "--incremental", "--store-backend", "parquet"])
-    assert excinfo.value.code == 2
-
-
-def test_bad_repro_store_backend_env_exits_two(monkeypatch, capsys, tmp_path):
-    """REPRO_STORE_BACKEND mirrors --store-backend: same exit-2 diagnostics."""
-    monkeypatch.setenv("REPRO_STORE_BACKEND", "parquet")
-    with pytest.raises(SystemExit) as excinfo:
-        cli_main(["check", "Set/KVStore", "--store", str(tmp_path / "store")])
-    assert excinfo.value.code == 2
-    assert "unknown store backend" in capsys.readouterr().err
-
-
-def test_store_migrate_cli_roundtrip(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
-    store_path = str(tmp_path / "store")
-    assert cli_main(["check", "Set/KVStore", "--store", store_path]) == 0
-    capsys.readouterr()
-
-    # no --to-backend and no telling suffix: the destination backend flips
-    db_path = str(tmp_path / "migrated")
-    assert cli_main(["store", "migrate", store_path, db_path]) == 0
-    out = capsys.readouterr().out
-    assert "jsonl → sqlite" in out and "entries" in out
-
-    # a warm check straight off the migrated store: everything still hits
-    assert cli_main(["check", "Set/KVStore", "--store", db_path]) == 0
-    assert "0 misses" in capsys.readouterr().out
-
-    # and back again, explicitly
-    back_path = str(tmp_path / "roundtripped")
-    assert (
-        cli_main(["store", "migrate", db_path, back_path, "--to-backend", "jsonl"]) == 0
-    )
-    capsys.readouterr()
-    assert cli_main(["check", "Set/KVStore", "--store", back_path]) == 0
-    assert "0 misses" in capsys.readouterr().out
-
-
-def test_store_migrate_same_path_exits_two(capsys, tmp_path):
-    store_path = str(tmp_path / "store")
-    assert cli_main(["check", "Set/KVStore", "--store", store_path]) == 0
-    capsys.readouterr()
-    assert (
-        cli_main(["store", "migrate", store_path, store_path, "--to-backend", "jsonl"])
-        == 2
-    )
-    assert "distinct" in capsys.readouterr().err
-
-
-def test_store_gc_accepts_sqlite_stores(capsys, tmp_path):
-    store_path = str(tmp_path / "store.db")
-    assert cli_main(["check", "Set/KVStore", "--store", store_path]) == 0
-    capsys.readouterr()
-    assert cli_main(["store", "gc", "--store", store_path, "--keep-last", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "store gc:" in out and "kept" in out
+def test_store_gc_on_a_missing_path_exits_two(capsys, tmp_path):
+    missing = tmp_path / "typo-store"
+    assert cli_main(["store", "gc", "--keep-last", "1", "--store", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not missing.exists(), "gc must not create the store it was asked to sweep"

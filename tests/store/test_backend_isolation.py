@@ -4,7 +4,7 @@ The environment fingerprint includes the backend id, so verdicts (and, more
 importantly, the recorded per-obligation #SAT/#Confl counters) discharged
 under one backend must be invisible to a run under another: zero warm hits,
 no entry overwritten — the two backends populate disjoint key spaces in the
-same store file.
+same store.
 """
 
 from repro.store.fingerprint import environment_fingerprint

@@ -1,16 +1,12 @@
-"""Backend selection, lossless migration, and per-backend durability corners."""
+"""Backend selection and the directory layout's durability corners."""
 
 import json
-import sqlite3
+import os
 
 import pytest
 
-from repro.store import (
-    JsonlStoreBackend,
-    SqliteStoreBackend,
-    migrate_store,
-    resolve_store_backend,
-)
+from repro.store import JsonlStoreBackend, RemoteStoreBackend
+from repro.store.backends import open_backend
 from repro.store.obligation_store import ObligationStore, StoreEntry
 
 
@@ -35,138 +31,32 @@ def _entry(fp, *, included=True):
 # -- selection ---------------------------------------------------------------------
 
 
-def test_path_syntax_selects_the_backend(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
-    assert resolve_store_backend(tmp_path / "fresh")[0] == "jsonl"
-    for suffix in (".db", ".sqlite", ".sqlite3"):
-        assert resolve_store_backend(tmp_path / f"store{suffix}")[0] == "sqlite"
-    name, path = resolve_store_backend(f"sqlite:{tmp_path / 'plain'}")
-    assert name == "sqlite" and path == tmp_path / "plain"
-
-
-def test_existing_paths_beat_the_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-    existing_dir = tmp_path / "dir"
-    existing_dir.mkdir()
-    assert resolve_store_backend(existing_dir)[0] == "jsonl"
-    existing_file = tmp_path / "plain-file"
-    existing_file.touch()
-    assert resolve_store_backend(existing_file)[0] == "sqlite"
-    # only a fresh, unsuffixed path defers to the environment
-    assert resolve_store_backend(tmp_path / "fresh")[0] == "sqlite"
-    monkeypatch.setenv("REPRO_STORE_BACKEND", "jsonl")
-    assert resolve_store_backend(tmp_path / "fresh")[0] == "jsonl"
-    monkeypatch.delenv("REPRO_STORE_BACKEND")
-    assert resolve_store_backend(tmp_path / "fresh")[0] == "jsonl"
-
-
-def test_explicit_backend_argument_wins(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-    assert resolve_store_backend(tmp_path / "fresh", "jsonl")[0] == "jsonl"
-    monkeypatch.delenv("REPRO_STORE_BACKEND")
-    assert resolve_store_backend(tmp_path / "fresh", "sqlite")[0] == "sqlite"
-    assert resolve_store_backend(tmp_path / "fresh", "auto")[0] == "jsonl"
-
-
-def test_unknown_backend_names_are_rejected(tmp_path, monkeypatch):
-    with pytest.raises(ValueError, match="unknown store backend"):
-        resolve_store_backend(tmp_path / "fresh", "parquet")
-    monkeypatch.setenv("REPRO_STORE_BACKEND", "parquet")
-    with pytest.raises(ValueError, match="REPRO_STORE_BACKEND"):
-        resolve_store_backend(tmp_path / "fresh")
+def test_path_syntax_selects_the_backend(tmp_path):
+    for name in ("fresh", "store.db", "sqlite:plain"):
+        assert isinstance(open_backend(tmp_path / name), JsonlStoreBackend)
+    remote = open_backend("http://127.0.0.1:1/")
+    assert isinstance(remote, RemoteStoreBackend)
+    assert remote.path == "http://127.0.0.1:1"
 
 
 def test_backends_reject_a_mismatched_path_shape(tmp_path):
-    existing_dir = tmp_path / "dir"
-    existing_dir.mkdir()
-    with pytest.raises(ValueError, match="directory"):
-        SqliteStoreBackend(existing_dir)
     existing_file = tmp_path / "file"
     existing_file.touch()
     with pytest.raises(ValueError, match="file"):
         JsonlStoreBackend(existing_file)
 
 
-# -- migration ---------------------------------------------------------------------
-
-
-def _populate(path, backend):
-    store = ObligationStore(path, backend=backend)
-    store.record(_entry("fp1"))
-    store.record(_entry("fp2", included=False))
-    store.flush()
-    store.commit_run()
-    return store
-
-
-def test_migration_roundtrip_is_lossless(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
-    jsonl_path = tmp_path / "store"
-    _populate(jsonl_path, "jsonl")
-
-    db_path = tmp_path / "store.db"
-    copied = migrate_store(jsonl_path, db_path)
-    assert copied == {"entries": 2, "runs": 1}
-    via_sqlite = ObligationStore(db_path)
-    assert via_sqlite.backend_name == "sqlite"
-
-    back_path = tmp_path / "roundtripped"
-    assert migrate_store(db_path, back_path, destination_backend="jsonl") == copied
-
-    original = ObligationStore(jsonl_path)
-    restored = ObligationStore(back_path, backend="jsonl")
-    assert {e.key: e.to_json() for e in restored} == {
-        e.key: e.to_json() for e in original
-    }, "fingerprints, verdicts, witnesses, counters and costs all travel"
-    assert restored._runs == original._runs, "the run log travels verbatim"
-    assert restored.cost_hint("fp1") == 0.25
-
-
-def test_migration_overwrites_the_destination(tmp_path):
-    _populate(tmp_path / "src", "jsonl")
-    stale = ObligationStore(tmp_path / "dst.db")
-    stale.record(_entry("leftover"))
-    stale.flush()
-    stale.backend.close()
-
-    migrate_store(tmp_path / "src", tmp_path / "dst.db")
-    assert {e.fp for e in ObligationStore(tmp_path / "dst.db")} == {"fp1", "fp2"}
-
-
-def test_migration_rejects_identical_paths(tmp_path):
-    _populate(tmp_path / "store", "jsonl")
-    with pytest.raises(ValueError, match="distinct"):
-        migrate_store(tmp_path / "store", tmp_path / "store", destination_backend="jsonl")
-
-
 # -- durability corners ------------------------------------------------------------
 
 
-def test_sqlite_store_runs_in_wal_mode(tmp_path):
-    store = ObligationStore(tmp_path / "store.db")
-    store.record(_entry("fp1"))
-    store.flush()
-    store.backend.close()
-    conn = sqlite3.connect(tmp_path / "store.db")
-    try:
-        assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
-        tables = {
-            row[0]
-            for row in conn.execute("SELECT name FROM sqlite_master WHERE type='table'")
-        }
-        assert {"meta", "entries", "deps", "costs", "runs"} <= tables
-    finally:
-        conn.close()
-
-
 def test_leftover_tmp_file_from_a_crash_is_harmless(tmp_path):
-    store = ObligationStore(tmp_path / "store", backend="jsonl")
+    store = ObligationStore(tmp_path / "store")
     store.record(_entry("fp1"))
     store.flush()
     # a writer killed between writing the tmp file and os.replace leaves this
     (tmp_path / "store" / "entries.jsonl.tmp").write_bytes(b'{"half": ')
 
-    reloaded = ObligationStore(tmp_path / "store", backend="jsonl")
+    reloaded = ObligationStore(tmp_path / "store")
     assert {e.fp for e in reloaded} == {"fp1"}
     assert reloaded.summary()["skipped"] == 0
     reloaded.compact()  # the next rewrite simply replaces the leftover
@@ -175,106 +65,22 @@ def test_leftover_tmp_file_from_a_crash_is_harmless(tmp_path):
     )["fp"] == "fp1"
 
 
-def test_store_summary_surfaces_corrupt_sqlite_rows(tmp_path):
-    store = ObligationStore(tmp_path / "store.db")
-    store.record(_entry("fp1"))
-    store.flush()
-    store.backend.close()
-    conn = sqlite3.connect(tmp_path / "store.db")
-    with conn:
-        conn.execute(
-            "INSERT INTO entries(env, fp, included, solver_stats, inclusion_stats)"
-            " VALUES('env1', 'torn', 1, 'not-json', '{}')"
-        )
-    conn.close()
+def test_short_writes_never_truncate_the_store(tmp_path, monkeypatch):
+    """A ``write()`` that takes only part of its buffer must be resumed.
 
-    reloaded = ObligationStore(tmp_path / "store.db")
-    assert {e.fp for e in reloaded} == {"fp1"}
-    assert reloaded.summary()["skipped"] == 1
-
-
-# -- failure paths (regression coverage for the PR-9 satellite fixes) --------------
-
-
-def test_txn_rollback_failure_does_not_mask_the_original_error(tmp_path):
-    """A failing ROLLBACK must re-raise the exception that aborted the txn.
-
-    Pre-fix, ``_txn``'s bare ``conn.execute("ROLLBACK")`` in the except
-    branch raised its own sqlite error (here: operating on a closed
-    connection) and *that* propagated, burying the actual failure.
+    POSIX lets ``os.write`` return short (a filling disk, a signal); a
+    compaction that ignored the count fsynced a truncated log and
+    ``os.replace``d it over the good one.
     """
-    backend = SqliteStoreBackend(tmp_path / "store.db")
-    backend.load(wipe_mismatch=True)
-    with pytest.raises(RuntimeError, match="the real failure"):
-        with backend._txn() as conn:
-            conn.close()  # makes the rollback itself blow up
-            raise RuntimeError("the real failure")
-    backend._conn = None  # the connection object is dead; forget it
-
-
-def test_failed_migration_closes_both_backends(tmp_path, monkeypatch):
-    """A migration that dies mid-copy must not leak either backend.
-
-    Pre-fix, ``migrate_store`` had no ``finally``: an exception out of
-    load/update left the source sqlite connection (and the half-initialised
-    destination) open for the life of the process.
-    """
-    _populate(tmp_path / "src.db", "sqlite")
-    closes = []
-    sqlite_close = SqliteStoreBackend.close
-    jsonl_close = JsonlStoreBackend.close
-    monkeypatch.setattr(
-        SqliteStoreBackend, "close", lambda self: (closes.append("sqlite"), sqlite_close(self))[1]
-    )
-    monkeypatch.setattr(
-        JsonlStoreBackend, "close", lambda self: (closes.append("jsonl"), jsonl_close(self))[1]
-    )
-    monkeypatch.setattr(
-        JsonlStoreBackend,
-        "update",
-        lambda self, fn, *, entries=True, runs=True: (_ for _ in ()).throw(
-            RuntimeError("disk full")
-        ),
-    )
-    with pytest.raises(RuntimeError, match="disk full"):
-        migrate_store(tmp_path / "src.db", tmp_path / "dst", destination_backend="jsonl")
-    assert closes == ["sqlite", "jsonl"]
-
-
-def test_migration_rejects_identical_paths_before_opening_anything(tmp_path, monkeypatch):
-    """The same-path rejection happens before either backend is instantiated."""
-    _populate(tmp_path / "store.db", "sqlite")
-
-    def forbidden(self, path):
-        raise AssertionError("no backend may be constructed for a rejected migration")
-
-    monkeypatch.setattr(SqliteStoreBackend, "__init__", forbidden)
-    alias = tmp_path / "sub" / ".." / "store.db"
-    (tmp_path / "sub").mkdir()
-    with pytest.raises(ValueError, match="distinct"):
-        migrate_store(tmp_path / "store.db", alias)
-
-
-def test_conflicting_path_and_backend_directives_are_an_error(tmp_path):
-    """``sqlite:`` path + explicit other backend: refuse, don't silently pick.
-
-    Pre-fix, the explicit argument silently won after the prefix was already
-    stripped, so ``sqlite:foo`` + ``--store-backend jsonl`` opened a jsonl
-    store at ``foo`` — the caller's two directives disagreed and neither was
-    honoured as written.
-    """
-    with pytest.raises(ValueError, match="conflicting directives"):
-        resolve_store_backend(f"sqlite:{tmp_path / 'store'}", "jsonl")
-    # a still-unknown backend name keeps the existing diagnosis
-    with pytest.raises(ValueError, match="unknown store backend"):
-        resolve_store_backend(f"sqlite:{tmp_path / 'store'}", "parquet")
-    # agreement is not a conflict
-    assert resolve_store_backend(f"sqlite:{tmp_path / 'store'}", "sqlite")[0] == "sqlite"
-
-
-def test_migration_rejects_remote_stores(tmp_path):
-    _populate(tmp_path / "src", "jsonl")
-    with pytest.raises(ValueError, match="local stores"):
-        migrate_store(tmp_path / "src", "http://127.0.0.1:1/")
-    with pytest.raises(ValueError, match="local stores"):
-        migrate_store("https://cache.example/", tmp_path / "dst")
+    store = ObligationStore(tmp_path / "store")
+    for i in range(50):
+        store.record(_entry(f"fp{i:02d}"))
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data[:4096])))
+    store.flush()  # the append path
+    assert len(ObligationStore(tmp_path / "store")) == 50
+    store.record(_entry("fp-late", included=False))
+    store.compact()  # the rewrite path
+    reloaded = ObligationStore(tmp_path / "store")
+    assert len(reloaded) == 51
+    assert reloaded.summary()["skipped"] == 0

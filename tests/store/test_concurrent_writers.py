@@ -1,6 +1,6 @@
 """Multiprocess stress: N writer processes hammer one store; nothing is lost.
 
-The acceptance suite of the concurrency work, against both backends:
+The acceptance suite of the concurrency work:
 
 * eight forked writers append distinct and overlapping entries, compact and
   commit runs against a single store path — afterwards every entry is

@@ -3,8 +3,7 @@
 Everything here drives :class:`RemoteStoreBackend` against a stubbed
 ``_post``, pinning the wire-client contract in isolation: URL resolution,
 the retry/backoff loop, idempotency-key stability across retries, the
-4xx-never-retried rule, and handshake verification of the schema tag and
-the expected wrapped backend.  The real-socket paths live in
+4xx-never-retried rule, and handshake verification of the schema tag.  The real-socket paths live in
 ``test_store_server.py`` and ``test_server_crash.py``.
 """
 
@@ -13,11 +12,7 @@ import json
 
 import pytest
 
-from repro.store.backends import (
-    SCHEMA_VERSION,
-    open_backend,
-    resolve_store_backend,
-)
+from repro.store.backends import SCHEMA_VERSION, open_backend
 from repro.store.obligation_store import ObligationStore
 from repro.store.remote import (
     ENV_RPC_BACKOFF,
@@ -62,41 +57,14 @@ def _scripted(backend, responses):
 # -- resolution --------------------------------------------------------------------
 
 
-def test_urls_resolve_to_the_remote_backend(monkeypatch):
-    monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
-    assert resolve_store_backend("http://host:1234")[0] == "remote"
-    assert resolve_store_backend("https://host/base/")[0] == "remote"
+def test_urls_resolve_to_the_remote_backend():
+    for url in ("http://host:1234", "https://host/base/"):
+        assert isinstance(open_backend(url), RemoteStoreBackend)
     # the URL stays a string — Path() would eat the double slash
-    name, path = resolve_store_backend("http://host:1234/")
-    assert (name, path) == ("remote", "http://host:1234")
-
-    backend = open_backend("http://host:1234")
-    assert isinstance(backend, RemoteStoreBackend)
+    backend = open_backend("http://host:1234/")
+    assert backend.path == "http://host:1234"
     assert backend.name == "remote"
     assert backend.supports_update is False
-    assert backend.expect_backend is None
-
-
-def test_an_explicit_local_backend_becomes_the_handshake_expectation():
-    backend = open_backend("http://host:1234", "sqlite")
-    assert backend.expect_backend == "sqlite"
-    # 'auto' and 'remote' demand nothing of the server
-    assert open_backend("http://host:1234", "auto").expect_backend is None
-    assert open_backend("http://host:1234", "remote").expect_backend is None
-    with pytest.raises(ValueError, match="unknown store backend"):
-        open_backend("http://host:1234", "parquet")
-
-
-def test_the_remote_backend_name_requires_a_url(tmp_path):
-    with pytest.raises(ValueError, match="http"):
-        resolve_store_backend(tmp_path / "store", "remote")
-
-
-def test_environment_backend_applies_to_urls_as_an_expectation(monkeypatch):
-    """REPRO_STORE_BACKEND reaches a URL store through the checker config,
-    where it means "the server must wrap this" — it must not break opening."""
-    monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-    assert resolve_store_backend("http://host:1")[0] == "remote"
 
 
 def test_malformed_urls_are_rejected():
@@ -223,15 +191,8 @@ def test_handshake_rejects_a_foreign_schema():
         backend.handshake()
 
 
-def test_handshake_enforces_the_expected_backend():
-    backend = RemoteStoreBackend(URL, expect_backend="sqlite")
-    _scripted(backend, [_ok(_identity(backend="jsonl"))])
-    with pytest.raises(RemoteStoreError, match="'sqlite'"):
-        backend.handshake()
-
-
 def test_handshake_is_cached_after_the_first_success():
-    backend = RemoteStoreBackend(URL, expect_backend="jsonl")
+    backend = RemoteStoreBackend(URL)
     calls = _scripted(backend, [_ok(_identity())])
     first = backend.handshake()
     assert backend.handshake() is first

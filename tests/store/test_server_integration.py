@@ -1,7 +1,6 @@
 """The served store under real load: concurrent clients and full engine runs.
 
-The acceptance suite of the shared-cache service, against both wrapped
-backends:
+The acceptance suite of the shared-cache service:
 
 * eight concurrent client *processes* hammer one serve instance with
   distinct and overlapping writes — afterwards every entry is present and
@@ -208,11 +207,3 @@ def test_cli_rejects_a_dead_server_with_a_diagnosis():
     )
     assert result.returncode == 2
     assert "error:" in result.stderr and "unreachable" in result.stderr
-
-
-def test_cli_rejects_conflicting_store_directives(tmp_path):
-    result = _cli(
-        ["evaluate", "--fast", "--store", f"sqlite:{tmp_path / 's'}", "--store-backend", "jsonl"]
-    )
-    assert result.returncode == 2
-    assert "conflicting" in result.stderr

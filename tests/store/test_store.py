@@ -1,9 +1,4 @@
-"""Unit tests for the on-disk obligation store: layout, reload, invalidation.
-
-Backend-agnostic tests take the ``store_path`` fixture (conftest) and run
-once per persistence backend; tests that poke one backend's on-disk layout
-pin ``backend=`` explicitly.
-"""
+"""Unit tests for the on-disk obligation store: layout, reload, invalidation."""
 
 import json
 
@@ -69,8 +64,8 @@ def test_last_write_wins(store_path):
 
 
 def test_corrupt_lines_are_tolerated_and_counted(tmp_path):
-    # jsonl layout: a killed writer can leave torn/garbage lines behind
-    store = ObligationStore(tmp_path / "store", backend="jsonl")
+    # a killed writer can leave torn/garbage lines behind
+    store = ObligationStore(tmp_path / "store")
     store.record(_entry("fp1"))
     store.flush()
     entries_file = tmp_path / "store" / "entries.jsonl"
@@ -81,23 +76,22 @@ def test_corrupt_lines_are_tolerated_and_counted(tmp_path):
         handle.write(b"\xff\xfe invalid utf-8\n")
         handle.write(b'{"env": "env1", "fp": "torn", "inc": tr')  # torn final write
 
-    reloaded = ObligationStore(tmp_path / "store", backend="jsonl")
+    reloaded = ObligationStore(tmp_path / "store")
     assert len(reloaded) == 1
     assert reloaded.lookup("env1", "fp1").spec == "s1"
     assert reloaded.summary()["skipped"] == 5, "corrupt lines are counted, not fatal"
 
 
-def test_schema_mismatch_discards_old_entries(store_path, store_backend, tamper_schema):
+def test_schema_mismatch_discards_old_entries(store_path):
     store = ObligationStore(store_path)
     store.record(_entry("fp1"))
     store.flush()
-    tamper_schema(store_path)
+    (store_path / "meta.json").write_text(json.dumps({"schema": "some-other-version"}) + "\n")
 
     reloaded = ObligationStore(store_path)
     assert len(reloaded) == 0
-    if store_backend == "jsonl":
-        meta = json.loads((store_path / "meta.json").read_text())
-        assert meta["schema"] == SCHEMA_VERSION
+    meta = json.loads((store_path / "meta.json").read_text())
+    assert meta["schema"] == SCHEMA_VERSION
     # the wipe restamps the schema: the store is immediately usable again
     reloaded.record(_entry("fp2"))
     reloaded.flush()

@@ -4,8 +4,7 @@ GC is a space reclaim, never a correctness event: content addressing already
 guarantees stale entries cannot be *hit*, so the only thing to prove is that
 the sweep keeps everything the last N committed runs referenced — a warm
 re-run of those exact workloads must still answer entirely from the store —
-while dropping what nothing recent touched.  Runs against both backends via
-the ``store_path`` fixture.
+while dropping what nothing recent touched.
 """
 
 import json
@@ -109,17 +108,16 @@ def test_gc_of_uncommitted_session_commits_it_first(store_path):
     assert misses == 0
 
 
-def test_run_log_is_persisted(store_path, store_backend):
+def test_run_log_is_persisted(store_path):
     store = ObligationStore(store_path)
     _run(_fast(0), store)
     records = ObligationStore(store_path)._runs
     assert len(records) == 1 and records[0]["run"] == 1
     assert records[0]["touched"], "the run must list the entries it referenced"
-    if store_backend == "jsonl":
-        runs_path = store_path / "runs.jsonl"
-        assert runs_path.exists()
-        on_disk = [json.loads(line) for line in runs_path.read_text().splitlines()]
-        assert on_disk == records
+    runs_path = store_path / "runs.jsonl"
+    assert runs_path.exists()
+    on_disk = [json.loads(line) for line in runs_path.read_text().splitlines()]
+    assert on_disk == records
 
     again = ObligationStore(store_path)
     _run(_fast(0), again)
@@ -127,24 +125,23 @@ def test_run_log_is_persisted(store_path, store_backend):
     assert [record["run"] for record in records] == [1, 2]
 
 
-def test_empty_session_records_no_run(store_path, store_backend):
+def test_empty_session_records_no_run(store_path):
     store = ObligationStore(store_path)
     assert store.commit_run() == 0
     assert ObligationStore(store_path)._runs == []
-    if store_backend == "jsonl":
-        assert not (store_path / "runs.jsonl").exists()
+    assert not (store_path / "runs.jsonl").exists()
 
 
 def test_malformed_run_records_are_tolerated(tmp_path):
-    """A hand-edited/torn run log must never crash later sessions (jsonl layout)."""
-    store = ObligationStore(tmp_path, backend="jsonl")
+    """A hand-edited/torn run log must never crash later sessions."""
+    store = ObligationStore(tmp_path)
     _run(_fast(0), store)
     runs_path = tmp_path / "runs.jsonl"
     runs_path.write_text(
         runs_path.read_text()
         + 'not json\n{"touched": []}\n{"run": "three", "touched": []}\n[1]\n'
     )
-    reloaded = ObligationStore(tmp_path, backend="jsonl")
+    reloaded = ObligationStore(tmp_path)
     assert [record["run"] for record in reloaded._runs] == [1]
     _run(_fast(0), reloaded)  # commit_run must not crash on the survivors
     records = [json.loads(line) for line in runs_path.read_text().splitlines()]

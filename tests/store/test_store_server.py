@@ -1,8 +1,7 @@
-"""The store service over real sockets: every protocol op, both backends.
+"""The store service over real sockets: every protocol op.
 
-An in-process :class:`StoreHTTPServer` wraps each local backend in turn
-(the ``store_backend`` fixture parametrises the environment) and a real
-:class:`RemoteStoreBackend` talks to it over the loopback, so these tests
+An in-process :class:`StoreHTTPServer` wraps a local store directory and a
+real :class:`RemoteStoreBackend` talks to it over the loopback, so these tests
 cover exactly the bytes that cross the wire in production — plus the
 hand-rolled HTTP corners (404/400, GET, non-JSON bodies) and server-side
 idempotency replay.
@@ -71,14 +70,14 @@ def _raw(server, method, path, body=None):
 # -- the operations ----------------------------------------------------------------
 
 
-def test_handshake_reports_the_wrapped_store(server, client, store_backend):
+def test_handshake_reports_the_wrapped_store(server, client):
     info = client.handshake()
     assert info["schema"] == SCHEMA_VERSION
-    assert info["backend"] == store_backend
+    assert info["backend"] == "jsonl"
     assert info["entries"] == 0 and info["runs"] == 0 and info["skipped"] == 0
     # and GET works for humans with curl
     status, payload = _raw(server, "GET", "/handshake")
-    assert status == 200 and payload["backend"] == store_backend
+    assert status == 200 and payload["backend"] == "jsonl"
 
 
 def test_append_then_lookup_roundtrips_entries(client):
@@ -135,9 +134,7 @@ def test_invalidate_drops_exactly_the_stale_scope(client):
     assert {e.fp for e in client.lookup("env1", ["f1", "f2", "f3"])} == {"f2", "f3"}
 
 
-def test_a_noop_invalidate_reads_but_never_rewrites(
-    client, store_path, store_backend, monkeypatch
-):
+def test_a_noop_invalidate_reads_but_never_rewrites(client, store_path, monkeypatch):
     """Every check_method sends an invalidate; with nothing stale the server
     must adopt the state it read under the lock without rewriting the log."""
     from repro.store import backends
@@ -150,22 +147,13 @@ def test_a_noop_invalidate_reads_but_never_rewrites(
         behind.close()
 
     rewrites = []
-    if store_backend == "jsonl":
-        atomic_write = backends._atomic_write
+    atomic_write = backends._atomic_write
 
-        def counting_write(path, data):
-            rewrites.append(path)
-            atomic_write(path, data)
+    def counting_write(path, data):
+        rewrites.append(path)
+        atomic_write(path, data)
 
-        monkeypatch.setattr(backends, "_atomic_write", counting_write)
-    else:
-        upsert = backends.SqliteStoreBackend._upsert
-
-        def counting_upsert(self, conn, entry):
-            rewrites.append(entry.fp)
-            upsert(self, conn, entry)
-
-        monkeypatch.setattr(backends.SqliteStoreBackend, "_upsert", counting_upsert)
+    monkeypatch.setattr(backends, "_atomic_write", counting_write)
 
     assert client.invalidate("Set/KVStore", "insert", "s1", "l1") == 0
     assert rewrites == [], "a no-op invalidation rewrote the entry log"
@@ -273,27 +261,21 @@ def test_the_service_refuses_to_wrap_a_remote_url():
         StoreService("http://127.0.0.1:1")
 
 
-def test_the_facade_end_to_end_over_both_backends(server, store_backend):
+def test_the_facade_end_to_end(server):
     """ObligationStore against the URL behaves like the local facade."""
     cold = ObligationStore(server.url)
-    assert cold.backend_name == "remote"
+    assert cold.is_remote
     assert cold.lookup("env1", "f1") is None
     cold.record(_entry("f1"))
     cold.flush()
     assert cold.commit_run() == 1
 
-    warm = ObligationStore(server.url, backend=store_backend)  # expectation holds
+    warm = ObligationStore(server.url)
     warm.prefetch("env1", ["f1"])
     hit = warm.lookup("env1", "f1")
     assert hit is not None and hit.cost == {"wall": 0.5}
     assert warm.cost_hint("f1") == 0.5, "the cost index travels at open"
     assert len(warm) == 1 and warm.summary()["entries"] == 1
-
-
-def test_the_facade_rejects_a_wrong_backend_expectation(server, store_backend):
-    other = "sqlite" if store_backend == "jsonl" else "jsonl"
-    with pytest.raises(RemoteStoreError, match="requested explicitly"):
-        ObligationStore(server.url, backend=other)
 
 
 # -- the in-thread serving loop ----------------------------------------------------

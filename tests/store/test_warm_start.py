@@ -31,22 +31,18 @@ def _verdicts(report):
     ]
 
 
-@pytest.fixture(scope="module", params=("jsonl", "sqlite"))
-def cold_and_warm(tmp_path_factory, request):
+@pytest.fixture(scope="module", params=("jsonl",))
+def cold_and_warm(tmp_path_factory):
     """One cold and one warm run of the fast corpus against the same store.
 
-    Parametrised over both persistence backends: the cold/warm acceptance
-    contract is backend-independent.  (Module-scoped, so the env is pinned
-    with a manual MonkeyPatch context rather than the function fixture.)
+    Parametrised on the store format, like ``store_path`` in conftest.
     """
     path = tmp_path_factory.mktemp("obligation-store") / "store"
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("REPRO_STORE_BACKEND", request.param)
-        cold_store = ObligationStore(path)
-        cold = run_evaluation(include_slow=False, store=cold_store)
-        warm_store = ObligationStore(path)
-        warm = run_evaluation(include_slow=False, store=warm_store)
-        yield cold, cold_store, warm, warm_store
+    cold_store = ObligationStore(path)
+    cold = run_evaluation(include_slow=False, store=cold_store)
+    warm_store = ObligationStore(path)
+    warm = run_evaluation(include_slow=False, store=warm_store)
+    return cold, cold_store, warm, warm_store
 
 
 def test_warm_run_answers_from_store(cold_and_warm):

@@ -5,7 +5,7 @@ process: the handle that rewrites holds a stale open-time snapshot — exactly
 the state a concurrent writer process would see.  Before the fix, the
 rewriting handle silently dropped entries appended after its load (the lost
 rewrite), or reused a run sequence number and overwrote the other session's
-run record.  All of it runs against both backends via ``store_path``.
+run record.
 """
 
 from repro.store.obligation_store import ObligationStore, StoreEntry
