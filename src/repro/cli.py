@@ -12,8 +12,8 @@ Usage::
 Leaf inclusions have one decider, the interned transition-table walk of
 :mod:`repro.sfa.batch`, over alphabets found by solver-guided enumeration;
 there is no mode flag for either.  Serial discharge follows emission order
-with the cross-obligation alphabet memo always on; neither is a knob.  The
-one checker knob, ``--backend``, mirrors ``REPRO_BACKEND``.  Going wide is
+with the cross-obligation alphabet memo always on; neither is a knob, and
+every query goes to the one DPLL SAT core.  Going wide is
 ``dispatch --local-workers N`` (or ``repro worker`` processes) over a
 ``store serve`` instance's lease queue.  Incremental verification is enabled with
 ``--incremental`` (or by naming a store explicitly with ``--store PATH``):
@@ -38,12 +38,10 @@ from .engine.dispatch import DispatchError
 from .evaluation import render_all, report_json, run_evaluation, table1, table2, table3, table4
 from .obs import trace as obs_trace
 from .obs.logs import configure_logging
-from .smt.backends import known_backends, resolve_backend
 from .store.backends import is_store_url
 from .store.obligation_store import ObligationStore, check_keep_last
 from .store.remote import RemoteStoreError
 from .suite.registry import all_benchmarks, benchmark_by_key
-from .typecheck.checker import CheckerConfig
 
 #: Where ``--incremental`` keeps its store when ``--store`` is not given.
 DEFAULT_STORE_PATH = ".pymarple-store"
@@ -54,13 +52,23 @@ DEFAULT_STORE_PATH = ".pymarple-store"
 # ---------------------------------------------------------------------------
 
 
-def _add_checker_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("checker knobs")
-    group.add_argument(
-        "--backend",
-        choices=known_backends(),
-        help="SAT core behind the lazy SMT loop (default: REPRO_BACKEND or dpll)",
-    )
+def _at_least(minimum: int):
+    """An argparse ``type`` for a count flag: an int no smaller than ``minimum``.
+
+    argparse reports the rejection under the flag's name and exits 2 while
+    parsing, before any trace is read or any evaluation runs.
+    """
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -105,23 +113,6 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="print per-method store hit/miss/invalidated counts",
     )
-
-
-def _config_from_args(args: argparse.Namespace) -> CheckerConfig:
-    kwargs: dict[str, object] = {}
-    if getattr(args, "backend", None) is not None:
-        kwargs["backend"] = args.backend
-    config = CheckerConfig(**kwargs)
-    # Validate the *resolved* backend, wherever it came from: argparse
-    # already rejects unknown flag values, but REPRO_BACKEND arrives
-    # unchecked and must fail with the same clean exit-2 diagnostic, not a
-    # traceback.
-    try:
-        resolve_backend(config.backend)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
-    return config
 
 
 def _open_store(args: argparse.Namespace) -> Optional[ObligationStore]:
@@ -202,9 +193,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    config = _config_from_args(args)
     store = _open_store(args)
-    checker = benchmark.make_checker(config, store=store)
+    checker = benchmark.make_checker(store=store)
     if args.method:
         if args.method not in benchmark.specs:
             known = ", ".join(benchmark.specs)
@@ -235,7 +225,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
     distributed = getattr(args, "distributed", False) or args.command == "dispatch"
     if distributed and not getattr(args, "store", None):
         print(
@@ -252,7 +241,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             report = run_distributed_evaluation(
                 store,
                 include_slow=not args.fast,
-                config=config,
                 local_workers=getattr(args, "local_workers", 0),
                 ttl=getattr(args, "lease_ttl", 30.0),
                 drain_timeout=getattr(args, "drain_timeout", 600.0),
@@ -261,7 +249,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
-        report = run_evaluation(include_slow=not args.fast, config=config, store=store)
+        report = run_evaluation(include_slow=not args.fast, store=store)
     _note_trace_counters(report.cache_totals(), store)
     _finish_store(store)
     ok = report.all_verified and report.all_negatives_rejected
@@ -286,9 +274,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         else:
             print(table2())
         return 0
-    config = _config_from_args(args)
     store = _open_store(args)
-    report = run_evaluation(include_slow=not args.fast, config=config, store=store)
+    report = run_evaluation(include_slow=not args.fast, store=store)
     _note_trace_counters(report.cache_totals(), store)
     _finish_store(store)
     if args.json:
@@ -350,9 +337,8 @@ def _cmd_trace_overhead(args: argparse.Namespace) -> int:
     exit 1 when the relative overhead exceeds the tolerance — the CI
     trace-smoke gate.
     """
-    config = _config_from_args(args)
     # one unmeasured warmup so import/JIT-ish first-run costs hit neither side
-    run_evaluation(include_slow=False, config=config)
+    run_evaluation(include_slow=False)
     best: dict[str, float] = {}
     for label, traced in (("untraced", False), ("traced", True)):
         walls = []
@@ -361,7 +347,7 @@ def _cmd_trace_overhead(args: argparse.Namespace) -> int:
                 obs_trace.install(obs_trace.Tracer())
             try:
                 started = time.perf_counter()
-                run_evaluation(include_slow=False, config=config)
+                run_evaluation(include_slow=False)
                 walls.append(time.perf_counter() - started)
             finally:
                 if traced:
@@ -498,11 +484,9 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     """Run one pull-based discharge worker against a store server."""
     from .engine.worker import run_worker
 
-    config = _config_from_args(args)
     try:
         stats = run_worker(
             args.store,
-            config=config,
             batch=args.batch,
             ttl=args.ttl,
             idle_timeout=args.idle_timeout,
@@ -543,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
         check = sub.add_parser(name, help=help_text)
         check.add_argument("benchmark", help="benchmark key, e.g. Set/KVStore")
         check.add_argument("--method", help="verify a single method only")
-        _add_checker_flags(check)
         _add_store_flags(check)
         _add_obs_flags(check)
         check.set_defaults(func=_cmd_check)
@@ -585,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument("--json", action="store_true", help="emit a machine-readable report")
     _add_dispatch_flags(evaluate)
-    _add_checker_flags(evaluate)
     _add_store_flags(evaluate)
     _add_obs_flags(evaluate)
     evaluate.set_defaults(func=_cmd_evaluate)
@@ -597,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     dispatch.add_argument("--fast", action="store_true", help="skip the slow benchmarks")
     dispatch.add_argument("--json", action="store_true", help="emit a machine-readable report")
     _add_dispatch_flags(dispatch)
-    _add_checker_flags(dispatch)
     _add_store_flags(dispatch)
     _add_obs_flags(dispatch)
     dispatch.set_defaults(func=_cmd_evaluate, distributed=True)
@@ -633,7 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker-id", metavar="ID",
         help="stable identity reported in leases/spans (default: host:pid:rand)",
     )
-    _add_checker_flags(worker)
     _add_obs_flags(worker)
     worker.set_defaults(func=_cmd_worker)
 
@@ -696,7 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("number", type=int, choices=(1, 2, 3, 4))
     table.add_argument("--fast", action="store_true", help="skip the slow benchmarks")
     table.add_argument("--json", action="store_true", help="emit the rows as JSON")
-    _add_checker_flags(table)
     _add_store_flags(table)
     _add_obs_flags(table)
     table.set_defaults(func=_cmd_table)
@@ -710,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_report.add_argument("path", help="trace file (.jsonl or Chrome trace-event JSON)")
     trace_report.add_argument(
         "--top",
-        type=int,
+        type=_at_least(1),
         default=10,
         metavar="N",
         help="slowest obligations to list, keyed by store fingerprint (default: 10)",
@@ -734,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_overhead.add_argument(
         "--runs",
-        type=int,
+        type=_at_least(1),
         default=3,
         metavar="N",
         help="timing runs per side; the best run on each side is compared (default: 3)",
@@ -746,7 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="F",
         help="allowed relative traced-vs-untraced overhead (default: 0.10)",
     )
-    _add_checker_flags(trace_overhead)
     trace_overhead.set_defaults(func=_cmd_trace_overhead)
 
     return parser

@@ -75,8 +75,6 @@ class DischargeParams:
     axioms: tuple = ()
     filter_unsat_minterms: bool = True
     max_literals: Optional[int] = None
-    #: which SAT core answers the alphabet constructions' queries
-    backend: str = "dpll"
     #: shared cross-obligation alphabet memo: hermetic constructions with a
     #: recorded counter bill, replayed identically on every hit, so every
     #: counter stays a pure function of the obligation.
@@ -95,7 +93,7 @@ def _discharge_members(
     """
     memo = params.alphabet_memo
     if memo is None:
-        memo = AlphabetMemo(axioms=params.axioms, backend=params.backend)
+        memo = AlphabetMemo(axioms=params.axioms)
     if trace.enabled():
         # the digest is memoised on the frozen obligation and strictly
         # volatile here: it keys the span so the report correlates with
@@ -143,7 +141,6 @@ class ObligationEngine:
         *,
         filter_unsat_minterms: bool = True,
         max_literals: Optional[int] = None,
-        backend: str = "dpll",
         store: Optional[ObligationStore] = None,
         alphabet_memo: Optional[AlphabetMemo] = None,
         library: Optional[str] = None,
@@ -156,13 +153,12 @@ class ObligationEngine:
             # grouping IS the memo's content key; a standalone engine gets a
             # private memo (hermetic builds + recorded bills, exactly like the
             # checker-shared one)
-            alphabet_memo = AlphabetMemo(axioms=tuple(axioms), backend=backend)
+            alphabet_memo = AlphabetMemo(axioms=tuple(axioms))
         self.params = DischargeParams(
             operators=operators,
             axioms=tuple(axioms),
             filter_unsat_minterms=filter_unsat_minterms,
             max_literals=max_literals,
-            backend=backend,
             alphabet_memo=alphabet_memo,
         )
         self.store = store
@@ -183,7 +179,6 @@ class ObligationEngine:
                 axioms,
                 filter_unsat_minterms=filter_unsat_minterms,
                 max_literals=max_literals,
-                backend=backend,
                 library=library,
             )
             if store is not None

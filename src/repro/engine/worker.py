@@ -140,8 +140,8 @@ def run_worker(
     ``idle_timeout`` seconds pass with nothing leased (a worker started
     before any enqueue waits that long for work) — a fleet drains and exits
     without a shutdown broadcast.  The worker's ``config`` must describe the
-    same semantic environment as the coordinator's (backend, literal
-    budget...); a mismatch is not an error — the verdicts land under the
+    same semantic environment as the coordinator's (minterm filtering,
+    literal budget); a mismatch is not an error — the verdicts land under the
     worker's own environment key and the coordinator's assembly pass simply
     discharges its misses locally.
 

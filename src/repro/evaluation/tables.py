@@ -61,39 +61,21 @@ def _is_volatile_column(column: str) -> bool:
     return column in MethodStats.VOLATILE_COLUMNS or column.endswith("(s)")
 
 
-def _is_backend_column(column: str) -> bool:
-    """Solver-internal columns (#SAT, #Confl): per-backend, else deterministic."""
-    from ..typecheck.stats import MethodStats
-
-    return column in MethodStats.BACKEND_SENSITIVE_COLUMNS
-
-
-def _deterministic(columns: Sequence[str], backend_invariant: bool = False) -> list[str]:
-    columns = [column for column in columns if not _is_volatile_column(column)]
-    if backend_invariant:
-        columns = [column for column in columns if not _is_backend_column(column)]
-    return columns
+def _deterministic(columns: Sequence[str]) -> list[str]:
+    return [column for column in columns if not _is_volatile_column(column)]
 
 
 def table1(
     report: EvaluationReport,
     *,
     deterministic: bool = False,
-    backend_invariant: bool = False,
 ) -> str:
     """Table 1: per-ADT summary plus the most complex method's statistics.
 
     ``deterministic=True`` drops the volatile columns, yielding a rendering
     that must be byte-identical across cold/warm/dispatched runs.
-    ``backend_invariant=True`` additionally drops the solver-internal
-    columns (#SAT, #Confl), yielding the rendering that must be
-    byte-identical across ``--backend dpll`` / ``cdcl`` too.
     """
-    columns = (
-        _deterministic(TABLE1_COLUMNS, backend_invariant)
-        if deterministic
-        else TABLE1_COLUMNS
-    )
+    columns = _deterministic(TABLE1_COLUMNS) if deterministic else TABLE1_COLUMNS
     rows = []
     for stats in report.adt_stats:
         row = stats.as_row()
@@ -158,13 +140,8 @@ def _per_method_table(
     report: EvaluationReport,
     adts: Sequence[str],
     deterministic: bool = False,
-    backend_invariant: bool = False,
 ) -> str:
-    columns = (
-        _deterministic(TABLE34_COLUMNS, backend_invariant)
-        if deterministic
-        else TABLE34_COLUMNS
-    )
+    columns = _deterministic(TABLE34_COLUMNS) if deterministic else TABLE34_COLUMNS
     rows = []
     for row in report.per_method_rows():
         if row["Datatype"] not in adts:
@@ -177,20 +154,18 @@ def table3(
     report: EvaluationReport,
     *,
     deterministic: bool = False,
-    backend_invariant: bool = False,
 ) -> str:
     """Table 3: per-method details for the first half of the corpus."""
-    return _per_method_table(report, TABLE3_ADTS, deterministic, backend_invariant)
+    return _per_method_table(report, TABLE3_ADTS, deterministic)
 
 
 def table4(
     report: EvaluationReport,
     *,
     deterministic: bool = False,
-    backend_invariant: bool = False,
 ) -> str:
     """Table 4: per-method details for the second half of the corpus."""
-    return _per_method_table(report, TABLE4_ADTS, deterministic, backend_invariant)
+    return _per_method_table(report, TABLE4_ADTS, deterministic)
 
 
 def negatives_table(report: EvaluationReport) -> str:
@@ -232,13 +207,6 @@ def report_json(report: EvaluationReport, store=None) -> dict:
             "table1": table1(report, deterministic=True),
             "table3": table3(report, deterministic=True),
             "table4": table4(report, deterministic=True),
-        },
-        # the strings CI diffs *across backends*: the deterministic tables
-        # minus the solver-internal #SAT/#Confl columns
-        "tables_backend_invariant": {
-            "table1": table1(report, deterministic=True, backend_invariant=True),
-            "table3": table3(report, deterministic=True, backend_invariant=True),
-            "table4": table4(report, deterministic=True, backend_invariant=True),
         },
     }
     # run-level reuse diagnostics (volatile, like the timing columns)

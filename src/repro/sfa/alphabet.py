@@ -306,7 +306,7 @@ def enumerate_alphabets(
     only run the solver-driven enumeration below on a miss.  The resulting
     alphabets — and every counter this function touches — are a pure function
     of ``(hypotheses, literal_sets, operators, budget)`` and the
-    solver's axiom set/backend; nothing here depends on the automata the
+    solver's axiom set; nothing here depends on the automata the
     literals came from.
     """
     max_literals = resolve_max_literals(max_literals, filter_unsat)
@@ -388,7 +388,7 @@ class AlphabetMemo:
     one minterm enumeration.
 
     **Determinism.**  Every construction runs on a *fresh* solver (this
-    memo's axiom set and backend, no warm caches, no inherited lemmas), which
+    memo's axiom set, no warm caches, no inherited lemmas), which
     makes the construction — and every counter it produces — a pure function
     of the key.  The memo records that counter bill (:class:`AlphabetStats`
     plus the solver's :class:`~repro.smt.solver.SolverStats` delta) and
@@ -406,12 +406,10 @@ class AlphabetMemo:
         self,
         axioms: Sequence = (),
         *,
-        backend: Optional[str] = None,
         enabled: bool = True,
         max_entries: int = 2048,
     ) -> None:
         self.axioms = tuple(axioms)
-        self.backend = backend
         self.enabled = enabled
         self.max_entries = max_entries
         self.builds = 0
@@ -479,7 +477,7 @@ class AlphabetMemo:
         entry = self._entries.get(key)
         built = entry is None
         if entry is None:
-            solver = smt.Solver(axioms=list(self.axioms), backend=self.backend)
+            solver = smt.Solver(axioms=list(self.axioms))
             build_stats = AlphabetStats()
             # only the hermetic construction is spanned — a memo hit replays
             # the recorded bill in microseconds and stays out of the trace

@@ -6,7 +6,7 @@ provides the equivalent functionality used by the reproduction:
 * :mod:`repro.smt.sorts` / :mod:`repro.smt.terms` — hash-consed many-sorted
   terms and formulas,
 * :mod:`repro.smt.cnf` / :mod:`repro.smt.backends` — Tseitin conversion and
-  the pluggable SAT cores (DPLL, CDCL) behind it,
+  the incremental DPLL SAT core behind it,
 * :mod:`repro.smt.euf` / :mod:`repro.smt.arith` / :mod:`repro.smt.theory` —
   congruence closure, linear integer arithmetic and their combination,
 * :mod:`repro.smt.axioms` — ground instantiation of method-predicate lemmas,
@@ -47,7 +47,6 @@ from .terms import (
     TRUE,
 )
 from .axioms import Axiom, axiom
-from .backends import known_backends, make_sat_backend, resolve_backend
 from .solver import Solver, SolverStats, is_satisfiable, is_valid
 
 __all__ = [
@@ -88,9 +87,6 @@ __all__ = [
     "TRUE",
     "Axiom",
     "axiom",
-    "known_backends",
-    "make_sat_backend",
-    "resolve_backend",
     "Solver",
     "SolverStats",
     "is_satisfiable",

@@ -21,10 +21,11 @@ pass.  The engine is therefore the classic iterative scheme:
 The interface is incremental — clauses may be added between ``solve`` calls —
 which is what the lazy SMT loop relies on to add theory blocking clauses.
 
-This is the ``backend="dpll"`` implementation of the
-:class:`repro.smt.backends.SatBackend` protocol — the original core every
-other backend is differentially tested against (``tests/smt/test_backend_diff``,
-``tests/smt/test_backend_fuzz``).
+This is the one SAT core of the lazy SMT loop (:mod:`repro.smt.backends`).
+A CDCL core with the same interface lives in the tests as an oracle
+(``tests/smt/sat_oracle.py``); the differential suites
+(``tests/smt/test_backend_diff``, ``tests/smt/test_backend_fuzz``) check the
+two against each other.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class SatSolver:
         self.stats_decisions = 0
         self.stats_propagations = 0
         self.stats_conflicts = 0
-        #: always 0 — plain DPLL never restarts; present so every backend
-        #: exposes the same counter surface
+        #: always 0 — plain DPLL never restarts; present so the solver reads
+        #: the same counter surface from this core and the test oracle
         self.stats_restarts = 0
 
     # -- problem construction ---------------------------------------------------

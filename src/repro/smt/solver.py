@@ -2,8 +2,7 @@
 
 Implements the classic *lazy SMT* architecture: the input formula (plus
 ground instances of the method-predicate axioms) is Tseitin-encoded and
-handed to a pluggable SAT core (:mod:`repro.smt.backends` — DPLL or CDCL,
-selected by ``Solver(backend=...)`` / ``REPRO_BACKEND``); every
+handed to the incremental DPLL core (:mod:`repro.smt.backends`); every
 propositional model is checked against the EUF + linear-arithmetic theory
 combination; theory conflicts are turned into blocking clauses until either
 a theory-consistent model is found (SAT) or the propositional abstraction
@@ -38,7 +37,7 @@ from . import terms
 from ..obs import trace
 from ..statsutil import MergeableStats
 from .axioms import Axiom, instantiate
-from .backends import SatBackend, make_sat_backend, resolve_backend
+from .backends import SatSolver
 from .cnf import CnfBuilder
 from .terms import Term
 from .theory import check_theory
@@ -53,11 +52,9 @@ class SolverStats(MergeableStats):
 
     The ``sat_*`` fields are the SAT core's own counters (decisions,
     propagations, conflicts, restarts), accumulated across every encoded
-    query.  Together with ``queries``/``theory_conflicts`` they are the
-    *backend-sensitive* counters: which model a backend returns steers the
-    enumeration's branching, so DPLL and CDCL legitimately report different
-    values while agreeing on every verdict (and on every obligation-derived
-    counter downstream).
+    query.  Like every other counter here they are deterministic: the core
+    returns the same models for the same clause/solve sequence, so a rerun
+    reports the same numbers.
     """
 
     queries: int = 0
@@ -71,7 +68,7 @@ class SolverStats(MergeableStats):
     cache_evictions: int = 0
     #: satisfiable assignments produced by :meth:`Solver.enumerate_models`
     models_enumerated: int = 0
-    #: SAT-core internals (per-backend columns in the tables)
+    #: SAT-core internals (the #Confl column of the tables)
     sat_decisions: int = 0
     sat_propagations: int = 0
     sat_conflicts: int = 0
@@ -93,12 +90,8 @@ class Solver:
         instantiation_rounds: int = 2,
         max_lazy_iterations: int = 20000,
         max_cache_entries: int = 100_000,
-        backend: Optional[str] = None,
     ) -> None:
         self.axioms = tuple(axioms)
-        #: which SAT core answers the encoded queries (dpll / cdcl);
-        #: ``None`` defers to REPRO_BACKEND, then "dpll"
-        self.backend = resolve_backend(backend)
         self.instantiation_rounds = instantiation_rounds
         self.max_lazy_iterations = max_lazy_iterations
         self.max_cache_entries = max_cache_entries
@@ -153,7 +146,7 @@ class Solver:
         self.stats.cache_misses += 1
         # only cache *misses* are spanned: hits are nanosecond dictionary
         # reads and would dominate the trace without carrying any time
-        with trace.span("solver.check", cat="solver", backend=self.backend):
+        with trace.span("solver.check", cat="solver"):
             result = self._check(goal)
         self.stats.time_seconds += time.perf_counter() - start
         if result:
@@ -210,9 +203,7 @@ class Solver:
         self.stats.cache_misses += 1
         start = time.perf_counter()
         try:
-            with trace.span(
-                "solver.enumerate", cat="solver", backend=self.backend, literals=len(lits)
-            ):
+            with trace.span("solver.enumerate", cat="solver", literals=len(lits)):
                 models = self._enumerate(goal, lits)
         finally:
             self.stats.time_seconds += time.perf_counter() - start
@@ -285,7 +276,7 @@ class Solver:
         return found
 
     # -- the lazy SMT loop ------------------------------------------------------------
-    def _encode(self, goal: Term, lits: tuple[Term, ...] = ()) -> tuple[CnfBuilder, SatBackend, list[int]]:
+    def _encode(self, goal: Term, lits: tuple[Term, ...] = ()) -> tuple[CnfBuilder, SatSolver, list[int]]:
         """Tseitin-encode ``goal`` (plus axiom instances and known lemmas)."""
         instances = instantiate(
             self.axioms, [goal, *lits], rounds=self.instantiation_rounds
@@ -296,14 +287,14 @@ class Solver:
             builder.assert_formula(instance)
         lit_vars = [builder.var_for_atom(lit) for lit in lits]
         self._install_lemmas(builder)
-        sat = make_sat_backend(self.backend)
+        sat = SatSolver()
         sat.ensure_vars(builder.num_vars)
         return builder, sat, lit_vars
 
     def _solve_encoded(
         self,
         builder: CnfBuilder,
-        sat: SatBackend,
+        sat: SatSolver,
         assumptions: tuple[int, ...] = (),
     ) -> Optional[dict[int, bool]]:
         """One lazy-SMT query on an encoded problem: a partial model or None.
@@ -353,21 +344,15 @@ class Solver:
         return self._solve_encoded(builder, sat) is not None
 
 
-_DEFAULT_SOLVERS: dict[str, Solver] = {}
+_DEFAULT_SOLVER: Optional[Solver] = None
 
 
 def default_solver() -> Solver:
-    """A process-wide solver with no background axioms (useful in tests).
-
-    One instance per backend, so flipping ``REPRO_BACKEND`` mid-process (as
-    the differential suite does) never hands out a solver whose caches were
-    warmed under another core.
-    """
-    backend = resolve_backend(None)
-    solver = _DEFAULT_SOLVERS.get(backend)
-    if solver is None:
-        solver = _DEFAULT_SOLVERS[backend] = Solver(backend=backend)
-    return solver
+    """A process-wide solver with no background axioms (useful in tests)."""
+    global _DEFAULT_SOLVER
+    if _DEFAULT_SOLVER is None:
+        _DEFAULT_SOLVER = Solver()
+    return _DEFAULT_SOLVER
 
 
 def is_satisfiable(formula: Term) -> bool:

@@ -77,8 +77,8 @@ class StoreEntry:
     #: the discharge cost record (``{"wall": seconds, ...}``) behind the
     #: dispatch queue's LPT order.  Deliberately *outside* the content
     #: address and the deterministic tables: it is a measurement, not a
-    #: semantic fact — advisory across environments (a dpll-warmed store
-    #: still orders a cdcl dispatch sensibly) and free to vary run to run.
+    #: semantic fact — advisory across environments and free to vary run to
+    #: run.
     cost: dict = field(default_factory=dict)
 
     @property

@@ -272,7 +272,6 @@ def environment_fingerprint(
     *,
     filter_unsat_minterms: bool = True,
     max_literals: Optional[int] = None,
-    backend: str = "dpll",
     library: Optional[str] = None,
 ) -> str:
     """The *semantic environment* a verdict (and its counters) depends on.
@@ -280,11 +279,7 @@ def environment_fingerprint(
     A store entry is only reusable under the exact same discharge semantics:
     the library's logical surface plus every checker/solver knob that steers
     the alphabet transformation.  The inclusion walk itself has no knobs —
-    it is the single decider.  The solver backend
-    participates too: verdicts agree across backends, but the recorded
-    per-obligation counters (#SAT, #Confl) are backend-internal, so a warm
-    start under ``cdcl`` must never replay numbers a ``dpll`` discharge
-    produced.  Which process discharged an obligation is deliberately absent —
+    it is the single decider.  Which process discharged an obligation is deliberately absent —
     the determinism contract says it never changes any obligation-derived
     counter.  Scheduling order and the cross-obligation memos are absent for
     the same reason, and the recorded *cost* records are advisory
@@ -301,5 +296,7 @@ def environment_fingerprint(
         library if library is not None else library_digest(operators, axioms),
         repr(bool(filter_unsat_minterms)),
         repr(resolve_max_literals(max_literals, filter_unsat_minterms)),
-        backend,
+        # The slot where a SAT-core name used to go.  There is one core now,
+        # but the literal stays so stores written before keep answering.
+        "dpll",
     )

@@ -292,9 +292,9 @@ class ObligationStore:
         """The last recorded wall cost for an obligation fingerprint, if any.
 
         Deliberately environment-free: verdicts must never cross environments
-        (a cdcl run cannot replay dpll counters), but a *measurement* of how
-        long the obligation took to discharge is a fine queue-order hint under
-        any backend or budget — which is exactly when cold obligations have
+        (a run under another literal budget cannot replay these counters), but
+        a *measurement* of how long the obligation took to discharge is a fine
+        queue-order hint under any budget — which is exactly when cold obligations have
         history (the same-environment case would have been a store hit).
         """
         return self._cost_index.get(fp)

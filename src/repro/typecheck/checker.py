@@ -24,9 +24,8 @@ algorithmic rules do:
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .. import smt
@@ -70,24 +69,20 @@ class CheckFailure(Exception):
     """Raised internally when a proof obligation fails; reported in the result."""
 
 
-def _default_backend() -> str:
-    return os.environ.get("REPRO_BACKEND") or "dpll"
-
-
 @dataclass
 class CheckerConfig:
-    """Tunable knobs (mostly used by the ablation benchmarks)."""
+    """Checker options.
+
+    The first three are the ablation knobs of the evaluation; the two that
+    steer the alphabet transformation (``filter_unsat_minterms`` and
+    ``max_literals``) key the store's environment fingerprint.  The last two
+    are dispatch plumbing and never change a verdict or a counter.
+    """
 
     filter_unsat_minterms: bool = True
     prune_infeasible_branches: bool = True
     #: None = the default budget (24, or 14 without ``filter_unsat_minterms``)
     max_literals: Optional[int] = None
-    #: which SAT core answers the lazy SMT loop's queries: "dpll" (the
-    #: original reference) or "cdcl" (clause learning + VSIDS + restarts).
-    #: Overridable via REPRO_BACKEND.
-    #: Verdicts and every obligation-derived counter are backend-independent;
-    #: only #SAT/#Confl-style solver internals may differ.
-    backend: str = field(default_factory=_default_backend)
     #: discharge only obligations whose digest is in this set, vacuously
     #: skipping the rest; the empty set makes the emit walk a spawned
     #: dispatch worker replays to warm its process state
@@ -126,12 +121,12 @@ class Checker:
         self._library_digest = (
             library_digest(operators, axioms, self.constants) if store is not None else ""
         )
-        self.solver = smt.Solver(axioms=list(axioms), backend=self.config.backend)
+        self.solver = smt.Solver(axioms=list(axioms))
         # The cross-obligation reuse layer, shared by the inline checker and
         # the obligation engine:
         # alphabet/minterm constructions are built hermetically per
         # literal-set key and their counter bill replayed on reuse.
-        self.alphabet_memo = AlphabetMemo(axioms=tuple(axioms), backend=self.config.backend)
+        self.alphabet_memo = AlphabetMemo(axioms=tuple(axioms))
         # Inline queries that steer the walk (HAT subtyping, ghost abduction)
         # still go through this shared checker; deferred leaf obligations are
         # discharged by the obligation engine below.
@@ -148,7 +143,6 @@ class Checker:
             axioms,
             filter_unsat_minterms=self.config.filter_unsat_minterms,
             max_literals=self.config.max_literals,
-            backend=self.config.backend,
             store=store,
             alphabet_memo=self.alphabet_memo,
             only=self.config.only_digests,

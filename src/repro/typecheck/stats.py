@@ -18,8 +18,7 @@ class MethodStats:
     smt_queries: int = 0
     #: SMT queries and model enumerations answered from the solver's caches
     smt_cache_hits: int = 0
-    #: SAT-core conflicts during those queries (#Confl — backend-internal,
-    #: like #SAT: DPLL and CDCL legitimately differ here and nowhere else)
+    #: SAT-core conflicts during those queries (#Confl)
     sat_conflicts: int = 0
     fa_inclusion_checks: int = 0
     #: alphabet/minterm constructions actually enumerated (#Alph) — volatile:
@@ -73,13 +72,6 @@ class MethodStats:
     #: deterministic, but the build count itself is reuse bookkeeping)
     VOLATILE_COLUMNS = TIME_COLUMNS + ("#Store", "#Alph")
 
-    #: solver-internal columns: deterministic for a *fixed* backend (they
-    #: participate in cold-vs-warm and dispatched comparisons) but
-    #: legitimately different *between* backends — which model a SAT core
-    #: returns steers the guided enumeration's branching.  Everything else in
-    #: :meth:`counter_row` must be byte-identical across dpll/cdcl.
-    BACKEND_SENSITIVE_COLUMNS = ("#SAT", "#Confl")
-
     def counter_row(self) -> dict[str, object]:
         """The :meth:`as_row` columns that are deterministic counters."""
         return {
@@ -121,10 +113,8 @@ class AdtStats:
         """The most complex method (paper: second half of Table 1).
 
         Ranked by emission-derived complexity (obligations, branches,
-        applications) rather than #SAT: the selection must not depend on the
-        solver backend, or Table 1's obligation-derived columns would change
-        between ``--backend dpll`` and ``--backend cdcl`` merely because a
-        different method was featured.
+        applications) rather than #SAT: the featured method is a property of
+        the program, not of how the SAT core's search happened to branch.
         """
         if not self.method_results:
             return None

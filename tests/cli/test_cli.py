@@ -1,7 +1,7 @@
 """End-to-end coverage for the ``pymarple`` command-line interface.
 
-Exercises exit codes, the error paths (unknown benchmark/method), the
-``--backend`` flag and its ``REPRO_BACKEND`` fallback, the ``--json`` machine-readable output, and the
+Exercises exit codes, the error paths (unknown benchmark/method, count
+flags below their minimum), the ``--json`` machine-readable output, and the
 incremental-store surface (``--incremental/--store/--explain``).
 """
 
@@ -61,44 +61,35 @@ def test_argparse_rejects_bad_usage():
         cli_main(["check", "Set/KVStore", "--no-memo"])
 
 
-# -- solver backends ---------------------------------------------------------------
-
-
-def test_backend_flag_runs_the_check(capsys):
-    assert cli_main(["check", "Set/KVStore", "--backend", "cdcl"]) == 0
-    out = capsys.readouterr().out
-    assert "all verified = True" in out
-
-
-def test_backend_flag_reaches_the_checker_config(monkeypatch):
-    captured = {}
-    from repro.suite.benchmark import AdtBenchmark
-
-    original = AdtBenchmark.make_checker
-
-    def spy(self, config=None, *, store=None):
-        captured["config"] = config
-        return original(self, config, store=store)
-
-    monkeypatch.setattr(AdtBenchmark, "make_checker", spy)
-    assert cli_main(["check", "Set/KVStore", "--backend", "cdcl"]) == 0
-    assert captured["config"].backend == "cdcl"
+# -- retired and bounded flags ----------------------------------------------------
 
 
 def test_unknown_backend_exits_two():
+    # one SAT core: there is no selector flag, whatever value it is given
     with pytest.raises(SystemExit) as excinfo:
-        cli_main(["check", "Set/KVStore", "--backend", "telepathy"])
+        cli_main(["check", "Set/KVStore", "--backend", "dpll"])
     assert excinfo.value.code == 2
 
 
-def test_bad_repro_backend_env_exits_two(monkeypatch, capsys):
-    """REPRO_BACKEND mirrors --backend, so a bad value must get the same
-    clean exit-2 diagnostics instead of a ValueError traceback."""
-    monkeypatch.setenv("REPRO_BACKEND", "telepathy")
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a rejected flag must stop the command before it starts")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["trace", "overhead", "--runs", "0"], "--runs"),
+        (["trace", "report", "run.jsonl", "--top", "-1"], "--top"),
+    ],
+    ids=["overhead-runs", "report-top"],
+)
+def test_count_flag_below_its_minimum_exits_two(argv, flag, monkeypatch, capsys):
+    monkeypatch.setattr("repro.cli.run_evaluation", _must_not_run)
+    monkeypatch.setattr("repro.obs.trace.read_trace", _must_not_run)
     with pytest.raises(SystemExit) as excinfo:
-        cli_main(["check", "Set/KVStore"])
+        cli_main(argv)
     assert excinfo.value.code == 2
-    assert "unknown solver backend" in capsys.readouterr().err
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 # -- JSON output -------------------------------------------------------------------

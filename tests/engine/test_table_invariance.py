@@ -4,10 +4,11 @@ on alphabet reuse.
 ``table1/3/4(deterministic=True)`` on the fast corpus must render byte for
 byte the same as a serial, store-less reference run:
 
-* against a store warmed under the *other* SAT backend — verdicts never cross
+* against a store warmed under *another* environment — verdicts never cross
   environment fingerprints (the only store hits are the cross-benchmark ones
   the run records for itself), while the environment-free recorded costs sit
-  right next to them;
+  right next to them.  The other environment is a literal budget of 25,
+  which the fast corpus never reaches, so both render the same tables;
 * with the cross-obligation alphabet memo switched off — alphabets are always
   built hermetically with their counter bill recorded and replayed, so the
   reuse changes wall-clock time only.
@@ -24,8 +25,10 @@ from repro.sfa.alphabet import AlphabetMemo
 from repro.store.obligation_store import ObligationStore
 from repro.typecheck.checker import CheckerConfig
 
-#: each backend runs against the store the other backend warmed
-_WARMING_BACKEND = {"dpll": "cdcl", "cdcl": "dpll"}
+ENVIRONMENTS = {"default": CheckerConfig(), "max_literals=25": CheckerConfig(max_literals=25)}
+
+#: each environment runs against the store the other one warmed
+_WARMING_ENVIRONMENT = {"default": "max_literals=25", "max_literals=25": "default"}
 
 
 def _store_hits(report):
@@ -40,50 +43,45 @@ def _render(report):
 
 @pytest.fixture(scope="module")
 def warmed_store(tmp_path_factory):
-    """Per backend: a store with every fast-corpus entry recorded, and the
-    store hits that cold run answered from its own earlier entries."""
+    """Per environment: a store with every fast-corpus entry recorded, and
+    the store hits that cold run answered from its own earlier entries."""
     warmed = {}
-    for backend in sorted(_WARMING_BACKEND.values()):
-        path = tmp_path_factory.mktemp(f"store-{backend}")
+    for name, config in ENVIRONMENTS.items():
+        path = tmp_path_factory.mktemp("store")
         store = ObligationStore(path)
-        report = run_evaluation(
-            include_slow=False, config=CheckerConfig(backend=backend), store=store
-        )
+        report = run_evaluation(include_slow=False, config=config, store=store)
         assert report.all_verified and report.all_negatives_rejected
         store.flush()
-        warmed[backend] = (path, _store_hits(report))
+        warmed[name] = (path, _store_hits(report))
     return warmed
 
 
 @pytest.fixture(scope="module")
 def reference_tables():
-    """The serial, store-less rendering per backend."""
-    tables = {}
-    for backend in ("dpll", "cdcl"):
-        report = run_evaluation(include_slow=False, config=CheckerConfig(backend=backend))
-        assert report.all_verified and report.all_negatives_rejected
-        tables[backend] = _render(report)
-    return tables
+    """The serial, store-less rendering."""
+    report = run_evaluation(include_slow=False)
+    assert report.all_verified and report.all_negatives_rejected
+    return _render(report)
 
 
-@pytest.mark.parametrize("backend", ("dpll", "cdcl"))
-def test_other_backends_store_leaves_the_tables_unchanged(
-    backend, warmed_store, reference_tables, tmp_path
+@pytest.mark.parametrize("environment", ENVIRONMENTS)
+def test_other_environments_store_leaves_the_tables_unchanged(
+    environment, warmed_store, reference_tables, tmp_path
 ):
     # a fresh copy per run: the run writes entries of its own
     path = tmp_path / "store"
-    shutil.copytree(warmed_store[_WARMING_BACKEND[backend]][0], path)
+    shutil.copytree(warmed_store[_WARMING_ENVIRONMENT[environment]][0], path)
     report = run_evaluation(
         include_slow=False,
-        config=CheckerConfig(backend=backend),
+        config=ENVIRONMENTS[environment],
         store=ObligationStore(path),
     )
     assert report.all_verified and report.all_negatives_rejected
-    assert _store_hits(report) == warmed_store[backend][1], (
-        "verdicts must never cross backends"
+    assert _store_hits(report) == warmed_store[environment][1], (
+        "verdicts must never cross environments"
     )
-    assert _render(report) == reference_tables[backend], (
-        f"a store warmed under another backend changed a counter under {backend}"
+    assert _render(report) == reference_tables, (
+        f"a store warmed under another environment changed a counter under {environment}"
     )
 
 
@@ -93,9 +91,9 @@ def test_memo_off_matches_memo_on_byte_identical(reference_tables, monkeypatch):
         "repro.typecheck.checker.AlphabetMemo",
         functools.partial(AlphabetMemo, enabled=False),
     )
-    report = run_evaluation(include_slow=False, config=CheckerConfig(backend="dpll"))
+    report = run_evaluation(include_slow=False)
     assert report.all_verified and report.all_negatives_rejected
     caches = report.cache_totals()
     assert caches["alphabet_memo_builds"] > 0
     assert caches["alphabet_memo_replays"] == 0, "the memo must really be off"
-    assert _render(report) == reference_tables["dpll"]
+    assert _render(report) == reference_tables

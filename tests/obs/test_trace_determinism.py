@@ -1,8 +1,7 @@
 """Tracing is strictly volatile: traced runs render byte-identical tables.
 
-The acceptance contract of the observability layer: installing a tracer —
-under every SAT backend — may add spans and wall-clock time but must never
-move a counter in the deterministic renderings of Tables 1/3/4.  The
+The acceptance contract of the observability layer: installing a tracer
+may add spans and wall-clock time but must never move a counter in the deterministic renderings of Tables 1/3/4.  The
 integration leg also locks in what a real traced run must contain:
 schema-valid spans, per-obligation fingerprints, and ≥95% of the main
 process's wall time attributed to non-structural spans.
@@ -15,7 +14,6 @@ from repro.evaluation.tables import table1, table3, table4
 from repro.obs import trace
 from repro.obs.report import analyze_trace
 from repro.obs.schema import validate_trace
-from repro.typecheck.checker import CheckerConfig
 
 
 def _render(report):
@@ -33,16 +31,14 @@ def no_leaked_tracer():
 
 @pytest.fixture(scope="module")
 def untraced_tables():
-    """Reference renderings per backend, tracing off."""
+    """The reference rendering, tracing off."""
     trace.uninstall()
-    tables = {}
-    for backend in ("dpll", "cdcl"):
-        report = run_evaluation(include_slow=False, config=CheckerConfig(backend=backend))
-        assert report.all_verified and report.all_negatives_rejected
-        tables[backend] = _render(report)
-    return tables
+    report = run_evaluation(include_slow=False)
+    assert report.all_verified and report.all_negatives_rejected
+    return _render(report)
 
 
+#: a leftover value of the retired SAT-core selector
 @pytest.mark.parametrize("backend", ("dpll", "cdcl"))
 @pytest.mark.parametrize(
     "stale",
@@ -59,17 +55,20 @@ def test_traced_tables_are_byte_identical_to_untraced(
     # A variable left over from a retired knob (the discharge modes before
     # the single decider, the in-engine fork pool before the lease queue,
     # the serial ordering policy and the memo toggle before emit order and
-    # an always-on memo) must be inert: the traced run under a stale setting
-    # renders the reference tables computed with the variable unset.
-    # Nothing reads any of them, so one stale value each covers every other.
+    # an always-on memo, the SAT-core selector before the one DPLL core)
+    # must be inert: the traced run under a stale setting renders the
+    # reference tables computed with the variables unset.  Nothing reads
+    # any of them, so one stale value each covers every other; the
+    # selector takes both of its old values.
     name, value = stale.split("=")
     monkeypatch.setenv(name, value)
+    monkeypatch.setenv("REPRO_BACKEND", backend)
     with trace.session() as tracer:
-        report = run_evaluation(include_slow=False, config=CheckerConfig(backend=backend))
+        report = run_evaluation(include_slow=False)
     assert report.all_verified and report.all_negatives_rejected
-    assert _render(report) == untraced_tables[backend], (
-        f"tracing or a stale {stale} changed a deterministic counter "
-        f"under backend={backend}"
+    assert _render(report) == untraced_tables, (
+        f"tracing or a stale {stale}, REPRO_BACKEND={backend} changed a "
+        "deterministic counter"
     )
     assert tracer.spans, "the traced run must actually have recorded spans"
 
@@ -79,7 +78,7 @@ def traced_run():
     """One traced serial fast-corpus run, normalised like a file."""
     trace.uninstall()
     with trace.session() as tracer:
-        report = run_evaluation(include_slow=False, config=CheckerConfig())
+        report = run_evaluation(include_slow=False)
     assert report.all_verified
     tracer.counters = {"caches": report.cache_totals()}
     return {

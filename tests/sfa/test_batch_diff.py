@@ -9,7 +9,7 @@ fresh table, and with the formula-pair oracle
 (``oracles.lazy_inclusion_search``):
 
 * identical verdicts, counterexample traces, #Prod and error messages on
-  every obligation — on the full fast corpus, for every solver backend,
+  every obligation — on the full fast corpus,
 * genuine witnesses: every counterexample replays on the compiled DFAs
   (accepted by lhs, rejected by rhs),
 * and order independence: a member that fails (e.g. on the pair budget)
@@ -34,7 +34,6 @@ from repro.smt.solver import SolverError
 from repro.evaluation.runner import run_evaluation
 from repro.engine.obligations import Obligation
 from repro.suite.registry import all_benchmarks
-from repro.typecheck.checker import CheckerConfig
 
 from oracles import compile_dfa, lazy_inclusion_search, oracle_check, record_discharges
 from test_discharge_diff import _random_context_literal, _random_registry, _random_sfa
@@ -228,20 +227,18 @@ def test_discharge_group_construction_failure_reports_every_member():
 
 
 # ---------------------------------------------------------------------------
-# Corpus differential: full fast corpus, both solver backends, both stores
+# Corpus differential: full fast corpus
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["dpll", "cdcl"])
-def test_fast_corpus_batch_equals_lazy(backend, monkeypatch):
+def test_fast_corpus_batch_equals_lazy(monkeypatch):
     """Every obligation the grouped discharge decides on the fast corpus —
     positive methods and negative variants — equals the formula-pair
     oracle's answer: verdict, witness trace and #Prod."""
-    config = CheckerConfig(backend=backend)
     discharged = 0
     for bench in all_benchmarks(include_slow=False):
         captured = record_discharges(monkeypatch)
-        report = run_evaluation([bench], config=config)
+        report = run_evaluation([bench])
         assert report.all_verified and report.all_negatives_rejected
         operators, axioms = bench.library.operators, bench.library.axioms
         for obligation, result in captured:

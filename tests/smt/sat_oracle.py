@@ -1,9 +1,16 @@
-"""A CDCL SAT backend: clause learning on top of the watched-literal machinery.
+"""A CDCL SAT core, kept as a test oracle for the production DPLL core.
 
-Same incremental interface as the DPLL core (:mod:`repro.smt.backends.dpll`)
-— clauses may be added between ``solve`` calls, ``priority_vars`` are decided
-first, ``phase_hint`` steers branch polarity, and ``solve_partial`` stops as
-soon as every clause is satisfied — but the search is conflict-driven:
+Production answers every encoded query with the DPLL core
+(:class:`repro.smt.backends.dpll.SatSolver`).  This module keeps an
+independent conflict-driven core with the same incremental interface, so the
+differential suites (``test_backend_diff.py``, ``test_backend_fuzz.py``) can
+check that the lazy SMT loop's answers do not depend on which core searched
+for them; :func:`use_cdcl_core` swaps it in for a whole test.
+
+Same incremental interface as the DPLL core — clauses may be added between
+``solve`` calls, ``priority_vars`` are decided first, ``phase_hint`` steers
+branch polarity, and ``solve_partial`` stops as soon as every clause is
+satisfied — but the search is conflict-driven:
 
 * **1-UIP clause learning** — every conflict is analysed back to the first
   unique implication point; the learned clause is attached permanently (it is
@@ -30,6 +37,8 @@ Tseitin/blocking clauses from its ``CnfBuilder``.
 from __future__ import annotations
 
 from typing import Iterable, Optional
+
+from repro.smt import solver as solver_module
 
 Clause = tuple[int, ...]
 
@@ -439,3 +448,14 @@ class CdclSolver:
             if activity > best_activity:
                 best, best_activity = variable, activity
         return best
+
+
+def use_cdcl_core(monkeypatch) -> None:
+    """Make every SMT query for the rest of the test run on :class:`CdclSolver`.
+
+    ``Solver`` instantiates its SAT core through the ``repro.smt.solver``
+    module global; the process-wide default solver is reset so no cache
+    warmed under the DPLL core answers for the oracle.
+    """
+    monkeypatch.setattr(solver_module, "SatSolver", CdclSolver)
+    monkeypatch.setattr(solver_module, "_DEFAULT_SOLVER", None)

@@ -1,33 +1,32 @@
-"""Cross-backend differential suite: every backend is one oracle of many.
+"""Cross-core differential suite: the DPLL core against the CDCL oracle.
 
-The lazy SMT loop may run on the DPLL core or the CDCL core — and the whole
-reproduction's output must not care:
+The lazy SMT loop runs on the DPLL core; ``sat_oracle.py`` keeps an
+independent CDCL core, swapped in by :func:`use_cdcl_core`.  The
+reproduction's answers must not depend on which core searched for them:
 
-* every fast-corpus obligation discharged under ``dpll`` and ``cdcl`` yields
-  the same verdict *and* the same witness trace;
-* the deterministic Tables 1/3/4 are byte-identical across backends once the
-  solver-internal columns (#SAT, #Confl) are dropped — those are per-backend
-  by design and keep their own columns;
-* a store warmed under one backend is invisible to another (environment
-  fingerprints differ), so warm-start counters can never cross-contaminate.
+* every fast-corpus obligation discharged under either core yields the same
+  verdict *and* the same witness trace;
+* the deterministic Tables 1/3/4 agree cell for cell across the cores once
+  the solver-internal columns (#SAT, #Confl) are dropped — which model a
+  core returns steers the guided enumeration's branching, so those two
+  legitimately differ between the cores.
 
 Together with ``test_backend_fuzz.py`` this is what turns the single
-hand-rolled oracle into N mutually-checking ones.
+hand-rolled core into two mutually-checking ones.
 """
 
 import pytest
 
 from repro.evaluation.runner import run_evaluation
 from repro.evaluation.tables import table1, table3, table4
-from repro.smt.backends import known_backends
 from repro.suite.registry import all_benchmarks
-from repro.typecheck.checker import CheckerConfig
+from sat_oracle import use_cdcl_core
 
-#: Every registered backend is cross-checked against the dpll reference —
-#: registering a new backend enrolls it here automatically.
-BACKEND_PAIRS = [
-    ("dpll", candidate) for candidate in known_backends() if candidate != "dpll"
-]
+#: the production core is the reference, the oracle the candidate
+CORE_PAIRS = [("dpll", "cdcl")]
+
+#: counters that follow the core's search, not the obligations
+SOLVER_INTERNAL_COLUMNS = ("#SAT", "#Confl")
 
 _FAST_KEYS = [bench.key for bench in all_benchmarks(include_slow=False)]
 
@@ -36,20 +35,36 @@ def _bench(key):
     return next(b for b in all_benchmarks(include_slow=False) if b.key == key)
 
 
+def _on_core(core, run):
+    """``run()`` with every SMT query answered by ``core``."""
+    if core == "dpll":
+        return run()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_cdcl_core(monkeypatch)
+        return run()
+
+
+def _without_solver_internals(rendering):
+    """A table rendering's cells, row by row, minus the #SAT/#Confl columns."""
+    header, _separator, *rows = rendering.splitlines()
+    table = [[cell.strip() for cell in line.split(" | ")] for line in (header, *rows)]
+    keep = [i for i, column in enumerate(table[0]) if column not in SOLVER_INTERNAL_COLUMNS]
+    return [[cells[i] for i in keep] for cells in table]
+
+
 # ---------------------------------------------------------------------------
 # Per-benchmark: verdicts and witness traces agree obligation for obligation
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("reference,candidate", BACKEND_PAIRS)
+@pytest.mark.parametrize("reference,candidate", CORE_PAIRS)
 @pytest.mark.parametrize("key", _FAST_KEYS)
 def test_suite_verification_agrees(key, reference, candidate):
     bench = _bench(key)
     outcomes = {}
-    for backend in (reference, candidate):
-        checker = bench.make_checker(CheckerConfig(backend=backend))
-        stats = bench.verify_all(checker)
-        outcomes[backend] = [
+    for core in (reference, candidate):
+        stats = _on_core(core, lambda: bench.verify_all(bench.make_checker()))
+        outcomes[core] = [
             (
                 result.method,
                 result.verified,
@@ -68,7 +83,7 @@ def test_suite_verification_agrees(key, reference, candidate):
     assert outcomes[reference] == outcomes[candidate]
 
 
-@pytest.mark.parametrize("reference,candidate", BACKEND_PAIRS)
+@pytest.mark.parametrize("reference,candidate", CORE_PAIRS)
 @pytest.mark.parametrize("key", _FAST_KEYS)
 def test_suite_negative_variants_agree(key, reference, candidate):
     """Known-bad variants are rejected identically, witness traces included."""
@@ -77,56 +92,60 @@ def test_suite_negative_variants_agree(key, reference, candidate):
         pytest.skip(f"{key} has no negative variants")
     for variant in bench.negative_variants:
         outcomes = {}
-        for backend in (reference, candidate):
-            checker = bench.make_checker(CheckerConfig(backend=backend))
-            result = bench.verify_negative_variant(variant, checker)
-            outcomes[backend] = (result.verified, result.error, result.counterexample)
+        for core in (reference, candidate):
+            result = _on_core(
+                core,
+                lambda: bench.verify_negative_variant(variant, bench.make_checker()),
+            )
+            outcomes[core] = (result.verified, result.error, result.counterexample)
         assert not outcomes[reference][0], f"{variant} must be rejected"
         assert outcomes[reference] == outcomes[candidate]
 
 
 # ---------------------------------------------------------------------------
-# The acceptance bar: backend-invariant tables are byte-identical
+# The acceptance bar: tables without #SAT/#Confl agree cell for cell
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def per_backend_reports():
-    """One fast-corpus evaluation per registered backend (negatives skipped:
-    the per-benchmark tests above already compare them trace for trace)."""
+def per_core_reports():
+    """One fast-corpus evaluation per core (negatives skipped: the
+    per-benchmark tests above already compare them trace for trace)."""
     return {
-        backend: run_evaluation(
-            include_slow=False,
-            config=CheckerConfig(backend=backend),
-            check_negative_variants=False,
+        core: _on_core(
+            core,
+            lambda: run_evaluation(include_slow=False, check_negative_variants=False),
         )
-        for backend in known_backends()
+        for core in CORE_PAIRS[0]
     }
 
 
-def test_backend_invariant_tables_are_byte_identical(per_backend_reports):
-    reference = per_backend_reports["dpll"]
+def test_backend_invariant_tables_are_byte_identical(per_core_reports):
+    reference = per_core_reports["dpll"]
     assert reference.all_verified
-    for backend, report in per_backend_reports.items():
-        assert report.all_verified, backend
+    # the oracle really answered: its search differs, so #Confl does
+    assert table1(per_core_reports["cdcl"], deterministic=True) != table1(
+        reference, deterministic=True
+    )
+    for core, report in per_core_reports.items():
+        assert report.all_verified, core
         for render in (table1, table3, table4):
-            assert render(report, deterministic=True, backend_invariant=True) == render(
-                reference, deterministic=True, backend_invariant=True
-            ), backend
+            assert _without_solver_internals(
+                render(report, deterministic=True)
+            ) == _without_solver_internals(render(reference, deterministic=True)), core
 
 
-def test_solver_internal_counters_have_their_own_columns(per_backend_reports):
-    """#SAT/#Confl stay visible in the deterministic render — they are
-    per-backend columns, not dropped data."""
-    report = per_backend_reports["dpll"]
+def test_solver_internal_counters_have_their_own_columns(per_core_reports):
+    """#SAT/#Confl are ordinary deterministic columns of the render; the
+    cross-core comparison cuts exactly those two and keeps the rest."""
+    report = per_core_reports["dpll"]
 
     def header(rendering):
         return [cell.strip() for cell in rendering.splitlines()[0].split(" | ")]
 
     deterministic = header(table3(report, deterministic=True))
     assert "#SAT" in deterministic and "#Confl" in deterministic
-    invariant = header(table3(report, deterministic=True, backend_invariant=True))
+    invariant = _without_solver_internals(table3(report, deterministic=True))[0]
     assert "#SAT" not in invariant and "#Confl" not in invariant
-    # and the obligation-derived columns survive the backend-invariant render
     for column in ("#Obl", "#Inc", "#Prod", "#SATcache"):
         assert column in invariant

@@ -1,18 +1,18 @@
-"""Seeded random-formula fuzzing across solver backends.
+"""Seeded random-formula fuzzing: the DPLL core against the CDCL oracle.
 
 Three adversarial generators, all driven by ``REPRO_FUZZ_SEED`` (CI pins it,
 so a red job reproduces locally with the same environment variable):
 
 * **CNF + EUF + arith mixes** — ≥300 random boolean combinations of
-  uninterpreted-predicate, congruence and linear-arithmetic atoms; every
-  backend must return the same satisfiability verdict on each;
+  uninterpreted-predicate, congruence and linear-arithmetic atoms; both
+  cores must return the same satisfiability verdict on each;
 * **model enumeration** — random literal sets under random base formulas;
-  the enumerated assignment *sets* must coincide across backends (the
+  the enumerated assignment *sets* must coincide across the cores (the
   canonical ordering makes that a list equality), and every assignment must
   replay consistently through :func:`repro.smt.theory.check_theory` — a model
-  a backend hands back is only correct if the theory combination agrees;
+  a core hands back is only correct if the theory combination agrees;
 * **SFA inclusion** — ≥60 random symbolic-automata pairs; verdicts and
-  counterexample traces must agree backend for backend (the alphabet
+  counterexample traces must agree core for core (the alphabet
   transformation consumes enumeration results, so this exercises the whole
   seam end to end).
 """
@@ -27,15 +27,21 @@ from repro.sfa import symbolic as S
 from repro.sfa.inclusion import InclusionChecker
 from repro.sfa.signatures import OperatorRegistry
 from repro.smt import sorts
-from repro.smt.backends import known_backends
 from repro.smt.theory import check_theory
+from sat_oracle import use_cdcl_core
 
 #: Base seed for every generator below; CI exports it so failures reproduce.
 SEED = int(os.environ.get("REPRO_FUZZ_SEED", "271828"))
 
-#: every registered backend is fuzzed — adding one to the registry enrolls
-#: it here automatically
-BACKENDS = known_backends()
+
+def _on_both_cores(run):
+    """``{core: run()}`` for the production core and the CDCL oracle."""
+    results = {"dpll": run()}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        use_cdcl_core(monkeypatch)
+        results["cdcl"] = run()
+    return results
+
 
 # ---------------------------------------------------------------------------
 # A mixed CNF + EUF + arithmetic atom pool
@@ -102,12 +108,9 @@ def _random_formula(rng: random.Random, depth: int = 3) -> smt.Term:
 def test_random_mixes_agree_on_satisfiability(case):
     rng = random.Random(SEED + 1_000_003 * case)
     formula = _random_formula(rng, depth=4)
-    verdicts = {
-        backend: smt.Solver(backend=backend).is_satisfiable(formula)
-        for backend in BACKENDS
-    }
+    verdicts = _on_both_cores(lambda: smt.Solver().is_satisfiable(formula))
     assert len(set(verdicts.values())) == 1, (
-        f"backends disagree on seed base {SEED}, case {case}: {verdicts}"
+        f"cores disagree on seed base {SEED}, case {case}: {verdicts}"
     )
 
 
@@ -122,17 +125,14 @@ def test_random_enumerations_agree_and_replay(case):
     base = _random_formula(rng, depth=3)
     pool = [atom for atom in _atom_pool() if smt.is_atom(atom)]
     literals = rng.sample(pool, rng.randint(2, 4))
-    results = {}
-    for backend in BACKENDS:
-        solver = smt.Solver(backend=backend)
-        results[backend] = solver.enumerate_models(literals, base=base)
+    results = _on_both_cores(lambda: smt.Solver().enumerate_models(literals, base=base))
     reference = results["dpll"]
-    for backend, models in results.items():
+    for core, models in results.items():
         assert models == reference, (
-            f"{backend} enumerated a different set on seed base {SEED}, "
+            f"{core} enumerated a different set on seed base {SEED}, "
             f"case {case}"
         )
-    # every minterm a backend reports must be a theory-consistent conjunction
+    # every minterm a core reports must be a theory-consistent conjunction
     for assignment in reference:
         replay = check_theory(list(assignment))
         assert replay.consistent, (
@@ -209,15 +209,14 @@ def test_random_inclusions_agree(case):
         hypothesis = smt.apply(rng.choice(_SFA_PREDS), rng.choice(_E))
         hypotheses.append(hypothesis)
 
-    results = {}
-    for backend in BACKENDS:
-        checker = InclusionChecker(smt.Solver(backend=backend), registry)
-        results[backend] = checker.check_detailed(hypotheses, lhs, rhs)
+    results = _on_both_cores(
+        lambda: InclusionChecker(smt.Solver(), registry).check_detailed(hypotheses, lhs, rhs)
+    )
     reference = results["dpll"]
-    for backend, result in results.items():
+    for core, result in results.items():
         assert result.included == reference.included, (
-            f"{backend} verdict differs (seed base {SEED}, case {case})"
+            f"{core} verdict differs (seed base {SEED}, case {case})"
         )
         assert result.counterexample == reference.counterexample, (
-            f"{backend} witness differs (seed base {SEED}, case {case})"
+            f"{core} witness differs (seed base {SEED}, case {case})"
         )

@@ -1,8 +1,8 @@
 """Tests for the SAT cores, including a brute-force equivalence property.
 
-Every test runs against both built-in backends (DPLL and CDCL) through the
-:func:`repro.smt.backends.make_sat_backend` factory — the protocol surface,
-not a concrete class — so a new backend is covered by adding its id here.
+Every interface test runs against the production DPLL core and the CDCL
+test oracle (``sat_oracle.py``): the lazy SMT loop relies on the same
+incremental surface from both.
 """
 
 import itertools
@@ -10,16 +10,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.smt.backends import known_backends, make_sat_backend
-from repro.smt.backends.cdcl import CdclSolver, luby
-from repro.smt.sat import SatSolver
+from repro.smt import solver as solver_module
+from repro.smt.backends import SatSolver
+from sat_oracle import CdclSolver, luby
 
-#: a registered backend is covered here the moment it is registered
-BACKENDS = known_backends()
+CORES = {"dpll": SatSolver, "cdcl": CdclSolver}
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
+@pytest.fixture(params=CORES.values(), ids=CORES.keys())
+def core(request):
     return request.param
 
 
@@ -36,45 +35,47 @@ def check_model(clauses, model):
 
 
 def test_sat_module_still_exports_the_dpll_core():
-    assert make_sat_backend("dpll").__class__ is SatSolver
+    # the solver instantiates the DPLL core under its fixed import path
+    assert SatSolver.__module__ == "repro.smt.backends.dpll"
+    assert solver_module.SatSolver is SatSolver
 
 
-def test_empty_problem_is_sat(backend):
-    solver = make_sat_backend(backend)
+def test_empty_problem_is_sat(core):
+    solver = core()
     assert solver.solve() == {}
 
 
-def test_single_unit_clause(backend):
-    solver = make_sat_backend(backend)
+def test_single_unit_clause(core):
+    solver = core()
     solver.add_clause([1])
     model = solver.solve()
     assert model == {1: True}
 
 
-def test_simple_unsat(backend):
-    solver = make_sat_backend(backend)
+def test_simple_unsat(core):
+    solver = core()
     solver.add_clause([1])
     solver.add_clause([-1])
     assert solver.solve() is None
 
 
-def test_requires_propagation_chain(backend):
-    solver = make_sat_backend(backend)
+def test_requires_propagation_chain(core):
+    solver = core()
     solver.add_clauses([[1], [-1, 2], [-2, 3], [-3, -4], [4, 5]])
     model = solver.solve()
     assert model is not None
     assert model[1] and model[2] and model[3] and not model[4] and model[5]
 
 
-def test_unsat_pigeonhole_2_into_1(backend):
+def test_unsat_pigeonhole_2_into_1(core):
     # two pigeons, one hole: p1 in hole, p2 in hole, not both
-    solver = make_sat_backend(backend)
+    solver = core()
     solver.add_clauses([[1], [2], [-1, -2]])
     assert solver.solve() is None
 
 
-def test_assumptions(backend):
-    solver = make_sat_backend(backend)
+def test_assumptions(core):
+    solver = core()
     solver.add_clause([1, 2])
     assert solver.solve(assumptions=[-1]) == {1: False, 2: True}
     assert solver.solve(assumptions=[-1, -2]) is None
@@ -82,14 +83,14 @@ def test_assumptions(backend):
     assert solver.solve() is not None
 
 
-def test_zero_literal_rejected(backend):
-    solver = make_sat_backend(backend)
+def test_zero_literal_rejected(core):
+    solver = core()
     with pytest.raises(ValueError):
         solver.add_clause([0])
 
 
-def test_priority_vars_are_always_assigned(backend):
-    solver = make_sat_backend(backend)
+def test_priority_vars_are_always_assigned(core):
+    solver = core()
     solver.add_clause([1, 2])
     solver.ensure_vars(6)
     solver.priority_vars = (4, 5, 6)
@@ -98,13 +99,8 @@ def test_priority_vars_are_always_assigned(backend):
     assert all(var in model for var in (4, 5, 6))
 
 
-@pytest.fixture(params=BACKENDS)
-def hinting_backend(request):
-    return request.param
-
-
-def test_phase_hints_steer_free_variables(hinting_backend):
-    solver = make_sat_backend(hinting_backend)
+def test_phase_hints_steer_free_variables(core):
+    solver = core()
     solver.add_clause([1, 2])
     solver.ensure_vars(4)
     solver.priority_vars = (3, 4)
@@ -127,16 +123,16 @@ clause_strategy = st.lists(
 @given(st.lists(clause_strategy, min_size=0, max_size=14))
 def test_matches_brute_force(clauses):
     expected = brute_force_satisfiable(clauses, 6)
-    for backend in BACKENDS:
-        solver = make_sat_backend(backend)
+    for name, core in CORES.items():
+        solver = core()
         solver.add_clauses(clauses)
         solver.ensure_vars(6)
         model = solver.solve()
         if expected:
-            assert model is not None, backend
-            assert check_model(clauses, model), backend
+            assert model is not None, name
+            assert check_model(clauses, model), name
         else:
-            assert model is None, backend
+            assert model is None, name
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Store isolation across solver backends.
+"""Store isolation across checker environments.
 
-The environment fingerprint includes the backend id, so verdicts (and, more
-importantly, the recorded per-obligation #SAT/#Confl counters) discharged
-under one backend must be invisible to a run under another: zero warm hits,
-no entry overwritten — the two backends populate disjoint key spaces in the
-same store.
+The environment fingerprint includes every knob that steers the alphabet
+transformation, so verdicts (and the recorded per-obligation counters)
+discharged under one environment must be invisible to a run under another:
+zero warm hits, no entry overwritten — the two environments populate
+disjoint key spaces in the same store.  The literal budget is the axis used
+here: the fast corpus never reaches 24 literals, so a budget of 25 changes
+the environment key and nothing else.
 """
 
 from repro.store.fingerprint import environment_fingerprint
@@ -12,58 +14,61 @@ from repro.store.obligation_store import ObligationStore
 from repro.suite.registry import benchmark_by_key
 from repro.typecheck.checker import CheckerConfig
 
+#: an environment that differs from the default only in its key
+OTHER = CheckerConfig(max_literals=25)
 
-def _verify_with(store, backend):
+
+def _verify_with(store, config):
     bench = benchmark_by_key("Set/KVStore")
-    checker = bench.make_checker(CheckerConfig(backend=backend), store=store)
+    checker = bench.make_checker(config, store=store)
     stats = bench.verify_all(checker)
     assert stats.all_verified
     return stats
 
 
-def test_environment_fingerprint_separates_backends():
+def test_environment_fingerprint_separates_literal_budgets():
     bench = benchmark_by_key("Set/KVStore")
     fps = {
-        backend: environment_fingerprint(
-            bench.library.operators, bench.library.axioms, backend=backend
+        environment_fingerprint(
+            bench.library.operators, bench.library.axioms, max_literals=config.max_literals
         )
-        for backend in ("dpll", "cdcl")
+        for config in (CheckerConfig(), OTHER)
     }
-    assert len(set(fps.values())) == 2
+    assert len(fps) == 2
 
 
-def test_warm_store_from_other_backend_is_invisible(store_path):
+def test_warm_store_from_other_environment_is_invisible(store_path):
     path = store_path
 
-    # cold run under dpll populates the store
+    # a cold run under the default environment populates the store
     warm_store = ObligationStore(path)
-    _verify_with(warm_store, "dpll")
+    _verify_with(warm_store, CheckerConfig())
     warm_store.flush()
-    dpll_summary = ObligationStore(path).summary()
-    assert dpll_summary["entries"] > 0
+    default_summary = ObligationStore(path).summary()
+    assert default_summary["entries"] > 0
 
-    dpll_entries = {
+    default_entries = {
         entry.key: entry.to_json() for entry in ObligationStore(path)
     }
 
-    # a cdcl run against the same store: zero hits, nothing overwritten
-    cdcl_store = ObligationStore(path)
-    cdcl_stats = _verify_with(cdcl_store, "cdcl")
-    cdcl_store.flush()
-    summary = cdcl_store.summary()
-    assert summary["hits"] == 0, "a cdcl run must not hit dpll-recorded entries"
+    # a run under the other environment: zero hits, nothing overwritten
+    other_store = ObligationStore(path)
+    other_stats = _verify_with(other_store, OTHER)
+    other_store.flush()
+    summary = other_store.summary()
+    assert summary["hits"] == 0, "verdicts must never cross environments"
     assert summary["misses"] > 0
 
     reloaded = {entry.key: entry.to_json() for entry in ObligationStore(path)}
-    for key, payload in dpll_entries.items():
-        assert reloaded[key] == payload, "dpll entries must survive byte for byte"
-    assert len(reloaded) > len(dpll_entries), (
-        "the cdcl run records its own entries under its own environment key"
+    for key, payload in default_entries.items():
+        assert reloaded[key] == payload, "default entries must survive byte for byte"
+    assert len(reloaded) > len(default_entries), (
+        "the other run records its own entries under its own environment key"
     )
-    assert sum(r.stats.store_hits for r in cdcl_stats.method_results) == 0
+    assert sum(r.stats.store_hits for r in other_stats.method_results) == 0
 
-    # and the warm start *within* the cdcl environment still works
-    warm_cdcl = ObligationStore(path)
-    _verify_with(warm_cdcl, "cdcl")
-    assert warm_cdcl.summary()["misses"] == 0
-    assert warm_cdcl.summary()["hits"] > 0
+    # and the warm start *within* the other environment still works
+    warm_other = ObligationStore(path)
+    _verify_with(warm_other, OTHER)
+    assert warm_other.summary()["misses"] == 0
+    assert warm_other.summary()["hits"] > 0

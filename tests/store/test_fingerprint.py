@@ -67,20 +67,31 @@ def test_obligation_digest_ignores_hypothesis_order_and_provenance():
 
 def test_environment_fingerprint_separates_configurations():
     bench = all_benchmarks(include_slow=False)[0]
-    base = dict(backend="dpll")
-    fp = environment_fingerprint(bench.library.operators, bench.library.axioms, **base)
-    assert fp == environment_fingerprint(
-        bench.library.operators, bench.library.axioms, **base
-    )
-    for change in (
-        {"backend": "cdcl"},
-        {"filter_unsat_minterms": False},
-        {"max_literals": 99},
-    ):
-        other = environment_fingerprint(
-            bench.library.operators, bench.library.axioms, **{**base, **change}
-        )
+    fp = environment_fingerprint(bench.library.operators, bench.library.axioms)
+    assert fp == environment_fingerprint(bench.library.operators, bench.library.axioms)
+    for change in ({"filter_unsat_minterms": False}, {"max_literals": 99}):
+        other = environment_fingerprint(bench.library.operators, bench.library.axioms, **change)
         assert other != fp, f"{change} must change the environment fingerprint"
+
+
+#: the default environment digest of each fast-corpus library; every store
+#: entry is keyed by one, so a change here silently empties every store
+PINNED_ENVIRONMENT_DIGESTS = {
+    "Set/KVStore": "26be313c615c10bffc6c379d13a898b8",
+    "Stack/KVStore": "26be313c615c10bffc6c379d13a898b8",
+    "LazySet/KVStore": "26be313c615c10bffc6c379d13a898b8",
+    "LazySet/Set": "cfc59a49d1b238e317f0b87c4f298df2",
+    "DFA/Graph": "1f4c8d4ac7af07c894d56f1dbefc342c",
+    "ConnectedGraph/Graph": "1f4c8d4ac7af07c894d56f1dbefc342c",
+}
+
+
+def test_environment_digests_are_pinned():
+    digests = {
+        bench.key: environment_fingerprint(bench.library.operators, bench.library.axioms)
+        for bench in all_benchmarks(include_slow=False)
+    }
+    assert digests == PINNED_ENVIRONMENT_DIGESTS
 
 
 _CROSS_PROCESS_SCRIPT = """
