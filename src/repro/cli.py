@@ -52,23 +52,37 @@ DEFAULT_STORE_PATH = ".pymarple-store"
 # ---------------------------------------------------------------------------
 
 
-def _at_least(minimum: int):
-    """An argparse ``type`` for a count flag: an int no smaller than ``minimum``.
+def _at_least(minimum, convert=int):
+    """An argparse ``type`` for a numeric flag: no smaller than ``minimum``.
 
     argparse reports the rejection under the flag's name and exits 2 while
     parsing, before any trace is read or any evaluation runs.
     """
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}"
+            ) from None
+        if not value >= minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         return value
 
     return parse
+
+
+def _positive_float(text: str) -> float:
+    """An argparse ``type`` for a duration that must be positive (the twin of
+    :func:`_at_least` for a strict bound)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
@@ -225,8 +239,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    distributed = getattr(args, "distributed", False) or args.command == "dispatch"
-    if distributed and not getattr(args, "store", None):
+    dispatch = args.command == "dispatch"
+    if getattr(args, "distributed", False):
+        print(
+            "error: `evaluate --distributed` is gone; use `pymarple dispatch`",
+            file=sys.stderr,
+        )
+        return 2
+    if dispatch and not args.store:
         print(
             "error: distributed evaluation needs --store http://host:port "
             "(a `repro store serve` instance)",
@@ -234,16 +254,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         )
         return 2
     store = _open_store(args)
-    if distributed:
+    if dispatch:
         from .engine.dispatch import run_distributed_evaluation
 
         try:
             report = run_distributed_evaluation(
                 store,
                 include_slow=not args.fast,
-                local_workers=getattr(args, "local_workers", 0),
-                ttl=getattr(args, "lease_ttl", 30.0),
-                drain_timeout=getattr(args, "drain_timeout", 600.0),
+                local_workers=args.local_workers,
+                ttl=args.lease_ttl,
+                drain_timeout=args.drain_timeout,
             )
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -531,43 +551,11 @@ def build_parser() -> argparse.ArgumentParser:
         _add_obs_flags(check)
         check.set_defaults(func=_cmd_check)
 
-    def _add_dispatch_flags(parser: argparse.ArgumentParser) -> None:
-        group = parser.add_argument_group("distributed discharge")
-        group.add_argument(
-            "--local-workers",
-            type=int,
-            default=0,
-            metavar="N",
-            help="also fork N pull-based workers locally (0 = external fleet only)",
-        )
-        group.add_argument(
-            "--lease-ttl",
-            type=float,
-            default=30.0,
-            metavar="SEC",
-            help="lease deadline workers run under; expired leases are re-issued (default: 30)",
-        )
-        group.add_argument(
-            "--drain-timeout",
-            type=float,
-            default=600.0,
-            metavar="SEC",
-            help="give up (exit 2) if the queue hasn't drained in SEC; work done stays durable",
-        )
-
     evaluate = sub.add_parser("evaluate", help="run the full evaluation")
     evaluate.add_argument("--fast", action="store_true", help="skip the slow benchmarks")
-    evaluate.add_argument(
-        "--distributed",
-        action="store_true",
-        help=(
-            "enqueue cold obligations on the store server's work queue for a "
-            "pull-based worker fleet, then assemble the (byte-identical) "
-            "report from the store (requires --store http://host:port)"
-        ),
-    )
+    # the retired spelling of `dispatch`: exits 2 with a pointer to it
+    evaluate.add_argument("--distributed", action="store_true", help=argparse.SUPPRESS)
     evaluate.add_argument("--json", action="store_true", help="emit a machine-readable report")
-    _add_dispatch_flags(evaluate)
     _add_store_flags(evaluate)
     _add_obs_flags(evaluate)
     evaluate.set_defaults(func=_cmd_evaluate)
@@ -578,10 +566,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dispatch.add_argument("--fast", action="store_true", help="skip the slow benchmarks")
     dispatch.add_argument("--json", action="store_true", help="emit a machine-readable report")
-    _add_dispatch_flags(dispatch)
+    group = dispatch.add_argument_group("distributed discharge")
+    group.add_argument(
+        "--local-workers",
+        type=_at_least(0),
+        default=0,
+        metavar="N",
+        help="also fork N pull-based workers locally (0 = external fleet only)",
+    )
+    group.add_argument(
+        "--lease-ttl",
+        type=_positive_float,
+        default=30.0,
+        metavar="SEC",
+        help="lease deadline workers run under; expired leases are re-issued (default: 30)",
+    )
+    group.add_argument(
+        "--drain-timeout",
+        type=_positive_float,
+        default=600.0,
+        metavar="SEC",
+        help="give up (exit 2) if the queue hasn't drained in SEC; work done stays durable",
+    )
     _add_store_flags(dispatch)
     _add_obs_flags(dispatch)
-    dispatch.set_defaults(func=_cmd_evaluate, distributed=True)
+    dispatch.set_defaults(func=_cmd_evaluate)
 
     worker = sub.add_parser(
         "worker",
@@ -594,20 +603,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="http://host:port of the `store serve` instance owning the queue",
     )
     worker.add_argument(
-        "--batch", type=int, default=8, metavar="N",
+        "--batch", type=_at_least(1), default=8, metavar="N",
         help="items per lease (default: 8)",
     )
     worker.add_argument(
-        "--ttl", type=float, default=30.0, metavar="SEC",
+        "--ttl", type=_positive_float, default=30.0, metavar="SEC",
         help="lease deadline; extended between benchmarks (default: 30)",
     )
     worker.add_argument(
-        "--idle-timeout", type=float, default=1.0, metavar="SEC",
+        "--idle-timeout", type=_at_least(0.0, float), default=1.0, metavar="SEC",
         help="exit after SEC seconds with nothing leased; the worker also "
         "exits as soon as the queue drains (default: 1.0)",
     )
     worker.add_argument(
-        "--max-batches", type=int, default=None, metavar="N",
+        "--max-batches", type=_at_least(1), default=None, metavar="N",
         help="stop after N leases (default: run until drained)",
     )
     worker.add_argument(

@@ -1,29 +1,31 @@
-"""The distributed-discharge coordinator (``repro dispatch`` / ``evaluate --distributed``).
+"""The distributed-discharge coordinator (``repro dispatch``).
 
-Two phases — warm the store, then report from it — with the partition of
-the cold obligations decided *dynamically* by the store server's lease queue:
+One walk, with the partition of the cold obligations decided *dynamically*
+by the store server's lease queue:
 
-1. **Collect + enqueue** — run the full emit walk with the engine in
-   ``collect_sink`` mode: every store miss is reported to the coordinator
-   (with the best cost signal available — the store's measured wall cost,
-   else the syntactic estimate — plus the obligation and the store context
-   it was emitted under) and vacuously skipped.  The misses are deduped on
-   their ``(env, fp)`` store key, keeping the first emission (the one a
-   serial run records), and enqueued on the server tagged with a fresh
-   dispatch id.  Each queue item ships the obligation itself, encoded by
-   :mod:`repro.engine.codec`; pulling workers lease items
-   highest-cost-first, decode and discharge them, and write verdicts back
-   through the store — no worker re-walks a benchmark.
-2. **Drain + assemble** — wait on the queue until this dispatch's items are
+1. **Emit + enqueue** — walk every method and negative variant once
+   (:meth:`~repro.typecheck.checker.Checker.emit_method`) and ask each
+   benchmark's engine which deduped obligations the store lacks
+   (:meth:`~repro.engine.scheduler.ObligationEngine.store_misses`).  The
+   misses are deduped on their ``(env, fp)`` store key, keeping the first
+   emission (the one a serial run records), and enqueued on the server
+   tagged with a fresh dispatch id, each with the best cost signal
+   available (the store's measured wall cost, else the syntactic estimate).
+   Each queue item ships the obligation itself, encoded by
+   :mod:`repro.engine.codec`, plus the store context it was emitted under;
+   pulling workers lease items highest-cost-first, decode and discharge
+   them, and write verdicts back through the store — no worker re-walks a
+   benchmark.
+2. **Drain + finish** — wait on the queue until this dispatch's items are
    gone (``queue_status`` with a ``wait``: the server answers the moment the
-   last item completes, so the drain costs no sleep quantum), then re-run
-   warm exactly the benchmarks whose collect pass reported a miss: every
-   obligation answers from the store.  A benchmark without misses keeps its
-   collect-pass result, which the store already answered in full, so a warm
-   dispatch walks the corpus once.  The tables come out byte-identical to a
-   serial cold run, because every recorded counter is a pure function of its
-   obligation, whichever worker discharged it.  The workers exit on the same
-   drain, so joining them costs no idle tail either.
+   last item completes, so the drain costs no sleep quantum), then finish
+   every pending method in emit order through the ordinary discharge step
+   (:meth:`~repro.typecheck.checker.Checker.finish_method`): every lookup
+   hits, and anything a worker could not decode (or hit a budget on) is
+   discharged locally.  The tables come out byte-identical to a serial cold
+   run, because every recorded counter is a pure function of its
+   obligation, whichever worker discharged it.  The workers exit on the
+   same drain, so joining them costs no idle tail either.
 
 Durability is the store's: if the coordinator dies mid-drain, a re-dispatch
 recomputes the remaining misses from the store — completed obligations are
@@ -40,22 +42,15 @@ from __future__ import annotations
 import multiprocessing
 import time
 import uuid
-from dataclasses import replace
 from typing import Optional, Sequence
 
-from ..evaluation.runner import (
-    EvaluationReport,
-    NegativeResult,
-    run_benchmark,
-    run_evaluation,
-)
+from ..evaluation.runner import EvaluationReport, benchmark_results
 from ..obs import trace
 from ..obs.logs import get_logger
 from ..store.obligation_store import ObligationStore, StoreContext
 from ..suite.benchmark import AdtBenchmark
 from ..suite.registry import all_benchmarks
 from ..typecheck.checker import CheckerConfig
-from ..typecheck.stats import AdtStats
 from .codec import lease_payload
 from .obligations import Obligation
 from .worker import run_worker
@@ -70,14 +65,14 @@ class DispatchError(RuntimeError):
     """The distributed run cannot make progress (drain timeout, dead fleet)."""
 
 
-def collect_item(bench: str, env: Optional[str], digest: str, hint: Optional[float],
-                 estimate: float, obligation: Obligation, context: StoreContext) -> dict:
-    """The queue item for one collected store miss (the collect sink's arguments)."""
+def queue_item(bench: str, env: str, digest: str, obligation: Obligation,
+               context: StoreContext, hint: Optional[float]) -> dict:
+    """The queue item for one store miss: its key, cost signal and payload."""
     return {
-        "env": env or "",
+        "env": env,
         "fp": digest,
         "bench": bench,
-        "cost": hint if hint is not None else float(estimate),
+        "cost": hint if hint is not None else float(obligation.cost_estimate()),
         "measured": hint is not None,
         "payload": lease_payload(obligation, context),
     }
@@ -92,8 +87,8 @@ def _local_worker(store_url: str, config: CheckerConfig, batch: int, ttl: float,
         batch=batch,
         ttl=ttl,
         check_negative_variants=check_negative_variants,
-        # fork inherits the coordinator's collect-phase walk: the interned
-        # state is already the serial prefix, no warmup replay needed
+        # fork inherits the coordinator's emit walk: the interned state is
+        # already the serial prefix, no warmup replay needed
         warm_process=False,
     )
 
@@ -158,34 +153,28 @@ def run_distributed_evaluation(
     dispatch_id = uuid.uuid4().hex
     started = time.perf_counter()
 
-    # -- phase 1: collect the cold obligations, enqueue them ----------------
+    # -- phase 1: emit every method once, enqueue the store's misses ---------
     #: (env, fp) -> the queue item of its first emission
-    collected: dict[tuple[str, str], dict] = {}
-    #: benchmark key -> (stats, negatives, diagnostics) of its collect pass
-    results: dict[str, tuple[AdtStats, list[NegativeResult], list[dict]]] = {}
-    #: benchmarks whose collect pass reported at least one store miss
-    missed: set[str] = set()
-    with trace.span("dispatch.collect", cat="run", dispatch=dispatch_id, benchmarks=len(benchmarks)):
+    misses: dict[tuple[str, str], dict] = {}
+    #: (benchmark, checker, pending methods in check order)
+    emitted = []
+    with trace.span("dispatch.emit", cat="run", dispatch=dispatch_id, benchmarks=len(benchmarks)):
         for benchmark in benchmarks:
-            def sink(env: Optional[str], digest: str, hint: Optional[float], estimate: float,
-                     obligation: Obligation, context: StoreContext,
-                     _bench: str = benchmark.key) -> None:
-                missed.add(_bench)
-                key = (env or "", digest)
-                if key not in collected:
-                    collected[key] = collect_item(
-                        _bench, env, digest, hint, estimate, obligation, context
-                    )
-            diagnostics: list[dict] = []
-            stats, negatives = run_benchmark(
-                benchmark,
-                config=replace(config, collect_sink=sink, only_digests=None),
-                check_negative_variants=check_negative_variants,
-                store=store,
-                diagnostics_sink=diagnostics,
-            )
-            results[benchmark.key] = (stats, negatives, diagnostics)
-    items = list(collected.values())
+            checker = benchmark.make_checker(config, store=store)
+            pending = []
+            for definition, spec in benchmark.checks(check_negative_variants):
+                method = checker.emit_method(definition, spec, benchmark.specs)
+                pending.append(method)
+                for env, digest, obligation in checker.obligation_engine.store_misses(
+                    method.obligations
+                ):
+                    if (env, digest) not in misses:
+                        misses[env, digest] = queue_item(
+                            benchmark.key, env, digest, obligation,
+                            method.store_context, store.cost_hint(digest),
+                        )
+            emitted.append((benchmark, checker, pending))
+    items = list(misses.values())
     # the server dedupes on (env, fp) too: ``requeued`` counts the items an
     # earlier dispatch wave still holds
     enqueued = requeued = 0
@@ -205,19 +194,18 @@ def run_distributed_evaluation(
         # a keep-alive socket must not cross fork(); the children (and the
         # parent, lazily) reconnect
         backend.close()
-        worker_config = replace(config, collect_sink=None, only_digests=None)
         context = multiprocessing.get_context("fork")
         processes = [
             context.Process(
                 target=_local_worker,
-                args=(store.path, worker_config, batch, ttl, check_negative_variants),
+                args=(store.path, config, batch, ttl, check_negative_variants),
             )
             for _ in range(local_workers)
         ]
         for process in processes:
             process.start()
 
-    # -- phase 2: drain, then assemble the warm deterministic report --------
+    # -- phase 2: drain, then finish every method from the store ------------
     wait_started = time.perf_counter()
     status: dict = {}
     try:
@@ -235,26 +223,17 @@ def run_distributed_evaluation(
                 process.join()
     drain_seconds = time.perf_counter() - wait_started
 
-    # the collect walk cached this session's misses as known-misses; the
-    # fleet has since written them — re-fetch on the warm pass
+    # the misses query cached this session's misses as known-misses; the
+    # fleet has since written them — re-fetch while finishing
     store.forget_remote_misses()
-    rerun = [benchmark for benchmark in benchmarks if benchmark.key in missed]
-    assembled = run_evaluation(
-        rerun,
-        include_slow=include_slow,
-        config=replace(config, collect_sink=None, only_digests=None),
-        check_negative_variants=check_negative_variants,
-        store=store,
-    )
-    for benchmark, stats, diagnostic in zip(rerun, assembled.adt_stats, assembled.diagnostics):
-        negatives = [n for n in assembled.negative_results if n.benchmark == benchmark.key]
-        results[benchmark.key] = (stats, negatives, [diagnostic])
     report = EvaluationReport()
-    for benchmark in benchmarks:
-        stats, negatives, diagnostics = results[benchmark.key]
-        report.adt_stats.append(stats)
-        report.negative_results.extend(negatives)
-        report.diagnostics.extend(diagnostics)
+    with trace.span("dispatch.finish", cat="run", dispatch=dispatch_id):
+        for benchmark, checker, pending in emitted:
+            results = [checker.finish_method(method) for method in pending]
+            stats, negatives = benchmark_results(benchmark, results)
+            report.adt_stats.append(stats)
+            report.negative_results.extend(negatives)
+            report.diagnostics.append({"benchmark": benchmark.key, **checker.run_diagnostics()})
     report.total_time_seconds = time.perf_counter() - started
     report.dispatch = {
         "dispatch": dispatch_id,

@@ -155,9 +155,6 @@ class DischargeOutcome:
     from_memo: bool = False
     #: answered from the persistent obligation store (warm start)
     from_store: bool = False
-    #: outside a dispatch lease or collected for one: not discharged here,
-    #: verdict is vacuous
-    skipped: bool = False
     #: this obligation was an alias of an isomorphic representative
     deduped: bool = False
 

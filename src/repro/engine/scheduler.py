@@ -6,8 +6,13 @@ This is the middle stage of the decoupled pipeline:
    :class:`~repro.engine.obligations.Obligation` values instead of deciding
    them inline;
 2. **Schedule** — :class:`ObligationEngine` dedupes structurally-isomorphic
-   obligations (hash-consed fingerprints) and consults a cross-method memo;
-   the remainder is discharged in emission order;
+   obligations (hash-consed fingerprints) and answers each representative
+   from the cross-method memo, then the persistent store; the remainder is
+   discharged in emission order.  This is the one discharge step: a dispatch
+   coordinator (:mod:`repro.engine.dispatch`) only asks it beforehand which
+   representatives the store lacks (:meth:`ObligationEngine.store_misses`),
+   has a worker fleet record those, and then runs the same step, which
+   finds them in the store;
 3. **Discharge** — the residual obligations are grouped by alphabet key and
    each group's members are decided by transition-table walks over one
    shared construction (:func:`repro.sfa.batch.discharge_group`); the
@@ -27,7 +32,7 @@ and the cross-method memo answer repeated queries without re-discharge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..obs import trace
 from ..obs.logs import get_logger
@@ -59,11 +64,6 @@ class EngineStats(MergeableStats):
     store_hits: int = 0
     #: representatives that missed the persistent store and were discharged
     store_misses: int = 0
-    #: store misses reported to a dispatch coordinator's collect sink
-    #: instead of being discharged here (``evaluate --distributed`` phase 1)
-    dispatch_collected: int = 0
-    #: representatives outside the ``only`` set, vacuously skipped
-    dispatch_skipped: int = 0
     batches: int = 0
 
 
@@ -143,12 +143,7 @@ class ObligationEngine:
         max_literals: Optional[int] = None,
         store: Optional[ObligationStore] = None,
         alphabet_memo: Optional[AlphabetMemo] = None,
-        library: Optional[str] = None,
-        only: Optional[frozenset] = None,
-        collect: Optional[Callable[..., None]] = None,
     ) -> None:
-        if collect is not None and store is None:
-            raise ValueError("dispatch collection requires a store to key against")
         if alphabet_memo is None:
             # grouping IS the memo's content key; a standalone engine gets a
             # private memo (hermetic builds + recorded bills, exactly like the
@@ -162,14 +157,6 @@ class ObligationEngine:
             alphabet_memo=alphabet_memo,
         )
         self.store = store
-        #: discharge only these obligation digests and vacuously skip the
-        #: rest; the empty set is a spawned dispatch worker's warm-up walk
-        self.only = only
-        #: dispatch-coordinator mode: report each store miss to this sink —
-        #: ``collect(env_fp, digest, cost_hint, estimate, obligation,
-        #: store_context)`` — instead of discharging it; the obligation and
-        #: context are what the coordinator ships to a worker
-        self.collect = collect
         #: the semantic-environment key store entries are read/written under;
         #: the memo layers deliberately don't participate (they never change
         #: a counter)
@@ -179,7 +166,6 @@ class ObligationEngine:
                 axioms,
                 filter_unsat_minterms=filter_unsat_minterms,
                 max_literals=max_literals,
-                library=library,
             )
             if store is not None
             else None
@@ -214,22 +200,13 @@ class ObligationEngine:
         with trace.span("schedule", cat="schedule", obligations=len(obligation_set)):
             batch = obligation_set.deduped()
 
-        if self.store is not None:
-            # one batched fetch for the whole batch: a no-op against a local
-            # store, a single lookup RPC instead of per-obligation
-            # round-trips against a remote one (digests are memoised on the
-            # obligation, so the per-representative lookups below are free)
-            self.store.prefetch(
-                self._env_fp,
-                [obligation_digest(representative) for representative, _ in batch],
-            )
+        self._prefetch(batch)
 
         #: this batch's verdicts: fingerprint -> (included, counterexample, error)
         verdicts: dict[tuple, tuple[bool, Optional[list[str]], Optional[str]]] = {}
         fresh: list[tuple[Obligation, Optional[str], Optional[StoreContext]]] = []
         memoed_keys: set[tuple] = set()
         stored_keys: set[tuple] = set()
-        skipped_keys: set[tuple] = set()
         for representative, aliases in batch:
             self.stats.deduped_aliases += len(aliases)
             key = representative.fingerprint()
@@ -238,71 +215,33 @@ class ObligationEngine:
                 memoed_keys.add(key)
                 verdicts[key] = cached
                 continue
-            digest = (
-                obligation_digest(representative)
-                if self.store is not None or self.only is not None
-                else None
-            )
-            if self.store is not None:
-                entry = self.store.lookup(self._env_fp, digest)
-                # defensively treat error entries as misses (they are never
-                # written by this code path, see below, but an older or
-                # hand-edited store could contain them)
-                if entry is not None and entry.error is None:
-                    self.stats.store_hits += 1
-                    stored_keys.add(key)
-                    counterexample = (
-                        list(entry.counterexample) if entry.counterexample else None
-                    )
-                    verdict = (entry.included, counterexample, entry.error)
-                    verdicts[key] = verdict
-                    self._memo[key] = verdict
-                    # merge the counters the original discharge produced, so
-                    # the tables come out identical to a cold run
-                    if solver_stats is not None:
-                        solver_stats.merge(SolverStats.from_dict(entry.solver_stats))
-                    if inclusion_stats is not None:
-                        inclusion_stats.merge(
-                            InclusionStats.from_dict(entry.inclusion_stats)
-                        )
-                    continue
-            if self.collect is not None:
-                # coordinator collect pass: every store miss goes to the
-                # dispatch sink (with the best cost signal available) and is
-                # vacuously skipped (never memoised, never persisted) —
-                # workers will discharge it, and this run's report is discarded
-                self.stats.dispatch_collected += 1
-                skipped_keys.add(key)
-                verdicts[key] = (True, None, None)
-                hint = self.store.cost_hint(digest)
-                self.collect(
-                    self._env_fp,
-                    digest,
-                    hint,
-                    representative.cost_estimate(),
-                    representative,
-                    store_context,
-                )
-                continue
-            if self.only is not None and digest not in self.only:
-                # outside the ``only`` set: vacuous skip, never memoised,
-                # never persisted
-                self.stats.dispatch_skipped += 1
-                skipped_keys.add(key)
-                verdicts[key] = (True, None, None)
+            digest = obligation_digest(representative) if self.store is not None else None
+            entry = self._stored(digest)
+            if entry is not None:
+                self.stats.store_hits += 1
+                stored_keys.add(key)
+                counterexample = list(entry.counterexample) if entry.counterexample else None
+                verdict = (entry.included, counterexample, entry.error)
+                verdicts[key] = verdict
+                self._memo[key] = verdict
+                # merge the counters the original discharge produced, so
+                # the tables come out identical to a cold run
+                if solver_stats is not None:
+                    solver_stats.merge(SolverStats.from_dict(entry.solver_stats))
+                if inclusion_stats is not None:
+                    inclusion_stats.merge(InclusionStats.from_dict(entry.inclusion_stats))
                 continue
             if self.store is not None:
                 self.stats.store_misses += 1
             fresh.append((representative, digest, store_context))
 
         logger.debug(
-            "batch %d: %d emitted, %d fresh (%d memo, %d store, %d skipped)",
+            "batch %d: %d emitted, %d fresh (%d memo, %d store)",
             self.stats.batches,
             len(obligation_set),
             len(fresh),
             len(memoed_keys),
             len(stored_keys),
-            len(skipped_keys),
         )
         verdicts.update(
             self._discharge_and_record(
@@ -327,20 +266,65 @@ class ObligationEngine:
                     error=error,
                     from_memo=from_memo,
                     from_store=key in stored_keys,
-                    skipped=key in skipped_keys,
                     deduped=deduped,
                 )
         return outcomes
+
+    def store_misses(self, obligation_set: ObligationSet) -> list[tuple[str, str, Obligation]]:
+        """The deduped representatives neither the memo nor the store answers.
+
+        Returns ``(env, digest, representative)`` in first-emission order:
+        what a dispatch coordinator enqueues before it discharges anything.
+        One batched prefetch, then local lookups; no counter moves and no
+        memo entry is written, so the later :meth:`discharge_all` of the
+        same set bills exactly what it would have billed anyway.
+        """
+        batch = obligation_set.deduped()
+        self._prefetch(batch)
+        misses = []
+        for representative, _ in batch:
+            if representative.fingerprint() in self._memo:
+                continue
+            digest = obligation_digest(representative)
+            if self._stored(digest) is None:
+                misses.append((self._env_fp, digest, representative))
+        return misses
+
+    def _prefetch(self, batch: Sequence[tuple[Obligation, list]]) -> None:
+        """One batched fetch for a deduped batch.
+
+        A no-op against a local store (or none); a single lookup RPC instead
+        of per-obligation round-trips against a remote one.  Digests are
+        memoised on the obligation, so the per-representative lookups that
+        follow are free.
+        """
+        if self.store is not None:
+            self.store.prefetch(
+                self._env_fp,
+                [obligation_digest(representative) for representative, _ in batch],
+            )
+
+    def _stored(self, digest: Optional[str]) -> Optional[StoreEntry]:
+        """The store's usable entry for ``digest`` (None without a store).
+
+        Error entries read as misses: this engine never writes them (see
+        :meth:`_discharge_and_record`), but an older or hand-edited store
+        could contain them.
+        """
+        if self.store is None:
+            return None
+        entry = self.store.lookup(self._env_fp, digest)
+        return entry if entry is not None and entry.error is None else None
 
     def discharge_leased(self, leased: Sequence[tuple[Obligation, StoreContext]]) -> None:
         """Discharge a dispatch lease's decoded obligations.
 
         Each verdict is recorded under the store context its item shipped
-        with — the context the coordinator's collect pass saw when the
-        obligation was emitted — so the entry is the one a serial run
-        writes.  The items are known store misses (that is why they were
-        queued), so nothing is looked up first; a stolen lease's
-        re-discharge is filtered server-side by ``if_absent`` appends.
+        with — the context the coordinator saw when it emitted the
+        obligation — so the entry is the one a serial run writes.  The
+        items are known store misses (that is why they were queued), so
+        nothing is looked up first; a stolen lease's re-discharge is
+        filtered server-side by ``if_absent`` appends.
         """
         self._discharge_and_record(
             [(obligation, obligation_digest(obligation), context) for obligation, context in leased]

@@ -23,8 +23,8 @@ A worker is a long-lived loop against a ``repro store serve`` instance:
 
 An item the worker cannot decode — an unknown benchmark, a missing payload,
 an unknown codec version or signature — is completed without discharge; the
-coordinator's assembly pass then discharges it locally, so an older worker
-can never wedge the drain.
+coordinator's finish step then finds it missing from the store and
+discharges it locally, so an older worker can never wedge the drain.
 
 The worker exits as soon as the queue drains — a ``complete`` reply reports
 nothing ``queued``, or a waiting ``lease`` reports ``drained`` — or after
@@ -39,12 +39,11 @@ runner populates by walking benchmarks in registry order — so a worker must
 hold that walk's interned state before discharging anything, or an
 obligation discharged in a fresh process records slightly different effort
 counters than serial did.  Forked local workers inherit the coordinator's
-collect-phase walk through fork, and decoding re-interns to the very nodes
-it emitted; a fresh ``repro worker`` process replays the walk via
-:func:`_warm_process_state` (a vacuous ``only_digests=frozenset()`` walk —
-nothing discharged, nothing stored, ~tens of milliseconds on the fast
-corpus).  The coordinator's assembly pass then reads every verdict back and
-produces byte-identical tables.
+emit walk through fork, and decoding re-interns to the very nodes it
+emitted; a fresh ``repro worker`` process replays the walk via
+:func:`_warm_process_state` (an emit-only walk — nothing discharged, nothing
+stored, ~tens of milliseconds on the fast corpus).  The coordinator's finish
+step then reads every verdict back and produces byte-identical tables.
 
 ``REPRO_WORKER_CRASH=lease`` is the fault-injection hook: the worker
 hard-kills itself (``os._exit``) immediately after its first successful
@@ -58,12 +57,11 @@ import os
 import socket
 import time
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from ..obs import trace
 from ..obs.logs import get_logger
-from ..evaluation.runner import run_benchmark
 from ..statsutil import MergeableStats
 from ..store.obligation_store import ObligationStore
 from ..suite.registry import all_benchmarks, benchmark_by_key
@@ -82,18 +80,14 @@ def _warm_process_state(config: CheckerConfig, check_negative_variants: bool) ->
     prefix that populated them.  Walking the registry's fast rows in order
     (the slow rows sit at the registry tail, so this stays a true prefix of
     any serial run) puts a fresh process in the same state a serial
-    evaluation is in when each benchmark discharges.  ``only_digests`` of
-    the empty set makes the walk vacuous: every obligation is skipped, no
-    store is attached, nothing persists but the interned state itself.
+    evaluation is in when each benchmark discharges.  The walk only emits:
+    nothing is discharged, no store is attached, nothing persists but the
+    interned state itself.
     """
-    warm_config = replace(config, only_digests=frozenset(), collect_sink=None)
     for benchmark in all_benchmarks(include_slow=False):
-        run_benchmark(
-            benchmark,
-            config=warm_config,
-            check_negative_variants=check_negative_variants,
-            store=None,
-        )
+        checker = benchmark.make_checker(config)
+        for definition, spec in benchmark.checks(check_negative_variants):
+            checker.emit_method(definition, spec, benchmark.specs)
 
 #: fault-injection hook (see module docstring)
 ENV_WORKER_CRASH = "REPRO_WORKER_CRASH"
@@ -108,7 +102,7 @@ class WorkerStats(MergeableStats):
     #: leased obligations decoded and discharged here
     discharged: int = 0
     #: leased items naming a benchmark this build doesn't know — completed
-    #: anyway (the coordinator's assembly pass discharges them locally) so
+    #: anyway (the coordinator's finish step discharges them locally) so
     #: an older worker can never wedge the drain
     unknown_benchmarks: int = 0
     #: leased items of a known benchmark whose payload is missing or cannot
@@ -142,7 +136,7 @@ def run_worker(
     without a shutdown broadcast.  The worker's ``config`` must describe the
     same semantic environment as the coordinator's (minterm filtering,
     literal budget); a mismatch is not an error — the verdicts land under the
-    worker's own environment key and the coordinator's assembly pass simply
+    worker's own environment key and the coordinator's finish step simply
     discharges its misses locally.
 
     ``warm_process`` replays the registry walk before the first lease (see

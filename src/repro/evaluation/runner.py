@@ -86,22 +86,30 @@ def run_benchmark(
     """
     with trace.span("benchmark", cat="benchmark", benchmark=benchmark.key):
         checker = benchmark.make_checker(config, store=store)
-        stats = benchmark.verify_all(checker)
-        negatives: list[NegativeResult] = []
-        if check_negative_variants:
-            for variant in benchmark.negative_variants:
-                result = benchmark.verify_negative_variant(variant, checker)
-                negatives.append(
-                    NegativeResult(
-                        benchmark=benchmark.key,
-                        variant=variant,
-                        rejected=not result.verified,
-                        error=result.error,
-                    )
-                )
+        results = [
+            checker.check_method(definition, spec, benchmark.specs)
+            for definition, spec in benchmark.checks(check_negative_variants)
+        ]
     if diagnostics_sink is not None:
         diagnostics_sink.append({"benchmark": benchmark.key, **checker.run_diagnostics()})
-    return stats, negatives
+    return benchmark_results(benchmark, results)
+
+
+def benchmark_results(
+    benchmark: AdtBenchmark, results: Sequence[MethodResult]
+) -> tuple[AdtStats, list[NegativeResult]]:
+    """Split the results of ``benchmark.checks()`` into its row and its variants."""
+    methods = len(benchmark.specs)
+    negatives = [
+        NegativeResult(
+            benchmark=benchmark.key,
+            variant=variant,
+            rejected=not result.verified,
+            error=result.error,
+        )
+        for variant, result in zip(benchmark.negative_variants, results[methods:])
+    ]
+    return benchmark.adt_stats(results[:methods]), negatives
 
 
 def run_evaluation(

@@ -1,10 +1,10 @@
 """repro.libraries — backing stateful libraries: specifications and models."""
 
 from .base import Library, merge_libraries
-from .kvstore import exists_predicate, last_put_predicate, make_kvstore, stored_kind_predicate
+from .kvstore import exists_predicate, make_kvstore, stored_kind_predicate
 from .setlib import make_set, member_predicate
 from .graphlib import live_edge_predicate, make_graph, node_predicate
-from .memcell import ever_written_predicate, make_memcell, written_predicate
+from .memcell import ever_written_predicate, make_memcell
 from .filelib import (
     ROOT_PATH,
     add_child_fn,
@@ -26,7 +26,6 @@ __all__ = [
     "Library",
     "merge_libraries",
     "exists_predicate",
-    "last_put_predicate",
     "make_kvstore",
     "stored_kind_predicate",
     "make_set",
@@ -36,7 +35,6 @@ __all__ = [
     "node_predicate",
     "ever_written_predicate",
     "make_memcell",
-    "written_predicate",
     "ROOT_PATH",
     "add_child_fn",
     "del_child_fn",

@@ -41,22 +41,6 @@ def exists_predicate(operators: OperatorRegistry, key: smt.Term) -> Sfa:
     return symbolic.eventually(symbolic.event_pinned(put, {"key": key}))
 
 
-def last_put_predicate(
-    operators: OperatorRegistry, key: smt.Term, value_qualifier: Callable[[smt.Term], smt.Term]
-) -> Sfa:
-    """♦(⟨put ∼key v | φ(v)⟩ ∧ ◯ □ ¬⟨put ∼key _⟩) — the *last* put to key satisfies φ."""
-    put = operators["put"]
-    value_var = put.arg_vars[1]
-    key_var = put.arg_vars[0]
-    matching = symbolic.event(
-        put, smt.and_(smt.eq(key_var, key), value_qualifier(value_var))
-    )
-    any_later_put = symbolic.event(put, smt.eq(key_var, key))
-    return symbolic.eventually(
-        symbolic.and_(matching, symbolic.next_(symbolic.globally(symbolic.not_(any_later_put))))
-    )
-
-
 def stored_kind_predicate(
     operators: OperatorRegistry,
     key: smt.Term,

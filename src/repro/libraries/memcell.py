@@ -13,16 +13,6 @@ from ..types.rtypes import FunType, HatType, base
 from .base import Library
 
 
-def written_predicate(operators: OperatorRegistry, value: smt.Term) -> Sfa:
-    """P_written(v) ≐ ♦(⟨write ∼v⟩ ∧ ◯ □ ¬⟨write _⟩) — v is the *current* content."""
-    write = operators["write"]
-    exact = symbolic.event_pinned(write, {"v": value})
-    any_write = symbolic.event(write)
-    return symbolic.eventually(
-        symbolic.and_(exact, symbolic.next_(symbolic.globally(symbolic.not_(any_write))))
-    )
-
-
 def ever_written_predicate(operators: OperatorRegistry) -> Sfa:
     """♦⟨write _⟩ — the cell has been initialised."""
     return symbolic.eventually(symbolic.event(operators["write"]))

@@ -36,7 +36,6 @@ from .terms import (
     le,
     lt,
     mul,
-    ne,
     neg,
     not_,
     or_,
@@ -76,7 +75,6 @@ __all__ = [
     "le",
     "lt",
     "mul",
-    "ne",
     "neg",
     "not_",
     "or_",

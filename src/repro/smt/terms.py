@@ -379,10 +379,6 @@ def eq(lhs: Term, rhs: Term) -> Term:
     return _intern(EQ, BOOL, (lhs, rhs), None)
 
 
-def ne(lhs: Term, rhs: Term) -> Term:
-    return not_(eq(lhs, rhs))
-
-
 def _require_int(*terms: Term) -> None:
     for t in terms:
         if t.sort is not INT:

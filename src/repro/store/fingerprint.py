@@ -139,8 +139,8 @@ def obligation_digest(obligation) -> str:
     two automata; kind and provenance deliberately excluded, because
     isomorphic queries share one verdict no matter where they were emitted.
     Memoised on the (frozen) obligation itself: with a store attached, the
-    batch prefetch, the store lookup and a dispatch collect pass all need
-    the digest in one batch.
+    batch prefetch, the store lookup and a dispatch coordinator's misses
+    query all need the digest in one batch.
     """
     cached = getattr(obligation, "_digest", None)
     if cached is not None:
@@ -272,7 +272,6 @@ def environment_fingerprint(
     *,
     filter_unsat_minterms: bool = True,
     max_literals: Optional[int] = None,
-    library: Optional[str] = None,
 ) -> str:
     """The *semantic environment* a verdict (and its counters) depends on.
 
@@ -284,16 +283,11 @@ def environment_fingerprint(
     counter.  Scheduling order and the cross-obligation memos are absent for
     the same reason, and the recorded *cost* records are advisory
     measurements, so they live outside the fingerprint too.
-
-    ``library`` lets a caller that already holds the library's content digest
-    (the checker computes it once per run for the dependency index) pass it
-    in instead of re-walking the operator/axiom/constant surface per method
-    engine.
     """
     return _digest(
         FINGERPRINT_VERSION,
         "env",
-        library if library is not None else library_digest(operators, axioms),
+        library_digest(operators, axioms),
         repr(bool(filter_unsat_minterms)),
         repr(resolve_max_literals(max_literals, filter_unsat_minterms)),
         # The slot where a SAT-core name used to go.  There is one core now,

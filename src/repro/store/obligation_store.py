@@ -200,7 +200,7 @@ class ObligationStore:
     def _load(self) -> None:
         if self.is_remote:
             # no wholesale load: handshake (verifying the schema tag), then the
-            # advisory cost index a dispatch collect pass hands the queue
+            # advisory cost index a dispatch coordinator hands the queue
             with trace.span("store.load", cat="store", backend=self.backend.name):
                 info = self.backend.handshake()
                 self._cost_index.update(self.backend.cost_hints())
@@ -276,8 +276,8 @@ class ObligationStore:
 
         A prefetch that came back empty is remembered so later lookups cost
         no round-trip — but a dispatch coordinator *expects* other processes
-        to fill those keys between its collect and report phases, so it
-        forgets the misses before the warm pass re-fetches them.
+        to fill those keys between its misses query and its finish step, so
+        it forgets the misses before finishing re-fetches them.
         """
         self._remote_checked.clear()
 
@@ -346,8 +346,8 @@ class ObligationStore:
         it belongs to ``method`` and that method's spec digest changed.
         Entries of other scopes are never touched.  A remote session sends
         each ``(scope, method, spec, library)`` key to the server once: a
-        repeat (the negative variants of a method, a dispatch's assembly
-        pass) has nothing left to drop and returns 0 without a round-trip.
+        repeat (the negative variants of a method) has nothing left to drop
+        and returns 0 without a round-trip.
         """
         sent = (scope, method, spec_digest, library_digest)
         if sent in self._invalidated:

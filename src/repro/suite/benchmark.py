@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .. import smt
 from ..lang import ast
@@ -106,6 +106,25 @@ class AdtBenchmark:
 
     def verify_all(self, checker: Optional[Checker] = None) -> AdtStats:
         checker = checker or self.make_checker()
+        return self.adt_stats([self.verify_method(method, checker) for method in self.specs])
+
+    def checks(
+        self, negative_variants: bool = True
+    ) -> Iterator[tuple[ast.FunctionDef, MethodSpec]]:
+        """What a corpus run checks, in order: ``(definition, spec)`` pairs.
+
+        Every method against its own spec, then (with ``negative_variants``)
+        each known-bad variant against the spec it must fail.  Variants are
+        parsed lazily, in check order.
+        """
+        for method, spec in self.specs.items():
+            yield self.program[method], spec
+        if negative_variants:
+            for name, (source, spec_name) in self.negative_variants.items():
+                yield self.parse_variant(source)[name], self.specs[spec_name]
+
+    def adt_stats(self, results: Sequence[MethodResult]) -> AdtStats:
+        """The benchmark's row, from its methods' results in spec order."""
         stats = AdtStats(
             adt=self.adt,
             library=self.library_name,
@@ -113,8 +132,7 @@ class AdtBenchmark:
             num_ghosts=self.num_ghosts,
             invariant_size=self.invariant_size,
         )
-        for method in self.specs:
-            result = self.verify_method(method, checker)
+        for result in results:
             stats.method_results.append(result)
             stats.total_time_seconds += result.stats.total_time_seconds
             stats.all_verified = stats.all_verified and result.verified

@@ -20,6 +20,13 @@ algorithmic rules do:
   context automaton is checked for inclusion in the postcondition automaton —
   for representation invariants this is the ``L(I ; new events) ⊆ L(I)``
   obligation of Sec. 2.
+
+The leaf inclusions never steer the walk, so they are deferred:
+``Checker.emit_method`` walks the body and returns the method's pending
+obligations, and ``Checker.finish_method`` decides them through the
+obligation engine's one discharge step.  ``check_method`` is the two in a
+row; a dispatch coordinator emits every method first and finishes them
+once a worker fleet has filled the store.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ from ..lang import ast
 from ..sfa import symbolic
 from ..sfa.alphabet import AlphabetError, AlphabetMemo
 from ..sfa.derivatives import CompilationError
-from ..smt.solver import SolverError
-from ..sfa.inclusion import InclusionChecker
+from ..smt.solver import SolverError, SolverStats
+from ..sfa.inclusion import InclusionChecker, InclusionStats
 from ..sfa.signatures import OperatorRegistry
 from ..sfa.symbolic import Sfa
 from ..store.fingerprint import library_digest, spec_digest
@@ -71,27 +78,38 @@ class CheckFailure(Exception):
 
 @dataclass
 class CheckerConfig:
-    """Checker options.
+    """The paper's three ablation knobs.
 
-    The first three are the ablation knobs of the evaluation; the two that
-    steer the alphabet transformation (``filter_unsat_minterms`` and
-    ``max_literals``) key the store's environment fingerprint.  The last two
-    are dispatch plumbing and never change a verdict or a counter.
+    The two that steer the alphabet transformation (``filter_unsat_minterms``
+    and ``max_literals``) key the store's environment fingerprint.
     """
 
     filter_unsat_minterms: bool = True
     prune_infeasible_branches: bool = True
     #: None = the default budget (24, or 14 without ``filter_unsat_minterms``)
     max_literals: Optional[int] = None
-    #: discharge only obligations whose digest is in this set, vacuously
-    #: skipping the rest; the empty set makes the emit walk a spawned
-    #: dispatch worker replays to warm its process state
-    only_digests: Optional[frozenset] = None
-    #: dispatch-coordinator mode: report every store miss to this callable —
-    #: ``sink(env_fp, digest, cost_hint, estimate, obligation, store_context)``
-    #: — instead of discharging it locally.  Never set on a config handed to
-    #: a dispatch worker.
-    collect_sink: Optional[object] = None
+
+
+@dataclass
+class PendingMethod:
+    """A method whose body has been walked and whose obligations await discharge.
+
+    :meth:`Checker.emit_method` returns it and :meth:`Checker.finish_method`
+    decides it.  The counters are the walk's own (inline) deltas, so methods
+    emitted before any of them is finished are still billed exactly once.
+    """
+
+    definition: ast.FunctionDef
+    method: str
+    obligations: ObligationSet
+    #: the walk's own failure (a failed inline check or typing error), if any
+    inline_error: Optional[str]
+    solver: SolverStats
+    inclusion: InclusionStats
+    store_context: Optional[StoreContext]
+    invalidated: int
+    #: wall time of the invalidation and the walk
+    seconds: float
 
 
 class Checker:
@@ -145,8 +163,6 @@ class Checker:
             max_literals=self.config.max_literals,
             store=store,
             alphabet_memo=self.alphabet_memo,
-            only=self.config.only_digests,
-            collect=self.config.collect_sink,
             # Deliberately NOT self._library_digest: the dependency record
             # includes the constant table, the environment fingerprint never
             # has (every other store path computes the constants-free digest,
@@ -180,7 +196,7 @@ class Checker:
         }
 
     # ------------------------------------------------------------------
-    # Entry point
+    # Entry points
     # ------------------------------------------------------------------
     def check_method(
         self,
@@ -188,7 +204,7 @@ class Checker:
         spec: MethodSpec,
         module_specs: Mapping[str, MethodSpec] | None = None,
     ) -> MethodResult:
-        """Verify ``definition`` against ``spec``.
+        """Verify ``definition`` against ``spec``: walk the body, then discharge.
 
         ``module_specs`` provides HAT signatures for the other methods of the
         same module (including ``definition`` itself when it is recursive).
@@ -196,25 +212,24 @@ class Checker:
         with trace.span(
             "method", cat="method", scope=self.store_scope or "", method=spec.name
         ):
-            result = self._check_method(definition, spec, module_specs)
-        logger.debug(
-            "%s.%s: %s",
-            self.store_scope or "?",
-            spec.name,
-            "verified" if result.verified else f"failed ({result.error})",
-        )
-        return result
+            return self.finish_method(self.emit_method(definition, spec, module_specs))
 
-    def _check_method(
+    def emit_method(
         self,
         definition: ast.FunctionDef,
         spec: MethodSpec,
         module_specs: Mapping[str, MethodSpec] | None = None,
-    ) -> MethodResult:
+    ) -> PendingMethod:
+        """Walk ``definition`` against ``spec``, collecting its obligations.
+
+        Inline queries (HAT subtyping, ghost abduction) are decided during
+        the walk; deferred leaf obligations never steer it, so nothing is
+        discharged here.  With a store, the method's stale entries are
+        invalidated first.
+        """
         start = time.perf_counter()
         solver_before = self.solver.stats.snapshot()
         inclusion_before = self.inclusion.stats.snapshot()
-        engine_before = self.obligation_engine.stats.snapshot()
 
         store_context: Optional[StoreContext] = None
         invalidated = 0
@@ -244,12 +259,10 @@ class Checker:
         for param_name, param_type in spec.params:
             gamma = gamma.bind(param_name, param_type)
 
-        # -- emit: walk the body, collecting obligations instead of deciding them
-        self._obligations = ObligationSet(method=spec.name)
+        obligations = self._obligations = ObligationSet(method=spec.name)
         inline_error: Optional[str] = None
-        emit_span = trace.span("emit", cat="emit", method=spec.name)
         try:
-            with emit_span:
+            with trace.span("emit", cat="emit", method=spec.name):
                 self._check(
                     gamma, spec.precondition, definition.body, spec.result, spec.postcondition
                 )
@@ -261,19 +274,40 @@ class Checker:
             # down may hit a resource limit on a context that would never
             # have been reached.  Report it as a failed check rather than
             # crashing — if an emitted obligation also failed, that (earlier)
-            # failure wins below, matching the old first-failure semantics.
+            # failure wins in finish_method, matching the old first-failure
+            # semantics.
             inline_error = f"resource limit while checking: {exc}"
+        finally:
+            self._obligations = None
+        return PendingMethod(
+            definition=definition,
+            method=spec.name,
+            obligations=obligations,
+            inline_error=inline_error,
+            solver=self.solver.stats.since(solver_before),
+            inclusion=self.inclusion.stats.since(inclusion_before),
+            store_context=store_context,
+            invalidated=invalidated,
+            seconds=time.perf_counter() - start,
+        )
 
-        # -- schedule + discharge: dedupe and decide the collected set;
-        # per-obligation solver/inclusion counters merge into the shared tables.
-        emitted = len(self._obligations)
+    def finish_method(self, pending: PendingMethod) -> MethodResult:
+        """Discharge ``pending``'s obligations and report the method.
+
+        One discharge step (memo → store → discharge) decides every
+        obligation; per-obligation counters are billed to this method on
+        top of its walk's own.
+        """
+        start = time.perf_counter()
+        solver_before = self.solver.stats.snapshot()
+        inclusion_before = self.inclusion.stats.snapshot()
+        engine_before = self.obligation_engine.stats.snapshot()
         outcomes = self.obligation_engine.discharge_all(
-            self._obligations,
+            pending.obligations,
             solver_stats=self.solver.stats,
             inclusion_stats=self.inclusion.stats,
-            store_context=store_context,
+            store_context=pending.store_context,
         )
-        self._obligations = None
 
         # Inline failures abort the walk, so every emitted obligation precedes
         # them in walk order: the earliest failing obligation (if any) is the
@@ -297,48 +331,52 @@ class Checker:
                     counterexample = list(failure.counterexample)
                     witness_text = " ; ".join(failure.counterexample)
                     error = f"{error} [counterexample trace: {witness_text}]"
-        elif inline_error is not None:
-            error = inline_error
-        verified = error is None
+        elif pending.inline_error is not None:
+            error = pending.inline_error
 
-        solver_after = self.solver.stats
-        inclusion_after = self.inclusion.stats
-        engine_after = self.obligation_engine.stats
+        solver = pending.solver.snapshot()
+        solver.merge(self.solver.stats.since(solver_before))
+        inclusion = pending.inclusion.snapshot()
+        inclusion.merge(self.inclusion.stats.since(inclusion_before))
+        engine = self.obligation_engine.stats.since(engine_before)
+        definition = pending.definition
         stats = MethodStats(
-            method=spec.name,
+            method=pending.method,
             branches=ast.count_branches(definition.body),
             operator_applications=ast.count_operator_applications(definition.body),
-            obligations=emitted,
-            smt_queries=solver_after.queries - solver_before.queries,
-            smt_cache_hits=solver_after.cache_hits - solver_before.cache_hits,
-            sat_conflicts=solver_after.sat_conflicts - solver_before.sat_conflicts,
-            fa_inclusion_checks=inclusion_after.fa_inclusion_checks - inclusion_before.fa_inclusion_checks,
-            alphabet_builds=inclusion_after.alphabet_builds - inclusion_before.alphabet_builds,
-            alphabet_memo_hits=inclusion_after.alphabet_memo_hits
-            - inclusion_before.alphabet_memo_hits,
-            prod_states=inclusion_after.prod_states - inclusion_before.prod_states,
-            store_hits=engine_after.store_hits - engine_before.store_hits,
-            smt_time_seconds=solver_after.time_seconds - solver_before.time_seconds,
-            fa_time_seconds=inclusion_after.fa_time_seconds - inclusion_before.fa_time_seconds,
-            total_time_seconds=time.perf_counter() - start,
+            obligations=len(pending.obligations),
+            smt_queries=solver.queries,
+            smt_cache_hits=solver.cache_hits,
+            sat_conflicts=solver.sat_conflicts,
+            fa_inclusion_checks=inclusion.fa_inclusion_checks,
+            alphabet_builds=inclusion.alphabet_builds,
+            alphabet_memo_hits=inclusion.alphabet_memo_hits,
+            prod_states=inclusion.prod_states,
+            store_hits=engine.store_hits,
+            smt_time_seconds=solver.time_seconds,
+            fa_time_seconds=inclusion.fa_time_seconds,
+            total_time_seconds=pending.seconds + time.perf_counter() - start,
         )
-        built = inclusion_after.automata_built - inclusion_before.automata_built
-        if built:
-            stats.average_fa_size = (
-                inclusion_after.total_transitions - inclusion_before.total_transitions
-            ) / built
+        if inclusion.automata_built:
+            stats.average_fa_size = inclusion.total_transitions / inclusion.automata_built
         if self.store is not None:
             self.store.note_method(
                 self.store_scope,
-                spec.name,
-                hits=engine_after.store_hits - engine_before.store_hits,
-                misses=engine_after.store_misses - engine_before.store_misses,
-                invalidated=invalidated,
+                pending.method,
+                hits=engine.store_hits,
+                misses=engine.store_misses,
+                invalidated=pending.invalidated,
             )
             self.store.flush()
+        logger.debug(
+            "%s.%s: %s",
+            self.store_scope or "?",
+            pending.method,
+            "verified" if error is None else f"failed ({error})",
+        )
         return MethodResult(
-            method=spec.name,
-            verified=verified,
+            method=pending.method,
+            verified=error is None,
             error=error,
             counterexample=counterexample,
             stats=stats,

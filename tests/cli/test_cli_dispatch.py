@@ -23,7 +23,7 @@ def server(tmp_path):
     service.close()
 
 
-# -- dispatch / evaluate --distributed ---------------------------------------------
+# -- dispatch ----------------------------------------------------------------------
 
 
 def test_dispatch_requires_a_store_url(capsys):
@@ -31,14 +31,51 @@ def test_dispatch_requires_a_store_url(capsys):
     assert "--store http://host:port" in capsys.readouterr().err
 
 
-def test_evaluate_distributed_requires_a_store_url(capsys):
+def test_evaluate_distributed_points_at_dispatch(capsys, monkeypatch):
+    # one spelling for distributed evaluation: the old one names the new one
+    monkeypatch.setattr("repro.cli.run_evaluation", _must_not_run)
     assert cli_main(["evaluate", "--fast", "--distributed"]) == 2
-    assert "--store http://host:port" in capsys.readouterr().err
+    assert "pymarple dispatch" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:  # and so do its flags
+        cli_main(["evaluate", "--fast", "--local-workers", "2"])
+    assert excinfo.value.code == 2
 
 
 def test_dispatch_rejects_a_local_store_path(capsys, tmp_path):
     assert cli_main(["dispatch", "--fast", "--store", str(tmp_path / "s")]) == 2
     assert "store *server*" in capsys.readouterr().err
+
+
+_URL = "http://127.0.0.1:9"
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a rejected flag must stop the command before it starts")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["dispatch", "--store", _URL, "--local-workers", "-1"], "--local-workers"),
+        (["dispatch", "--store", _URL, "--lease-ttl", "0"], "--lease-ttl"),
+        (["dispatch", "--store", _URL, "--drain-timeout", "-5"], "--drain-timeout"),
+        (["worker", "--store", _URL, "--ttl", "0"], "--ttl"),
+        (["worker", "--store", _URL, "--idle-timeout", "-1"], "--idle-timeout"),
+        (["worker", "--store", _URL, "--batch", "0"], "--batch"),
+        (["worker", "--store", _URL, "--max-batches", "0"], "--max-batches"),
+    ],
+    ids=["local-workers", "lease-ttl", "drain-timeout", "ttl", "idle-timeout", "batch",
+         "max-batches"],
+)
+def test_numeric_flag_out_of_range_exits_two(argv, flag, monkeypatch, capsys):
+    """Rejected while parsing: no walk, no enqueue, no worker that dies on
+    its first lease."""
+    monkeypatch.setattr("repro.engine.dispatch.run_distributed_evaluation", _must_not_run)
+    monkeypatch.setattr("repro.engine.worker.run_worker", _must_not_run)
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(argv)
+    assert excinfo.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 # -- worker ------------------------------------------------------------------------

@@ -18,14 +18,14 @@ import pytest
 from repro.engine.codec import CODEC_VERSION, CodecError, decode, decode_payload, encode
 from repro.engine.dispatch import run_distributed_evaluation
 from repro.engine.worker import run_worker
-from repro.evaluation.runner import run_benchmark, run_evaluation
+from repro.evaluation.runner import run_evaluation
 from repro.evaluation.tables import table1, table3, table4
 from repro.sfa.signatures import OperatorRegistry
 from repro.store.fingerprint import obligation_digest
 from repro.store.obligation_store import ObligationStore
 from repro.store.server import StoreHTTPServer, StoreService, serve_in_thread
 from repro.suite.registry import all_benchmarks, benchmark_by_key
-from repro.typecheck.checker import Checker, CheckerConfig
+from repro.typecheck.checker import Checker
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -33,16 +33,28 @@ needs_fork = pytest.mark.skipif(
 )
 
 
+def _store_misses(benchmark, store):
+    """Emit every method and variant of ``benchmark``; yield each deduped
+    store miss as ``(env, digest, obligation, store_context)``.  Nothing is
+    discharged."""
+    checker = benchmark.make_checker(store=store)
+    for definition, spec in benchmark.checks():
+        pending = checker.emit_method(definition, spec, benchmark.specs)
+        for env, digest, obligation in checker.obligation_engine.store_misses(
+            pending.obligations
+        ):
+            yield env, digest, obligation, pending.store_context
+
+
 @pytest.fixture(scope="module")
 def corpus_obligations(tmp_path_factory):
-    """Every obligation of the full corpus, via a collect pass: each store
-    miss reaches the sink and nothing is discharged."""
+    """Every obligation of the full corpus, via emit walks against empty
+    stores: each one is a store miss and nothing is discharged."""
     collected = []
     for benchmark in all_benchmarks(include_slow=True):
-        def sink(env, digest, hint, estimate, obligation, context, _bench=benchmark):
-            collected.append((_bench, obligation, digest))
-        store = ObligationStore(tmp_path_factory.mktemp("collect"))
-        run_benchmark(benchmark, config=CheckerConfig(collect_sink=sink), store=store)
+        store = ObligationStore(tmp_path_factory.mktemp("emit"))
+        for _env, digest, obligation, _context in _store_misses(benchmark, store):
+            collected.append((benchmark, obligation, digest))
     return collected
 
 
@@ -151,15 +163,15 @@ def test_forked_workers_write_a_serial_runs_entries(server, tmp_path):
 @needs_fork
 def test_forked_workers_never_type_check(server, tmp_path, monkeypatch):
     """Workers discharge decoded obligations; only the coordinator walks."""
-    calls = tmp_path / "check_method.pids"
-    original = Checker.check_method
+    calls = tmp_path / "emit_method.pids"
+    original = Checker.emit_method
 
     def spying(self, *args, **kwargs):
         with open(calls, "a") as log:
             log.write(f"{os.getpid()}\n")
         return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(Checker, "check_method", spying)
+    monkeypatch.setattr(Checker, "emit_method", spying)
     report = run_distributed_evaluation(
         ObligationStore(server.url),
         benchmarks=[benchmark_by_key("Set/KVStore"), benchmark_by_key("Stack/KVStore")],
@@ -179,14 +191,11 @@ def test_undecodable_items_are_completed_without_discharge(server):
     store = ObligationStore(server.url)
     benchmark = benchmark_by_key("Set/KVStore")
     items = {}
-
-    def sink(env, digest, hint, estimate, obligation, context):
+    for env, digest, obligation, context in _store_misses(benchmark, store):
         foreign = {"obligation": dict(encode(obligation), version="x"),
                    "context": asdict(context)}
         items.setdefault(digest, {"env": env, "fp": digest, "bench": benchmark.key,
                                   "cost": 1.0, "payload": json.dumps(foreign)})
-
-    run_benchmark(benchmark, config=CheckerConfig(collect_sink=sink), store=store)
     queued = list(items.values())
     assert len(queued) >= 3
     queued[0].pop("payload")
@@ -200,7 +209,7 @@ def test_undecodable_items_are_completed_without_discharge(server):
 
 
 @needs_fork
-def test_the_assembly_pass_discharges_what_workers_cannot_decode(server, monkeypatch):
+def test_the_finish_step_discharges_what_workers_cannot_decode(server, monkeypatch):
     def refuse(payload, operators):
         raise CodecError("unsupported obligation codec version 'from-the-future'")
 

@@ -5,6 +5,7 @@ import pytest
 from repro import smt
 from repro.smt import sorts
 from repro.engine import ObligationEngine, ObligationSet
+from repro.engine.dispatch import queue_item
 from repro.sfa import symbolic as S
 from repro.sfa.signatures import OperatorRegistry
 from repro.store.fingerprint import obligation_digest
@@ -58,23 +59,20 @@ def test_cost_hint_crosses_environments(registry, tmp_path):
     default.discharge_all(obset, store_context=context)
     store.flush()
 
-    hints = {}
     # a literal budget these obligations never reach: only the key differs
-    other = ObligationEngine(
-        registry,
-        store=store,
-        max_literals=25,
-        collect=lambda env, digest, hint, estimate, obligation, context: hints.__setitem__(
-            digest, hint
-        ),
+    other = ObligationEngine(registry, store=store, max_literals=25)
+    items = {
+        digest: queue_item("t", env, digest, obligation, context, store.cost_hint(digest))
+        for env, digest, obligation in other.store_misses(_obligations(registry, count=2))
+    }
+    assert other.stats.store_hits == other.stats.store_misses == 0, (
+        "the misses query moves no counter"
     )
-    other.discharge_all(_obligations(registry, count=2), store_context=context)
-    assert other.stats.store_hits == 0, "verdicts must not cross environments"
     digests = [obligation_digest(rep) for rep, _ in obset.deduped()]
-    assert sorted(hints) == sorted(digests)
+    assert sorted(items) == sorted(digests), "verdicts must not cross environments"
     for digest in digests:
-        assert hints[digest] is not None, "costs must cross environments"
-        assert hints[digest] == store.cost_hint(digest)
+        assert items[digest]["measured"], "costs must cross environments"
+        assert items[digest]["cost"] == store.cost_hint(digest)
 
 
 def test_cost_hints_survive_a_reload(registry, tmp_path):

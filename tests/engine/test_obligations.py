@@ -18,7 +18,7 @@ from repro.sfa import symbolic as S
 from repro.sfa.signatures import OperatorRegistry
 from repro.statsutil import MergeableStats
 from repro.store.fingerprint import obligation_digest
-from repro.store.obligation_store import ObligationStore
+from repro.store.obligation_store import ObligationStore, StoreContext
 
 
 @pytest.fixture(scope="module")
@@ -86,14 +86,17 @@ def test_discharge_follows_emission_order(registry, tmp_path):
     expensive = obset.emit("postcondition", [], inv, inv)
     cheap = obset.emit("coverage", [], small, small)
     assert cheap.cost_estimate() < expensive.cost_estimate()
-    seen = []
-    engine = ObligationEngine(
-        registry,
-        store=ObligationStore(tmp_path),
-        collect=lambda env, digest, hint, estimate, obligation, context: seen.append(digest),
+    store = ObligationStore(tmp_path)
+    engine = ObligationEngine(registry, store=store)
+    engine.discharge_all(
+        obset,
+        store_context=StoreContext(scope="t", method="m", spec_digest="s", library_digest="l"),
     )
-    engine.discharge_all(obset)
-    assert seen == [obligation_digest(expensive), obligation_digest(cheap)]
+    # the store records verdicts in the order they were discharged
+    assert [entry.fp for entry in store] == [
+        obligation_digest(expensive),
+        obligation_digest(cheap),
+    ]
 
 
 def test_emit_emptiness_targets_bot(registry):

@@ -6,10 +6,10 @@ The acceptance suite of the concurrency work:
   commit runs against a single store path — afterwards every entry is
   present and intact (zero torn/skipped records) and the run log holds one
   record per writer under distinct sequence numbers;
-* real engine runs in concurrent processes (each discharging one disjoint
-  ``only_digests`` slice of the fast corpus straight into the shared main
-  log) leave a store a warm re-run answers with **zero** misses, producing
-  deterministic tables byte-identical to a serial run's.
+* real engine runs in concurrent processes (each emitting the fast corpus
+  and discharging one disjoint slice of its obligations straight into the
+  shared main log) leave a store a warm re-run answers with **zero**
+  misses, producing deterministic tables byte-identical to a serial run's.
 """
 
 import multiprocessing
@@ -19,7 +19,7 @@ import pytest
 from repro.evaluation.runner import run_evaluation
 from repro.evaluation.tables import table1, table3, table4
 from repro.store.obligation_store import ObligationStore, StoreEntry
-from repro.typecheck.checker import CheckerConfig
+from repro.suite.registry import all_benchmarks
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -96,24 +96,39 @@ def test_eight_writers_lose_nothing(store_path):
     )
 
 
+def _emit_corpus(store, owned=None):
+    """Emit the fast corpus against ``store``, benchmark by benchmark; return
+    every store miss's digest, in first-emission order.  With ``owned``,
+    each benchmark's owned misses are then discharged (and recorded under
+    the context of their first emission)."""
+    digests = {}
+    for benchmark in all_benchmarks(include_slow=False):
+        checker = benchmark.make_checker(store=store)
+        engine = checker.obligation_engine
+        leased = []
+        for definition, spec in benchmark.checks():
+            pending = checker.emit_method(definition, spec, benchmark.specs)
+            for env, digest, obligation in engine.store_misses(pending.obligations):
+                if (env, digest) not in digests:
+                    digests[env, digest] = digest
+                    if owned is not None and digest in owned:
+                        leased.append((obligation, pending.store_context))
+        engine.discharge_leased(leased)
+    return list(digests.values())
+
+
 def _cold_digests(scratch_path):
-    """Every fast-corpus obligation digest, via a collect pass (nothing discharged)."""
-    digests = set()
-    config = CheckerConfig(
-        collect_sink=lambda env, fp, hint, estimate, obligation, context: digests.add(fp)
-    )
-    run_evaluation(include_slow=False, config=config, store=ObligationStore(scratch_path))
-    return sorted(digests)
+    """Every fast-corpus obligation digest, via emit walks (nothing discharged)."""
+    return sorted(set(_emit_corpus(ObligationStore(scratch_path))))
 
 
 def _engine_writer(path, owned, barrier):
     store = ObligationStore(path)
     barrier.wait()
-    # only_digests: the full deterministic emit walk, but discharge (and
-    # record) only this slice — the per-obligation counters are exactly a
-    # serial run's, while the *writes* race on the shared main log
-    config = CheckerConfig(only_digests=frozenset(owned))
-    run_evaluation(include_slow=False, config=config, store=store)
+    # the full deterministic emit walk, but discharge (and record) only this
+    # slice — the per-obligation counters are exactly a serial run's, while
+    # the *writes* race on the shared main log
+    _emit_corpus(store, owned=frozenset(owned))
     store.flush()
     store.commit_run()
     store.backend.close()

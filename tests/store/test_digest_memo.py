@@ -86,14 +86,3 @@ def test_checker_env_fingerprint_matches_direct_engine_construction(tmp_path):
     )
     assert checker.obligation_engine._env_fp == direct._env_fp
 
-
-def test_environment_fingerprint_accepts_precomputed_library_digest():
-    bench = _bench()
-    operators, axioms = bench.library.operators, bench.library.axioms
-    direct = fp.environment_fingerprint(operators, axioms)
-    precomputed = fp.environment_fingerprint(
-        operators, axioms, library=fp.library_digest(operators, axioms)
-    )
-    assert direct == precomputed
-    other = fp.environment_fingerprint(operators, axioms, library="different")
-    assert other != direct

@@ -15,23 +15,22 @@ way to regression-test the worker's warmup walk.
 
 import multiprocessing
 import os
-from dataclasses import replace
 
 import pytest
 
 from repro.engine.dispatch import (
     DispatchError,
     _await_drain,
-    collect_item,
+    queue_item,
     run_distributed_evaluation,
 )
 from repro.engine.worker import ENV_WORKER_CRASH, run_worker
-from repro.evaluation.runner import run_benchmark, run_evaluation
+from repro.evaluation.runner import run_evaluation
 from repro.evaluation.tables import report_json, table1, table3, table4
 from repro.store.obligation_store import ObligationStore
 from repro.store.server import StoreHTTPServer, StoreService, serve_in_thread
 from repro.suite.registry import benchmark_by_key
-from repro.typecheck.checker import CheckerConfig
+from repro.typecheck.checker import Checker
 
 
 @pytest.fixture
@@ -58,15 +57,19 @@ def _verdicts(report):
 
 
 def _collect_and_enqueue(store, benchmarks, dispatch):
-    """The coordinator's phase 1, by hand: report misses, enqueue them."""
+    """The coordinator's phase 1, by hand: emit, query the misses, enqueue."""
     items = []
     for benchmark in benchmarks:
-        def sink(env, digest, hint, estimate, obligation, context, _bench=benchmark.key):
-            items.append(
-                collect_item(_bench, env, digest, hint, estimate, obligation, context)
-            )
-        config = replace(CheckerConfig(), collect_sink=sink)
-        run_benchmark(benchmark, config=config, store=store)
+        checker = benchmark.make_checker(store=store)
+        for definition, spec in benchmark.checks():
+            pending = checker.emit_method(definition, spec, benchmark.specs)
+            for env, digest, obligation in checker.obligation_engine.store_misses(
+                pending.obligations
+            ):
+                items.append(
+                    queue_item(benchmark.key, env, digest, obligation,
+                               pending.store_context, store.cost_hint(digest))
+                )
     store.backend.enqueue(items, dispatch)
     return items
 
@@ -95,14 +98,45 @@ def test_distributed_run_matches_serial_byte_identical(server):
     dispatch = report.dispatch
     assert dispatch is not None
     assert dispatch["cold_obligations"] > 0
-    # collect reports miss *occurrences* (a digest emitted twice is reported
-    # twice — skipped obligations are never memoised); the server dedupes
+    # the coordinator dedupes its misses on (env, fp); on a fresh queue every
+    # one is a new item
     assert dispatch["enqueued"] + dispatch["requeued"] == dispatch["cold_obligations"]
     assert dispatch["queue"]["completed"] == dispatch["enqueued"], (
         "the fleet, not the coordinator, discharged every cold obligation"
     )
     # the provenance rides into the JSON report for postmortems
     assert report_json(report)["dispatch"]["dispatch"] == dispatch["dispatch"]
+
+
+def test_a_cold_dispatch_walks_each_method_once(server, monkeypatch):
+    """The coordinator emits every method and negative variant exactly once
+    and finishes them from the store; it never runs the serial
+    ``check_method`` (a walk plus a discharge) on top."""
+    emitted, checked = [], []
+    emit_method, check_method = Checker.emit_method, Checker.check_method
+
+    def counting_emit(self, definition, spec, module_specs=None):
+        emitted.append((self.store_scope, definition.name))
+        return emit_method(self, definition, spec, module_specs)
+
+    def counting_check(self, *args, **kwargs):
+        checked.append(args)
+        return check_method(self, *args, **kwargs)
+
+    monkeypatch.setattr(Checker, "emit_method", counting_emit)
+    monkeypatch.setattr(Checker, "check_method", counting_check)
+    benchmarks = _subset()
+    report = run_distributed_evaluation(
+        ObligationStore(server.url), benchmarks=benchmarks, local_workers=1,
+        drain_timeout=300.0, poll=0.1,
+    )
+    assert report.dispatch["queue"]["completed"] == report.dispatch["enqueued"] > 0
+    assert sorted(emitted) == sorted(
+        (benchmark.key, name)
+        for benchmark in benchmarks
+        for name in [*benchmark.specs, *benchmark.negative_variants]
+    ), "one walk per method and negative variant"
+    assert checked == [], "the coordinator never re-walks a method"
 
 
 def test_fresh_process_workers_match_serial_byte_identical(server):
@@ -167,7 +201,8 @@ def test_a_worker_killed_mid_lease_loses_nothing(server, monkeypatch):
     bench = [benchmark_by_key("Set/KVStore")]
     store = ObligationStore(server.url)
     items = _collect_and_enqueue(store, bench, "d-crash")
-    # the collect walk reports occurrences; the queue holds unique (env, fp)
+    # the hand-rolled phase 1 reports a digest once per method that emits
+    # it; the queue holds unique (env, fp)
     unique = {(item["env"], item["fp"]) for item in items}
     assert unique
     store.backend.close()  # no socket across fork
