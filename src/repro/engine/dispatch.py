@@ -4,9 +4,14 @@ One walk, with the partition of the cold obligations decided *dynamically*
 by the store server's lease queue:
 
 1. **Emit + enqueue** — walk every method and negative variant once
-   (:meth:`~repro.typecheck.checker.Checker.emit_method`) and ask each
-   benchmark's engine which deduped obligations the store lacks
-   (:meth:`~repro.engine.scheduler.ObligationEngine.store_misses`).  The
+   (:meth:`~repro.typecheck.checker.Checker.emit_method`), then ask each
+   benchmark's engine which deduped obligations the store lacks: one
+   batched prefetch over all of the benchmark's methods
+   (:meth:`~repro.engine.scheduler.ObligationEngine.prefetch`), then
+   :meth:`~repro.engine.scheduler.ObligationEngine.store_misses` per method.
+   The store traffic is one RPC per phase and benchmark, not per method:
+   the emit walk only queues each method's invalidation key, and the queue
+   goes out as one ``invalidate`` RPC ahead of the first prefetch.  The
    misses are deduped on their ``(env, fp)`` store key, keeping the first
    emission (the one a serial run records), and enqueued on the server
    tagged with a fresh dispatch id, each with the best cost signal
@@ -20,12 +25,15 @@ by the store server's lease queue:
    gone (``queue_status`` with a ``wait``: the server answers the moment the
    last item completes, so the drain costs no sleep quantum), then finish
    every pending method in emit order through the ordinary discharge step
-   (:meth:`~repro.typecheck.checker.Checker.finish_method`): every lookup
-   hits, and anything a worker could not decode (or hit a budget on) is
-   discharged locally.  The tables come out byte-identical to a serial cold
-   run, because every recorded counter is a pure function of its
-   obligation, whichever worker discharged it.  The workers exit on the
-   same drain, so joining them costs no idle tail either.
+   (:meth:`~repro.typecheck.checker.Checker.finish_method`).  The enqueued
+   keys are re-fetched first, one batched lookup per environment
+   (:meth:`~repro.store.obligation_store.ObligationStore.refetch`), so every
+   lookup hits the session's mirror, and anything a worker could not decode
+   (or hit a budget on) is discharged locally.  The tables come out
+   byte-identical to a serial cold run, because every recorded counter is a
+   pure function of its obligation, whichever worker discharged it.  The
+   workers exit on the same drain, so joining them costs no idle tail
+   either.
 
 Durability is the store's: if the coordinator dies mid-drain, a re-dispatch
 recomputes the remaining misses from the store — completed obligations are
@@ -161,19 +169,24 @@ def run_distributed_evaluation(
     with trace.span("dispatch.emit", cat="run", dispatch=dispatch_id, benchmarks=len(benchmarks)):
         for benchmark in benchmarks:
             checker = benchmark.make_checker(config, store=store)
-            pending = []
-            for definition, spec in benchmark.checks(check_negative_variants):
-                method = checker.emit_method(definition, spec, benchmark.specs)
-                pending.append(method)
-                for env, digest, obligation in checker.obligation_engine.store_misses(
-                    method.obligations
-                ):
+            pending = [
+                checker.emit_method(definition, spec, benchmark.specs)
+                for definition, spec in benchmark.checks(check_negative_variants)
+            ]
+            emitted.append((benchmark, checker, pending))
+        # every method is emitted before the store is read: the queued
+        # invalidations go out as one RPC ahead of the first prefetch, and
+        # each benchmark's misses cost one batched lookup
+        for benchmark, checker, pending in emitted:
+            engine = checker.obligation_engine
+            engine.prefetch([method.obligations for method in pending])
+            for method in pending:
+                for env, digest, obligation in engine.store_misses(method.obligations):
                     if (env, digest) not in misses:
                         misses[env, digest] = queue_item(
                             benchmark.key, env, digest, obligation,
                             method.store_context, store.cost_hint(digest),
                         )
-            emitted.append((benchmark, checker, pending))
     items = list(misses.values())
     # the server dedupes on (env, fp) too: ``requeued`` counts the items an
     # earlier dispatch wave still holds
@@ -223,9 +236,13 @@ def run_distributed_evaluation(
                 process.join()
     drain_seconds = time.perf_counter() - wait_started
 
-    # the misses query cached this session's misses as known-misses; the
-    # fleet has since written them — re-fetch while finishing
-    store.forget_remote_misses()
+    # the misses query cached the enqueued keys as known misses; the fleet
+    # has since written them — re-fetch them, one batched lookup per env
+    enqueued_fps: dict[str, list[str]] = {}
+    for env, digest in misses:
+        enqueued_fps.setdefault(env, []).append(digest)
+    for env, fps in enqueued_fps.items():
+        store.refetch(env, fps)
     report = EvaluationReport()
     with trace.span("dispatch.finish", cat="run", dispatch=dispatch_id):
         for benchmark, checker, pending in emitted:

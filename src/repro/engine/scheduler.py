@@ -10,7 +10,8 @@ This is the middle stage of the decoupled pipeline:
    from the cross-method memo, then the persistent store; the remainder is
    discharged in emission order.  This is the one discharge step: a dispatch
    coordinator (:mod:`repro.engine.dispatch`) only asks it beforehand which
-   representatives the store lacks (:meth:`ObligationEngine.store_misses`),
+   representatives the store lacks (one :meth:`ObligationEngine.prefetch`
+   per benchmark, then :meth:`ObligationEngine.store_misses` per method),
    has a worker fleet record those, and then runs the same step, which
    finds them in the store;
 3. **Discharge** — the residual obligations are grouped by alphabet key and
@@ -289,6 +290,17 @@ class ObligationEngine:
             if self._stored(digest) is None:
                 misses.append((self._env_fp, digest, representative))
         return misses
+
+    def prefetch(self, obligation_sets: Sequence[ObligationSet]) -> None:
+        """One batched fetch over several sets' deduped representatives.
+
+        A dispatch coordinator calls it once per benchmark with every emitted
+        method's set, so the per-set :meth:`store_misses` queries that follow
+        cost no round-trip.
+        """
+        self._prefetch(
+            [pair for obligation_set in obligation_sets for pair in obligation_set.deduped()]
+        )
 
     def _prefetch(self, batch: Sequence[tuple[Obligation, list]]) -> None:
         """One batched fetch for a deduped batch.

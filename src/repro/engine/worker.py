@@ -64,7 +64,8 @@ from ..obs import trace
 from ..obs.logs import get_logger
 from ..statsutil import MergeableStats
 from ..store.obligation_store import ObligationStore
-from ..suite.registry import all_benchmarks, benchmark_by_key
+from ..suite.benchmark import AdtBenchmark
+from ..suite.registry import all_benchmarks
 from ..typecheck.checker import CheckerConfig
 from .codec import CodecError, decode_payload
 from .scheduler import ObligationEngine
@@ -142,6 +143,14 @@ def run_worker(
     ``warm_process`` replays the registry walk before the first lease (see
     :func:`_warm_process_state`); pass ``False`` only for workers forked
     from a coordinator that has already walked the suite in this process.
+
+    A batch spanning several benchmarks is discharged group by group.
+    Before each group after the first the worker renews its lease, but only
+    once the lease is at least ``ttl/2`` old, its age measured from just
+    before the ``lease`` (or last ``extend``) request was sent: a younger
+    lease cannot have expired server-side, so renewing it is a wasted round
+    trip.  A refused renewal means the lease was stolen; the worker abandons
+    the rest of the batch without completing it.
     """
     config = config or CheckerConfig()
     worker_id = worker_id or f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:6]}"
@@ -155,6 +164,9 @@ def run_worker(
     #: one engine per benchmark, built on first lease and kept for the
     #: process's life (the serial run's environment key and alphabet memo)
     engines: dict[str, ObligationEngine] = {}
+    #: the registry indexed by key, built on the first leased item and kept
+    #: for the process's life (one factory call per benchmark, not per lookup)
+    registry: dict[str, AdtBenchmark] = {}
     logger.info("worker %s pulling from %s (batch=%d ttl=%.1fs)", worker_id, store_url, batch, ttl)
     if warm_process:
         with trace.span("worker.warmup", cat="run", worker=worker_id):
@@ -165,6 +177,9 @@ def run_worker(
             if max_batches is not None and stats.leases >= max_batches:
                 break
             idle_left = idle_since + idle_timeout - time.monotonic()
+            # the lease's age is measured from before the request went out,
+            # so it never undercounts the server's view of it
+            renewed_at = time.monotonic()
             with trace.span("queue.lease", cat="store", worker=worker_id) as lease_span:
                 # ``held`` once this worker has done work: an empty queue
                 # then means the fleet drained it, so the reply comes at once
@@ -196,18 +211,21 @@ def run_worker(
                 by_bench.setdefault(item["bench"], []).append(item)
             abandoned = False
             for position, bench_key in enumerate(sorted(by_bench)):
-                if position > 0 and not backend.extend(lease_id, ttl):
-                    # the lease expired and was stolen mid-batch: the rest of
-                    # the batch belongs to someone else now — walk away
-                    logger.warning("lease %s lost mid-batch; abandoning", lease_id)
-                    stats.abandoned += 1
-                    abandoned = True
-                    break
+                if position > 0 and time.monotonic() - renewed_at >= ttl / 2:
+                    renewed_at = time.monotonic()
+                    if not backend.extend(lease_id, ttl):
+                        # the lease expired and was stolen mid-batch: the rest
+                        # of the batch belongs to someone else now — walk away
+                        logger.warning("lease %s lost mid-batch; abandoning", lease_id)
+                        stats.abandoned += 1
+                        abandoned = True
+                        break
                 engine = engines.get(bench_key)
                 if engine is None:
-                    try:
-                        benchmark = benchmark_by_key(bench_key)
-                    except KeyError:
+                    if not registry:
+                        registry.update((b.key, b) for b in all_benchmarks())
+                    benchmark = registry.get(bench_key)
+                    if benchmark is None:
                         stats.unknown_benchmarks += len(by_bench[bench_key])
                         logger.warning("leased unknown benchmark %r; completing anyway", bench_key)
                         continue

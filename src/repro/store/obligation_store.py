@@ -36,10 +36,13 @@ line) are skipped and counted — see ``summary()["skipped"]`` — never fatal.
 Invalidation is dependency-tracked: when a method is about to be verified,
 :meth:`invalidate_stale` drops exactly the entries whose recorded spec or
 library digest no longer matches — entries of other benchmarks (and of this
-benchmark's unchanged methods) are untouched.  Content addressing already
-guarantees a *changed* obligation can never hit a stale verdict; invalidation
-keeps the store from accumulating unreachable entries and makes the
-``--explain`` counts meaningful.
+benchmark's unchanged methods) are untouched.  A remote session queues its
+keys and sends them as one batched ``invalidate`` RPC before its next read
+or write, so a coordinator that emits every method first pays one round
+trip, not one per method.  Content addressing already guarantees a
+*changed* obligation can never hit a stale verdict; invalidation keeps the
+store from accumulating unreachable entries and makes the ``--explain``
+counts meaningful.
 
 One caveat is inherited from the engine's cross-method memo: per-obligation
 counters are pure functions of (inline-solver warm snapshot, obligation), and
@@ -181,9 +184,12 @@ class ObligationStore:
         #: ``_entries`` is a *known* miss and costs no further round-trip
         self._remote_checked: set[tuple[str, str]] = set()
         #: remote mode only — ``(scope, method, spec, library)`` keys this
-        #: session already invalidated server-side; the server dropped their
-        #: stale entries then, and this session writes only current ones
+        #: session already queued; the server drops their stale entries once,
+        #: and this session writes only current ones
         self._invalidated: set[tuple[str, str, str, str]] = set()
+        #: remote mode only — queued keys not yet sent: they go out as one
+        #: ``invalidate`` RPC before the session's next read or write
+        self._invalidation_queue: list[tuple[str, str, str, str]] = []
         self._load()
 
     @property
@@ -239,6 +245,7 @@ class ObligationStore:
             ):
                 # unbatched fallback (one fetch per unseen key); the engine's
                 # :meth:`prefetch` is the batched fast path
+                self._send_invalidations()
                 fetched = self.backend.lookup(env, [fp])
                 self._remote_checked.add((env, fp))
                 if fetched:
@@ -266,20 +273,25 @@ class ObligationStore:
         ]
         if not missing:
             return
+        self._send_invalidations()
         for entry in self.backend.lookup(env, missing):
             self._entries[entry.key] = entry
             self._note_cost(entry)
         self._remote_checked.update((env, fp) for fp in missing)
 
-    def forget_remote_misses(self) -> None:
-        """Drop the session's known-miss cache (remote sessions only).
+    def refetch(self, env: str, fps: list[str]) -> None:
+        """Re-fetch known misses another process was expected to fill.
 
         A prefetch that came back empty is remembered so later lookups cost
-        no round-trip — but a dispatch coordinator *expects* other processes
-        to fill those keys between its misses query and its finish step, so
-        it forgets the misses before finishing re-fetches them.
+        no round-trip — but a dispatch coordinator *expects* its fleet to
+        fill exactly the keys it enqueued, so after the drain it re-fetches
+        those, in one batched ``lookup`` per environment.  A no-op for local
+        stores.
         """
-        self._remote_checked.clear()
+        if not self.is_remote:
+            return
+        self._remote_checked.difference_update((env, fp) for fp in fps)
+        self.prefetch(env, fps)
 
     def record(self, entry: StoreEntry) -> None:
         self._entries[entry.key] = entry
@@ -304,8 +316,9 @@ class ObligationStore:
 
         The backend appends the pre-joined batch under an exclusive lock, so
         concurrent flushes can interleave batches but never the bytes of one
-        entry.
+        entry.  A remote session sends its queued invalidations first.
         """
+        self._send_invalidations()
         if not self._pending:
             return
         logger.debug("flushing %d pending store entries to %s", len(self._pending), self.path)
@@ -338,47 +351,49 @@ class ObligationStore:
     # -- dependency-tracked invalidation -------------------------------------------
     def invalidate_stale(
         self, scope: str, method: str, spec_digest: str, library_digest: str
-    ) -> int:
+    ) -> None:
         """Drop exactly the entries invalidated by a spec or library edit.
 
         An entry of ``scope`` dies when the benchmark's library digest changed
         (every method's obligations sat on its axioms and alphabets) or when
         it belongs to ``method`` and that method's spec digest changed.
-        Entries of other scopes are never touched.  A remote session sends
-        each ``(scope, method, spec, library)`` key to the server once: a
-        repeat (the negative variants of a method) has nothing left to drop
-        and returns 0 without a round-trip.
+        Entries of other scopes are never touched.  The dropped count is
+        credited to ``session[(scope, method)].invalidated`` by the store
+        itself: at once by a local store, when the batch's reply arrives by
+        a remote one.
+
+        A remote session retires the stale part of its mirror at once and
+        queues the ``(scope, method, spec, library)`` key; the queue goes out
+        as one ``invalidate`` RPC before the session's next read or write
+        (:meth:`lookup`, :meth:`prefetch`, :meth:`flush`, :meth:`commit_run`,
+        :meth:`compact`, :meth:`gc`), so stale entries are gone server-side
+        before anything is fetched.  A repeated key (the negative variants
+        of a method) has nothing left to drop and is not queued again.
         """
+        # registers the method in first-check order, whatever it drops
+        self.note_method(scope, method)
         sent = (scope, method, spec_digest, library_digest)
         if sent in self._invalidated:
-            return 0
+            return
         local_stale = stale_entry_keys(
             self._entries, scope, method, spec_digest, library_digest
         )
-        if not self.is_remote and not local_stale:
-            # a local session whose view has nothing stale skips the locked
-            # rewrite — the overwhelmingly common (warm, unedited) case
-            return 0
-
         if self.is_remote:
-            # the server drops stale entries under its lock; flush first so
-            # this session's (never-stale: they carry the current digests)
-            # writes are not raced by the rewrite, then retire the mirror's
-            # stale view — a dropped key is a *known* miss from here on
-            self.flush()
-            with trace.span("store.invalidate", cat="store"):
-                dropped = self.backend.invalidate(
-                    scope, method, spec_digest, library_digest
-                )
             self._invalidated.add(sent)
-            for key in local_stale:
+            self._invalidation_queue.append(sent)
+            # a dropped key is a *known* miss from here on; an unflushed
+            # stale write must not reach the server after the batch
+            dead = set(local_stale)
+            for key in dead:
                 del self._entries[key]
                 self._session_writes.pop(key, None)
-                self._remote_checked.add(key)
-            logger.debug(
-                "invalidated %d stale entries for %s.%s (remote)", dropped, scope, method
-            )
-            return dropped
+            self._remote_checked |= dead
+            self._pending = [entry for entry in self._pending if entry.key not in dead]
+            return
+        if not local_stale:
+            # a local session whose view has nothing stale skips the locked
+            # rewrite — the overwhelmingly common (warm, unedited) case
+            return
 
         dropped = 0
 
@@ -397,8 +412,27 @@ class ObligationStore:
         with trace.span("store.invalidate", cat="store"):
             self._adopt(self.backend.update(drop_stale, runs=False))
         self._pending.clear()
+        self.note_method(scope, method, invalidated=dropped)
         logger.debug("invalidated %d stale entries for %s.%s", dropped, scope, method)
-        return dropped
+
+    def _send_invalidations(self) -> None:
+        """Send the queued invalidation keys as one batched RPC (remote only).
+
+        The server credits each stale entry to the first key that condemns
+        it — the counts sequential calls would report — and so does the
+        session.  A failed RPC leaves the queue intact for the next attempt.
+        """
+        if not self._invalidation_queue:
+            return
+        keys = self._invalidation_queue
+        with trace.span("store.invalidate", cat="store", keys=len(keys)):
+            dropped = self.backend.invalidate(keys)
+        self._invalidation_queue = []
+        for (scope, method, _, _), count in zip(keys, dropped):
+            self.note_method(scope, method, invalidated=count)
+        logger.debug(
+            "invalidated %d stale entries for %d keys (remote)", sum(dropped), len(keys)
+        )
 
     # -- session bookkeeping (--explain) -------------------------------------------
     def note_method(
@@ -443,10 +477,9 @@ class ObligationStore:
         neither overwrites the other's record.  Returns the number of keys
         recorded; a session that touched nothing records no run.
         """
-        if not self._touched:
-            self._touched.clear()
-            return 0
         self.flush()
+        if not self._touched:
+            return 0
         touched = sorted(f"{env}:{fp}" for env, fp in self._touched)
         logger.debug("committing run: %d touched entries", len(touched))
 
@@ -488,6 +521,7 @@ class ObligationStore:
             # an uncommitted session counts as the most recent run
             self.commit_run()
         if self.is_remote:
+            self.flush()
             dropped = self.backend.gc(keep_last)
             # the client cannot know which mirrored entries survived the
             # server-side sweep; forget the mirror and re-fetch lazily

@@ -6,9 +6,10 @@ returns for an ``http://``/``https://`` store path, so
 drop-in local backend: the local protocol's ``update(fn)`` primitive takes
 a closure, and a closure cannot cross the wire.  Instead the wire protocol
 exposes the store-level operations the closures implement — batched lookup,
-batched append, ``compact``, ``commit_run``, ``gc`` and ``invalidate`` — and
-the server executes each one under the wrapped local backend's existing
-lock.  :class:`~repro.store.obligation_store.ObligationStore`
+batched append, ``compact``, ``commit_run``, ``gc`` and batched
+``invalidate`` (a list of ``(scope, method, spec, library)`` keys, which a
+session queues and sends before its next read or write) — and the server
+executes each one under the wrapped local backend's existing lock.  :class:`~repro.store.obligation_store.ObligationStore`
 detects ``supports_update = False`` and dispatches to these operations.
 
 Reliability model:
@@ -310,20 +311,19 @@ class RemoteStoreBackend:
     def compact(self) -> None:
         self._call("compact", {}, idempotent=True)
 
-    def invalidate(
-        self, scope: str, method: str, spec_digest: str, library_digest: str
-    ) -> int:
+    def invalidate(self, keys: Sequence[Sequence[str]]) -> list[int]:
+        """Drop what each ``(scope, method, spec, library)`` key condemns.
+
+        One RPC and one locked pass server-side for the whole batch; returns
+        the per-key dropped counts, each stale entry credited to the first
+        key that condemns it (what sequential calls would report).
+        """
+        if not keys:
+            return []
         data = self._call(
-            "invalidate",
-            {
-                "scope": scope,
-                "method": method,
-                "spec": spec_digest,
-                "library": library_digest,
-            },
-            idempotent=True,
+            "invalidate", {"keys": [list(key) for key in keys]}, idempotent=True
         )
-        return int(data.get("dropped", 0))
+        return [int(count) for count in data.get("dropped", [])]
 
     def commit_run(self, touched: Sequence[str]) -> int:
         data = self._call("commit_run", {"touched": list(touched)}, idempotent=True)

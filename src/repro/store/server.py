@@ -3,9 +3,11 @@
 A :class:`StoreService` wraps a local store directory and executes the
 store-level operations a :class:`~repro.store.remote.RemoteStoreBackend`
 client sends — batched lookup, batched append, ``compact``, ``commit_run``,
-``gc``, ``invalidate`` — each under the wrapped backend's existing lock, so
-a CI fleet (or many watch sessions) on different machines hit one warm
-cache with exactly the local store's concurrency guarantees.
+``gc``, batched ``invalidate`` — each under the wrapped backend's existing
+lock, so a CI fleet (or many watch sessions) on different machines hit one
+warm cache with exactly the local store's concurrency guarantees.  An
+``invalidate`` carries a list of ``(scope, method, spec, library)`` keys and
+costs one locked read for the whole list.
 
 Design notes:
 
@@ -280,22 +282,26 @@ class StoreService:
         return {"entries": len(self._entries)}
 
     def op_invalidate(self, payload: dict) -> dict:
-        scope = payload["scope"]
-        method = payload["method"]
-        spec_digest = payload["spec"]
-        library_digest = payload["library"]
-        dropped = 0
+        keys = payload["keys"]
+        if not isinstance(keys, list) or not all(
+            isinstance(key, list) and len(key) == 4 and all(isinstance(part, str) for part in key)
+            for key in keys
+        ):
+            raise ValueError("invalidate needs a 'keys' list of [scope, method, spec, library]")
+        dropped: list[int] = []
 
         def drop_stale(entries, runs):
-            nonlocal dropped
-            stale = stale_entry_keys(entries, scope, method, spec_digest, library_digest)
-            dropped = len(stale)
-            if not stale:
-                # the common case (every check_method sends one): adopt the
-                # state read under the lock, but rewrite nothing
+            # keys apply in order, so each stale entry is credited to the
+            # first key that condemns it — the counts sequential calls give
+            for key in keys:
+                stale = stale_entry_keys(entries, *key)
+                dropped.append(len(stale))
+                for stale_key in stale:
+                    del entries[stale_key]
+            if not any(dropped):
+                # the common (warm, unedited) case: adopt the state read
+                # under the lock, but rewrite nothing
                 return None
-            for stale_key in stale:
-                del entries[stale_key]
             return entries, runs
 
         state = self.backend.update(drop_stale, runs=False)

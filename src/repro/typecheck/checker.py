@@ -107,7 +107,6 @@ class PendingMethod:
     solver: SolverStats
     inclusion: InclusionStats
     store_context: Optional[StoreContext]
-    invalidated: int
     #: wall time of the invalidation and the walk
     seconds: float
 
@@ -225,21 +224,21 @@ class Checker:
         Inline queries (HAT subtyping, ghost abduction) are decided during
         the walk; deferred leaf obligations never steer it, so nothing is
         discharged here.  With a store, the method's stale entries are
-        invalidated first.
+        invalidated first (a remote store sends the key with its next read
+        or write, and credits the dropped count to the method itself).
         """
         start = time.perf_counter()
         solver_before = self.solver.stats.snapshot()
         inclusion_before = self.inclusion.stats.snapshot()
 
         store_context: Optional[StoreContext] = None
-        invalidated = 0
         if self.store is not None:
             # digest the spec as *declared* (before renaming its parameters to
             # this implementation's): known-bad variants rename parameters, and
             # an alpha-renaming must not read as a spec edit and ping-pong the
             # invalidation between a method and its negative variant
             digest = spec_digest(spec)
-            invalidated = self.store.invalidate_stale(
+            self.store.invalidate_stale(
                 self.store_scope, spec.name, digest, self._library_digest
             )
             store_context = StoreContext(
@@ -287,7 +286,6 @@ class Checker:
             solver=self.solver.stats.since(solver_before),
             inclusion=self.inclusion.stats.since(inclusion_before),
             store_context=store_context,
-            invalidated=invalidated,
             seconds=time.perf_counter() - start,
         )
 
@@ -365,7 +363,6 @@ class Checker:
                 pending.method,
                 hits=engine.store_hits,
                 misses=engine.store_misses,
-                invalidated=pending.invalidated,
             )
             self.store.flush()
         logger.debug(

@@ -15,21 +15,26 @@ way to regression-test the worker's warmup walk.
 
 import multiprocessing
 import os
+import time
+from types import SimpleNamespace
 
 import pytest
 
+from repro.engine import worker as worker_module
 from repro.engine.dispatch import (
     DispatchError,
     _await_drain,
     queue_item,
     run_distributed_evaluation,
 )
+from repro.engine.scheduler import ObligationEngine
 from repro.engine.worker import ENV_WORKER_CRASH, run_worker
 from repro.evaluation.runner import run_evaluation
 from repro.evaluation.tables import report_json, table1, table3, table4
 from repro.store.obligation_store import ObligationStore
+from repro.store.remote import RemoteStoreBackend
 from repro.store.server import StoreHTTPServer, StoreService, serve_in_thread
-from repro.suite.registry import benchmark_by_key
+from repro.suite.registry import all_benchmarks, benchmark_by_key
 from repro.typecheck.checker import Checker
 
 
@@ -139,6 +144,60 @@ def test_a_cold_dispatch_walks_each_method_once(server, monkeypatch):
     assert checked == [], "the coordinator never re-walks a method"
 
 
+# -- the coordinator's RPC budget ----------------------------------------------------
+
+
+def _op_counts(backend):
+    """The server's per-op request counts (its ``stats`` op excluded)."""
+    ops = backend.stats()["ops"]
+    return {op: record["count"] for op, record in ops.items() if op != "stats"}
+
+
+@pytest.fixture(scope="module")
+def cold_then_warm_dispatch(tmp_path_factory):
+    """A cold and then a warm dispatch of the fast corpus against one
+    in-process server, with the server's op counts after each."""
+    service = StoreService(tmp_path_factory.mktemp("rpc-budget") / "store")
+    with serve_in_thread(StoreHTTPServer(("127.0.0.1", 0), service)) as httpd:
+        runs = []
+        before: dict = {}
+        for _ in ("cold", "warm"):
+            store = ObligationStore(httpd.url)
+            report = run_distributed_evaluation(
+                store, include_slow=False, local_workers=2, drain_timeout=300.0, poll=0.1,
+            )
+            rpcs = store.backend.rpc_calls
+            after = _op_counts(store.backend)
+            delta = {op: count - before.get(op, 0) for op, count in after.items()}
+            runs.append((report, store, rpcs, {op: n for op, n in delta.items() if n}))
+            before = after
+    service.close()
+    return runs
+
+
+def test_a_cold_dispatch_sends_one_invalidate(cold_then_warm_dispatch):
+    (report, store, _, ops), _ = cold_then_warm_dispatch
+    benchmarks = len(all_benchmarks(include_slow=False))
+    assert report.dispatch["cold_obligations"] > 0
+    assert report.all_verified and report.all_negatives_rejected
+    assert ops["invalidate"] == 1, "every method's key rides one batched invalidate"
+    # one prefetch per benchmark, one post-drain refetch per environment
+    assert ops["lookup"] <= 2 * benchmarks, ops
+    assert store.summary()["misses"] == 0, "the refetch found every enqueued key"
+
+
+def test_a_warm_dispatch_costs_one_lookup_per_benchmark(cold_then_warm_dispatch):
+    (cold, _, _, _), (warm, store, rpcs, ops) = cold_then_warm_dispatch
+    benchmarks = len(all_benchmarks(include_slow=False))
+    assert warm.dispatch["cold_obligations"] == 0
+    assert ops["invalidate"] == 1
+    assert ops["lookup"] <= benchmarks, ops
+    assert rpcs <= 10, f"{rpcs} coordinator RPCs for a warm dispatch: {ops}"
+    assert store.summary()["misses"] == 0
+    for render in (table1, table3, table4):
+        assert render(warm, deterministic=True) == render(cold, deterministic=True)
+
+
 def test_fresh_process_workers_match_serial_byte_identical(server):
     """Spawned workers (fresh interpreters, like real ``repro worker``
     processes) must reproduce serial solver-effort columns on the full fast
@@ -231,6 +290,62 @@ def test_a_worker_killed_mid_lease_loses_nothing(server, monkeypatch):
     recorded = {(entry.env, entry.fp) for entry in state.entries.values()}
     assert recorded == unique
     assert len(state.entries) == len(unique), "one record per obligation, exactly"
+
+
+def test_a_lease_lost_between_benchmark_groups_is_abandoned(server, store_path, monkeypatch):
+    """The first group outlives the lease: the renewal before the second
+    group is refused, so the worker abandons the batch without completing
+    it, and a thief lands each verdict exactly once."""
+    store = ObligationStore(server.url)
+    items = _collect_and_enqueue(store, _subset(), "d-abandon")
+    unique = {(item["env"], item["fp"]) for item in items}
+    assert len({item["bench"] for item in items}) == 2
+
+    # one clock offset for the worker and the server's queue: discharging
+    # the first group moves both past the lease's deadline
+    offset = [0.0]
+    monkeypatch.setattr(
+        worker_module, "time", SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0])
+    )
+    server.service.queue_clock = lambda: time.monotonic() + offset[0]
+    discharge = ObligationEngine.discharge_leased
+
+    def outliving_the_lease(self, leased):
+        discharge(self, leased)
+        offset[0] += 100.0
+
+    monkeypatch.setattr(ObligationEngine, "discharge_leased", outliving_the_lease)
+    completed = []
+    complete = RemoteStoreBackend.complete
+
+    def recording_complete(self, lease_id, keys):
+        completed.append(lease_id)
+        return complete(self, lease_id, keys)
+
+    monkeypatch.setattr(RemoteStoreBackend, "complete", recording_complete)
+
+    stats = run_worker(
+        server.url, batch=len(unique), ttl=10.0, max_batches=1, warm_process=False
+    )
+    assert stats.items == len(unique)
+    assert stats.abandoned == 1
+    assert 0 < stats.discharged < len(unique), "only the first group ran"
+    assert completed == [], "an abandoned batch is never completed"
+
+    monkeypatch.setattr(ObligationEngine, "discharge_leased", discharge)
+    thief = run_worker(
+        server.url, batch=len(unique), ttl=30.0, idle_timeout=5.0, warm_process=False
+    )
+    assert thief.abandoned == 0
+    assert thief.completed == len(unique)
+    assert server.service.queue.status()["remaining"] == 0
+
+    # the abandoned group's verdicts were flushed first; the thief's
+    # if_absent appends skip them, so the log holds one line per obligation
+    lines = (store_path / "entries.jsonl").read_text().splitlines()
+    assert len(lines) == len(unique)
+    state = server.service.backend.load()
+    assert {(entry.env, entry.fp) for entry in state.entries.values()} == unique
 
 
 def test_a_coordinator_killed_mid_drain_resumes_from_the_store(server):

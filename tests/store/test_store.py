@@ -153,17 +153,24 @@ def test_invalidation_is_dependency_scoped(store_path):
     store.record(_entry("stack-push", scope="Stack/KVStore", method="push", spec="p1"))
     store.flush()
 
-    # unchanged spec/library: nothing dropped
-    assert store.invalidate_stale("Set/KVStore", "insert", "s1", "l1") == 0
+    def invalidated(method):
+        return store.session[("Set/KVStore", method)].invalidated
 
-    # an edit of Set's insert spec drops exactly that method's entries
-    assert store.invalidate_stale("Set/KVStore", "insert", "s1-edited", "l1") == 1
+    # unchanged spec/library: nothing dropped
+    store.invalidate_stale("Set/KVStore", "insert", "s1", "l1")
+    assert invalidated("insert") == 0
+
+    # an edit of Set's insert spec drops exactly that method's entries, and
+    # the store credits the drop to the method's session counts
+    store.invalidate_stale("Set/KVStore", "insert", "s1-edited", "l1")
+    assert invalidated("insert") == 1
     assert store.lookup("env1", "set-insert") is None
     assert store.lookup("env1", "set-mem") is not None
     assert store.lookup("env1", "stack-push") is not None
 
     # a library change drops the whole scope, other scopes stay
-    assert store.invalidate_stale("Set/KVStore", "mem", "m1", "l2") == 1
+    store.invalidate_stale("Set/KVStore", "mem", "m1", "l2")
+    assert invalidated("mem") == 1
     assert store.lookup("env1", "set-mem") is None
     assert store.lookup("env1", "stack-push") is not None
 

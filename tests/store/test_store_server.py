@@ -129,14 +129,74 @@ def test_invalidate_drops_exactly_the_stale_scope(client):
             _entry("f3", scope="Stack/KVStore", spec="old"),
         ]
     )
-    dropped = client.invalidate("Set/KVStore", "insert", "new-spec", "l1")
-    assert dropped == 1
+    dropped = client.invalidate([("Set/KVStore", "insert", "new-spec", "l1")])
+    assert dropped == [1]
     assert {e.fp for e in client.lookup("env1", ["f1", "f2", "f3"])} == {"f2", "f3"}
 
 
+def test_a_batched_invalidate_credits_each_entry_to_its_first_key(client):
+    """One RPC, one locked pass: keys apply in order, so an entry two keys
+    condemn counts once, for the first — what sequential calls report."""
+    client.append_entries(
+        [
+            _entry("f1", spec="old"),
+            _entry("f2", method="mem", spec="m1"),
+            _entry("f3", scope="Stack/KVStore", spec="old"),
+        ]
+    )
+    # a library edit condemns the whole Set scope under its first key
+    dropped = client.invalidate(
+        [
+            ("Set/KVStore", "mem", "m1", "l2"),
+            ("Set/KVStore", "insert", "new-spec", "l2"),
+            ("Stack/KVStore", "insert", "old", "l1"),
+        ]
+    )
+    assert dropped == [2, 0, 0]
+    assert {e.fp for e in client.lookup("env1", ["f1", "f2", "f3"])} == {"f3"}
+    assert client.stats()["ops"]["invalidate"]["count"] == 1
+    assert client.invalidate([]) == [], "an empty batch costs no round trip"
+    assert client.stats()["ops"]["invalidate"]["count"] == 1
+
+
+def test_the_single_key_invalidate_form_is_rejected(client):
+    with pytest.raises(RemoteStoreError, match="400"):
+        client._call(
+            "invalidate",
+            {"scope": "Set/KVStore", "method": "insert", "spec": "s", "library": "l1"},
+        )
+    with pytest.raises(RemoteStoreError, match="400"):
+        client._call("invalidate", {"keys": [["Set/KVStore", "insert"]]})
+
+
+def test_a_remote_session_queues_invalidations_until_its_next_read(server, client):
+    """``invalidate_stale`` sends nothing; the queue goes out as one RPC
+    ahead of the session's next fetch, and the store credits each method's
+    session counts from the reply."""
+    client.append_entries([_entry("f1", spec="old"), _entry("f2", method="mem", spec="m1")])
+    session = ObligationStore(server.url)
+    session.invalidate_stale("Set/KVStore", "insert", "new-spec", "l1")
+    session.invalidate_stale("Set/KVStore", "mem", "m1", "l1")
+    session.invalidate_stale("Set/KVStore", "insert", "new-spec", "l1")  # a repeat
+    assert "invalidate" not in client.stats()["ops"], "queued, not sent"
+    assert [row["invalidated"] for row in session.explain()] == [0, 0]
+
+    session.prefetch("env1", ["f1", "f2"])
+    assert client.stats()["ops"]["invalidate"]["count"] == 1
+    assert session.lookup("env1", "f1") is None, "the stale entry was gone before the fetch"
+    assert session.lookup("env1", "f2") is not None
+    assert [(row["method"], row["invalidated"]) for row in session.explain()] == [
+        ("insert", 1),
+        ("mem", 0),
+    ]
+    session.flush()
+    assert client.stats()["ops"]["invalidate"]["count"] == 1, "the queue went out once"
+
+
 def test_a_noop_invalidate_reads_but_never_rewrites(client, store_path, monkeypatch):
-    """Every check_method sends an invalidate; with nothing stale the server
-    must adopt the state it read under the lock without rewriting the log."""
+    """Every session sends its queued invalidation keys as one batch before
+    its first read; with nothing stale the server must adopt the state it
+    read under the lock without rewriting the log."""
     from repro.store import backends
 
     client.append_entries([_entry("f1", method="other-method")])
@@ -155,13 +215,13 @@ def test_a_noop_invalidate_reads_but_never_rewrites(client, store_path, monkeypa
 
     monkeypatch.setattr(backends, "_atomic_write", counting_write)
 
-    assert client.invalidate("Set/KVStore", "insert", "s1", "l1") == 0
+    assert client.invalidate([("Set/KVStore", "insert", "s1", "l1")]) == [0]
     assert rewrites == [], "a no-op invalidation rewrote the entry log"
     assert [e.fp for e in client.lookup("env1", ["sneaked"])] == ["sneaked"], (
         "the locked read must still adopt out-of-band writes"
     )
     # a genuinely stale scope still pays exactly the rewrite it needs
-    assert client.invalidate("Set/KVStore", "insert", "s2", "l1") == 1
+    assert client.invalidate([("Set/KVStore", "insert", "s2", "l1")]) == [1]
     assert rewrites
 
 

@@ -12,10 +12,12 @@ import dataclasses
 
 import pytest
 
+from repro.engine.dispatch import run_distributed_evaluation
 from repro.evaluation.runner import run_evaluation
 from repro.evaluation.tables import table1, table3, table4
 from repro.sfa import symbolic
 from repro.store.obligation_store import ObligationStore
+from repro.store.server import StoreHTTPServer, StoreService, serve_in_thread
 from repro.suite.registry import benchmark_by_key
 from repro.typecheck.checker import CheckerConfig
 
@@ -111,6 +113,19 @@ def test_store_entries_carry_witness_traces(cold_and_warm):
     assert all(entry.scope and entry.method and entry.spec for entry in cold_store)
 
 
+def _with_edited_insert(bench):
+    """``bench`` with insert's spec edited: the postcondition strengthened by
+    a structurally new (if semantically redundant) conjunct — a genuinely
+    different HAT."""
+    edited_specs = dict(bench.specs)
+    original = edited_specs["insert"]
+    edited_specs["insert"] = dataclasses.replace(
+        original,
+        postcondition=symbolic.and_(original.postcondition, symbolic.any_trace()),
+    )
+    return dataclasses.replace(bench, specs=edited_specs)
+
+
 def test_spec_edit_invalidates_only_that_benchmark(store_path):
     store = ObligationStore(store_path)
     set_bench = benchmark_by_key("Set/KVStore")
@@ -120,16 +135,7 @@ def test_spec_edit_invalidates_only_that_benchmark(store_path):
     stack_entries = {entry.fp for entry in store.entries_for_scope("Stack/KVStore")}
     assert store.entries_for_scope("Set/KVStore") and stack_entries
 
-    # edit insert's spec: strengthen the postcondition with a structurally
-    # new (if semantically redundant) conjunct — a genuinely different HAT
-    edited_specs = dict(set_bench.specs)
-    original = edited_specs["insert"]
-    edited_specs["insert"] = dataclasses.replace(
-        original,
-        postcondition=symbolic.and_(original.postcondition, symbolic.any_trace()),
-    )
-    edited_bench = dataclasses.replace(set_bench, specs=edited_specs)
-
+    edited_bench = _with_edited_insert(set_bench)
     session = ObligationStore(store_path)
     edited_bench.verify_all(edited_bench.make_checker(store=session))
     explain = {(row["scope"], row["method"]): row for row in session.explain()}
@@ -149,6 +155,46 @@ def test_spec_edit_invalidates_only_that_benchmark(store_path):
     stack_bench.verify_all(stack_bench.make_checker(store=warm_stack))
     assert warm_stack.summary()["misses"] == 0
     assert warm_stack.summary()["invalidated"] == 0
+
+
+@pytest.fixture
+def server(store_path):
+    service = StoreService(store_path)
+    with serve_in_thread(StoreHTTPServer(("127.0.0.1", 0), service)) as httpd:
+        yield httpd
+    service.close()
+
+
+def _run(mode, benchmarks, store):
+    if mode == "serial":
+        return run_evaluation(benchmarks, store=store)
+    return run_distributed_evaluation(
+        store, benchmarks=benchmarks, local_workers=1, drain_timeout=300.0, poll=0.1
+    )
+
+
+@pytest.mark.parametrize("mode", ("serial", "dispatch"))
+def test_spec_edit_invalidates_only_that_method_through_a_server(server, mode):
+    """The remote twin: a remote session sends its invalidation keys in one
+    deferred batch, yet each method's ``--explain`` counts come out as a
+    local session's — the edited method's drops, its siblings' zeros."""
+    set_bench = benchmark_by_key("Set/KVStore")
+    _run(mode, [set_bench], ObligationStore(server.url))
+
+    edited_bench = _with_edited_insert(set_bench)
+    session = ObligationStore(server.url)
+    report = _run(mode, [edited_bench], session)
+    assert report.all_verified
+    explain = {(row["scope"], row["method"]): row for row in session.explain()}
+    assert explain[("Set/KVStore", "insert")]["invalidated"] > 0
+    assert explain[("Set/KVStore", "mem")]["invalidated"] == 0
+    assert explain[("Set/KVStore", "empty")]["invalidated"] == 0
+    assert explain[("Set/KVStore", "mem")]["hits"] > 0
+
+    again = ObligationStore(server.url)
+    _run(mode, [edited_bench], again)
+    assert again.summary()["invalidated"] == 0
+    assert again.summary()["misses"] == 0
 
 
 def test_store_respects_environment_fingerprint(store_path):

@@ -58,8 +58,8 @@ def test_invalidation_preserves_entries_appended_after_load(store_path):
     other.record(_entry("fresh-foreign", method="mem", spec="m1"))
     other.flush()  # appended after the invalidator's load
 
-    dropped = invalidator.invalidate_stale("Set/KVStore", "insert", "new-spec", "l1")
-    assert dropped == 1
+    invalidator.invalidate_stale("Set/KVStore", "insert", "new-spec", "l1")
+    assert invalidator.session[("Set/KVStore", "insert")].invalidated == 1
     assert {e.fp for e in ObligationStore(store_path)} == {"fresh-foreign"}
 
 
