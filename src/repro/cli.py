@@ -4,7 +4,6 @@ Usage::
 
     pymarple list                       # list the benchmark corpus
     pymarple check Set/KVStore          # verify one ADT/library row
-    pymarple verify Set/KVStore         # alias of check
     pymarple check Set/KVStore --method insert
     pymarple evaluate [--fast]          # run the whole evaluation (Table 1 data)
     pymarple table 1|2|3|4 [--fast]     # print a specific paper table
@@ -15,14 +14,14 @@ there is no mode flag for either.  Serial discharge follows emission order
 with the cross-obligation alphabet memo always on; neither is a knob, and
 every query goes to the one DPLL SAT core.  Going wide is
 ``dispatch --local-workers N`` (or ``repro worker`` processes) over a
-``store serve`` instance's lease queue.  Incremental verification is enabled with
-``--incremental`` (or by naming a store explicitly with ``--store PATH``):
-discharged obligations are persisted to an on-disk store and answered from it
-on later runs; ``--explain`` prints the per-method hit/miss/invalidated
-counts, and ``--json`` emits a machine-readable report for CI trend tracking.
-A store path is either a directory of JSON-lines logs or the
-``http://host:port`` URL of a remote ``pymarple store serve`` instance, which
-exposes a local store directory to a fleet of clients over JSON-HTTP.
+``store serve`` instance's lease queue.  Incremental verification is enabled
+by naming a store with ``--store PATH``: discharged obligations are persisted
+to it and answered from it on later runs; ``--explain`` prints the
+per-method hit/miss/invalidated counts, and ``--json`` emits a
+machine-readable report for CI trend tracking.  A store path is either a
+directory of JSON-lines logs or the ``http://host:port`` URL of a
+``pymarple store serve`` instance, which exposes a local store directory to
+a fleet of clients over JSON-HTTP; both run the same store operations.
 """
 
 from __future__ import annotations
@@ -43,8 +42,11 @@ from .store.obligation_store import ObligationStore, check_keep_last
 from .store.remote import RemoteStoreError
 from .suite.registry import all_benchmarks, benchmark_by_key
 
-#: Where ``--incremental`` keeps its store when ``--store`` is not given.
+#: The store ``store gc``/``store serve`` use when ``--store`` is not given.
 DEFAULT_STORE_PATH = ".pymarple-store"
+
+#: retired spellings -> the one that replaced them (each exits 2 naming it)
+_RETIRED_COMMANDS = {"verify": "check"}
 
 
 # ---------------------------------------------------------------------------
@@ -109,16 +111,13 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_store_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("incremental verification")
-    group.add_argument(
-        "--incremental",
-        action="store_true",
-        help=f"answer obligations from a persistent store (default path: {DEFAULT_STORE_PATH})",
-    )
+    # the retired spelling of `--store .pymarple-store`: exits 2 naming it
+    group.add_argument("--incremental", action="store_true", help=argparse.SUPPRESS)
     group.add_argument(
         "--store",
         metavar="PATH",
         help=(
-            "store path (implies --incremental): a directory, or the "
+            "answer obligations from a persistent store: a directory, or the "
             "http://host:port URL of a `store serve` instance"
         ),
     )
@@ -130,10 +129,16 @@ def _add_store_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _open_store(args: argparse.Namespace) -> Optional[ObligationStore]:
-    if not (getattr(args, "store", None) or getattr(args, "incremental", False)):
+    if getattr(args, "incremental", False):
+        print(
+            f"error: `--incremental` is gone; use `--store {DEFAULT_STORE_PATH}`",
+            file=sys.stderr,
+        )
+        raise SystemExit(2)
+    if not getattr(args, "store", None):
         return None
     try:
-        return ObligationStore(getattr(args, "store", None) or DEFAULT_STORE_PATH)
+        return ObligationStore(args.store)
     except ValueError as exc:
         # e.g. a plain file where the store directory should be: diagnose,
         # don't traceback
@@ -156,15 +161,15 @@ def _note_trace_counters(caches: dict, store: Optional[ObligationStore] = None) 
     """Stash run-level cache totals on the active tracer, if any.
 
     They land in the trace file's trailing ``counters`` record, which is
-    what ``repro trace report`` prints its cache-rate block from.  A remote
-    store session also contributes the server's ``/stats`` snapshot (per-op
-    counts, lookup hit rate, queue counters) under the ``store`` key.
+    what ``repro trace report`` prints its cache-rate block from.  A store
+    session also contributes the store's ``stats`` snapshot (per-op counts,
+    lookup hit rate, queue counters) under the ``store`` key.
     """
     tracer = obs_trace.active()
     if tracer is None:
         return
     counters: dict = {"caches": caches}
-    if store is not None and store.is_remote:
+    if store is not None:
         try:
             counters["store"] = store.backend.stats()
         except RemoteStoreError:
@@ -540,16 +545,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list the benchmark corpus").set_defaults(func=_cmd_list)
 
-    for name, help_text in (
-        ("check", "verify one ADT/library benchmark"),
-        ("verify", "alias of check"),
-    ):
-        check = sub.add_parser(name, help=help_text)
-        check.add_argument("benchmark", help="benchmark key, e.g. Set/KVStore")
-        check.add_argument("--method", help="verify a single method only")
-        _add_store_flags(check)
-        _add_obs_flags(check)
-        check.set_defaults(func=_cmd_check)
+    check = sub.add_parser("check", help="verify one ADT/library benchmark")
+    check.add_argument("benchmark", help="benchmark key, e.g. Set/KVStore")
+    check.add_argument("--method", help="verify a single method only")
+    _add_store_flags(check)
+    _add_obs_flags(check)
+    check.set_defaults(func=_cmd_check)
 
     evaluate = sub.add_parser("evaluate", help="run the full evaluation")
     evaluate.add_argument("--fast", action="store_true", help="skip the slow benchmarks")
@@ -740,6 +741,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv and argv[0] in _RETIRED_COMMANDS:
+        print(
+            f"error: `{argv[0]}` is gone; use `pymarple {_RETIRED_COMMANDS[argv[0]]}`",
+            file=sys.stderr,
+        )
+        return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

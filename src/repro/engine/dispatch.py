@@ -1,39 +1,35 @@
 """The distributed-discharge coordinator (``repro dispatch``).
 
-One walk, with the partition of the cold obligations decided *dynamically*
-by the store server's lease queue:
+A serial run's two phases with a worker fleet between them; the partition
+of the cold obligations is decided *dynamically* by the store server's
+lease queue:
 
-1. **Emit + enqueue** — walk every method and negative variant once
-   (:meth:`~repro.typecheck.checker.Checker.emit_method`), then ask each
-   benchmark's engine which deduped obligations the store lacks: one
-   batched prefetch over all of the benchmark's methods
-   (:meth:`~repro.engine.scheduler.ObligationEngine.prefetch`), then
-   :meth:`~repro.engine.scheduler.ObligationEngine.store_misses` per method.
-   The store traffic is one RPC per phase and benchmark, not per method:
-   the emit walk only queues each method's invalidation key, and the queue
-   goes out as one ``invalidate`` RPC ahead of the first prefetch.  The
-   misses are deduped on their ``(env, fp)`` store key, keeping the first
-   emission (the one a serial run records), and enqueued on the server
-   tagged with a fresh dispatch id, each with the best cost signal
-   available (the store's measured wall cost, else the syntactic estimate).
-   Each queue item ships the obligation itself, encoded by
-   :mod:`repro.engine.codec`, plus the store context it was emitted under;
-   pulling workers lease items highest-cost-first, decode and discharge
-   them, and write verdicts back through the store — no worker re-walks a
-   benchmark.
+1. **Emit + enqueue** — the serial emit phase
+   (:func:`~repro.evaluation.runner.emit_benchmarks`: every method and
+   negative variant walked once, the queued invalidation keys sent as one
+   ``invalidate`` RPC, one batched ``lookup`` per benchmark), then
+   :meth:`~repro.engine.scheduler.ObligationEngine.store_misses` per method,
+   which costs no further round trip.  The misses are deduped on their
+   ``(env, fp)`` store key, keeping the first emission (the one a serial
+   run records), and enqueued on the server tagged with a fresh dispatch
+   id, each with its syntactic cost estimate (the server upgrades it to the
+   store's recorded wall time when it has one).  Each queue item ships the
+   obligation itself, encoded by :mod:`repro.engine.codec`, plus the store
+   context it was emitted under; pulling workers lease items
+   highest-cost-first, decode and discharge them, and write verdicts back
+   through the store — no worker re-walks a benchmark.
 2. **Drain + finish** — wait on the queue until this dispatch's items are
    gone (``queue_status`` with a ``wait``: the server answers the moment the
-   last item completes, so the drain costs no sleep quantum), then finish
-   every pending method in emit order through the ordinary discharge step
-   (:meth:`~repro.typecheck.checker.Checker.finish_method`).  The enqueued
-   keys are re-fetched first, one batched lookup per environment
-   (:meth:`~repro.store.obligation_store.ObligationStore.refetch`), so every
-   lookup hits the session's mirror, and anything a worker could not decode
-   (or hit a budget on) is discharged locally.  The tables come out
-   byte-identical to a serial cold run, because every recorded counter is a
-   pure function of its obligation, whichever worker discharged it.  The
-   workers exit on the same drain, so joining them costs no idle tail
-   either.
+   last item completes, so the drain costs no sleep quantum), re-fetch the
+   enqueued keys, one batched lookup per environment
+   (:meth:`~repro.store.obligation_store.ObligationStore.refetch`), then run
+   the serial finish phase (:func:`~repro.evaluation.runner.finish_benchmarks`),
+   so every lookup hits the session's mirror and anything a worker could
+   not decode (or hit a budget on) is discharged locally.  The tables come
+   out byte-identical to a serial cold run, because every recorded
+   discharge counter is a pure function of its obligation, whichever worker
+   discharged it.  The workers exit on the same drain, so joining them
+   costs no idle tail either.
 
 Durability is the store's: if the coordinator dies mid-drain, a re-dispatch
 recomputes the remaining misses from the store — completed obligations are
@@ -52,7 +48,7 @@ import time
 import uuid
 from typing import Optional, Sequence
 
-from ..evaluation.runner import EvaluationReport, benchmark_results
+from ..evaluation.runner import EvaluationReport, emit_benchmarks, finish_benchmarks
 from ..obs import trace
 from ..obs.logs import get_logger
 from ..store.obligation_store import ObligationStore, StoreContext
@@ -74,14 +70,16 @@ class DispatchError(RuntimeError):
 
 
 def queue_item(bench: str, env: str, digest: str, obligation: Obligation,
-               context: StoreContext, hint: Optional[float]) -> dict:
-    """The queue item for one store miss: its key, cost signal and payload."""
+               context: StoreContext) -> dict:
+    """The queue item for one store miss: its key, syntactic cost estimate
+    (the server upgrades it to a recorded wall time when it has one) and
+    payload."""
     return {
         "env": env,
         "fp": digest,
         "bench": bench,
-        "cost": hint if hint is not None else float(obligation.cost_estimate()),
-        "measured": hint is not None,
+        "cost": float(obligation.cost_estimate()),
+        "measured": False,
         "payload": lease_payload(obligation, context),
     }
 
@@ -164,28 +162,16 @@ def run_distributed_evaluation(
     # -- phase 1: emit every method once, enqueue the store's misses ---------
     #: (env, fp) -> the queue item of its first emission
     misses: dict[tuple[str, str], dict] = {}
-    #: (benchmark, checker, pending methods in check order)
-    emitted = []
     with trace.span("dispatch.emit", cat="run", dispatch=dispatch_id, benchmarks=len(benchmarks)):
-        for benchmark in benchmarks:
-            checker = benchmark.make_checker(config, store=store)
-            pending = [
-                checker.emit_method(definition, spec, benchmark.specs)
-                for definition, spec in benchmark.checks(check_negative_variants)
-            ]
-            emitted.append((benchmark, checker, pending))
-        # every method is emitted before the store is read: the queued
-        # invalidations go out as one RPC ahead of the first prefetch, and
-        # each benchmark's misses cost one batched lookup
+        emitted = emit_benchmarks(benchmarks, config, check_negative_variants, store)
         for benchmark, checker, pending in emitted:
-            engine = checker.obligation_engine
-            engine.prefetch([method.obligations for method in pending])
             for method in pending:
-                for env, digest, obligation in engine.store_misses(method.obligations):
+                for env, digest, obligation in checker.obligation_engine.store_misses(
+                    method.obligations
+                ):
                     if (env, digest) not in misses:
                         misses[env, digest] = queue_item(
-                            benchmark.key, env, digest, obligation,
-                            method.store_context, store.cost_hint(digest),
+                            benchmark.key, env, digest, obligation, method.store_context
                         )
     items = list(misses.values())
     # the server dedupes on (env, fp) too: ``requeued`` counts the items an
@@ -245,12 +231,7 @@ def run_distributed_evaluation(
         store.refetch(env, fps)
     report = EvaluationReport()
     with trace.span("dispatch.finish", cat="run", dispatch=dispatch_id):
-        for benchmark, checker, pending in emitted:
-            results = [checker.finish_method(method) for method in pending]
-            stats, negatives = benchmark_results(benchmark, results)
-            report.adt_stats.append(stats)
-            report.negative_results.extend(negatives)
-            report.diagnostics.append({"benchmark": benchmark.key, **checker.run_diagnostics()})
+        finish_benchmarks(emitted, report)
     report.total_time_seconds = time.perf_counter() - started
     report.dispatch = {
         "dispatch": dispatch_id,

@@ -8,26 +8,30 @@ This is the middle stage of the decoupled pipeline:
 2. **Schedule** — :class:`ObligationEngine` dedupes structurally-isomorphic
    obligations (hash-consed fingerprints) and answers each representative
    from the cross-method memo, then the persistent store; the remainder is
-   discharged in emission order.  This is the one discharge step: a dispatch
-   coordinator (:mod:`repro.engine.dispatch`) only asks it beforehand which
-   representatives the store lacks (one :meth:`ObligationEngine.prefetch`
-   per benchmark, then :meth:`ObligationEngine.store_misses` per method),
-   has a worker fleet record those, and then runs the same step, which
-   finds them in the store;
+   discharged in emission order.  This is the one discharge step; a corpus
+   run fetches each benchmark's representatives ahead of it in one
+   :meth:`ObligationEngine.prefetch`, and a dispatch coordinator
+   (:mod:`repro.engine.dispatch`) also asks which ones the store lacks
+   (:meth:`ObligationEngine.store_misses` per method), has a worker fleet
+   record those, and then runs the same step, which finds them in the store;
 3. **Discharge** — the residual obligations are grouped by alphabet key and
    each group's members are decided by transition-table walks over one
    shared construction (:func:`repro.sfa.batch.discharge_group`); the
    per-member ``SolverStats``/``InclusionStats`` are merged back into the
    caller's tables.
 
-Determinism is a design invariant: every obligation is discharged
-*hermetically* — its alphabet is built on a fresh solver (or replayed from
-the memo's recorded bill) and its walk depends on nothing but the obligation
-— which makes every counter a pure function of the obligation itself.
-A dispatch worker (:mod:`repro.engine.worker`) that discharges a leased
-subset therefore records exactly the counters a serial run would.
-Cross-obligation sharing happens at the obligation level: the batch dedupe
-and the cross-method memo answer repeated queries without re-discharge.
+Every obligation is discharged *hermetically* — its alphabet is built on a
+fresh solver (or replayed from the memo's recorded bill) and its walk
+depends on nothing but the obligation — so the discharge counters recorded
+per obligation are a pure function of the obligation itself, and a dispatch
+worker (:mod:`repro.engine.worker`) that discharges a leased subset records
+exactly the counters a serial run would.  A method's *inline* counters (the
+walk's own queries on the checker's shared solver) and its memo hits are
+not: they carry the checker's history — which methods it walked and
+finished before, and what its query cache and learned lemmas hold.
+Cross-obligation sharing happens at the obligation level: the
+batch dedupe and the cross-method memo answer repeated queries without
+re-discharge.
 """
 
 from __future__ import annotations

@@ -63,6 +63,7 @@ from typing import Optional
 from ..obs import trace
 from ..obs.logs import get_logger
 from ..statsutil import MergeableStats
+from ..store.backends import is_store_url
 from ..store.obligation_store import ObligationStore
 from ..suite.benchmark import AdtBenchmark
 from ..suite.registry import all_benchmarks
@@ -154,9 +155,9 @@ def run_worker(
     """
     config = config or CheckerConfig()
     worker_id = worker_id or f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:6]}"
-    store = ObligationStore(store_url)
-    if not store.is_remote:
+    if not is_store_url(store_url):
         raise ValueError(f"repro worker needs a store *server* URL, got {store_url!r}")
+    store = ObligationStore(store_url)
     backend = store.backend
     backend.append_if_absent = True
     crash_after_lease = os.environ.get(ENV_WORKER_CRASH, "") == "lease"

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..obs import trace
 from ..suite.benchmark import AdtBenchmark
 from ..suite.registry import all_benchmarks
-from ..typecheck.checker import CheckerConfig
+from ..typecheck.checker import Checker, CheckerConfig, PendingMethod
 from ..typecheck.stats import AdtStats, MethodResult
 
 
@@ -84,15 +84,64 @@ def run_benchmark(
     ``diagnostics_sink``, when given, receives the checker's run diagnostics
     (alphabet-memo counts, engine counters) once the benchmark is done.
     """
-    with trace.span("benchmark", cat="benchmark", benchmark=benchmark.key):
-        checker = benchmark.make_checker(config, store=store)
-        results = [
-            checker.check_method(definition, spec, benchmark.specs)
-            for definition, spec in benchmark.checks(check_negative_variants)
-        ]
+    report = EvaluationReport()
+    finish_benchmarks(
+        emit_benchmarks([benchmark], config, check_negative_variants, store), report
+    )
     if diagnostics_sink is not None:
-        diagnostics_sink.append({"benchmark": benchmark.key, **checker.run_diagnostics()})
-    return benchmark_results(benchmark, results)
+        diagnostics_sink.extend(report.diagnostics)
+    return report.adt_stats[0], report.negative_results
+
+
+def emit_benchmarks(
+    benchmarks: Sequence[AdtBenchmark],
+    config: Optional[CheckerConfig],
+    check_negative_variants: bool,
+    store,
+) -> list[tuple[AdtBenchmark, Checker, list[PendingMethod]]]:
+    """The emit phase: walk every method and negative variant, then read the store.
+
+    Every method of every benchmark is emitted before the store is read, so
+    the methods' queued invalidation keys go out as one ``invalidate`` op
+    ahead of the first fetch; then each benchmark's deduped obligations are
+    fetched in one batched ``lookup``
+    (:meth:`~repro.engine.scheduler.ObligationEngine.prefetch`).  Returns
+    ``(benchmark, checker, pending methods in check order)`` per benchmark.
+    """
+    emitted = []
+    for benchmark in benchmarks:
+        with trace.span("benchmark", cat="benchmark", benchmark=benchmark.key, phase="emit"):
+            checker = benchmark.make_checker(config, store=store)
+            pending = [
+                checker.emit_method(definition, spec, benchmark.specs)
+                for definition, spec in benchmark.checks(check_negative_variants)
+            ]
+        emitted.append((benchmark, checker, pending))
+    for _, checker, pending in emitted:
+        checker.obligation_engine.prefetch([method.obligations for method in pending])
+    return emitted
+
+
+def finish_benchmarks(
+    emitted: list[tuple[AdtBenchmark, Checker, list[PendingMethod]]],
+    report: EvaluationReport,
+) -> None:
+    """The finish phase: decide every pending method in emit order.
+
+    Each method goes through the one discharge step (memo → store →
+    discharge, :meth:`~repro.typecheck.checker.Checker.finish_method`);
+    rows, negative results and run diagnostics land in ``report``.
+    ``emitted`` is consumed: each benchmark's checker is released once it
+    is finished, so finished checkers' caches do not pile up.
+    """
+    while emitted:
+        benchmark, checker, pending = emitted.pop(0)
+        with trace.span("benchmark", cat="benchmark", benchmark=benchmark.key, phase="finish"):
+            results = [checker.finish_method(method) for method in pending]
+        stats, negatives = benchmark_results(benchmark, results)
+        report.adt_stats.append(stats)
+        report.negative_results.extend(negatives)
+        report.diagnostics.append({"benchmark": benchmark.key, **checker.run_diagnostics()})
 
 
 def benchmark_results(
@@ -120,22 +169,20 @@ def run_evaluation(
     check_negative_variants: bool = True,
     store=None,
 ) -> EvaluationReport:
-    """Verify the whole corpus, mirroring the experiments behind Table 1."""
+    """Verify the whole corpus, mirroring the experiments behind Table 1.
+
+    Every method is emitted first and then finished in emit order
+    (:func:`emit_benchmarks`, :func:`finish_benchmarks`), the same two
+    phases a dispatch coordinator runs around its worker fleet.
+    """
     if benchmarks is None:
         benchmarks = all_benchmarks(include_slow=include_slow)
     benchmarks = list(benchmarks)
     report = EvaluationReport()
     start = time.perf_counter()
     with trace.span("evaluate", cat="run", benchmarks=len(benchmarks)):
-        for benchmark in benchmarks:
-            stats, negatives = run_benchmark(
-                benchmark,
-                config=config,
-                check_negative_variants=check_negative_variants,
-                store=store,
-                diagnostics_sink=report.diagnostics,
-            )
-            report.adt_stats.append(stats)
-            report.negative_results.extend(negatives)
+        finish_benchmarks(
+            emit_benchmarks(benchmarks, config, check_negative_variants, store), report
+        )
     report.total_time_seconds = time.perf_counter() - start
     return report

@@ -1,10 +1,10 @@
 """Persistence backends for the obligation store.
 
-The store's transport layer is a backend: a thin module that owns the bytes
-on disk and nothing else — entry semantics, invalidation, GC and session
-bookkeeping all live in
-:class:`~repro.store.obligation_store.ObligationStore`, which talks to its
-backend through three operations:
+The store's persistence layer is a backend: a thin module that owns the
+bytes on disk and nothing else — entry semantics, invalidation and GC live
+in :class:`~repro.store.service.StoreService` (its ``op_*`` methods) and
+session bookkeeping in :class:`~repro.store.obligation_store.ObligationStore`.
+The service talks to its backend through three operations:
 
 ``load(wipe_mismatch)``
     Read everything (entries, run log, count of skipped corrupt records),
@@ -13,11 +13,11 @@ backend through three operations:
     Durably append a batch.  Atomic with respect to concurrent appenders and
     rewriters: a reader can never observe a torn entry.
 ``update(fn, entries=, runs=)``
-    The read-modify-rewrite primitive behind ``compact()``/``commit_run()``/
-    ``gc()``/``invalidate_stale()``.  The backend takes an *exclusive* lock,
-    re-reads the **current** on-disk state — not the caller's possibly stale
-    open-time snapshot — applies ``fn`` to it, and persists the result
-    atomically.  This is what makes two concurrent processes unable to
+    The read-modify-rewrite primitive behind the service's ``compact``,
+    ``invalidate``, ``commit_run`` and ``gc``.  The backend takes an
+    *exclusive* lock, re-reads the **current** on-disk state — not the
+    caller's possibly stale open-time snapshot — applies ``fn`` to it, and
+    persists the result atomically.  This is what makes two concurrent processes unable to
     silently drop each other's entries: any state another writer appended
     between our ``load()`` and the rewrite is re-read under the lock and
     flows through ``fn``.
@@ -28,8 +28,7 @@ lines, safe under concurrent writers.  Every append holds an advisory
 the log, and every rewrite goes through tmp-file + ``fsync`` +
 ``os.replace`` (+ directory fsync), so a crash mid-compact can never
 truncate the store.  :func:`open_backend` hands an ``http://``/``https://``
-store path to the remote client (:mod:`repro.store.remote`) instead, which
-exposes the store-level operations in place of ``update``.
+store path to the remote client (:mod:`repro.store.remote`) instead.
 """
 
 from __future__ import annotations
@@ -288,10 +287,6 @@ class JsonlStoreBackend:
     """
 
     name = "jsonl"
-    #: local backends execute ``update(fn)`` closures in-process; the remote
-    #: backend cannot (a closure does not cross the wire) and exposes the
-    #: store-level operations instead
-    supports_update = True
 
     def __init__(self, path: os.PathLike | str) -> None:
         self.path = Path(path)

@@ -9,7 +9,7 @@ under) — and hands them to pulling workers under *leases*:
 * :meth:`lease` reclaims every expired lease first (a dead or straggling
   worker's items go back to pending — work stealing needs no extra
   machinery), then issues the ``count`` most expensive pending items.
-  Measured costs (the store's ``cost_hint`` index) sort before syntactic
+  Measured costs (the store service's cost index) sort before syntactic
   estimates, both longest-first: LPT applied *at dequeue time*, so the
   straggler obligation is always in flight while cheap ones fill the gaps
   — a static hash partition would pin it to one worker.

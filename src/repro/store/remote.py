@@ -1,18 +1,22 @@
-"""The remote store client: JSON-over-HTTP against ``repro store serve``.
+"""The store clients: the ops a session drives, over one of two transports.
 
-A :class:`RemoteStoreBackend` is what :func:`~repro.store.backends.open_backend`
-returns for an ``http://``/``https://`` store path, so
-``--store http://host:port`` works everywhere a path does.  It is *not* a
-drop-in local backend: the local protocol's ``update(fn)`` primitive takes
-a closure, and a closure cannot cross the wire.  Instead the wire protocol
-exposes the store-level operations the closures implement — batched lookup,
-batched append, ``compact``, ``commit_run``, ``gc`` and batched
-``invalidate`` (a list of ``(scope, method, spec, library)`` keys, which a
-session queues and sends before its next read or write) — and the server
-executes each one under the wrapped local backend's existing lock.  :class:`~repro.store.obligation_store.ObligationStore`
-detects ``supports_update = False`` and dispatches to these operations.
+:class:`StoreClient` speaks the store-level operations of
+:class:`~repro.store.service.StoreService` — ``handshake``, batched
+``lookup``, batched ``append``, batched ``invalidate`` (a list of
+``(scope, method, spec, library)`` keys, which a session queues and sends
+before its next read or write), ``compact``, ``commit_run``, ``gc`` and
+``stats`` — and leaves the transport to ``_call``:
 
-Reliability model:
+* :class:`~repro.store.service.LocalStoreClient` calls a local store's
+  service in-process;
+* :class:`RemoteStoreBackend` — what :func:`~repro.store.backends.open_backend`
+  returns for an ``http://``/``https://`` store path — posts JSON to
+  ``repro store serve``, which executes each op under the wrapped store's
+  lock, so ``--store http://host:port`` works everywhere a path does.  It
+  also speaks the work-queue ops behind ``repro dispatch`` and
+  ``repro worker``, which need a server.
+
+The remote transport's reliability model:
 
 * every call reuses **one persistent keep-alive connection per process**
   (dropped and re-established transparently: a stale socket — the server
@@ -92,13 +96,104 @@ def _env_int(name: str, default: int) -> int:
         return default
 
 
-class RemoteStoreBackend:
+class StoreClient:
+    """The store ops a session drives; ``_call`` is the transport."""
+
+    def __init__(self) -> None:
+        #: the store's entry count as of the last response that carried one
+        self.entries_total = 0
+        self._identity: Optional[dict] = None
+        #: queue-worker mode: stamp ``if_absent`` on appends so a worker
+        #: whose lease was stolen can never land a duplicate verdict record
+        self.append_if_absent = False
+
+    def _call(self, op: str, payload: dict, *, idempotent: bool = False) -> dict:
+        raise NotImplementedError
+
+    def _note_total(self, data: dict) -> dict:
+        total = data.get("entries")
+        if isinstance(total, int):
+            self.entries_total = total
+        return data
+
+    # -- handshake ----------------------------------------------------------------
+    def handshake(self) -> dict:
+        """Fetch (once) and verify the store's identity record."""
+        if self._identity is not None:
+            return self._identity
+        info = self._call("handshake", {})
+        schema = info.get("schema")
+        if schema != SCHEMA_VERSION:
+            raise RemoteStoreError(
+                f"store server {self.path} speaks schema {schema!r}, this "
+                f"client needs {SCHEMA_VERSION!r}; upgrade one side"
+            )
+        self._identity = info
+        return info
+
+    # -- the store operations -----------------------------------------------------
+    def lookup(self, env: str, fps: Sequence[str]) -> list[StoreEntry]:
+        """Batched lookup; returns only the entries the store holds."""
+        if not fps:
+            return []
+        data = self._call("lookup", {"env": env, "fps": list(fps)})
+        entries = []
+        for record in data.get("found", []):
+            try:
+                entries.append(StoreEntry.from_record(record))
+            except (ValueError, KeyError, TypeError):
+                continue
+        return entries
+
+    def append_entries(self, entries: Sequence[StoreEntry]) -> None:
+        if not entries:
+            return
+        self._call(
+            "append",
+            {
+                "entries": [entry.to_record() for entry in entries],
+                "if_absent": self.append_if_absent,
+            },
+            idempotent=True,
+        )
+
+    def compact(self) -> None:
+        self._call("compact", {}, idempotent=True)
+
+    def invalidate(self, keys: Sequence[Sequence[str]]) -> list[int]:
+        """Drop what each ``(scope, method, spec, library)`` key condemns.
+
+        One op and one locked pass for the whole batch; returns the per-key
+        dropped counts, each stale entry credited to the first key that
+        condemns it (what sequential calls would report).
+        """
+        if not keys:
+            return []
+        data = self._call(
+            "invalidate", {"keys": [list(key) for key in keys]}, idempotent=True
+        )
+        return [int(count) for count in data.get("dropped", [])]
+
+    def commit_run(self, touched: Sequence[str]) -> int:
+        data = self._call("commit_run", {"touched": list(touched)}, idempotent=True)
+        return int(data.get("run", 0))
+
+    def gc(self, keep_last: int) -> int:
+        data = self._call("gc", {"keep_last": keep_last}, idempotent=True)
+        return int(data.get("dropped", 0))
+
+    def stats(self) -> dict:
+        """The store's per-op counters, lookup hit-rate and queue state."""
+        return self._call("stats", {})
+
+
+class RemoteStoreBackend(StoreClient):
     """Client for a ``repro store serve`` instance; one RPC per operation."""
 
     name = "remote"
-    supports_update = False
 
     def __init__(self, url: str) -> None:
+        super().__init__()
         self.path = str(url).rstrip("/")
         parts = urllib.parse.urlsplit(self.path)
         if parts.scheme not in ("http", "https") or not parts.netloc:
@@ -109,9 +204,6 @@ class RemoteStoreBackend:
         self.timeout = _env_float(ENV_RPC_TIMEOUT, _DEFAULT_TIMEOUT)
         self.retries = max(1, _env_int(ENV_RPC_RETRIES, _DEFAULT_RETRIES))
         self.backoff = _env_float(ENV_RPC_BACKOFF, _DEFAULT_BACKOFF)
-        #: the server's entry count as of the last response that carried one
-        self.entries_total = 0
-        self._identity: Optional[dict] = None
         #: the one persistent keep-alive connection this process holds, and
         #: the pid that owns it (a forked child must not reuse the parent's
         #: socket — it would interleave two processes' bytes on one stream)
@@ -121,9 +213,6 @@ class RemoteStoreBackend:
         #: evicts per client); regenerated after fork with the connection
         self._client_id = uuid.uuid4().hex
         self._client_pid = os.getpid()
-        #: queue-worker mode: stamp ``if_absent`` on appends so a worker
-        #: whose lease was stolen can never land a duplicate verdict record
-        self.append_if_absent = False
         #: session transport counters (reuse rate backs the keep-alive tests)
         self.rpc_calls = 0
         self.rpc_reused = 0
@@ -248,104 +337,21 @@ class RemoteStoreBackend:
                         f"store server rejected {op} ({status}): "
                         f"{data.get('error', 'no detail')}"
                     )
-                total = data.get("entries")
-                if isinstance(total, int):
-                    self.entries_total = total
-                return data
+                return self._note_total(data)
             rpc_span.set(status=0, attempts=self.retries)
         raise RemoteStoreError(
             f"store server {self.path} unreachable for {op} after "
             f"{self.retries} attempts ({last_error})"
         )
 
-    # -- handshake ----------------------------------------------------------------
-    def handshake(self) -> dict:
-        """Fetch (once) and verify the server's identity record."""
-        if self._identity is not None:
-            return self._identity
-        info = self._call("handshake", {})
-        schema = info.get("schema")
-        if schema != SCHEMA_VERSION:
-            raise RemoteStoreError(
-                f"store server {self.path} speaks schema {schema!r}, this "
-                f"client needs {SCHEMA_VERSION!r}; upgrade one side"
-            )
-        self._identity = info
-        return info
-
-    # -- the wire operations ------------------------------------------------------
-    def lookup(self, env: str, fps: Sequence[str]) -> list[StoreEntry]:
-        """Batched lookup; returns only the entries the server holds."""
-        if not fps:
-            return []
-        data = self._call("lookup", {"env": env, "fps": list(fps)})
-        entries = []
-        for record in data.get("found", []):
-            try:
-                entries.append(StoreEntry.from_record(record))
-            except (ValueError, KeyError, TypeError):
-                continue
-        return entries
-
-    def cost_hints(self) -> dict[str, float]:
-        data = self._call("cost_hints", {})
-        costs = data.get("costs")
-        return {
-            fp: float(wall)
-            for fp, wall in (costs or {}).items()
-            if isinstance(wall, (int, float))
-        }
-
-    def append_entries(self, entries: Sequence[StoreEntry]) -> None:
-        if not entries:
-            return
-        self._call(
-            "append",
-            {
-                "entries": [entry.to_record() for entry in entries],
-                "if_absent": self.append_if_absent,
-            },
-            idempotent=True,
-        )
-
-    def compact(self) -> None:
-        self._call("compact", {}, idempotent=True)
-
-    def invalidate(self, keys: Sequence[Sequence[str]]) -> list[int]:
-        """Drop what each ``(scope, method, spec, library)`` key condemns.
-
-        One RPC and one locked pass server-side for the whole batch; returns
-        the per-key dropped counts, each stale entry credited to the first
-        key that condemns it (what sequential calls would report).
-        """
-        if not keys:
-            return []
-        data = self._call(
-            "invalidate", {"keys": [list(key) for key in keys]}, idempotent=True
-        )
-        return [int(count) for count in data.get("dropped", [])]
-
-    def commit_run(self, touched: Sequence[str]) -> int:
-        data = self._call("commit_run", {"touched": list(touched)}, idempotent=True)
-        return int(data.get("run", 0))
-
-    def gc(self, keep_last: int) -> int:
-        data = self._call("gc", {"keep_last": keep_last}, idempotent=True)
-        return int(data.get("dropped", 0))
-
     # -- work-queue operations ----------------------------------------------------
     def enqueue(self, items: Sequence[dict], dispatch: Optional[str] = None) -> dict:
-        """Offer obligation records to the server's work queue."""
+        """Offer obligation records to the store's work queue."""
         return self._call(
             "enqueue",
             {"items": list(items), "dispatch": dispatch},
             idempotent=True,
         )
-
-    def _long_poll(self, wait: float) -> float:
-        """Clamp a server-side ``wait`` to half the socket timeout, so a
-        long-poll always answers before the client gives up and retries."""
-        return max(0.0, min(float(wait), self.timeout / 2))
 
     def lease(
         self, count: int, ttl: float, *, worker: str = "", wait: float = 0.0,
@@ -356,12 +362,12 @@ class RemoteStoreBackend:
         Returns the server's response: ``lease`` (id or None), ``items``
         (cost-ordered records), ``reclaimed``, ``queued`` and ``drained``.
         With ``wait`` > 0 an empty queue is waited on server-side (clamped,
-        see :meth:`_long_poll`) until an item can be granted, the queue
-        drains, or ``wait`` elapses.  ``held`` says the caller has already
-        seen the queue hold items, so an empty queue answers ``drained`` at
-        once.  Leasing is idempotent on retry: the replay cache returns the
-        original grant, so a lost response cannot strand items under a
-        phantom lease.
+        see :meth:`_long_poll`) until an item can be
+        granted, the queue drains, or ``wait`` elapses.  ``held`` says the
+        caller has already seen the queue hold items, so an empty queue
+        answers ``drained`` at once.  Leasing is idempotent on retry: the
+        replay cache returns the original grant, so a lost response cannot
+        strand items under a phantom lease.
         """
         return self._call(
             "lease",
@@ -397,22 +403,10 @@ class RemoteStoreBackend:
             "queue_status", {"dispatch": dispatch, "wait": self._long_poll(wait)}
         )
 
-    def stats(self) -> dict:
-        """The server's per-op counters, lookup hit-rate and queue state."""
-        return self._call("stats", {})
-
-    # -- local-protocol stubs -----------------------------------------------------
-    def load(self, *, wipe_mismatch: bool = True):
-        raise RemoteStoreError(
-            "a remote store is not loaded wholesale; the client looks "
-            "entries up in batches (this is a bug in the caller)"
-        )
-
-    def update(self, fn, *, entries: bool = True, runs: bool = True):
-        raise RemoteStoreError(
-            "update(fn) closures cannot cross the wire; use the store-level "
-            "operations (compact/invalidate/commit_run/gc) instead"
-        )
+    def _long_poll(self, wait: float) -> float:
+        """Clamp a server-side ``wait`` to half the socket timeout, so a
+        long-poll always answers before the client gives up and retries."""
+        return max(0.0, min(float(wait), self.timeout / 2))
 
     def close(self) -> None:
         """Drop the keep-alive connection (call before ``os.fork``)."""

@@ -25,8 +25,8 @@ The leaf inclusions never steer the walk, so they are deferred:
 ``Checker.emit_method`` walks the body and returns the method's pending
 obligations, and ``Checker.finish_method`` decides them through the
 obligation engine's one discharge step.  ``check_method`` is the two in a
-row; a dispatch coordinator emits every method first and finishes them
-once a worker fleet has filled the store.
+row; a corpus run emits every method first and then finishes them in emit
+order (a dispatch coordinator once its worker fleet has filled the store).
 """
 
 from __future__ import annotations
@@ -224,8 +224,8 @@ class Checker:
         Inline queries (HAT subtyping, ghost abduction) are decided during
         the walk; deferred leaf obligations never steer it, so nothing is
         discharged here.  With a store, the method's stale entries are
-        invalidated first (a remote store sends the key with its next read
-        or write, and credits the dropped count to the method itself).
+        invalidated first (the session queues the key, sends it with its
+        next read or write, and credits the dropped count to the method).
         """
         start = time.perf_counter()
         solver_before = self.solver.stats.snapshot()

@@ -1,8 +1,9 @@
 """End-to-end coverage for the ``pymarple`` command-line interface.
 
 Exercises exit codes, the error paths (unknown benchmark/method, count
-flags below their minimum), the ``--json`` machine-readable output, and the
-incremental-store surface (``--incremental/--store/--explain``).
+flags below their minimum, retired spellings), the ``--json``
+machine-readable output, and the incremental-store surface
+(``--store/--explain``).
 """
 
 import json
@@ -26,9 +27,14 @@ def test_check_single_method_exits_zero(capsys):
     assert "VERIFIED" in capsys.readouterr().out
 
 
-def test_verify_is_an_alias_of_check(capsys):
-    assert cli_main(["verify", "Set/KVStore", "--method", "mem"]) == 0
-    assert "VERIFIED" in capsys.readouterr().out
+def test_verify_exits_two_and_names_check(capsys):
+    assert cli_main(["verify", "Set/KVStore", "--method", "mem"]) == 2
+    captured = capsys.readouterr()
+    assert "`pymarple check`" in captured.err
+    assert "VERIFIED" not in captured.out
+    assert _exit_code(["--help"]) == 0
+    commands = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0].split(",")
+    assert "check" in commands and "verify" not in commands, "the retired command is hidden"
 
 
 def test_unknown_benchmark_exits_two(capsys):
@@ -150,12 +156,14 @@ def test_check_incremental_store_and_explain(capsys, tmp_path):
     assert "Set/KVStore.insert: hits=" in warm
 
 
-def test_incremental_defaults_to_local_store(tmp_path, monkeypatch, capsys):
+def test_incremental_exits_two_and_names_the_store_flag(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")  # a stale value is ignored
-    assert cli_main(["check", "Set/KVStore", "--method", "empty", "--incremental"]) == 0
-    capsys.readouterr()
-    assert (tmp_path / ".pymarple-store" / "entries.jsonl").exists()
+    argv = ["check", "Set/KVStore", "--method", "empty", "--incremental"]
+    assert _exit_code(argv) == 2
+    assert "`--store .pymarple-store`" in capsys.readouterr().err
+    assert not (tmp_path / ".pymarple-store").exists(), "no store is opened"
+    assert _exit_code(["check", "--help"]) == 0
+    assert "--incremental" not in capsys.readouterr().out, "the retired flag is hidden"
 
 
 # -- store paths -------------------------------------------------------------------
@@ -173,13 +181,12 @@ def _exit_code(argv):
     "argv",
     [
         ["check", "Set/KVStore", "--method", "mem"],
-        ["verify", "Set/KVStore", "--method", "mem"],
         ["evaluate", "--fast"],
         ["table", "1", "--fast"],
         ["store", "serve", "--port", "0"],
         ["store", "gc", "--keep-last", "1"],
     ],
-    ids=["check", "verify", "evaluate", "table", "serve", "gc"],
+    ids=["check", "evaluate", "table", "serve", "gc"],
 )
 def test_a_plain_file_as_store_exits_two(capsys, tmp_path, argv):
     leftover = tmp_path / "store.db"  # e.g. a single-file store of an old version

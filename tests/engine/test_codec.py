@@ -21,6 +21,7 @@ from repro.engine.worker import run_worker
 from repro.evaluation.runner import run_evaluation
 from repro.evaluation.tables import table1, table3, table4
 from repro.sfa.signatures import OperatorRegistry
+from repro.store.backends import open_backend
 from repro.store.fingerprint import obligation_digest
 from repro.store.obligation_store import ObligationStore
 from repro.store.server import StoreHTTPServer, StoreService, serve_in_thread
@@ -157,7 +158,7 @@ def test_forked_workers_write_a_serial_runs_entries(server, tmp_path):
     for render in (table1, table3, table4):
         assert render(report, deterministic=True) == render(serial, deterministic=True)
     dispatched = _entries(server.service.backend.load())
-    assert dispatched == _entries(serial_store.backend.load())
+    assert dispatched == _entries(open_backend(serial_store.path).load())
 
 
 @needs_fork

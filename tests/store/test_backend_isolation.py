@@ -9,6 +9,7 @@ here: the fast corpus never reaches 24 literals, so a budget of 25 changes
 the environment key and nothing else.
 """
 
+from repro.store.backends import open_backend
 from repro.store.fingerprint import environment_fingerprint
 from repro.store.obligation_store import ObligationStore
 from repro.suite.registry import benchmark_by_key
@@ -48,7 +49,7 @@ def test_warm_store_from_other_environment_is_invisible(store_path):
     assert default_summary["entries"] > 0
 
     default_entries = {
-        entry.key: entry.to_json() for entry in ObligationStore(path)
+        entry.key: entry.to_json() for entry in open_backend(path).load().entries.values()
     }
 
     # a run under the other environment: zero hits, nothing overwritten
@@ -59,7 +60,9 @@ def test_warm_store_from_other_environment_is_invisible(store_path):
     assert summary["hits"] == 0, "verdicts must never cross environments"
     assert summary["misses"] > 0
 
-    reloaded = {entry.key: entry.to_json() for entry in ObligationStore(path)}
+    reloaded = {
+        entry.key: entry.to_json() for entry in open_backend(path).load().entries.values()
+    }
     for key, payload in default_entries.items():
         assert reloaded[key] == payload, "default entries must survive byte for byte"
     assert len(reloaded) > len(default_entries), (

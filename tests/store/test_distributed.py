@@ -72,8 +72,7 @@ def _collect_and_enqueue(store, benchmarks, dispatch):
                 pending.obligations
             ):
                 items.append(
-                    queue_item(benchmark.key, env, digest, obligation,
-                               pending.store_context, store.cost_hint(digest))
+                    queue_item(benchmark.key, env, digest, obligation, pending.store_context)
                 )
     store.backend.enqueue(items, dispatch)
     return items
@@ -192,7 +191,7 @@ def test_a_warm_dispatch_costs_one_lookup_per_benchmark(cold_then_warm_dispatch)
     assert warm.dispatch["cold_obligations"] == 0
     assert ops["invalidate"] == 1
     assert ops["lookup"] <= benchmarks, ops
-    assert rpcs <= 10, f"{rpcs} coordinator RPCs for a warm dispatch: {ops}"
+    assert rpcs <= 8, f"{rpcs} coordinator RPCs for a warm dispatch: {ops}"
     assert store.summary()["misses"] == 0
     for render in (table1, table3, table4):
         assert render(warm, deterministic=True) == render(cold, deterministic=True)

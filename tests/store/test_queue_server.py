@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.store import server as server_mod
+from repro.store import service as service_mod
 from repro.store.backends import StoreEntry
 from repro.store.remote import RemoteStoreBackend, RemoteStoreError
 from repro.store.server import StoreHTTPServer, StoreService, serve_in_thread
@@ -348,7 +348,7 @@ def test_a_flooding_client_cannot_evict_a_slow_clients_retry(server, client, mon
     """Regression: the replay cache evicts per client, so another client's
     key flood can never push a slow client's pending write out of the cache
     and turn its retry into a double-apply."""
-    monkeypatch.setattr(server_mod, "_MAX_IDEMPOTENCY_KEYS_PER_CLIENT", 4)
+    monkeypatch.setattr(service_mod, "_MAX_IDEMPOTENCY_KEYS_PER_CLIENT", 4)
     service = server.service
 
     # the slow client commits a run... and its ack is lost in the network

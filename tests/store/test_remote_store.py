@@ -64,7 +64,6 @@ def test_urls_resolve_to_the_remote_backend():
     backend = open_backend("http://host:1234/")
     assert backend.path == "http://host:1234"
     assert backend.name == "remote"
-    assert backend.supports_update is False
 
 
 def test_malformed_urls_are_rejected():
@@ -197,17 +196,6 @@ def test_handshake_is_cached_after_the_first_success():
     first = backend.handshake()
     assert backend.handshake() is first
     assert len(calls) == 1
-
-
-# -- the local-protocol stubs ------------------------------------------------------
-
-
-def test_the_wholesale_local_protocol_is_refused():
-    backend = RemoteStoreBackend(URL)
-    with pytest.raises(RemoteStoreError):
-        backend.load()
-    with pytest.raises(RemoteStoreError):
-        backend.update(lambda entries, runs: (entries, runs))
 
 
 def test_an_unreachable_server_fails_the_store_open(monkeypatch):

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.evaluation.runner import run_benchmark
+from repro.store.backends import open_backend
 from repro.store.obligation_store import ObligationStore, StoreEntry
 from repro.suite.registry import all_benchmarks
 
@@ -111,7 +112,7 @@ def test_gc_of_uncommitted_session_commits_it_first(store_path):
 def test_run_log_is_persisted(store_path):
     store = ObligationStore(store_path)
     _run(_fast(0), store)
-    records = ObligationStore(store_path)._runs
+    records = open_backend(store_path).load().runs
     assert len(records) == 1 and records[0]["run"] == 1
     assert records[0]["touched"], "the run must list the entries it referenced"
     runs_path = store_path / "runs.jsonl"
@@ -121,14 +122,14 @@ def test_run_log_is_persisted(store_path):
 
     again = ObligationStore(store_path)
     _run(_fast(0), again)
-    records = ObligationStore(store_path)._runs
+    records = open_backend(store_path).load().runs
     assert [record["run"] for record in records] == [1, 2]
 
 
 def test_empty_session_records_no_run(store_path):
     store = ObligationStore(store_path)
     assert store.commit_run() == 0
-    assert ObligationStore(store_path)._runs == []
+    assert open_backend(store_path).load().runs == []
     assert not (store_path / "runs.jsonl").exists()
 
 
@@ -142,7 +143,7 @@ def test_malformed_run_records_are_tolerated(tmp_path):
         + 'not json\n{"touched": []}\n{"run": "three", "touched": []}\n[1]\n'
     )
     reloaded = ObligationStore(tmp_path)
-    assert [record["run"] for record in reloaded._runs] == [1]
+    assert [record["run"] for record in open_backend(tmp_path).load().runs] == [1]
     _run(_fast(0), reloaded)  # commit_run must not crash on the survivors
     records = [json.loads(line) for line in runs_path.read_text().splitlines()]
     assert [record["run"] for record in records] == [1, 2]

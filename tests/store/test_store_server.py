@@ -104,8 +104,16 @@ def test_appends_are_durable_not_just_cached(server, client, store_path):
 
 
 def test_cost_hints_cover_the_whole_store(client):
+    """The service's cost index covers every entry it holds: a recorded wall
+    time, under any environment, outranks the estimate a coordinator sends;
+    an obligation with no recorded cost keeps the estimate."""
     client.append_entries([_entry("f1", cost={"wall": 0.5}), _entry("f2", cost={})])
-    assert client.cost_hints() == {"f1": 0.5}
+    client.enqueue(
+        [{"env": "env2", "fp": fp, "bench": "b", "cost": 7.0} for fp in ("f1", "f2")]
+    )
+    items = {item["fp"]: item for item in client.lease(2, 30.0)["items"]}
+    assert (items["f1"]["cost"], items["f1"]["measured"]) == (0.5, True)
+    assert (items["f2"]["cost"], items["f2"]["measured"]) == (7.0, False)
 
 
 def test_commit_run_and_gc_share_the_local_semantics(client):
@@ -261,7 +269,7 @@ def test_a_replayed_write_is_applied_once(server, client):
 
 
 def test_idempotency_keys_are_bounded_per_client(server, monkeypatch):
-    monkeypatch.setattr("repro.store.server._MAX_IDEMPOTENCY_KEYS_PER_CLIENT", 4)
+    monkeypatch.setattr("repro.store.service._MAX_IDEMPOTENCY_KEYS_PER_CLIENT", 4)
     for index in range(8):
         server.service.execute(
             "append", {"entries": [], "key": f"k{index}", "client": "c1"}
@@ -272,7 +280,7 @@ def test_idempotency_keys_are_bounded_per_client(server, monkeypatch):
 
 
 def test_client_buckets_are_bounded_lru(server, monkeypatch):
-    monkeypatch.setattr("repro.store.server._MAX_IDEMPOTENCY_CLIENTS", 3)
+    monkeypatch.setattr("repro.store.service._MAX_IDEMPOTENCY_CLIENTS", 3)
     for index in range(5):
         server.service.execute(
             "append", {"entries": [], "key": "k", "client": f"c{index}"}
@@ -324,7 +332,6 @@ def test_the_service_refuses_to_wrap_a_remote_url():
 def test_the_facade_end_to_end(server):
     """ObligationStore against the URL behaves like the local facade."""
     cold = ObligationStore(server.url)
-    assert cold.is_remote
     assert cold.lookup("env1", "f1") is None
     cold.record(_entry("f1"))
     cold.flush()
@@ -334,7 +341,6 @@ def test_the_facade_end_to_end(server):
     warm.prefetch("env1", ["f1"])
     hit = warm.lookup("env1", "f1")
     assert hit is not None and hit.cost == {"wall": 0.5}
-    assert warm.cost_hint("f1") == 0.5, "the cost index travels at open"
     assert len(warm) == 1 and warm.summary()["entries"] == 1
 
 

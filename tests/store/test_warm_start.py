@@ -16,6 +16,7 @@ from repro.engine.dispatch import run_distributed_evaluation
 from repro.evaluation.runner import run_evaluation
 from repro.evaluation.tables import table1, table3, table4
 from repro.sfa import symbolic
+from repro.store.backends import open_backend
 from repro.store.obligation_store import ObligationStore
 from repro.store.server import StoreHTTPServer, StoreService, serve_in_thread
 from repro.suite.registry import benchmark_by_key
@@ -126,7 +127,25 @@ def _with_edited_insert(bench):
     return dataclasses.replace(bench, specs=edited_specs)
 
 
-def test_spec_edit_invalidates_only_that_benchmark(store_path):
+@pytest.fixture(params=("jsonl", "served"))
+def store_target(request, tmp_path):
+    """A store directory and what a session opens it by: the directory
+    itself, or the URL of a server wrapping it."""
+    path = tmp_path / "store"
+    if request.param == "jsonl":
+        yield path, path
+        return
+    service = StoreService(path)
+    with serve_in_thread(StoreHTTPServer(("127.0.0.1", 0), service)) as httpd:
+        yield path, httpd.url
+    service.close()
+
+
+def test_spec_edit_invalidates_only_that_benchmark(store_target):
+    """A session sends its invalidation keys in one deferred batch, yet each
+    method's ``--explain`` counts come out per method — the edited method's
+    drops, its siblings' zeros — through either transport."""
+    directory, store_path = store_target
     store = ObligationStore(store_path)
     set_bench = benchmark_by_key("Set/KVStore")
     stack_bench = benchmark_by_key("Stack/KVStore")
@@ -149,7 +168,9 @@ def test_spec_edit_invalidates_only_that_benchmark(store_path):
 
     # the other benchmark's entries were never touched
     assert {
-        entry.fp for entry in session.entries_for_scope("Stack/KVStore")
+        entry.fp
+        for entry in open_backend(directory).load().entries.values()
+        if entry.scope == "Stack/KVStore"
     } == stack_entries
     warm_stack = ObligationStore(store_path)
     stack_bench.verify_all(stack_bench.make_checker(store=warm_stack))
@@ -165,25 +186,25 @@ def server(store_path):
     service.close()
 
 
-def _run(mode, benchmarks, store):
-    if mode == "serial":
-        return run_evaluation(benchmarks, store=store)
+def _dispatch(benchmarks, store):
     return run_distributed_evaluation(
         store, benchmarks=benchmarks, local_workers=1, drain_timeout=300.0, poll=0.1
     )
 
 
-@pytest.mark.parametrize("mode", ("serial", "dispatch"))
+# serial sessions through a server are test_spec_edit_invalidates_only_that_benchmark[served]
+@pytest.mark.parametrize("mode", ("dispatch",))
 def test_spec_edit_invalidates_only_that_method_through_a_server(server, mode):
-    """The remote twin: a remote session sends its invalidation keys in one
-    deferred batch, yet each method's ``--explain`` counts come out as a
-    local session's — the edited method's drops, its siblings' zeros."""
+    """The dispatch twin: a coordinator's session sends its invalidation
+    keys in one deferred batch, yet each method's ``--explain`` counts come
+    out as a serial session's — the edited method's drops, its siblings'
+    zeros."""
     set_bench = benchmark_by_key("Set/KVStore")
-    _run(mode, [set_bench], ObligationStore(server.url))
+    _dispatch([set_bench], ObligationStore(server.url))
 
     edited_bench = _with_edited_insert(set_bench)
     session = ObligationStore(server.url)
-    report = _run(mode, [edited_bench], session)
+    report = _dispatch([edited_bench], session)
     assert report.all_verified
     explain = {(row["scope"], row["method"]): row for row in session.explain()}
     assert explain[("Set/KVStore", "insert")]["invalidated"] > 0
@@ -192,7 +213,7 @@ def test_spec_edit_invalidates_only_that_method_through_a_server(server, mode):
     assert explain[("Set/KVStore", "mem")]["hits"] > 0
 
     again = ObligationStore(server.url)
-    _run(mode, [edited_bench], again)
+    _dispatch([edited_bench], again)
     assert again.summary()["invalidated"] == 0
     assert again.summary()["misses"] == 0
 

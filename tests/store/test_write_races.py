@@ -8,6 +8,7 @@ rewrite), or reused a run sequence number and overwrote the other session's
 run record.
 """
 
+from repro.store.backends import open_backend
 from repro.store.obligation_store import ObligationStore, StoreEntry
 
 
@@ -24,6 +25,10 @@ def _entry(fp, *, env="env1", spec="s1", method="insert"):
     )
 
 
+def _stored_fps(path):
+    return {entry.fp for entry in open_backend(path).load().entries.values()}
+
+
 def test_interleaved_flushes_lose_no_batches(store_path):
     a = ObligationStore(store_path)
     b = ObligationStore(store_path)
@@ -35,7 +40,7 @@ def test_interleaved_flushes_lose_no_batches(store_path):
     b.record(_entry("b2"))
     b.flush()
     a.flush()
-    assert {e.fp for e in ObligationStore(store_path)} == {"a1", "b1", "a2", "b2"}
+    assert _stored_fps(store_path) == {"a1", "b1", "a2", "b2"}
 
 
 def test_compact_preserves_entries_appended_after_load(store_path):
@@ -46,8 +51,7 @@ def test_compact_preserves_entries_appended_after_load(store_path):
     compactor.record(_entry("compactor-own"))
     compactor.compact()  # must re-read under the lock, not trust its snapshot
 
-    reloaded = ObligationStore(store_path)
-    assert {e.fp for e in reloaded} == {"appended-later", "compactor-own"}
+    assert _stored_fps(store_path) == {"appended-later", "compactor-own"}
 
 
 def test_invalidation_preserves_entries_appended_after_load(store_path):
@@ -59,8 +63,9 @@ def test_invalidation_preserves_entries_appended_after_load(store_path):
     other.flush()  # appended after the invalidator's load
 
     invalidator.invalidate_stale("Set/KVStore", "insert", "new-spec", "l1")
+    invalidator.flush()  # the queued key goes out with the next write
     assert invalidator.session[("Set/KVStore", "insert")].invalidated == 1
-    assert {e.fp for e in ObligationStore(store_path)} == {"fresh-foreign"}
+    assert _stored_fps(store_path) == {"fresh-foreign"}
 
 
 def test_concurrent_commits_get_distinct_run_sequences(store_path):
@@ -71,7 +76,7 @@ def test_concurrent_commits_get_distinct_run_sequences(store_path):
     b.record(_entry("b-entry"))
     b.commit_run()  # must not reuse sequence 1 or overwrite a's record
 
-    runs = ObligationStore(store_path)._runs
+    runs = open_backend(store_path).load().runs
     assert [record["run"] for record in runs] == [1, 2]
     assert any(key.endswith(":a-entry") for key in runs[0]["touched"])
     assert any(key.endswith(":b-entry") for key in runs[1]["touched"])
@@ -90,4 +95,4 @@ def test_gc_spares_entries_a_concurrent_run_just_committed(store_path):
     # the sweep recomputes the reference set from the re-read run log: run 2
     # is now the last run, so "brand-new" survives and "old" is the victim
     assert dropped == 1
-    assert {e.fp for e in ObligationStore(store_path)} == {"brand-new"}
+    assert _stored_fps(store_path) == {"brand-new"}
