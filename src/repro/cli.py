@@ -33,13 +33,12 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .engine.dispatch import DispatchError
 from .evaluation import render_all, report_json, run_evaluation, table1, table2, table3, table4
 from .obs import trace as obs_trace
 from .obs.logs import configure_logging
 from .store.backends import is_store_url
+from .store.client import RemoteStoreError
 from .store.obligation_store import ObligationStore, check_keep_last
-from .store.remote import RemoteStoreError
 from .suite.registry import all_benchmarks, benchmark_by_key
 
 #: The store ``store gc``/``store serve`` use when ``--store`` is not given.
@@ -260,7 +259,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         return 2
     store = _open_store(args)
     if dispatch:
-        from .engine.dispatch import run_distributed_evaluation
+        from .engine.dispatch import DispatchError, run_distributed_evaluation
 
         try:
             report = run_distributed_evaluation(
@@ -270,7 +269,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 ttl=args.lease_ttl,
                 drain_timeout=args.drain_timeout,
             )
-        except ValueError as exc:
+        except (ValueError, DispatchError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
@@ -763,7 +762,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"trace written to {trace_path}", file=sys.stderr)
             return status
         return args.func(args)
-    except (RemoteStoreError, DispatchError) as exc:
+    except RemoteStoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,14 +14,17 @@ The subsystem behind ``--store PATH``:
 * :mod:`repro.store.obligation_store` — the session facade mapping
   (environment fingerprint, obligation fingerprint) to verdicts, witness
   traces and per-obligation discharge counters;
-* :mod:`repro.store.remote` — the clients a session drives the service
-  through: in-process for a local path, JSON-over-HTTP for the
+* :mod:`repro.store.client` — :class:`~repro.store.client.StoreClient`,
+  the ops a session drives the service through, whatever the transport;
+  a local path calls the service in-process
+  (:class:`~repro.store.service.LocalStoreClient`);
+* :mod:`repro.store.remote` — the HTTP transport, for the
   ``http://host:port`` URL of a ``repro store serve`` instance
-  (:mod:`repro.store.server`).  The two differ only in transport.
+  (:mod:`repro.store.server`).  Only a URL store imports it, so a local
+  session loads no networking code.
 """
 
 from .backends import JsonlStoreBackend
-from .remote import RemoteStoreBackend, RemoteStoreError
 from .fingerprint import (
     environment_fingerprint,
     library_digest,
@@ -42,8 +45,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "JsonlStoreBackend",
     "MethodStoreCounts",
-    "RemoteStoreBackend",
-    "RemoteStoreError",
     "ObligationStore",
     "StoreContext",
     "StoreEntry",

@@ -402,7 +402,8 @@ def open_backend(path: os.PathLike | str):
     """The backend for a store path: a remote client for an ``http(s)://``
     URL, the JSONL directory layout for anything else."""
     if is_store_url(path):
-        from .remote import RemoteStoreBackend  # avoid a module cycle
+        # the HTTP transport, for URLs only (a top-level import is a cycle)
+        from .remote import RemoteStoreBackend
 
         return RemoteStoreBackend(str(path))
     return JsonlStoreBackend(path)

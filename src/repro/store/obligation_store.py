@@ -21,6 +21,10 @@ store's operations; the store path only picks the transport:
 * an ``http://``/``https://`` URL talks to ``repro store serve``
   (:class:`~repro.store.remote.RemoteStoreBackend`).
 
+Both clients subclass :class:`~repro.store.client.StoreClient`.  The HTTP
+transport module is imported only when a URL is opened, so a local session
+loads no networking code.
+
 Either way the session mirrors only the entries it fetched or wrote, and
 every read-modify-rewrite (:meth:`compact`, invalidation, :meth:`commit_run`,
 :meth:`gc`) runs in the service under the store's exclusive lock, against
@@ -58,7 +62,6 @@ from typing import Iterator, Optional
 from ..obs import trace
 from ..obs.logs import get_logger
 from .backends import SCHEMA_VERSION, StoreEntry, is_store_url
-from .remote import RemoteStoreBackend
 from .service import LocalStoreClient, check_keep_last, stale_entry_keys
 
 __all__ = [
@@ -96,9 +99,12 @@ class ObligationStore:
     """A session against a content-addressed, dependency-indexed verdict store."""
 
     def __init__(self, path: os.PathLike | str) -> None:
-        self.backend = (
-            RemoteStoreBackend(str(path)) if is_store_url(path) else LocalStoreClient(path)
-        )
+        if is_store_url(path):
+            from .remote import RemoteStoreBackend  # the HTTP transport, URLs only
+
+            self.backend = RemoteStoreBackend(str(path))
+        else:
+            self.backend = LocalStoreClient(path)
         self.path = self.backend.path
         #: the session's mirror: the entries it fetched or wrote
         self._entries: dict[tuple[str, str], StoreEntry] = {}
@@ -134,7 +140,7 @@ class ObligationStore:
     def is_remote(self) -> bool:
         """Whether this session talks to a ``repro store serve`` instance —
         its one difference from a local session is the transport."""
-        return isinstance(self.backend, RemoteStoreBackend)
+        return is_store_url(self.path)
 
     # -- the read/write surface ----------------------------------------------------
     def lookup(self, env: str, fp: str) -> Optional[StoreEntry]:

@@ -1,20 +1,15 @@
-"""The store clients: the ops a session drives, over one of two transports.
+"""The store's HTTP transport: the client of ``repro store serve``.
 
-:class:`StoreClient` speaks the store-level operations of
-:class:`~repro.store.service.StoreService` — ``handshake``, batched
-``lookup``, batched ``append``, batched ``invalidate`` (a list of
-``(scope, method, spec, library)`` keys, which a session queues and sends
-before its next read or write), ``compact``, ``commit_run``, ``gc`` and
-``stats`` — and leaves the transport to ``_call``:
-
-* :class:`~repro.store.service.LocalStoreClient` calls a local store's
-  service in-process;
-* :class:`RemoteStoreBackend` — what :func:`~repro.store.backends.open_backend`
-  returns for an ``http://``/``https://`` store path — posts JSON to
-  ``repro store serve``, which executes each op under the wrapped store's
-  lock, so ``--store http://host:port`` works everywhere a path does.  It
-  also speaks the work-queue ops behind ``repro dispatch`` and
-  ``repro worker``, which need a server.
+:class:`RemoteStoreBackend` is a :class:`~repro.store.client.StoreClient`
+whose transport is JSON posted to a ``repro store serve`` instance
+(:mod:`repro.store.server`), which executes each op under the wrapped
+store's lock, so ``--store http://host:port`` works everywhere a path does.
+It is what :class:`~repro.store.obligation_store.ObligationStore` and
+:func:`~repro.store.backends.open_backend` open for an ``http://``/
+``https://`` store path, and the only module of the store that imports
+:mod:`http.client`: a local store path never loads it.  Beyond the store
+ops it speaks the work-queue ops behind ``repro dispatch`` and
+``repro worker``, which need a server.
 
 The remote transport's reliability model:
 
@@ -37,14 +32,9 @@ The remote transport's reliability model:
   payload also carries this client's identity, so the server's replay cache
   evicts per client and a slow client's retry window survives chatty peers;
 * 4xx responses are never retried — they surface immediately as
-  :class:`RemoteStoreError`;
+  :class:`~repro.store.client.RemoteStoreError`;
 * every call runs inside a ``store.rpc`` trace span whose ``op``/``status``/
   ``attempts``/``reused_conn`` args feed ``repro trace report``.
-
-At open time the client performs a handshake and verifies the server's
-schema tag matches its own :data:`~repro.store.backends.SCHEMA_VERSION` —
-entries of another layout version must be rejected at the door, exactly as a
-local open would discard them.
 """
 
 from __future__ import annotations
@@ -59,7 +49,7 @@ from typing import Optional, Sequence
 
 from ..obs import trace
 from ..obs.logs import get_logger
-from .backends import SCHEMA_VERSION, StoreEntry
+from .client import RemoteStoreError, StoreClient
 
 logger = get_logger("store")
 
@@ -76,10 +66,6 @@ _DEFAULT_BACKOFF = 0.05
 _BACKOFF_CAP = 2.0
 
 
-class RemoteStoreError(ConnectionError):
-    """A store RPC failed for good: retries exhausted or the server said no."""
-
-
 def _env_float(name: str, default: float) -> float:
     raw = os.environ.get(name)
     try:
@@ -94,97 +80,6 @@ def _env_int(name: str, default: int) -> int:
         return int(raw) if raw else default
     except ValueError:
         return default
-
-
-class StoreClient:
-    """The store ops a session drives; ``_call`` is the transport."""
-
-    def __init__(self) -> None:
-        #: the store's entry count as of the last response that carried one
-        self.entries_total = 0
-        self._identity: Optional[dict] = None
-        #: queue-worker mode: stamp ``if_absent`` on appends so a worker
-        #: whose lease was stolen can never land a duplicate verdict record
-        self.append_if_absent = False
-
-    def _call(self, op: str, payload: dict, *, idempotent: bool = False) -> dict:
-        raise NotImplementedError
-
-    def _note_total(self, data: dict) -> dict:
-        total = data.get("entries")
-        if isinstance(total, int):
-            self.entries_total = total
-        return data
-
-    # -- handshake ----------------------------------------------------------------
-    def handshake(self) -> dict:
-        """Fetch (once) and verify the store's identity record."""
-        if self._identity is not None:
-            return self._identity
-        info = self._call("handshake", {})
-        schema = info.get("schema")
-        if schema != SCHEMA_VERSION:
-            raise RemoteStoreError(
-                f"store server {self.path} speaks schema {schema!r}, this "
-                f"client needs {SCHEMA_VERSION!r}; upgrade one side"
-            )
-        self._identity = info
-        return info
-
-    # -- the store operations -----------------------------------------------------
-    def lookup(self, env: str, fps: Sequence[str]) -> list[StoreEntry]:
-        """Batched lookup; returns only the entries the store holds."""
-        if not fps:
-            return []
-        data = self._call("lookup", {"env": env, "fps": list(fps)})
-        entries = []
-        for record in data.get("found", []):
-            try:
-                entries.append(StoreEntry.from_record(record))
-            except (ValueError, KeyError, TypeError):
-                continue
-        return entries
-
-    def append_entries(self, entries: Sequence[StoreEntry]) -> None:
-        if not entries:
-            return
-        self._call(
-            "append",
-            {
-                "entries": [entry.to_record() for entry in entries],
-                "if_absent": self.append_if_absent,
-            },
-            idempotent=True,
-        )
-
-    def compact(self) -> None:
-        self._call("compact", {}, idempotent=True)
-
-    def invalidate(self, keys: Sequence[Sequence[str]]) -> list[int]:
-        """Drop what each ``(scope, method, spec, library)`` key condemns.
-
-        One op and one locked pass for the whole batch; returns the per-key
-        dropped counts, each stale entry credited to the first key that
-        condemns it (what sequential calls would report).
-        """
-        if not keys:
-            return []
-        data = self._call(
-            "invalidate", {"keys": [list(key) for key in keys]}, idempotent=True
-        )
-        return [int(count) for count in data.get("dropped", [])]
-
-    def commit_run(self, touched: Sequence[str]) -> int:
-        data = self._call("commit_run", {"touched": list(touched)}, idempotent=True)
-        return int(data.get("run", 0))
-
-    def gc(self, keep_last: int) -> int:
-        data = self._call("gc", {"keep_last": keep_last}, idempotent=True)
-        return int(data.get("dropped", 0))
-
-    def stats(self) -> dict:
-        """The store's per-op counters, lookup hit-rate and queue state."""
-        return self._call("stats", {})
 
 
 class RemoteStoreBackend(StoreClient):

@@ -8,7 +8,7 @@ batched ``lookup``, batched ``append``, batched ``invalidate``,
 distributed discharge and the ``stats`` metrics.  Each read-modify-rewrite
 exists once, as an ``op_*`` method running under the backend's exclusive
 lock.  Clients drive it through one of two transports that speak the same
-ops (:class:`~repro.store.remote.StoreClient`):
+ops (:class:`~repro.store.client.StoreClient`):
 
 * :class:`LocalStoreClient` — a local store path: the service in-process,
   called directly;
@@ -16,8 +16,9 @@ ops (:class:`~repro.store.remote.StoreClient`):
   ``repro store serve`` instance (:mod:`repro.store.server`, which wraps a
   service behind JSON-over-HTTP).
 
-This module does not import :mod:`http.server`: opening a local store never
-pays for the serving stack.
+This module imports no networking — neither :mod:`http.server` nor the
+HTTP client (:mod:`repro.store.remote`) — so opening a local store pays for
+neither the serving stack nor the transport.
 
 Design notes:
 
@@ -78,7 +79,7 @@ from collections import OrderedDict
 from ..obs.logs import get_logger
 from .backends import SCHEMA_VERSION, JsonlStoreBackend, LoadedState, StoreEntry, is_store_url
 from .queue import QueueItem, WorkQueue
-from .remote import StoreClient
+from .client import StoreClient
 
 logger = get_logger("store")
 

@@ -46,6 +46,17 @@ def test_dispatch_rejects_a_local_store_path(capsys, tmp_path):
     assert "store *server*" in capsys.readouterr().err
 
 
+def test_a_stuck_dispatch_exits_2_naming_the_error(server, capsys, monkeypatch):
+    from repro.engine import dispatch
+
+    def stuck(*args, **kwargs):
+        raise dispatch.DispatchError("dispatch d1 did not drain within 1s")
+
+    monkeypatch.setattr(dispatch, "run_distributed_evaluation", stuck)
+    assert cli_main(["dispatch", "--fast", "--store", server.url]) == 2
+    assert "error: dispatch d1 did not drain" in capsys.readouterr().err
+
+
 _URL = "http://127.0.0.1:9"
 
 

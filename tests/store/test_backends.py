@@ -5,9 +5,10 @@ import os
 
 import pytest
 
-from repro.store import JsonlStoreBackend, RemoteStoreBackend
+from repro.store import JsonlStoreBackend
 from repro.store.backends import open_backend
 from repro.store.obligation_store import ObligationStore, StoreEntry
+from repro.store.remote import RemoteStoreBackend
 
 
 def _entry(fp, *, included=True):

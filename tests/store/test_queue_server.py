@@ -18,7 +18,8 @@ import pytest
 
 from repro.store import service as service_mod
 from repro.store.backends import StoreEntry
-from repro.store.remote import RemoteStoreBackend, RemoteStoreError
+from repro.store.client import RemoteStoreError
+from repro.store.remote import RemoteStoreBackend
 from repro.store.server import StoreHTTPServer, StoreService, serve_in_thread
 
 

@@ -8,18 +8,19 @@ the retry/backoff loop, idempotency-key stability across retries, the
 """
 
 import http.client
+import importlib
 import json
 
 import pytest
 
 from repro.store.backends import SCHEMA_VERSION, open_backend
+from repro.store.client import RemoteStoreError
 from repro.store.obligation_store import ObligationStore
 from repro.store.remote import (
     ENV_RPC_BACKOFF,
     ENV_RPC_RETRIES,
     ENV_RPC_TIMEOUT,
     RemoteStoreBackend,
-    RemoteStoreError,
 )
 
 URL = "http://cache.example:8642"
@@ -55,6 +56,26 @@ def _scripted(backend, responses):
 
 
 # -- resolution --------------------------------------------------------------------
+
+
+#: the ops perfbench's ``store.rpc`` layer wraps at
+#: ``repro.store.remote.RemoteStoreBackend.<op>``: the store ops, then the
+#: work-queue ops (an inherited method resolves there too)
+WRAPPED_STORE_OPS = (
+    "handshake", "lookup", "append_entries", "compact", "invalidate", "commit_run", "gc", "stats",
+)
+WRAPPED_QUEUE_OPS = ("enqueue", "lease", "complete", "extend", "queue_status")
+
+
+def test_every_wrapped_rpc_op_resolves_on_the_transport_class():
+    """A benchmark layer whose target vanished would silently read 0."""
+    backend = importlib.import_module("repro.store.remote").RemoteStoreBackend
+    missing = [
+        op
+        for op in WRAPPED_STORE_OPS + WRAPPED_QUEUE_OPS
+        if not callable(getattr(backend, op, None))
+    ]
+    assert missing == []
 
 
 def test_urls_resolve_to_the_remote_backend():

@@ -15,8 +15,9 @@ import time
 import pytest
 
 from repro.store.backends import SCHEMA_VERSION, StoreEntry, open_backend
+from repro.store.client import RemoteStoreError
 from repro.store.obligation_store import ObligationStore
-from repro.store.remote import RemoteStoreBackend, RemoteStoreError
+from repro.store.remote import RemoteStoreBackend
 from repro.store.server import StoreHTTPServer, StoreService, serve_in_thread
 
 
