@@ -201,3 +201,30 @@ def test_alphabet_memo_builds_fewer_than_obligations(benchmark, key):
     benchmark.extra_info["alphabet builds"] = builds
     benchmark.extra_info["alphabet memo hits"] = memo_hits
     benchmark.extra_info["emitted obligations"] = emitted
+
+
+def test_fast_corpus_derivative_work_gate(monkeypatch, tmp_path):
+    """A noise-free work gate on the transition tables of a cold fast run.
+
+    Rows derive once per minterm class of their state, not once per minterm:
+    the fast corpus (cold, against a fresh store, as perfbench's ``fast``
+    workload runs it) computes at most 30,000 derivatives, where one per
+    (subformula, minterm) computed 72,780.  The rows built and the product
+    states the walks reach are pinned exactly: the classes move work, never
+    a row or a walk.
+    """
+    from repro.evaluation.runner import run_evaluation
+    from repro.store.obligation_store import ObligationStore
+    from tests.sfa.oracles import record_tables
+
+    tables = record_tables(monkeypatch)
+    report = run_evaluation(include_slow=False, store=ObligationStore(tmp_path / "store"))
+    assert report.all_verified and report.all_negatives_rejected
+    derivatives = sum(table.derivatives for table in tables)
+    rows_built = sum(table.rows_built for table in tables)
+    prod_states = sum(
+        result.stats.prod_states for stats in report.adt_stats for result in stats.method_results
+    )
+    assert derivatives <= 30_000, f"{derivatives} derivative computations"
+    assert rows_built == 1_112
+    assert prod_states == 893

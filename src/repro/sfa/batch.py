@@ -14,12 +14,18 @@ position, nullability and the antichain prune flags are precomputed bitsets
 (``bytearray`` — one byte per state, replacing the recursive ``nullable()``
 walk at every dequeue), and each row is built exactly once and shared by both
 sides of every product pair.  Derivatives are memoised per *subformula* per
-minterm, not per top-level step: overlapping states (the common case —
-ACI-normalised ``and``/``or`` combinations over a shared invariant) never
-re-derive their shared parts.  The same content layout with ``numpy`` arrays
-was measured and rejected: at the corpus's alphabet sizes (≤ ~32 minterms)
-Python-level element access into numpy rows is slower than plain list
-indexing, so the dense-int layout stays stdlib.
+minterm *class*, not per top-level step: overlapping states (the common case
+— ACI-normalised ``and``/``or`` combinations over a shared invariant) never
+re-derive their shared parts, and a subformula derives once for all the
+minterms it cannot tell apart.  A formula reads a minterm only through its
+event atoms' operators and qualifiers, so its classes are the joint outcomes
+of those atoms (local mintermization, as in Stanford, Veanes & Bjørner and in
+D'Antoni & Veanes, "The Power of Symbolic Automata and Transducers", CAV
+2017); the row of a state that mentions one operator out of three takes a
+handful of derivatives, not one per minterm.  The same content layout with
+``numpy`` arrays was measured and rejected: at the corpus's alphabet sizes
+(≤ ~32 minterms) Python-level element access into numpy rows is slower than
+plain list indexing, so the dense-int layout stays stdlib.
 
 **The walk.**  :func:`walk` is a breadth-first search of one
 product: FIFO order, the witness test (nullable lhs, non-nullable rhs) at
@@ -46,11 +52,12 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from .. import smt
 from ..obs import trace
 from ..smt.solver import SolverError, SolverStats
 from . import symbolic
 from .alphabet import Alphabet, AlphabetError, AlphabetMemo, AlphabetStats, LiteralSets
-from .derivatives import CompilationError, _evaluate_qualifier, nullable
+from .derivatives import CompilationError, _evaluate_qualifier, nullable, undetermined_qualifier
 from .signatures import OperatorRegistry
 from .symbolic import Sfa
 
@@ -58,14 +65,22 @@ if TYPE_CHECKING:
     from .inclusion import InclusionStats
 
 
+#: event-atom class codes: a derivative of BOT (another operator, or a false
+#: qualifier), of TOP, or an undetermined qualifier
+_BOT_CODE, _TOP_CODE, _UNDETERMINED_CODE = 0, 1, 2
+_OUTCOME_CODES = {False: _BOT_CODE, True: _TOP_CODE, None: _UNDETERMINED_CODE}
+_REFINING_KINDS = frozenset((symbolic.K_AND, symbolic.K_OR, symbolic.K_CONCAT, symbolic.K_UNTIL))
+
+
 class TransitionTable:
     """An interned (state-id × minterm-index) transition table for one alphabet.
 
     States are hash-consed SFA formulas interned to dense ids on first sight;
-    ``row(state)`` lazily computes the full successor row — one derivative per
-    minterm — and memoises it, so the walk only ever pays for the reachable
-    part of the table, and pays for it once however many product pairs (or
-    group members) reach the state.
+    ``row(state)`` lazily computes the full successor row and memoises it, so
+    the walk only ever pays for the reachable part of the table, and pays for
+    it once however many product pairs (or group members) reach the state.
+    A row takes one derivative per minterm *class* of its state (see
+    :meth:`_entry`) and copies it to the class's other minterms.
     """
 
     __slots__ = (
@@ -79,9 +94,12 @@ class TransitionTable:
         "is_top",
         "rows",
         "rows_built",
+        "derivatives",
         "_id_of",
         "_truths",
-        "_memos",
+        "_uniform",
+        "_vectors",
+        "_entries",
     )
 
     def __init__(self, alphabet: Alphabet) -> None:
@@ -104,8 +122,14 @@ class TransitionTable:
         self.is_top = bytearray()
         self.rows: list[Optional[list[int]]] = []
         self.rows_built = 0
-        #: per-minterm subformula-level derivative memos
-        self._memos: list[dict[Sfa, Sfa]] = [dict() for _ in self.characters]
+        #: derivative computations (memo misses); work accounting for tests,
+        #: never billed into the tables
+        self.derivatives = 0
+        self._uniform = (0,) * self.num_chars
+        #: interned class vectors, so equal partitions are one object
+        self._vectors: dict[tuple[int, ...], tuple[int, ...]] = {self._uniform: self._uniform}
+        #: subformula -> (class vector, derivative per class)
+        self._entries: dict[Sfa, tuple[tuple[int, ...], list[Optional[Sfa]]]] = {}
 
     def intern(self, formula: Sfa) -> int:
         state = self._id_of.get(formula)
@@ -124,37 +148,97 @@ class TransitionTable:
         if row is not None:
             return row
         formula = self.formulas[state]
-        row = [self.intern(self._derive(formula, index)) for index in range(self.num_chars)]
+        vector, per_class = self._entry(formula)
+        targets: list[Optional[int]] = [None] * len(per_class)
+        row = []
+        for index, cls in enumerate(vector):
+            target = targets[cls]
+            if target is None:
+                target = targets[cls] = self.intern(self._derive(formula, index))
+            row.append(target)
         self.rows[state] = row
         self.rows_built += 1
         return row
+
+    def _entry(self, formula: Sfa) -> tuple[tuple[int, ...], list[Optional[Sfa]]]:
+        """The formula's minterm classes and its per-class derivative memo.
+
+        The class vector maps each minterm position to a small class id, and
+        equal vectors are one interned object.  ``_derive`` reads a minterm
+        only through its signature name and the truth of the formula's event
+        qualifiers, so minterms in one class share the derivative:
+
+        * an event atom has one class per outcome — BOT (other operator, or
+          qualifier false), TOP (qualifier true), or undetermined (the
+          derivative raises, at each such minterm with its own message);
+        * TOP, BOT, guards and ``next`` derive alike on every minterm;
+        * ``not`` keeps its child's classes, and ``and``/``or``/``concat``/
+          ``until`` refine their children's classes jointly.
+        """
+        entry = self._entries.get(formula)
+        if entry is not None:
+            return entry
+        kind = formula.kind
+        if kind == symbolic.K_EVENT:
+            # the outcome codes themselves are the class ids
+            signature, phi = formula.payload
+            name = signature.name
+            codes = tuple([
+                _OUTCOME_CODES[smt.evaluate(phi, truth)]
+                if character.signature.name == name
+                else _BOT_CODE
+                for character, truth in zip(self.characters, self._truths)
+            ])
+            vector = self._vectors.setdefault(codes, codes)
+        elif kind == symbolic.K_NOT:
+            vector = self._entry(formula.children[0])[0]
+        elif kind in _REFINING_KINDS:
+            vectors: list[tuple[int, ...]] = []
+            for child in formula.children:
+                child_vector = self._entry(child)[0]
+                if child_vector is not self._uniform and all(
+                    child_vector is not seen for seen in vectors
+                ):
+                    vectors.append(child_vector)
+            if not vectors:
+                vector = self._uniform
+            elif len(vectors) == 1:
+                vector = vectors[0]
+            else:  # renumber the joint keys by first occurrence
+                ids: dict[tuple[int, ...], int] = {}
+                joint = tuple([ids.setdefault(key, len(ids)) for key in zip(*vectors)])
+                vector = self._vectors.setdefault(joint, joint)
+        else:  # TOP, BOT, guard, next
+            vector = self._uniform
+        entry = (vector, [None] * (max(vector, default=0) + 1))
+        self._entries[formula] = entry
+        return entry
 
     def _derive(self, formula: Sfa, index: int) -> Sfa:
         """Memoised Brzozowski derivative w.r.t. minterm ``index``.
 
         The plain recursion is ``derivative`` in ``tests/sfa/oracles.py``;
-        this one memoises every *subformula*, so shared parts of sibling
-        states are derived once per minterm for the whole table.
+        this one memoises every *subformula* per minterm class
+        (:meth:`_entry`), so shared parts of sibling states are derived once
+        per class for the whole table, and minterms the subformula cannot
+        tell apart share one derivation.  Errors are never memoised: an
+        undetermined qualifier raises at every minterm that reaches it.
         """
-        memo = self._memos[index]
-        cached = memo.get(formula)
+        vector, per_class = self._entries.get(formula) or self._entry(formula)
+        cls = vector[index]
+        cached = per_class[cls]
         if cached is not None:
             return cached
+        self.derivatives += 1
         kind = formula.kind
         if kind == symbolic.K_TOP:
             result = symbolic.TOP
         elif kind == symbolic.K_BOT:
             result = symbolic.BOT
         elif kind == symbolic.K_EVENT:
-            signature, phi = formula.payload
-            if signature.name != self.characters[index].signature.name:
-                result = symbolic.BOT
-            else:
-                result = (
-                    symbolic.TOP
-                    if _evaluate_qualifier(phi, self._truths[index])
-                    else symbolic.BOT
-                )
+            if cls == _UNDETERMINED_CODE:
+                raise undetermined_qualifier(formula.payload[1], self._truths[index])
+            result = symbolic.TOP if cls == _TOP_CODE else symbolic.BOT
         elif kind == symbolic.K_GUARD:
             result = (
                 symbolic.TOP
@@ -184,7 +268,7 @@ class TransitionTable:
                 result = left_part
         else:
             raise AssertionError(kind)
-        memo[formula] = result
+        per_class[cls] = result
         return result
 
 

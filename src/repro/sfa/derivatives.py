@@ -48,12 +48,17 @@ def nullable(formula: Sfa) -> bool:
     raise AssertionError(kind)
 
 
+def undetermined_qualifier(phi: Term, truth: Mapping[Term, bool]) -> CompilationError:
+    """The error for a qualifier that ``truth`` leaves undetermined."""
+    missing = [a for a in smt.atoms(phi) if a not in truth]
+    return CompilationError(
+        f"qualifier {phi!r} is not determined by the minterm assignment; "
+        f"missing literals: {missing}"
+    )
+
+
 def _evaluate_qualifier(phi: Term, truth: Mapping[Term, bool]) -> bool:
     value = smt.evaluate(phi, dict(truth))
     if value is None:
-        missing = [a for a in smt.atoms(phi) if a not in truth]
-        raise CompilationError(
-            f"qualifier {phi!r} is not determined by the minterm assignment; "
-            f"missing literals: {missing}"
-        )
+        raise undetermined_qualifier(phi, truth)
     return value

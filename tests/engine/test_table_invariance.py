@@ -12,10 +12,17 @@ byte the same as a serial, store-less reference run:
 * with the cross-obligation alphabet memo switched off — alphabets are always
   built hermetically with their counter bill recorded and replayed, so the
   reuse changes wall-clock time only.
+
+The reference itself is pinned to ``fast_tables.golden``, the deterministic
+tables as committed: a change that only moves work (a faster walk, a cheaper
+cache) must render them byte for byte.  A change that moves a counter on
+purpose regenerates the file with ``_render`` and says why.
 """
 
+import difflib
 import functools
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +69,22 @@ def reference_tables():
     report = run_evaluation(include_slow=False)
     assert report.all_verified and report.all_negatives_rejected
     return _render(report)
+
+
+GOLDEN = Path(__file__).with_name("fast_tables.golden")
+
+
+def test_reference_tables_match_the_golden_file(reference_tables):
+    expected = GOLDEN.read_text()
+    actual = reference_tables + "\n"
+    if actual != expected:
+        diff = difflib.unified_diff(
+            expected.splitlines(keepends=True),
+            actual.splitlines(keepends=True),
+            fromfile=GOLDEN.name,
+            tofile="this run",
+        )
+        pytest.fail("the deterministic tables moved:\n" + "".join(diff))
 
 
 @pytest.mark.parametrize("environment", ENVIRONMENTS)

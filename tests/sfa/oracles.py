@@ -22,7 +22,9 @@ the same steps, used only as oracles:
 alphabets per context case, first witness wins — so a test can compare it
 with :meth:`InclusionChecker.check_detailed` on verdict, witness and #Prod.
 :func:`record_discharges` captures what the engine's grouped discharge
-decided during a run, so the same comparison covers the corpus.
+decided during a run, so the same comparison covers the corpus;
+:func:`record_tables` captures every transition table a run built, so its
+rows can be held against :func:`derivative`.
 """
 
 from __future__ import annotations
@@ -274,8 +276,9 @@ def word_dfa(word: Sequence[int], num_chars: int) -> Dfa:
 def derivative(formula: Sfa, character: Character, context_truth: Mapping[Term, bool]) -> Sfa:
     """The Brzozowski derivative of ``formula`` with respect to ``character``.
 
-    ``TransitionTable._derive`` memoises the same recursion per subformula;
-    this is the plain definition it is checked against.
+    ``TransitionTable._derive`` memoises the same recursion per subformula
+    per minterm class (the minterms a subformula cannot tell apart); this is
+    the plain definition, one call per minterm, that it is checked against.
     """
     kind = formula.kind
     if kind == symbolic.K_TOP:
@@ -569,3 +572,20 @@ def record_discharges(monkeypatch) -> list[tuple[object, dict]]:
 
     monkeypatch.setattr(scheduler, "discharge_group", recording)
     return captured
+
+
+def record_tables(monkeypatch) -> list:
+    """Capture every :class:`~repro.sfa.batch.TransitionTable` built for the
+    rest of the test — the engine's grouped discharge and the checker's
+    inline queries alike (in-process runs only)."""
+    from repro.sfa.batch import TransitionTable
+
+    tables: list = []
+    original = TransitionTable.__init__
+
+    def recording(self, alphabet):
+        original(self, alphabet)
+        tables.append(self)
+
+    monkeypatch.setattr(TransitionTable, "__init__", recording)
+    return tables

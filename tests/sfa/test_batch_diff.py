@@ -18,6 +18,14 @@ fresh table, and with the formula-pair oracle
 The corpus is the suite's fast benchmarks plus >=100 seeded-random groups
 of SFA pairs built over a shared literal pool (so they genuinely share the
 grouping key, like sibling obligations of one method do).
+
+Below the walk, every row must be exactly the oracle's derivatives
+(``oracles.derivative``, one per minterm): the table derives once per
+minterm class of a state and copies the result across the class, and that
+must never show — on seeded-random states over two- and three-operator
+alphabets, on every state the fast-corpus walks reach, and on alphabets that
+leave a qualifier undetermined, where the row raises the oracle's error of
+the oracle's first failing minterm.
 """
 
 import random
@@ -25,18 +33,39 @@ import random
 import pytest
 
 from repro import smt
+from repro.smt import sorts
 from repro.sfa import symbolic as S
-from repro.sfa.alphabet import AlphabetError, AlphabetMemo, build_alphabets, collect_literals
+from repro.sfa.alphabet import (
+    Alphabet,
+    AlphabetError,
+    AlphabetMemo,
+    Character,
+    build_alphabets,
+    collect_literals,
+)
 from repro.sfa.batch import TransitionTable, decide, discharge_group, walk
 from repro.sfa.derivatives import CompilationError
 from repro.sfa.inclusion import InclusionChecker, InclusionStats
+from repro.sfa.signatures import OperatorRegistry
 from repro.smt.solver import SolverError
 from repro.evaluation.runner import run_evaluation
 from repro.engine.obligations import Obligation
 from repro.suite.registry import all_benchmarks
 
-from oracles import compile_dfa, lazy_inclusion_search, oracle_check, record_discharges
-from test_discharge_diff import _random_context_literal, _random_registry, _random_sfa
+from oracles import (
+    compile_dfa,
+    derivative,
+    lazy_inclusion_search,
+    oracle_check,
+    record_discharges,
+    record_tables,
+)
+from test_discharge_diff import (
+    _random_context_literal,
+    _random_event_literal,
+    _random_registry,
+    _random_sfa,
+)
 
 # ---------------------------------------------------------------------------
 # Random group generator
@@ -234,8 +263,11 @@ def test_discharge_group_construction_failure_reports_every_member():
 def test_fast_corpus_batch_equals_lazy(monkeypatch):
     """Every obligation the grouped discharge decides on the fast corpus —
     positive methods and negative variants — equals the formula-pair
-    oracle's answer: verdict, witness trace and #Prod."""
-    discharged = 0
+    oracle's answer: verdict, witness trace and #Prod.  And every row the
+    corpus's walks built equals the oracle's derivatives, minterm by
+    minterm."""
+    discharged = rows = 0
+    tables = record_tables(monkeypatch)
     for bench in all_benchmarks(include_slow=False):
         captured = record_discharges(monkeypatch)
         report = run_evaluation([bench])
@@ -253,6 +285,12 @@ def test_fast_corpus_batch_equals_lazy(monkeypatch):
             assert result["inclusion"]["prod_states"] == oracle.prod_states
         discharged += len(captured)
     assert discharged >= 60
+    for table in tables:
+        for state, row in enumerate(table.rows):
+            if row is not None:
+                assert row == _oracle_row(table, state), table.formulas[state]
+                rows += 1
+    assert rows >= 1000
 
 
 # ---------------------------------------------------------------------------
@@ -308,3 +346,205 @@ def test_member_over_budget_leaves_later_members_untouched():
             assert result["inclusion"]["fa_inclusion_checks"] == stats.fa_inclusion_checks
         return
     pytest.fail("no seed produced an over-budget first member with a clean sibling")
+
+
+# ---------------------------------------------------------------------------
+# Row-level differential: one derivative per minterm class is exact
+# ---------------------------------------------------------------------------
+
+
+def _row_registry(rng: random.Random) -> OperatorRegistry:
+    """Two or three operators, so most states mention only some of them."""
+    registry = OperatorRegistry()
+    registry.declare("row_a", [("x", sorts.ELEM)], sorts.UNIT)
+    registry.declare("row_b", [("y", sorts.ELEM), ("m", smt.INT)], smt.BOOL)
+    if rng.random() < 0.5:
+        registry.declare("row_c", [("z", sorts.ELEM)], sorts.UNIT)
+    return registry
+
+
+def _row_sfa(rng: random.Random, registry, depth: int = 3) -> S.Sfa:
+    """A random formula over every constructor the derivative recurses on."""
+    if depth == 0 or rng.random() < 0.25:
+        choice = rng.randrange(3)
+        if choice == 0:
+            signature = rng.choice(list(registry))
+            return S.event(signature, _random_event_literal(rng, signature))
+        if choice == 1:
+            return S.guard(_random_context_literal(rng))
+        return S.TOP
+    children = [_row_sfa(rng, registry, depth - 1) for _ in range(2)]
+    combinator = rng.randrange(7)
+    if combinator == 0:
+        return S.not_(children[0])
+    if combinator == 1:
+        return S.and_(*children)
+    if combinator == 2:
+        return S.or_(*children)
+    if combinator == 3:
+        return S.concat(*children)
+    if combinator == 4:
+        return S.next_(children[0])
+    if combinator == 5:
+        return S.until(*children)
+    return S.eventually(children[0])
+
+
+def _oracle_row(table: TransitionTable, state: int) -> list[int]:
+    formula = table.formulas[state]
+    context_truth = table.alphabet.context_truth()
+    return [
+        table.intern(derivative(formula, character, context_truth))
+        for character in table.characters
+    ]
+
+
+def _oracle_first_error(table: TransitionTable, state: int) -> str | None:
+    """The message of the oracle's first failing minterm, if any fails."""
+    formula = table.formulas[state]
+    context_truth = table.alphabet.context_truth()
+    for character in table.characters:
+        try:
+            derivative(formula, character, context_truth)
+        except CompilationError as exc:
+            return str(exc)
+    return None
+
+
+def _check_reachable_rows(
+    table: TransitionTable, starts, *, max_states: int = 150
+) -> tuple[int, int]:
+    """Every row breadth-first from ``starts`` equals the oracle's, or raises
+    the oracle's first error.  Returns (rows compared, errors compared)."""
+    frontier = [table.intern(start) for start in starts]
+    seen = set(frontier)
+    rows = errors = 0
+    while frontier and len(seen) < max_states:
+        state = frontier.pop(0)
+        expected_error = _oracle_first_error(table, state)
+        if expected_error is not None:
+            with pytest.raises(CompilationError) as excinfo:
+                table.row(state)
+            assert str(excinfo.value) == expected_error
+            errors += 1
+            continue
+        row = table.row(state)
+        assert row == _oracle_row(table, state), table.formulas[state]
+        rows += 1
+        for target in row:
+            if target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    return rows, errors
+
+
+def _drop_literals(rng: random.Random, alphabet: Alphabet) -> Alphabet:
+    """The alphabet with a random literal forgotten by some characters."""
+    characters = []
+    for character in alphabet.characters:
+        values = list(character.literal_values)
+        if values and rng.random() < 0.5:
+            del values[rng.randrange(len(values))]
+        characters.append(Character(character.signature, tuple(values)))
+    return Alphabet(alphabet.context_case, tuple(characters))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_rows_equal_oracle_derivatives_on_random_states(seed):
+    """Every row reachable from two random formulas equals one oracle
+    derivative per minterm."""
+    rng = random.Random(737_373 + seed)
+    registry = _row_registry(rng)
+    starts = [_row_sfa(rng, registry), _row_sfa(rng, registry)]
+    try:
+        alphabets = build_alphabets(smt.Solver(), [], starts, registry)
+    except (AlphabetError, SolverError):
+        pytest.skip("alphabet construction exceeds the default budget")
+    for alphabet in alphabets:
+        rows, errors = _check_reachable_rows(TransitionTable(alphabet), starts)
+        assert rows >= 1 and errors == 0
+
+
+def test_forgotten_literals_raise_the_oracles_first_error():
+    """With literals forgotten, every reachable row raises exactly the
+    oracle's first failing minterm's error, or equals its derivatives; and
+    across seeds such rows do fail."""
+    failures = 0
+    for seed in range(60):
+        rng = random.Random(848_484 + seed)
+        registry = _row_registry(rng)
+        starts = [_row_sfa(rng, registry), _row_sfa(rng, registry)]
+        try:
+            alphabets = build_alphabets(smt.Solver(), [], starts, registry)
+        except (AlphabetError, SolverError):
+            continue
+        for alphabet in alphabets:
+            _, errors = _check_reachable_rows(
+                TransitionTable(_drop_literals(rng, alphabet)), starts
+            )
+            failures += errors
+    assert failures >= 10
+
+
+def _three_operator_alphabet():
+    """``row_a``/``row_b``/``row_c``, each split by one predicate literal."""
+    registry = OperatorRegistry()
+    for name, formal in (("row_a", "x"), ("row_b", "y"), ("row_c", "z")):
+        registry.declare(name, [(formal, sorts.ELEM)], sorts.UNIT)
+    p = smt.declare("row_p", [sorts.ELEM], smt.BOOL, method_predicate=True)
+    literal = {
+        signature.name: smt.apply(p, signature.formals[0]) for signature in registry
+    }
+    return registry, literal
+
+
+def test_undetermined_qualifier_raises_at_the_first_failing_minterm():
+    """Two undetermined minterms share a class, yet the row raises the
+    message of the first one, not of the class's other member."""
+    registry, literal = _three_operator_alphabet()
+    row_a, row_b = registry["row_a"], registry["row_b"]
+    q = smt.apply(
+        smt.declare("row_q", [sorts.ELEM], smt.BOOL, method_predicate=True),
+        row_a.formals[0],
+    )
+    p = literal["row_a"]
+    alphabet = Alphabet(
+        (),
+        (
+            Character(row_b, ((literal["row_b"], True),)),  # another operator
+            Character(row_a, ((p, True),)),  # qualifier true
+            Character(row_a, ((q, False),)),  # undetermined: p missing
+            Character(row_a, ((p, False),)),  # undetermined: q missing
+        ),
+    )
+    table = TransitionTable(alphabet)
+    start = table.intern(S.globally(S.not_(S.event(row_a, smt.or_(p, q)))))
+    expected = _oracle_first_error(table, start)
+    assert expected is not None and expected.endswith(f"missing literals: {[p]}")
+    with pytest.raises(CompilationError) as excinfo:
+        table.row(start)
+    assert str(excinfo.value) == expected
+
+
+def test_a_one_operator_state_derives_once_per_class():
+    """``□¬⟨row_a | p x⟩`` over six minterms of three operators has two
+    classes: the one minterm its event accepts, and the rest.  Its row
+    takes one derivative per class of each subformula — 7 — where one per
+    minterm would take 4 subformulas × 6 minterms = 24."""
+    registry, literal = _three_operator_alphabet()
+    alphabet = Alphabet(
+        (),
+        tuple(
+            Character(signature, ((literal[signature.name], value),))
+            for signature in registry
+            for value in (True, False)
+        ),
+    )
+    state = S.globally(S.not_(S.event(registry["row_a"], literal["row_a"])))
+    table = TransitionTable(alphabet)
+    start = table.intern(state)
+    row = table.row(start)
+    assert row == _oracle_row(table, start)
+    assert row == [table.intern(S.BOT)] + [start] * 5
+    # the state, its until and its event: two classes each; the guard: one
+    assert table.derivatives == 3 * 2 + 1
