@@ -2,7 +2,8 @@
 
 These correspond to the per-query cost components t_SAT and t_FA⊆ of the
 paper's tables: individual SMT validity queries (with method-predicate axiom
-instantiation) and individual symbolic-automata inclusion checks.
+instantiation) and individual symbolic-automata inclusion checks.  The SAT
+core alone is timed by replaying a fast run's recorded solves.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro.libraries.filelib import file_axioms, is_del, is_dir, parent_fn
 from repro.libraries.setlib import make_set
 from repro.sfa import symbolic as S
 from repro.sfa.inclusion import InclusionChecker
+from repro.smt.backends import SatSolver
 from repro.suite.registry import all_benchmarks
 from tests.sfa.oracles import use_exhaustive_enumeration
 
@@ -228,3 +230,75 @@ def test_fast_corpus_derivative_work_gate(monkeypatch, tmp_path):
     assert derivatives <= 30_000, f"{derivatives} derivative computations"
     assert rows_built == 1_112
     assert prod_states == 893
+
+
+class _RecordingCore(SatSolver):
+    """The production core that logs its calls, one op list per instance."""
+
+    log: list = []
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ops: list[tuple] = []
+        self.log.append(self.ops)
+
+    def add_clause(self, clause) -> None:
+        clause = tuple(clause)
+        self.ops.append(("clause", clause))
+        super().add_clause(clause)
+
+    def ensure_vars(self, num_vars: int) -> None:
+        self.ops.append(("vars", num_vars))
+        super().ensure_vars(num_vars)
+
+    def solve_partial(self, assumptions=()):
+        assumptions = tuple(assumptions)
+        model = super().solve_partial(assumptions)
+        self.ops.append(
+            ("solve", assumptions, self.priority_vars, dict(self.phase_hint), model)
+        )
+        return model
+
+
+def _replay(log) -> list:
+    """Re-run every recorded call on fresh production cores; their models."""
+    models = []
+    for ops in log:
+        sat = SatSolver()
+        for op in ops:
+            if op[0] == "clause":
+                sat.add_clause(op[1])
+            elif op[0] == "vars":
+                sat.ensure_vars(op[1])
+            else:
+                sat.priority_vars = op[2]
+                sat.phase_hint = op[3]
+                models.append(sat.solve_partial(op[1]))
+    return models
+
+
+def test_sat_core_replay(benchmark, monkeypatch):
+    """The SAT core alone: replay a cold fast run's solves on fresh cores.
+
+    The call sequence (clauses, variable widenings, and each solve's
+    assumptions, priorities and phase hints) is recorded once from a cold
+    ``run_evaluation`` of the fast corpus; the benchmark times replaying it,
+    so the ``smt.sat`` layer's cost shows without the rest of the pipeline.
+    The replay must give back every recorded model.
+    """
+    from repro.evaluation.runner import run_evaluation
+    from repro.smt import solver as solver_module
+
+    monkeypatch.setattr(_RecordingCore, "log", [])
+    monkeypatch.setattr(solver_module, "SatSolver", _RecordingCore)
+    monkeypatch.setattr(solver_module, "_DEFAULT_SOLVER", None)
+    report = run_evaluation(include_slow=False)
+    assert report.all_verified and report.all_negatives_rejected
+    log = _RecordingCore.log
+    recorded = [op[4] for ops in log for op in ops if op[0] == "solve"]
+    assert len(recorded) >= 1_000
+
+    models = benchmark(_replay, log)
+    assert models == recorded
+    benchmark.extra_info["cores"] = len(log)
+    benchmark.extra_info["solves"] = len(recorded)

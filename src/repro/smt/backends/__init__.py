@@ -12,7 +12,8 @@ loop is written against its incremental clause/solve surface:
                        clauses
 ``solve_partial(a)``   a partial model satisfying every clause (unassigned
                        variables absent) or ``None`` under assumptions ``a``
-``solve(a)``           like ``solve_partial`` but totalised
+``solve(a)``           like ``solve_partial`` but totalised over every
+                       variable seen (clauses, assumptions, priorities)
 ``priority_vars``      variables that must be decided (hence assigned) first
 ``phase_hint``         preferred branch polarities
 ``stats_*``            decisions / propagations / conflicts / restarts
@@ -21,9 +22,16 @@ loop is written against its incremental clause/solve surface:
 **Determinism contract.**  Given the same sequence of ``add_clause`` /
 ``solve`` calls, the core returns the same answers *and the same models* on
 every run — verdicts, witness traces and every table counter (#SAT and
-#Confl included) flow from it.  A CDCL core with the same surface lives in
-the tests (``tests/smt/sat_oracle.py``) as an oracle: the differential and
-fuzzing suites (``tests/smt/test_backend_diff.py``,
+#Confl included) flow from it.  The contract reaches down to the search
+itself: the branch variable is the first unassigned priority variable, else
+the first unassigned literal of the first unsatisfied clause; the branch
+value is ``phase_hint``'s, else ``True``; propagation visits watch lists in
+trail order.  A speed-up must keep every decision, conflict and
+propagation, so ``ReferenceDpllSolver`` in ``tests/smt/sat_oracle.py`` pins
+them solve for solve (``tests/smt/test_dpll_reference.py``, on seeded
+random sequences and on every solve of a cold fast-corpus run).  A CDCL
+core with the same surface lives there too, as an answer oracle: the
+differential and fuzzing suites (``tests/smt/test_backend_diff.py``,
 ``tests/smt/test_backend_fuzz.py``) check that the answers do not depend on
 which core searched for them.
 """

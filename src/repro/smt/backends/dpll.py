@@ -4,7 +4,8 @@ The propositional problems produced by the HAT type checker used to be tiny,
 but solver-guided minterm enumeration (``repro.smt.solver``) issues thousands
 of incremental queries against clause sets that grow with learned theory
 lemmas, so unit propagation must not rescan the whole clause database per
-pass.  The engine is therefore the classic iterative scheme:
+pass.  The engine is therefore the classic iterative scheme (Chaff's watches,
+MiniSat's trail):
 
 * **two watched literals** per clause — assigning a variable only touches the
   clauses watching the falsified literal;
@@ -18,14 +19,34 @@ pass.  The engine is therefore the classic iterative scheme:
   satisfied and returns only the assigned variables, which keeps downstream
   lazy theory checking focused on literals the search actually asserted.
 
+Most queries are tiny (tens of clauses, one decision), so one solve's
+interpreter overhead matters as much as its search.  ``solve_partial`` keeps
+the whole search in one loop:
+
+* a **truth list** indexed by literal — ``val[lit]`` is ``True``, ``False``
+  or ``None`` and ``val[-lit]`` its negation (negative indices wrap), so a
+  literal's value is one list read, with no ``abs()`` and no dict;
+* **inline propagation** — enqueueing and the watch-list walk live in the
+  solve loop, with no per-literal call;
+* a **branch cursor** — the index of the first clause not yet known to be
+  satisfied (and of the first priority variable not yet known to be
+  assigned).  Between a decision and its backtrack assignments only grow,
+  so whatever the cursor skipped stays satisfied; each decision pushes the
+  cursor and backtracking restores it.  The scan past the cursor skips a
+  clause whose watched literal is true without reading the rest of it.
+  The branch variable is still the first unassigned variable of the first
+  unsatisfied clause.
+
 The interface is incremental — clauses may be added between ``solve`` calls —
 which is what the lazy SMT loop relies on to add theory blocking clauses.
 
 This is the one SAT core of the lazy SMT loop (:mod:`repro.smt.backends`).
-A CDCL core with the same interface lives in the tests as an oracle
-(``tests/smt/sat_oracle.py``); the differential suites
-(``tests/smt/test_backend_diff``, ``tests/smt/test_backend_fuzz``) check the
-two against each other.
+Two oracles with the same interface live in the tests
+(``tests/smt/sat_oracle.py``): a CDCL core, checked against this one for
+answers (``tests/smt/test_backend_diff``, ``tests/smt/test_backend_fuzz``),
+and ``ReferenceDpllSolver``, this core's search before the truth list and
+the cursor, checked for the very same decisions, conflicts and propagations
+on every solve (``tests/smt/test_dpll_reference``).
 """
 
 from __future__ import annotations
@@ -67,10 +88,15 @@ class SatSolver:
     # -- problem construction ---------------------------------------------------
     def add_clause(self, clause: Iterable[int]) -> None:
         clause = tuple(clause)
+        num_vars = self._num_vars
         for lit in clause:
-            if lit == 0:
+            if lit > num_vars:
+                num_vars = lit
+            elif -lit > num_vars:
+                num_vars = -lit
+            elif lit == 0:
                 raise ValueError("0 is not a valid literal")
-            self._num_vars = max(self._num_vars, abs(lit))
+        self._num_vars = num_vars
         index = len(self._clauses)
         self._clauses.append(clause)
         if not clause:
@@ -105,8 +131,9 @@ class SatSolver:
         """Return a satisfying assignment ``{var: bool}`` or ``None`` if UNSAT.
 
         ``assumptions`` are literals that must hold in the returned model.
-        The returned model assigns every variable seen by the solver (variables
-        not constrained by any clause default to ``False``).
+        The returned model assigns every variable seen by the solver —
+        in a clause, an assumption or ``priority_vars`` (variables not
+        constrained by any clause default to ``False``).
         """
         result = self.solve_partial(assumptions)
         if result is None:
@@ -127,145 +154,153 @@ class SatSolver:
         """
         if self._has_empty_clause:
             return None
-        assign: dict[int, bool] = {}
-        trail: list[int] = []
-        qhead = 0
-
-        def enqueue(lit: int) -> bool:
-            var = abs(lit)
-            value = lit > 0
-            current = assign.get(var)
-            if current is not None:
-                return current == value
-            assign[var] = value
-            trail.append(lit)
-            return True
-
-        def propagate() -> bool:
-            nonlocal qhead
-            while qhead < len(trail):
-                if not self._propagate_literal(trail[qhead], assign, enqueue):
-                    return False
-                qhead += 1
-            return True
-
-        for lit in self._units:
-            if not enqueue(lit):
-                return None
+        assumptions = tuple(assumptions)
+        priority = self.priority_vars
+        num_vars = self._num_vars
         for lit in assumptions:
-            if lit == 0:
+            if lit > num_vars:
+                num_vars = lit
+            elif -lit > num_vars:
+                num_vars = -lit
+            elif lit == 0:
                 raise ValueError("0 is not a valid literal")
-            self._num_vars = max(self._num_vars, abs(lit))
-            if not enqueue(lit):
+        for var in priority:
+            if var > num_vars:
+                num_vars = var
+        self._num_vars = num_vars
+
+        clauses = self._clauses
+        num_clauses = len(clauses)
+        watched_pairs = self._watched
+        watches = self._watches
+        phase_hint = self.phase_hint
+        #: literal -> True / False / None; ``val[-lit]`` wraps to the negation
+        val: list[Optional[bool]] = [None] * (2 * num_vars + 1)
+        trail: list[int] = []
+        for lit in (*self._units, *assumptions):
+            value = val[lit]
+            if value is None:
+                val[lit] = True
+                val[-lit] = False
+                trail.append(lit)
+            elif not value:
                 return None
-        if not propagate():
-            return None
 
-        # Variables assigned before the first decision keep their values for
-        # the whole search, so any clause they satisfy stays satisfied; the
-        # branch picker uses this to skip a growing prefix of the clause DB.
-        level0_vars = frozenset(assign)
-        scan_state = [0]
-
-        #: decision stack: (trail length before the decision, var, value, flipped)
-        decisions: list[tuple[int, int, bool, bool]] = []
+        qhead = 0
+        decisions = 0
+        propagations = 0
+        conflicts = 0
+        #: branch cursor: every priority variable before ``priority_cursor`` is
+        #: assigned, and every clause before ``clause_cursor`` is satisfied or
+        #: has every literal false (which conflict-free propagation rules
+        #: out); growing the assignment keeps both, so the picker skips them
+        priority_cursor = 0
+        clause_cursor = 0
+        #: decision stack: (trail length before the decision, var, value,
+        #: flipped, the branch cursor valid for that trail prefix)
+        stack: list[tuple[int, int, bool, bool, int, int]] = []
+        model: Optional[dict[int, bool]] = None
         while True:
-            var = self._pick_branch_var(assign, level0_vars, scan_state)
-            if var is None:
-                return dict(assign)
-            value = self.phase_hint.get(var, True)
-            self.stats_decisions += 1
-            decisions.append((len(trail), var, value, False))
-            enqueue(var if value else -var)
-            while not propagate():
-                self.stats_conflicts += 1
-                while decisions:
-                    mark, dvar, dvalue, flipped = decisions.pop()
+            # -- unit propagation over the trail's unvisited suffix ---------------
+            conflict = False
+            while qhead < len(trail):
+                falsified = -trail[qhead]
+                watchers = watches.get(falsified)
+                if watchers:
+                    keep: list[int] = []
+                    for position, index in enumerate(watchers):
+                        pair = watched_pairs[index]
+                        if pair[0] == falsified:
+                            pair[0], pair[1] = pair[1], falsified
+                        other = pair[0]
+                        other_value = val[other]
+                        if other_value:
+                            keep.append(index)
+                            continue
+                        # a replacement watch: any literal but the two watched
+                        # ones that is not false (``falsified`` is false)
+                        for candidate in clauses[index]:
+                            if val[candidate] is not False and candidate != other:
+                                pair[1] = candidate
+                                watches.setdefault(candidate, []).append(index)
+                                break
+                        else:
+                            keep.append(index)
+                            if other_value is None:
+                                propagations += 1
+                                val[other] = True
+                                val[-other] = False
+                                trail.append(other)
+                            else:
+                                # every literal of the clause is false
+                                keep.extend(watchers[position + 1:])
+                                conflict = True
+                                break
+                    watches[falsified] = keep
+                    if conflict:
+                        break
+                qhead += 1
+
+            if conflict:
+                if not stack:
+                    break  # refuted before any decision
+                conflicts += 1
+                # -- chronological backtracking to the last unflipped decision ----
+                while stack:
+                    mark, var, value, flipped, priority_cursor, clause_cursor = stack.pop()
                     for lit in trail[mark:]:
-                        del assign[abs(lit)]
+                        val[lit] = val[-lit] = None
                     del trail[mark:]
                     qhead = mark
                     if not flipped:
-                        decisions.append((mark, dvar, not dvalue, True))
-                        enqueue(dvar if not dvalue else -dvar)
+                        value = not value
+                        stack.append((mark, var, value, True, priority_cursor, clause_cursor))
+                        lit = var if value else -var
+                        val[lit] = True
+                        val[-lit] = False
+                        trail.append(lit)
                         break
                 else:
-                    return None
-
-    # -- internals ----------------------------------------------------------------
-    def _propagate_literal(self, lit: int, assign: dict[int, bool], enqueue) -> bool:
-        """Visit the clauses watching ``-lit``; ``False`` on conflict."""
-        falsified = -lit
-        watchers = self._watches.get(falsified)
-        if not watchers:
-            return True
-        keep: list[int] = []
-        for position, index in enumerate(watchers):
-            watched = self._watched[index]
-            if watched[0] == falsified:
-                watched[0], watched[1] = watched[1], watched[0]
-            other = watched[0]
-            other_value = assign.get(abs(other))
-            if other_value is not None and other_value == (other > 0):
-                keep.append(index)
+                    break  # both branches of every decision refuted
                 continue
-            replacement = 0
-            for candidate in self._clauses[index]:
-                if candidate == other or candidate == falsified:
-                    continue
-                candidate_value = assign.get(abs(candidate))
-                if candidate_value is None or candidate_value == (candidate > 0):
-                    replacement = candidate
+
+            # -- branch: priority variables first, then the first unsatisfied clause --
+            var = 0
+            while priority_cursor < len(priority):
+                candidate = priority[priority_cursor]
+                if val[candidate] is None:
+                    var = candidate
                     break
-            if replacement:
-                watched[1] = replacement
-                self._watches.setdefault(replacement, []).append(index)
-                continue
-            keep.append(index)
-            if other_value is None:
-                self.stats_propagations += 1
-                enqueue(other)
-            else:
-                # every literal of the clause is false: conflict
-                keep.extend(watchers[position + 1:])
-                self._watches[falsified] = keep
-                return False
-        self._watches[falsified] = keep
-        return True
-
-    def _pick_branch_var(
-        self,
-        assign: dict[int, bool],
-        level0_vars: frozenset[int] = frozenset(),
-        scan_state: Optional[list[int]] = None,
-    ) -> Optional[int]:
-        """Priority variables first, then a literal from the first unsatisfied clause.
-
-        ``scan_state`` holds the index below which every clause is known to be
-        satisfied by a level-0 variable (immutable for this solve); the prefix
-        is skipped and extended greedily, so repeated decisions do not rescan
-        the clauses unit propagation of the root assignment already satisfied.
-        """
-        for var in self.priority_vars:
-            if var not in assign:
-                return var
-        start = scan_state[0] if scan_state is not None else 0
-        for index in range(start, len(self._clauses)):
-            clause = self._clauses[index]
-            unassigned = 0
-            satisfied_by = 0
-            for lit in clause:
-                value = assign.get(abs(lit))
-                if value is None:
-                    if unassigned == 0:
-                        unassigned = abs(lit)
-                elif value == (lit > 0):
-                    satisfied_by = abs(lit)
+                priority_cursor += 1
+            if not var:
+                for index in range(clause_cursor, num_clauses):
+                    pair = watched_pairs[index]
+                    if pair and (val[pair[0]] or val[pair[1]]):
+                        continue  # satisfied by a watched literal
+                    free = 0
+                    for lit in clauses[index]:
+                        value = val[lit]
+                        if value:
+                            break
+                        if value is None and not free:
+                            free = lit
+                    else:
+                        if free:
+                            var = free if free > 0 else -free
+                            clause_cursor = index
+                            break
+                if not var:
+                    model = {(lit if lit > 0 else -lit): lit > 0 for lit in trail}
                     break
-            if satisfied_by:
-                if scan_state is not None and index == scan_state[0] and satisfied_by in level0_vars:
-                    scan_state[0] += 1
-                continue
-            if unassigned:
-                return unassigned
-        return None
+            value = phase_hint.get(var, True)
+            decisions += 1
+            stack.append((len(trail), var, value, False, priority_cursor, clause_cursor))
+            lit = var if value else -var
+            val[lit] = True
+            val[-lit] = False
+            trail.append(lit)
+
+        self.stats_decisions += decisions
+        self.stats_propagations += propagations
+        self.stats_conflicts += conflicts
+        return model

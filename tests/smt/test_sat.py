@@ -99,6 +99,17 @@ def test_priority_vars_are_always_assigned(core):
     assert all(var in model for var in (4, 5, 6))
 
 
+def test_priority_vars_widen_the_variable_universe(core):
+    # a priority variable no clause mentions is still a variable the solver
+    # has seen: the totalised model must name it, as it names assumptions
+    solver = core()
+    solver.add_clause([1, 2])
+    solver.priority_vars = (5,)
+    assert solver.solve_partial() == {5: True, 1: True}
+    assert solver.num_vars == 5
+    assert solver.solve() == {1: True, 2: False, 3: False, 4: False, 5: True}
+
+
 def test_phase_hints_steer_free_variables(core):
     solver = core()
     solver.add_clause([1, 2])
