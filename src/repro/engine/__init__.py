@@ -8,14 +8,13 @@ See :mod:`repro.engine.scheduler` for the determinism contract.
 """
 
 from .obligations import KINDS, DischargeOutcome, Obligation, ObligationSet
-from .scheduler import DischargeParams, EngineStats, ObligationEngine
+from .scheduler import EngineStats, ObligationEngine
 
 __all__ = [
     "KINDS",
     "DischargeOutcome",
     "Obligation",
     "ObligationSet",
-    "DischargeParams",
     "EngineStats",
     "ObligationEngine",
 ]

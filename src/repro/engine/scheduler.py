@@ -14,11 +14,13 @@ This is the middle stage of the decoupled pipeline:
    (:mod:`repro.engine.dispatch`) also asks which ones the store lacks
    (:meth:`ObligationEngine.store_misses` per method), has a worker fleet
    record those, and then runs the same step, which finds them in the store;
-3. **Discharge** — the residual obligations are grouped by alphabet key and
-   each group's members are decided by transition-table walks over one
-   shared construction (:func:`repro.sfa.batch.discharge_group`); the
-   per-member ``SolverStats``/``InclusionStats`` are merged back into the
-   caller's tables.
+3. **Discharge** — each residual obligation is decided on its own, in
+   emission order (:func:`discharge_group`): its alphabet comes from the
+   shared :class:`~repro.sfa.alphabet.AlphabetMemo` (built, or replayed when
+   an earlier obligation shared its key), and one transition-table walk per
+   context case decides it; the per-obligation
+   ``SolverStats``/``InclusionStats`` are merged back into the caller's
+   tables.
 
 Every obligation is discharged *hermetically* — its alphabet is built on a
 fresh solver (or replayed from the memo's recorded bill) and its walk
@@ -29,24 +31,26 @@ exactly the counters a serial run would.  A method's *inline* counters (the
 walk's own queries on the checker's shared solver) and its memo hits are
 not: they carry the checker's history — which methods it walked and
 finished before, and what its query cache and learned lemmas hold.
-Cross-obligation sharing happens at the obligation level: the
-batch dedupe and the cross-method memo answer repeated queries without
-re-discharge.
+Cross-obligation sharing happens at the obligation level — the batch
+dedupe and the cross-method memo answer repeated queries without
+re-discharge — and below it only through the alphabet memo.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..obs import trace
 from ..obs.logs import get_logger
 from ..obs.postmortem import dump_postmortem
-from ..sfa.alphabet import AlphabetMemo, LiteralSets, collect_literals
-from ..sfa.batch import discharge_group
+from ..sfa.alphabet import AlphabetError, AlphabetMemo, AlphabetStats
+from ..sfa.batch import decide_cases
+from ..sfa.derivatives import CompilationError
 from ..sfa.inclusion import InclusionStats
 from ..sfa.signatures import OperatorRegistry
-from ..smt.solver import SolverStats
+from ..smt.solver import SolverError, SolverStats
 from ..statsutil import MergeableStats
 from ..store.fingerprint import environment_fingerprint, obligation_digest
 from ..store.obligation_store import ObligationStore, StoreContext, StoreEntry
@@ -72,67 +76,85 @@ class EngineStats(MergeableStats):
     batches: int = 0
 
 
-@dataclass(frozen=True)
-class DischargeParams:
-    """Everything the engine needs to discharge obligations."""
-
-    operators: OperatorRegistry
-    axioms: tuple = ()
-    filter_unsat_minterms: bool = True
-    max_literals: Optional[int] = None
-    #: shared cross-obligation alphabet memo: hermetic constructions with a
-    #: recorded counter bill, replayed identically on every hit, so every
-    #: counter stays a pure function of the obligation.
-    alphabet_memo: Optional[AlphabetMemo] = None
-
-
-def _discharge_members(
+# kept under this name: perfbench's `sfa.walk` layer wraps it by its module path
+def discharge_group(
     obligations: Sequence[Obligation],
-    params: DischargeParams,
-    literal_sets: Optional[LiteralSets] = None,
+    operators: OperatorRegistry,
+    memo: AlphabetMemo,
+    *,
+    max_literals: Optional[int] = None,
+    filter_unsat: bool = True,
+    max_pairs: int = 1_000_000,
 ) -> list[dict]:
-    """Discharge one alphabet-sharing group.
+    """Discharge each obligation on its own, in order.
 
-    Returns one plain result dict per member (verdict, witness, error,
-    counter dicts, wall time).
+    Returns one plain result dict per obligation (verdict, witness, error,
+    counter dicts, wall time), each a pure function of that obligation
+    apart from wall-clock time.  An obligation's alphabet comes from
+    ``memo``, which replays the recorded construction bill when an earlier
+    obligation shared its key, so a replay bills what a build would.
     """
-    memo = params.alphabet_memo
-    if memo is None:
-        memo = AlphabetMemo(axioms=params.axioms)
-    if trace.enabled():
-        # the digest is memoised on the frozen obligation and strictly
-        # volatile here: it keys the span so the report correlates with
-        # `repro store` entries, never the other way around
-        group_span = trace.span(
-            "discharge.group",
-            cat="discharge",
-            members=len(obligations),
-            obligation_fp=obligation_digest(obligations[0]),
-            kind=obligations[0].kind,
-        )
-    else:
-        group_span = trace.span("discharge.group")
-    try:
-        with group_span:
-            results = discharge_group(
-                obligations,
-                params.operators,
-                memo,
-                literal_sets=literal_sets,
-                max_literals=params.max_literals,
-                filter_unsat=params.filter_unsat_minterms,
+    results = []
+    for obligation in obligations:
+        if trace.enabled():
+            # the digest is memoised on the frozen obligation and strictly
+            # volatile here: it keys the span so the report correlates with
+            # `repro store` entries, never the other way around
+            span = trace.span(
+                "discharge",
+                cat="discharge",
+                obligation_fp=obligation_digest(obligation),
+                kind=obligation.kind,
             )
-    except Exception as exc:  # unexpected: capture context, then propagate
-        dump_postmortem(
-            exc,
-            obligation_fp=obligation_digest(obligations[0]),
-            context={
-                "kind": obligations[0].kind,
-                "provenance": obligations[0].provenance,
-                "members": [obligation_digest(ob) for ob in obligations],
-            },
+        else:
+            span = trace.span("discharge")
+        started = time.perf_counter()
+        inclusion = InclusionStats()
+        solver = SolverStats()
+        counterexample = error = None
+        try:
+            with span:
+                alphabet_stats = AlphabetStats()
+                try:
+                    alphabets, built = memo.alphabets_for(
+                        list(obligation.hypotheses),
+                        [obligation.lhs, obligation.rhs],
+                        operators,
+                        max_literals=max_literals,
+                        filter_unsat=filter_unsat,
+                        stats=alphabet_stats,
+                        solver_stats=solver,
+                    )
+                    counterexample = decide_cases(
+                        alphabets,
+                        built,
+                        alphabet_stats,
+                        obligation.lhs,
+                        obligation.rhs,
+                        inclusion,
+                        max_pairs=max_pairs,
+                    )
+                except (AlphabetError, SolverError, CompilationError) as exc:
+                    # a failed construction bills nothing; a walk over budget
+                    # keeps the alphabet and the context cases walked before it
+                    error = str(exc)
+        except Exception as exc:  # unexpected: capture context, then propagate
+            dump_postmortem(
+                exc,
+                obligation_fp=obligation_digest(obligation),
+                context={"kind": obligation.kind, "provenance": obligation.provenance},
+            )
+            raise
+        results.append(
+            {
+                "included": counterexample is None and error is None,
+                "counterexample": counterexample,
+                "error": error,
+                "inclusion": inclusion.as_dict(),
+                "solver": solver.as_dict(),
+                "wall": time.perf_counter() - started,
+            }
         )
-        raise
     return results
 
 
@@ -149,18 +171,15 @@ class ObligationEngine:
         store: Optional[ObligationStore] = None,
         alphabet_memo: Optional[AlphabetMemo] = None,
     ) -> None:
+        self.operators = operators
+        self.filter_unsat_minterms = filter_unsat_minterms
+        self.max_literals = max_literals
+        #: shared cross-obligation alphabet memo: hermetic constructions with
+        #: a recorded counter bill, replayed identically on every hit; a
+        #: standalone engine gets a private one
         if alphabet_memo is None:
-            # grouping IS the memo's content key; a standalone engine gets a
-            # private memo (hermetic builds + recorded bills, exactly like the
-            # checker-shared one)
             alphabet_memo = AlphabetMemo(axioms=tuple(axioms))
-        self.params = DischargeParams(
-            operators=operators,
-            axioms=tuple(axioms),
-            filter_unsat_minterms=filter_unsat_minterms,
-            max_literals=max_literals,
-            alphabet_memo=alphabet_memo,
-        )
+        self.alphabet_memo = alphabet_memo
         self.store = store
         #: the semantic-environment key store entries are read/written under;
         #: the memo layers deliberately don't participate (they never change
@@ -363,7 +382,13 @@ class ObligationEngine:
         # merging the results back is discharge work too: keep it inside a
         # phase span so the trace attributes it
         with trace.span("discharge.batch", cat="discharge", obligations=len(fresh)):
-            results = self._discharge_grouped([ob for ob, _, _ in fresh])
+            results = discharge_group(
+                [ob for ob, _, _ in fresh],
+                self.operators,
+                self.alphabet_memo,
+                max_literals=self.max_literals,
+                filter_unsat=self.filter_unsat_minterms,
+            )
             if len(self._memo) + len(fresh) > self.max_memo_entries:
                 self._memo.clear()
             for (representative, digest, store_context), result in zip(fresh, results):
@@ -409,48 +434,3 @@ class ObligationEngine:
                     )
 
         return verdicts
-
-    # ------------------------------------------------------------------
-    # Grouped discharge
-    # ------------------------------------------------------------------
-    def _group_key(self, obligation: Obligation) -> tuple[tuple, LiteralSets]:
-        """The obligation's alphabet-memo key, plus the literal sets it hashes.
-
-        The literal sets ride along to the group's alphabet construction, so
-        each obligation's literals are collected once per discharge.
-        """
-        params = self.params
-        literal_sets = collect_literals([obligation.lhs, obligation.rhs], params.operators)
-        key = params.alphabet_memo.key_of(
-            list(obligation.hypotheses),
-            literal_sets,
-            max_literals=params.max_literals,
-            filter_unsat=params.filter_unsat_minterms,
-        )
-        return key, literal_sets
-
-    def _discharge_grouped(self, obligations: list[Obligation]) -> list[dict]:
-        """Group fresh obligations by alphabet key; discharge group by group.
-
-        Groups keep the batch's first-emission order, and the returned
-        list is aligned with ``obligations``: one result dict per obligation,
-        each a pure function of that obligation apart from wall-clock time.
-        """
-        if not obligations:
-            return []
-        with trace.span("schedule.group", cat="schedule", obligations=len(obligations)):
-            groups: dict[tuple, tuple[LiteralSets, list[int]]] = {}
-            for position, obligation in enumerate(obligations):
-                key, literal_sets = self._group_key(obligation)
-                groups.setdefault(key, (literal_sets, []))[1].append(position)
-        logger.debug(
-            "discharge: %d obligations in %d alphabet groups", len(obligations), len(groups)
-        )
-        results: list[Optional[dict]] = [None] * len(obligations)
-        for literal_sets, members in groups.values():
-            group_results = _discharge_members(
-                [obligations[i] for i in members], self.params, literal_sets
-            )
-            for position, member_result in zip(members, group_results):
-                results[position] = member_result
-        return results

@@ -205,8 +205,8 @@ def run_worker(
             if crash_after_lease:  # pragma: no cover - exits the process
                 logger.warning("fault injection: worker dying holding lease %s", lease_id)
                 os._exit(9)
-            # group the batch by benchmark: each benchmark's engine
-            # discharges its decoded obligations in one grouped pass
+            # split the batch by benchmark: each benchmark's engine
+            # discharges its decoded obligations one by one, in lease order
             by_bench: dict[str, list[dict]] = {}
             for item in items:
                 by_bench.setdefault(item["bench"], []).append(item)
@@ -235,7 +235,7 @@ def run_worker(
                 leased = []
                 for item in by_bench[bench_key]:
                     try:
-                        leased.append(decode_payload(item.get("payload"), engine.params.operators))
+                        leased.append(decode_payload(item.get("payload"), engine.operators))
                     except CodecError as exc:
                         stats.undecodable += 1
                         logger.warning(

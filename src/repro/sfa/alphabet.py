@@ -434,8 +434,9 @@ class AlphabetMemo:
         """The content key :meth:`alphabets_for` files a construction under.
 
         A pure function of the (cheap, syntactic) literal sets plus the
-        enumeration budget, so the engine can group obligations that share
-        one construction without building anything.
+        enumeration budget, so two queries share one construction exactly
+        when their keys are equal, which is computable without building
+        anything.
         """
         return (
             tuple(sorted(h.term_id for h in hypotheses)),
@@ -451,7 +452,6 @@ class AlphabetMemo:
         operators: OperatorRegistry,
         *,
         extra_context_literals: Iterable[Term] = (),
-        literal_sets: Optional[LiteralSets] = None,
         max_literals: Optional[int] = None,
         filter_unsat: bool = True,
         stats: Optional[AlphabetStats] = None,
@@ -462,12 +462,9 @@ class AlphabetMemo:
         Returns ``(alphabets, built)`` where ``built`` says whether this call
         ran the enumeration (as opposed to replaying a recorded one).  The
         recorded counter bill is merged into ``stats``/``solver_stats``
-        either way, and is identical either way.  ``literal_sets`` may carry
-        the already-collected literals of ``formulas`` (plus the extra
-        context literals), sparing a second collection.
+        either way, and is identical either way.
         """
-        if literal_sets is None:
-            literal_sets = collect_literals(formulas, operators, extra_context_literals)
+        literal_sets = collect_literals(formulas, operators, extra_context_literals)
         key = self.key_of(
             hypotheses,
             literal_sets,

@@ -36,14 +36,12 @@ formula-pair walk and the compiled-DFA product search in
 ``tests/sfa/oracles.py`` decide the same queries independently; the
 differential suites hold verdicts, witnesses and ``#Prod`` equal to theirs.
 
-**Groups.**  The engine discharges its cold obligations grouped by alphabet
-key (:func:`discharge_group`): the group's alphabet is built (or replayed)
-once through the shared :class:`AlphabetMemo`, and the members walk one table
-per context case one after another, so a row computed for one member is
-already in the table when a later member reaches the same state.  Sharing
-never changes an answer: each member's walk depends on that member alone,
-and the memo replays the recorded construction bill into every member's
-counters.
+**One obligation, one discharge.**  Every inclusion is decided on its own
+(:func:`decide_cases`): its alphabet is built, or replayed by the shared
+:class:`~repro.sfa.alphabet.AlphabetMemo` when an earlier query had the
+same key, and each context case gets a fresh table and one walk.  The memo
+replays the recorded construction bill, so a replay and a build bill the
+same counters.
 """
 
 from __future__ import annotations
@@ -54,11 +52,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .. import smt
 from ..obs import trace
-from ..smt.solver import SolverError, SolverStats
 from . import symbolic
-from .alphabet import Alphabet, AlphabetError, AlphabetMemo, AlphabetStats, LiteralSets
+from .alphabet import Alphabet, AlphabetStats
 from .derivatives import CompilationError, _evaluate_qualifier, nullable, undetermined_qualifier
-from .signatures import OperatorRegistry
 from .symbolic import Sfa
 
 if TYPE_CHECKING:
@@ -78,7 +74,7 @@ class TransitionTable:
     States are hash-consed SFA formulas interned to dense ids on first sight;
     ``row(state)`` lazily computes the full successor row and memoises it, so
     the walk only ever pays for the reachable part of the table, and pays for
-    it once however many product pairs (or group members) reach the state.
+    it once however many product pairs reach the state.
     A row takes one derivative per minterm *class* of its state (see
     :meth:`_entry`) and copies it to the class's other minterms.
     """
@@ -288,7 +284,7 @@ class Walk:
         This is the walk's own share of the two automata — the part the
         paper's compiled construction would have materialised for this
         query.  It is a pure function of the query, independent of which
-        other members shared the table.
+        other walks shared the table.
         """
         return len({a for a, _ in self.parents}) + len({b for _, b in self.parents})
 
@@ -377,110 +373,34 @@ def decide(
     return render_witness(table.alphabet, found.witness)
 
 
-def discharge_group(
-    obligations: Sequence,
-    operators: OperatorRegistry,
-    memo: AlphabetMemo,
+def decide_cases(
+    alphabets: Sequence[Alphabet],
+    built: bool,
+    alphabet_stats: AlphabetStats,
+    lhs: Sfa,
+    rhs: Sfa,
+    stats: InclusionStats,
     *,
-    literal_sets: Optional[LiteralSets] = None,
-    max_literals: Optional[int] = None,
-    filter_unsat: bool = True,
     max_pairs: int = 1_000_000,
-) -> list[dict]:
-    """Discharge one alphabet-sharing group of obligations.
+) -> Optional[list[str]]:
+    """Bill one alphabet construction, then decide ``lhs ⊆ rhs`` case by case.
 
-    Every obligation must share the group's :class:`AlphabetMemo` content key
-    (same hypothesis set, same literal sets, same budget), which is exactly
-    what makes one construction valid for all of them; ``literal_sets``, when
-    the caller already collected them for grouping, spares collecting them
-    again.  Returns one picklable result dict per obligation.
-
-    Counter attribution is what discharging the members one by one reports:
-    the first member bills the build (``#Alph``), later members bill memo
-    hits, and every member replays the identical recorded solver/alphabet
-    bill.
+    ``built`` says whether the construction ran (``#Alph``) or was replayed
+    by the memo; ``alphabet_stats`` is its bill.  Each context case gets a
+    fresh :class:`TransitionTable` and one :func:`decide`, and the first
+    witness wins: returns it rendered, or ``None`` when the inclusion holds
+    in every case.  A :class:`CompilationError` propagates with the earlier
+    cases' walks billed.
     """
-    from .inclusion import InclusionStats
-
-    group_started = time.perf_counter()
-    count = len(obligations)
-    first = obligations[0]
-    bill_alphabet = AlphabetStats()
-    bill_solver = SolverStats()
-    try:
-        alphabets, built = memo.alphabets_for(
-            list(first.hypotheses),
-            [first.lhs, first.rhs],
-            operators,
-            literal_sets=literal_sets,
-            max_literals=max_literals,
-            filter_unsat=filter_unsat,
-            stats=bill_alphabet,
-            solver_stats=bill_solver,
-        )
-    except (AlphabetError, SolverError) as exc:
-        # The construction is pure in the group key, so the failure — and its
-        # message — is every member's own: report it for each, with the zero
-        # counters a failed hermetic construction leaves behind.
-        message = str(exc)
-        return [
-            {
-                "included": False,
-                "counterexample": None,
-                "error": message,
-                "inclusion": InclusionStats().as_dict(),
-                "solver": SolverStats().as_dict(),
-                "wall": (time.perf_counter() - group_started) / count,
-            }
-            for _ in range(count)
-        ]
-    build_seconds = time.perf_counter() - group_started
-
-    member_stats = [
-        InclusionStats(
-            context_cases=bill_alphabet.context_cases,
-            minterm_candidates=bill_alphabet.minterm_candidates,
-            satisfiable_minterms=bill_alphabet.satisfiable_minterms,
-            alphabet_builds=1 if position == 0 and built else 0,
-            alphabet_memo_hits=0 if position == 0 and built else 1,
-        )
-        for position in range(count)
-    ]
-    counterexamples: list[Optional[list[str]]] = [None] * count
-    errors: list[Optional[str]] = [None] * count
-
-    pending = list(range(count))
+    if built:
+        stats.alphabet_builds += 1
+    else:
+        stats.alphabet_memo_hits += 1
+    stats.context_cases += alphabet_stats.context_cases
+    stats.minterm_candidates += alphabet_stats.minterm_candidates
+    stats.satisfiable_minterms += alphabet_stats.satisfiable_minterms
     for alphabet in alphabets:
-        table = TransitionTable(alphabet)
-        next_pending = []
-        for position in pending:
-            obligation = obligations[position]
-            try:
-                counterexample = decide(
-                    table, obligation.lhs, obligation.rhs, member_stats[position],
-                    max_pairs=max_pairs,
-                )
-            except CompilationError as exc:
-                # earlier alphabets stay counted, the failing one does not
-                errors[position] = str(exc)
-                continue
-            if counterexample is not None:
-                counterexamples[position] = counterexample
-            else:
-                next_pending.append(position)
-        pending = next_pending
-        if not pending:
-            break
-
-    solver_dict = bill_solver.as_dict()
-    return [
-        {
-            "included": counterexamples[position] is None and errors[position] is None,
-            "counterexample": counterexamples[position],
-            "error": errors[position],
-            "inclusion": member_stats[position].as_dict(),
-            "solver": dict(solver_dict),
-            "wall": member_stats[position].fa_time_seconds + build_seconds / count,
-        }
-        for position in range(count)
-    ]
+        counterexample = decide(TransitionTable(alphabet), lhs, rhs, stats, max_pairs=max_pairs)
+        if counterexample is not None:
+            return counterexample
+    return None

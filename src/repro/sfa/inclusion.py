@@ -9,11 +9,12 @@ by ``B``.  The pipeline is the paper's:
    transformation), asking the SMT solver for each candidate,
 3. decide inclusion over that finite alphabet.
 
-Step 3 has one decider: a walk over an interned transition table
-(:func:`repro.sfa.batch.decide`) — the same walk the engine runs for its
-grouped obligations.  Product states are explored breadth-first with
-antichain-style subsumption pruning, nothing is materialised beyond the
-reachable product, and the walk exits at the first counterexample.  The
+Step 3 has one decider: a walk over an interned transition table per
+context case (:func:`repro.sfa.batch.decide_cases`) — the same helper the
+engine runs for each of its deferred obligations.  Product states are
+explored breadth-first with antichain-style subsumption pruning, nothing is
+materialised beyond the reachable product, and the walk exits at the first
+counterexample.  The
 paper's DFA-compiling construction lives on only as a test oracle
 (``tests/sfa/oracles.py``).
 
@@ -38,7 +39,7 @@ from .alphabet import (
     build_alphabets,
     resolve_max_literals,
 )
-from .batch import TransitionTable, decide
+from .batch import decide_cases
 from .signatures import OperatorRegistry
 from .symbolic import BOT, Sfa
 
@@ -149,10 +150,6 @@ class InclusionChecker:
                 stats=alphabet_stats,
                 solver_stats=self.solver.stats,
             )
-            if built:
-                self.stats.alphabet_builds += 1
-            else:
-                self.stats.alphabet_memo_hits += 1
         else:
             alphabets = build_alphabets(
                 self.solver,
@@ -164,16 +161,9 @@ class InclusionChecker:
                 filter_unsat=self.filter_unsat_minterms,
                 stats=alphabet_stats,
             )
-            self.stats.alphabet_builds += 1
-        self.stats.context_cases += alphabet_stats.context_cases
-        self.stats.minterm_candidates += alphabet_stats.minterm_candidates
-        self.stats.satisfiable_minterms += alphabet_stats.satisfiable_minterms
-
-        for alphabet in alphabets:
-            counterexample = decide(TransitionTable(alphabet), lhs, rhs, self.stats)
-            if counterexample is not None:
-                return InclusionResult(included=False, counterexample=counterexample)
-        return InclusionResult(included=True)
+            built = True
+        counterexample = decide_cases(alphabets, built, alphabet_stats, lhs, rhs, self.stats)
+        return InclusionResult(included=counterexample is None, counterexample=counterexample)
 
     # -- auxiliary queries used by the type checker --------------------------------------
     def is_empty(self, hypotheses: Sequence[Term], formula: Sfa) -> bool:

@@ -8,22 +8,10 @@ for internal connectives so the clause count stays linear in the formula size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import terms
 from .terms import Term
 
 Clause = tuple[int, ...]
-
-
-@dataclass
-class CnfResult:
-    """Clauses plus the atom <-> propositional-variable correspondence."""
-
-    clauses: list[Clause]
-    atom_of_var: dict[int, Term]
-    var_of_atom: dict[Term, int]
-    num_vars: int
 
 
 class CnfBuilder:
@@ -159,18 +147,3 @@ class CnfBuilder:
 
         self._aux_of_term[formula] = out
         return out
-
-    def result(self) -> CnfResult:
-        return CnfResult(
-            clauses=list(self.clauses),
-            atom_of_var=dict(self._atom_of_var),
-            var_of_atom=dict(self._var_of_atom),
-            num_vars=self.num_vars,
-        )
-
-
-def to_cnf(formula: Term) -> CnfResult:
-    """Convenience wrapper converting a single formula."""
-    builder = CnfBuilder()
-    builder.assert_formula(formula)
-    return builder.result()

@@ -7,13 +7,13 @@ import pytest
 from repro import smt
 from repro.smt import sorts
 from repro.engine import (
-    DischargeParams,
     EngineStats,
     Obligation,
     ObligationEngine,
     ObligationSet,
 )
-from repro.engine.scheduler import _discharge_members
+from repro.engine.scheduler import discharge_group
+from repro.sfa.alphabet import AlphabetMemo
 from repro.sfa import symbolic as S
 from repro.sfa.signatures import OperatorRegistry
 from repro.statsutil import MergeableStats
@@ -124,9 +124,8 @@ def test_discharge_obligation_is_deterministic(registry):
         failure_message="not preserved",
         index=0,
     )
-    params = DischargeParams(operators=registry)
-    first = _discharge_members([obligation], params)[0]
-    second = _discharge_members([obligation], params)[0]
+    first = discharge_group([obligation], registry, AlphabetMemo())[0]
+    second = discharge_group([obligation], registry, AlphabetMemo())[0]
     assert first["included"] is second["included"] is False
     assert first["counterexample"] == second["counterexample"]
     assert first["counterexample"], "a readable witness trace is produced"

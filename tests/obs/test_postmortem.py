@@ -88,6 +88,8 @@ def test_unexpected_discharge_error_dumps_then_propagates(tmp_path, monkeypatch)
     assert payload["exception"]["type"] == "RuntimeError"
     assert payload["obligation_fp"], "the in-flight obligation must be identified"
     assert payload["context"]["kind"]
+    # one obligation per discharge: the dump names it alone, no member list
+    assert set(payload["context"]) == {"kind", "provenance"}
 
 
 def test_expected_solver_error_reports_failure_without_a_dump(tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from repro.evaluation.tables import table1, table3, table4
 from repro.obs import trace
 from repro.obs.report import analyze_trace
 from repro.obs.schema import validate_trace
+from repro.store.obligation_store import ObligationStore
 
 
 def _render(report):
@@ -100,6 +101,25 @@ def test_per_obligation_spans_are_keyed_by_store_fingerprint(traced_run):
     }
     assert len(fingerprints) > 10, "discharge spans must carry store fingerprints"
     assert all(len(fp) == 32 for fp in fingerprints), "fingerprint = store digest"
+
+
+def test_every_recorded_store_entry_has_its_own_discharge_span(tmp_path):
+    """A traced cold run against a fresh store: the spans' fingerprints are
+    exactly the entries the store recorded, so every fingerprint in the
+    store resolves to the span (and the wall time) of its own discharge."""
+    store = ObligationStore(tmp_path / "store")
+    with trace.session() as tracer:
+        report = run_evaluation(include_slow=False, store=store)
+    assert report.all_verified and report.all_negatives_rejected
+    recorded = {entry.fp for entry in store}
+    spans = [
+        span["args"]["obligation_fp"]
+        for span in tracer.spans
+        if span.get("args", {}).get("obligation_fp")
+    ]
+    assert recorded, "a cold run must record entries"
+    assert len(spans) == len(recorded), "one discharge span per recorded obligation"
+    assert set(spans) == recorded
 
 
 def test_coverage_of_a_traced_run_meets_the_acceptance_bar(traced_run):

@@ -21,7 +21,7 @@ the same steps, used only as oracles:
 :func:`oracle_check` lifts the formula walk to a whole ``Γ ⊢ A ⊆ B`` query —
 alphabets per context case, first witness wins — so a test can compare it
 with :meth:`InclusionChecker.check_detailed` on verdict, witness and #Prod.
-:func:`record_discharges` captures what the engine's grouped discharge
+:func:`record_discharges` captures what the engine's discharge loop
 decided during a run, so the same comparison covers the corpus;
 :func:`record_tables` captures every transition table a run built, so its
 rows can be held against :func:`derivative`.
@@ -554,9 +554,9 @@ def oracle_check(
 
 
 def record_discharges(monkeypatch) -> list[tuple[object, dict]]:
-    """Capture every ``(obligation, member result)`` the engine discharges.
+    """Capture every ``(obligation, result)`` the engine discharges.
 
-    Wraps the engine's grouped discharge entry point for the rest of the
+    Wraps the engine's discharge loop for the rest of the
     test; the returned list fills as the run proceeds (in-process runs
     only — a forked dispatch worker's calls happen in the child).
     """
@@ -576,7 +576,7 @@ def record_discharges(monkeypatch) -> list[tuple[object, dict]]:
 
 def record_tables(monkeypatch) -> list:
     """Capture every :class:`~repro.sfa.batch.TransitionTable` built for the
-    rest of the test — the engine's grouped discharge and the checker's
+    rest of the test — the engine's discharge loop and the checker's
     inline queries alike (in-process runs only)."""
     from repro.sfa.batch import TransitionTable
 

@@ -1,11 +1,12 @@
-"""Differential tests: grouped discharge vs the oracles.
+"""Differential tests: the engine's discharge loop vs the oracles.
 
-The engine groups cold obligations by their cross-obligation alphabet key
-and walks each group's members one after another over one shared
-transition table per context case (``repro.sfa.batch``).  Grouping is a
+The engine discharges cold obligations one by one
+(``repro.engine.scheduler.discharge_group``); obligations that share the
+cross-obligation alphabet key share one construction through the
+``AlphabetMemo``, which replays its recorded bill.  That replay is a
 *sharing* transformation, never a semantic one, so everything observable
 must match deciding each obligation alone — with the production walk on a
-fresh table, and with the formula-pair oracle
+fresh table and a fresh solver, and with the formula-pair oracle
 (``oracles.lazy_inclusion_search``):
 
 * identical verdicts, counterexample traces, #Prod and error messages on
@@ -17,7 +18,7 @@ fresh table, and with the formula-pair oracle
 
 The corpus is the suite's fast benchmarks plus >=100 seeded-random groups
 of SFA pairs built over a shared literal pool (so they genuinely share the
-grouping key, like sibling obligations of one method do).
+memo key, like sibling obligations of one method do).
 
 Below the walk, every row must be exactly the oracle's derivatives
 (``oracles.derivative``, one per minterm): the table derives once per
@@ -43,13 +44,14 @@ from repro.sfa.alphabet import (
     build_alphabets,
     collect_literals,
 )
-from repro.sfa.batch import TransitionTable, decide, discharge_group, walk
+from repro.sfa.batch import TransitionTable, decide, walk
 from repro.sfa.derivatives import CompilationError
 from repro.sfa.inclusion import InclusionChecker, InclusionStats
 from repro.sfa.signatures import OperatorRegistry
 from repro.smt.solver import SolverError
 from repro.evaluation.runner import run_evaluation
 from repro.engine.obligations import Obligation
+from repro.engine.scheduler import discharge_group
 from repro.suite.registry import all_benchmarks
 
 from oracles import (
@@ -78,7 +80,7 @@ def _group_members(rng: random.Random, lhs: S.Sfa, rhs: S.Sfa) -> list[tuple[S.S
     Boolean/temporal combinators add no qualifier literals, so pairs drawn
     from the same pool usually share the alphabet content key — the shape
     sibling obligations of one method have (the invariant on one side,
-    per-branch contexts on the other).  Callers still group by the computed
+    per-branch contexts on the other).  Callers still filter by the computed
     key: ACI collapse (e.g. ``or(x, not x)``) can drop literals.
     """
     pool = [lhs, rhs, S.or_(lhs, rhs), S.and_(lhs, rhs), S.not_(lhs), S.next_(rhs)]
@@ -99,7 +101,7 @@ def _make_obligation(hypotheses, lhs, rhs, index) -> Obligation:
 
 
 def _key(memo, hypotheses, pair, registry):
-    """The alphabet-memo key the engine would group this pair under."""
+    """The alphabet-memo key this pair's construction is filed under."""
     return memo.key_of(
         hypotheses, collect_literals(list(pair), registry), max_literals=None, filter_unsat=True
     )
@@ -175,7 +177,7 @@ def test_discharge_group_matches_lazy_checker_on_random_groups():
     """>=100 random groups: every member's verdict, trace, error and
     deterministic counters equal an independent lazy check."""
     total_groups = 0
-    multi_member_groups = 0
+    memo_hits = 0
     counterexamples_seen = 0
     for seed in range(110):
         rng = random.Random(626_262 + seed)
@@ -199,8 +201,7 @@ def test_discharge_group_matches_lazy_checker_on_random_groups():
         results = discharge_group(obligations, registry, memo)
         total_groups += 1
         assert len(results) == len(members)
-        if len(members) > 1:
-            multi_member_groups += 1
+        memo_hits += memo.hits
 
         for (lhs, rhs), result in zip(members, results):
             oracle = InclusionChecker(smt.Solver(), registry)
@@ -227,8 +228,9 @@ def test_discharge_group_matches_lazy_checker_on_random_groups():
                 counterexamples_seen += 1
 
     assert total_groups >= 100
-    # the generator must genuinely exercise the sharing path and failures
-    assert multi_member_groups >= 30
+    # the generator must genuinely exercise the sharing path (memo replays
+    # on same-key members) and failures
+    assert memo_hits >= 30
     assert counterexamples_seen >= 10
 
 
@@ -261,7 +263,7 @@ def test_discharge_group_construction_failure_reports_every_member():
 
 
 def test_fast_corpus_batch_equals_lazy(monkeypatch):
-    """Every obligation the grouped discharge decides on the fast corpus —
+    """Every obligation the engine discharges on the fast corpus —
     positive methods and negative variants — equals the formula-pair
     oracle's answer: verdict, witness trace and #Prod.  And every row the
     corpus's walks built equals the oracle's derivatives, minterm by
@@ -294,7 +296,7 @@ def test_fast_corpus_batch_equals_lazy(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Sequential group walk: one member's failure never touches another's answer
+# Sequential discharge: one member's failure never touches another's answer
 # ---------------------------------------------------------------------------
 
 
