@@ -11,8 +11,7 @@ Usage::
 Leaf inclusions have one decider, the interned transition-table walk of
 :mod:`repro.sfa.batch`, over alphabets found by solver-guided enumeration;
 there is no mode flag for either.  Serial discharge follows emission order
-with the cross-obligation alphabet memo always on; neither is a knob, and
-every query goes to the one DPLL SAT core.  Going wide is
+(not a knob), and every query goes to the one DPLL SAT core.  Going wide is
 ``dispatch --local-workers N`` (or ``repro worker`` processes) over a
 ``store serve`` instance's lease queue.  Incremental verification is enabled
 by naming a store with ``--store PATH``: discharged obligations are persisted
@@ -156,24 +155,20 @@ def _finish_store(store: Optional[ObligationStore]) -> None:
         store.commit_run()
 
 
-def _note_trace_counters(caches: dict, store: Optional[ObligationStore] = None) -> None:
-    """Stash run-level cache totals on the active tracer, if any.
+def _note_trace_counters(store: Optional[ObligationStore]) -> None:
+    """Stash the store's ``stats`` snapshot on the active tracer, if any.
 
-    They land in the trace file's trailing ``counters`` record, which is
-    what ``repro trace report`` prints its cache-rate block from.  A store
-    session also contributes the store's ``stats`` snapshot (per-op counts,
-    lookup hit rate, queue counters) under the ``store`` key.
+    The per-op counts, lookup hit rate and queue counters land under the
+    ``store`` key of the trace file's trailing ``counters`` record, which
+    ``repro trace report`` prints its store-server block from.
     """
     tracer = obs_trace.active()
-    if tracer is None:
+    if tracer is None or store is None:
         return
-    counters: dict = {"caches": caches}
-    if store is not None:
-        try:
-            counters["store"] = store.backend.stats()
-        except RemoteStoreError:
-            pass  # metrics are best-effort; never fail the run over them
-    tracer.counters = counters
+    try:
+        tracer.counters = {"store": store.backend.stats()}
+    except RemoteStoreError:
+        pass  # metrics are best-effort; never fail the run over them
 
 
 def _print_store_report(store: ObligationStore, explain: bool) -> None:
@@ -225,7 +220,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         status = "VERIFIED" if result.verified else f"REJECTED: {result.error}"
         print(f"{benchmark.key}.{args.method}: {status}")
         print(f"  {result.stats.as_row()}")
-        _note_trace_counters(checker.run_diagnostics()["caches"], store)
+        _note_trace_counters(store)
         _finish_store(store)
         if store is not None:
             _print_store_report(store, args.explain)
@@ -235,7 +230,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         status = "ok" if result.verified else f"FAILED ({result.error})"
         print(f"  {result.method:>20}: {status}")
     print(f"{benchmark.key}: all verified = {stats.all_verified}")
-    _note_trace_counters(checker.run_diagnostics()["caches"], store)
+    _note_trace_counters(store)
     _finish_store(store)
     if store is not None:
         _print_store_report(store, args.explain)
@@ -274,7 +269,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             return 2
     else:
         report = run_evaluation(include_slow=not args.fast, store=store)
-    _note_trace_counters(report.cache_totals(), store)
+    _note_trace_counters(store)
     _finish_store(store)
     ok = report.all_verified and report.all_negatives_rejected
     if args.json:
@@ -300,7 +295,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         return 0
     store = _open_store(args)
     report = run_evaluation(include_slow=not args.fast, store=store)
-    _note_trace_counters(report.cache_totals(), store)
+    _note_trace_counters(store)
     _finish_store(store)
     if args.json:
         from .evaluation.tables import TABLE3_ADTS, TABLE4_ADTS
@@ -693,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = tracecmd.add_subparsers(dest="trace_command", required=True)
     trace_report = trace_sub.add_parser(
         "report",
-        help="phase breakdown, slowest obligations and cache rates of a trace",
+        help="phase breakdown, slowest obligations and store counters of a trace",
     )
     trace_report.add_argument("path", help="trace file (.jsonl or Chrome trace-event JSON)")
     trace_report.add_argument(

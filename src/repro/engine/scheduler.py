@@ -15,25 +15,23 @@ This is the middle stage of the decoupled pipeline:
    (:meth:`ObligationEngine.store_misses` per method), has a worker fleet
    record those, and then runs the same step, which finds them in the store;
 3. **Discharge** — each residual obligation is decided on its own, in
-   emission order (:func:`discharge_group`): its alphabet comes from the
-   shared :class:`~repro.sfa.alphabet.AlphabetMemo` (built, or replayed when
-   an earlier obligation shared its key), and one transition-table walk per
-   context case decides it; the per-obligation
-   ``SolverStats``/``InclusionStats`` are merged back into the caller's
-   tables.
+   emission order (:func:`discharge_group`), by
+   :func:`~repro.sfa.inclusion.decide_inclusion`: its alphabet is built on
+   a fresh solver, and one transition-table walk per context case decides
+   it; the per-obligation ``SolverStats``/``InclusionStats`` are merged back
+   into the caller's tables.
 
 Every obligation is discharged *hermetically* — its alphabet is built on a
-fresh solver (or replayed from the memo's recorded bill) and its walk
-depends on nothing but the obligation — so the discharge counters recorded
-per obligation are a pure function of the obligation itself, and a dispatch
-worker (:mod:`repro.engine.worker`) that discharges a leased subset records
-exactly the counters a serial run would.  A method's *inline* counters (the
-walk's own queries on the checker's shared solver) and its memo hits are
-not: they carry the checker's history — which methods it walked and
-finished before, and what its query cache and learned lemmas hold.
-Cross-obligation sharing happens at the obligation level — the batch
-dedupe and the cross-method memo answer repeated queries without
-re-discharge — and below it only through the alphabet memo.
+fresh solver and its walk depends on nothing but the obligation — so the
+discharge counters recorded per obligation are a pure function of the
+obligation itself, and a dispatch worker (:mod:`repro.engine.worker`) that
+discharges a leased subset records exactly the counters a serial run
+would.  A method's *inline* counters (the walk's own queries on the
+checker's shared solver) are not: they carry the checker's history —
+which methods it walked and finished before, and what its query cache and
+learned lemmas hold.  Cross-obligation sharing happens only at the
+obligation level: the batch dedupe and the cross-method memo answer
+repeated queries without re-discharge.
 """
 
 from __future__ import annotations
@@ -45,10 +43,9 @@ from typing import Optional, Sequence
 from ..obs import trace
 from ..obs.logs import get_logger
 from ..obs.postmortem import dump_postmortem
-from ..sfa.alphabet import AlphabetError, AlphabetMemo, AlphabetStats
-from ..sfa.batch import decide_cases
+from ..sfa.alphabet import AlphabetError
 from ..sfa.derivatives import CompilationError
-from ..sfa.inclusion import InclusionStats
+from ..sfa.inclusion import InclusionStats, decide_inclusion
 from ..sfa.signatures import OperatorRegistry
 from ..smt.solver import SolverError, SolverStats
 from ..statsutil import MergeableStats
@@ -80,19 +77,17 @@ class EngineStats(MergeableStats):
 def discharge_group(
     obligations: Sequence[Obligation],
     operators: OperatorRegistry,
-    memo: AlphabetMemo,
+    axioms: Sequence,
     *,
     max_literals: Optional[int] = None,
     filter_unsat: bool = True,
     max_pairs: int = 1_000_000,
 ) -> list[dict]:
-    """Discharge each obligation on its own, in order.
+    """Discharge each obligation on its own, in order, under ``axioms``.
 
     Returns one plain result dict per obligation (verdict, witness, error,
     counter dicts, wall time), each a pure function of that obligation
-    apart from wall-clock time.  An obligation's alphabet comes from
-    ``memo``, which replays the recorded construction bill when an earlier
-    obligation shared its key, so a replay bills what a build would.
+    apart from wall-clock time.
     """
     results = []
     for obligation in obligations:
@@ -114,24 +109,17 @@ def discharge_group(
         counterexample = error = None
         try:
             with span:
-                alphabet_stats = AlphabetStats()
                 try:
-                    alphabets, built = memo.alphabets_for(
-                        list(obligation.hypotheses),
-                        [obligation.lhs, obligation.rhs],
-                        operators,
-                        max_literals=max_literals,
-                        filter_unsat=filter_unsat,
-                        stats=alphabet_stats,
-                        solver_stats=solver,
-                    )
-                    counterexample = decide_cases(
-                        alphabets,
-                        built,
-                        alphabet_stats,
+                    counterexample = decide_inclusion(
+                        obligation.hypotheses,
                         obligation.lhs,
                         obligation.rhs,
+                        operators,
+                        axioms,
                         inclusion,
+                        solver,
+                        max_literals=max_literals,
+                        filter_unsat=filter_unsat,
                         max_pairs=max_pairs,
                     )
                 except (AlphabetError, SolverError, CompilationError) as exc:
@@ -169,21 +157,13 @@ class ObligationEngine:
         filter_unsat_minterms: bool = True,
         max_literals: Optional[int] = None,
         store: Optional[ObligationStore] = None,
-        alphabet_memo: Optional[AlphabetMemo] = None,
     ) -> None:
         self.operators = operators
+        self.axioms = tuple(axioms)
         self.filter_unsat_minterms = filter_unsat_minterms
         self.max_literals = max_literals
-        #: shared cross-obligation alphabet memo: hermetic constructions with
-        #: a recorded counter bill, replayed identically on every hit; a
-        #: standalone engine gets a private one
-        if alphabet_memo is None:
-            alphabet_memo = AlphabetMemo(axioms=tuple(axioms))
-        self.alphabet_memo = alphabet_memo
         self.store = store
-        #: the semantic-environment key store entries are read/written under;
-        #: the memo layers deliberately don't participate (they never change
-        #: a counter)
+        #: the semantic-environment key store entries are read/written under
         self._env_fp = (
             environment_fingerprint(
                 operators,
@@ -385,7 +365,7 @@ class ObligationEngine:
             results = discharge_group(
                 [ob for ob, _, _ in fresh],
                 self.operators,
-                self.alphabet_memo,
+                self.axioms,
                 max_literals=self.max_literals,
                 filter_unsat=self.filter_unsat_minterms,
             )

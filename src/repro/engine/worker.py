@@ -12,8 +12,8 @@ A worker is a long-lived loop against a ``repro store serve`` instance:
    obligation itself crosses the wire, so no benchmark is re-walked;
 3. **discharge** them, grouped by benchmark, through that benchmark's
    ordinary :class:`~repro.engine.scheduler.ObligationEngine` (built once
-   per worker process, so the environment fingerprint and the alphabet memo
-   are the serial run's) and record each verdict under its shipped context
+   per worker process, so the environment fingerprint is the serial
+   run's) and record each verdict under its shipped context
    — appends carry ``if_absent``, so a worker whose lease was stolen and
    re-discharged elsewhere can never land a duplicate verdict record;
 4. **complete** the lease only after the verdicts are durably flushed (one
@@ -163,7 +163,7 @@ def run_worker(
     crash_after_lease = os.environ.get(ENV_WORKER_CRASH, "") == "lease"
     stats = WorkerStats()
     #: one engine per benchmark, built on first lease and kept for the
-    #: process's life (the serial run's environment key and alphabet memo)
+    #: process's life (the serial run's environment key and verdict memo)
     engines: dict[str, ObligationEngine] = {}
     #: the registry indexed by key, built on the first leased item and kept
     #: for the process's life (one factory call per benchmark, not per lookup)

@@ -31,7 +31,7 @@ class EvaluationReport:
     negative_results: list[NegativeResult] = field(default_factory=list)
     total_time_seconds: float = 0.0
     #: per-benchmark run diagnostics (:meth:`Checker.run_diagnostics`):
-    #: alphabet-memo counts and the engine's counters
+    #: the engine's counters
     diagnostics: list[dict] = field(default_factory=list)
     #: set by the distributed coordinator: dispatch id, enqueue counts,
     #: drain timing and the server's queue counters (None for local runs)
@@ -44,14 +44,6 @@ class EvaluationReport:
     @property
     def all_negatives_rejected(self) -> bool:
         return all(result.rejected for result in self.negative_results)
-
-    def cache_totals(self) -> dict[str, int]:
-        """Summed cache counters across the corpus (``evaluate --json``'s ``caches``)."""
-        totals: dict[str, int] = {}
-        for diagnostic in self.diagnostics:
-            for key, value in diagnostic.get("caches", {}).items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
 
     def per_method_rows(self) -> list[dict[str, object]]:
         rows: list[dict[str, object]] = []
@@ -82,7 +74,7 @@ def run_benchmark(
     ``store`` is an optional :class:`repro.store.ObligationStore`: discharged
     obligations are written back to it and later runs answer from it.
     ``diagnostics_sink``, when given, receives the checker's run diagnostics
-    (alphabet-memo counts, engine counters) once the benchmark is done.
+    (engine counters) once the benchmark is done.
     """
     report = EvaluationReport()
     finish_benchmarks(

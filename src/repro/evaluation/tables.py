@@ -209,8 +209,6 @@ def report_json(report: EvaluationReport, store=None) -> dict:
             "table4": table4(report, deterministic=True),
         },
     }
-    # run-level reuse diagnostics (volatile, like the timing columns)
-    payload["caches"] = report.cache_totals()
     if store is not None:
         payload["store"] = {"summary": store.summary(), "methods": store.explain()}
     if report.dispatch is not None:

@@ -1,4 +1,4 @@
-"""Trace analysis: phase breakdown, slowest obligations, cache rates.
+"""Trace analysis: phase breakdown, slowest obligations, store-server counters.
 
 Backs ``repro trace report``.  Works over the normalised trace dict
 returned by :func:`repro.obs.trace.read_trace`, so both on-disk formats
@@ -123,15 +123,8 @@ def analyze_trace(data: dict, *, top: int = 10) -> dict:
     }
 
 
-def _rate(hits: float, misses: float) -> str:
-    total = hits + misses
-    if total <= 0:
-        return "n/a"
-    return f"{hits / total:.1%}"
-
-
 def render_report(data: dict, *, top: int = 10) -> str:
-    """Human-readable phase/slowest/cache report for ``repro trace report``."""
+    """Human-readable phase/slowest/store report for ``repro trace report``."""
     summary = analyze_trace(data, top=top)
     lines: list[str] = []
     wall = summary["wall"]
@@ -167,24 +160,6 @@ def render_report(data: dict, *, top: int = 10) -> str:
         lines.append("slowest obligations: none recorded (warm run or tracing off)")
 
     counters = summary.get("counters") or {}
-    caches = counters.get("caches") if isinstance(counters, dict) else None
-    if caches:
-        lines.append("")
-        lines.append("cache rates:")
-        builds = caches.get("alphabet_memo_builds", 0)
-        replays = caches.get("alphabet_memo_replays", 0)
-        lines.append(
-            "  alphabet memo: "
-            f"{_rate(replays, builds)} replay ({replays} replays / {builds} builds, "
-            f"{caches.get('alphabet_memo_evictions', 0)} evictions)"
-        )
-        extras = {
-            key: value
-            for key, value in caches.items()
-            if not key.startswith("alphabet_memo_")
-        }
-        for key in sorted(extras):
-            lines.append(f"  {key}: {extras[key]}")
     store = counters.get("store") if isinstance(counters, dict) else None
     if isinstance(store, dict):
         # the server-side `/stats` snapshot a remote-store run folds in

@@ -111,7 +111,7 @@ class Tracer:
         self.created = time.time()
         self.meta: dict = dict(meta or {})
         self.spans: list[dict] = []
-        #: Optional run-level counter payload (e.g. ``cache_totals()``),
+        #: Optional run-level counter payload (e.g. the store's ``stats``),
         #: written as the trailing ``counters`` record of the trace file.
         self.counters: Optional[dict] = None
         self._stack: list[dict] = []

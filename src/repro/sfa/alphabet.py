@@ -30,13 +30,12 @@ same order).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .. import smt
 from ..obs import trace
 from ..smt.terms import Term
-from ..statsutil import MergeableStats
 from . import symbolic
 from .signatures import EventSignature, OperatorRegistry
 from .symbolic import Sfa
@@ -72,30 +71,8 @@ class LiteralSets:
     def total(self) -> int:
         return len(self.context_literals) + sum(len(v) for v in self.event_literals.values())
 
-    def fingerprint(self) -> tuple:
-        """A hashable content address for the literal sets.
 
-        Terms are interned, so ``term_id`` identifies each literal globally;
-        two groups of automata that mention the same qualifier literals get
-        the same fingerprint even when the automata themselves differ.  This
-        is what the cross-obligation :class:`AlphabetMemo` keys on: the
-        alphabets are a pure function of (hypotheses, literal sets) — the
-        formulas only matter through the literals they contribute.
-        """
-        return (
-            tuple(lit.term_id for lit in self.context_literals),
-            tuple(
-                (name, tuple(lit.term_id for lit in lits))
-                for name, lits in sorted(self.event_literals.items())
-            ),
-        )
-
-
-def collect_literals(
-    formulas: Sequence[Sfa],
-    operators: OperatorRegistry,
-    extra_context_literals: Iterable[Term] = (),
-) -> LiteralSets:
+def collect_literals(formulas: Sequence[Sfa], operators: OperatorRegistry) -> LiteralSets:
     """Split the atoms of the automata qualifiers into context/event literals.
 
     Besides the atoms that literally occur in the qualifiers, the context
@@ -112,9 +89,6 @@ def collect_literals(
     per_op: dict[str, dict[Term, None]] = {sig.name: {} for sig in operators}
     #: (operator, formal) -> context terms pinned to that formal
     pinned: dict[tuple[str, int], dict[Term, None]] = {}
-
-    for literal in extra_context_literals:
-        context.setdefault(literal, None)
 
     for formula in formulas:
         for node in formula.walk():
@@ -141,9 +115,8 @@ def collect_literals(
                     context.setdefault(equality, None)
 
     # Canonical literal order (by content address): the alphabets — and with
-    # them the enumeration-cache keys and alphabet-memo fingerprints — become
-    # independent of the order the formulas were supplied in, so e.g. the two
-    # directions of an equivalence check share every cache layer.
+    # them the solver's enumeration-cache keys — become independent of the
+    # order the formulas were supplied in.
     return LiteralSets(
         context_literals=tuple(sorted(context, key=lambda term: term.term_id)),
         event_literals={
@@ -222,18 +195,10 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.characters)
 
-    def index_of(self, character: Character) -> int:
-        return self.characters.index(character)
-
 
 @dataclass
-class AlphabetStats(MergeableStats):
-    """Bookkeeping for the evaluation tables.
-
-    A :class:`~repro.statsutil.MergeableStats` so the cross-obligation
-    :class:`AlphabetMemo` can record the counters of one construction and
-    replay them verbatim on every later hit.
-    """
+class AlphabetStats:
+    """Bookkeeping for the evaluation tables: the counters of one construction."""
 
     context_cases: int = 0
     minterm_candidates: int = 0
@@ -254,7 +219,6 @@ def build_alphabets(
     formulas: Sequence[Sfa],
     operators: OperatorRegistry,
     *,
-    extra_context_literals: Iterable[Term] = (),
     max_literals: Optional[int] = None,
     filter_unsat: bool = True,
     stats: Optional[AlphabetStats] = None,
@@ -276,7 +240,7 @@ def build_alphabets(
     genuinely pays 2^n characters) keeps the conservative
     :data:`EXHAUSTIVE_MAX_LITERALS`.
     """
-    literal_sets = collect_literals(formulas, operators, extra_context_literals)
+    literal_sets = collect_literals(formulas, operators)
     with trace.span("alphabet.build", cat="alphabet"):
         return enumerate_alphabets(
             solver,
@@ -301,12 +265,11 @@ def enumerate_alphabets(
 ) -> list[Alphabet]:
     """The enumeration core of :func:`build_alphabets`, from collected literals.
 
-    Split out so the cross-obligation :class:`AlphabetMemo` can compute the
-    (cheap, purely syntactic) literal sets first, key its lookup on them, and
-    only run the solver-driven enumeration below on a miss.  The resulting
-    alphabets — and every counter this function touches — are a pure function
-    of ``(hypotheses, literal_sets, operators, budget)`` and the
-    solver's axiom set; nothing here depends on the automata the
+    The entry point the differential suite swaps for its per-candidate
+    reference (``tests/sfa/oracles.use_exhaustive_enumeration``).  On a fresh
+    solver the resulting alphabets — and every counter this function touches —
+    are a pure function of ``(hypotheses, literal_sets, operators, budget)``
+    and the solver's axiom set; nothing here depends on the automata the
     literals came from.
     """
     max_literals = resolve_max_literals(max_literals, filter_unsat)
@@ -360,149 +323,3 @@ def enumerate_alphabets(
         alphabets.append(Alphabet(context_case=context_case, characters=tuple(characters)))
 
     return alphabets
-
-
-# ---------------------------------------------------------------------------
-# Cross-obligation partition reuse
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AlphabetBuild:
-    """One memoised alphabet construction: the result plus its counter bill."""
-
-    alphabets: list[Alphabet]
-    alphabet_stats: AlphabetStats
-    solver_stats: "smt.SolverStats"
-
-
-class AlphabetMemo:
-    """Content-addressed reuse of alphabet/minterm constructions.
-
-    Obligations of one method — and often of one whole benchmark — keep
-    mentioning the same qualifier literals: the representation invariant sits
-    on one side of every inclusion, and consecutive program points differ
-    only in the context automaton's *structure*, not its atoms.  The memo
-    keys on ``(hypotheses, literal sets)`` — the exact inputs the enumeration
-    is a function of — so distinct obligations that share qualifiers share
-    one minterm enumeration.
-
-    **Determinism.**  Every construction runs on a *fresh* solver (this
-    memo's axiom set, no warm caches, no inherited lemmas), which
-    makes the construction — and every counter it produces — a pure function
-    of the key.  The memo records that counter bill (:class:`AlphabetStats`
-    plus the solver's :class:`~repro.smt.solver.SolverStats` delta) and
-    replays it verbatim on a hit, so a memo hit and a rebuild contribute
-    byte-identical numbers to the evaluation tables.  That is what keeps the
-    deterministic table renderings invariant across memo on/off and
-    dispatched runs; ``enabled=False`` (a test-only switch) disables the
-    *reuse* only (every call still builds hermetically), it never changes a
-    counter.
-
-    The engine shares one memo across the obligations of a run.
-    """
-
-    def __init__(
-        self,
-        axioms: Sequence = (),
-        *,
-        enabled: bool = True,
-        max_entries: int = 2048,
-    ) -> None:
-        self.axioms = tuple(axioms)
-        self.enabled = enabled
-        self.max_entries = max_entries
-        self.builds = 0
-        self.hits = 0
-        self.evictions = 0
-        self._entries: dict[tuple, AlphabetBuild] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._entries
-
-    def key_of(
-        self,
-        hypotheses: Sequence[Term],
-        literal_sets: LiteralSets,
-        *,
-        max_literals: Optional[int],
-        filter_unsat: bool,
-    ) -> tuple:
-        """The content key :meth:`alphabets_for` files a construction under.
-
-        A pure function of the (cheap, syntactic) literal sets plus the
-        enumeration budget, so two queries share one construction exactly
-        when their keys are equal, which is computable without building
-        anything.
-        """
-        return (
-            tuple(sorted(h.term_id for h in hypotheses)),
-            literal_sets.fingerprint(),
-            resolve_max_literals(max_literals, filter_unsat),
-            filter_unsat,
-        )
-
-    def alphabets_for(
-        self,
-        hypotheses: Sequence[Term],
-        formulas: Sequence[Sfa],
-        operators: OperatorRegistry,
-        *,
-        extra_context_literals: Iterable[Term] = (),
-        max_literals: Optional[int] = None,
-        filter_unsat: bool = True,
-        stats: Optional[AlphabetStats] = None,
-        solver_stats: Optional["smt.SolverStats"] = None,
-    ) -> tuple[list[Alphabet], bool]:
-        """The alphabets for this literal-set key; builds hermetically on a miss.
-
-        Returns ``(alphabets, built)`` where ``built`` says whether this call
-        ran the enumeration (as opposed to replaying a recorded one).  The
-        recorded counter bill is merged into ``stats``/``solver_stats``
-        either way, and is identical either way.
-        """
-        literal_sets = collect_literals(formulas, operators, extra_context_literals)
-        key = self.key_of(
-            hypotheses,
-            literal_sets,
-            max_literals=max_literals,
-            filter_unsat=filter_unsat,
-        )
-        entry = self._entries.get(key)
-        built = entry is None
-        if entry is None:
-            solver = smt.Solver(axioms=list(self.axioms))
-            build_stats = AlphabetStats()
-            # only the hermetic construction is spanned — a memo hit replays
-            # the recorded bill in microseconds and stays out of the trace
-            with trace.span("alphabet.build", cat="alphabet"):
-                alphabets = enumerate_alphabets(
-                    solver,
-                    hypotheses,
-                    literal_sets,
-                    operators,
-                    max_literals=max_literals,
-                    filter_unsat=filter_unsat,
-                    stats=build_stats,
-                )
-            entry = AlphabetBuild(
-                alphabets=alphabets,
-                alphabet_stats=build_stats,
-                solver_stats=solver.stats,
-            )
-            self.builds += 1
-            if self.enabled:
-                if len(self._entries) >= self.max_entries:
-                    self._entries.clear()
-                    self.evictions += 1
-                self._entries[key] = entry
-        else:
-            self.hits += 1
-        if stats is not None:
-            stats.merge(entry.alphabet_stats)
-        if solver_stats is not None:
-            solver_stats.merge(entry.solver_stats)
-        return entry.alphabets, built

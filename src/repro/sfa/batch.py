@@ -37,11 +37,9 @@ formula-pair walk and the compiled-DFA product search in
 differential suites hold verdicts, witnesses and ``#Prod`` equal to theirs.
 
 **One obligation, one discharge.**  Every inclusion is decided on its own
-(:func:`decide_cases`): its alphabet is built, or replayed by the shared
-:class:`~repro.sfa.alphabet.AlphabetMemo` when an earlier query had the
-same key, and each context case gets a fresh table and one walk.  The memo
-replays the recorded construction bill, so a replay and a build bill the
-same counters.
+(:func:`repro.sfa.inclusion.decide_inclusion`): its alphabet is built on a
+fresh solver, and each context case gets a fresh table and one
+:func:`decide`.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .. import smt
 from ..obs import trace
 from . import symbolic
-from .alphabet import Alphabet, AlphabetStats
+from .alphabet import Alphabet
 from .derivatives import CompilationError, _evaluate_qualifier, nullable, undetermined_qualifier
 from .symbolic import Sfa
 
@@ -371,36 +369,3 @@ def decide(
     if found.witness is None:
         return None
     return render_witness(table.alphabet, found.witness)
-
-
-def decide_cases(
-    alphabets: Sequence[Alphabet],
-    built: bool,
-    alphabet_stats: AlphabetStats,
-    lhs: Sfa,
-    rhs: Sfa,
-    stats: InclusionStats,
-    *,
-    max_pairs: int = 1_000_000,
-) -> Optional[list[str]]:
-    """Bill one alphabet construction, then decide ``lhs ⊆ rhs`` case by case.
-
-    ``built`` says whether the construction ran (``#Alph``) or was replayed
-    by the memo; ``alphabet_stats`` is its bill.  Each context case gets a
-    fresh :class:`TransitionTable` and one :func:`decide`, and the first
-    witness wins: returns it rendered, or ``None`` when the inclusion holds
-    in every case.  A :class:`CompilationError` propagates with the earlier
-    cases' walks billed.
-    """
-    if built:
-        stats.alphabet_builds += 1
-    else:
-        stats.alphabet_memo_hits += 1
-    stats.context_cases += alphabet_stats.context_cases
-    stats.minterm_candidates += alphabet_stats.minterm_candidates
-    stats.satisfiable_minterms += alphabet_stats.satisfiable_minterms
-    for alphabet in alphabets:
-        counterexample = decide(TransitionTable(alphabet), lhs, rhs, stats, max_pairs=max_pairs)
-        if counterexample is not None:
-            return counterexample
-    return None

@@ -45,9 +45,6 @@ class Trace:
     def extend(self, other: "Trace") -> "Trace":
         return Trace(self._events + other._events)
 
-    def cons(self, event: Event) -> "Trace":
-        return Trace((event,) + self._events)
-
     # -- observation --------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._events)

@@ -10,36 +10,35 @@ by ``B``.  The pipeline is the paper's:
 3. decide inclusion over that finite alphabet.
 
 Step 3 has one decider: a walk over an interned transition table per
-context case (:func:`repro.sfa.batch.decide_cases`) — the same helper the
-engine runs for each of its deferred obligations.  Product states are
-explored breadth-first with antichain-style subsumption pruning, nothing is
+context case (:func:`repro.sfa.batch.decide`).  Product states are explored
+breadth-first with antichain-style subsumption pruning, nothing is
 materialised beyond the reachable product, and the walk exits at the first
-counterexample.  The
-paper's DFA-compiling construction lives on only as a test oracle
-(``tests/sfa/oracles.py``).
+counterexample.  The paper's DFA-compiling construction lives on only as a
+test oracle (``tests/sfa/oracles.py``).
+
+All three steps live in one function, :func:`decide_inclusion`, which both
+the checker's inline queries and the engine's deferred obligations run.  It
+builds the alphabets on a *fresh* solver, so every counter it bills is a pure
+function of the query: asking the same inclusion twice, or after any other
+query, bills the same numbers.
 
 The checker records the statistics reported in the paper's evaluation: the
 number of FA inclusion checks (``#FA⊆``), explored product states
 (``#prod-states``), the automaton size each walk reached (``avg. s_FA``) and
-the time spent in FA inclusion (``t_FA⊆``); SMT counts and times are tracked
-by the shared solver.
+the time spent in FA inclusion (``t_FA⊆``); SMT counts and times are billed
+to the caller's solver stats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .. import smt
 from ..smt.terms import Term
 from ..statsutil import MergeableStats
-from .alphabet import (
-    AlphabetMemo,
-    AlphabetStats,
-    build_alphabets,
-    resolve_max_literals,
-)
-from .batch import decide_cases
+from .alphabet import AlphabetStats, build_alphabets, resolve_max_literals
+from .batch import TransitionTable, decide
 from .signatures import OperatorRegistry
 from .symbolic import BOT, Sfa
 
@@ -65,12 +64,8 @@ class InclusionStats(MergeableStats):
     context_cases: int = 0
     minterm_candidates: int = 0
     satisfiable_minterms: int = 0
-    #: alphabet constructions actually enumerated (#Alph — volatile: whether a
-    #: check builds or reuses depends on what ran before it in this process)
+    #: alphabet constructions, one per decided inclusion (#Alph)
     alphabet_builds: int = 0
-    #: alphabet constructions answered by the cross-obligation memo, which
-    #: replays the recorded counter bill so every other column stays put
-    alphabet_memo_hits: int = 0
     fa_time_seconds: float = 0.0
 
     @property
@@ -95,8 +90,59 @@ class InclusionResult:
     counterexample: Optional[list[str]] = None
 
 
+def decide_inclusion(
+    hypotheses: Sequence[Term],
+    lhs: Sfa,
+    rhs: Sfa,
+    operators: OperatorRegistry,
+    axioms: Sequence,
+    stats: InclusionStats,
+    solver_stats: smt.SolverStats,
+    *,
+    max_literals: Optional[int] = None,
+    filter_unsat: bool = True,
+    max_pairs: int = 1_000_000,
+) -> Optional[list[str]]:
+    """Algorithm 1 for one inclusion ``Γ ⊢ lhs ⊆ rhs``; bills ``stats``/``solver_stats``.
+
+    Builds the alphabets on a fresh ``smt.Solver(axioms)`` (no warm caches,
+    no inherited lemmas) and merges that solver's counters into
+    ``solver_stats`` once the construction succeeds; a failed construction
+    bills nothing.  Then each context case gets a fresh
+    :class:`TransitionTable` and one :func:`decide`, and the first witness
+    wins: returns it rendered, or ``None`` when the inclusion holds in every
+    case.  A :class:`~repro.sfa.derivatives.CompilationError` propagates with
+    the earlier cases' walks billed.
+    """
+    solver = smt.Solver(axioms=list(axioms))
+    alphabet_stats = AlphabetStats()
+    alphabets = build_alphabets(
+        solver,
+        list(hypotheses),
+        [lhs, rhs],
+        operators,
+        max_literals=max_literals,
+        filter_unsat=filter_unsat,
+        stats=alphabet_stats,
+    )
+    solver_stats.merge(solver.stats)
+    stats.alphabet_builds += 1
+    stats.context_cases += alphabet_stats.context_cases
+    stats.minterm_candidates += alphabet_stats.minterm_candidates
+    stats.satisfiable_minterms += alphabet_stats.satisfiable_minterms
+    for alphabet in alphabets:
+        counterexample = decide(TransitionTable(alphabet), lhs, rhs, stats, max_pairs=max_pairs)
+        if counterexample is not None:
+            return counterexample
+    return None
+
+
 class InclusionChecker:
-    """Decides language inclusion between symbolic automata under a context."""
+    """Decides language inclusion between symbolic automata under a context.
+
+    Each query runs :func:`decide_inclusion` under the axioms of ``solver``,
+    whose stats it bills; the solver itself answers none of the queries.
+    """
 
     def __init__(
         self,
@@ -105,66 +151,30 @@ class InclusionChecker:
         *,
         filter_unsat_minterms: bool = True,
         max_literals: Optional[int] = None,
-        alphabet_memo: Optional[AlphabetMemo] = None,
     ) -> None:
         self.solver = solver
         self.operators = operators
         self.filter_unsat_minterms = filter_unsat_minterms
         self.max_literals = resolve_max_literals(max_literals, filter_unsat_minterms)
-        #: when set, alphabets come from the shared cross-obligation memo
-        #: (hermetic construction + recorded-counter replay); when ``None``
-        #: the checker builds them on its own solver, the standalone path
-        self.alphabet_memo = alphabet_memo
         self.stats = InclusionStats()
 
     # -- the main entry point ----------------------------------------------------------
-    def check(
-        self,
-        hypotheses: Sequence[Term],
-        lhs: Sfa,
-        rhs: Sfa,
-        *,
-        extra_context_literals: Iterable[Term] = (),
-    ) -> bool:
-        return self.check_detailed(
-            hypotheses, lhs, rhs, extra_context_literals=extra_context_literals
-        ).included
+    def check(self, hypotheses: Sequence[Term], lhs: Sfa, rhs: Sfa) -> bool:
+        return self.check_detailed(hypotheses, lhs, rhs).included
 
-    def check_detailed(
-        self,
-        hypotheses: Sequence[Term],
-        lhs: Sfa,
-        rhs: Sfa,
-        *,
-        extra_context_literals: Iterable[Term] = (),
-    ) -> InclusionResult:
-        alphabet_stats = AlphabetStats()
-        if self.alphabet_memo is not None:
-            alphabets, built = self.alphabet_memo.alphabets_for(
-                list(hypotheses),
-                [lhs, rhs],
-                self.operators,
-                extra_context_literals=extra_context_literals,
-                max_literals=self.max_literals,
-                filter_unsat=self.filter_unsat_minterms,
-                stats=alphabet_stats,
-                solver_stats=self.solver.stats,
-            )
-        else:
-            alphabets = build_alphabets(
-                self.solver,
-                list(hypotheses),
-                [lhs, rhs],
-                self.operators,
-                extra_context_literals=extra_context_literals,
-                max_literals=self.max_literals,
-                filter_unsat=self.filter_unsat_minterms,
-                stats=alphabet_stats,
-            )
-            built = True
-        counterexample = decide_cases(alphabets, built, alphabet_stats, lhs, rhs, self.stats)
+    def check_detailed(self, hypotheses: Sequence[Term], lhs: Sfa, rhs: Sfa) -> InclusionResult:
+        counterexample = decide_inclusion(
+            hypotheses,
+            lhs,
+            rhs,
+            self.operators,
+            self.solver.axioms,
+            self.stats,
+            self.solver.stats,
+            max_literals=self.max_literals,
+            filter_unsat=self.filter_unsat_minterms,
+        )
         return InclusionResult(included=counterexample is None, counterexample=counterexample)
-
     # -- auxiliary queries used by the type checker --------------------------------------
     def is_empty(self, hypotheses: Sequence[Term], formula: Sfa) -> bool:
         """Is L(formula) empty under every instantiation of the context?"""

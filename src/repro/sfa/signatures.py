@@ -46,21 +46,6 @@ class EventSignature:
     def formals(self) -> tuple[smt.Term, ...]:
         return self.arg_vars + (self.result_var,)
 
-    def formal_named(self, binder_names: Sequence[str]) -> dict[str, smt.Term]:
-        """Map user-chosen binder names to the formal variables.
-
-        ``binder_names`` lists the argument binders followed by the result
-        binder, mirroring the concrete syntax ``⟨op k v = u | φ⟩``.
-        """
-        if len(binder_names) != len(self.arg_names) + 1:
-            raise ValueError(
-                f"{self.name} expects {len(self.arg_names)} argument binders "
-                f"plus a result binder, got {len(binder_names)}"
-            )
-        mapping = dict(zip(binder_names[:-1], self.arg_vars))
-        mapping[binder_names[-1]] = self.result_var
-        return mapping
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         args = ", ".join(
             f"{n}:{s.name}" for n, s in zip(self.arg_names, self.arg_sorts)

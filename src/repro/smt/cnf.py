@@ -65,10 +65,6 @@ class CnfBuilder:
         if lit is not None:
             self.add_clause((lit,))
 
-    def assert_literal_true(self, atom: Term, value: bool) -> None:
-        v = self.var_for_atom(atom)
-        self.add_clause((v if value else -v,))
-
     def block_assignment(self, literals: list[tuple[Term, bool]]) -> None:
         """Add a clause forbidding the given conjunction of atom values."""
         clause = []

@@ -107,11 +107,6 @@ class Solver:
         # without re-deriving the conflict through the theory solver.
         self._theory_lemmas: dict[tuple, list[tuple[Term, bool]]] = {}
 
-    def clear_caches(self) -> None:
-        self._sat_cache.clear()
-        self._enum_cache.clear()
-        self._theory_lemmas.clear()
-
     # -- cross-query theory-lemma reuse -------------------------------------------------
     def _remember_lemma(self, conflict: list[tuple[Term, bool]]) -> None:
         if len(self._theory_lemmas) >= self.max_cache_entries:

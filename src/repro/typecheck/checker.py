@@ -42,7 +42,7 @@ from ..smt.sorts import BOOL, INT, Sort, UNIT
 from ..engine import ObligationEngine, ObligationSet
 from ..lang import ast
 from ..sfa import symbolic
-from ..sfa.alphabet import AlphabetError, AlphabetMemo
+from ..sfa.alphabet import AlphabetError
 from ..sfa.derivatives import CompilationError
 from ..smt.solver import SolverError, SolverStats
 from ..sfa.inclusion import InclusionChecker, InclusionStats
@@ -139,20 +139,15 @@ class Checker:
             library_digest(operators, axioms, self.constants) if store is not None else ""
         )
         self.solver = smt.Solver(axioms=list(axioms))
-        # The cross-obligation reuse layer, shared by the inline checker and
-        # the obligation engine:
-        # alphabet/minterm constructions are built hermetically per
-        # literal-set key and their counter bill replayed on reuse.
-        self.alphabet_memo = AlphabetMemo(axioms=tuple(axioms))
         # Inline queries that steer the walk (HAT subtyping, ghost abduction)
         # still go through this shared checker; deferred leaf obligations are
-        # discharged by the obligation engine below.
+        # discharged by the obligation engine below.  Both build every
+        # alphabet on a fresh solver under these axioms.
         self.inclusion = InclusionChecker(
             self.solver,
             operators,
             filter_unsat_minterms=self.config.filter_unsat_minterms,
             max_literals=self.config.max_literals,
-            alphabet_memo=self.alphabet_memo,
         )
         self.engine = SubtypingEngine(self.solver, self.inclusion)
         self.obligation_engine = ObligationEngine(
@@ -161,7 +156,6 @@ class Checker:
             filter_unsat_minterms=self.config.filter_unsat_minterms,
             max_literals=self.config.max_literals,
             store=store,
-            alphabet_memo=self.alphabet_memo,
             # Deliberately NOT self._library_digest: the dependency record
             # includes the constant table, the environment fingerprint never
             # has (every other store path computes the constants-free digest,
@@ -174,25 +168,12 @@ class Checker:
     # Diagnostics
     # ------------------------------------------------------------------
     def run_diagnostics(self) -> dict:
-        """Run-level reuse diagnostics (not per-method counters).
+        """Run-level diagnostics (not per-method counters): the engine's counters.
 
-        The alphabet memo's build/replay/eviction counts and the engine's
-        counters — the numbers ``evaluate --json`` reports as ``caches``.
-        All of it is reuse bookkeeping: none of these values feeds a
-        deterministic table.
+        Reuse bookkeeping only: none of these values feeds a deterministic
+        table.
         """
-        memo = self.alphabet_memo
-        return {
-            "caches": {
-                "alphabet_memo_builds": memo.builds,
-                # the memo object's own hit counter ("replays" — a hit
-                # replays the recorded bill), distinct from the per-method
-                # alphabet_memo_hits attribution summed into the tables
-                "alphabet_memo_replays": memo.hits,
-                "alphabet_memo_evictions": memo.evictions,
-            },
-            "engine": self.obligation_engine.stats.as_dict(),
-        }
+        return {"engine": self.obligation_engine.stats.as_dict()}
 
     # ------------------------------------------------------------------
     # Entry points
@@ -348,7 +329,6 @@ class Checker:
             sat_conflicts=solver.sat_conflicts,
             fa_inclusion_checks=inclusion.fa_inclusion_checks,
             alphabet_builds=inclusion.alphabet_builds,
-            alphabet_memo_hits=inclusion.alphabet_memo_hits,
             prod_states=inclusion.prod_states,
             store_hits=engine.store_hits,
             smt_time_seconds=solver.time_seconds,

@@ -19,14 +19,7 @@ from .. import smt
 from ..smt.sorts import Sort
 from ..sfa import symbolic
 from ..sfa.symbolic import Sfa
-from ..types.rtypes import (
-    FunType,
-    GhostArrow,
-    HatType,
-    RefinementType,
-    Type,
-    base,
-)
+from ..types.rtypes import FunType, RefinementType, base
 
 #: A parameter is either a pure refinement type or (for thunk-passing ADTs
 #: such as LazySet) a function type whose result is a HAT.
@@ -45,27 +38,6 @@ class MethodSpec:
     postcondition: Sfa
 
     # -- derived views ---------------------------------------------------------------
-    def ghost_vars(self) -> dict[str, smt.Term]:
-        return {name: smt.var(name, sort) for name, sort in self.ghosts}
-
-    def param_var(self, name: str) -> smt.Term:
-        for param_name, param_type in self.params:
-            if param_name == name:
-                if not isinstance(param_type, RefinementType):
-                    raise TypeError(f"parameter {name} is function-typed")
-                return smt.var(name, param_type.sort)
-        raise KeyError(name)
-
-    def as_type(self) -> Type:
-        """The spec as a nested ``GhostArrow``/``FunType``/``HatType``."""
-        result: Type = HatType(self.precondition, self.result, self.postcondition) \
-            if isinstance(self.result, RefinementType) else self.result
-        for param_name, param_type in reversed(self.params):
-            result = FunType(param_name, param_type, result)
-        for ghost_name, ghost_sort in reversed(self.ghosts):
-            result = GhostArrow(ghost_name, ghost_sort, result)
-        return result
-
     def rename_params(self, new_names: Sequence[str]) -> "MethodSpec":
         """Rename the value parameters (to match an implementation's names)."""
         if len(new_names) != len(self.params):

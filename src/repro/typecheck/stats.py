@@ -21,14 +21,10 @@ class MethodStats:
     #: SAT-core conflicts during those queries (#Confl)
     sat_conflicts: int = 0
     fa_inclusion_checks: int = 0
-    #: alphabet/minterm constructions actually enumerated (#Alph) — volatile:
-    #: whether a check builds or reuses depends on what the shared
-    #: cross-obligation memo saw earlier in the process, so, like #Store,
-    #: this may read 0 on a warm run that built nothing
+    #: alphabet/minterm constructions (#Alph): one per inclusion decided
+    #: for this method, inline or discharged (a store hit replays the
+    #: recorded count)
     alphabet_builds: int = 0
-    #: alphabet constructions answered by the cross-obligation memo (which
-    #: replays the recorded counter bill, so every other column stays put)
-    alphabet_memo_hits: int = 0
     #: product pairs explored during inclusion (#prod-states)
     prod_states: int = 0
     #: obligations answered by the persistent store (warm start, #Store)
@@ -66,19 +62,10 @@ class MethodStats:
 
     #: columns excluded from cold-vs-warm/dispatched determinism
     #: comparisons: the time columns, plus #Store (by design 0 on a cold run
-    #: and >0 on a warm one), #Alph (how many alphabet constructions a
-    #: method *ran* depends on what the shared cross-obligation memo already
-    #: held — the memo replays recorded counters, so everything else is
-    #: deterministic, but the build count itself is reuse bookkeeping)
+    #: and >0 on a warm one) and #Alph (a work count of alphabet
+    #: constructions, left out of the deterministic renderings so the
+    #: pinned tables keep their columns)
     VOLATILE_COLUMNS = TIME_COLUMNS + ("#Store", "#Alph")
-
-    def counter_row(self) -> dict[str, object]:
-        """The :meth:`as_row` columns that are deterministic counters."""
-        return {
-            key: value
-            for key, value in self.as_row().items()
-            if key not in self.VOLATILE_COLUMNS
-        }
 
 
 @dataclass

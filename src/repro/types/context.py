@@ -29,10 +29,6 @@ class Binding:
     name: str
     type: Union[RefinementType, Type]
 
-    @property
-    def is_pure(self) -> bool:
-        return isinstance(self.type, RefinementType)
-
 
 class TypingContext:
     """An immutable ordered typing context."""
@@ -49,9 +45,6 @@ class TypingContext:
     # -- construction -------------------------------------------------------------
     def bind(self, name: str, ty: Type) -> "TypingContext":
         return TypingContext(self._bindings + (Binding(name, ty),), self._hypotheses)
-
-    def bind_value(self, name: str, ty: RefinementType) -> "TypingContext":
-        return self.bind(name, ty)
 
     def assume(self, formula: smt.Term) -> "TypingContext":
         if formula.is_true:

@@ -63,7 +63,7 @@ def test_argparse_rejects_bad_usage():
         cli_main(["evaluate", "--fast", "--shards", "2"])
     with pytest.raises(SystemExit):  # serial discharge follows emit order
         cli_main(["check", "Set/KVStore", "--schedule", "auto"])
-    with pytest.raises(SystemExit):  # the alphabet memo is always on
+    with pytest.raises(SystemExit):  # there is no alphabet memo to switch off
         cli_main(["check", "Set/KVStore", "--no-memo"])
 
 

@@ -29,13 +29,15 @@ def _trace_a_run(tmp_path, name="run.json"):
 
 def test_evaluate_trace_writes_a_loadable_chrome_trace(tmp_path, capsys):
     path = tmp_path / "eval.json"
-    assert cli_main(["evaluate", "--fast", "--trace", str(path)]) == 0
+    store = tmp_path / "store"
+    assert cli_main(["evaluate", "--fast", "--store", str(store), "--trace", str(path)]) == 0
     assert f"trace written to {path}" in capsys.readouterr().err
     payload = json.loads(path.read_text())
     assert payload["traceEvents"], "Chrome trace-event export must contain events"
     data = read_trace(str(path))
     assert data["meta"]["command"] == "evaluate"
-    assert data["counters"]["caches"]  # cache totals ride along for the report
+    # the store's op counts ride along for the report
+    assert data["counters"]["store"]["ops"]["lookup"]["count"] > 0
     assert any(span["cat"] == "discharge" for span in data["spans"])
 
 
@@ -68,7 +70,7 @@ def test_trace_validate_and_report_round_trip(tmp_path, capsys):
     assert cli_main(["trace", "report", str(path)]) == 0
     out = capsys.readouterr().out
     assert "phase breakdown" in out and "discharge" in out
-    assert "cache rates" in out
+    assert "slowest obligations" in out and "cache rates" not in out
 
 
 def test_trace_report_min_coverage_gate(tmp_path, capsys):
@@ -104,12 +106,19 @@ def test_unknown_log_level_exits_two(capsys):
     assert "unknown log level" in capsys.readouterr().err
 
 
-def test_evaluate_json_exposes_cache_totals(capsys):
+def test_evaluate_json_carries_tables_and_verdicts_only(capsys):
+    """A store-less ``evaluate --json`` holds the tables and verdicts, and no
+    run-level reuse block."""
     assert cli_main(["evaluate", "--fast", "--json"]) == 0
-    caches = json.loads(capsys.readouterr().out)["caches"]
-    assert set(caches) == {
-        "alphabet_memo_builds",
-        "alphabet_memo_replays",
-        "alphabet_memo_evictions",
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {
+        "adts",
+        "all_negatives_rejected",
+        "all_verified",
+        "negatives",
+        "per_method",
+        "schema",
+        "tables_deterministic",
+        "total_time_seconds",
     }
-    assert caches["alphabet_memo_builds"] > 0
+    assert payload["all_verified"] and payload["all_negatives_rejected"]

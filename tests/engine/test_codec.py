@@ -118,10 +118,8 @@ def server(tmp_path):
     service.close()
 
 
-#: counter fields that are not a pure function of the obligation: wall
-#: times, and which member of an alphabet-sharing group the process's memo
-#: billed as the build (the tables' ``VOLATILE_COLUMNS`` exclude both)
-_VOLATILE = {"time_seconds", "fa_time_seconds", "alphabet_builds", "alphabet_memo_hits"}
+#: counter fields that are not a pure function of the obligation: wall times
+_VOLATILE = {"time_seconds", "fa_time_seconds"}
 
 
 def _counters(stats):

@@ -13,7 +13,6 @@ from repro.engine import (
     ObligationSet,
 )
 from repro.engine.scheduler import discharge_group
-from repro.sfa.alphabet import AlphabetMemo
 from repro.sfa import symbolic as S
 from repro.sfa.signatures import OperatorRegistry
 from repro.statsutil import MergeableStats
@@ -124,8 +123,8 @@ def test_discharge_obligation_is_deterministic(registry):
         failure_message="not preserved",
         index=0,
     )
-    first = discharge_group([obligation], registry, AlphabetMemo())[0]
-    second = discharge_group([obligation], registry, AlphabetMemo())[0]
+    first = discharge_group([obligation], registry, ())[0]
+    second = discharge_group([obligation], registry, ())[0]
     assert first["included"] is second["included"] is False
     assert first["counterexample"] == second["counterexample"]
     assert first["counterexample"], "a readable witness trace is produced"

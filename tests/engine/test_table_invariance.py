@@ -1,5 +1,4 @@
-"""Deterministic tables do not depend on the store's other environments or
-on alphabet reuse.
+"""Deterministic tables do not depend on the store's other environments.
 
 ``table1/3/4(deterministic=True)`` on the fast corpus must render byte for
 byte the same as a serial, store-less reference run:
@@ -8,10 +7,7 @@ byte the same as a serial, store-less reference run:
   environment fingerprints (the only store hits are the cross-benchmark ones
   the run records for itself), while the environment-free recorded costs sit
   right next to them.  The other environment is a literal budget of 25,
-  which the fast corpus never reaches, so both render the same tables;
-* with the cross-obligation alphabet memo switched off — alphabets are always
-  built hermetically with their counter bill recorded and replayed, so the
-  reuse changes wall-clock time only.
+  which the fast corpus never reaches, so both render the same tables.
 
 The reference itself is pinned to ``fast_tables.golden``, the deterministic
 tables as committed: a change that only moves work (a faster walk, a cheaper
@@ -20,7 +16,6 @@ purpose regenerates the file with ``_render`` and says why.
 """
 
 import difflib
-import functools
 import shutil
 from pathlib import Path
 
@@ -28,7 +23,6 @@ import pytest
 
 from repro.evaluation.runner import run_evaluation
 from repro.evaluation.tables import table1, table3, table4
-from repro.sfa.alphabet import AlphabetMemo
 from repro.store.obligation_store import ObligationStore
 from repro.typecheck.checker import CheckerConfig
 
@@ -106,17 +100,3 @@ def test_other_environments_store_leaves_the_tables_unchanged(
     assert _render(report) == reference_tables, (
         f"a store warmed under another environment changed a counter under {environment}"
     )
-
-
-def test_memo_off_matches_memo_on_byte_identical(reference_tables, monkeypatch):
-    """Reuse on/off may move wall-clock time only, never a counter."""
-    monkeypatch.setattr(
-        "repro.typecheck.checker.AlphabetMemo",
-        functools.partial(AlphabetMemo, enabled=False),
-    )
-    report = run_evaluation(include_slow=False)
-    assert report.all_verified and report.all_negatives_rejected
-    caches = report.cache_totals()
-    assert caches["alphabet_memo_builds"] > 0
-    assert caches["alphabet_memo_replays"] == 0, "the memo must really be off"
-    assert _render(report) == reference_tables

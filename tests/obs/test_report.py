@@ -74,23 +74,17 @@ def test_slowest_obligations_sorted_by_duration_keyed_by_fingerprint():
     assert summary["slowest"][0]["kind"] == "coverage"
 
 
-def test_render_report_includes_phases_slowest_and_cache_rates():
+def test_render_report_includes_phases_slowest_and_store_counters():
     spans = [
         _span(1, 100, "evaluate", "run", 0.0, 2.0),
         _span(2, 100, "discharge", "discharge", 0.0, 1.0, parent=1,
               args={"obligation_fp": "deadbeef"}),
     ]
-    counters = {
-        "caches": {
-            "alphabet_memo_builds": 4,
-            "alphabet_memo_replays": 4,
-            "alphabet_memo_evictions": 0,
-        }
-    }
+    counters = {"store": {"lookup": {"requested": 4, "found": 2}}}
     text = render_report(_trace(spans, counters=counters))
     assert "attributed coverage 50.0%" in text
     assert "discharge" in text and "deadbeef" in text
-    assert "alphabet memo: 50.0% replay" in text
+    assert "lookup hit rate: 50.0% (2 found / 4 requested)" in text
 
 
 def test_empty_trace_reports_zero_coverage_not_a_crash():

@@ -81,7 +81,6 @@ def traced_run():
     with trace.session() as tracer:
         report = run_evaluation(include_slow=False)
     assert report.all_verified
-    tracer.counters = {"caches": report.cache_totals()}
     return {
         "meta": tracer.meta_record(),
         "spans": tracer.spans,

@@ -502,8 +502,8 @@ def exhaustive_enumerate_alphabets(
 def use_exhaustive_enumeration(monkeypatch) -> None:
     """Make every alphabet construction for the rest of the test exhaustive.
 
-    ``build_alphabets`` and ``AlphabetMemo`` both reach the enumeration
-    through the ``repro.sfa.alphabet`` module global.
+    ``build_alphabets`` reaches the enumeration through the
+    ``repro.sfa.alphabet`` module global.
     """
     monkeypatch.setattr(alphabet_module, "enumerate_alphabets", exhaustive_enumerate_alphabets)
 

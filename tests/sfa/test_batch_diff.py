@@ -1,13 +1,10 @@
 """Differential tests: the engine's discharge loop vs the oracles.
 
 The engine discharges cold obligations one by one
-(``repro.engine.scheduler.discharge_group``); obligations that share the
-cross-obligation alphabet key share one construction through the
-``AlphabetMemo``, which replays its recorded bill.  That replay is a
-*sharing* transformation, never a semantic one, so everything observable
-must match deciding each obligation alone — with the production walk on a
-fresh table and a fresh solver, and with the formula-pair oracle
-(``oracles.lazy_inclusion_search``):
+(``repro.engine.scheduler.discharge_group``), each on a fresh solver and a
+fresh table per context case, so everything observable must match deciding
+each obligation alone — through ``InclusionChecker`` and with the
+formula-pair oracle (``oracles.lazy_inclusion_search``):
 
 * identical verdicts, counterexample traces, #Prod and error messages on
   every obligation — on the full fast corpus,
@@ -17,8 +14,8 @@ fresh table and a fresh solver, and with the formula-pair oracle
   leaves every later member's answer untouched.
 
 The corpus is the suite's fast benchmarks plus >=100 seeded-random groups
-of SFA pairs built over a shared literal pool (so they genuinely share the
-memo key, like sibling obligations of one method do).
+of SFA pairs built over a shared formula pool (the shape sibling obligations
+of one method have).
 
 Below the walk, every row must be exactly the oracle's derivatives
 (``oracles.derivative``, one per minterm): the table derives once per
@@ -39,10 +36,8 @@ from repro.sfa import symbolic as S
 from repro.sfa.alphabet import (
     Alphabet,
     AlphabetError,
-    AlphabetMemo,
     Character,
     build_alphabets,
-    collect_literals,
 )
 from repro.sfa.batch import TransitionTable, decide, walk
 from repro.sfa.derivatives import CompilationError
@@ -78,10 +73,9 @@ def _group_members(rng: random.Random, lhs: S.Sfa, rhs: S.Sfa) -> list[tuple[S.S
     """2-5 obligation pairs combined from one formula pool.
 
     Boolean/temporal combinators add no qualifier literals, so pairs drawn
-    from the same pool usually share the alphabet content key — the shape
-    sibling obligations of one method have (the invariant on one side,
-    per-branch contexts on the other).  Callers still filter by the computed
-    key: ACI collapse (e.g. ``or(x, not x)``) can drop literals.
+    from the same pool mostly mention the same literals — the shape sibling
+    obligations of one method have (the invariant on one side, per-branch
+    contexts on the other).
     """
     pool = [lhs, rhs, S.or_(lhs, rhs), S.and_(lhs, rhs), S.not_(lhs), S.next_(rhs)]
     count = rng.randrange(2, 6)
@@ -97,13 +91,6 @@ def _make_obligation(hypotheses, lhs, rhs, index) -> Obligation:
         provenance=f"random group member {index}",
         failure_message="inclusion failed",
         index=index,
-    )
-
-
-def _key(memo, hypotheses, pair, registry):
-    """The alphabet-memo key this pair's construction is filed under."""
-    return memo.key_of(
-        hypotheses, collect_literals(list(pair), registry), max_literals=None, filter_unsat=True
     )
 
 
@@ -177,7 +164,6 @@ def test_discharge_group_matches_lazy_checker_on_random_groups():
     """>=100 random groups: every member's verdict, trace, error and
     deterministic counters equal an independent lazy check."""
     total_groups = 0
-    memo_hits = 0
     counterexamples_seen = 0
     for seed in range(110):
         rng = random.Random(626_262 + seed)
@@ -190,18 +176,14 @@ def test_discharge_group_matches_lazy_checker_on_random_groups():
             if not (hypothesis.is_true or hypothesis.is_false):
                 hypotheses.append(hypothesis)
 
-        memo = AlphabetMemo()
-        candidates = _group_members(rng, base_lhs, base_rhs)
-        key = _key(memo, hypotheses, candidates[0], registry)
-        members = [pair for pair in candidates if _key(memo, hypotheses, pair, registry) == key]
+        members = _group_members(rng, base_lhs, base_rhs)
         obligations = [
             _make_obligation(hypotheses, lhs, rhs, i)
             for i, (lhs, rhs) in enumerate(members)
         ]
-        results = discharge_group(obligations, registry, memo)
+        results = discharge_group(obligations, registry, ())
         total_groups += 1
         assert len(results) == len(members)
-        memo_hits += memo.hits
 
         for (lhs, rhs), result in zip(members, results):
             oracle = InclusionChecker(smt.Solver(), registry)
@@ -228,9 +210,7 @@ def test_discharge_group_matches_lazy_checker_on_random_groups():
                 counterexamples_seen += 1
 
     assert total_groups >= 100
-    # the generator must genuinely exercise the sharing path (memo replays
-    # on same-key members) and failures
-    assert memo_hits >= 30
+    # the generator must genuinely exercise failures
     assert counterexamples_seen >= 10
 
 
@@ -247,9 +227,8 @@ def test_discharge_group_construction_failure_reports_every_member():
             continue  # no qualifier literals: a zero budget suffices
         except (AlphabetError, SolverError) as exc:
             expected_message = str(exc)
-        memo = AlphabetMemo()
         obligations = [_make_obligation([], lhs, rhs, i) for i in range(3)]
-        results = discharge_group(obligations, registry, memo, max_literals=0)
+        results = discharge_group(obligations, registry, (), max_literals=0)
         for result in results:
             assert not result["included"]
             assert result["error"] == expected_message
@@ -325,12 +304,7 @@ def test_member_over_budget_leaves_later_members_untouched():
         registry = _random_registry(rng)
         base_lhs = _random_sfa(rng, registry)
         base_rhs = _random_sfa(rng, registry)
-        memo = AlphabetMemo()
-        candidates = _group_members(rng, base_lhs, base_rhs)
-        key = _key(memo, [], candidates[0], registry)
-        members = [pair for pair in candidates if _key(memo, [], pair, registry) == key]
-        if len(members) < 2:
-            continue
+        members = _group_members(rng, base_lhs, base_rhs)
         try:
             solos = [_solo([], lhs, rhs, registry, max_pairs=1) for lhs, rhs in members]
         except (AlphabetError, SolverError):
@@ -339,7 +313,7 @@ def test_member_over_budget_leaves_later_members_untouched():
         if first_error is None or all(outcome[2] for outcome, _ in solos[1:]):
             continue  # need an over-budget first member and a later clean one
         obligations = [_make_obligation([], lhs, rhs, i) for i, (lhs, rhs) in enumerate(members)]
-        results = discharge_group(obligations, registry, memo, max_pairs=1)
+        results = discharge_group(obligations, registry, (), max_pairs=1)
         assert results[0]["error"] == first_error == "lazy product walk exceeded 1 pairs"
         for result, (outcome, stats) in zip(results, solos):
             assert (result["included"], result["counterexample"], result["error"]) == outcome

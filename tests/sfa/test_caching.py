@@ -1,17 +1,19 @@
 """Cache-behaviour tests for the solver's content-addressed query and
-enumeration caches (``SolverStats.cache_hits`` / ``cache_misses``), plus
+enumeration caches (``SolverStats.cache_hits`` / ``cache_misses``), the
+hermeticity of inclusion checks (no cache carries over between them), plus
 round-tripping of the counters through ``merge`` / ``snapshot``.
 """
 
 from repro import smt
+from repro.engine.obligations import Obligation
+from repro.engine.scheduler import discharge_group
+from repro.smt import sorts
 from repro.smt.solver import SolverStats
 from repro.sfa import symbolic as S
 from repro.sfa.inclusion import InclusionChecker, InclusionStats
 
 
 def _obligation(set_ops):
-    from repro.smt import sorts
-
     insert = set_ops["insert"]
     el = smt.var("cache_el", sorts.ELEM)
     x = smt.var("cache_x", sorts.ELEM)
@@ -49,15 +51,65 @@ def test_smt_query_cache_reports_hits():
     assert solver.stats.cache_hits >= 2
 
 
-def test_enumeration_cache_speeds_repeated_alphabet_builds(set_ops):
+def _untimed(stats) -> dict:
+    timers = ("time_seconds", "fa_time_seconds")
+    return {k: v for k, v in stats.as_dict().items() if k not in timers}
+
+
+def _bill_of_one_check(checker, lhs, rhs) -> tuple[dict, dict]:
+    """The solver and inclusion counters one ``check_detailed`` adds."""
+    solver_before = checker.solver.stats.snapshot()
+    inclusion_before = checker.stats.snapshot()
+    checker.check_detailed([], lhs, rhs)
+    return (
+        _untimed(checker.solver.stats.since(solver_before)),
+        _untimed(checker.stats.since(inclusion_before)),
+    )
+
+
+def test_inline_checks_are_hermetic_and_bill_what_the_engine_records(set_ops):
+    """Asking one inclusion twice bills the same counters both times, on a
+    fresh solver and on one that has answered other queries before, and
+    those counters are what the engine's discharge records for it."""
     lhs, invariant = _obligation(set_ops)
-    checker = InclusionChecker(smt.Solver(), set_ops)
-    checker.check_detailed([], lhs, invariant)
-    # the same automata pair under a different (empty) hypothesis set builds
-    # the same alphabets: enumeration answers must come from the cache
-    hits_before = checker.solver.stats.cache_hits
-    checker.check_detailed([smt.TRUE], lhs, invariant)
-    assert checker.solver.stats.cache_hits > hits_before
+    obligation = Obligation(
+        kind="test",
+        hypotheses=(),
+        lhs=lhs,
+        rhs=invariant,
+        provenance="hermeticity",
+        failure_message="inclusion failed",
+        index=0,
+    )
+    (recorded,) = discharge_group([obligation], set_ops, ())
+    expected = (
+        _untimed(SolverStats.from_dict(recorded["solver"])),
+        _untimed(InclusionStats.from_dict(recorded["inclusion"])),
+    )
+    assert expected[0]["queries"] > 0 and expected[1]["alphabet_builds"] == 1
+
+    fresh = InclusionChecker(smt.Solver(), set_ops)
+    assert _bill_of_one_check(fresh, lhs, invariant) == expected
+    assert _bill_of_one_check(fresh, lhs, invariant) == expected
+
+    used = smt.Solver()
+    el = smt.var("cache_el", sorts.ELEM)
+    y = smt.var("cache_other_y", sorts.ELEM)
+    assert used.is_satisfiable(smt.eq(el, y))
+    used.enumerate_models([smt.eq(el, y)])
+    assert used.stats.queries > 0
+    warm = InclusionChecker(used, set_ops)
+    assert _bill_of_one_check(warm, lhs, invariant) == expected
+    assert _bill_of_one_check(warm, lhs, invariant) == expected
+
+
+def test_solver_cache_eviction_counter():
+    solver = smt.Solver(max_cache_entries=2)
+    x = smt.var("pm_ev_x", sorts.ELEM)
+    for i in range(4):
+        y = smt.var(f"pm_ev_{i}", sorts.ELEM)
+        solver.is_satisfiable(smt.eq(x, y))
+    assert solver.stats.cache_evictions >= 1
 
 
 def test_solver_stats_roundtrip_new_counters():
