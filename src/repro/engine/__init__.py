@@ -2,8 +2,9 @@
 
 ``repro.typecheck`` emits proof obligations as a first-class IR
 (:class:`Obligation` / :class:`ObligationSet`), and this package decides
-them: dedupe by structural fingerprint, a cross-method memo, and discharge
-in emission order with statistics merged back into the evaluation tables.
+them: one verdict map keyed by each obligation's content digest answers
+repeats within a batch and across methods, and the rest is discharged in
+emission order with statistics merged back into the evaluation tables.
 See :mod:`repro.engine.scheduler` for the determinism contract.
 """
 

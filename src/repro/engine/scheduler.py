@@ -5,12 +5,13 @@ This is the middle stage of the decoupled pipeline:
 1. **Emit** — :mod:`repro.typecheck.checker` walks the method body and emits
    :class:`~repro.engine.obligations.Obligation` values instead of deciding
    them inline;
-2. **Schedule** — :class:`ObligationEngine` dedupes structurally-isomorphic
-   obligations (hash-consed fingerprints) and answers each representative
-   from the cross-method memo, then the persistent store; the remainder is
-   discharged in emission order.  This is the one discharge step; a corpus
-   run fetches each benchmark's representatives ahead of it in one
-   :meth:`ObligationEngine.prefetch`, and a dispatch coordinator
+2. **Schedule** — :class:`ObligationEngine` keys every obligation by its
+   content digest (:func:`~repro.store.fingerprint.obligation_digest`):
+   a digest the verdict map already holds, or one emitted earlier in the
+   batch, is answered without work; the persistent store answers the
+   next; the remainder is discharged in emission order.  This is the one
+   discharge step; a corpus run fetches each benchmark's digests ahead of
+   it in one :meth:`ObligationEngine.prefetch`, and a dispatch coordinator
    (:mod:`repro.engine.dispatch`) also asks which ones the store lacks
    (:meth:`ObligationEngine.store_misses` per method), has a worker fleet
    record those, and then runs the same step, which finds them in the store;
@@ -30,8 +31,8 @@ would.  A method's *inline* counters (the walk's own queries on the
 checker's shared solver) are not: they carry the checker's history —
 which methods it walked and finished before, and what its query cache and
 learned lemmas hold.  Cross-obligation sharing happens only at the
-obligation level: the batch dedupe and the cross-method memo answer
-repeated queries without re-discharge.
+obligation level: the verdict map answers a repeated digest, within a batch
+or across methods, without re-discharge.
 """
 
 from __future__ import annotations
@@ -62,13 +63,13 @@ class EngineStats(MergeableStats):
 
     obligations_emitted: int = 0
     obligations_discharged: int = 0
-    #: later emissions answered by an isomorphic representative in the batch
+    #: later emissions of a digest already emitted in the same batch
     deduped_aliases: int = 0
-    #: representatives answered by the cross-method memo
+    #: digests a batch found answered before it began (cross-method memo)
     memo_hits: int = 0
-    #: representatives answered by the persistent store (warm start)
+    #: digests answered by the persistent store (warm start)
     store_hits: int = 0
-    #: representatives that missed the persistent store and were discharged
+    #: digests that missed the persistent store and were discharged
     store_misses: int = 0
     batches: int = 0
 
@@ -92,9 +93,8 @@ def discharge_group(
     results = []
     for obligation in obligations:
         if trace.enabled():
-            # the digest is memoised on the frozen obligation and strictly
-            # volatile here: it keys the span so the report correlates with
-            # `repro store` entries, never the other way around
+            # the engine's key, memoised on the frozen obligation: it keys
+            # the span so the report correlates with `repro store` entries
             span = trace.span(
                 "discharge",
                 cat="discharge",
@@ -147,7 +147,7 @@ def discharge_group(
 
 
 class ObligationEngine:
-    """Dedupe and discharge the obligations of one method at a time."""
+    """Answer and discharge the obligations of one method at a time."""
 
     def __init__(
         self,
@@ -175,10 +175,10 @@ class ObligationEngine:
             else None
         )
         self.stats = EngineStats()
-        #: cross-method memo: fingerprint -> (included, counterexample, error);
-        #: bounded like every other cache in the pipeline
+        #: the verdict map: obligation digest -> (included, counterexample,
+        #: error); cleared at the start of a batch once it outgrows the cap
         self.max_memo_entries = 100_000
-        self._memo: dict[tuple, tuple[bool, Optional[list[str]], Optional[str]]] = {}
+        self._memo: dict[str, tuple[bool, Optional[list[str]], Optional[str]]] = {}
 
     # ------------------------------------------------------------------
     def discharge_all(
@@ -194,132 +194,108 @@ class ObligationEngine:
         ``solver_stats``/``inclusion_stats`` are the caller's aggregate tables
         (typically the checker's); per-obligation counters are merged into
         them, exactly as the inline design accumulated them.  Lookup order per
-        representative is memo → persistent store → discharge: a store hit
-        merges the *recorded* counters (so warm tables match cold ones byte
-        for byte), a miss is discharged and written back under
-        ``store_context``'s dependency record.
+        digest is memo → persistent store → discharge: a store hit merges the
+        *recorded* counters (so warm tables match cold ones byte for byte), a
+        miss is discharged and written back under ``store_context``'s
+        dependency record.  Later emissions of a digest share its verdict.
         """
         self.stats.batches += 1
         self.stats.obligations_emitted += len(obligation_set)
+        if len(self._memo) > self.max_memo_entries:
+            self._memo.clear()
+        store_hits = 0
+        #: digest -> first emission, for the digests nothing answers yet
+        fresh: dict[str, Obligation] = {}
         with trace.span("schedule", cat="schedule", obligations=len(obligation_set)):
-            batch = obligation_set.deduped()
-
-        self._prefetch(batch)
-
-        #: this batch's verdicts: fingerprint -> (included, counterexample, error)
-        verdicts: dict[tuple, tuple[bool, Optional[list[str]], Optional[str]]] = {}
-        fresh: list[tuple[Obligation, Optional[str], Optional[StoreContext]]] = []
-        memoed_keys: set[tuple] = set()
-        stored_keys: set[tuple] = set()
-        for representative, aliases in batch:
-            self.stats.deduped_aliases += len(aliases)
-            key = representative.fingerprint()
-            cached = self._memo.get(key)
-            if cached is not None:
-                memoed_keys.add(key)
-                verdicts[key] = cached
-                continue
-            digest = obligation_digest(representative) if self.store is not None else None
-            entry = self._stored(digest)
-            if entry is not None:
-                self.stats.store_hits += 1
-                stored_keys.add(key)
+            self.prefetch([obligation_set])
+            for obligation in obligation_set:
+                digest = obligation_digest(obligation)
+                if digest in self._memo or digest in fresh:
+                    continue
+                entry = self._stored(digest)
+                if entry is None:
+                    fresh[digest] = obligation
+                    continue
+                store_hits += 1
                 counterexample = list(entry.counterexample) if entry.counterexample else None
-                verdict = (entry.included, counterexample, entry.error)
-                verdicts[key] = verdict
-                self._memo[key] = verdict
+                self._memo[digest] = (entry.included, counterexample, entry.error)
                 # merge the counters the original discharge produced, so
                 # the tables come out identical to a cold run
                 if solver_stats is not None:
                     solver_stats.merge(SolverStats.from_dict(entry.solver_stats))
                 if inclusion_stats is not None:
                     inclusion_stats.merge(InclusionStats.from_dict(entry.inclusion_stats))
-                continue
-            if self.store is not None:
-                self.stats.store_misses += 1
-            fresh.append((representative, digest, store_context))
-
+        distinct = len({obligation_digest(obligation) for obligation in obligation_set})
+        memo_hits = distinct - len(fresh) - store_hits
+        self.stats.deduped_aliases += len(obligation_set) - distinct
+        self.stats.memo_hits += memo_hits
+        self.stats.store_hits += store_hits
+        if self.store is not None:
+            self.stats.store_misses += len(fresh)
         logger.debug(
             "batch %d: %d emitted, %d fresh (%d memo, %d store)",
             self.stats.batches,
             len(obligation_set),
             len(fresh),
-            len(memoed_keys),
-            len(stored_keys),
+            memo_hits,
+            store_hits,
         )
-        verdicts.update(
-            self._discharge_and_record(
-                fresh, solver_stats=solver_stats, inclusion_stats=inclusion_stats
-            )
+        self._discharge_and_record(
+            [(obligation, digest, store_context) for digest, obligation in fresh.items()],
+            solver_stats=solver_stats,
+            inclusion_stats=inclusion_stats,
         )
 
         outcomes: dict[int, DischargeOutcome] = {}
-        for representative, aliases in batch:
-            included, counterexample, error = verdicts[representative.fingerprint()]
-            key = representative.fingerprint()
-            from_memo = key in memoed_keys
-            if from_memo:
-                self.stats.memo_hits += 1
-            for obligation, deduped in [(representative, False)] + [
-                (alias, True) for alias in aliases
-            ]:
-                outcomes[obligation.index] = DischargeOutcome(
-                    obligation=obligation,
-                    included=included,
-                    counterexample=counterexample,
-                    error=error,
-                    from_memo=from_memo,
-                    from_store=key in stored_keys,
-                    deduped=deduped,
-                )
+        for obligation in obligation_set:
+            included, counterexample, error = self._memo[obligation_digest(obligation)]
+            outcomes[obligation.index] = DischargeOutcome(
+                obligation=obligation,
+                included=included,
+                counterexample=counterexample,
+                error=error,
+            )
         return outcomes
 
     def store_misses(self, obligation_set: ObligationSet) -> list[tuple[str, str, Obligation]]:
-        """The deduped representatives neither the memo nor the store answers.
+        """The digests neither the memo nor the store answers.
 
-        Returns ``(env, digest, representative)`` in first-emission order:
+        Returns ``(env, digest, first emission)`` in first-emission order:
         what a dispatch coordinator enqueues before it discharges anything.
         One batched prefetch, then local lookups; no counter moves and no
         memo entry is written, so the later :meth:`discharge_all` of the
         same set bills exactly what it would have billed anyway.
         """
-        batch = obligation_set.deduped()
-        self._prefetch(batch)
-        misses = []
-        for representative, _ in batch:
-            if representative.fingerprint() in self._memo:
+        self.prefetch([obligation_set])
+        misses: dict[str, Obligation] = {}
+        for obligation in obligation_set:
+            digest = obligation_digest(obligation)
+            if digest in self._memo or digest in misses:
                 continue
-            digest = obligation_digest(representative)
             if self._stored(digest) is None:
-                misses.append((self._env_fp, digest, representative))
-        return misses
+                misses[digest] = obligation
+        return [(self._env_fp, digest, obligation) for digest, obligation in misses.items()]
 
     def prefetch(self, obligation_sets: Sequence[ObligationSet]) -> None:
-        """One batched fetch over several sets' deduped representatives.
-
-        A dispatch coordinator calls it once per benchmark with every emitted
-        method's set, so the per-set :meth:`store_misses` queries that follow
-        cost no round-trip.
-        """
-        self._prefetch(
-            [pair for obligation_set in obligation_sets for pair in obligation_set.deduped()]
-        )
-
-    def _prefetch(self, batch: Sequence[tuple[Obligation, list]]) -> None:
-        """One batched fetch for a deduped batch.
+        """One batched fetch over several sets' digests (the store fetches
+        each unique digest once).
 
         A no-op against a local store (or none); a single lookup RPC instead
-        of per-obligation round-trips against a remote one.  Digests are
-        memoised on the obligation, so the per-representative lookups that
-        follow are free.
+        of per-obligation round-trips against a remote one.  A corpus run
+        calls it once per benchmark with every emitted method's set, so the
+        per-set lookups that follow cost no round-trip.
         """
         if self.store is not None:
             self.store.prefetch(
                 self._env_fp,
-                [obligation_digest(representative) for representative, _ in batch],
+                [
+                    obligation_digest(obligation)
+                    for obligation_set in obligation_sets
+                    for obligation in obligation_set
+                ],
             )
 
-    def _stored(self, digest: Optional[str]) -> Optional[StoreEntry]:
+    def _stored(self, digest: str) -> Optional[StoreEntry]:
         """The store's usable entry for ``digest`` (None without a store).
 
         Error entries read as misses: this engine never writes them (see
@@ -341,24 +317,25 @@ class ObligationEngine:
         nothing is looked up first; a stolen lease's re-discharge is
         filtered server-side by ``if_absent`` appends.
         """
+        if len(self._memo) > self.max_memo_entries:
+            self._memo.clear()
         self._discharge_and_record(
             [(obligation, obligation_digest(obligation), context) for obligation, context in leased]
         )
 
     def _discharge_and_record(
         self,
-        fresh: Sequence[tuple[Obligation, Optional[str], Optional[StoreContext]]],
+        fresh: Sequence[tuple[Obligation, str, Optional[StoreContext]]],
         *,
         solver_stats: Optional[SolverStats] = None,
         inclusion_stats: Optional[InclusionStats] = None,
-    ) -> dict[tuple, tuple[bool, Optional[list[str]], Optional[str]]]:
+    ) -> None:
         """Discharge ``(obligation, digest, context)`` triples; record verdicts.
 
-        Returns fingerprint -> (included, counterexample, error).  Counters
-        merge into the caller's tables when given; each verdict is memoised
-        and, with a store and a context, written back under that context.
+        Counters merge into the caller's tables when given; each verdict is
+        memoised under its digest and, with a store and a context, written
+        back under that context.
         """
-        verdicts: dict[tuple, tuple[bool, Optional[list[str]], Optional[str]]] = {}
         # merging the results back is discharge work too: keep it inside a
         # phase span so the trace attributes it
         with trace.span("discharge.batch", cat="discharge", obligations=len(fresh)):
@@ -369,17 +346,13 @@ class ObligationEngine:
                 max_literals=self.max_literals,
                 filter_unsat=self.filter_unsat_minterms,
             )
-            if len(self._memo) + len(fresh) > self.max_memo_entries:
-                self._memo.clear()
-            for (representative, digest, store_context), result in zip(fresh, results):
+            for (obligation, digest, store_context), result in zip(fresh, results):
                 self.stats.obligations_discharged += 1
                 if solver_stats is not None:
                     solver_stats.merge(SolverStats.from_dict(result["solver"]))
                 if inclusion_stats is not None:
                     inclusion_stats.merge(InclusionStats.from_dict(result["inclusion"]))
-                verdict = (result["included"], result["counterexample"], result["error"])
-                verdicts[representative.fingerprint()] = verdict
-                self._memo[representative.fingerprint()] = verdict
+                self._memo[digest] = (result["included"], result["counterexample"], result["error"])
                 # Resource-limit errors are NOT persisted: a budget hit by a small
                 # `check --method` run must not be replayed as a permanent
                 # failure by a full `evaluate` whose budgets differ.  True
@@ -403,8 +376,8 @@ class ObligationEngine:
                             method=store_context.method,
                             spec=store_context.spec_digest,
                             library=store_context.library_digest,
-                            kind=representative.kind,
-                            provenance=representative.provenance,
+                            kind=obligation.kind,
+                            provenance=obligation.provenance,
                             cost={
                                 "wall": round(result.get("wall", 0.0), 6),
                                 "queries": result["solver"].get("queries", 0),
@@ -412,5 +385,3 @@ class ObligationEngine:
                             },
                         )
                     )
-
-        return verdicts

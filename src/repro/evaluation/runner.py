@@ -67,21 +67,16 @@ def run_benchmark(
     config: Optional[CheckerConfig] = None,
     check_negative_variants: bool = True,
     store=None,
-    diagnostics_sink: Optional[list] = None,
 ) -> tuple[AdtStats, list[NegativeResult]]:
     """Verify one ADT/library row plus its known-bad variants.
 
     ``store`` is an optional :class:`repro.store.ObligationStore`: discharged
     obligations are written back to it and later runs answer from it.
-    ``diagnostics_sink``, when given, receives the checker's run diagnostics
-    (engine counters) once the benchmark is done.
     """
     report = EvaluationReport()
     finish_benchmarks(
         emit_benchmarks([benchmark], config, check_negative_variants, store), report
     )
-    if diagnostics_sink is not None:
-        diagnostics_sink.extend(report.diagnostics)
     return report.adt_stats[0], report.negative_results
 
 
@@ -95,7 +90,7 @@ def emit_benchmarks(
 
     Every method of every benchmark is emitted before the store is read, so
     the methods' queued invalidation keys go out as one ``invalidate`` op
-    ahead of the first fetch; then each benchmark's deduped obligations are
+    ahead of the first fetch; then each benchmark's obligation digests are
     fetched in one batched ``lookup``
     (:meth:`~repro.engine.scheduler.ObligationEngine.prefetch`).  Returns
     ``(benchmark, checker, pending methods in check order)`` per benchmark.

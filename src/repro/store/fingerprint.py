@@ -1,17 +1,21 @@
 """Stable content fingerprints for the persistent obligation store.
 
-The in-memory identities used by the engine's dedupe (``term_id`` /
+The interning ids of hash-consed terms and formulas (``term_id`` /
 ``sfa_id``) are interning-order dependent: the same formula built in another
 process — or merely later in the same process — receives different ids, and
 the smart constructors order the children of commutative connectives *by*
-those ids.  Anything persisted to disk therefore needs a digest computed from
+those ids.  An obligation's identity is therefore a digest computed from
 structure alone, with commutative connectives hashed order-insensitively so
 that ``and(a, b)`` and ``and(b, a)`` coincide no matter which interning order
 produced them (the ``eq`` constructor likewise orients its operands by id, so
-equalities are hashed symmetrically too).
+equalities are hashed symmetrically too).  The same digest keys the engine's
+dedupe and verdict map, the store, the dispatch queue and the trace spans.
 
-Digests are memoised by object id, which is sound because hash-consed terms
-and formulas are immortal (the interning caches hold strong references).
+Term and formula digests are memoised by interning id, which is sound because
+hash-consed terms and formulas are immortal (the interning caches hold strong
+references); an obligation's digest is memoised on the (frozen) obligation.
+Spec and library digests are recomputed on each call: they sit on top of
+those memos, so a recompute is a handful of hashes.
 """
 
 from __future__ import annotations
@@ -133,14 +137,13 @@ def sfa_digest(formula: Sfa) -> str:
 
 
 def obligation_digest(obligation) -> str:
-    """The persistent counterpart of ``Obligation.fingerprint()``.
+    """An obligation's content address: the one key the engine uses.
 
-    Mirrors its semantics exactly — hypotheses as an unordered set plus the
-    two automata; kind and provenance deliberately excluded, because
-    isomorphic queries share one verdict no matter where they were emitted.
-    Memoised on the (frozen) obligation itself: with a store attached, the
-    batch prefetch, the store lookup and a dispatch coordinator's misses
-    query all need the digest in one batch.
+    Hypotheses as an unordered set plus the two automata; kind and
+    provenance deliberately excluded, because isomorphic queries share one
+    verdict no matter where they were emitted.  Memoised on the (frozen)
+    obligation itself: the batch dedupe, the prefetch, the store lookup and
+    the verdict map all need the digest in one batch.
     """
     cached = getattr(obligation, "_digest", None)
     if cached is not None:
@@ -186,23 +189,8 @@ def type_digest(ty) -> str:
     raise TypeError(f"cannot fingerprint type {ty!r}")
 
 
-#: Identity-keyed digest memos.  Spec and library objects are immutable in
-#: practice and re-digested constantly — once per method check, once per
-#: checker construction — so their digests are cached per *object*.  The memo
-#: holds a strong reference to the keyed object, which is what makes ``id()``
-#: a sound key (the id cannot be recycled while the entry lives); the caps
-#: below just bound a pathological churn of throwaway objects.
-_SPEC_DIGEST_MEMO: dict[int, tuple[object, str]] = {}
-#: (id(operators), id(axioms)) -> (operators, axioms, constants key, digest)
-_LIBRARY_DIGEST_MEMO: dict[tuple[int, int], tuple] = {}
-_IDENTITY_MEMO_CAP = 4096
-
-
 def spec_digest(spec) -> str:
     """Content address of one method's HAT signature (dependency-index key)."""
-    cached = _SPEC_DIGEST_MEMO.get(id(spec))
-    if cached is not None and cached[0] is spec:
-        return cached[1]
     parts = [FINGERPRINT_VERSION, "spec", spec.name]
     for ghost_name, ghost_sort in spec.ghosts:
         parts.append(_digest("ghost", ghost_name, ghost_sort.name))
@@ -211,11 +199,7 @@ def spec_digest(spec) -> str:
     parts.append(sfa_digest(spec.precondition))
     parts.append(type_digest(spec.result))
     parts.append(sfa_digest(spec.postcondition))
-    result = _digest(*parts)
-    if len(_SPEC_DIGEST_MEMO) >= _IDENTITY_MEMO_CAP:
-        _SPEC_DIGEST_MEMO.clear()
-    _SPEC_DIGEST_MEMO[id(spec)] = (spec, result)
-    return result
+    return _digest(*parts)
 
 
 def axiom_digest(ax: Axiom) -> str:
@@ -237,33 +221,13 @@ def library_digest(
     Covers the operator signatures (the SFA alphabet), the FOL axioms of the
     pure helpers, and the named constants — everything an obligation's meaning
     can depend on beyond its own formulas.
-
-    Memoised per ``(operators, axioms)`` object identity (constants are
-    compared by their interned term ids): one checker run digests the same
-    library once, no matter how many per-method engines and fingerprints sit
-    on top of it.
     """
-    constants_key = tuple(
-        sorted((name, term.term_id) for name, term in (constants or {}).items())
-    )
-    memo_key = (id(operators), id(axioms))
-    cached = _LIBRARY_DIGEST_MEMO.get(memo_key)
-    if cached is not None:
-        pinned_operators, pinned_axioms, pinned_constants, digest = cached
-        if pinned_operators is operators and pinned_axioms is axioms and (
-            pinned_constants == constants_key
-        ):
-            return digest
     parts = [FINGERPRINT_VERSION, "library"]
     parts.extend(sorted(signature_digest(sig) for sig in operators))
     parts.extend(sorted(axiom_digest(ax) for ax in axioms))
     for name in sorted(constants or {}):
         parts.append(_digest("const", name, term_digest(constants[name])))
-    result = _digest(*parts)
-    if len(_LIBRARY_DIGEST_MEMO) >= _IDENTITY_MEMO_CAP:
-        _LIBRARY_DIGEST_MEMO.clear()
-    _LIBRARY_DIGEST_MEMO[memo_key] = (operators, axioms, constants_key, result)
-    return result
+    return _digest(*parts)
 
 
 def environment_fingerprint(

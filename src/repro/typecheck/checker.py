@@ -159,8 +159,8 @@ class Checker:
             # Deliberately NOT self._library_digest: the dependency record
             # includes the constant table, the environment fingerprint never
             # has (every other store path computes the constants-free digest,
-            # and existing stores key on it).  The identity memo on
-            # library_digest makes the recomputation free either way.
+            # and existing stores key on it).  The term and formula digest
+            # memos make the recomputation cheap either way.
         )
         self._obligations: Optional[ObligationSet] = None
 

@@ -34,6 +34,11 @@ def _obligations(registry, count=4):
     return obset
 
 
+def _digests(obset):
+    """The set's unique obligation digests."""
+    return {obligation_digest(obligation) for obligation in obset}
+
+
 def test_discharge_records_cost_into_the_store(registry, tmp_path):
     store = ObligationStore(tmp_path)
     engine = ObligationEngine(registry, store=store)
@@ -43,8 +48,7 @@ def test_discharge_records_cost_into_the_store(registry, tmp_path):
     assert all(outcome.included for outcome in outcomes.values())
     store.flush()
 
-    for representative, _ in obset.deduped():
-        digest = obligation_digest(representative)
+    for digest in _digests(obset):
         entry = next(e for e in store if e.fp == digest)
         assert entry.cost["wall"] >= 0.0
         assert entry.cost["queries"] >= 1
@@ -59,11 +63,7 @@ def _queued_costs(service, items):
 
 
 def _recorded_walls(store, obset):
-    return {
-        entry.fp: entry.cost["wall"]
-        for entry in store
-        if entry.fp in {obligation_digest(rep) for rep, _ in obset.deduped()}
-    }
+    return {entry.fp: entry.cost["wall"] for entry in store if entry.fp in _digests(obset)}
 
 
 def test_cost_hint_crosses_environments(registry, tmp_path):

@@ -7,6 +7,8 @@ schema-valid spans, per-obligation fingerprints, and ≥95% of the main
 process's wall time attributed to non-structural spans.
 """
 
+import os
+
 import pytest
 
 from repro.evaluation.runner import run_evaluation
@@ -39,37 +41,52 @@ def untraced_tables():
     return _render(report)
 
 
-#: a leftover value of the retired SAT-core selector
-@pytest.mark.parametrize("backend", ("dpll", "cdcl"))
-@pytest.mark.parametrize(
-    "stale",
-    (
-        pytest.param("REPRO_DISCHARGE=compiled", id="discharge"),
-        pytest.param("REPRO_WORKERS=4", id="workers"),
-        pytest.param("REPRO_SCHEDULE=chaotic", id="schedule"),
-        pytest.param("REPRO_MEMO=0", id="memo"),
-    ),
-)
+#: one leftover value per retired knob: the discharge modes before the single
+#: decider, the in-engine fork pool before the lease queue, the serial
+#: ordering policy and the memo toggle before emit order and an always-on memo
+_STALE = {
+    "discharge": ("REPRO_DISCHARGE", "compiled"),
+    "workers": ("REPRO_WORKERS", "4"),
+    "schedule": ("REPRO_SCHEDULE", "chaotic"),
+    "memo": ("REPRO_MEMO", "0"),
+}
+
+
+@pytest.fixture(scope="module")
+def stale_traced_run(request):
+    """One traced run with every stale variable set, per old value of the
+    retired SAT-core selector ``REPRO_BACKEND``.
+
+    Nothing reads any of the variables, so one run sets them all at once;
+    it records the environment it saw, for the per-variable tests below.
+    """
+    trace.uninstall()
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in _STALE.values():
+            patch.setenv(name, value)
+        patch.setenv("REPRO_BACKEND", request.param)
+        seen = dict(os.environ)
+        with trace.session() as tracer:
+            report = run_evaluation(include_slow=False)
+    trace.uninstall()
+    return seen, report, tracer
+
+
+@pytest.mark.parametrize("stale_traced_run", ("dpll", "cdcl"), indirect=True)
+@pytest.mark.parametrize("stale", tuple(_STALE))
 def test_traced_tables_are_byte_identical_to_untraced(
-    stale, backend, untraced_tables, monkeypatch
+    stale, stale_traced_run, untraced_tables
 ):
-    # A variable left over from a retired knob (the discharge modes before
-    # the single decider, the in-engine fork pool before the lease queue,
-    # the serial ordering policy and the memo toggle before emit order and
-    # an always-on memo, the SAT-core selector before the one DPLL core)
-    # must be inert: the traced run under a stale setting renders the
-    # reference tables computed with the variables unset.  Nothing reads
-    # any of them, so one stale value each covers every other; the
-    # selector takes both of its old values.
-    name, value = stale.split("=")
-    monkeypatch.setenv(name, value)
-    monkeypatch.setenv("REPRO_BACKEND", backend)
-    with trace.session() as tracer:
-        report = run_evaluation(include_slow=False)
+    # A variable left over from a retired knob must be inert: the traced
+    # run under a stale setting renders the reference tables computed with
+    # the variables unset.
+    seen, report, tracer = stale_traced_run
+    name, value = _STALE[stale]
+    assert seen[name] == value
     assert report.all_verified and report.all_negatives_rejected
     assert _render(report) == untraced_tables, (
-        f"tracing or a stale {stale}, REPRO_BACKEND={backend} changed a "
-        "deterministic counter"
+        f"tracing or a stale {name}={value}, REPRO_BACKEND={seen['REPRO_BACKEND']} "
+        "changed a deterministic counter"
     )
     assert tracer.spans, "the traced run must actually have recorded spans"
 

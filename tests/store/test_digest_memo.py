@@ -1,4 +1,4 @@
-"""Identity-memoised spec/library digests (one checker run digests once)."""
+"""Spec and library digests: content addresses of the dependency-index keys."""
 
 from repro.store import fingerprint as fp
 from repro.suite.registry import all_benchmarks
@@ -8,47 +8,14 @@ def _bench():
     return all_benchmarks(include_slow=False)[0]
 
 
-def test_spec_digest_is_memoised_per_object():
-    bench = _bench()
-    spec = next(iter(bench.specs.values()))
-    first = fp.spec_digest(spec)
-    assert fp._SPEC_DIGEST_MEMO[id(spec)][1] == first
-    # poison the cached value: a second call must come from the memo
-    fp._SPEC_DIGEST_MEMO[id(spec)] = (spec, "sentinel")
-    try:
-        assert fp.spec_digest(spec) == "sentinel"
-    finally:
-        del fp._SPEC_DIGEST_MEMO[id(spec)]
-    assert fp.spec_digest(spec) == first
-
-
 def test_spec_digest_distinguishes_distinct_objects():
     bench = _bench()
     digests = {fp.spec_digest(spec) for spec in bench.specs.values()}
     assert len(digests) == len(bench.specs)
 
 
-def test_library_digest_is_memoised_per_identity():
-    bench = _bench()
-    operators, axioms = bench.library.operators, bench.library.axioms
-    first = fp.library_digest(operators, axioms, bench.library.constants)
-    key = (id(operators), id(axioms))
-    assert fp._LIBRARY_DIGEST_MEMO[key][3] == first
-    fp._LIBRARY_DIGEST_MEMO[key] = (
-        operators,
-        axioms,
-        fp._LIBRARY_DIGEST_MEMO[key][2],
-        "sentinel",
-    )
-    try:
-        assert fp.library_digest(operators, axioms, bench.library.constants) == "sentinel"
-    finally:
-        del fp._LIBRARY_DIGEST_MEMO[key]
-    assert fp.library_digest(operators, axioms, bench.library.constants) == first
-
-
 def test_library_digest_notices_constant_changes_despite_identity():
-    """The identity memo must not mask a *content* change in the constants."""
+    """A *content* change in the constants moves the library digest."""
     from repro import smt
     from repro.smt.sorts import ELEM
 
