@@ -290,7 +290,6 @@ def test_sat_core_replay(benchmark, monkeypatch):
 
     monkeypatch.setattr(_RecordingCore, "log", [])
     monkeypatch.setattr(solver_module, "SatSolver", _RecordingCore)
-    monkeypatch.setattr(solver_module, "_DEFAULT_SOLVER", None)
     report = run_evaluation(include_slow=False)
     assert report.all_verified and report.all_negatives_rejected
     log = _RecordingCore.log

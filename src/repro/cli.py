@@ -735,6 +735,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        return _run(argv)
+    except BrokenPipeError:
+        # the reader closed early (``repro ... | head``): drop the rest of the
+        # output quietly, and point stdout at /dev/null so that the
+        # interpreter's final flush cannot fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in _RETIRED_COMMANDS:
         print(

@@ -46,7 +46,7 @@ from .terms import (
     TRUE,
 )
 from .axioms import Axiom, axiom
-from .solver import Solver, SolverStats, is_satisfiable, is_valid
+from .solver import Solver, SolverStats
 
 __all__ = [
     "BOOL",
@@ -87,6 +87,4 @@ __all__ = [
     "axiom",
     "Solver",
     "SolverStats",
-    "is_satisfiable",
-    "is_valid",
 ]

@@ -1,4 +1,4 @@
-"""Congruence closure for the theory of equality with uninterpreted functions.
+"""Proof-producing congruence closure for equality with uninterpreted functions.
 
 The solver receives a conjunction of ground literals (atoms with a polarity)
 and decides whether they are consistent in EUF.  Method predicates are
@@ -8,16 +8,29 @@ polarities produce a conflict through the ordinary closure rules.
 
 Distinct integer literals and distinct named data constants are treated as
 pairwise different, matching the constant folding performed by
-``repro.smt.terms.eq``.
+``repro.smt.terms.eq``.  Constants are interned, so two distinct constant
+terms always denote distinct values.
+
+The closure follows Nieuwenhuis & Oliveras, "Fast Congruence Closure and
+Extensions" (Inf. & Comput. 2007): classes merge by size, a signature table
+keyed by ``(symbol, child representatives)`` finds congruent applications
+through per-class use-lists, and a proof forest records why each merge
+happened — an input equation, or the congruence of two applications.  A
+conflict is explained by the input literals on the proof path of its clash
+only, so the lazy loop's blocking clauses are as strong as the closure can
+make them.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import terms
 from .terms import Term
+
+_CONSTANT_KINDS = (terms.INT_CONST, terms.DATA_CONST, terms.BOOL_CONST)
 
 
 @dataclass
@@ -25,107 +38,225 @@ class EufResult:
     """Outcome of a congruence-closure run."""
 
     consistent: bool
-    #: literals (as passed in) that participate in the conflict; empty when
-    #: consistent.  Kept coarse: the full asserted EUF fragment.
+    #: the input literals (as passed in, in input order) on the explanation
+    #: path of the first clash: the equations that merged a disequality's
+    #: sides, or two distinct constants (``true = false`` included), plus
+    #: the disequality itself; empty when consistent.
     conflict: list[tuple[Term, bool]]
 
 
+class _Congruence:
+    """A proof-forest label: two applications merged by congruence."""
+
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: int, rhs: int) -> None:
+        self.lhs = lhs
+        self.rhs = rhs
+
+
 class CongruenceClosure:
-    """A union-find based congruence closure engine."""
+    """An incremental congruence closure that explains its merges.
+
+    Nodes are numbered in registration order (children before parents), and
+    every per-class list is appended in the order merges happen, so which
+    clash is found first and how it is explained never depend on term ids.
+    ``reason`` arguments are opaque tags that :meth:`conflict_reasons`
+    hands back.
+    """
 
     def __init__(self) -> None:
-        self._parent: dict[Term, Term] = {}
+        self._node: dict[Term, int] = {}
         self._terms: list[Term] = []
-        self._disequalities: list[tuple[Term, Term]] = []
+        self._children: list[tuple[int, ...]] = []
+        # per node: its function symbol's name (None unless an application);
+        # ``terms.declare`` gives every name one signature, and a name hashes
+        # far faster than the declaration
+        self._symbol: list[Optional[str]] = []
+        # per node: its class representative
+        self._rep: list[int] = []
+        # per representative: members; and, for the classes that have any,
+        # the class's constant, the applications using a member as an
+        # argument and the indices of the disequalities with a side in it
+        self._members: list[list[int]] = []
+        self._constant: dict[int, int] = {}
+        self._uses: dict[int, list[int]] = {}
+        self._diseqs: dict[int, list[int]] = {}
+        self._signatures: dict[tuple, int] = {}
+        # proof forest: per node, its parent (-1 at a root) and the edge label
+        self._proof_parent: list[int] = []
+        self._proof_label: list[object] = []
+        self._disequalities: list[tuple[int, int, object]] = []
+        self._pending: deque[tuple[int, int, object]] = deque()
+        #: the first clash: two nodes forced equal, plus the disequality's
+        #: reason (``None`` for a clash of two constants)
+        self._clash: Optional[tuple[int, int, object]] = None
 
-    # -- union-find ---------------------------------------------------------------
-    def _add_term(self, term: Term) -> None:
-        if term in self._parent:
-            return
-        self._parent[term] = term
+    # -- registration -------------------------------------------------------------
+    def _add(self, term: Term) -> int:
+        node = self._node.get(term)
+        if node is not None:
+            return node
+        children = tuple([self._add(child) for child in term.children])
+        node = len(self._terms)
+        self._node[term] = node
         self._terms.append(term)
-        for child in term.children:
-            self._add_term(child)
+        self._children.append(children)
+        symbol = term.payload.name if term.kind == terms.APP else None
+        self._symbol.append(symbol)
+        self._rep.append(node)
+        self._members.append([node])
+        if term.kind in _CONSTANT_KINDS:
+            self._constant[node] = node
+        self._proof_parent.append(-1)
+        self._proof_label.append(None)
+        if symbol is not None:
+            rep = self._rep
+            for child in children:
+                self._uses.setdefault(rep[child], []).append(node)
+            signature = (symbol, *[rep[child] for child in children])
+            other = self._signatures.get(signature)
+            if other is None:
+                self._signatures[signature] = node
+            else:
+                self._pending.append((node, other, _Congruence(node, other)))
+                self._propagate()
+        return node
 
-    def find(self, term: Term) -> Term:
-        self._add_term(term)
-        root = term
-        while self._parent[root] is not root:
-            root = self._parent[root]
-        # path compression
-        node = term
-        while self._parent[node] is not node:
-            self._parent[node], node = root, self._parent[node]
-        return root
+    # -- merging ------------------------------------------------------------------
+    def assert_equal(self, lhs: Term, rhs: Term, reason: object = None) -> None:
+        lhs_node, rhs_node = self._add(lhs), self._add(rhs)
+        self._pending.append((lhs_node, rhs_node, reason))
+        self._propagate()
 
-    def union(self, lhs: Term, rhs: Term) -> None:
-        lhs_root, rhs_root = self.find(lhs), self.find(rhs)
-        if lhs_root is rhs_root:
+    def assert_distinct(self, lhs: Term, rhs: Term, reason: object = None) -> None:
+        lhs_node, rhs_node = self._add(lhs), self._add(rhs)
+        index = len(self._disequalities)
+        self._disequalities.append((lhs_node, rhs_node, reason))
+        lhs_rep, rhs_rep = self._rep[lhs_node], self._rep[rhs_node]
+        if lhs_rep == rhs_rep:
+            self._record_clash(lhs_node, rhs_node, reason)
             return
-        self._parent[lhs_root] = rhs_root
+        self._diseqs.setdefault(lhs_rep, []).append(index)
+        self._diseqs.setdefault(rhs_rep, []).append(index)
 
-    def assert_equal(self, lhs: Term, rhs: Term) -> None:
-        self.union(lhs, rhs)
+    def _record_clash(self, lhs: int, rhs: int, reason: object) -> None:
+        if self._clash is None:
+            self._clash = (lhs, rhs, reason)
 
-    def assert_distinct(self, lhs: Term, rhs: Term) -> None:
-        self._add_term(lhs)
-        self._add_term(rhs)
-        self._disequalities.append((lhs, rhs))
+    def _propagate(self) -> None:
+        """Merge every pending pair, queueing the congruences each merge makes."""
+        pending = self._pending
+        rep = self._rep
+        members = self._members
+        signatures = self._signatures
+        while pending:
+            lhs, rhs, label = pending.popleft()
+            lhs_rep, rhs_rep = rep[lhs], rep[rhs]
+            if lhs_rep == rhs_rep:
+                continue
+            if len(members[lhs_rep]) > len(members[rhs_rep]):
+                lhs, rhs, lhs_rep, rhs_rep = rhs, lhs, rhs_rep, lhs_rep
+            # the smaller class (lhs's) joins rhs's; its proof tree is
+            # rerooted at lhs and hung under rhs by the merge's label
+            self._reroot(lhs)
+            self._proof_parent[lhs] = rhs
+            self._proof_label[lhs] = label
+            for member in members[lhs_rep]:
+                rep[member] = rhs_rep
+            members[rhs_rep].extend(members[lhs_rep])
+            members[lhs_rep] = []
+            constant = self._constant.pop(lhs_rep, None)
+            if constant is not None:
+                other = self._constant.setdefault(rhs_rep, constant)
+                if other != constant:
+                    self._record_clash(constant, other, None)
+            moved = self._diseqs.pop(lhs_rep, None)
+            if moved is not None:
+                for index in moved:
+                    first, second, reason = self._disequalities[index]
+                    if rep[first] == rep[second]:
+                        self._record_clash(first, second, reason)
+                self._diseqs.setdefault(rhs_rep, []).extend(moved)
+            moved = self._uses.pop(lhs_rep, None)
+            if moved is None:
+                continue  # no application has an argument in the class
+            for app in moved:
+                signature = (
+                    self._symbol[app], *[rep[child] for child in self._children[app]]
+                )
+                other = signatures.get(signature)
+                if other is None:
+                    signatures[signature] = app
+                elif rep[other] != rep[app]:
+                    pending.append((app, other, _Congruence(app, other)))
+            self._uses.setdefault(rhs_rep, []).extend(moved)
 
+    def _reroot(self, node: int) -> None:
+        """Reverse the proof-forest path from ``node`` so it becomes the root."""
+        parent, label = self._proof_parent, self._proof_label
+        previous, previous_label = -1, None
+        while node >= 0:
+            following, following_label = parent[node], label[node]
+            parent[node], label[node] = previous, previous_label
+            previous, previous_label = node, following_label
+            node = following
+
+    # -- explanation --------------------------------------------------------------
+    def _explain(self, lhs: int, rhs: int) -> list[object]:
+        parent, label = self._proof_parent, self._proof_label
+        reasons: list[object] = []
+        explained: set[int] = set()  # nodes whose outgoing proof edge is used
+        todo = [(lhs, rhs)]
+        while todo:
+            first, second = todo.pop()
+            if first == second:
+                continue
+            ancestors = set()
+            node = first
+            while node >= 0:
+                ancestors.add(node)
+                node = parent[node]
+            common = second
+            while common not in ancestors:
+                common = parent[common]
+            for node in (first, second):
+                while node != common:
+                    if node not in explained:
+                        explained.add(node)
+                        edge = label[node]
+                        if edge.__class__ is _Congruence:
+                            todo.extend(
+                                zip(self._children[edge.lhs], self._children[edge.rhs])
+                            )
+                        elif edge is not None:
+                            reasons.append(edge)
+                    node = parent[node]
+        return reasons
+
+    def conflict_reasons(self) -> Optional[list[object]]:
+        """The reasons explaining the first clash, or ``None`` if consistent."""
+        if self._clash is None:
+            return None
+        lhs, rhs, reason = self._clash
+        reasons = self._explain(lhs, rhs)
+        if reason is not None:
+            reasons.append(reason)
+        return reasons
+
+    # -- observers ----------------------------------------------------------------
     def are_equal(self, lhs: Term, rhs: Term) -> bool:
-        self._add_term(lhs)
-        self._add_term(rhs)
-        self.propagate()
-        return self.find(lhs) is self.find(rhs)
+        return self._rep[self._add(lhs)] == self._rep[self._add(rhs)]
 
-    # -- congruence propagation -----------------------------------------------------
-    def propagate(self) -> None:
-        """Merge congruent applications until a fixpoint is reached."""
-        changed = True
-        while changed:
-            changed = False
-            apps = [t for t in self._terms if t.kind == terms.APP]
-            signature: dict[tuple, Term] = {}
-            for app in apps:
-                sig = (app.payload, tuple(self.find(c) for c in app.children))
-                other = signature.get(sig)
-                if other is None:
-                    signature[sig] = app
-                elif self.find(other) is not self.find(app):
-                    self.union(other, app)
-                    changed = True
-
-    # -- consistency ------------------------------------------------------------------
     def is_consistent(self) -> bool:
-        self.propagate()
-        for lhs, rhs in self._disequalities:
-            if self.find(lhs) is self.find(rhs):
-                return False
-        # distinct interpreted constants must stay in distinct classes
-        constants: dict[Term, Term] = {}
-        for term in self._terms:
-            if term.kind in (terms.INT_CONST, terms.DATA_CONST, terms.BOOL_CONST):
-                root = self.find(term)
-                other = constants.get(root)
-                if other is None:
-                    constants[root] = term
-                elif not _same_constant(other, term):
-                    return False
-        return True
+        return self._clash is None
 
     def classes(self) -> dict[Term, list[Term]]:
-        """The current partition, keyed by representative."""
-        self.propagate()
+        """The current partition, keyed by representative, in registration order."""
         out: dict[Term, list[Term]] = {}
-        for term in self._terms:
-            out.setdefault(self.find(term), []).append(term)
+        for node, term in enumerate(self._terms):
+            out.setdefault(self._terms[self._rep[node]], []).append(term)
         return out
-
-
-def _same_constant(lhs: Term, rhs: Term) -> bool:
-    if lhs.kind != rhs.kind:
-        return False
-    return lhs.payload == rhs.payload
 
 
 def check_euf(literals: Iterable[tuple[Term, bool]]) -> EufResult:
@@ -133,33 +264,30 @@ def check_euf(literals: Iterable[tuple[Term, bool]]) -> EufResult:
 
     ``literals`` are pairs of an atom and the polarity with which it is
     asserted.  Atoms that are not in the EUF fragment (arithmetic comparisons)
-    are ignored here and handled by :mod:`repro.smt.arith`.
+    are ignored here and handled by :mod:`repro.smt.arith`.  The literals are
+    asserted in order and the first clash stops the run; its explanation is
+    returned in input order.
     """
     closure = CongruenceClosure()
-    used: list[tuple[Term, bool]] = []
-    for atom, value in literals:
+    literal_list = list(literals)
+    for index, (atom, value) in enumerate(literal_list):
         if atom.kind == terms.EQ:
             lhs, rhs = atom.children
-            used.append((atom, value))
             if value:
-                closure.assert_equal(lhs, rhs)
+                closure.assert_equal(lhs, rhs, index)
             else:
-                closure.assert_distinct(lhs, rhs)
-        elif atom.kind == terms.APP and atom.sort.is_bool:
-            used.append((atom, value))
-            closure.assert_equal(atom, terms.TRUE if value else terms.FALSE)
-        elif atom.kind == terms.VAR and atom.sort.is_bool:
-            used.append((atom, value))
-            closure.assert_equal(atom, terms.TRUE if value else terms.FALSE)
-        elif atom.kind == terms.DATA_CONST and atom.sort.is_bool:  # pragma: no cover
-            used.append((atom, value))
-            closure.assert_equal(atom, terms.TRUE if value else terms.FALSE)
+                closure.assert_distinct(lhs, rhs, index)
+        elif atom.kind in (terms.APP, terms.VAR) and atom.sort.is_bool:
+            closure.assert_equal(atom, terms.TRUE if value else terms.FALSE, index)
         else:
             continue
-    closure.assert_distinct(terms.TRUE, terms.FALSE)
-    if closure.is_consistent():
-        return EufResult(consistent=True, conflict=[])
-    return EufResult(consistent=False, conflict=used)
+        reasons = closure.conflict_reasons()
+        if reasons is not None:
+            return EufResult(
+                consistent=False,
+                conflict=[literal_list[position] for position in sorted(reasons)],
+            )
+    return EufResult(consistent=True, conflict=[])
 
 
 def implied_int_equalities(
@@ -176,7 +304,7 @@ def implied_int_equalities(
     """
     closure = CongruenceClosure()
     for term in extra_terms:
-        closure._add_term(term)
+        closure._add(term)
     for atom, value in literals:
         if atom.kind == terms.EQ and value:
             closure.assert_equal(*atom.children)

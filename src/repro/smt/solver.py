@@ -338,21 +338,3 @@ class Solver:
         builder, sat, _ = self._encode(goal)
         return self._solve_encoded(builder, sat) is not None
 
-
-_DEFAULT_SOLVER: Optional[Solver] = None
-
-
-def default_solver() -> Solver:
-    """A process-wide solver with no background axioms (useful in tests)."""
-    global _DEFAULT_SOLVER
-    if _DEFAULT_SOLVER is None:
-        _DEFAULT_SOLVER = Solver()
-    return _DEFAULT_SOLVER
-
-
-def is_satisfiable(formula: Term) -> bool:
-    return default_solver().is_satisfiable(formula)
-
-
-def is_valid(formula: Term) -> bool:
-    return default_solver().is_valid(formula)

@@ -46,14 +46,15 @@ def check_theory(literals: Iterable[tuple[Term, bool]]) -> TheoryResult:
     """Check a conjunction of literals for EUF + LIA consistency."""
     literal_list = list(literals)
 
-    euf_literals = [(a, v) for a, v in literal_list if _is_euf_atom(a)]
-    arith_literals = [(a, v) for a, v in literal_list if _is_arith_atom(a)]
-
-    euf_result = euf.check_euf(euf_literals)
+    # check_euf skips the atoms outside EUF itself, and explains a conflict
+    # by the literals on the proof path of its clash, in input order
+    euf_result = euf.check_euf(literal_list)
     if not euf_result.consistent:
         return TheoryResult(consistent=False, conflict=euf_result.conflict)
 
+    arith_literals = [(a, v) for a, v in literal_list if _is_arith_atom(a)]
     if arith_literals:
+        euf_literals = [(a, v) for a, v in literal_list if _is_euf_atom(a)]
         shared_terms = [
             node
             for atom, _ in arith_literals

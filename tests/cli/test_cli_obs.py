@@ -1,6 +1,9 @@
 """CLI surface of the observability layer: --trace, --log-level, repro trace."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -122,3 +125,26 @@ def test_evaluate_json_carries_tables_and_verdicts_only(capsys):
         "total_time_seconds",
     }
     assert payload["all_verified"] and payload["all_negatives_rejected"]
+
+
+def test_printing_into_a_reader_that_closes_early_exits_quietly(tmp_path):
+    # a report longer than a pipe's buffer: the reader takes the first line
+    # and closes while the writer is still printing (``| head -1``)
+    path = tmp_path / "wide.json"
+    with trace.session(str(path)):
+        for index in range(3_000):
+            with trace.span("discharge", cat="engine", obligation_fp=f"{index:064x}"):
+                pass
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "trace", "report", str(path), "--top", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"trace: 3000 spans")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.wait(timeout=60)
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+    assert stderr == ""

@@ -703,8 +703,6 @@ def use_cdcl_core(monkeypatch) -> None:
     """Make every SMT query for the rest of the test run on :class:`CdclSolver`.
 
     ``Solver`` instantiates its SAT core through the ``repro.smt.solver``
-    module global; the process-wide default solver is reset so no cache
-    warmed under the DPLL core answers for the oracle.
+    module global.
     """
     monkeypatch.setattr(solver_module, "SatSolver", CdclSolver)
-    monkeypatch.setattr(solver_module, "_DEFAULT_SOLVER", None)

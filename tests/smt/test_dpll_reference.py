@@ -163,7 +163,6 @@ class _TwinCore(SatSolver):
 
 def test_fast_corpus_solves_match_the_reference(monkeypatch):
     monkeypatch.setattr(solver_module, "SatSolver", _TwinCore)
-    monkeypatch.setattr(solver_module, "_DEFAULT_SOLVER", None)
     monkeypatch.setattr(_TwinCore, "solves", 0)
     report = run_evaluation(include_slow=False)
     assert report.all_verified and report.all_negatives_rejected
