@@ -5,7 +5,7 @@ import pytest
 from repro.suite.registry import all_benchmarks
 from .conftest import corpus_param, include_slow
 
-TABLE3_ADTS = ("Stack", "Set", "Queue", "MinSet", "LazySet")
+TABLE3_ADTS = ("Stack", "Set", "MinSet", "LazySet")
 
 
 def _methods():

@@ -1,4 +1,4 @@
-"""Table 4 — per-method verification statistics (Heap / FileSystem / DFA / ConnectedGraph).
+"""Table 4 — per-method verification statistics (FileSystem / DFA / ConnectedGraph).
 
 The FileSystem/KVStore methods are the most expensive rows of the paper's
 evaluation (tens to hundreds of seconds there, minutes here); they are only
@@ -10,7 +10,7 @@ import pytest
 from repro.suite.registry import all_benchmarks
 from .conftest import corpus_param, include_slow
 
-TABLE4_ADTS = ("Heap", "FileSystem", "DFA", "ConnectedGraph")
+TABLE4_ADTS = ("FileSystem", "DFA", "ConnectedGraph")
 
 
 def _methods():

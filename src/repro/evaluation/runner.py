@@ -57,6 +57,7 @@ class EvaluationReport:
                     "verified": result.verified,
                 }
                 row.update(result.stats.as_row())
+                row.update(result.stats.work_counters())
                 rows.append(row)
         return rows
 

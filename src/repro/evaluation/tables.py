@@ -132,8 +132,8 @@ TABLE34_COLUMNS = [
 ]
 
 #: The split of ADTs between the paper's Table 3 and Table 4.
-TABLE3_ADTS = ("Stack", "Set", "Queue", "MinSet", "LazySet")
-TABLE4_ADTS = ("Heap", "FileSystem", "DFA", "ConnectedGraph")
+TABLE3_ADTS = ("Stack", "Set", "MinSet", "LazySet")
+TABLE4_ADTS = ("FileSystem", "DFA", "ConnectedGraph")
 
 
 def _per_method_table(
@@ -220,8 +220,8 @@ def render_all(report: EvaluationReport) -> str:
     sections = [
         ("Table 1 — per-ADT summary", table1(report)),
         ("Table 2 — representation invariants", table2()),
-        ("Table 3 — per-method details (Stack/Set/Queue/MinSet/LazySet)", table3(report)),
-        ("Table 4 — per-method details (Heap/FileSystem/DFA/ConnectedGraph)", table4(report)),
+        ("Table 3 — per-method details (Stack/Set/MinSet/LazySet)", table3(report)),
+        ("Table 4 — per-method details (FileSystem/DFA/ConnectedGraph)", table4(report)),
         ("Known-incorrect variants", negatives_table(report)),
     ]
     blocks = []

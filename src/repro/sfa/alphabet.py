@@ -294,15 +294,24 @@ def enumerate_alphabets(
             literal_sets.context_literals
         )
     else:
+        # one incremental context over Γ and the union of the literals
+        # serves every enumeration below
+        solver.context(
+            hypothesis_formula,
+            [
+                *literal_sets.context_literals,
+                *(
+                    lit
+                    for signature in operators
+                    for lit in literal_sets.event_literals.get(signature.name, ())
+                ),
+            ],
+        )
         context_cases = solver.enumerate_models(
             literal_sets.context_literals, base=hypothesis_formula
         )
 
     for context_case in context_cases:
-        context_formula = smt.and_(
-            hypothesis_formula,
-            *(lit if value else smt.not_(lit) for lit, value in context_case),
-        )
         stats.context_cases += 1
 
         characters: list[Character] = []
@@ -313,7 +322,9 @@ def enumerate_alphabets(
                     literals
                 )
             else:
-                assignments = solver.enumerate_models(literals, base=context_formula)
+                assignments = solver.enumerate_models(
+                    literals, base=hypothesis_formula, case=context_case
+                )
                 stats.minterm_candidates += 1 << len(literals)
             for assignment in assignments:
                 if not filter_unsat:

@@ -25,7 +25,8 @@ every run — verdicts, witness traces and every table counter (#SAT and
 #Confl included) flow from it.  The contract reaches down to the search
 itself: the branch variable is the first unassigned priority variable, else
 the first unassigned literal of the first unsatisfied clause; the branch
-value is ``phase_hint``'s, else ``True``; propagation visits watch lists in
+value is ``phase_hint``'s, else the polarity satisfying that literal
+(``True`` for a priority variable); propagation visits watch lists in
 trail order.  A speed-up must keep every decision, conflict and
 propagation, so ``ReferenceDpllSolver`` in ``tests/smt/sat_oracle.py`` pins
 them solve for solve (``tests/smt/test_dpll_reference.py``, on seeded

@@ -29,7 +29,8 @@ class CnfBuilder:
         self.clauses: list[Clause] = []
 
     # -- variable management ---------------------------------------------------
-    def _fresh_var(self) -> int:
+    def fresh_var(self) -> int:
+        """A new variable that stands for no atom (a Tseitin or activation variable)."""
         v = self._next_var
         self._next_var += 1
         return v
@@ -38,7 +39,7 @@ class CnfBuilder:
         existing = self._var_of_atom.get(atom)
         if existing is not None:
             return existing
-        v = self._fresh_var()
+        v = self.fresh_var()
         self._var_of_atom[atom] = v
         self._atom_of_var[v] = atom
         return v
@@ -65,6 +66,25 @@ class CnfBuilder:
         if lit is not None:
             self.add_clause((lit,))
 
+    def assert_guarded(self, formula: Term, guard: int) -> None:
+        """Add clauses forcing ``formula`` to be true whenever ``guard`` is.
+
+        Each top-level conjunct becomes one clause with ``-guard`` added: a
+        disjunction (or implication) contributes its disjuncts' literals, so
+        a clause-shaped formula needs no Tseitin variable whose definition
+        would outlive the guard.  Deeper structure is Tseitin-encoded.
+        """
+        if formula.kind == terms.AND:
+            for child in formula.children:
+                self.assert_guarded(child, guard)
+            return
+        if formula.kind == terms.IMPLIES:
+            formula = terms.or_(terms.not_(formula.children[0]), formula.children[1])
+        if formula.is_true:
+            return
+        parts = formula.children if formula.kind == terms.OR else (formula,)
+        self.add_clause((-guard, *[self._encode(part) for part in parts]))
+
     def block_assignment(self, literals: list[tuple[Term, bool]]) -> None:
         """Add a clause forbidding the given conjunction of atom values."""
         clause = []
@@ -83,7 +103,7 @@ class CnfBuilder:
         if formula.is_true:
             return None
         if formula.is_false:
-            v = self._fresh_var()
+            v = self.fresh_var()
             self.add_clause((-v,))
             return v
         if terms.is_atom(formula):
@@ -91,7 +111,7 @@ class CnfBuilder:
         if formula.kind == terms.NOT:
             inner = self._encode(formula.children[0])
             if inner is None:  # not true == false
-                v = self._fresh_var()
+                v = self.fresh_var()
                 self.add_clause((-v,))
                 return v
             return -inner
@@ -103,14 +123,14 @@ class CnfBuilder:
         if formula.kind == terms.AND:
             lits = [self._encode(c) for c in formula.children]
             lits = [l for l in lits if l is not None]
-            out = self._fresh_var()
+            out = self.fresh_var()
             for l in lits:
                 self.add_clause((-out, l))
             self.add_clause(tuple([out] + [-l for l in lits]))
         elif formula.kind == terms.OR:
             lits = [self._encode(c) for c in formula.children]
             concrete = [l for l in lits if l is not None]
-            out = self._fresh_var()
+            out = self.fresh_var()
             if len(concrete) != len(lits):
                 # one disjunct is TRUE
                 self.add_clause((out,))
@@ -123,7 +143,7 @@ class CnfBuilder:
         elif formula.kind == terms.IFF:
             a = self._encode(formula.children[0])
             b = self._encode(formula.children[1])
-            out = self._fresh_var()
+            out = self.fresh_var()
             if a is None and b is None:
                 self.add_clause((out,))
             elif a is None:

@@ -1,4 +1,4 @@
-"""Proof-producing congruence closure for equality with uninterpreted functions.
+"""Proof-producing, backtrackable congruence closure for EUF.
 
 The solver receives a conjunction of ground literals (atoms with a polarity)
 and decides whether they are consistent in EUF.  Method predicates are
@@ -19,6 +19,15 @@ happened — an input equation, or the congruence of two applications.  A
 conflict is explained by the input literals on the proof path of its clash
 only, so the lazy loop's blocking clauses are as strong as the closure can
 make them.
+
+The closure is **backtrackable**.  Terms are registered once, before any
+literal is asserted, and stay registered; every change a literal's
+assertion makes (merges, signature-table entries, disequalities, the clash)
+goes on an undo log, and :meth:`CongruenceClosure.pop` rewinds it to a
+checkpoint.  :func:`check_euf` keeps one checkpoint per asserted literal:
+given a closure that already holds a prefix of the new conjunction — as the
+lazy loop's consecutive checks on one SAT trail do — it pops back to the
+longest shared prefix and asserts only the literals after it.
 """
 
 from __future__ import annotations
@@ -31,6 +40,8 @@ from . import terms
 from .terms import Term
 
 _CONSTANT_KINDS = (terms.INT_CONST, terms.DATA_CONST, terms.BOOL_CONST)
+#: a Bool-sorted atom of one of these kinds is the equation ``atom = true``
+_BOOL_ATOM_KINDS = (terms.APP, terms.VAR)
 
 
 @dataclass
@@ -56,13 +67,18 @@ class _Congruence:
 
 
 class CongruenceClosure:
-    """An incremental congruence closure that explains its merges.
+    """A backtrackable congruence closure that explains its merges.
 
     Nodes are numbered in registration order (children before parents), and
     every per-class list is appended in the order merges happen, so which
     clash is found first and how it is explained never depend on term ids.
     ``reason`` arguments are opaque tags that :meth:`conflict_reasons`
     hands back.
+
+    :meth:`register` must run while no checkpoint is open:
+    a term registered then is part of every state a later :meth:`pop`
+    restores.  Asserting an unregistered term registers it on the spot,
+    which is only allowed with no checkpoint open either.
     """
 
     def __init__(self) -> None:
@@ -91,13 +107,26 @@ class CongruenceClosure:
         #: the first clash: two nodes forced equal, plus the disequality's
         #: reason (``None`` for a clash of two constants)
         self._clash: Optional[tuple[int, int, object]] = None
+        #: undo log: one entry per merge, signature-table insertion and
+        #: disequality since the oldest open checkpoint
+        self._undo: list[tuple] = []
+        #: per open checkpoint: (undo-log length, disequality count, whether
+        #: the closure was clash-free)
+        self._checkpoints: list[tuple[int, int, bool]] = []
+        #: the literals :func:`check_euf` asserted, one checkpoint each
+        self.literals: list[tuple[Term, bool]] = []
+        #: the atoms whose terms :meth:`register_atom` registered
+        self._atoms: set[Term] = set()
 
     # -- registration -------------------------------------------------------------
-    def _add(self, term: Term) -> int:
+    def register(self, term: Term) -> int:
+        """The node of ``term``, registering it (children first) if it is new."""
         node = self._node.get(term)
         if node is not None:
             return node
-        children = tuple([self._add(child) for child in term.children])
+        if self._checkpoints:
+            raise RuntimeError("terms are registered only while no checkpoint is open")
+        children = tuple([self.register(child) for child in term.children])
         node = len(self._terms)
         self._node[term] = node
         self._terms.append(term)
@@ -123,14 +152,81 @@ class CongruenceClosure:
                 self._propagate()
         return node
 
+    def register_atom(self, atom: Term) -> None:
+        """Register the terms asserting ``atom`` (either polarity) touches."""
+        if atom not in self._atoms:
+            for term in _euf_terms(atom):
+                self.register(term)
+            self._atoms.add(atom)
+
+    # -- checkpoints --------------------------------------------------------------
+    def push(self) -> None:
+        """Open a checkpoint that :meth:`pop` can return to."""
+        self._checkpoints.append(
+            (len(self._undo), len(self._disequalities), self._clash is None)
+        )
+
+    def pop(self, depth: int) -> None:
+        """Undo every change made since checkpoint ``depth`` was opened.
+
+        Leaves ``depth`` checkpoints open.  Undoing a merge cuts its proof
+        edge, in whichever direction rerooting left it; the rerooting itself
+        stays, and a rerooted tree proves the same equalities.
+        """
+        if depth >= len(self._checkpoints):
+            return
+        undo_length, diseq_count, clash_free = self._checkpoints[depth]
+        del self._checkpoints[depth:]
+        undo = self._undo
+        rep, members = self._rep, self._members
+        while len(undo) > undo_length:
+            entry = undo.pop()
+            if entry[0] == 0:  # a signature-table insertion
+                del self._signatures[entry[1]]
+                continue
+            if entry[0] == 1:  # a disequality's two use entries
+                self._diseqs[entry[1]].pop()
+                self._diseqs[entry[2]].pop()
+                continue
+            (
+                _, lhs, rhs, lhs_rep, rhs_rep, member_count, constant, constant_set,
+                diseqs, diseq_count_rhs, uses, use_count,
+            ) = entry
+            # cut the merge's proof edge; a later merge's rerooting may have
+            # turned it around
+            if self._proof_parent[lhs] != rhs:
+                lhs = rhs
+            self._proof_parent[lhs] = -1
+            self._proof_label[lhs] = None
+            kept = members[rhs_rep]
+            moved = kept[member_count:]
+            del kept[member_count:]
+            members[lhs_rep] = moved
+            for member in moved:
+                rep[member] = lhs_rep
+            if constant is not None:
+                self._constant[lhs_rep] = constant
+                if constant_set:
+                    del self._constant[rhs_rep]
+            if diseqs is not None:
+                del self._diseqs[rhs_rep][diseq_count_rhs:]
+                self._diseqs[lhs_rep] = diseqs
+            if uses is not None:
+                del self._uses[rhs_rep][use_count:]
+                self._uses[lhs_rep] = uses
+        del self._disequalities[diseq_count:]
+        if clash_free:
+            self._clash = None
+        del self.literals[depth:]
+
     # -- merging ------------------------------------------------------------------
     def assert_equal(self, lhs: Term, rhs: Term, reason: object = None) -> None:
-        lhs_node, rhs_node = self._add(lhs), self._add(rhs)
+        lhs_node, rhs_node = self.register(lhs), self.register(rhs)
         self._pending.append((lhs_node, rhs_node, reason))
         self._propagate()
 
     def assert_distinct(self, lhs: Term, rhs: Term, reason: object = None) -> None:
-        lhs_node, rhs_node = self._add(lhs), self._add(rhs)
+        lhs_node, rhs_node = self.register(lhs), self.register(rhs)
         index = len(self._disequalities)
         self._disequalities.append((lhs_node, rhs_node, reason))
         lhs_rep, rhs_rep = self._rep[lhs_node], self._rep[rhs_node]
@@ -139,6 +235,8 @@ class CongruenceClosure:
             return
         self._diseqs.setdefault(lhs_rep, []).append(index)
         self._diseqs.setdefault(rhs_rep, []).append(index)
+        if self._checkpoints:
+            self._undo.append((1, lhs_rep, rhs_rep))
 
     def _record_clash(self, lhs: int, rhs: int, reason: object) -> None:
         if self._clash is None:
@@ -150,6 +248,8 @@ class CongruenceClosure:
         rep = self._rep
         members = self._members
         signatures = self._signatures
+        # with no checkpoint open nothing can be undone, so nothing is logged
+        undo = self._undo if self._checkpoints else None
         while pending:
             lhs, rhs, label = pending.popleft()
             lhs_rep, rhs_rep = rep[lhs], rep[rhs]
@@ -162,35 +262,52 @@ class CongruenceClosure:
             self._reroot(lhs)
             self._proof_parent[lhs] = rhs
             self._proof_label[lhs] = label
+            member_count = len(members[rhs_rep])
             for member in members[lhs_rep]:
                 rep[member] = rhs_rep
             members[rhs_rep].extend(members[lhs_rep])
             members[lhs_rep] = []
             constant = self._constant.pop(lhs_rep, None)
+            constant_set = False
             if constant is not None:
                 other = self._constant.setdefault(rhs_rep, constant)
+                constant_set = other == constant
                 if other != constant:
                     self._record_clash(constant, other, None)
-            moved = self._diseqs.pop(lhs_rep, None)
-            if moved is not None:
-                for index in moved:
+            diseqs = self._diseqs.pop(lhs_rep, None)
+            diseq_count = 0
+            if diseqs is not None:
+                for index in diseqs:
                     first, second, reason = self._disequalities[index]
                     if rep[first] == rep[second]:
                         self._record_clash(first, second, reason)
-                self._diseqs.setdefault(rhs_rep, []).extend(moved)
-            moved = self._uses.pop(lhs_rep, None)
-            if moved is None:
+                target = self._diseqs.setdefault(rhs_rep, [])
+                diseq_count = len(target)
+                target.extend(diseqs)
+            uses = self._uses.pop(lhs_rep, None)
+            use_count = 0
+            if uses is not None:
+                users = self._uses.setdefault(rhs_rep, [])
+                use_count = len(users)
+            if undo is not None:
+                undo.append((
+                    2, lhs, rhs, lhs_rep, rhs_rep, member_count, constant, constant_set,
+                    diseqs, diseq_count, uses, use_count,
+                ))
+            if uses is None:
                 continue  # no application has an argument in the class
-            for app in moved:
+            for app in uses:
                 signature = (
                     self._symbol[app], *[rep[child] for child in self._children[app]]
                 )
                 other = signatures.get(signature)
                 if other is None:
                     signatures[signature] = app
+                    if undo is not None:
+                        undo.append((0, signature))
                 elif rep[other] != rep[app]:
                     pending.append((app, other, _Congruence(app, other)))
-            self._uses.setdefault(rhs_rep, []).extend(moved)
+            users.extend(uses)
 
     def _reroot(self, node: int) -> None:
         """Reverse the proof-forest path from ``node`` so it becomes the root."""
@@ -246,7 +363,7 @@ class CongruenceClosure:
 
     # -- observers ----------------------------------------------------------------
     def are_equal(self, lhs: Term, rhs: Term) -> bool:
-        return self._rep[self._add(lhs)] == self._rep[self._add(rhs)]
+        return self._rep[self.register(lhs)] == self._rep[self.register(rhs)]
 
     def is_consistent(self) -> bool:
         return self._clash is None
@@ -259,7 +376,19 @@ class CongruenceClosure:
         return out
 
 
-def check_euf(literals: Iterable[tuple[Term, bool]]) -> EufResult:
+def _euf_terms(atom: Term) -> tuple[Term, ...]:
+    """The terms asserting ``atom`` (either polarity) touches; () outside EUF."""
+    if atom.kind == terms.EQ:
+        return atom.children
+    if atom.kind in _BOOL_ATOM_KINDS and atom.sort is terms.BOOL:
+        return (atom, terms.TRUE, terms.FALSE)
+    return ()
+
+
+def check_euf(
+    literals: Iterable[tuple[Term, bool]],
+    closure: Optional[CongruenceClosure] = None,
+) -> EufResult:
     """Decide consistency of a conjunction of EUF literals.
 
     ``literals`` are pairs of an atom and the polarity with which it is
@@ -267,27 +396,52 @@ def check_euf(literals: Iterable[tuple[Term, bool]]) -> EufResult:
     are ignored here and handled by :mod:`repro.smt.arith`.  The literals are
     asserted in order and the first clash stops the run; its explanation is
     returned in input order.
+
+    ``closure`` is a closure an earlier call left behind (a fresh one when
+    omitted).  It keeps the literals it holds: the call pops back to the
+    longest prefix they share with ``literals`` and asserts the rest.  When
+    a literal's atom is not registered yet, it pops to the base, registers
+    every new atom of ``literals`` in input order and asserts them all
+    again; a caller that knows its atoms up front registers them first
+    (:meth:`CongruenceClosure.register_atom`).
     """
-    closure = CongruenceClosure()
     literal_list = list(literals)
-    for index, (atom, value) in enumerate(literal_list):
+    if closure is None:
+        closure = CongruenceClosure()
+    asserted = closure.literals
+    shared = 0
+    limit = min(len(asserted), len(literal_list))
+    while shared < limit and asserted[shared] == literal_list[shared]:
+        shared += 1
+    known = closure._atoms
+    fresh = [atom for atom, _ in literal_list[shared:] if atom not in known]
+    if fresh:
+        shared = 0
+    closure.pop(shared)
+    for atom in fresh:
+        closure.register_atom(atom)
+    for index in range(shared, len(literal_list)):
+        if closure._clash is not None:
+            break
+        literal = literal_list[index]
+        closure.push()
+        asserted.append(literal)
+        atom, value = literal
         if atom.kind == terms.EQ:
             lhs, rhs = atom.children
             if value:
                 closure.assert_equal(lhs, rhs, index)
             else:
                 closure.assert_distinct(lhs, rhs, index)
-        elif atom.kind in (terms.APP, terms.VAR) and atom.sort.is_bool:
+        elif atom.kind in _BOOL_ATOM_KINDS and atom.sort is terms.BOOL:
             closure.assert_equal(atom, terms.TRUE if value else terms.FALSE, index)
-        else:
-            continue
-        reasons = closure.conflict_reasons()
-        if reasons is not None:
-            return EufResult(
-                consistent=False,
-                conflict=[literal_list[position] for position in sorted(reasons)],
-            )
-    return EufResult(consistent=True, conflict=[])
+    reasons = closure.conflict_reasons()
+    if reasons is None:
+        return EufResult(consistent=True, conflict=[])
+    return EufResult(
+        consistent=False,
+        conflict=[literal_list[position] for position in sorted(reasons)],
+    )
 
 
 def implied_int_equalities(
@@ -304,7 +458,7 @@ def implied_int_equalities(
     """
     closure = CongruenceClosure()
     for term in extra_terms:
-        closure._add(term)
+        closure.register(term)
     for atom, value in literals:
         if atom.kind == terms.EQ and value:
             closure.assert_equal(*atom.children)

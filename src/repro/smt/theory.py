@@ -10,9 +10,10 @@ terms into the arithmetic solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from . import arith, euf, terms
+from .euf import CongruenceClosure
 from .terms import Term
 
 
@@ -24,12 +25,8 @@ class TheoryResult:
     conflict: list[tuple[Term, bool]]
 
 
-def _is_arith_atom(atom: Term) -> bool:
-    if atom.kind in (terms.LT, terms.LE):
-        return True
-    if atom.kind == terms.EQ and atom.children[0].sort.is_int:
-        return True
-    return False
+#: the arithmetic atoms are the order comparisons plus Int-sorted equalities
+_ORDER_KINDS = (terms.LT, terms.LE)
 
 
 def _is_euf_atom(atom: Term) -> bool:
@@ -42,17 +39,32 @@ def _is_euf_atom(atom: Term) -> bool:
     return False
 
 
-def check_theory(literals: Iterable[tuple[Term, bool]]) -> TheoryResult:
-    """Check a conjunction of literals for EUF + LIA consistency."""
+def check_theory(
+    literals: Iterable[tuple[Term, bool]],
+    closure: Optional[CongruenceClosure] = None,
+) -> TheoryResult:
+    """Check a conjunction of literals for EUF + LIA consistency.
+
+    ``closure`` is the backtrackable congruence closure of the caller's
+    earlier checks (see :func:`repro.smt.euf.check_euf`); the EUF part
+    asserts only the literals after the prefix it already holds.
+    """
     literal_list = list(literals)
 
     # check_euf skips the atoms outside EUF itself, and explains a conflict
     # by the literals on the proof path of its clash, in input order
-    euf_result = euf.check_euf(literal_list)
+    euf_result = euf.check_euf(literal_list, closure)
     if not euf_result.consistent:
         return TheoryResult(consistent=False, conflict=euf_result.conflict)
 
-    arith_literals = [(a, v) for a, v in literal_list if _is_arith_atom(a)]
+    # inline rather than a predicate call: this scan runs on every
+    # EUF-consistent check
+    arith_literals = [
+        literal
+        for literal in literal_list
+        if literal[0].kind in _ORDER_KINDS
+        or (literal[0].kind == terms.EQ and literal[0].children[0].sort is terms.INT)
+    ]
     if arith_literals:
         euf_literals = [(a, v) for a, v in literal_list if _is_euf_atom(a)]
         shared_terms = [

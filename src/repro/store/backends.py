@@ -48,7 +48,7 @@ except ImportError:  # pragma: no cover
 from ..obs import trace
 
 #: Store layout version; entries under another tag are discarded on open.
-SCHEMA_VERSION = "pymarple-store-v4"
+SCHEMA_VERSION = "pymarple-store-v5"
 
 _ENTRIES = "entries.jsonl"
 _META = "meta.json"

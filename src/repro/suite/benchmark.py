@@ -16,6 +16,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 from .. import smt
 from ..lang import ast
 from ..lang.desugar import desugar_program
+from ..obs import trace
 from ..lang.interp import Interpreter, module_environment
 from ..libraries.base import Library
 from ..sfa import symbolic
@@ -61,18 +62,16 @@ class AdtBenchmark:
 
     @cached_property
     def program(self) -> ast.Program:
-        return desugar_program(
-            self.source,
-            effectful_ops=self.library.effectful_op_names(),
-            pure_ops=self.library.pure_ops.names(),
-        )
+        return self.parse_variant(self.source)
 
     def parse_variant(self, source: str) -> ast.Program:
-        return desugar_program(
-            source,
-            effectful_ops=self.library.effectful_op_names(),
-            pure_ops=self.library.pure_ops.names(),
-        )
+        # the front end's share of the emit phase, attributed in a trace
+        with trace.span("desugar", cat="emit", benchmark=self.key):
+            return desugar_program(
+                source,
+                effectful_ops=self.library.effectful_op_names(),
+                pure_ops=self.library.pure_ops.names(),
+            )
 
     def make_checker(self, config: Optional[CheckerConfig] = None, *, store=None) -> Checker:
         from dataclasses import replace

@@ -327,6 +327,10 @@ class Checker:
             smt_queries=solver.queries,
             smt_cache_hits=solver.cache_hits,
             sat_conflicts=solver.sat_conflicts,
+            sat_decisions=solver.sat_decisions,
+            sat_propagations=solver.sat_propagations,
+            encodings=solver.encodings,
+            theory_checks=solver.theory_checks,
             fa_inclusion_checks=inclusion.fa_inclusion_checks,
             alphabet_builds=inclusion.alphabet_builds,
             prod_states=inclusion.prod_states,

@@ -20,6 +20,12 @@ class MethodStats:
     smt_cache_hits: int = 0
     #: SAT-core conflicts during those queries (#Confl)
     sat_conflicts: int = 0
+    #: SAT-core decisions and unit propagations during those queries
+    sat_decisions: int = 0
+    sat_propagations: int = 0
+    #: CNF encodings (SMT contexts) and theory checks behind those queries
+    encodings: int = 0
+    theory_checks: int = 0
     fa_inclusion_checks: int = 0
     #: alphabet/minterm constructions (#Alph): one per inclusion decided
     #: for this method, inline or discharged (a store hit replays the
@@ -53,6 +59,16 @@ class MethodStats:
             "tSAT (s)": round(self.smt_time_seconds, 2),
             "tInc (s)": round(self.fa_time_seconds, 2),
             "t (s)": round(self.total_time_seconds, 2),
+        }
+
+    def work_counters(self) -> dict[str, int]:
+        """The solver work counters that ``evaluate --json`` adds to a method's
+        row; the rendered tables leave them out."""
+        return {
+            "sat_decisions": self.sat_decisions,
+            "sat_propagations": self.sat_propagations,
+            "encodings": self.encodings,
+            "theory_checks": self.theory_checks,
         }
 
     #: the wall-clock columns of :meth:`as_row` (excluded from determinism

@@ -113,8 +113,8 @@ def test_table_json_filters_rows_to_the_tables_adts(capsys, tmp_path):
     table3_rows = json.loads(capsys.readouterr().out)
     assert cli_main(["table", "4", "--fast", "--json", "--store", store_path]) == 0
     table4_rows = json.loads(capsys.readouterr().out)
-    assert {row["Datatype"] for row in table3_rows} <= {"Stack", "Set", "Queue", "MinSet", "LazySet"}
-    assert {row["Datatype"] for row in table4_rows} <= {"Heap", "FileSystem", "DFA", "ConnectedGraph"}
+    assert {row["Datatype"] for row in table3_rows} <= {"Stack", "Set", "MinSet", "LazySet"}
+    assert {row["Datatype"] for row in table4_rows} <= {"FileSystem", "DFA", "ConnectedGraph"}
     assert table3_rows and table4_rows
     assert not {row["Datatype"] for row in table3_rows} & {
         row["Datatype"] for row in table4_rows

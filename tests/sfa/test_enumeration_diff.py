@@ -13,14 +13,24 @@ observationally identical to the original per-candidate exhaustive walk
 The corpus is the suite's benchmarks plus several hundred randomly generated
 literal sets and random symbolic automata (seeded ``random`` — reproducible,
 no extra dependencies).
+
+The same alphabets are also held against the per-enumeration SMT path
+(``tests/smt/enumeration_oracle.py``): one encoding per enumeration instead
+of one incremental context per construction must not change an alphabet —
+on the random literal sets, on every construction of a cold fast-corpus
+run, and on FileSystem ``init``, whose axioms exercise the instance scopes.
 """
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import smt
+from repro.evaluation.runner import run_evaluation
 from repro.smt import sorts
+from repro.sfa import inclusion
 from repro.sfa import symbolic as S
 from repro.sfa.alphabet import build_alphabets, collect_literals
 from repro.sfa.inclusion import InclusionChecker
@@ -28,6 +38,9 @@ from repro.sfa.signatures import OperatorRegistry
 from repro.suite.registry import all_benchmarks
 
 from oracles import exhaustive_enumerate_alphabets, use_exhaustive_enumeration
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "smt"))
+from enumeration_oracle import PerEnumerationSolver  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # Random-case generators (plain `random`, deterministic seeds)
@@ -134,6 +147,51 @@ def test_random_literal_sets_agree(seed):
         smt.Solver(), hypotheses, collect_literals([formula], registry), registry
     )
     assert guided == exhaustive
+
+
+@pytest.mark.parametrize("seed", range(250))
+def test_random_literal_sets_match_the_per_enumeration_oracle(seed):
+    rng = random.Random(1_000_003 * (seed + 1))
+    registry, hypotheses, formula = _random_literal_case(rng)
+    incremental = build_alphabets(smt.Solver(), hypotheses, [formula], registry)
+    oracle = build_alphabets(PerEnumerationSolver(), hypotheses, [formula], registry)
+    assert incremental == oracle
+
+
+def _record_constructions(monkeypatch) -> list:
+    """Run every alphabet construction on the oracle too; returns the pairs."""
+    pairs = []
+
+    def recording(solver, hypotheses, formulas, operators, *, stats=None, **budget):
+        alphabets = build_alphabets(
+            solver, hypotheses, formulas, operators, stats=stats, **budget
+        )
+        oracle = build_alphabets(
+            PerEnumerationSolver(solver.axioms), hypotheses, formulas, operators, **budget
+        )
+        pairs.append((alphabets, oracle))
+        return alphabets
+
+    monkeypatch.setattr(inclusion, "build_alphabets", recording)
+    return pairs
+
+
+def test_fast_corpus_alphabets_match_the_per_enumeration_oracle(monkeypatch):
+    pairs = _record_constructions(monkeypatch)
+    report = run_evaluation(include_slow=False)
+    assert report.all_verified and report.all_negatives_rejected
+    assert len(pairs) >= 60, f"only {len(pairs)} constructions"
+    for incremental, oracle in pairs:
+        assert incremental == oracle
+
+
+def test_filesystem_init_alphabets_match_the_per_enumeration_oracle(monkeypatch):
+    bench = next(b for b in all_benchmarks(include_slow=True) if b.adt == "FileSystem")
+    pairs = _record_constructions(monkeypatch)
+    assert bench.verify_method("init").verified
+    assert len(pairs) >= 4 and any(len(alphabets) > 1 for alphabets, _ in pairs)
+    for incremental, oracle in pairs:
+        assert incremental == oracle
 
 
 @pytest.mark.parametrize("seed", range(60))

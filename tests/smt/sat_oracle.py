@@ -34,9 +34,10 @@ added clauses, because the lazy SMT loop uses it as a cursor for syncing new
 Tseitin/blocking clauses from its ``CnfBuilder``.
 
 :class:`ReferenceDpllSolver` is the production core's search as it stood
-before its truth list and branch cursor, kept verbatim: the decision-level
-differential (``test_dpll_reference.py``) checks that the production core
-makes exactly the same decisions, conflicts and propagations.
+before its truth list and branch cursor, with the same root kept across
+solves: the decision-level differential (``test_dpll_reference.py``) checks
+that the production core makes exactly the same decisions, conflicts and
+propagations.
 """
 
 from __future__ import annotations
@@ -460,22 +461,33 @@ class CdclSolver:
 class ReferenceDpllSolver:
     """The DPLL core as it searched before its truth list and branch cursor.
 
-    Kept verbatim (renamed) as the decision-level oracle of
-    ``test_dpll_reference.py``: the production core must make exactly the
-    same decisions, so every partial model and every ``stats_decisions`` /
-    ``stats_conflicts`` / ``stats_propagations`` count must match.
+    Kept as the decision-level oracle of ``test_dpll_reference.py``: the
+    production core must make exactly the same decisions, so every partial
+    model and every ``stats_decisions`` / ``stats_conflicts`` /
+    ``stats_propagations`` count must match.  It retains its root the way
+    the core does: level 0 (the units and their consequences) and one level
+    per assumption outlive a solve, a solve keeps the levels its assumptions
+    share with the previous one, and a clause that would be unit or false
+    at the root cuts the root back before its watches are chosen.
     """
 
     def __init__(self) -> None:
         self._clauses: list[Clause] = []
         self._num_vars = 0
         self._has_empty_clause = False
-        #: literals of unit clauses, asserted at the start of every solve
+        #: literals of unit clauses, asserted at level 0
         self._units: list[int] = []
         #: clause index -> the two currently watched literals of that clause
         self._watched: list[list[int]] = []
         #: literal -> indices of clauses currently watching it
         self._watches: dict[int, list[int]] = {}
+        #: the assignment and the trail; between solves, the root only
+        self._assign: dict[int, bool] = {}
+        self._trail: list[int] = []
+        #: trail length at the end of each retained root level (level 0 first)
+        self._roots: list[int] = []
+        #: the assumption literal of each retained root level above 0
+        self._assumed: list[int] = []
         #: variables branched on first (in order) before the generic heuristic;
         #: used by minterm enumeration so every tracked literal is decided even
         #: once all clauses are satisfied.
@@ -507,8 +519,10 @@ class ReferenceDpllSolver:
         elif len(clause) == 1:
             self._units.append(clause[0])
             self._watched.append([])
+            self._cut_roots(0)
         else:
-            pair = [clause[0], clause[1]]
+            first, second = self._watch_positions(clause)
+            pair = [clause[first], clause[second]]
             self._watched.append(pair)
             self._watches.setdefault(pair[0], []).append(index)
             self._watches.setdefault(pair[1], []).append(index)
@@ -527,6 +541,39 @@ class ReferenceDpllSolver:
     @property
     def num_clauses(self) -> int:
         return len(self._clauses)
+
+    # -- the retained root ------------------------------------------------------
+    def _is_false(self, lit: int) -> bool:
+        value = self._assign.get(abs(lit))
+        return value is not None and value != (lit > 0)
+
+    def _watch_positions(self, clause: Clause) -> tuple[int, int]:
+        free = [i for i, lit in enumerate(clause) if not self._is_false(lit)]
+        if len(free) >= 2:
+            return free[0], free[1]
+        levels = []
+        for lit in clause:
+            if self._is_false(lit):
+                position = self._trail.index(-lit)
+                levels.append(
+                    next(depth for depth, end in enumerate(self._roots) if position < end)
+                )
+        levels.sort(reverse=True)
+        self._cut_roots(levels[1 - len(free)])
+        free = [i for i, lit in enumerate(clause) if not self._is_false(lit)]
+        return free[0], free[1]
+
+    def _cut_roots(self, keep: int) -> None:
+        if keep >= len(self._roots):
+            return
+        self._undo(self._roots[keep - 1] if keep else 0)
+        del self._roots[keep:]
+        del self._assumed[max(keep - 1, 0):]
+
+    def _undo(self, mark: int) -> None:
+        for lit in self._trail[mark:]:
+            del self._assign[abs(lit)]
+        del self._trail[mark:]
 
     # -- solving ------------------------------------------------------------------
     def solve(self, assumptions: Iterable[int] = ()) -> Optional[dict[int, bool]]:
@@ -555,8 +602,13 @@ class ReferenceDpllSolver:
         """
         if self._has_empty_clause:
             return None
-        assign: dict[int, bool] = {}
-        trail: list[int] = []
+        assumptions = tuple(assumptions)
+        for lit in assumptions:
+            if lit == 0:
+                raise ValueError("0 is not a valid literal")
+            self._num_vars = max(self._num_vars, abs(lit))
+        assign = self._assign
+        trail = self._trail
         qhead = 0
 
         def enqueue(lit: int) -> bool:
@@ -577,17 +629,36 @@ class ReferenceDpllSolver:
                 qhead += 1
             return True
 
-        for lit in self._units:
-            if not enqueue(lit):
+        if self._roots:
+            shared = 0
+            while (
+                shared < min(len(self._assumed), len(assumptions))
+                and self._assumed[shared] == assumptions[shared]
+            ):
+                shared += 1
+            self._cut_roots(shared + 1)
+        else:
+            for lit in self._units:
+                if not enqueue(lit):
+                    self._undo(0)
+                    return None
+            if not propagate():
+                self._undo(0)
                 return None
-        for lit in assumptions:
-            if lit == 0:
-                raise ValueError("0 is not a valid literal")
-            self._num_vars = max(self._num_vars, abs(lit))
-            if not enqueue(lit):
+            self._roots.append(len(trail))
+        for lit in assumptions[len(self._assumed):]:
+            current = assign.get(abs(lit))
+            if current is None:
+                mark = qhead = len(trail)
+                enqueue(lit)
+                if not propagate():
+                    self._undo(mark)
+                    return None
+            elif current != (lit > 0):
                 return None
-        if not propagate():
-            return None
+            self._assumed.append(lit)
+            self._roots.append(len(trail))
+        root = qhead = len(trail)
 
         # Variables assigned before the first decision keep their values for
         # the whole search, so any clause they satisfy stays satisfied; the
@@ -597,28 +668,32 @@ class ReferenceDpllSolver:
 
         #: decision stack: (trail length before the decision, var, value, flipped)
         decisions: list[tuple[int, int, bool, bool]] = []
-        while True:
-            var = self._pick_branch_var(assign, level0_vars, scan_state)
-            if var is None:
-                return dict(assign)
-            value = self.phase_hint.get(var, True)
-            self.stats_decisions += 1
-            decisions.append((len(trail), var, value, False))
-            enqueue(var if value else -var)
-            while not propagate():
-                self.stats_conflicts += 1
-                while decisions:
-                    mark, dvar, dvalue, flipped = decisions.pop()
-                    for lit in trail[mark:]:
-                        del assign[abs(lit)]
-                    del trail[mark:]
-                    qhead = mark
-                    if not flipped:
-                        decisions.append((mark, dvar, not dvalue, True))
-                        enqueue(dvar if not dvalue else -dvar)
-                        break
-                else:
-                    return None
+        try:
+            while True:
+                pick = self._pick_branch_var(assign, level0_vars, scan_state)
+                if pick is None:
+                    return dict(assign)
+                var = abs(pick)
+                value = self.phase_hint.get(var, pick > 0)
+                self.stats_decisions += 1
+                decisions.append((len(trail), var, value, False))
+                enqueue(var if value else -var)
+                while not propagate():
+                    self.stats_conflicts += 1
+                    while decisions:
+                        mark, dvar, dvalue, flipped = decisions.pop()
+                        for lit in trail[mark:]:
+                            del assign[abs(lit)]
+                        del trail[mark:]
+                        qhead = mark
+                        if not flipped:
+                            decisions.append((mark, dvar, not dvalue, True))
+                            enqueue(dvar if not dvalue else -dvar)
+                            break
+                    else:
+                        return None
+        finally:
+            self._undo(root)
 
     # -- internals ----------------------------------------------------------------
     def _propagate_literal(self, lit: int, assign: dict[int, bool], enqueue) -> bool:
@@ -669,6 +744,10 @@ class ReferenceDpllSolver:
     ) -> Optional[int]:
         """Priority variables first, then a literal from the first unsatisfied clause.
 
+        Returns the literal to branch on: a priority variable (positive), or
+        the first unassigned literal of the first unsatisfied clause, whose
+        polarity is the branch value when no phase hint names its variable.
+
         ``scan_state`` holds the index below which every clause is known to be
         satisfied by a level-0 variable (immutable for this solve); the prefix
         is skipped and extended greedily, so repeated decisions do not rescan
@@ -686,7 +765,7 @@ class ReferenceDpllSolver:
                 value = assign.get(abs(lit))
                 if value is None:
                     if unassigned == 0:
-                        unassigned = abs(lit)
+                        unassigned = lit
                 elif value == (lit > 0):
                     satisfied_by = abs(lit)
                     break

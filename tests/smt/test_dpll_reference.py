@@ -9,10 +9,13 @@ after every ``solve_partial`` the two must agree on:
 * ``stats_decisions``, ``stats_conflicts`` and ``stats_propagations``;
 * the watch state (``_watched``, ``_watches``) carried into the next call.
 
-Two legs check it.  The fuzz leg drives both through seeded random
-incremental sequences (``REPRO_FUZZ_SEED``; CI runs two pinned values); the
-corpus leg runs a cold fast-corpus evaluation on a twin core that solves
-every query on both and compares them.
+Both keep their root (level 0 and one level per assumption) across solves,
+so the comparison covers retention too.  Three legs check it.  The fuzz leg
+drives both through seeded random incremental sequences
+(``REPRO_FUZZ_SEED``; CI runs two pinned values); the prefix leg does the
+same with solves that share assumption prefixes, with clauses added on a
+retained root in between; the corpus leg runs a cold fast-corpus evaluation
+on a twin core that solves every query on both and compares them.
 """
 
 import os
@@ -107,6 +110,59 @@ def test_random_sequences_make_the_same_decisions(case):
                 core, reference, got, expected,
                 f"seed base {SEED}, case {case}, step {step}",
             )
+
+
+def _prefix_sequence(case: int):
+    """Solves whose assumptions extend a prefix of the previous solve's.
+
+    The core retains the root levels two solves share, and clauses added in
+    between may be unit, false or watched on retained literals; these
+    sequences make that the common case rather than a chance one.
+    """
+    rng = random.Random(SEED + 7_000_003 * case)
+    num_vars = rng.randint(3, 14)
+    assumptions: list[int] = []
+    ops = []
+    for _ in range(rng.randint(20, 80)):
+        if rng.random() < 0.45:
+            ops.append(("clause", _random_clause(rng, num_vars)))
+            continue
+        del assumptions[rng.randint(0, len(assumptions)):]
+        for _ in range(rng.randint(0, 3)):
+            assumptions.append(rng.choice((1, -1)) * rng.randint(1, num_vars + 2))
+        priority = tuple(rng.sample(range(1, num_vars + 1), rng.randint(0, min(4, num_vars))))
+        hint = {v: rng.random() < 0.5 for v in range(1, num_vars + 1) if rng.random() < 0.4}
+        ops.append(("solve", tuple(assumptions), priority, hint))
+    return ops
+
+
+@pytest.mark.parametrize("case", range(150))
+def test_shared_assumption_prefixes_make_the_same_decisions(case):
+    core, reference = SatSolver(), ReferenceDpllSolver()
+    for step, op in enumerate(_prefix_sequence(case)):
+        expected = _run(reference, op)
+        got = _run(core, op)
+        if op[0] == "solve":
+            _assert_same_search(
+                core, reference, got, expected,
+                f"seed base {SEED}, prefix case {case}, step {step}",
+            )
+
+
+def test_the_prefix_leg_keeps_and_cuts_the_root():
+    # the retained root must be both reused and cut back, or the prefix leg
+    # would not exercise retention
+    reused = cut = 0
+    for case in range(150):
+        core = SatSolver()
+        for op in _prefix_sequence(case):
+            kept = len(core._roots)
+            _run(core, op)
+            if op[0] == "clause" and kept:
+                cut += len(core._roots) < kept
+            elif op[0] == "solve" and kept > 1:
+                reused += 1
+    assert reused > 500 and cut > 50, (reused, cut)
 
 
 def test_the_fuzz_leg_reaches_conflicts_and_both_verdicts():

@@ -112,9 +112,9 @@ def test_fast_corpus_checks_match_the_oracle(monkeypatch):
     calls = []
     explain = euf.check_euf
 
-    def recording(literals):
+    def recording(literals, closure=None):
         literals = list(literals)
-        result = explain(literals)
+        result = explain(literals, closure)
         calls.append((literals, result))
         return result
 
