@@ -17,9 +17,9 @@ store and the dispatch queue all key on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
+from ..record import FrozenRecord, Record
 from ..sfa import symbolic
 from ..sfa.symbolic import Sfa
 from ..smt.terms import Term
@@ -28,20 +28,35 @@ from ..smt.terms import Term
 KINDS = ("postcondition", "coverage", "precondition")
 
 
-@dataclass(frozen=True)
-class Obligation:
+class Obligation(FrozenRecord):
     """One leaf proof obligation ``Γ ⊢ L(lhs) ⊆ L(rhs)``."""
 
-    kind: str
-    hypotheses: tuple[Term, ...]
-    lhs: Sfa
-    rhs: Sfa
-    #: where the obligation came from, e.g. "insert: postcondition at return"
-    provenance: str
-    #: the message reported when the obligation fails to discharge
-    failure_message: str
-    #: emission order within the method (walk order); fixes error reporting
-    index: int
+    __slots__ = (
+        "kind", "hypotheses", "lhs", "rhs", "provenance", "failure_message", "index", "_digest",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        hypotheses: tuple[Term, ...],
+        lhs: Sfa,
+        rhs: Sfa,
+        provenance: str,
+        failure_message: str,
+        index: int,
+    ) -> None:
+        self.kind = kind
+        self.hypotheses = hypotheses
+        self.lhs = lhs
+        self.rhs = rhs
+        #: where the obligation came from, e.g. "insert: postcondition at return"
+        self.provenance = provenance
+        #: the message reported when the obligation fails to discharge
+        self.failure_message = failure_message
+        #: emission order within the method (walk order); fixes error reporting
+        self.index = index
+        #: the content digest, memoised by ``obligation_digest``
+        self._digest: Optional[str] = None
 
     def cost_estimate(self) -> int:
         """A cheap syntactic proxy for discharge cost.
@@ -53,12 +68,14 @@ class Obligation:
         return symbolic.size(self.lhs) + symbolic.size(self.rhs) + len(self.hypotheses)
 
 
-@dataclass
-class ObligationSet:
+class ObligationSet(Record):
     """Obligations emitted while walking one method body."""
 
-    method: str = ""
-    obligations: list[Obligation] = field(default_factory=list)
+    __slots__ = ("method", "obligations")
+
+    def __init__(self, method: str = "", obligations: Optional[list[Obligation]] = None) -> None:
+        self.method = method
+        self.obligations = [] if obligations is None else obligations
 
     def emit(
         self,
@@ -91,17 +108,25 @@ class ObligationSet:
         return iter(self.obligations)
 
 
-@dataclass
-class DischargeOutcome:
+class DischargeOutcome(Record):
     """The verdict for one emitted obligation."""
 
-    obligation: Obligation
-    included: bool
-    #: readable event trace witnessing the failure, when not included
-    counterexample: Optional[list[str]] = None
-    #: set when discharge hit a resource limit (AlphabetError & co.); the
-    #: obligation is then reported as failed with this message
-    error: Optional[str] = None
+    __slots__ = ("obligation", "included", "counterexample", "error")
+
+    def __init__(
+        self,
+        obligation: Obligation,
+        included: bool,
+        counterexample: Optional[list[str]] = None,
+        error: Optional[str] = None,
+    ) -> None:
+        self.obligation = obligation
+        self.included = included
+        #: readable event trace witnessing the failure, when not included
+        self.counterexample = counterexample
+        #: set when discharge hit a resource limit (AlphabetError & co.); the
+        #: obligation is then reported as failed with this message
+        self.error = error
 
     @property
     def failed(self) -> bool:

@@ -38,12 +38,10 @@ or across methods, without re-discharge.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..obs import trace
 from ..obs.logs import get_logger
-from ..obs.postmortem import dump_postmortem
 from ..sfa.alphabet import AlphabetError
 from ..sfa.derivatives import CompilationError
 from ..sfa.inclusion import InclusionStats, decide_inclusion
@@ -57,7 +55,6 @@ from .obligations import DischargeOutcome, Obligation, ObligationSet
 logger = get_logger("engine")
 
 
-@dataclass
 class EngineStats(MergeableStats):
     """Bookkeeping for the schedule/discharge stages."""
 
@@ -127,6 +124,8 @@ def discharge_group(
                     # keeps the alphabet and the context cases walked before it
                     error = str(exc)
         except Exception as exc:  # unexpected: capture context, then propagate
+            from ..obs.postmortem import dump_postmortem
+
             dump_postmortem(
                 exc,
                 obligation_fp=obligation_digest(obligation),

@@ -57,7 +57,6 @@ import os
 import socket
 import time
 import uuid
-from dataclasses import dataclass
 from typing import Optional
 
 from ..obs import trace
@@ -95,7 +94,6 @@ def _warm_process_state(config: CheckerConfig, check_negative_variants: bool) ->
 ENV_WORKER_CRASH = "REPRO_WORKER_CRASH"
 
 
-@dataclass
 class WorkerStats(MergeableStats):
     """What one worker session did (printed by ``repro worker``)."""
 

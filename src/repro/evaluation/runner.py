@@ -3,39 +3,50 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..obs import trace
+from ..record import Record
 from ..suite.benchmark import AdtBenchmark
 from ..suite.registry import all_benchmarks
 from ..typecheck.checker import Checker, CheckerConfig, PendingMethod
 from ..typecheck.stats import AdtStats, MethodResult
 
 
-@dataclass
-class NegativeResult:
+class NegativeResult(Record):
     """Outcome of checking a known-incorrect variant (must *not* verify)."""
 
-    benchmark: str
-    variant: str
-    rejected: bool
-    error: Optional[str]
+    __slots__ = ("benchmark", "variant", "rejected", "error")
+
+    def __init__(self, benchmark: str, variant: str, rejected: bool, error: Optional[str]) -> None:
+        self.benchmark = benchmark
+        self.variant = variant
+        self.rejected = rejected
+        self.error = error
 
 
-@dataclass
-class EvaluationReport:
+class EvaluationReport(Record):
     """Everything needed to regenerate Tables 1–4."""
 
-    adt_stats: list[AdtStats] = field(default_factory=list)
-    negative_results: list[NegativeResult] = field(default_factory=list)
-    total_time_seconds: float = 0.0
-    #: per-benchmark run diagnostics (:meth:`Checker.run_diagnostics`):
-    #: the engine's counters
-    diagnostics: list[dict] = field(default_factory=list)
-    #: set by the distributed coordinator: dispatch id, enqueue counts,
-    #: drain timing and the server's queue counters (None for local runs)
-    dispatch: Optional[dict] = None
+    __slots__ = ("adt_stats", "negative_results", "total_time_seconds", "diagnostics", "dispatch")
+
+    def __init__(
+        self,
+        adt_stats: Optional[list[AdtStats]] = None,
+        negative_results: Optional[list[NegativeResult]] = None,
+        total_time_seconds: float = 0.0,
+        diagnostics: Optional[list[dict]] = None,
+        dispatch: Optional[dict] = None,
+    ) -> None:
+        self.adt_stats = [] if adt_stats is None else adt_stats
+        self.negative_results = [] if negative_results is None else negative_results
+        self.total_time_seconds = total_time_seconds
+        #: per-benchmark run diagnostics (:meth:`Checker.run_diagnostics`):
+        #: the engine's counters
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        #: set by the distributed coordinator: dispatch id, enqueue counts,
+        #: drain timing and the server's queue counters (None for local runs)
+        self.dispatch = dispatch
 
     @property
     def all_verified(self) -> bool:

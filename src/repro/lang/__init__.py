@@ -1,4 +1,8 @@
-"""repro.lang — the λᴱ core calculus: syntax, front-end and interpreter."""
+"""repro.lang — the λᴱ core calculus: syntax, front-end and interpreter.
+
+The interpreter is :mod:`repro.lang.interp`; checking a program never runs
+it, so the package does not import it.
+"""
 
 from . import ast
 from .ast import (
@@ -29,16 +33,6 @@ from .desugar import (
     desugar_expression,
     desugar_program,
 )
-from .interp import (
-    BUILTIN_PURE_IMPLS,
-    Closure,
-    DataValue,
-    EffectModel,
-    EvalResult,
-    Interpreter,
-    StuckError,
-    module_environment,
-)
 from .lexer import LexError, Token, tokenize
 from .parser import parse_expression, parse_program
 
@@ -68,14 +62,6 @@ __all__ = [
     "Resolution",
     "desugar_expression",
     "desugar_program",
-    "BUILTIN_PURE_IMPLS",
-    "Closure",
-    "DataValue",
-    "EffectModel",
-    "EvalResult",
-    "Interpreter",
-    "StuckError",
-    "module_environment",
     "LexError",
     "Token",
     "tokenize",

@@ -16,23 +16,28 @@ Two syntactic classes exist, mirroring the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
+
+from ..record import FrozenRecord
 
 # ---------------------------------------------------------------------------
 # Values
 # ---------------------------------------------------------------------------
 
 
-class Value:
+class Value(FrozenRecord):
     """Base class of value forms."""
+
+    __slots__ = ()
 
     def walk(self) -> Iterator["Node"]:
         yield self
 
 
-class Expr:
+class Expr(FrozenRecord):
     """Base class of computation forms."""
+
+    __slots__ = ()
 
     def walk(self) -> Iterator["Node"]:
         yield self
@@ -41,7 +46,6 @@ class Expr:
 Node = Value | Expr
 
 
-@dataclass(frozen=True)
 class Const(Value):
     """A literal constant: ``()``, booleans, integers, or a named datum.
 
@@ -50,7 +54,10 @@ class Const(Value):
     verification.
     """
 
-    value: object
+    __slots__ = ("value",)
+
+    def __init__(self, value: object) -> None:
+        self.value = value
 
     def __repr__(self) -> str:
         if self.value == ():
@@ -65,23 +72,27 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True)
 class Var(Value):
     """A program variable."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class Lambda(Value):
     """``fun (x : ty) -> body``; the annotation is a surface type name."""
 
-    param: str
-    param_type: Optional[str]
-    body: "Expr"
+    __slots__ = ("param", "param_type", "body")
+
+    def __init__(self, param: str, param_type: Optional[str], body: "Expr") -> None:
+        self.param = param
+        self.param_type = param_type
+        self.body = body
 
     def __repr__(self) -> str:
         annotation = f" : {self.param_type}" if self.param_type else ""
@@ -92,12 +103,14 @@ class Lambda(Value):
         yield from self.body.walk()
 
 
-@dataclass(frozen=True)
 class Fix(Value):
     """``fix f. fun x -> e`` — a recursive function value."""
 
-    name: str
-    body: Lambda
+    __slots__ = ("name", "body")
+
+    def __init__(self, name: str, body: Lambda) -> None:
+        self.name = name
+        self.body = body
 
     def __repr__(self) -> str:
         return f"(fix {self.name}. {self.body!r})"
@@ -112,11 +125,13 @@ class Fix(Value):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Ret(Expr):
     """A value used as a (pure, effect-free) computation."""
 
-    value: Value
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value) -> None:
+        self.value = value
 
     def __repr__(self) -> str:
         return repr(self.value)
@@ -126,14 +141,16 @@ class Ret(Expr):
         yield from self.value.walk()
 
 
-@dataclass(frozen=True)
 class LetOp(Expr):
     """``let x = op v̄ in e`` — an effectful library operator application."""
 
-    name: str
-    op: str
-    args: tuple[Value, ...]
-    body: Expr
+    __slots__ = ("name", "op", "args", "body")
+
+    def __init__(self, name: str, op: str, args: tuple[Value, ...], body: Expr) -> None:
+        self.name = name
+        self.op = op
+        self.args = args
+        self.body = body
 
     def __repr__(self) -> str:
         rendered = " ".join(repr(a) for a in self.args)
@@ -146,14 +163,16 @@ class LetOp(Expr):
         yield from self.body.walk()
 
 
-@dataclass(frozen=True)
 class LetPure(Expr):
     """``let x = opₚ v̄ in e`` — a pure primitive operator application."""
 
-    name: str
-    op: str
-    args: tuple[Value, ...]
-    body: Expr
+    __slots__ = ("name", "op", "args", "body")
+
+    def __init__(self, name: str, op: str, args: tuple[Value, ...], body: Expr) -> None:
+        self.name = name
+        self.op = op
+        self.args = args
+        self.body = body
 
     def __repr__(self) -> str:
         rendered = " ".join(repr(a) for a in self.args)
@@ -166,14 +185,16 @@ class LetPure(Expr):
         yield from self.body.walk()
 
 
-@dataclass(frozen=True)
 class LetApp(Expr):
     """``let x = v v̄ in e`` — application of a function value."""
 
-    name: str
-    func: Value
-    args: tuple[Value, ...]
-    body: Expr
+    __slots__ = ("name", "func", "args", "body")
+
+    def __init__(self, name: str, func: Value, args: tuple[Value, ...], body: Expr) -> None:
+        self.name = name
+        self.func = func
+        self.args = args
+        self.body = body
 
     def __repr__(self) -> str:
         rendered = " ".join(repr(a) for a in self.args)
@@ -187,13 +208,15 @@ class LetApp(Expr):
         yield from self.body.walk()
 
 
-@dataclass(frozen=True)
 class LetIn(Expr):
     """``let x = e₁ in e₂`` with a computation on the right-hand side."""
 
-    name: str
-    bound: Expr
-    body: Expr
+    __slots__ = ("name", "bound", "body")
+
+    def __init__(self, name: str, bound: Expr, body: Expr) -> None:
+        self.name = name
+        self.bound = bound
+        self.body = body
 
     def __repr__(self) -> str:
         return f"let {self.name} = {self.bound!r} in\n{self.body!r}"
@@ -204,24 +227,28 @@ class LetIn(Expr):
         yield from self.body.walk()
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(FrozenRecord):
     """One arm of a ``match``: constructor name, binders and body."""
 
-    constructor: str
-    binders: tuple[str, ...]
-    body: Expr
+    __slots__ = ("constructor", "binders", "body")
+
+    def __init__(self, constructor: str, binders: tuple[str, ...], body: Expr) -> None:
+        self.constructor = constructor
+        self.binders = binders
+        self.body = body
 
     def walk(self) -> Iterator[Node]:
         yield from self.body.walk()
 
 
-@dataclass(frozen=True)
 class Match(Expr):
     """``match v with | d ȳ -> e ...``."""
 
-    scrutinee: Value
-    branches: tuple[Branch, ...]
+    __slots__ = ("scrutinee", "branches")
+
+    def __init__(self, scrutinee: Value, branches: tuple[Branch, ...]) -> None:
+        self.scrutinee = scrutinee
+        self.branches = branches
 
     def __repr__(self) -> str:
         arms = " ".join(
@@ -241,15 +268,24 @@ class Match(Expr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FunctionDef:
+class FunctionDef(FrozenRecord):
     """A top-level binding ``let [rec] f (x : t) ... : t = body``."""
 
-    name: str
-    params: tuple[tuple[str, Optional[str]], ...]
-    return_type: Optional[str]
-    body: Expr
-    recursive: bool = False
+    __slots__ = ("name", "params", "return_type", "body", "recursive")
+
+    def __init__(
+        self,
+        name: str,
+        params: tuple[tuple[str, Optional[str]], ...],
+        return_type: Optional[str],
+        body: Expr,
+        recursive: bool = False,
+    ) -> None:
+        self.name = name
+        self.params = params
+        self.return_type = return_type
+        self.body = body
+        self.recursive = recursive
 
     def as_value(self) -> Value:
         """The function as a λᴱ value (nested lambdas, wrapped in fix if recursive)."""
@@ -266,11 +302,13 @@ class FunctionDef:
         return inner
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(FrozenRecord):
     """A module: an ordered list of top-level function definitions."""
 
-    definitions: tuple[FunctionDef, ...]
+    __slots__ = ("definitions",)
+
+    def __init__(self, definitions: tuple[FunctionDef, ...]) -> None:
+        self.definitions = definitions
 
     def __getitem__(self, name: str) -> FunctionDef:
         for definition in self.definitions:

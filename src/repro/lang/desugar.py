@@ -19,9 +19,9 @@ function call (``LetApp``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from ..record import Record
 from . import ast
 from . import parser as surface
 
@@ -45,12 +45,14 @@ class DesugarError(ValueError):
     """Raised when the surface program cannot be lowered."""
 
 
-@dataclass
-class Resolution:
+class Resolution(Record):
     """How application heads are classified during lowering."""
 
-    effectful_ops: frozenset[str]
-    pure_ops: frozenset[str]
+    __slots__ = ("effectful_ops", "pure_ops")
+
+    def __init__(self, effectful_ops: frozenset[str], pure_ops: frozenset[str]) -> None:
+        self.effectful_ops = effectful_ops
+        self.pure_ops = pure_ops
 
     @staticmethod
     def make(

@@ -11,15 +11,13 @@ Corollary 4.9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Protocol, Sequence
 
-from ..sfa.events import Event, Trace
+from ..record import FrozenRecord, Record
+# StuckError lives beside Trace so the library models can raise it without
+# loading the interpreter; it stays importable from here
+from ..sfa.events import Event, StuckError, Trace  # noqa: F401
 from . import ast
-
-
-class StuckError(RuntimeError):
-    """Raised when evaluation gets stuck (e.g. ``get`` on an absent key)."""
 
 
 class EffectModel(Protocol):
@@ -32,24 +30,28 @@ class EffectModel(Protocol):
         """
 
 
-@dataclass(frozen=True)
-class Closure:
+class Closure(FrozenRecord):
     """A function value paired with its defining environment."""
 
-    param: str
-    body: ast.Expr
-    env: Mapping[str, object]
+    __slots__ = ("param", "body", "env")
+
+    def __init__(self, param: str, body: ast.Expr, env: Mapping[str, object]) -> None:
+        self.param = param
+        self.body = body
+        self.env = env
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<closure {self.param}>"
 
 
-@dataclass(frozen=True)
-class DataValue:
+class DataValue(FrozenRecord):
     """A constructed datum ``C(v̄)`` (used by list/tree style libraries)."""
 
-    constructor: str
-    fields: tuple[object, ...] = ()
+    __slots__ = ("constructor", "fields")
+
+    def __init__(self, constructor: str, fields: tuple[object, ...] = ()) -> None:
+        self.constructor = constructor
+        self.fields = fields
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if not self.fields:
@@ -73,12 +75,14 @@ BUILTIN_PURE_IMPLS: dict[str, Callable[..., object]] = {
 }
 
 
-@dataclass
-class EvalResult:
-    value: object
-    trace: Trace
-    #: the events emitted by this evaluation (suffix of ``trace``)
-    emitted: Trace
+class EvalResult(Record):
+    __slots__ = ("value", "trace", "emitted")
+
+    def __init__(self, value: object, trace: Trace, emitted: Trace) -> None:
+        self.value = value
+        self.trace = trace
+        #: the events emitted by this evaluation (suffix of ``trace``)
+        self.emitted = emitted
 
 
 class Interpreter:

@@ -9,8 +9,9 @@ punctuation / infix operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
+
+from ..record import FrozenRecord
 
 KEYWORDS = {
     "let",
@@ -63,12 +64,14 @@ class LexError(SyntaxError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "keyword" | "ident" | "int" | "string" | "symbol" | "eof"
-    text: str
-    line: int
-    column: int
+class Token(FrozenRecord):
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
+        self.kind = kind  # "keyword" | "ident" | "int" | "string" | "symbol" | "eof"
+        self.text = text
+        self.line = line
+        self.column = column
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.kind}({self.text!r})"

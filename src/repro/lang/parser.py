@@ -10,9 +10,9 @@ functions, application, sequencing with ``;`` and the usual infix operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ..record import FrozenRecord
 from .lexer import LexError, Token, TokenStream, tokenize
 
 # ---------------------------------------------------------------------------
@@ -20,93 +20,127 @@ from .lexer import LexError, Token, TokenStream, tokenize
 # ---------------------------------------------------------------------------
 
 
-class Surface:
+class Surface(FrozenRecord):
     """Base class of surface expressions."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class SUnit(Surface):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class SBool(Surface):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
 class SInt(Surface):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
 class SString(Surface):
-    value: str
+    __slots__ = ("value",)
+
+    def __init__(self, value: str) -> None:
+        self.value = value
 
 
-@dataclass(frozen=True)
 class SVar(Surface):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
 
-@dataclass(frozen=True)
 class SApp(Surface):
-    func: Surface
-    args: tuple[Surface, ...]
+    __slots__ = ("func", "args")
+
+    def __init__(self, func: Surface, args: tuple[Surface, ...]) -> None:
+        self.func = func
+        self.args = args
 
 
-@dataclass(frozen=True)
 class SIf(Surface):
-    condition: Surface
-    then_branch: Surface
-    else_branch: Surface
+    __slots__ = ("condition", "then_branch", "else_branch")
+
+    def __init__(self, condition: Surface, then_branch: Surface, else_branch: Surface) -> None:
+        self.condition = condition
+        self.then_branch = then_branch
+        self.else_branch = else_branch
 
 
-@dataclass(frozen=True)
 class SLet(Surface):
-    name: str
-    bound: Surface
-    body: Surface
+    __slots__ = ("name", "bound", "body")
+
+    def __init__(self, name: str, bound: Surface, body: Surface) -> None:
+        self.name = name
+        self.bound = bound
+        self.body = body
 
 
-@dataclass(frozen=True)
 class SSeq(Surface):
-    first: Surface
-    second: Surface
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: Surface, second: Surface) -> None:
+        self.first = first
+        self.second = second
 
 
-@dataclass(frozen=True)
 class SFun(Surface):
-    param: str
-    param_type: Optional[str]
-    body: Surface
+    __slots__ = ("param", "param_type", "body")
+
+    def __init__(self, param: str, param_type: Optional[str], body: Surface) -> None:
+        self.param = param
+        self.param_type = param_type
+        self.body = body
 
 
-@dataclass(frozen=True)
-class SMatchArm:
-    constructor: str
-    binders: tuple[str, ...]
-    body: Surface
+class SMatchArm(FrozenRecord):
+    __slots__ = ("constructor", "binders", "body")
+
+    def __init__(self, constructor: str, binders: tuple[str, ...], body: Surface) -> None:
+        self.constructor = constructor
+        self.binders = binders
+        self.body = body
 
 
-@dataclass(frozen=True)
 class SMatch(Surface):
-    scrutinee: Surface
-    arms: tuple[SMatchArm, ...]
+    __slots__ = ("scrutinee", "arms")
+
+    def __init__(self, scrutinee: Surface, arms: tuple[SMatchArm, ...]) -> None:
+        self.scrutinee = scrutinee
+        self.arms = arms
 
 
-@dataclass(frozen=True)
-class SDefinition:
-    name: str
-    params: tuple[tuple[str, Optional[str]], ...]
-    return_type: Optional[str]
-    body: Surface
-    recursive: bool
+class SDefinition(FrozenRecord):
+    __slots__ = ("name", "params", "return_type", "body", "recursive")
+
+    def __init__(
+        self,
+        name: str,
+        params: tuple[tuple[str, Optional[str]], ...],
+        return_type: Optional[str],
+        body: Surface,
+        recursive: bool,
+    ) -> None:
+        self.name = name
+        self.params = params
+        self.return_type = return_type
+        self.body = body
+        self.recursive = recursive
 
 
-@dataclass(frozen=True)
-class SProgram:
-    definitions: tuple[SDefinition, ...]
+class SProgram(FrozenRecord):
+    __slots__ = ("definitions",)
+
+    def __init__(self, definitions: tuple[SDefinition, ...]) -> None:
+        self.definitions = definitions
 
 
 # ---------------------------------------------------------------------------

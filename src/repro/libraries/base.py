@@ -17,33 +17,51 @@ on several stateful APIs at once (e.g. MinSet = Set + MemCell).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 from .. import smt
-from ..lang.interp import EffectModel, StuckError
-from ..sfa.events import Trace
+from ..record import Record
+from ..sfa.events import StuckError, Trace
 from ..sfa.signatures import EventSignature, OperatorRegistry
 from ..types.context import BuiltinContext, PureOpContext
 from ..types.rtypes import Type
 
+if TYPE_CHECKING:
+    from ..lang.interp import EffectModel
 
-@dataclass
-class Library:
+
+class Library(Record):
     """A stateful backing library, both specification- and model-side."""
 
-    name: str
-    operators: OperatorRegistry
-    delta: BuiltinContext
-    pure_ops: PureOpContext
-    axioms: tuple[smt.Axiom, ...] = ()
-    constants: dict[str, smt.Term] = field(default_factory=dict)
-    #: op name -> callable(trace, args) -> result
-    model_rules: dict[str, Callable[[Trace, Sequence[object]], object]] = field(default_factory=dict)
-    #: pure function / method predicate name -> concrete implementation
-    pure_impls: dict[str, Callable[..., object]] = field(default_factory=dict)
-    #: method predicate name -> concrete implementation (for trace acceptance)
-    predicate_impls: dict[str, Callable[..., object]] = field(default_factory=dict)
+    __slots__ = (
+        "name", "operators", "delta", "pure_ops", "axioms", "constants", "model_rules",
+        "pure_impls", "predicate_impls",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        operators: OperatorRegistry,
+        delta: BuiltinContext,
+        pure_ops: PureOpContext,
+        axioms: tuple[smt.Axiom, ...] = (),
+        constants: Optional[dict[str, smt.Term]] = None,
+        model_rules: Optional[dict[str, Callable[[Trace, Sequence[object]], object]]] = None,
+        pure_impls: Optional[dict[str, Callable[..., object]]] = None,
+        predicate_impls: Optional[dict[str, Callable[..., object]]] = None,
+    ) -> None:
+        self.name = name
+        self.operators = operators
+        self.delta = delta
+        self.pure_ops = pure_ops
+        self.axioms = axioms
+        self.constants = {} if constants is None else constants
+        #: op name -> callable(trace, args) -> result
+        self.model_rules = {} if model_rules is None else model_rules
+        #: pure function / method predicate name -> concrete implementation
+        self.pure_impls = {} if pure_impls is None else pure_impls
+        #: method predicate name -> concrete implementation (for trace acceptance)
+        self.predicate_impls = {} if predicate_impls is None else predicate_impls
 
     # -- effect model -------------------------------------------------------------
     def model(self) -> EffectModel:

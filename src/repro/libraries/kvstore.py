@@ -23,8 +23,8 @@ from typing import Callable, Optional, Sequence
 
 from .. import smt
 from ..smt.sorts import BOOL, UNIT, Sort
-from ..lang.interp import StuckError
 from ..sfa import symbolic
+from ..sfa.events import StuckError
 from ..sfa.signatures import EventSignature, OperatorRegistry
 from ..sfa.symbolic import Sfa
 from ..types.context import BuiltinContext, PureOpContext

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from .. import smt
 from ..smt.sorts import INT, UNIT, Sort
-from ..lang.interp import StuckError
 from ..sfa import symbolic
+from ..sfa.events import StuckError
 from ..sfa.signatures import OperatorRegistry
 from ..sfa.symbolic import Sfa
 from ..types.context import BuiltinContext, PureOpContext

@@ -1,4 +1,5 @@
-"""Run-wide observability: structured tracing, logging, post-mortems.
+"""Run-wide observability: structured tracing, logging, post-mortems
+(:mod:`repro.obs.postmortem`, imported where a discharge raises).
 
 The subpackage is deliberately dependency-free (stdlib only) and safe to
 import from every layer of the pipeline.  The tracer defaults to a
@@ -10,6 +11,5 @@ cache keys, or the deterministic tables.
 
 from . import trace
 from .logs import configure_logging, get_logger
-from .postmortem import dump_postmortem
 
-__all__ = ["trace", "configure_logging", "get_logger", "dump_postmortem"]
+__all__ = ["trace", "configure_logging", "get_logger"]

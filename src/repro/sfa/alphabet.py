@@ -30,12 +30,13 @@ same order).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .. import smt
 from ..obs import trace
+from ..record import FrozenRecord, Record
 from ..smt.terms import Term
+from ..statsutil import StatsTable
 from . import symbolic
 from .signatures import EventSignature, OperatorRegistry
 from .symbolic import Sfa
@@ -61,12 +62,18 @@ def resolve_max_literals(max_literals: Optional[int], filter_unsat: bool) -> int
     return DEFAULT_MAX_LITERALS if filter_unsat else EXHAUSTIVE_MAX_LITERALS
 
 
-@dataclass(frozen=True)
-class LiteralSets:
+class LiteralSets(FrozenRecord):
     """Literals collected from a group of symbolic automata."""
 
-    context_literals: tuple[Term, ...]
-    event_literals: Mapping[str, tuple[Term, ...]]
+    __slots__ = ("context_literals", "event_literals")
+
+    def __init__(
+        self,
+        context_literals: tuple[Term, ...],
+        event_literals: Mapping[str, tuple[Term, ...]],
+    ) -> None:
+        self.context_literals = context_literals
+        self.event_literals = event_literals
 
     def total(self) -> int:
         return len(self.context_literals) + sum(len(v) for v in self.event_literals.values())
@@ -144,12 +151,18 @@ def _record_pinned(
             pinned.setdefault(slot, {}).setdefault(other, None)
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(FrozenRecord):
     """One character of the finitised alphabet: an operator plus a minterm."""
 
-    signature: EventSignature
-    literal_values: tuple[tuple[Term, bool], ...]
+    __slots__ = ("signature", "literal_values")
+
+    def __init__(
+        self,
+        signature: EventSignature,
+        literal_values: tuple[tuple[Term, bool], ...],
+    ) -> None:
+        self.signature = signature
+        self.literal_values = literal_values
 
     def truth(self) -> dict[Term, bool]:
         return dict(self.literal_values)
@@ -178,12 +191,18 @@ class Character:
         return f"⟨{self.signature.name} | {bits or '⊤'}⟩"
 
 
-@dataclass
-class Alphabet:
+class Alphabet(Record):
     """A finite alphabet valid under one context case."""
 
-    context_case: tuple[tuple[Term, bool], ...]
-    characters: tuple[Character, ...]
+    __slots__ = ("context_case", "characters")
+
+    def __init__(
+        self,
+        context_case: tuple[tuple[Term, bool], ...],
+        characters: tuple[Character, ...],
+    ) -> None:
+        self.context_case = context_case
+        self.characters = characters
 
     def context_truth(self) -> dict[Term, bool]:
         return dict(self.context_case)
@@ -196,8 +215,7 @@ class Alphabet:
         return len(self.characters)
 
 
-@dataclass
-class AlphabetStats:
+class AlphabetStats(StatsTable):
     """Bookkeeping for the evaluation tables: the counters of one construction."""
 
     context_cases: int = 0

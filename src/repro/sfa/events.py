@@ -9,17 +9,25 @@ property-based tests that validate the Fundamental Theorem empirically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
+from ..record import FrozenRecord
 
-@dataclass(frozen=True)
-class Event:
+
+class StuckError(RuntimeError):
+    """Raised when evaluation gets stuck (e.g. ``get`` on an absent key): no
+    rule of a library's effect model reduces ``op v̄`` under the trace."""
+
+
+class Event(FrozenRecord):
     """A single effect event ``op args = result``."""
 
-    op: str
-    args: tuple[Any, ...]
-    result: Any
+    __slots__ = ("op", "args", "result")
+
+    def __init__(self, op: str, args: tuple[Any, ...], result: Any) -> None:
+        self.op = op
+        self.args = args
+        self.result = result
 
     def __str__(self) -> str:
         rendered_args = " ".join(repr(a) for a in self.args)

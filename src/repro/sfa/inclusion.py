@@ -31,10 +31,10 @@ to the caller's solver stats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .. import smt
+from ..record import Record
 from ..smt.terms import Term
 from ..statsutil import MergeableStats
 from .alphabet import AlphabetStats, build_alphabets, resolve_max_literals
@@ -43,13 +43,12 @@ from .signatures import OperatorRegistry
 from .symbolic import BOT, Sfa
 
 
-@dataclass
 class InclusionStats(MergeableStats):
     """Counters mirroring #FA⊆ / avg s_FA / #prod-states of Tables 1, 3 and 4.
 
-    ``merge``/``snapshot`` are derived from ``dataclasses.fields`` via
-    :class:`MergeableStats`: a counter added here automatically participates
-    in per-worker merges and before/after deltas.
+    ``merge``/``snapshot`` iterate the field tuple that
+    :class:`MergeableStats` reads off this class body: a counter added here
+    automatically participates in per-worker merges and before/after deltas.
     """
 
     fa_inclusion_checks: int = 0
@@ -83,11 +82,13 @@ class InclusionStats(MergeableStats):
         self.fa_time_seconds += seconds
 
 
-@dataclass
-class InclusionResult:
-    included: bool
-    #: one witness trace (one readable step per event) when not included
-    counterexample: Optional[list[str]] = None
+class InclusionResult(Record):
+    __slots__ = ("included", "counterexample")
+
+    def __init__(self, included: bool, counterexample: Optional[list[str]] = None) -> None:
+        self.included = included
+        #: one witness trace (one readable step per event) when not included
+        self.counterexample = counterexample
 
 
 def decide_inclusion(

@@ -10,25 +10,31 @@ acceptance) agrees on their identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .. import smt
+from ..record import FrozenRecord
 from ..smt.sorts import Sort
 
 
-@dataclass(frozen=True)
-class EventSignature:
+class EventSignature(FrozenRecord):
     """An effectful operator as seen by the automata layer."""
 
-    name: str
-    arg_names: tuple[str, ...]
-    arg_sorts: tuple[Sort, ...]
-    result_sort: Sort
+    __slots__ = ("name", "arg_names", "arg_sorts", "result_sort")
 
-    def __post_init__(self) -> None:
-        if len(self.arg_names) != len(self.arg_sorts):
+    def __init__(
+        self,
+        name: str,
+        arg_names: tuple[str, ...],
+        arg_sorts: tuple[Sort, ...],
+        result_sort: Sort,
+    ) -> None:
+        if len(arg_names) != len(arg_sorts):
             raise ValueError("argument names and sorts must align")
+        self.name = name
+        self.arg_names = arg_names
+        self.arg_sorts = arg_sorts
+        self.result_sort = result_sort
 
     # -- formal variables -----------------------------------------------------------
     @property

@@ -17,10 +17,10 @@ bad program).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from ..record import FrozenRecord
 from . import terms
 from .terms import Term
 
@@ -75,13 +75,20 @@ def _prune(coeffs: dict[Term, Fraction]) -> dict[Term, Fraction]:
     return {a: c for a, c in coeffs.items() if c != 0}
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(FrozenRecord):
     """``sum(coeffs) + const <= 0`` (or ``< 0`` when ``strict``)."""
 
-    coeffs: tuple[tuple[Term, Fraction], ...]
-    const: Fraction
-    strict: bool
+    __slots__ = ("coeffs", "const", "strict")
+
+    def __init__(
+        self,
+        coeffs: tuple[tuple[Term, Fraction], ...],
+        const: Fraction,
+        strict: bool,
+    ) -> None:
+        self.coeffs = coeffs
+        self.const = const
+        self.strict = strict
 
     @staticmethod
     def make(coeffs: dict[Term, Fraction], const: Fraction, strict: bool) -> "Constraint":

@@ -12,26 +12,26 @@ a query, in a bounded number of rounds so axioms that introduce new terms
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ..record import FrozenRecord
 from . import terms
 from .terms import Term
 from .sorts import Sort
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(FrozenRecord):
     """A named universally quantified lemma."""
 
-    name: str
-    variables: tuple[Term, ...]
-    body: Term
+    __slots__ = ("name", "variables", "body")
 
-    def __post_init__(self) -> None:
-        for v in self.variables:
+    def __init__(self, name: str, variables: tuple[Term, ...], body: Term) -> None:
+        for v in variables:
             if v.kind != terms.VAR:
                 raise ValueError("axiom binders must be variables")
+        self.name = name
+        self.variables = variables
+        self.body = body
 
     @property
     def formula(self) -> Term:

@@ -33,9 +33,9 @@ longest shared prefix and asserts only the literals after it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ..record import Record
 from . import terms
 from .terms import Term
 
@@ -44,16 +44,18 @@ _CONSTANT_KINDS = (terms.INT_CONST, terms.DATA_CONST, terms.BOOL_CONST)
 _BOOL_ATOM_KINDS = (terms.APP, terms.VAR)
 
 
-@dataclass
-class EufResult:
+class EufResult(Record):
     """Outcome of a congruence-closure run."""
 
-    consistent: bool
-    #: the input literals (as passed in, in input order) on the explanation
-    #: path of the first clash: the equations that merged a disequality's
-    #: sides, or two distinct constants (``true = false`` included), plus
-    #: the disequality itself; empty when consistent.
-    conflict: list[tuple[Term, bool]]
+    __slots__ = ("consistent", "conflict")
+
+    def __init__(self, consistent: bool, conflict: list[tuple[Term, bool]]) -> None:
+        self.consistent = consistent
+        #: the input literals (as passed in, in input order) on the explanation
+        #: path of the first clash: the equations that merged a disequality's
+        #: sides, or two distinct constants (``true = false`` included), plus
+        #: the disequality itself; empty when consistent.
+        self.conflict = conflict
 
 
 class _Congruence:

@@ -44,7 +44,6 @@ points:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import terms
@@ -61,7 +60,6 @@ from .theory import check_theory
 Assignment = tuple[tuple[Term, bool], ...]
 
 
-@dataclass
 class SolverStats(MergeableStats):
     """Counters mirroring the #SAT / t_SAT columns of the paper's tables.
 

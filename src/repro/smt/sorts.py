@@ -8,14 +8,16 @@ be compared with ``is`` and used as dictionary keys cheaply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ..record import FrozenRecord
 
 
-@dataclass(frozen=True)
-class Sort:
+class Sort(FrozenRecord):
     """An SMT sort.  ``name`` uniquely identifies the sort."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return self.name

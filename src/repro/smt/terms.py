@@ -16,9 +16,9 @@ predictable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
+from ..record import FrozenRecord
 from .sorts import BOOL, INT, Sort
 
 # ---------------------------------------------------------------------------
@@ -26,14 +26,22 @@ from .sorts import BOOL, INT, Sort
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FuncDecl:
+class FuncDecl(FrozenRecord):
     """An uninterpreted function or method-predicate symbol."""
 
-    name: str
-    arg_sorts: tuple[Sort, ...]
-    result_sort: Sort
-    is_method_predicate: bool = False
+    __slots__ = ("name", "arg_sorts", "result_sort", "is_method_predicate")
+
+    def __init__(
+        self,
+        name: str,
+        arg_sorts: tuple[Sort, ...],
+        result_sort: Sort,
+        is_method_predicate: bool = False,
+    ) -> None:
+        self.name = name
+        self.arg_sorts = arg_sorts
+        self.result_sort = result_sort
+        self.is_method_predicate = is_method_predicate
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         args = ", ".join(s.name for s in self.arg_sorts)

@@ -9,20 +9,22 @@ terms into the arithmetic solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from . import arith, euf, terms
+from ..record import Record
+from . import euf, terms
 from .euf import CongruenceClosure
 from .terms import Term
 
 
-@dataclass
-class TheoryResult:
-    consistent: bool
-    #: literals explaining the conflict (a subset of those passed in);
-    #: empty when consistent.
-    conflict: list[tuple[Term, bool]]
+class TheoryResult(Record):
+    __slots__ = ("consistent", "conflict")
+
+    def __init__(self, consistent: bool, conflict: list[tuple[Term, bool]]) -> None:
+        self.consistent = consistent
+        #: literals explaining the conflict (a subset of those passed in);
+        #: empty when consistent.
+        self.conflict = conflict
 
 
 #: the arithmetic atoms are the order comparisons plus Int-sorted equalities
@@ -66,6 +68,9 @@ def check_theory(
         or (literal[0].kind == terms.EQ and literal[0].children[0].sort is terms.INT)
     ]
     if arith_literals:
+        # loaded on the first arithmetic literal: most queries have none
+        from . import arith
+
         euf_literals = [(a, v) for a, v in literal_list if _is_euf_atom(a)]
         shared_terms = [
             node

@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -46,6 +45,7 @@ except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
 
 from ..obs import trace
+from ..record import Record
 
 #: Store layout version; entries under another tag are discarded on open.
 SCHEMA_VERSION = "pymarple-store-v5"
@@ -56,29 +56,50 @@ _RUNS = "runs.jsonl"
 _LOCK = ".lock"
 
 
-@dataclass
-class StoreEntry:
+class StoreEntry(Record):
     """One discharged obligation: verdict, witness trace and counter dicts."""
 
-    env: str
-    fp: str
-    included: bool
-    counterexample: Optional[list[str]] = None
-    error: Optional[str] = None
-    solver_stats: dict = field(default_factory=dict)
-    inclusion_stats: dict = field(default_factory=dict)
-    scope: str = ""
-    method: str = ""
-    spec: str = ""
-    library: str = ""
-    kind: str = ""
-    provenance: str = ""
-    #: the discharge cost record (``{"wall": seconds, ...}``) behind the
-    #: dispatch queue's LPT order.  Deliberately *outside* the content
-    #: address and the deterministic tables: it is a measurement, not a
-    #: semantic fact — advisory across environments and free to vary run to
-    #: run.
-    cost: dict = field(default_factory=dict)
+    __slots__ = (
+        "env", "fp", "included", "counterexample", "error", "solver_stats", "inclusion_stats",
+        "scope", "method", "spec", "library", "kind", "provenance", "cost",
+    )
+
+    def __init__(
+        self,
+        env: str,
+        fp: str,
+        included: bool,
+        counterexample: Optional[list[str]] = None,
+        error: Optional[str] = None,
+        solver_stats: Optional[dict] = None,
+        inclusion_stats: Optional[dict] = None,
+        scope: str = "",
+        method: str = "",
+        spec: str = "",
+        library: str = "",
+        kind: str = "",
+        provenance: str = "",
+        cost: Optional[dict] = None,
+    ) -> None:
+        self.env = env
+        self.fp = fp
+        self.included = included
+        self.counterexample = counterexample
+        self.error = error
+        self.solver_stats = {} if solver_stats is None else solver_stats
+        self.inclusion_stats = {} if inclusion_stats is None else inclusion_stats
+        self.scope = scope
+        self.method = method
+        self.spec = spec
+        self.library = library
+        self.kind = kind
+        self.provenance = provenance
+        #: the discharge cost record (``{"wall": seconds, ...}``) behind the
+        #: dispatch queue's LPT order.  Deliberately *outside* the content
+        #: address and the deterministic tables: it is a measurement, not a
+        #: semantic fact — advisory across environments and free to vary run to
+        #: run.
+        self.cost = {} if cost is None else cost
 
     @property
     def key(self) -> tuple[str, str]:
@@ -145,13 +166,20 @@ class StoreEntry:
 ENTRY_DECODE_ERRORS = (ValueError, KeyError, TypeError)
 
 
-@dataclass
-class LoadedState:
+class LoadedState(Record):
     """What a backend read: live entries, the run log, skipped corrupt lines."""
 
-    entries: dict[tuple[str, str], StoreEntry]
-    runs: list[dict]
-    skipped: int = 0
+    __slots__ = ("entries", "runs", "skipped")
+
+    def __init__(
+        self,
+        entries: dict[tuple[str, str], StoreEntry],
+        runs: list[dict],
+        skipped: int = 0,
+    ) -> None:
+        self.entries = entries
+        self.runs = runs
+        self.skipped = skipped
 
 
 def _decode_entry_lines(raw: bytes) -> tuple[dict[tuple[str, str], StoreEntry], int]:

@@ -61,6 +61,7 @@ from typing import Iterator, Optional
 
 from ..obs import trace
 from ..obs.logs import get_logger
+from ..statsutil import StatsTable
 from .backends import SCHEMA_VERSION, StoreEntry, is_store_url
 from .service import LocalStoreClient, check_keep_last, stale_entry_keys
 
@@ -86,8 +87,7 @@ class StoreContext:
     library_digest: str
 
 
-@dataclass
-class MethodStoreCounts:
+class MethodStoreCounts(StatsTable):
     """Per-method session counters backing ``--explain``."""
 
     hits: int = 0

@@ -32,8 +32,9 @@ its own enqueue wave while other tenants share the queue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+from ..record import Record
 
 
 def item_key(env: str, fp: str) -> str:
@@ -41,30 +42,45 @@ def item_key(env: str, fp: str) -> str:
     return f"{env}:{fp}"
 
 
-@dataclass
-class QueueItem:
+class QueueItem(Record):
     """One obligation awaiting discharge."""
 
-    env: str
-    fp: str
-    #: registry key of the benchmark that emitted the obligation: its
-    #: operator registry resolves the payload's event signatures
-    bench: str
-    #: advisory discharge cost: seconds when ``measured``, else the
-    #: syntactic estimate — :meth:`WorkQueue.lease` sorts measured items
-    #: before estimated ones, each population longest-first
-    cost: float = 0.0
-    measured: bool = False
-    #: id of the lease currently holding this item, if any
-    leased_by: Optional[str] = None
-    #: how many times this item has been leased (> 1 means it was stolen)
-    attempts: int = 0
-    #: enqueue-wave tags; :meth:`WorkQueue.status` filters by them
-    dispatches: set = field(default_factory=set)
-    #: the encoded obligation and its store context as JSON text, passed
-    #: through to the leasing worker unparsed (``None``: the worker cannot
-    #: discharge the item and completes it, leaving it to the coordinator)
-    payload: Optional[str] = None
+    __slots__ = (
+        "env", "fp", "bench", "cost", "measured", "leased_by", "attempts", "dispatches", "payload",
+    )
+
+    def __init__(
+        self,
+        env: str,
+        fp: str,
+        bench: str,
+        cost: float = 0.0,
+        measured: bool = False,
+        leased_by: Optional[str] = None,
+        attempts: int = 0,
+        dispatches: Optional[set] = None,
+        payload: Optional[str] = None,
+    ) -> None:
+        self.env = env
+        self.fp = fp
+        #: registry key of the benchmark that emitted the obligation: its
+        #: operator registry resolves the payload's event signatures
+        self.bench = bench
+        #: advisory discharge cost: seconds when ``measured``, else the
+        #: syntactic estimate — :meth:`WorkQueue.lease` sorts measured items
+        #: before estimated ones, each population longest-first
+        self.cost = cost
+        self.measured = measured
+        #: id of the lease currently holding this item, if any
+        self.leased_by = leased_by
+        #: how many times this item has been leased (> 1 means it was stolen)
+        self.attempts = attempts
+        #: enqueue-wave tags; :meth:`WorkQueue.status` filters by them
+        self.dispatches = set() if dispatches is None else dispatches
+        #: the encoded obligation and its store context as JSON text, passed
+        #: through to the leasing worker unparsed (``None``: the worker cannot
+        #: discharge the item and completes it, leaving it to the coordinator)
+        self.payload = payload
 
     @property
     def key(self) -> str:
@@ -82,14 +98,16 @@ class QueueItem:
         }
 
 
-@dataclass
-class Lease:
+class Lease(Record):
     """One worker's claim on a batch of items, valid until ``deadline``."""
 
-    id: str
-    worker: str
-    deadline: float
-    keys: set
+    __slots__ = ("id", "worker", "deadline", "keys")
+
+    def __init__(self, id: str, worker: str, deadline: float, keys: set) -> None:
+        self.id = id
+        self.worker = worker
+        self.deadline = deadline
+        self.keys = keys
 
 
 class WorkQueue:

@@ -11,19 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from .. import smt
 from ..lang import ast
 from ..lang.desugar import desugar_program
 from ..obs import trace
-from ..lang.interp import Interpreter, module_environment
 from ..libraries.base import Library
 from ..sfa import symbolic
 from ..sfa.symbolic import Sfa
 from ..typecheck.checker import Checker, CheckerConfig
 from ..typecheck.spec import MethodSpec
 from ..typecheck.stats import AdtStats, MethodResult
+
+if TYPE_CHECKING:
+    from ..lang.interp import Interpreter
 
 
 @dataclass
@@ -153,9 +155,14 @@ class AdtBenchmark:
         return checker.check_method(program[name], self.specs[spec_name], self.specs)
 
     # -- dynamic execution (used by examples and property tests) --------------------------
+    # (the interpreter is imported here, not at module level: a check never loads it)
     def interpreter(self) -> Interpreter:
+        from ..lang.interp import Interpreter
+
         return Interpreter(self.library.model(), self.library.pure_impls)
 
     def module(self, interpreter: Optional[Interpreter] = None) -> dict[str, object]:
+        from ..lang.interp import module_environment
+
         interpreter = interpreter or self.interpreter()
         return module_environment(self.program, interpreter)

@@ -38,6 +38,7 @@ from typing import Mapping, Optional, Sequence, Union
 from .. import smt
 from ..obs import trace
 from ..obs.logs import get_logger
+from ..record import Record
 from ..smt.sorts import BOOL, INT, Sort, UNIT
 from ..engine import ObligationEngine, ObligationSet
 from ..lang import ast
@@ -90,8 +91,7 @@ class CheckerConfig:
     max_literals: Optional[int] = None
 
 
-@dataclass
-class PendingMethod:
+class PendingMethod(Record):
     """A method whose body has been walked and whose obligations await discharge.
 
     :meth:`Checker.emit_method` returns it and :meth:`Checker.finish_method`
@@ -99,16 +99,32 @@ class PendingMethod:
     emitted before any of them is finished are still billed exactly once.
     """
 
-    definition: ast.FunctionDef
-    method: str
-    obligations: ObligationSet
-    #: the walk's own failure (a failed inline check or typing error), if any
-    inline_error: Optional[str]
-    solver: SolverStats
-    inclusion: InclusionStats
-    store_context: Optional[StoreContext]
-    #: wall time of the invalidation and the walk
-    seconds: float
+    __slots__ = (
+        "definition", "method", "obligations", "inline_error", "solver", "inclusion",
+        "store_context", "seconds",
+    )
+
+    def __init__(
+        self,
+        definition: ast.FunctionDef,
+        method: str,
+        obligations: ObligationSet,
+        inline_error: Optional[str],
+        solver: SolverStats,
+        inclusion: InclusionStats,
+        store_context: Optional[StoreContext],
+        seconds: float,
+    ) -> None:
+        self.definition = definition
+        self.method = method
+        self.obligations = obligations
+        #: the walk's own failure (a failed inline check or typing error), if any
+        self.inline_error = inline_error
+        self.solver = solver
+        self.inclusion = inclusion
+        self.store_context = store_context
+        #: wall time of the invalidation and the walk
+        self.seconds = seconds
 
 
 class Checker:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ..record import Record
+from ..statsutil import StatsTable
 
-@dataclass
-class MethodStats:
+
+class MethodStats(StatsTable):
     """Statistics collected while checking one ADT method."""
 
     method: str = ""
@@ -84,33 +85,57 @@ class MethodStats:
     VOLATILE_COLUMNS = TIME_COLUMNS + ("#Store", "#Alph")
 
 
-@dataclass
-class MethodResult:
+class MethodResult(Record):
     """The outcome of verifying one method against its HAT specification."""
 
-    method: str
-    verified: bool
-    error: Optional[str] = None
-    #: the witness trace of the first failing obligation (readable events)
-    counterexample: Optional[list[str]] = None
-    stats: MethodStats = field(default_factory=MethodStats)
+    __slots__ = ("method", "verified", "error", "counterexample", "stats")
+
+    def __init__(
+        self,
+        method: str,
+        verified: bool,
+        error: Optional[str] = None,
+        counterexample: Optional[list[str]] = None,
+        stats: Optional[MethodStats] = None,
+    ) -> None:
+        self.method = method
+        self.verified = verified
+        self.error = error
+        #: the witness trace of the first failing obligation (readable events)
+        self.counterexample = counterexample
+        self.stats = MethodStats() if stats is None else stats
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.verified
 
 
-@dataclass
-class AdtStats:
+class AdtStats(Record):
     """Aggregate statistics for a whole ADT implementation (Table 1 rows)."""
 
-    adt: str = ""
-    library: str = ""
-    num_methods: int = 0
-    num_ghosts: int = 0
-    invariant_size: int = 0
-    total_time_seconds: float = 0.0
-    all_verified: bool = True
-    method_results: list[MethodResult] = field(default_factory=list)
+    __slots__ = (
+        "adt", "library", "num_methods", "num_ghosts", "invariant_size",
+        "total_time_seconds", "all_verified", "method_results",
+    )
+
+    def __init__(
+        self,
+        adt: str = "",
+        library: str = "",
+        num_methods: int = 0,
+        num_ghosts: int = 0,
+        invariant_size: int = 0,
+        total_time_seconds: float = 0.0,
+        all_verified: bool = True,
+        method_results: Optional[list[MethodResult]] = None,
+    ) -> None:
+        self.adt = adt
+        self.library = library
+        self.num_methods = num_methods
+        self.num_ghosts = num_ghosts
+        self.invariant_size = invariant_size
+        self.total_time_seconds = total_time_seconds
+        self.all_verified = all_verified
+        self.method_results = [] if method_results is None else method_results
 
     def hardest_method(self) -> Optional[MethodResult]:
         """The most complex method (paper: second half of Table 1).

@@ -11,10 +11,10 @@ program variable inside qualifiers and automata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .. import smt
+from ..record import FrozenRecord
 from ..smt.sorts import Sort
 from . import rtypes
 from .rtypes import FunType, GhostArrow, HatType, Intersection, RefinementType, Type
@@ -24,10 +24,12 @@ class TypingError(Exception):
     """A (user-facing) type error raised during verification."""
 
 
-@dataclass(frozen=True)
-class Binding:
-    name: str
-    type: Union[RefinementType, Type]
+class Binding(FrozenRecord):
+    __slots__ = ("name", "type")
+
+    def __init__(self, name: str, type: Union[RefinementType, Type]) -> None:
+        self.name = name
+        self.type = type
 
 
 class TypingContext:
@@ -103,8 +105,7 @@ class TypingContext:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PureOpSpec:
+class PureOpSpec(FrozenRecord):
     """A pure library function, typed by an equational qualifier on ν.
 
     ``make_qualifier(nu, args)`` builds the refinement of the result in terms
@@ -112,10 +113,19 @@ class PureOpSpec:
     uninterpreted function or ``ν ⟺ p(args)`` for a method predicate).
     """
 
-    name: str
-    arg_sorts: tuple[Sort, ...]
-    result_sort: Sort
-    make_qualifier: Callable[[smt.Term, Sequence[smt.Term]], smt.Term]
+    __slots__ = ("name", "arg_sorts", "result_sort", "make_qualifier")
+
+    def __init__(
+        self,
+        name: str,
+        arg_sorts: tuple[Sort, ...],
+        result_sort: Sort,
+        make_qualifier: Callable[[smt.Term, Sequence[smt.Term]], smt.Term],
+    ) -> None:
+        self.name = name
+        self.arg_sorts = arg_sorts
+        self.result_sort = result_sort
+        self.make_qualifier = make_qualifier
 
     def result_type(self, args: Sequence[smt.Term]) -> RefinementType:
         binder = rtypes.nu(self.result_sort)

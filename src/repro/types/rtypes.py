@@ -9,16 +9,16 @@ The type grammar reproduced here:
   precondition and a postcondition symbolic automaton,
 * intersections of HATs ``τ ⊓ τ``.
 
-Types are plain immutable dataclasses; substitution of program variables maps
+Types are plain immutable value classes; substitution of program variables maps
 through both the logical qualifiers and the automata.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 from .. import smt
+from ..record import FrozenRecord
 from ..smt.sorts import Sort
 from ..sfa import symbolic
 from ..sfa.symbolic import Sfa
@@ -28,12 +28,14 @@ def nu(sort: Sort) -> smt.Term:
     return smt.var(f"nu:{sort.name}", sort)
 
 
-@dataclass(frozen=True)
-class RefinementType:
+class RefinementType(FrozenRecord):
     """``{ν : b | φ}`` — a base sort refined by a qualifier over ν."""
 
-    sort: Sort
-    qualifier: smt.Term = smt.TRUE
+    __slots__ = ("sort", "qualifier")
+
+    def __init__(self, sort: Sort, qualifier: smt.Term = smt.TRUE) -> None:
+        self.sort = sort
+        self.qualifier = qualifier
 
     @property
     def binder(self) -> smt.Term:
@@ -62,13 +64,15 @@ def singleton(sort: Sort, value: smt.Term) -> RefinementType:
     return RefinementType(sort, smt.eq(nu(sort), value))
 
 
-@dataclass(frozen=True)
-class HatType:
+class HatType(FrozenRecord):
     """``[A] {ν:b|φ} [B]`` — a Hoare Automata Type."""
 
-    precondition: Sfa
-    result: RefinementType
-    postcondition: Sfa
+    __slots__ = ("precondition", "result", "postcondition")
+
+    def __init__(self, precondition: Sfa, result: RefinementType, postcondition: Sfa) -> None:
+        self.precondition = precondition
+        self.result = result
+        self.postcondition = postcondition
 
     def substitute(self, mapping: Mapping[smt.Term, smt.Term]) -> "HatType":
         mapping = dict(mapping)
@@ -82,18 +86,18 @@ class HatType:
         return f"[{self.precondition!r}] {self.result!r} [{self.postcondition!r}]"
 
 
-@dataclass(frozen=True)
-class Intersection:
+class Intersection(FrozenRecord):
     """An intersection of HATs, used for operators with several behaviours."""
 
-    cases: tuple[HatType, ...]
+    __slots__ = ("cases",)
 
-    def __post_init__(self) -> None:
-        if not self.cases:
+    def __init__(self, cases: tuple[HatType, ...]) -> None:
+        if not cases:
             raise ValueError("an intersection needs at least one case")
-        sorts = {case.result.sort for case in self.cases}
+        sorts = {case.result.sort for case in cases}
         if len(sorts) > 1:
             raise ValueError("intersected HATs must share a base type (WFInter)")
+        self.cases = cases
 
     def substitute(self, mapping: Mapping[smt.Term, smt.Term]) -> "Intersection":
         return Intersection(tuple(case.substitute(mapping) for case in self.cases))
@@ -112,13 +116,20 @@ def cases_of(effect: EffectType) -> tuple[HatType, ...]:
     return effect.cases
 
 
-@dataclass(frozen=True)
-class FunType:
+class FunType(FrozenRecord):
     """``x : t → τ`` — dependent function type."""
 
-    param_name: str
-    param_type: Union[RefinementType, "FunType"]
-    result: Union["FunType", RefinementType, HatType, Intersection, "GhostArrow"]
+    __slots__ = ("param_name", "param_type", "result")
+
+    def __init__(
+        self,
+        param_name: str,
+        param_type: Union[RefinementType, "FunType"],
+        result: Union["FunType", RefinementType, HatType, Intersection, "GhostArrow"],
+    ) -> None:
+        self.param_name = param_name
+        self.param_type = param_type
+        self.result = result
 
     def substitute(self, mapping: Mapping[smt.Term, smt.Term]) -> "FunType":
         return FunType(
@@ -131,13 +142,20 @@ class FunType:
         return f"{self.param_name}:{self.param_type!r} → {self.result!r}"
 
 
-@dataclass(frozen=True)
-class GhostArrow:
+class GhostArrow(FrozenRecord):
     """``x : b ⤳ τ`` — a ghost (purely logical) variable binder."""
 
-    name: str
-    sort: Sort
-    body: Union[FunType, RefinementType, HatType, Intersection, "GhostArrow"]
+    __slots__ = ("name", "sort", "body")
+
+    def __init__(
+        self,
+        name: str,
+        sort: Sort,
+        body: Union[FunType, RefinementType, HatType, Intersection, "GhostArrow"],
+    ) -> None:
+        self.name = name
+        self.sort = sort
+        self.body = body
 
     @property
     def variable(self) -> smt.Term:

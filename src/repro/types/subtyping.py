@@ -9,10 +9,10 @@ reduce to SFA inclusion queries handled by :class:`repro.sfa.InclusionChecker`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .. import smt
+from ..record import Record
 from ..sfa import symbolic
 from ..sfa.inclusion import InclusionChecker
 from . import rtypes
@@ -20,12 +20,14 @@ from .context import TypingContext, TypingError
 from .rtypes import HatType, RefinementType
 
 
-@dataclass
-class SubtypingEngine:
+class SubtypingEngine(Record):
     """Bundles the SMT solver and the SFA inclusion checker."""
 
-    solver: smt.Solver
-    inclusion: InclusionChecker
+    __slots__ = ("solver", "inclusion")
+
+    def __init__(self, solver: smt.Solver, inclusion: InclusionChecker) -> None:
+        self.solver = solver
+        self.inclusion = inclusion
 
     # -- pure refinement subtyping -------------------------------------------------
     def base_subtype(
